@@ -4,6 +4,9 @@ The Table I scenario: a new satellite joins, the administrator redefines
 the hub's wall-time levels, and "re-aggregate[s] all raw federation data."
 This bench measures that full rebuild as a function of raw row count, and
 confirms totals are invariant across the level change.
+
+Run from the repository root (the oracle imports as ``tests.…``):
+``PYTHONPATH=src:. python -m pytest benchmarks/bench_a3_reaggregation.py``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.timeutil import ts
 from repro.warehouse import Database
 
 from conftest import emit, emit_metrics
+from tests.aggregation_oracles import aggregate_jobs_oracle
 
 
 def _schema_with_jobs(n: int):
@@ -67,7 +71,7 @@ def test_a3_reaggregation_scaling(benchmark, n_jobs):
     # the benchmark fixture times the default (columnar) rebuild; time the
     # pure-Python oracle once for the before/after comparison
     t0 = time.perf_counter()
-    aggregator.aggregate_jobs_oracle("month")
+    aggregate_jobs_oracle(schema, aggregator.config, "month")
     oracle_s = time.perf_counter() - t0
     columnar_s = benchmark.stats.stats.mean
     emit(f"a3_reaggregation_{n_jobs}", "\n".join([

@@ -1,8 +1,8 @@
 """Ablation A6: warehouse query-engine scaling.
 
 Not a paper artifact — a substrate sanity bench.  Group-by aggregation
-latency over the embedded warehouse as row count grows, plus the
-vectorized grouped-sum fast path used by nightly aggregation.
+latency over the embedded warehouse as row count grows, plus an indexed
+point lookup.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.warehouse import (
     Query,
     TableSchema,
     make_columns,
-    vector_group_sum,
 )
 
 from conftest import emit, emit_metrics
@@ -68,18 +67,6 @@ def test_a6_group_by_latency(benchmark, n_rows):
     ]))
     emit_metrics(f"a6_groupby_{n_rows}", {
         "group_by_time": (benchmark.stats.stats.mean, "s"),
-    })
-
-
-@pytest.mark.parametrize("n_rows", [10000, 100000])
-def test_a6_vectorized_group_sum(benchmark, n_rows):
-    keys = [f"r{i % 8}" for i in range(n_rows)]
-    values = [float(i % 1000) for i in range(n_rows)]
-
-    sums = benchmark(vector_group_sum, keys, values)
-    assert len(sums) == 8
-    emit_metrics(f"a6_vector_group_sum_{n_rows}", {
-        "vector_group_sum_time": (benchmark.stats.stats.mean, "s"),
     })
 
 

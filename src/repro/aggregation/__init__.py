@@ -3,9 +3,9 @@
 See Table I of the paper for the wall-time level sets reproduced in
 :mod:`repro.aggregation.levels`, and :mod:`repro.aggregation.engine` for the
 nightly pre-binning step that builds the ``agg_*`` tables the UI queries.
-The default rebuild paths run on the vectorized columnar builders in
-:mod:`repro.aggregation.columnar`; every realm also supports incremental
-folds over seen-table bookkeeping.
+Each realm has one builder, the columnar fold in
+:mod:`repro.aggregation.columnar`; a rebuild is that fold started from
+row 0, an incremental pass the same fold started from the watermark.
 """
 
 from .columnar import (

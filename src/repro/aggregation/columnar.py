@@ -1,24 +1,29 @@
-"""Columnar fast path for the aggregation engine.
+"""The one aggregate builder per realm: a columnar fold.
 
 The nightly aggregation step is the hottest path in the system: at
 federation-hub scale every member's raw facts are re-binned for every
-period.  The pure-Python builders in :mod:`repro.aggregation.engine` walk
-every fact as a dict and bucket in Python; the builders here compute the
-same tables from the warehouse's cached columnar views
-(:meth:`repro.warehouse.Table.column_array`) with vectorized group-index
-reductions (``np.lexsort`` + ``np.add.reduceat``, the pattern
-:mod:`repro.warehouse.query` already uses for grouped sums).
+period.  Each realm has exactly one builder here.  It reads the
+warehouse's cached columnar views
+(:meth:`repro.warehouse.Table.column_array`), expands each fact into one
+contribution row per overlapped period (``np.repeat`` over per-fact
+period counts) and reduces the contributions with one group-index
+reduction (:func:`group_reduce`: ``np.lexsort`` + ``np.add.reduceat``).
 
-Multi-period apportionment is vectorized by expanding each fact into one
-row per overlapped period (``np.repeat`` over per-fact period counts) and
-reducing the expanded contribution table in one pass.  The pure-Python
-implementations remain in the engine as the oracle these builders are
-tested against row-for-row.
+A builder takes ``since`` — per fact table, the index of the first row
+not yet folded — and carries one extra 0/1 measure through the same
+reduction: a group is emitted only when a row at or past ``since``
+contributed to it.  An emitted group is always computed from *all* its
+facts, so distinct counts and gauge averages need no running state, the
+caller upserts it, and a fold equals a rebuild bit for bit; the rebuild
+is the fold with nothing folded yet (an empty ``since``).
+
+The per-row pure-Python builders these are tested against row-for-row
+live in ``tests/aggregation_oracles.py``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +38,21 @@ __all__ = [
 ]
 
 
+def _sorted_groups(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic sort of composite ``keys`` (non-empty).
+
+    Returns ``(order, starts)``: the sorting permutation and the positions
+    in it where each distinct key begins.
+    """
+    order = np.lexsort(tuple(reversed(list(keys))))
+    boundary = np.zeros(len(order), dtype=bool)
+    boundary[0] = True
+    for k in keys:
+        k = np.asarray(k)[order]
+        boundary[1:] |= k[1:] != k[:-1]
+    return order, np.flatnonzero(boundary)
+
+
 def group_reduce(
     keys: Sequence[np.ndarray],
     measures: dict[str, np.ndarray],
@@ -44,17 +64,11 @@ def group_reduce(
     groups in lexicographic key order.  This is the ``np.add.reduceat``
     reduction at the heart of every columnar aggregation path.
     """
-    n = len(keys[0])
-    if n == 0:
+    if len(keys[0]) == 0:
         return [k[:0] for k in keys], {m: v[:0] for m, v in measures.items()}
-    order = np.lexsort(tuple(reversed(list(keys))))
-    sorted_keys = [np.asarray(k)[order] for k in keys]
-    boundary = np.zeros(n, dtype=bool)
-    boundary[0] = True
-    for k in sorted_keys:
-        boundary[1:] |= k[1:] != k[:-1]
-    starts = np.flatnonzero(boundary)
-    uniques = [k[starts] for k in sorted_keys]
+    order, starts = _sorted_groups(keys)
+    first = order[starts]
+    uniques = [np.asarray(k)[first] for k in keys]
     sums = {
         name: np.add.reduceat(np.asarray(v, dtype=np.float64)[order], starts)
         for name, v in measures.items()
@@ -62,17 +76,66 @@ def group_reduce(
     return uniques, sums
 
 
-def _distinct_count(keys: Sequence[np.ndarray], member: np.ndarray) -> dict[tuple, int]:
-    """Count distinct ``member`` values per composite key."""
-    uniq, _ = group_reduce(
-        list(keys) + [member], {"one": np.ones(len(member))}
+def _first_occurrence(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """1.0 on the first row of each distinct composite key, else 0.0.
+
+    Summed per group this is a distinct count (``user_count``,
+    ``n_vms_active``), so distinct counts ride the same reduction as
+    every additive measure.
+    """
+    flags = np.zeros(len(keys[0]))
+    if len(flags):
+        order, starts = _sorted_groups(keys)
+        flags[order[starts]] = 1.0
+    return flags
+
+
+class _Contributions:
+    """Contribution rows gathered chunk by chunk, reduced in one pass."""
+
+    def __init__(self, measure_names: Sequence[str]) -> None:
+        self.measure_names = (*measure_names, "fresh")
+        self._keys: list[Sequence[np.ndarray]] = []
+        self._measures: list[dict[str, np.ndarray]] = []
+
+    def add(
+        self, keys: Sequence[np.ndarray], fresh: np.ndarray, **values: np.ndarray
+    ) -> None:
+        """One chunk: composite ``keys``, whether each row stems from a
+        fact not yet folded (``fresh``), and the measures it carries
+        (the rest are zero)."""
+        zeros = np.zeros(len(fresh))
+        values["fresh"] = fresh
+        self._keys.append(keys)
+        self._measures.append(
+            {m: values.get(m, zeros) for m in self.measure_names}
+        )
+
+    def reduce(self) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
+        """Per-group sums of every group a fresh row contributed to."""
+        keys = [np.concatenate(cols) for cols in zip(*self._keys)]
+        measures = {
+            m: np.concatenate([chunk[m] for chunk in self._measures])
+            for m in self.measure_names
+        }
+        uniq, sums = group_reduce(keys, measures)
+        touched = np.flatnonzero(sums["fresh"] > 0)
+        return [u[touched] for u in uniq], {m: v[touched] for m, v in sums.items()}
+
+
+def _period_bounds(period: str, *timestamps: np.ndarray) -> np.ndarray:
+    """Boundaries of every ``period`` window ``timestamps`` fall in (NaN,
+    the columnar NULL, is skipped)."""
+    ts_ = np.concatenate([np.asarray(t, dtype=np.float64) for t in timestamps])
+    ts_ = ts_[~np.isnan(ts_)]
+    return np.asarray(
+        period_bounds(period, int(ts_.min()), int(ts_.max())), dtype=np.int64
     )
-    group_cols = uniq[:-1]
-    out_keys, sums = group_reduce(group_cols, {"one": np.ones(len(uniq[0]))})
-    return {
-        tuple(int(c[i]) for c in out_keys): int(sums["one"][i])
-        for i in range(len(out_keys[0]))
-    }
+
+
+def _period_of(bounds: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Index into ``bounds`` of the window containing each timestamp."""
+    return np.searchsorted(bounds, t, side="right") - 1
 
 
 def _expand_periods(
@@ -84,8 +147,8 @@ def _expand_periods(
     expansion that replaces the per-fact ``period_range`` Python loop.
     All intervals must satisfy ``end > start``.
     """
-    ps = np.searchsorted(bounds, start, side="right") - 1
-    pe = np.searchsorted(bounds, end - 1, side="right") - 1
+    ps = _period_of(bounds, start)
+    pe = _period_of(bounds, end - 1)
     counts = pe - ps + 1
     total = int(counts.sum())
     src = np.repeat(np.arange(len(start)), counts)
@@ -96,6 +159,13 @@ def _expand_periods(
         - np.maximum(start[src], bounds[period_idx])
     )
     return src, period_idx, overlap
+
+
+def _columns(schema: Schema, table: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
+    """Column arrays of ``table``; all empty when the schema lacks it."""
+    if schema.has_table(table):
+        return schema.table(table).column_arrays(columns)
+    return {c: np.empty(0, dtype=np.int64) for c in columns}
 
 
 def _factorize(*object_arrays: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -130,9 +200,19 @@ def _count_rows_built(obs: Any, realm: str, period: str, n: int) -> None:
 
 
 def build_job_rows(
-    schema: Schema, config: Any, period: str, *, obs: Any = None
+    schema: Schema,
+    config: Any,
+    period: str,
+    since: Mapping[str, int],
+    *,
+    obs: Any = None,
 ) -> list[dict[str, Any]]:
-    """Vectorized equivalent of ``Aggregator.aggregate_jobs_oracle``."""
+    """Fold ``fact_job`` into ``agg_job_<period>`` rows.
+
+    Returns the row, computed from all its facts, of every group that a
+    fact row at or past ``since["fact_job"]`` (absent: row 0, so every
+    group) contributes to.
+    """
     table = schema.table("fact_job")
     if len(table) == 0:
         return []
@@ -147,63 +227,43 @@ def build_job_rows(
     sz = config.jobsize_levels.codes_of(c["cores"])
     dims = [c["resource_id"], c["person_id"], c["pi_id"], c["app_id"], c["queue_id"], wl, sz]
 
-    lo = int(min(start.min(), end.min()))
-    hi = int(max(start.max(), end.max()))
-    bounds = np.asarray(period_bounds(period, lo, hi), dtype=np.int64)
-
-    def p_of(t: np.ndarray) -> np.ndarray:
-        return np.searchsorted(bounds, t, side="right") - 1
-
-    measure_names = (
-        "n_jobs_ended", "n_jobs_started", "cpu_hours", "node_hours",
-        "xdsu", "wall_hours", "wait_hours",
-    )
-    key_chunks: list[list[np.ndarray]] = []
-    measure_chunks: list[dict[str, np.ndarray]] = []
-
-    def contribute(p: np.ndarray, dim_arrays: list[np.ndarray], **values: np.ndarray) -> None:
-        n = len(p)
-        zeros = np.zeros(n)
-        key_chunks.append([p] + dim_arrays)
-        measure_chunks.append({m: values.get(m, zeros) for m in measure_names})
-
+    bounds = _period_bounds(period, start, end)
     n = len(start)
     ones = np.ones(n)
+    fresh = np.arange(n) >= since.get("fact_job", 0)
+    contributions = _Contributions((
+        "n_jobs_ended", "n_jobs_started", "cpu_hours", "node_hours",
+        "xdsu", "wall_hours", "wait_hours",
+    ))
     # counts: end / start attribution
-    contribute(p_of(end), dims, n_jobs_ended=ones)
-    contribute(
-        p_of(start), dims,
+    contributions.add([_period_of(bounds, end)] + dims, fresh, n_jobs_ended=ones)
+    contributions.add(
+        [_period_of(bounds, start)] + dims, fresh,
         n_jobs_started=ones, wait_hours=c["wait_s"] / SECONDS_PER_HOUR,
     )
     # usage: apportion across overlapped periods
     spanned = (wall > 0) & (end > start)
-    if spanned.any():
-        idx = np.flatnonzero(spanned)
-        src, p, overlap = _expand_periods(start[idx], end[idx], bounds)
-        frac = overlap / wall[idx][src]
-        contribute(
-            p, [d[idx][src] for d in dims],
-            cpu_hours=c["cpu_hours"][idx][src] * frac,
-            node_hours=c["node_hours"][idx][src] * frac,
-            xdsu=c["xdsu"][idx][src] * frac,
-            wall_hours=overlap / SECONDS_PER_HOUR,
-        )
+    idx = np.flatnonzero(spanned)
+    src, p, overlap = _expand_periods(start[idx], end[idx], bounds)
+    src = idx[src]
+    frac = overlap / wall[src]
+    contributions.add(
+        [p] + [d[src] for d in dims], fresh[src],
+        cpu_hours=c["cpu_hours"][src] * frac,
+        node_hours=c["node_hours"][src] * frac,
+        xdsu=c["xdsu"][src] * frac,
+        wall_hours=overlap / SECONDS_PER_HOUR,
+    )
     # zero-length jobs: full usage attributes to the end period
-    if not spanned.all():
-        idx = np.flatnonzero(~spanned)
-        contribute(
-            p_of(end[idx]), [d[idx] for d in dims],
-            cpu_hours=c["cpu_hours"][idx],
-            node_hours=c["node_hours"][idx],
-            xdsu=c["xdsu"][idx],
-            wall_hours=wall[idx] / SECONDS_PER_HOUR,
-        )
-
-    keys = [np.concatenate([chunk[i] for chunk in key_chunks])
-            for i in range(len(key_chunks[0]))]
-    measures = {m: np.concatenate([chunk[m] for chunk in measure_chunks])
-                for m in measure_names}
-    uniq, sums = group_reduce(keys, measures)
+    idx = np.flatnonzero(~spanned)
+    contributions.add(
+        [_period_of(bounds, end[idx])] + [d[idx] for d in dims], fresh[idx],
+        cpu_hours=c["cpu_hours"][idx],
+        node_hours=c["node_hours"][idx],
+        xdsu=c["xdsu"][idx],
+        wall_hours=wall[idx] / SECONDS_PER_HOUR,
+    )
+    uniq, sums = contributions.reduce()
 
     wl_labels = config.walltime_levels.coded_labels
     sz_labels = config.jobsize_levels.coded_labels
@@ -228,27 +288,35 @@ def build_job_rows(
             "wall_hours": float(sums["wall_hours"][i]),
             "wait_hours": float(sums["wait_hours"][i]),
         })
-    rows.sort(key=_job_row_key)
+    # the oracle's bucket ordering (labels sort as strings)
+    rows.sort(key=lambda r: (
+        r["period_start"], r["resource_id"], r["person_id"], r["pi_id"],
+        r["app_id"], r["queue_id"], r["walltime_level"], r["jobsize_level"],
+    ))
     _count_rows_built(obs, "jobs", period, len(rows))
     return rows
-
-
-def _job_row_key(row: dict[str, Any]) -> tuple:
-    """The oracle's bucket ordering (labels sort as strings)."""
-    return (
-        row["period_start"], row["resource_id"], row["person_id"],
-        row["pi_id"], row["app_id"], row["queue_id"],
-        row["walltime_level"], row["jobsize_level"],
-    )
 
 
 # -- storage realm ----------------------------------------------------------
 
 
 def build_storage_rows(
-    schema: Schema, period: str, *, obs: Any = None
+    schema: Schema,
+    config: Any,
+    period: str,
+    since: Mapping[str, int],
+    *,
+    obs: Any = None,
 ) -> list[dict[str, Any]]:
-    """Vectorized equivalent of ``Aggregator.aggregate_storage_oracle``."""
+    """Fold ``fact_storage`` into ``agg_storage_<period>`` rows.
+
+    Returns the row, computed from all its facts, of every group that a
+    snapshot at or past ``since["fact_storage"]`` (absent: row 0, so every
+    group) falls in.  ``config`` is unused (storage has no level set);
+    every realm builder shares one signature.  ``resource_type`` is the
+    newest snapshot's per (resource, filesystem), which ingest keeps
+    stable.
+    """
     table = schema.table("fact_storage")
     if len(table) == 0:
         return []
@@ -267,10 +335,8 @@ def build_storage_rows(
     positive = has_quota & (soft > 0)
     quota_util[positive] = logical[positive] / soft[positive]
 
-    bounds = np.asarray(
-        period_bounds(period, int(ts_.min()), int(ts_.max())), dtype=np.int64
-    )
-    p_all = np.searchsorted(bounds, ts_, side="right") - 1
+    bounds = _period_bounds(period, ts_)
+    p_all = _period_of(bounds, ts_)
 
     # last-snapshot-wins resource_type per (resource, filesystem), matching
     # the oracle's meta dict
@@ -289,19 +355,20 @@ def build_storage_rows(
             "quota_n": has_quota.astype(np.float64),
             "soft_quota_gb": np.where(has_quota, soft, 0.0),
             "hard_quota_gb": np.where(np.isnan(hard), 0.0, hard),
+            "user_count": _first_occurrence([p_all, rid, fs, c["person_id"]]),
+            "fresh": np.arange(len(ts_)) >= since.get("fact_storage", 0),
         },
     )
     # stage 2: average the per-timestamp totals within each period
-    p_ts = np.searchsorted(bounds, ts_keys[0], side="right") - 1
+    p_ts = _period_of(bounds, ts_keys[0])
     n_ts = len(ts_keys[0])
     period_keys, period_sums = group_reduce(
         [p_ts, ts_keys[1], ts_keys[2]],
         {**ts_sums, "n_snapshots": np.ones(n_ts)},
     )
-    user_counts = _distinct_count([p_all, rid, fs], c["person_id"])
 
     rows: list[dict[str, Any]] = []
-    for i in range(len(period_keys[0])):
+    for i in np.flatnonzero(period_sums["fresh"] > 0):
         p_start = int(bounds[period_keys[0][i]])
         r = int(period_keys[1][i])
         f = int(period_keys[2][i])
@@ -319,7 +386,7 @@ def build_storage_rows(
             "n_quota_samples": int(round(period_sums["quota_n"][i])),
             "avg_soft_quota_gb": float(period_sums["soft_quota_gb"][i] / n),
             "avg_hard_quota_gb": float(period_sums["hard_quota_gb"][i] / n),
-            "user_count": user_counts[(int(period_keys[0][i]), r, f)],
+            "user_count": int(round(period_sums["user_count"][i])),
             "n_snapshots": int(round(n)),
         })
     rows.sort(key=lambda r: (r["period_start"], r["resource_id"], r["filesystem"]))
@@ -331,158 +398,107 @@ def build_storage_rows(
 
 
 def build_cloud_rows(
-    schema: Schema, config: Any, period: str, *, obs: Any = None
+    schema: Schema,
+    config: Any,
+    period: str,
+    since: Mapping[str, int],
+    *,
+    obs: Any = None,
 ) -> list[dict[str, Any]]:
-    """Vectorized equivalent of ``Aggregator.aggregate_cloud_oracle``."""
-    iv_table = schema.table("fact_vm_interval")
-    vm_table = schema.table("fact_vm") if schema.has_table("fact_vm") else None
-    n_iv = len(iv_table)
-    n_vm = len(vm_table) if vm_table is not None else 0
-    if n_iv == 0 and n_vm == 0:
-        return []
-    levels = config.vm_memory_levels
+    """Fold ``fact_vm_interval`` / ``fact_vm`` into ``agg_cloud_<period>`` rows.
 
-    iv = iv_table.column_arrays([
+    Returns the row, computed from all its facts, of every group that a
+    row of either table at or past its ``since`` entry (absent: row 0, so
+    every group) contributes to.
+    """
+    iv = _columns(schema, "fact_vm_interval", [
         "resource_id", "vm_id", "project", "os", "submission_venue",
         "state", "start_ts", "end_ts", "vcpus", "mem_gb", "disk_gb",
-    ]) if n_iv else None
-    vm = vm_table.column_arrays([
+    ])
+    vm = _columns(schema, "fact_vm", [
         "resource_id", "project", "os", "submission_venue",
         "provision_ts", "terminate_ts", "last_vcpus", "last_mem_gb",
         "n_state_changes",
-    ]) if n_vm else None
-
-    empty = np.empty(0, dtype=object)
-    proj_labels, (iv_proj, vm_proj) = _factorize(
-        iv["project"] if iv else empty, vm["project"] if vm else empty)
-    os_labels, (iv_os, vm_os) = _factorize(
-        iv["os"] if iv else empty, vm["os"] if vm else empty)
-    venue_labels, (iv_venue, vm_venue) = _factorize(
-        iv["submission_venue"] if iv else empty,
-        vm["submission_venue"] if vm else empty)
-    iv_mem = levels.codes_of(iv["mem_gb"]) if iv else np.empty(0, dtype=np.int64)
-    vm_mem = levels.codes_of(vm["last_mem_gb"]) if vm else np.empty(0, dtype=np.int64)
-
-    ts_candidates: list[int] = []
-    if iv is not None:
-        ts_candidates += [int(iv["start_ts"].min()), int(iv["end_ts"].max())]
-    if vm is not None:
-        prov = vm["provision_ts"]
-        ts_candidates += [int(prov.min()), int(prov.max())]
-        term = np.asarray(vm["terminate_ts"], dtype=np.float64)
-        live = term[~np.isnan(term)]
-        if len(live):
-            ts_candidates += [int(live.min()), int(live.max())]
-    bounds = np.asarray(
-        period_bounds(period, min(ts_candidates), max(ts_candidates)),
-        dtype=np.int64,
-    )
-
-    def p_of(t: np.ndarray) -> np.ndarray:
-        return np.searchsorted(bounds, t, side="right") - 1
-
-    measure_names = (
-        "core_hours", "wall_hours", "mem_gb_hours", "disk_gb_hours",
-        "stopped_hours", "paused_hours", "n_state_changes",
-        "n_vms_started", "n_vms_ended", "total_cores",
-    )
-    key_chunks: list[list[np.ndarray]] = []
-    measure_chunks: list[dict[str, np.ndarray]] = []
-
-    def contribute(p, dim_arrays, **values):
-        zeros = np.zeros(len(p))
-        key_chunks.append([p] + list(dim_arrays))
-        measure_chunks.append({m: values.get(m, zeros) for m in measure_names})
-
-    active_keys: list[np.ndarray] = []  # columns: p, rid, proj, os, venue, mem, vm_id
-
-    if iv is not None:
-        iv_dims = [iv["resource_id"], iv_proj, iv_os, iv_venue, iv_mem]
-        start, end = iv["start_ts"], iv["end_ts"]
-        state = iv["state"]
-        spanned = end > start
-        if spanned.any():
-            idx = np.flatnonzero(spanned)
-            src, p, overlap = _expand_periods(start[idx], end[idx], bounds)
-            hours = overlap / SECONDS_PER_HOUR
-            st = state[idx][src]
-            running = st == "running"
-            stopped = st == "stopped"
-            paused = ~running & ~stopped
-            vcpus = iv["vcpus"][idx][src].astype(np.float64)
-            mem_gb = np.asarray(iv["mem_gb"][idx][src], dtype=np.float64)
-            disk_gb = np.asarray(iv["disk_gb"][idx][src], dtype=np.float64)
-            dim_exp = [d[idx][src] for d in iv_dims]
-            contribute(
-                p, dim_exp,
-                core_hours=np.where(running, vcpus * hours, 0.0),
-                wall_hours=np.where(running, hours, 0.0),
-                mem_gb_hours=np.where(running, mem_gb * hours, 0.0),
-                disk_gb_hours=np.where(running, disk_gb * hours, 0.0),
-                stopped_hours=np.where(stopped, hours, 0.0),
-                paused_hours=np.where(paused, hours, 0.0),
-            )
-            if running.any():
-                r = np.flatnonzero(running)
-                active_keys.append(np.stack(
-                    [p[r]] + [d[r] for d in dim_exp]
-                    + [iv["vm_id"][idx][src][r]]
-                ))
-        # zero-length running intervals: the VM was active in the period
-        # containing start_ts even though it accrued no hours
-        instant = (end == start) & (state == "running")
-        if instant.any():
-            idx = np.flatnonzero(instant)
-            p = p_of(start[idx])
-            dim_z = [d[idx] for d in iv_dims]
-            contribute(p, dim_z)  # all-zero measures: materialize the group
-            active_keys.append(np.stack([p] + dim_z + [iv["vm_id"][idx]]))
-
-    if vm is not None:
-        vm_dims = [vm["resource_id"], vm_proj, vm_os, vm_venue, vm_mem]
-        ones = np.ones(n_vm)
-        contribute(
-            p_of(vm["provision_ts"]), vm_dims,
-            n_vms_started=ones,
-            total_cores=vm["last_vcpus"].astype(np.float64),
-            n_state_changes=vm["n_state_changes"].astype(np.float64),
-        )
-        term = np.asarray(vm["terminate_ts"], dtype=np.float64)
-        ended = ~np.isnan(term)
-        if ended.any():
-            idx = np.flatnonzero(ended)
-            contribute(
-                p_of(term[idx].astype(np.int64)),
-                [d[idx] for d in vm_dims],
-                n_vms_ended=np.ones(len(idx)),
-            )
-
-    if not key_chunks:
+    ])
+    n_iv, n_vm = len(iv["vm_id"]), len(vm["resource_id"])
+    if n_iv == 0 and n_vm == 0:
         return []
-    keys = [np.concatenate([chunk[i] for chunk in key_chunks])
-            for i in range(len(key_chunks[0]))]
-    measures = {m: np.concatenate([chunk[m] for chunk in measure_chunks])
-                for m in measure_names}
-    uniq, sums = group_reduce(keys, measures)
+    levels = config.vm_memory_levels
+    proj_labels, (iv_proj, vm_proj) = _factorize(iv["project"], vm["project"])
+    os_labels, (iv_os, vm_os) = _factorize(iv["os"], vm["os"])
+    venue_labels, (iv_venue, vm_venue) = _factorize(
+        iv["submission_venue"], vm["submission_venue"])
+    iv_dims = [
+        iv["resource_id"], iv_proj, iv_os, iv_venue, levels.codes_of(iv["mem_gb"]),
+    ]
+    vm_dims = [
+        vm["resource_id"], vm_proj, vm_os, vm_venue,
+        levels.codes_of(vm["last_mem_gb"]),
+    ]
+    start, end, state = iv["start_ts"], iv["end_ts"], iv["state"]
+    term = np.asarray(vm["terminate_ts"], dtype=np.float64)
+    bounds = _period_bounds(period, start, end, vm["provision_ts"], term)
+    contributions = _Contributions((
+        "core_hours", "wall_hours", "mem_gb_hours", "disk_gb_hours",
+        "stopped_hours", "paused_hours", "n_state_changes", "n_vms_active",
+        "n_vms_started", "n_vms_ended", "total_cores",
+    ))
 
-    active_counts: dict[tuple, int] = {}
-    if active_keys:
-        merged = np.concatenate(active_keys, axis=1).astype(np.int64)
-        active_counts = _distinct_count(list(merged[:-1]), merged[-1])
+    # intervals: one row per (interval, overlapped period); a zero-length
+    # running interval accrues no hours but its VM was active in the period
+    # containing start_ts, so it gets one all-zero row there
+    fresh = np.arange(n_iv) >= since.get("fact_vm_interval", 0)
+    idx = np.flatnonzero(end > start)
+    src, p, overlap = _expand_periods(start[idx], end[idx], bounds)
+    instant = np.flatnonzero((end == start) & (state == "running"))
+    src = np.concatenate([idx[src], instant])
+    p = np.concatenate([p, _period_of(bounds, start[instant])])
+    hours = np.concatenate([overlap, np.zeros(len(instant))]) / SECONDS_PER_HOUR
+    running = state[src] == "running"
+    stopped = state[src] == "stopped"
+    keys = [p] + [d[src] for d in iv_dims]
+    # a VM is active in every group one of its running rows lands in
+    active = np.zeros(len(src))
+    r = np.flatnonzero(running)
+    active[r] = _first_occurrence([k[r] for k in keys] + [iv["vm_id"][src][r]])
+    contributions.add(
+        keys, fresh[src],
+        core_hours=np.where(running, iv["vcpus"][src] * hours, 0.0),
+        wall_hours=np.where(running, hours, 0.0),
+        mem_gb_hours=np.where(running, iv["mem_gb"][src] * hours, 0.0),
+        disk_gb_hours=np.where(running, iv["disk_gb"][src] * hours, 0.0),
+        stopped_hours=np.where(stopped, hours, 0.0),
+        paused_hours=np.where(~running & ~stopped, hours, 0.0),
+        n_vms_active=active,
+    )
+
+    # VMs: started in the period of provision_ts, ended in terminate_ts's
+    fresh = np.arange(n_vm) >= since.get("fact_vm", 0)
+    contributions.add(
+        [_period_of(bounds, vm["provision_ts"])] + vm_dims, fresh,
+        n_vms_started=np.ones(n_vm),
+        total_cores=vm["last_vcpus"].astype(np.float64),
+        n_state_changes=vm["n_state_changes"].astype(np.float64),
+    )
+    idx = np.flatnonzero(~np.isnan(term))
+    contributions.add(
+        [_period_of(bounds, term[idx])] + [d[idx] for d in vm_dims], fresh[idx],
+        n_vms_ended=np.ones(len(idx)),
+    )
+    uniq, sums = contributions.reduce()
 
     mem_labels = levels.coded_labels
     rows: list[dict[str, Any]] = []
     for i in range(len(uniq[0])):
         p_start = int(bounds[uniq[0][i]])
-        key = tuple(int(uniq[k][i]) for k in range(6))
         rows.append({
             "period_start": p_start,
             "period_label": period_label(period, p_start),
-            "resource_id": key[1],
-            "project": str(proj_labels[key[2]]),
-            "os": str(os_labels[key[3]]),
-            "submission_venue": str(venue_labels[key[4]]),
-            "memory_level": mem_labels[key[5]],
+            "resource_id": int(uniq[1][i]),
+            "project": str(proj_labels[uniq[2][i]]),
+            "os": str(os_labels[uniq[3][i]]),
+            "submission_venue": str(venue_labels[uniq[4][i]]),
+            "memory_level": mem_labels[int(uniq[5][i])],
             "core_hours": float(sums["core_hours"][i]),
             "wall_hours": float(sums["wall_hours"][i]),
             "mem_gb_hours": float(sums["mem_gb_hours"][i]),
@@ -490,7 +506,7 @@ def build_cloud_rows(
             "stopped_hours": float(sums["stopped_hours"][i]),
             "paused_hours": float(sums["paused_hours"][i]),
             "n_state_changes": int(round(sums["n_state_changes"][i])),
-            "n_vms_active": active_counts.get(key, 0),
+            "n_vms_active": int(round(sums["n_vms_active"][i])),
             "n_vms_started": int(round(sums["n_vms_started"][i])),
             "n_vms_ended": int(round(sums["n_vms_ended"][i])),
             "total_cores": float(sums["total_cores"][i]),

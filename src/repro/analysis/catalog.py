@@ -106,14 +106,7 @@ def build_default_catalog() -> SchemaCatalog:
         agg_cloud_schema,
         agg_job_schema,
         agg_storage_schema,
-        cloud_active_vm_schema,
-        cloud_seen_interval_schema,
-        cloud_seen_vm_schema,
-        job_seen_schema,
-        storage_seen_schema,
-        storage_seen_ts_schema,
-        storage_seen_user_schema,
-        storage_state_schema,
+        agg_watermark_schema,
     )
     from ..analytics.summarize import analytics_fact_schema
     from ..appkernels.kernels import appkernel_table_schema
@@ -137,13 +130,11 @@ def build_default_catalog() -> SchemaCatalog:
     catalog.add(analytics_fact_schema())
     catalog.add(marker_schema())
     catalog.add(appkernel_table_schema())
+    catalog.add(agg_watermark_schema())
     for period in CATALOG_PERIODS:
         for factory in (
             agg_job_schema, agg_storage_schema, agg_cloud_schema,
-            job_seen_schema, storage_seen_schema, storage_state_schema,
-            storage_seen_ts_schema, storage_seen_user_schema,
-            cloud_seen_interval_schema, cloud_seen_vm_schema,
-            cloud_active_vm_schema, agg_allocation_schema,
+            agg_allocation_schema,
         ):
             catalog.add(factory(period))
     return catalog

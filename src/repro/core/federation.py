@@ -98,9 +98,9 @@ class XdmodInstance:
     ) -> dict[str, int]:
         """Run the nightly aggregation step locally.
 
-        With ``incremental=True`` only newly ingested facts are folded
-        into the existing aggregates (seen-table bookkeeping) instead of
-        rebuilding every realm from scratch.
+        With ``incremental=True`` only the groups that newly ingested
+        facts contribute to are recomputed, from the ``agg_watermark``
+        on, instead of rebuilding every realm from row 0.
         """
         if incremental:
             return self.aggregator.aggregate_all_incremental(periods)
@@ -547,10 +547,11 @@ class FederationHub(XdmodInstance):
         levels, so no data are lost or changed."
 
         With ``incremental=True`` each member schema folds in only its
-        newly replicated facts (seen-table bookkeeping per realm) instead
-        of rebuilding every aggregate; the result tables are identical to
-        a full rebuild over the same facts.  Level changes still require
-        :meth:`reaggregate_federation`, which always rebuilds.
+        newly replicated facts (from its ``agg_watermark`` on) instead of
+        rebuilding every aggregate; the result tables are identical to a
+        full rebuild over the same facts, and a member whose facts saw
+        anything but appends rebuilds by itself.  Level changes go
+        through :meth:`reaggregate_federation`, which always rebuilds.
 
         Degraded mode: members whose circuit is open, whose schema never
         replicated, or whose aggregation raises are *skipped* — the

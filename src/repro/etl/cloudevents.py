@@ -268,7 +268,9 @@ def ingest_cloud_events(
 
     vm_fact = schema.table("fact_vm")
     interval_fact = schema.table("fact_vm_interval")
-    next_interval = len(interval_fact) + 1
+    # above every surviving id: a re-ingest deletes a VM's intervals, so the
+    # live row count can fall below ids still in use
+    next_interval = max(interval_fact.column_values("interval_id"), default=0) + 1
     ingested = 0
     for vm_id in sorted(by_vm):
         vm_events = sorted(by_vm[vm_id], key=lambda e: (e["ts"], e["event_id"]))

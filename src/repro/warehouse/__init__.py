@@ -32,7 +32,7 @@ from .errors import (
     UnknownObjectError,
     WarehouseError,
 )
-from .query import Agg, AggSpec, P, Predicate, Query, hash_join, vector_group_sum
+from .query import Agg, AggSpec, P, Predicate, Query, hash_join
 from .schema import Column, ColumnType, TableSchema, make_columns
 
 __all__ = [
@@ -70,6 +70,5 @@ __all__ = [
     "row_event_filter",
     "save_database",
     "snapshot_info",
-    "vector_group_sum",
     "write_dump_file",
 ]

@@ -48,7 +48,9 @@ class Table:
         self._indexes: dict[str, dict[Any, set[int]]] = {
             name: {} for name in table_schema.indexes
         }
-        self._data_version = 0
+        # starts where the schema's counter stands, so a table dropped and
+        # re-created under the same name never repeats a version
+        self._data_version = schema.data_version
         self._columnar_cache: dict[str, np.ndarray] = {}
 
     # -- introspection ----------------------------------------------------
@@ -115,6 +117,12 @@ class Table:
             raise PrimaryKeyError(
                 f"table {self.name!r}: duplicate primary key {key!r}"
             )
+        return self._append(row, key, _log)
+
+    def _append(
+        self, row: tuple[Any, ...], key: tuple[Any, ...] | None, log: bool
+    ) -> int:
+        """Store an already-normalised row whose key is known to be free."""
         rid = len(self._rows)
         self._rows.append(row)
         self._live_count += 1
@@ -122,7 +130,7 @@ class Table:
         if key is not None:
             self._pk_index[key] = rid
         self._index_add(rid, row)
-        if _log:
+        if log:
             self._owner._log(
                 EventType.INSERT,
                 self.name,
@@ -154,7 +162,7 @@ class Table:
                 },
             )
             return rid
-        return self.insert(values)
+        return self._append(row, key, True)
 
     def get(self, key: Sequence[Any]) -> dict[str, Any] | None:
         """Primary-key point lookup; returns the row dict or None."""
@@ -292,10 +300,12 @@ class Table:
 
     @property
     def data_version(self) -> int:
-        """Monotonic counter bumped on every row mutation.
+        """Monotonic counter bumped once by every row mutation.
 
-        Lets callers (and tests) detect staleness of anything derived from
-        the table's contents — the columnar cache keys off it internally.
+        Lets callers detect staleness of anything derived from the table's
+        contents, and — compared with the row count — that a table has
+        only been appended to (the aggregation watermark,
+        :mod:`repro.aggregation.engine`).
         """
         return self._data_version
 

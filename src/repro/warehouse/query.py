@@ -15,9 +15,8 @@ composable predicate algebra and a fluent :class:`Query` builder::
         .run()
     )
 
-Aggregation over large groups is vectorized with NumPy when the column is
-numeric, per the HPC optimization guide (group indices are built once, then
-``np.add.reduceat``-style reductions run on contiguous arrays).
+The vectorized grouped reductions behind nightly aggregation are
+:func:`repro.aggregation.group_reduce`, not this module.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
-
-import numpy as np
 
 from .engine import Table
 from .errors import QueryError
@@ -375,27 +372,3 @@ def hash_join(
                 merged[name] = v
             out.append(merged)
     return out
-
-
-def vector_group_sum(
-    keys: Sequence[Any], values: Sequence[float]
-) -> dict[Any, float]:
-    """Vectorized grouped sum: NumPy path for large numeric reductions.
-
-    Builds a factorization of ``keys`` then reduces with ``np.bincount`` —
-    the hot path for nightly aggregation over millions of job records.
-    """
-    if len(keys) != len(values):
-        raise QueryError("keys and values must have equal length")
-    if not keys:
-        return {}
-    uniques: dict[Any, int] = {}
-    codes = np.empty(len(keys), dtype=np.int64)
-    for i, k in enumerate(keys):
-        code = uniques.get(k)
-        if code is None:
-            code = len(uniques)
-            uniques[k] = code
-        codes[i] = code
-    sums = np.bincount(codes, weights=np.asarray(values, dtype=np.float64))
-    return {k: float(sums[c]) for k, c in uniques.items()}

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import SchemaError, TypeMismatchError
@@ -69,6 +70,19 @@ class ColumnType(enum.Enum):
                 ) from exc
             return value
         raise AssertionError(f"unhandled column type {self}")  # pragma: no cover
+
+
+#: A value of exactly this Python type is what :meth:`ColumnType.validate`
+#: would return for it, so :meth:`TableSchema.normalize_row` stores it
+#: without the call (``bool`` is not ``int`` here: the test is on the exact
+#: type).
+_STORED_AS_IS: dict[ColumnType, type] = {
+    ColumnType.INT: int,
+    ColumnType.TIMESTAMP: int,
+    ColumnType.FLOAT: float,
+    ColumnType.STR: str,
+    ColumnType.BOOL: bool,
+}
 
 
 @dataclass(frozen=True)
@@ -142,21 +156,39 @@ class TableSchema:
                     f"table {self.name!r}: index column {idx_col!r} undefined"
                 )
 
-    @property
+    # derived once per (immutable) schema: every row written looks these up
+    @cached_property
     def column_names(self) -> tuple[str, ...]:
         return tuple(col.name for col in self.columns)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.column_names)}
+
+    @cached_property
+    def _key_positions(self) -> tuple[int, ...]:
+        return tuple(self._positions[c] for c in self.primary_key)
+
+    @cached_property
+    def _row_plan(self) -> tuple[tuple[str, ColumnType, type | None, Any, bool], ...]:
+        """Per column: name, type, the Python type stored as is, default,
+        and whether NULL is refused."""
+        return tuple(
+            (
+                col.name, col.ctype, _STORED_AS_IS.get(col.ctype), col.default,
+                not col.nullable or col.name in self.primary_key,
+            )
+            for col in self.columns
+        )
+
     def column(self, name: str) -> Column:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        return self.columns[self.position(name)]
 
     def position(self, name: str) -> int:
-        for i, col in enumerate(self.columns):
-            if col.name == name:
-                return i
-        raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise SchemaError(f"table {self.name!r} has no column {name!r}") from None
 
     def normalize_row(self, values: Mapping[str, Any]) -> tuple[Any, ...]:
         """Validate a mapping of column values and return the stored tuple.
@@ -164,20 +196,22 @@ class TableSchema:
         Missing columns take their default; unknown keys are an error; NULL
         constraints (including implicit PK non-nullability) are enforced.
         """
-        unknown = set(values) - set(self.column_names)
+        unknown = values.keys() - self._positions.keys()
         if unknown:
             raise SchemaError(
                 f"table {self.name!r}: unknown columns {sorted(unknown)!r}"
             )
         row: list[Any] = []
-        for col in self.columns:
-            if col.name in values:
-                stored = col.ctype.validate(values[col.name], column=col.name)
+        for name, ctype, as_is, default, required in self._row_plan:
+            if name in values:
+                stored = values[name]
+                if type(stored) is not as_is:
+                    stored = ctype.validate(stored, column=name)
             else:
-                stored = col.default
-            if stored is None and (not col.nullable or col.name in self.primary_key):
+                stored = default
+            if stored is None and required:
                 raise TypeMismatchError(
-                    f"table {self.name!r}: column {col.name!r} may not be NULL"
+                    f"table {self.name!r}: column {name!r} may not be NULL"
                 )
             row.append(stored)
         return tuple(row)
@@ -186,7 +220,7 @@ class TableSchema:
         """Return the primary-key tuple for a stored row, or None if keyless."""
         if not self.primary_key:
             return None
-        return tuple(row[self.position(c)] for c in self.primary_key)
+        return tuple(row[i] for i in self._key_positions)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable description (used by dumps and replication)."""

@@ -131,6 +131,24 @@ class TestSessionization:
         ]
         assert len(running) == 1
 
+    def test_reingest_of_older_vms_allocates_free_interval_ids(self, schema):
+        # re-ingesting any VM but the newest shrinks the live row count
+        # below ids still in use; ids must come from above the largest
+        from repro.simulators import CloudConfig, CloudSimulator
+
+        events = CloudSimulator(CloudConfig(seed=1, vms_per_day=2)).generate(
+            T0, T0 + 20 * 86400
+        )
+        ingest_cloud_events(schema, events)
+        n_intervals = len(schema.table("fact_vm_interval"))
+        for vm_id in (1, 2):
+            ingest_cloud_events(
+                schema, [e for e in events if e["vm_id"] == vm_id]
+            )
+        intervals = schema.table("fact_vm_interval")
+        assert len(intervals) == n_intervals
+        assert len(set(intervals.column_values("interval_id"))) == n_intervals
+
     def test_invalid_event_strict_vs_lenient(self, schema):
         bad = event(1, 1, "explode", T0)
         with pytest.raises(JsonSchemaError):

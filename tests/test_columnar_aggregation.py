@@ -1,11 +1,12 @@
-"""Columnar fast path, incremental storage/cloud, and conservation fixes.
+"""The columnar fold, its oracle, and conservation fixes.
 
 Three families of tests:
 
-1. property tests: the columnar fast path, the pure-Python oracle, and
-   the incremental fold (in two batches) produce identical aggregate
-   tables on randomized job/storage/cloud facts — including zero-walltime
-   jobs, zero-length VM intervals, and None/0.0 quotas;
+1. property tests: the columnar builder and the pure-Python oracle
+   (``tests/aggregation_oracles.py``) produce the same aggregate tables
+   on randomized job/storage/cloud facts — including zero-walltime jobs,
+   zero-length VM intervals, and None/0.0 quotas — and any sequence of
+   folds equals the rebuild exactly;
 2. conservation: per-period sums equal raw-fact totals for every period,
    which the pre-fix engine violated for zero-length jobs;
 3. regression tests for the three satellite bugfixes, each written to
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.aggregation import Aggregator
+from repro.aggregation import AggregationConfig, Aggregator
 from repro.aggregation.columnar import group_reduce
 from repro.aggregation.levels import (
     DEFAULT_JOBSIZE_LEVELS,
@@ -33,6 +34,11 @@ from repro.etl.star import create_jobs_star
 from repro.etl.storagefs import create_storage_realm
 from repro.timeutil import PERIODS, SECONDS_PER_HOUR, period_start, ts
 from repro.warehouse import Schema
+from tests.aggregation_oracles import (
+    aggregate_cloud_oracle,
+    aggregate_jobs_oracle,
+    aggregate_storage_oracle,
+)
 
 T0 = ts(2017, 1, 1)
 
@@ -221,13 +227,14 @@ class TestColumnarOracleParity:
         s_fast, s_ref = build_schema(), build_schema()
         populate(s_fast, jobs, snaps, vms)
         populate(s_ref, jobs, snaps, vms)
-        fast, ref = Aggregator(s_fast), Aggregator(s_ref)
+        fast = Aggregator(s_fast)
         fast.aggregate_jobs(period)
         fast.aggregate_storage(period)
         fast.aggregate_cloud(period)
-        ref.aggregate_jobs_oracle(period)
-        ref.aggregate_storage_oracle(period)
-        ref.aggregate_cloud_oracle(period)
+        config = AggregationConfig()
+        aggregate_jobs_oracle(s_ref, config, period)
+        aggregate_storage_oracle(s_ref, config, period)
+        aggregate_cloud_oracle(s_ref, config, period)
         for pattern in AGG_TABLES:
             name = pattern.format(p=period)
             assert_tables_equal(
@@ -236,36 +243,48 @@ class TestColumnarOracleParity:
 
     @SETTINGS
     @given(jobs=job_facts, snaps=storage_facts, vms=cloud_facts,
-           period=st.sampled_from(PERIODS))
-    def test_incremental_matches_full_rebuild(self, jobs, snaps, vms, period):
-        # fold in two batches; a full rebuild over the union must agree
-        s_inc, s_full = build_schema(), build_schema()
-        half_j, half_s, half_v = (
-            len(jobs) // 2, len(snaps) // 2, len(vms) // 2
-        )
-        inc = Aggregator(s_inc)
-        iv_n = populate(s_inc, jobs[:half_j], snaps[:half_s], vms[:half_v])
-        inc.aggregate_all_incremental([period])
-        populate(
-            s_inc, jobs[half_j:], snaps[half_s:], vms[half_v:],
-            job_id0=half_j, snap_id0=half_s, vm_id0=half_v, iv_id0=iv_n,
-        )
-        inc.aggregate_all_incremental([period])
-        # folding again with no new facts must process nothing
-        counts = inc.aggregate_all_incremental([period])
-        assert all(v == 0 for v in counts.values())
-
-        iv_n = populate(s_full, jobs[:half_j], snaps[:half_s], vms[:half_v])
-        populate(
-            s_full, jobs[half_j:], snaps[half_s:], vms[half_v:],
-            job_id0=half_j, snap_id0=half_s, vm_id0=half_v, iv_id0=iv_n,
-        )
-        Aggregator(s_full).aggregate_all([period])
-        for pattern in AGG_TABLES:
-            name = pattern.format(p=period)
-            assert_tables_equal(
-                table_rows(s_inc, name), table_rows(s_full, name), name
+           period=st.sampled_from(PERIODS),
+           cuts=st.lists(st.floats(0.0, 1.0), max_size=4))
+    def test_incremental_matches_full_rebuild(self, jobs, snaps, vms, period, cuts):
+        # fold after each of a random sequence of batches; the rebuild on
+        # the same schema must then change nothing, bit for bit
+        s = build_schema()
+        agg = Aggregator(s)
+        done_j = done_s = done_v = iv_n = 0
+        for cut in sorted(cuts) + [1.0]:
+            to_j, to_s, to_v = (
+                int(len(jobs) * cut), int(len(snaps) * cut), int(len(vms) * cut)
             )
+            iv_n = populate(
+                s, jobs[done_j:to_j], snaps[done_s:to_s], vms[done_v:to_v],
+                job_id0=done_j, snap_id0=done_s, vm_id0=done_v, iv_id0=iv_n,
+            )
+            counts = agg.aggregate_all_incremental([period])
+            assert counts == {
+                f"agg_job_{period}": to_j - done_j,
+                f"agg_storage_{period}": to_s - done_s,
+                f"agg_cloud_{period}": (
+                    to_v - done_v
+                    + sum(len(vm[1]) for vm in vms[done_v:to_v])
+                ),
+            }
+            done_j, done_s, done_v = to_j, to_s, to_v
+        # folding again with no new facts must process nothing
+        counts = agg.aggregate_all_incremental([period])
+        assert all(v == 0 for v in counts.values())
+        # one bookkeeping table, whatever the sequence of folds
+        assert [
+            name for name in s.table_names()
+            if name.startswith("agg_") and not name.endswith(f"_{period}")
+        ] == ["agg_watermark"]
+
+        folded = {
+            pattern.format(p=period): table_rows(s, pattern.format(p=period))
+            for pattern in AGG_TABLES
+        }
+        agg.aggregate_all([period])
+        for name, rows in folded.items():
+            assert rows == table_rows(s, name), name
 
     def test_full_rebuild_resyncs_incremental_bookkeeping(self):
         s = build_schema()
@@ -277,6 +296,146 @@ class TestColumnarOracleParity:
         assert agg.aggregate_jobs_incremental("month") == 0
         assert agg.aggregate_storage_incremental("month") == 0
         assert agg.aggregate_cloud_incremental("month") == 0
+
+
+def agg_snapshot(s):
+    """Every ``agg_*`` table (the watermark included), exactly."""
+    return {
+        name: table_rows(s, name)
+        for name in s.table_names() if name.startswith("agg_")
+    }
+
+
+def seeded(s):
+    """A few facts in every realm; returns the last interval id."""
+    insert_job(s, 1, start=T0, wall=3600)
+    insert_job(s, 2, start=T0 + 20 * 86400, wall=40 * 86400, person_id=2)
+    insert_snapshot(s, 1, ts_=T0, person_id=1, soft=50.0)
+    insert_snapshot(s, 2, ts_=T0 + 86400, person_id=2, soft=None)
+    return populate(s, [], [], [
+        (0, [(3600, "running"), (7200, "stopped")], True, 1.5),
+        (40 * 86400, [(5 * 86400, "running")], False, 6.0),
+    ])
+
+
+class TestFoldEqualsRebuild:
+    """One fold per realm: the incremental verb can never disagree with
+    the rebuild, whatever happened to the facts in between."""
+
+    def assert_fold_equals_rebuild(self, s):
+        agg = Aggregator(s)
+        agg.aggregate_all_incremental()
+        folded = agg_snapshot(s)
+        agg.aggregate_all()
+        assert agg_snapshot(s) == folded
+
+    def test_fold_after_rebuild_on_never_folded_schema_adds_nothing(self):
+        # benchmarks/e2e/README.md finding 4: the rebuild used to leave no
+        # bookkeeping behind, so the first fold counted every fact again
+        s = build_schema()
+        seeded(s)
+        agg = Aggregator(s)
+        agg.aggregate_all()
+        rebuilt = agg_snapshot(s)
+        version = s.data_version
+        counts = agg.aggregate_all_incremental()
+        assert set(counts.values()) == {0}
+        assert agg_snapshot(s) == rebuilt
+        # a fold with nothing to fold writes nothing: served caches stay warm
+        assert s.data_version == version
+
+    def test_hub_fold_after_rebuild_adds_nothing(self):
+        from tests.conftest import build_two_site_federation
+
+        hub, _, _, _ = build_two_site_federation()
+        hub.aggregate_federation()
+        rebuilt = {n: agg_snapshot(s) for n, s in hub.federated_schemas().items()}
+        report = hub.aggregate_federation(incremental=True)
+        assert sorted(report) == sorted(rebuilt)
+        for counts in report.values():
+            assert set(counts.values()) == {0}
+        for name, schema in hub.federated_schemas().items():
+            assert agg_snapshot(schema) == rebuilt[name]
+
+    @pytest.mark.parametrize("mutate", [
+        lambda s: s.table("fact_job").update_where(
+            lambda r: r["job_id"] == 1, {"cpu_hours": 99.0}),
+        lambda s: s.table("fact_job").delete_where(lambda r: r["job_id"] == 2),
+        lambda s: s.table("fact_storage").update_where(
+            lambda r: r["snapshot_id"] == 1, {"logical_usage_gb": 77.0}),
+        lambda s: s.table("fact_storage").truncate(),
+        lambda s: s.table("fact_vm_interval").delete_where(
+            lambda r: r["interval_id"] == 1),
+        lambda s: s.table("fact_vm").update_where(
+            lambda r: r["vm_id"] == 1, {"last_vcpus": 16}),
+        lambda s: s.table("fact_vm").truncate(),
+        # a delete hidden behind as many inserts: the row count alone
+        # would call this "one row appended"
+        lambda s: (
+            s.table("fact_job").delete_where(lambda r: r["job_id"] == 1),
+            insert_job(s, 8, start=T0 + 5 * 86400, wall=60),
+            insert_job(s, 9, start=T0 + 6 * 86400, wall=60),
+        ),
+        # same name, same row count, different table
+        lambda s: (
+            s.drop_table("fact_job"),
+            create_jobs_star(s),
+            insert_job(s, 5, start=T0 + 3 * 86400, wall=600),
+            insert_job(s, 6, start=T0 + 4 * 86400, wall=600),
+        ),
+    ], ids=[
+        "update-job", "delete-job", "update-snapshot", "truncate-storage",
+        "delete-interval", "update-vm", "truncate-vm", "delete-then-insert",
+        "drop-and-recreate",
+    ])
+    def test_fold_after_non_append_mutation_equals_rebuild(self, mutate):
+        s = build_schema()
+        iv_n = seeded(s)
+        Aggregator(s).aggregate_all_incremental()
+        mutate(s)
+        # appends on top of the mutation must not mask it
+        insert_job(s, 10, start=T0 + 86400, wall=1800)
+        insert_snapshot(s, 10, ts_=T0 + 2 * 86400, person_id=3, soft=250.0)
+        insert_interval(s, iv_n + 1, vm_id=9, start=T0 + 86400, dur=3600)
+        self.assert_fold_equals_rebuild(s)
+
+    def test_fold_after_cumulative_cloud_reingest_equals_rebuild(self):
+        # the documented feed shape: ingest_cloud_events deletes and
+        # re-inserts a VM it has seen, which id-keyed seen-tables missed
+        from repro.etl import ingest_cloud_events
+        from repro.simulators import CloudConfig, CloudSimulator
+
+        events = CloudSimulator(CloudConfig(seed=1, vms_per_day=2)).generate(
+            T0, T0 + 20 * 86400
+        )
+        s = Schema("modw")
+        agg = Aggregator(s)
+        ingest_cloud_events(s, [e for e in events if e["ts"] < T0 + 10 * 86400])
+        agg.aggregate_all_incremental()
+        ingest_cloud_events(s, events)  # cumulative: re-dumps the first half
+        self.assert_fold_equals_rebuild(s)
+        raw = sum(vm["core_hours"] for vm in s.table("fact_vm").rows())
+        served = sum(r["core_hours"] for r in s.table("agg_cloud_month").rows())
+        assert served == pytest.approx(raw)
+
+    def test_only_the_watermark_beside_the_served_tables(self):
+        s = build_schema()
+        iv_n = seeded(s)
+        agg = Aggregator(s)
+        agg.aggregate_all_incremental()
+        agg.aggregate_all()
+        insert_job(s, 10, start=T0 + 86400, wall=1800)
+        insert_interval(s, iv_n + 1, vm_id=9, start=T0 + 86400, dur=3600)
+        agg.aggregate_all_incremental()
+        s.table("fact_storage").truncate()
+        agg.aggregate_all_incremental()
+        served = {
+            f"agg_{realm}_{period}"
+            for realm in ("job", "storage", "cloud") for period in PERIODS
+        }
+        assert {
+            n for n in s.table_names() if n.startswith("agg_")
+        } == served | {"agg_watermark"}
 
 
 class TestConservation:
@@ -327,7 +486,7 @@ class TestZeroWalltimeRegression:
     def test_oracle_keeps_usage(self):
         s = build_schema()
         insert_job(s, 1, **self.params())
-        Aggregator(s).aggregate_jobs_oracle("month")
+        aggregate_jobs_oracle(s, AggregationConfig(), "month")
         rows = list(s.table("agg_job_month").rows())
         assert sum(r["cpu_hours"] for r in rows) == pytest.approx(7.5)
 
@@ -370,12 +529,12 @@ class TestZeroLengthIntervalRegression:
         for mode in ("fast", "oracle", "incremental"):
             s = build_schema()
             insert_interval(s, 1, vm_id=7, start=start, dur=0, state="running")
-            agg = Aggregator(s)
-            getattr(agg, {
-                "fast": "aggregate_cloud",
-                "oracle": "aggregate_cloud_oracle",
-                "incremental": "aggregate_cloud_incremental",
-            }[mode])("month")
+            if mode == "oracle":
+                aggregate_cloud_oracle(s, AggregationConfig(), "month")
+            elif mode == "fast":
+                Aggregator(s).aggregate_cloud("month")
+            else:
+                Aggregator(s).aggregate_cloud_incremental("month")
             results.append(table_rows(s, "agg_cloud_month"))
         assert results[0] == results[1] == results[2]
 
@@ -403,8 +562,11 @@ class TestQuotaTruthinessRegression:
         insert_snapshot(s, 1, ts_=T0, person_id=1, soft=None)
         insert_snapshot(s, 2, ts_=T0, person_id=2, soft=0.0)
         insert_snapshot(s, 3, ts_=T0, person_id=3, soft=100.0, logical=50.0)
-        for method in ("aggregate_storage", "aggregate_storage_oracle"):
-            getattr(Aggregator(s), method)("month")
+        for build in (
+            lambda: Aggregator(s).aggregate_storage("month"),
+            lambda: aggregate_storage_oracle(s, AggregationConfig(), "month"),
+        ):
+            build()
             (row,) = s.table("agg_storage_month").rows()
             assert row["n_quota_samples"] == 2
             assert row["sum_quota_utilization"] == pytest.approx(0.5)

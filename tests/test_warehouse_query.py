@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.warehouse import (
     Agg,
@@ -15,7 +14,6 @@ from repro.warehouse import (
     TableSchema,
     hash_join,
     make_columns,
-    vector_group_sum,
 )
 
 C = ColumnType
@@ -164,37 +162,3 @@ class TestHashJoin:
     def test_bad_join_type(self):
         with pytest.raises(QueryError):
             hash_join([], [], left_key="a", right_key="b", how="outer")
-
-
-class TestVectorGroupSum:
-    def test_basic(self):
-        assert vector_group_sum(["a", "b", "a"], [1.0, 2.0, 3.0]) == {
-            "a": 4.0, "b": 2.0,
-        }
-
-    def test_length_mismatch(self):
-        with pytest.raises(QueryError):
-            vector_group_sum(["a"], [1.0, 2.0])
-
-    def test_empty(self):
-        assert vector_group_sum([], []) == {}
-
-    @given(
-        data=st.lists(
-            st.tuples(
-                st.sampled_from("abcdef"),
-                st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-            ),
-            max_size=200,
-        )
-    )
-    def test_matches_reference_implementation(self, data):
-        keys = [k for k, _ in data]
-        values = [v for _, v in data]
-        expected: dict[str, float] = {}
-        for k, v in data:
-            expected[k] = expected.get(k, 0.0) + v
-        got = vector_group_sum(keys, values)
-        assert set(got) == set(expected)
-        for k in expected:
-            assert got[k] == pytest.approx(expected[k], abs=1e-6)

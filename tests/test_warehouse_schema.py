@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.warehouse import (
@@ -120,6 +121,25 @@ class TestTableSchema:
             primary_key=("id",),
         )
         assert schema.normalize_row({"id": 1}) == (1, "generic")
+
+    def test_normalize_row_stores_what_validate_returns(self):
+        # normalize_row skips the validate call for values already of the
+        # stored type; every other value must come out as validate has it
+        schema = TableSchema("t", make_columns([
+            ("i", C.INT), ("t", C.TIMESTAMP), ("f", C.FLOAT),
+            ("s", C.STR), ("b", C.BOOL), ("j", C.JSON),
+        ]))
+        samples = [1, 2.0, 2.5, "x", True, None, np.float64(1.5), np.int64(3), [1]]
+        for col in schema.columns:
+            for value in samples:
+                try:
+                    expected = col.ctype.validate(value, column=col.name)
+                except TypeMismatchError:
+                    with pytest.raises(TypeMismatchError):
+                        schema.normalize_row({col.name: value})
+                    continue
+                stored = schema.normalize_row({col.name: value})[schema.position(col.name)]
+                assert stored == expected and type(stored) is type(expected)
 
     def test_normalize_row_rejects_unknown_columns(self):
         with pytest.raises(SchemaError):

@@ -33,34 +33,43 @@ FOOTER = """\
   else -> `object`).  `Table.column_arrays(names)` batches several columns.
 - Arrays are cached per `(column, data_version)` and shared between
   callers; **do not mutate them in place**.
-- `Table.data_version` increments on every mutation (`insert`,
-  `delete_where`, `truncate`, replication replace), which invalidates the
-  cache.  Repeated reads between mutations are free.
+- `Table.data_version` increments once on every row mutation (`insert`,
+  `update_where`, `delete_where`, `truncate`, replication replace), which
+  invalidates the cache.  Repeated reads between mutations are free.
 
-### Aggregation modes
+### Aggregation: two verbs over one fold
 
-Each realm has three equivalent implementations in
-`repro.aggregation` (tested row-for-row against each other):
+Each realm has one builder (`repro.aggregation.columnar`): a fold that
+recomputes, from all their facts, the groups that fact rows not yet folded
+contribute to, and upserts them into `agg_<realm>_<period>`.  The two
+verbs differ only in where the fold starts:
 
-| mode | entry point | use |
-|---|---|---|
-| columnar (default) | `Aggregator.aggregate_jobs` / `aggregate_storage` / `aggregate_cloud` | full drop-and-rebuild on vectorized group reductions (`repro.aggregation.columnar`) |
-| oracle | `Aggregator.aggregate_*_oracle` | pure-Python reference; same output, used as the test oracle |
-| incremental | `Aggregator.aggregate_*_incremental` | folds only facts not yet seen into the existing `agg_*` tables |
+| verb | entry point | starts at | returns |
+|---|---|---|---|
+| rebuild | `Aggregator.aggregate_jobs` / `aggregate_storage` / `aggregate_cloud` | row 0, after dropping the table and its watermark | rows written |
+| fold | `Aggregator.aggregate_*_incremental` | the watermark | fact rows folded |
 
-Incremental aggregation keeps per-period bookkeeping tables
-(`agg_seen_*`, plus `agg_state_storage_*` numerator sums for the storage
-realm's gauge averages and `agg_active_vm_*` membership for distinct
-active-VM counts).  Facts are treated as append-only; a full rebuild
-resynchronizes the bookkeeping so incremental folds can resume afterward.
-`FederationHub.aggregate_federation(periods, incremental=True)` folds only
-the deltas replicated since the previous fold on every federated schema.
+The watermark is one table per schema, `agg_watermark`
+(`agg_table, fact_table -> n_rows, version`), written by every fold.  A
+fold trusts it only while the fact table has seen nothing but appends
+since, which it observes rather than assumes:
+`fact.data_version - mark.version == len(fact) - mark.n_rows >= 0`
+(every mutation bumps `data_version` once; only an insert adds a row).
+Anything else — an update, delete or truncate, a cumulative cloud
+re-ingest, a fact table that appeared or vanished, a missing aggregate
+table — makes the fold rebuild by itself, so a fold always equals a
+rebuild over the same facts, bit for bit.  A level change goes through
+`Aggregator.reaggregate` / `FederationHub.reaggregate_federation`, which
+rebuild.  `FederationHub.aggregate_federation(periods, incremental=True)`
+folds only the deltas replicated since the previous fold on every
+federated schema.  The pure-Python per-row reference the builders are
+tested against lives in `tests/aggregation_oracles.py`.
 
-Edge-case semantics shared by all three modes: zero-walltime jobs
-attribute their recorded usage to the period containing `end_ts`;
-zero-length `running` VM intervals count toward `n_vms_active` in the
-period containing `start_ts`; a storage `soft_quota_gb` of `0.0` is a real
-quota sample (only NULL means "no quota configured").
+Edge-case semantics: zero-walltime jobs attribute their recorded usage to
+the period containing `end_ts`; zero-length `running` VM intervals count
+toward `n_vms_active` in the period containing `start_ts`; a storage
+`soft_quota_gb` of `0.0` is a real quota sample (only NULL means "no quota
+configured").
 
 ## Serving layer (cache-first REST reads)
 

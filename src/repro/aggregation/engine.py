@@ -92,7 +92,6 @@ def agg_job_schema(period: str) -> TableSchema:
             "period_start", "resource_id", "person_id", "pi_id",
             "app_id", "queue_id", "walltime_level", "jobsize_level",
         ),
-        indexes=("period_start", "resource_id"),
     )
 
 
@@ -116,7 +115,6 @@ def agg_storage_schema(period: str) -> TableSchema:
             ("n_snapshots", C.INT, False),
         ]),
         primary_key=("period_start", "resource_id", "filesystem"),
-        indexes=("period_start",),
     )
 
 
@@ -147,7 +145,6 @@ def agg_cloud_schema(period: str) -> TableSchema:
             "period_start", "resource_id", "project", "os",
             "submission_venue", "memory_level",
         ),
-        indexes=("period_start",),
     )
 
 

@@ -246,7 +246,7 @@ class MutationWithoutVersionBumpRule(Rule):
 
     PRIVATE_STATE = frozenset(
         {
-            "_rows", "_pk_index", "_indexes", "_live_count",
+            "_rows", "_pk_index", "_live_count",
             "_columnar_cache", "_data_version",
         }
     )
@@ -393,9 +393,7 @@ class UnknownColumnRule(Rule):
     )
 
     #: Table methods whose first string argument names a column.
-    COLUMN_ARG_METHODS = frozenset(
-        {"column_array", "column_values", "lookup_index", "index_row_ids"}
-    )
+    COLUMN_ARG_METHODS = frozenset({"column_array", "column_values"})
     #: Table methods whose first list/tuple argument holds column names.
     COLUMN_LIST_METHODS = frozenset({"column_arrays", "columns_values"})
     #: Table methods taking a row mapping whose keys are columns.

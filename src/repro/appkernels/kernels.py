@@ -91,7 +91,6 @@ def appkernel_table_schema() -> TableSchema:
             ("succeeded", C.BOOL, False),
         ]),
         primary_key=("run_id",),
-        indexes=("kernel",),
     )
 
 

@@ -91,7 +91,6 @@ def cloud_fact_schemas() -> list[TableSchema]:
                 ("paused_s", C.INT, False),
             ]),
             primary_key=("resource_id", "vm_id"),
-            indexes=("person_id",),
         ),
         TableSchema(
             "fact_vm_interval",
@@ -112,7 +111,6 @@ def cloud_fact_schemas() -> list[TableSchema]:
                 ("disk_gb", C.FLOAT, False),
             ]),
             primary_key=("interval_id",),
-            indexes=("vm_id", "state"),
         ),
     ]
 

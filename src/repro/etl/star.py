@@ -49,7 +49,6 @@ def jobs_star_schemas() -> list[TableSchema]:
                 ("conversion_factor", C.FLOAT),
             ]),
             primary_key=("resource_id",),
-            indexes=("name",),
         ),
         TableSchema(
             "dim_person",
@@ -63,7 +62,6 @@ def jobs_star_schemas() -> list[TableSchema]:
                 ("gateway_label", C.STR),
             ]),
             primary_key=("person_id",),
-            indexes=("username",),
         ),
         TableSchema(
             "dim_pi",
@@ -72,7 +70,6 @@ def jobs_star_schemas() -> list[TableSchema]:
                 ("username", C.STR, False),
             ]),
             primary_key=("pi_id",),
-            indexes=("username",),
         ),
         TableSchema(
             "dim_application",
@@ -82,7 +79,6 @@ def jobs_star_schemas() -> list[TableSchema]:
                 ("science_field", C.STR),
             ]),
             primary_key=("app_id",),
-            indexes=("name",),
         ),
         TableSchema(
             "dim_queue",
@@ -92,7 +88,6 @@ def jobs_star_schemas() -> list[TableSchema]:
                 ("resource", C.STR, False),
             ]),
             primary_key=("queue_id",),
-            indexes=("name",),
         ),
         TableSchema(
             "fact_job",
@@ -118,7 +113,6 @@ def jobs_star_schemas() -> list[TableSchema]:
                 ("exit_code", C.INT, False),
             ]),
             primary_key=("resource_id", "job_id"),
-            indexes=("resource_id", "person_id", "app_id"),
         ),
     ]
 

@@ -68,7 +68,6 @@ def storage_fact_schema() -> TableSchema:
             ("hard_quota_gb", C.FLOAT),
         ]),
         primary_key=("snapshot_id",),
-        indexes=("filesystem", "person_id"),
     )
 
 

@@ -55,7 +55,6 @@ def allocation_schemas() -> list[TableSchema]:
                 ("end_ts", C.TIMESTAMP, False),
             ]),
             primary_key=("allocation_id",),
-            indexes=("project",),
         ),
         TableSchema(
             "fact_allocation_charge",
@@ -69,7 +68,6 @@ def allocation_schemas() -> list[TableSchema]:
                 ("xdsu_charged", C.FLOAT, False),
             ]),
             primary_key=("charge_id",),
-            indexes=("allocation_id",),
         ),
     ]
 
@@ -188,7 +186,6 @@ def agg_allocation_schema(period: str) -> TableSchema:
             ("su_granted", C.FLOAT, False),
         ]),
         primary_key=("period_start", "allocation_id"),
-        indexes=("period_start",),
     )
 
 

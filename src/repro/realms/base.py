@@ -17,10 +17,15 @@ value per group over the whole range).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
+from ..aggregation import group_reduce
 from ..core.identity import IdentityMap, qualified_identity
-from ..warehouse import Schema
+from ..timeutil import PERIODS, period_label
+from ..warehouse import ColumnType, Schema, Table
 
 
 class RealmQueryError(ValueError):
@@ -156,29 +161,6 @@ class Realm:
                 f"(have {sorted(self.dimensions)})"
             ) from None
 
-    # -- label resolution ---------------------------------------------------
-
-    def _labeler(
-        self,
-        spec: DimensionSpec,
-        schema: Schema,
-        instance: str,
-        *,
-        many_sources: bool,
-        idmap: IdentityMap | None,
-    ) -> Callable[[Any], str]:
-        if spec.dim_table is None:
-            return lambda v: str(v)
-        table = schema.table(spec.dim_table)
-        mapping = {
-            row[spec.dim_key]: row[spec.dim_label] for row in table.rows()
-        }
-        if spec.qualify and many_sources:
-            if idmap is not None:
-                return lambda v: idmap.resolve(instance, mapping.get(v, str(v)))
-            return lambda v: qualified_identity(instance, mapping.get(v, str(v)))
-        return lambda v: str(mapping.get(v, v))
-
     # -- the query ------------------------------------------------------------
 
     def query(
@@ -199,69 +181,124 @@ class Realm:
         ``filters`` maps dimension name -> allowed labels (XDMoD's filter
         UI).  ``view`` is ``"timeseries"`` (per period) or ``"aggregate"``
         (whole range).
+
+        Each source's ``agg_<realm>_<period>`` table is read through its
+        cached column arrays; group labels share one code space across
+        sources (two ids with one label form one group), and
+        :func:`repro.aggregation.group_reduce` sums numerator and
+        denominator over ``(group, period_start)``.  NULL adds nothing.
         """
         if end <= start:
             raise RealmQueryError(f"empty time range [{start}, {end})")
         if view not in ("timeseries", "aggregate"):
             raise RealmQueryError(f"unknown view {view!r}")
+        if period not in PERIODS:
+            raise RealmQueryError(f"unknown period {period!r} (have {list(PERIODS)})")
         m = self.metric(metric)
         gspec = self.dimension(group_by) if group_by else None
-        fspecs = {
-            name: (self.dimension(name), set(labels))
+        fspecs = [
+            (self.dimension(name), set(labels))
             for name, labels in (filters or {}).items()
-        }
+        ]
         if isinstance(sources, Schema):
             sources = {"local": sources}
+        timeseries = view == "timeseries"
+        # on a hub, person-like labels are namespaced per instance
+        resolve = idmap.resolve if idmap is not None else qualified_identity
         many = len(sources) > 1
         table_name = f"{self.agg_prefix}_{period}"
+        measures = [m.numerator] + ([m.denominator] if m.denominator else [])
+        dims = [spec for spec, _ in fspecs] + ([gspec] if gspec else [])
+        columns = ["period_start", *measures, *(spec.column for spec in dims)]
 
-        # (group, period) -> [num, den]
-        acc: dict[tuple[str, int, str], list[float]] = {}
+        group_code: dict[str, int] = {}  # label -> code, shared by all sources
+        chunks: list[list[np.ndarray]] = []  # per source: group, period, *measures
         for instance, schema in sources.items():
             if not schema.has_table(table_name):
                 continue
-            glabel = (
-                self._labeler(
-                    gspec, schema, instance, many_sources=many, idmap=idmap
-                )
-                if gspec
-                else None
-            )
-            flabelers = {
-                name: self._labeler(
-                    spec, schema, instance, many_sources=many, idmap=idmap
-                )
-                for name, (spec, _) in fspecs.items()
-            }
-            for row in schema.table(table_name).rows():
-                if not (start <= row["period_start"] < end):
-                    continue
-                skip = False
-                for name, (spec, allowed) in fspecs.items():
-                    if flabelers[name](row[spec.column]) not in allowed:
-                        skip = True
-                        break
-                if skip:
-                    continue
-                group = glabel(row[gspec.column]) if gspec else self.TOTAL
-                if view == "timeseries":
-                    key = (group, row["period_start"], row["period_label"])
-                else:
-                    key = (group, 0, "")
-                entry = acc.setdefault(key, [0.0, 0.0])
-                entry[0] += row[m.numerator] or 0
-                if m.denominator is not None:
-                    entry[1] += row[m.denominator] or 0
+            table = schema.table(table_name)
+            cols = table.column_arrays(columns)
+            qualify = partial(resolve, instance) if many else None
+            p_start = cols["period_start"]
+            rows = np.flatnonzero((p_start >= start) & (p_start < end))
+            for spec, allowed in fspecs:
+                labels, index = _labels(spec, schema, table, cols[spec.column][rows], qualify)
+                keep = np.array([lb in allowed for lb in labels], dtype=bool)
+                rows = rows[keep[index]]
+            if gspec:
+                labels, index = _labels(gspec, schema, table, cols[gspec.column][rows], qualify)
+                codes = [group_code.setdefault(lb, len(group_code)) for lb in labels]
+                group = np.array(codes, dtype=np.intp)[index]
+            else:
+                group = np.full(len(rows), group_code.setdefault(self.TOTAL, 0))
+            period_key = p_start[rows] if timeseries else np.zeros_like(rows)
+            chunks.append([group, period_key, *(cols[name][rows] for name in measures)])
 
         result = RealmResult(metric=m, dimension=group_by)
-        for (group, p_start, p_label) in sorted(acc):
-            num, den = acc[(group, p_start, p_label)]
+        if not chunks:
+            return result
+        group, p_start, *values = (np.concatenate(c) for c in zip(*chunks))
+        # codes follow first appearance; result rows come in label order
+        labels = sorted(group_code)
+        rank = np.empty(len(labels), dtype=np.intp)
+        rank[[group_code[lb] for lb in labels]] = np.arange(len(labels))
+        (group, p_start), sums = group_reduce(
+            [rank[group], p_start],
+            {name: np.where(np.isnan(v), 0.0, v) for name, v in zip(measures, values)},
+        )
+        p_labels = {p: period_label(period, p) for p in set(p_start.tolist())}
+        num = sums[m.numerator].tolist()
+        # a plain sum never looks at its denominator
+        den = sums[m.denominator].tolist() if m.denominator else num
+        for g, p, n, d in zip(group.tolist(), p_start.tolist(), num, den):
             result.rows.append(
                 ResultRow(
-                    group=group,
-                    period_start=p_start if view == "timeseries" else None,
-                    period_label=p_label if view == "timeseries" else None,
-                    value=m.value(num, den),
+                    group=labels[g],
+                    period_start=p if timeseries else None,
+                    period_label=p_labels[p] if timeseries else None,
+                    value=m.value(n, d),
                 )
             )
         return result
+
+
+def _labels(
+    spec: DimensionSpec,
+    schema: Schema,
+    table: Table,
+    values: np.ndarray,
+    qualify: Callable[[str], str] | None,
+) -> tuple[list[str], np.ndarray]:
+    """Display labels of the distinct entries of ``values`` — a slice of
+    ``spec``'s column of the aggregate ``table`` — and each entry's index
+    into them; only the distinct values are labelled."""
+    distinct: dict[Any, int] = {}  # stored value -> index, in order of appearance
+    stored = _stored_values(table, spec.column, values)
+    index = np.fromiter(
+        (distinct.setdefault(v, len(distinct)) for v in stored),
+        dtype=np.intp, count=len(stored),
+    )
+    if spec.dim_table is None:
+        return [str(v) for v in distinct], index
+    dim = schema.table(spec.dim_table)
+    arrays = dim.column_arrays([spec.dim_key, spec.dim_label])
+    mapping = dict(zip(
+        _stored_values(dim, spec.dim_key, arrays[spec.dim_key]),
+        _stored_values(dim, spec.dim_label, arrays[spec.dim_label]),
+    ))
+    if spec.qualify and qualify:
+        return [qualify(mapping.get(v, str(v))) for v in distinct], index
+    return [str(mapping.get(v, v)) for v in distinct], index
+
+
+def _stored_values(table: Table, column: str, array: np.ndarray) -> list[Any]:
+    """Entries of an array of ``table.column`` as the warehouse stores them
+    (the inverse of :meth:`Table.column_array`'s dtype mapping): NaN is
+    ``None`` again, and an INT/TIMESTAMP column that came back as floats
+    because it holds NULLs is ints again."""
+    values = array.tolist()
+    if array.dtype != np.float64:
+        return values
+    stored = float if table.schema.column(column).ctype is ColumnType.FLOAT else int
+    return [None if v != v else stored(v) for v in values]
+

@@ -410,31 +410,13 @@ class QueryService:
             return ServingResult(
                 400, {"error": f"unknown realm {request.realm!r}"}
             )
-        cache_state = "bypass"
-        versions = self.source_versions()
-        entry: _CacheEntry | None = None
-        if self.enabled:
-            entry, cache_state = self.cache.lookup(request.key, versions)
-        elif self._c_bypass is not None:
-            self._c_bypass.inc()
-        page_key = (request.offset, request.limit)
-        if entry is None:
-            try:
-                full = self._compute(request)
-            except RealmQueryError as exc:
-                return ServingResult(400, {"error": str(exc)})
-            if self.enabled:
-                entry = self.cache.store(request.key, versions, full)
-        else:
-            memo = entry.get_page(page_key)
-            if memo is not None:
-                return ServingResult(200, memo[0], etag=memo[1], cache="hit")
-            full = entry.payload
-        page = self._paginate(full, request)
-        etag = self._etag(page)
-        if entry is not None:
-            entry.memo_page(page_key, page, etag)
-        return ServingResult(200, page, etag=etag, cache=cache_state)
+        return self.respond_cached(
+            request.key,
+            lambda: self._compute(request),
+            offset=request.offset,
+            limit=request.limit,
+            field="series" if chart else "rows",
+        )
 
     def respond_cached(
         self,
@@ -445,14 +427,14 @@ class QueryService:
         limit: int | None = None,
         field: str = "rows",
     ) -> ServingResult:
-        """Cache-first serving for a payload not built by a realm query.
+        """The cache-first flow behind every cached route: version-stamped
+        cache entry, per-window page memoization, strong ETag.
 
-        Same flow as :meth:`respond` — version-stamped cache entry,
-        per-window page memoization, strong ETag — for routes whose full
-        payload comes from ``compute()`` instead of ``realm.query``
-        (e.g. ``/jobs/efficiency``).  ``compute`` runs only on a miss or
-        stale entry and must return the full payload dict whose
-        ``field`` key holds the list to paginate.
+        :meth:`respond` passes the realm query as ``compute``; routes
+        whose payload is not a realm query (e.g. ``/jobs/efficiency``)
+        pass their own.  ``compute`` runs only on a miss or stale entry
+        and must return the full payload dict whose ``field`` key holds
+        the list to paginate; the cached dict is never mutated.
         """
         cache_state = "bypass"
         versions = self.source_versions()
@@ -522,22 +504,6 @@ class QueryService:
                 for r in result.rows
             ],
         }
-
-    @staticmethod
-    def _paginate(full: dict[str, Any], request: QueryRequest) -> dict[str, Any]:
-        """Window the full payload; never mutates the cached dict."""
-        field = "series" if request.chart else "rows"
-        items = full[field]
-        stop = (
-            len(items) if request.limit is None
-            else request.offset + request.limit
-        )
-        page = dict(full)
-        page[field] = items[request.offset:stop]
-        page[f"total_{field}"] = len(items)
-        page["offset"] = request.offset
-        page["limit"] = request.limit
-        return page
 
     @staticmethod
     def _etag(payload: dict[str, Any]) -> str:

@@ -2,9 +2,10 @@
 
 Public surface:
 
-- :class:`Database`, :class:`Schema`, :class:`Table` — storage engine
+- :class:`Database`, :class:`Schema`, :class:`Table` — storage engine;
+  filters and group-bys read :meth:`Table.column_arrays` and reduce with
+  :func:`repro.aggregation.group_reduce` (there is no row-level query API)
 - :class:`TableSchema`, :class:`Column`, :class:`ColumnType` — catalog types
-- :class:`Query`, :class:`P`, :class:`Agg`, :func:`hash_join` — query engine
 - :class:`Binlog`, :class:`BinlogCursor`, :class:`BinlogEvent`,
   :class:`EventType` — change-data-capture used by federation
 - :func:`dump_schema` / :func:`load_schema` and the dump-file helpers —
@@ -26,18 +27,14 @@ from .errors import (
     DuplicateObjectError,
     IntegrityError,
     PrimaryKeyError,
-    QueryError,
     SchemaError,
     TypeMismatchError,
     UnknownObjectError,
     WarehouseError,
 )
-from .query import Agg, AggSpec, P, Predicate, Query, hash_join
 from .schema import Column, ColumnType, TableSchema, make_columns
 
 __all__ = [
-    "Agg",
-    "AggSpec",
     "Binlog",
     "BinlogCursor",
     "BinlogEvent",
@@ -49,11 +46,7 @@ __all__ = [
     "DuplicateObjectError",
     "EventType",
     "IntegrityError",
-    "P",
-    "Predicate",
     "PrimaryKeyError",
-    "Query",
-    "QueryError",
     "Schema",
     "SchemaError",
     "Table",
@@ -62,7 +55,6 @@ __all__ = [
     "UnknownObjectError",
     "WarehouseError",
     "dump_schema",
-    "hash_join",
     "load_database",
     "load_schema",
     "make_columns",

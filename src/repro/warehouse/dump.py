@@ -24,30 +24,11 @@ import zlib
 from pathlib import Path
 from typing import Any
 
-from .engine import Database, Schema
+from .engine import Database, Schema, rows_checksum
 from .errors import DumpError
 from .schema import TableSchema
 
 DUMP_FORMAT_VERSION = 1
-
-
-def table_rows_checksum(rows: list[Any]) -> str:
-    """Order-independent digest of one table's row data.
-
-    Mirrors :meth:`~repro.warehouse.engine.Table.checksum` exactly
-    (``json.dumps`` renders tuples and lists identically, so a dump that
-    round-tripped through JSON digests the same as the live table).
-    """
-    digests = sorted(
-        hashlib.sha256(
-            json.dumps(row, sort_keys=False, default=str).encode()
-        ).hexdigest()
-        for row in rows
-    )
-    h = hashlib.sha256()
-    for d in digests:
-        h.update(d.encode())
-    return h.hexdigest()
 
 
 def dump_checksum(dump: dict[str, Any]) -> str:
@@ -63,7 +44,7 @@ def dump_checksum(dump: dict[str, Any]) -> str:
     entries = sorted(dump["tables"], key=lambda e: e["schema"]["name"])
     for entry in entries:
         h.update(entry["schema"]["name"].encode())
-        h.update(table_rows_checksum(entry["rows"]).encode())
+        h.update(rows_checksum(entry["rows"]).encode())
     return h.hexdigest()
 
 

@@ -1,4 +1,4 @@
-"""Storage engine: databases, schemas, tables, CRUD, indexes.
+"""Storage engine: databases, schemas, tables, CRUD.
 
 This is the MySQL-equivalent substrate under every XDMoD instance.  A
 :class:`Database` holds named :class:`Schema` objects (one per logical
@@ -8,10 +8,11 @@ additionally holds one renamed schema per satellite).  Every schema owns a
 recorded there, which is what makes tight federation possible.
 
 Rows are stored as tuples in insertion order with tombstoned deletes, so row
-ids remain stable; primary keys and declared secondary indexes are hash maps
-from value to row ids.  The design favours clarity first (per the
-optimization guide: make it work, make it right), with the hot aggregation
-paths vectorized separately in :mod:`repro.aggregation`.
+ids remain stable; the primary key is a hash map from key to row id.  The
+design favours clarity first (per the optimization guide: make it work, make
+it right); everything that filters or groups rows reads the cached column
+arrays (:meth:`Table.column_arrays`) and runs vectorized in
+:mod:`repro.aggregation`.
 """
 
 from __future__ import annotations
@@ -33,8 +34,28 @@ from .errors import (
 from .schema import ColumnType, TableSchema
 
 
+def rows_checksum(rows: Iterable[Sequence[Any]]) -> str:
+    """Order-independent digest of one table's row data.
+
+    The one definition behind :meth:`Table.checksum` and the dump
+    document's content checksum (:func:`repro.warehouse.dump.dump_checksum`):
+    ``json.dumps`` renders tuples and lists identically, so rows that
+    round-tripped through a JSON dump digest the same as the live table.
+    """
+    digests = sorted(
+        hashlib.sha256(
+            json.dumps(row, sort_keys=False, default=str).encode()
+        ).hexdigest()
+        for row in rows
+    )
+    h = hashlib.sha256()
+    for d in digests:
+        h.update(d.encode())
+    return h.hexdigest()
+
+
 class Table:
-    """One table: schema + rows + indexes.
+    """One table: schema + rows + primary-key index.
 
     Not constructed directly — use :meth:`Schema.create_table`.
     """
@@ -45,13 +66,10 @@ class Table:
         self._rows: list[tuple[Any, ...] | None] = []  # None == tombstone
         self._live_count = 0
         self._pk_index: dict[tuple[Any, ...], int] = {}
-        self._indexes: dict[str, dict[Any, set[int]]] = {
-            name: {} for name in table_schema.indexes
-        }
         # starts where the schema's counter stands, so a table dropped and
         # re-created under the same name never repeats a version
         self._data_version = schema.data_version
-        self._columnar_cache: dict[str, np.ndarray] = {}
+        self._columnar_cache: dict[str, tuple[int, np.ndarray]] = {}
 
     # -- introspection ----------------------------------------------------
 
@@ -87,22 +105,14 @@ class Table:
         return row
 
     def checksum(self) -> str:
-        """Order-independent digest of live row contents.
+        """Order-independent digest of live row contents
+        (:func:`rows_checksum`).
 
         Used by :mod:`repro.core.consistency` to verify that replicated data
         on the hub is byte-identical to the satellite's (invariant 1 in
         DESIGN.md).
         """
-        digests = sorted(
-            hashlib.sha256(
-                json.dumps(row, sort_keys=False, default=str).encode()
-            ).hexdigest()
-            for row in self.raw_rows()
-        )
-        h = hashlib.sha256()
-        for d in digests:
-            h.update(d.encode())
-        return h.hexdigest()
+        return rows_checksum(self.raw_rows())
 
     # -- mutation ----------------------------------------------------------
 
@@ -129,7 +139,6 @@ class Table:
         self._mutated()
         if key is not None:
             self._pk_index[key] = rid
-        self._index_add(rid, row)
         if log:
             self._owner._log(
                 EventType.INSERT,
@@ -225,7 +234,6 @@ class Table:
             key = self.schema.key_of(row)
             if key is not None:
                 del self._pk_index[key]
-            self._index_remove(rid, row)
             self._rows[rid] = None
             self._live_count -= 1
             self._mutated()
@@ -242,50 +250,11 @@ class Table:
         self._rows.clear()
         self._live_count = 0
         self._pk_index.clear()
-        for idx in self._indexes.values():
-            idx.clear()
         self._mutated()
         self._owner._log(EventType.TRUNCATE, self.name, {})
 
-    # -- index plumbing -----------------------------------------------------
-
-    def lookup_index(self, column: str, value: Any) -> list[dict[str, Any]]:
-        """Equality lookup through a declared secondary index."""
-        if column not in self._indexes:
-            raise UnknownObjectError(
-                f"table {self.name!r} has no index on {column!r}"
-            )
-        names = self.schema.column_names
-        rids = sorted(self._indexes[column].get(value, ()))
-        return [dict(zip(names, self._rows[rid])) for rid in rids]  # type: ignore[arg-type]
-
-    def index_row_ids(self, column: str, value: Any) -> set[int]:
-        if column not in self._indexes:
-            raise UnknownObjectError(
-                f"table {self.name!r} has no index on {column!r}"
-            )
-        return set(self._indexes[column].get(value, ()))
-
-    def _index_add(self, rid: int, row: tuple[Any, ...]) -> None:
-        for col, idx in self._indexes.items():
-            value = row[self.schema.position(col)]
-            idx.setdefault(value, set()).add(rid)
-
-    def _index_remove(self, rid: int, row: tuple[Any, ...]) -> None:
-        for col, idx in self._indexes.items():
-            value = row[self.schema.position(col)]
-            bucket = idx.get(value)
-            if bucket is not None:
-                bucket.discard(rid)
-                if not bucket:
-                    del idx[value]
-
     def _replace(self, rid: int, new_row: tuple[Any, ...]) -> None:
-        old_row = self._rows[rid]
-        if old_row is not None:
-            self._index_remove(rid, old_row)
         self._rows[rid] = new_row
-        self._index_add(rid, new_row)
         self._mutated()
 
     # -- column access for vectorized aggregation ---------------------------
@@ -312,11 +281,13 @@ class Table:
     def column_array(self, column: str) -> np.ndarray:
         """Cached NumPy array of one column's live values, in row order.
 
-        This is the columnar view feeding the vectorized aggregation paths
-        (:mod:`repro.aggregation.columnar`).  Arrays are built lazily per
-        column and cached until the next mutation — insert, update, delete,
-        or truncate, i.e. the same hook points that write the binlog —
-        invalidates the whole cache.
+        This is the columnar view feeding the aggregation builders
+        (:mod:`repro.aggregation.columnar`) and the realm read path
+        (:meth:`repro.realms.base.Realm.query`), so aggregator and REST
+        threads share it.  Arrays are built lazily per column and cached,
+        stamped with the table's ``data_version``, until the next mutation
+        — insert, update, delete, or truncate, i.e. the same hook points
+        that write the binlog — invalidates the whole cache.
 
         dtype mapping: INT/TIMESTAMP columns become ``int64`` (``float64``
         with NaN standing in for NULL when the column holds NULLs);
@@ -325,9 +296,13 @@ class Table:
         ``None``.  The returned array is shared cache state — callers must
         treat it as read-only.
         """
+        # the version is read before the rows: a writer that lands in
+        # between leaves an entry stamped older than the table, which the
+        # next reader rebuilds instead of trusting
+        version = self._data_version
         cached = self._columnar_cache.get(column)
-        if cached is not None:
-            return cached
+        if cached is not None and cached[0] == version:
+            return cached[1]
         pos = self.schema.position(column)
         ctype = self.schema.column(column).ctype
         values = [row[pos] for row in self._rows if row is not None]
@@ -345,12 +320,19 @@ class Table:
         else:
             arr = np.empty(len(values), dtype=object)
             arr[:] = values
-        self._columnar_cache[column] = arr
+        self._columnar_cache[column] = (version, arr)
         return arr
 
     def column_arrays(self, columns: Sequence[str]) -> dict[str, np.ndarray]:
-        """Cached columnar views of several columns (see :meth:`column_array`)."""
-        return {c: self.column_array(c) for c in columns}
+        """Cached columnar views of several columns (see :meth:`column_array`),
+        all of one table version: if a writer got in while they were being
+        gathered, they are gathered again."""
+        while True:
+            version = self._data_version
+            arrays = {c: self.column_array(c) for c in columns}
+            lengths = {len(a) for a in arrays.values()}
+            if self._data_version == version and len(lengths) <= 1:
+                return arrays
 
     def column_values(self, column: str) -> list[Any]:
         """All live values of one column, in row order (aggregation feed)."""

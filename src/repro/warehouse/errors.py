@@ -17,11 +17,11 @@ class SchemaError(WarehouseError):
 
 
 class DuplicateObjectError(SchemaError):
-    """Attempted to create a schema/table/index that already exists."""
+    """Attempted to create a schema/table that already exists."""
 
 
 class UnknownObjectError(SchemaError):
-    """Referenced a schema/table/column/index that does not exist."""
+    """Referenced a schema/table/column that does not exist."""
 
 
 class IntegrityError(WarehouseError):
@@ -34,10 +34,6 @@ class TypeMismatchError(IntegrityError):
 
 class PrimaryKeyError(IntegrityError):
     """Duplicate or missing primary key."""
-
-
-class QueryError(WarehouseError):
-    """A query is malformed (bad column, bad aggregate, bad join)."""
 
 
 class BinlogError(WarehouseError):

@@ -2,9 +2,9 @@
 
 The warehouse models the subset of a relational catalog that Open XDMoD
 actually relies on: named schemas (databases), tables with typed, possibly
-nullable columns, a single- or multi-column primary key, and secondary hash
-indexes.  Types are deliberately few — the XDMoD data warehouse stores
-integers, floats, strings, booleans, epoch timestamps, and JSON blobs.
+nullable columns, and a single- or multi-column primary key.  Types are
+deliberately few — the XDMoD data warehouse stores integers, floats,
+strings, booleans, epoch timestamps, and JSON blobs.
 """
 
 from __future__ import annotations
@@ -119,19 +119,17 @@ class Column:
 
 @dataclass(frozen=True)
 class TableSchema:
-    """Definition of one table: ordered columns, primary key, indexes.
+    """Definition of one table: ordered columns and primary key.
 
     ``primary_key`` is a tuple of column names forming the (composite) key;
     empty means the table has no primary key and duplicate rows are allowed
     (fact tables in XDMoD use surrogate keys; aggregate tables often have
-    composite keys).  ``indexes`` is a tuple of single-column names that get
-    secondary hash indexes.
+    composite keys).
     """
 
     name: str
     columns: tuple[Column, ...]
     primary_key: tuple[str, ...] = ()
-    indexes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "a").isalnum():
@@ -149,11 +147,6 @@ class TableSchema:
             if key_col not in seen:
                 raise SchemaError(
                     f"table {self.name!r}: primary key column {key_col!r} undefined"
-                )
-        for idx_col in self.indexes:
-            if idx_col not in seen:
-                raise SchemaError(
-                    f"table {self.name!r}: index column {idx_col!r} undefined"
                 )
 
     # derived once per (immutable) schema: every row written looks these up
@@ -236,11 +229,13 @@ class TableSchema:
                 for c in self.columns
             ],
             "primary_key": list(self.primary_key),
-            "indexes": list(self.indexes),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TableSchema":
+        """Inverse of :meth:`to_dict`.  Descriptions written before secondary
+        indexes were removed carry an ``"indexes"`` key; it is ignored, so old
+        dumps, binlogs and persisted warehouses still load."""
         columns = tuple(
             Column(
                 name=c["name"],
@@ -254,7 +249,6 @@ class TableSchema:
             name=data["name"],
             columns=columns,
             primary_key=tuple(data.get("primary_key", ())),
-            indexes=tuple(data.get("indexes", ())),
         )
 
 

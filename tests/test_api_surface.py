@@ -16,7 +16,6 @@ from repro.core import (
 from repro.realms import jobs_realm
 from repro.timeutil import from_ts, ts
 from repro.ui import UsageExplorer, chart_to_json, ChartBuilder
-from repro.warehouse import P, Query
 from tests.conftest import T0
 
 END = ts(2017, 6, 1)
@@ -98,18 +97,6 @@ class TestExportSurface:
         payload = json.loads(chart_to_json(chart))
         assert payload["title"] == chart.title
         assert len(payload["series"]) == len(chart.series)
-
-
-class TestPredicateComparators:
-    ROWS = [{"v": 1}, {"v": 2}, {"v": 3}, {"v": None}]
-
-    def test_ne(self):
-        assert len(Query(self.ROWS).where(P.ne("v", 2)).run()) == 3
-
-    def test_lt_le_ge(self):
-        assert len(Query(self.ROWS).where(P.lt("v", 2)).run()) == 1
-        assert len(Query(self.ROWS).where(P.le("v", 2)).run()) == 2
-        assert len(Query(self.ROWS).where(P.ge("v", 2)).run()) == 2
 
 
 class TestTimeutilSurface:

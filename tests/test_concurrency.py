@@ -278,6 +278,92 @@ class TestSchemaDataVersionRace:
         assert schema.data_version > before
 
 
+class _PausingRows(list):
+    """Row storage whose next full iteration calls ``pause`` after the last
+    row — the point between a reader's row snapshot and its cache store."""
+
+    def __init__(self, rows, pause):
+        super().__init__(rows)
+        self._pause = pause
+
+    def __iter__(self):
+        yield from super().__iter__()
+        pause, self._pause = self._pause, None
+        if pause is not None:
+            pause()
+
+
+class TestColumnCacheRace:
+    """REST threads read the column cache the aggregator thread fills."""
+
+    N = 3
+
+    @pytest.fixture()
+    def table(self):
+        table = Database().create_schema("modw").create_table(_table_schema("jobs"))
+        for i in range(self.N):
+            table.insert({"id": i, "val": float(i)})
+        return table
+
+    def _insert_after_snapshot(self, table, read):
+        """Run ``read`` on a thread; once it has snapshotted the rows,
+        insert one more row from this thread, then let it finish."""
+        snapshotted, mutated = threading.Event(), threading.Event()
+
+        def pause():
+            snapshotted.set()
+            assert mutated.wait(5)
+
+        table._rows = _PausingRows(table._rows, pause)
+        result = []
+        reader = threading.Thread(target=lambda: result.append(read()))
+        reader.start()
+        try:
+            assert snapshotted.wait(5)
+            table.insert({"id": self.N, "val": float(self.N)})
+        finally:
+            mutated.set()
+            reader.join(5)
+        assert not reader.is_alive()
+        return result[0]
+
+    def test_overtaken_reader_cannot_publish_a_stale_array(self, table):
+        """Regression: a reader snapshotted the rows, a writer appended
+        and cleared the cache, the reader then stored its pre-mutation
+        array — served to everyone until the next mutation."""
+        self._insert_after_snapshot(table, lambda: table.column_array("val"))
+        assert len(table) == self.N + 1
+        assert table.column_array("val").tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_column_arrays_are_of_one_version(self, table):
+        """Regression: ``id`` was snapshotted before the insert and
+        ``val`` after it, so the two arrays differed in length."""
+        cols = self._insert_after_snapshot(
+            table, lambda: table.column_arrays(["id", "val"])
+        )
+        assert cols["id"].tolist() == [0, 1, 2, 3]
+        assert cols["val"].tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_readers_see_whole_rows_while_a_writer_appends(self, table):
+        n_rows, done = 400, threading.Event()
+
+        def writer():
+            try:
+                for i in range(self.N, n_rows):
+                    table.insert({"id": i, "val": float(i)})
+            finally:
+                done.set()
+
+        def reader():
+            while not done.is_set():
+                cols = table.column_arrays(["id", "val"])
+                assert len(cols["id"]) == len(cols["val"])
+                assert (cols["id"] == cols["val"]).all()
+
+        run_threads([writer, reader, reader, reader])
+        assert table.column_array("id").tolist() == list(range(n_rows))
+
+
 class TestCacheEntryPagesRace:
     def test_concurrent_page_memoization_respects_bound(self):
         """Regression: ``respond()`` checked ``len(entry.pages) < cap``

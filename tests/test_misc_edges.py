@@ -11,7 +11,6 @@ from repro.ui.charts import ChartData, Series, chart_from_result
 from repro.warehouse import (
     ColumnType,
     Database,
-    P,
     SchemaError,
     TableSchema,
     make_columns,
@@ -135,16 +134,6 @@ class TestEngineColumnAccess:
 
         with pytest.raises(UnknownObjectError):
             table.row_at(0)
-
-
-class TestPredicateDescriptions:
-    def test_combinators_describe_themselves(self):
-        pred = (P.eq("a", 1) & P.gt("b", 2)) | ~P.isnull("c")
-        text = pred.description
-        assert "AND" in text and "OR" in text and "NOT" in text
-
-    def test_true_predicate(self):
-        assert P.true()({})
 
 
 class TestSchemaHelpers:

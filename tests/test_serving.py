@@ -195,6 +195,15 @@ class TestBadParameters:
         status, payload = api.handle(path + suffix, {})
         assert status == 400 and "bad parameters" in payload["error"]
 
+    @pytest.mark.parametrize("path", [QUERY, CHART])
+    def test_unknown_period_is_400_and_takes_no_cache_slot(self, api, path):
+        """Was a 200 with empty rows (no ``agg_job_fortnight`` table to
+        read), and every bogus spelling occupied a cache entry."""
+        status, payload = api.handle(path + "&period=fortnight", {})
+        assert status == 400 and "fortnight" in payload["error"]
+        assert len(api.serving.cache) == 0
+        assert api.handle(path + "&period=month", {})[0] == 200
+
     def test_missing_params_named(self, api):
         status, payload = api.handle("/query?realm=jobs", {})
         assert status == 400

@@ -33,7 +33,6 @@ def populated_schema(db: Database, name: str = "modw"):
                 ("payload", C.JSON),
             ]),
             primary_key=("job_id",),
-            indexes=("user",),
         )
     )
     for i in range(20):
@@ -48,6 +47,15 @@ class TestDumpLoad:
         dump = dump_schema(schema)
         db2 = Database()
         loaded = load_schema(db2, dump)
+        assert loaded.checksum() == schema.checksum()
+        assert loaded.table("jobs").schema == schema.table("jobs").schema
+
+    def test_dump_written_with_secondary_indexes_still_loads(self):
+        schema = populated_schema(Database())
+        dump = dump_schema(schema)
+        for entry in dump["tables"]:
+            entry["schema"]["indexes"] = ["user"]
+        loaded = load_schema(Database(), dump)
         assert loaded.checksum() == schema.checksum()
         assert loaded.table("jobs").schema == schema.table("jobs").schema
 

@@ -1,4 +1,4 @@
-"""Storage engine: CRUD, keys, indexes, checksums, event application."""
+"""Storage engine: CRUD, keys, checksums, event application."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ def jobs_table_schema() -> TableSchema:
             ("cpu_hours", C.FLOAT),
         ]),
         primary_key=("job_id",),
-        indexes=("user",),
     )
 
 
@@ -141,28 +140,6 @@ class TestCrud:
         table.truncate()
         assert len(table) == 0
         assert table.get((1,)) is None
-
-
-class TestIndexes:
-    def test_lookup_index(self, table):
-        table.insert_many(
-            {"job_id": i, "user": "alice" if i % 2 else "bob"}
-            for i in range(6)
-        )
-        alice = table.lookup_index("user", "alice")
-        assert sorted(r["job_id"] for r in alice) == [1, 3, 5]
-
-    def test_index_tracks_updates_and_deletes(self, table):
-        table.insert({"job_id": 1, "user": "alice"})
-        table.update_where(lambda r: r["job_id"] == 1, {"user": "bob"})
-        assert table.lookup_index("user", "alice") == []
-        assert len(table.lookup_index("user", "bob")) == 1
-        table.delete_where(lambda r: True)
-        assert table.lookup_index("user", "bob") == []
-
-    def test_missing_index_errors(self, table):
-        with pytest.raises(UnknownObjectError):
-            table.lookup_index("cpu_hours", 1.0)
 
 
 class TestChecksum:

@@ -96,10 +96,6 @@ class TestTableSchema:
         with pytest.raises(SchemaError):
             simple_schema(primary_key=("missing",))
 
-    def test_index_must_reference_existing_column(self):
-        with pytest.raises(SchemaError):
-            simple_schema(indexes=("missing",))
-
     def test_empty_columns_rejected(self):
         with pytest.raises(SchemaError):
             TableSchema("t", ())
@@ -170,6 +166,14 @@ class TestTableSchema:
         assert schema.key_of(row) == (1, "a")
 
     def test_dict_round_trip(self):
-        schema = simple_schema(primary_key=("id",), indexes=("name",))
+        schema = simple_schema(primary_key=("id",))
         clone = TableSchema.from_dict(schema.to_dict())
         assert clone == schema
+
+    def test_from_dict_ignores_legacy_indexes_key(self):
+        """Descriptions in old dumps, binlogs and persisted warehouses
+        were written when tables had secondary indexes."""
+        schema = simple_schema(primary_key=("id",))
+        legacy = {**schema.to_dict(), "indexes": ["name", "gone_column"]}
+        assert TableSchema.from_dict(legacy) == schema
+        assert "indexes" not in schema.to_dict()

@@ -32,10 +32,26 @@ FOOTER = """\
   column holds NULLs; `FLOAT` -> `float64` with NULL as `NaN`; everything
   else -> `object`).  `Table.column_arrays(names)` batches several columns.
 - Arrays are cached per `(column, data_version)` and shared between
-  callers; **do not mutate them in place**.
+  callers and threads (the aggregator and every REST worker); **do not
+  mutate them in place**.  `column_arrays` returns arrays of one table
+  version, gathering them again if a writer got in between.
 - `Table.data_version` increments once on every row mutation (`insert`,
   `update_where`, `delete_where`, `truncate`, replication replace), which
   invalidates the cache.  Repeated reads between mutations are free.
+
+### One group-by kernel
+
+`repro.aggregation.group_reduce(keys, measures)` (one `np.lexsort` + one
+`np.add.reduceat` per measure) is the only group-by in the package.  The
+builders below fold facts into `agg_*` tables with it, and
+`Realm.query` — behind every `/query` and `/chart` — answers from those
+tables with it: the time range and the filters select rows of each
+source's `agg_<realm>_<period>` column arrays, labels are resolved once
+per distinct stored value and share one code space across sources, and
+numerator and denominator are summed over `(group, period_start)`.  The
+warehouse has no row-level query API and no secondary indexes; the
+row-at-a-time reference `Realm.query` is tested against lives in
+`tests/realm_query_oracle.py`.
 
 ### Aggregation: two verbs over one fold
 

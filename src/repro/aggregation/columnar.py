@@ -13,9 +13,14 @@ A builder takes ``since`` — per fact table, the index of the first row
 not yet folded — and carries one extra 0/1 measure through the same
 reduction: a group is emitted only when a row at or past ``since``
 contributed to it.  An emitted group is always computed from *all* its
-facts, so distinct counts and gauge averages need no running state, the
-caller upserts it, and a fold equals a rebuild bit for bit; the rebuild
-is the fold with nothing folded yet (an empty ``since``).
+facts, so distinct counts and gauge averages need no running state and a
+fold equals a rebuild bit for bit; the rebuild is the fold with nothing
+folded yet (an empty ``since``).
+
+What a builder returns is a column batch — one equal-length array per
+aggregate-table column, rows in the oracle's order — which the caller
+hands to :meth:`repro.warehouse.Table.upsert_columns` as one batch write;
+the aggregate never exists as a list of row dicts.
 
 The per-row pure-Python builders these are tested against row-for-row
 live in ``tests/aggregation_oracles.py``.
@@ -172,17 +177,51 @@ def _factorize(*object_arrays: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]
     """Shared-code-space factorization of several object (string) arrays.
 
     Returns ``(labels, [code_arrays...])`` where every code indexes into
-    one common ``labels`` array.
+    one common ``labels`` array (of ``str`` objects, sorted, so codes
+    order as their labels do).
     """
     lengths = [len(a) for a in object_arrays]
     merged = np.concatenate([a.astype(object) for a in object_arrays])
     labels, inverse = np.unique(merged.astype(str), return_inverse=True)
+    labels = labels.astype(object)
     codes: list[np.ndarray] = []
     at = 0
     for n in lengths:
         codes.append(inverse[at:at + n].astype(np.int64))
         at += n
     return labels, codes
+
+
+def _level_codes(levels: Any, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bin ``values`` by an :class:`AggregationLevelSet`.
+
+    Returns ``(labels, codes)`` like :func:`_factorize`: ``labels`` sorted
+    as strings, so groups keyed by the codes come out of
+    :func:`group_reduce` in the order the oracle sorts level labels in.
+    """
+    labels, rank = np.unique(
+        np.array(levels.coded_labels, dtype=object), return_inverse=True
+    )
+    return labels, rank[levels.codes_of(values)]
+
+
+def _period_columns(
+    period: str, bounds: np.ndarray, period_idx: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The ``period_start`` / ``period_label`` columns of rows falling in
+    windows ``period_idx`` of ``bounds`` (one label computed per window)."""
+    labels = np.array(
+        [period_label(period, start) for start in bounds.tolist()], dtype=object
+    )
+    return {
+        "period_start": bounds[period_idx],
+        "period_label": labels[period_idx],
+    }
+
+
+def _counts(sums: np.ndarray) -> np.ndarray:
+    """Float sums of 0/1 flags as the integers they stand for."""
+    return np.rint(sums).astype(np.int64)
 
 
 # -- jobs realm -------------------------------------------------------------
@@ -206,16 +245,16 @@ def build_job_rows(
     since: Mapping[str, int],
     *,
     obs: Any = None,
-) -> list[dict[str, Any]]:
+) -> dict[str, np.ndarray]:
     """Fold ``fact_job`` into ``agg_job_<period>`` rows.
 
-    Returns the row, computed from all its facts, of every group that a
-    fact row at or past ``since["fact_job"]`` (absent: row 0, so every
-    group) contributes to.
+    Returns, as a column batch, the row, computed from all its facts, of
+    every group that a fact row at or past ``since["fact_job"]`` (absent:
+    row 0, so every group) contributes to.
     """
     table = schema.table("fact_job")
     if len(table) == 0:
-        return []
+        return {}
     c = table.column_arrays([
         "resource_id", "person_id", "pi_id", "app_id", "queue_id",
         "start_ts", "end_ts", "walltime_s", "wait_s", "cores",
@@ -223,8 +262,8 @@ def build_job_rows(
     ])
     start, end = c["start_ts"], c["end_ts"]
     wall = c["walltime_s"].astype(np.float64)
-    wl = config.walltime_levels.codes_of(wall)
-    sz = config.jobsize_levels.codes_of(c["cores"])
+    wl_labels, wl = _level_codes(config.walltime_levels, wall)
+    sz_labels, sz = _level_codes(config.jobsize_levels, c["cores"])
     dims = [c["resource_id"], c["person_id"], c["pi_id"], c["app_id"], c["queue_id"], wl, sz]
 
     bounds = _period_bounds(period, start, end)
@@ -265,36 +304,24 @@ def build_job_rows(
     )
     uniq, sums = contributions.reduce()
 
-    wl_labels = config.walltime_levels.coded_labels
-    sz_labels = config.jobsize_levels.coded_labels
-    rows: list[dict[str, Any]] = []
-    for i in range(len(uniq[0])):
-        p_start = int(bounds[uniq[0][i]])
-        rows.append({
-            "period_start": p_start,
-            "period_label": period_label(period, p_start),
-            "resource_id": int(uniq[1][i]),
-            "person_id": int(uniq[2][i]),
-            "pi_id": int(uniq[3][i]),
-            "app_id": int(uniq[4][i]),
-            "queue_id": int(uniq[5][i]),
-            "walltime_level": wl_labels[int(uniq[6][i])],
-            "jobsize_level": sz_labels[int(uniq[7][i])],
-            "n_jobs_ended": int(round(sums["n_jobs_ended"][i])),
-            "n_jobs_started": int(round(sums["n_jobs_started"][i])),
-            "cpu_hours": float(sums["cpu_hours"][i]),
-            "node_hours": float(sums["node_hours"][i]),
-            "xdsu": float(sums["xdsu"][i]),
-            "wall_hours": float(sums["wall_hours"][i]),
-            "wait_hours": float(sums["wait_hours"][i]),
-        })
-    # the oracle's bucket ordering (labels sort as strings)
-    rows.sort(key=lambda r: (
-        r["period_start"], r["resource_id"], r["person_id"], r["pi_id"],
-        r["app_id"], r["queue_id"], r["walltime_level"], r["jobsize_level"],
-    ))
-    _count_rows_built(obs, "jobs", period, len(rows))
-    return rows
+    _count_rows_built(obs, "jobs", period, len(uniq[0]))
+    return {
+        **_period_columns(period, bounds, uniq[0]),
+        "resource_id": uniq[1],
+        "person_id": uniq[2],
+        "pi_id": uniq[3],
+        "app_id": uniq[4],
+        "queue_id": uniq[5],
+        "walltime_level": wl_labels[uniq[6]],
+        "jobsize_level": sz_labels[uniq[7]],
+        "n_jobs_ended": _counts(sums["n_jobs_ended"]),
+        "n_jobs_started": _counts(sums["n_jobs_started"]),
+        "cpu_hours": sums["cpu_hours"],
+        "node_hours": sums["node_hours"],
+        "xdsu": sums["xdsu"],
+        "wall_hours": sums["wall_hours"],
+        "wait_hours": sums["wait_hours"],
+    }
 
 
 # -- storage realm ----------------------------------------------------------
@@ -307,19 +334,19 @@ def build_storage_rows(
     since: Mapping[str, int],
     *,
     obs: Any = None,
-) -> list[dict[str, Any]]:
+) -> dict[str, np.ndarray]:
     """Fold ``fact_storage`` into ``agg_storage_<period>`` rows.
 
-    Returns the row, computed from all its facts, of every group that a
-    snapshot at or past ``since["fact_storage"]`` (absent: row 0, so every
-    group) falls in.  ``config`` is unused (storage has no level set);
-    every realm builder shares one signature.  ``resource_type`` is the
-    newest snapshot's per (resource, filesystem), which ingest keeps
-    stable.
+    Returns, as a column batch, the row, computed from all its facts, of
+    every group that a snapshot at or past ``since["fact_storage"]``
+    (absent: row 0, so every group) falls in.  ``config`` is unused
+    (storage has no level set); every realm builder shares one signature.
+    ``resource_type`` is the newest snapshot's per (resource, filesystem),
+    which ingest keeps stable.
     """
     table = schema.table("fact_storage")
     if len(table) == 0:
-        return []
+        return {}
     c = table.column_arrays([
         "ts", "resource_id", "filesystem", "resource_type", "person_id",
         "file_count", "logical_usage_gb", "physical_usage_gb",
@@ -367,31 +394,31 @@ def build_storage_rows(
         {**ts_sums, "n_snapshots": np.ones(n_ts)},
     )
 
-    rows: list[dict[str, Any]] = []
-    for i in np.flatnonzero(period_sums["fresh"] > 0):
-        p_start = int(bounds[period_keys[0][i]])
-        r = int(period_keys[1][i])
-        f = int(period_keys[2][i])
-        n = period_sums["n_snapshots"][i]
-        rows.append({
-            "period_start": p_start,
-            "period_label": period_label(period, p_start),
-            "resource_id": r,
-            "filesystem": str(fs_labels[f]),
-            "resource_type": meta[(r, f)],
-            "avg_file_count": float(period_sums["file_count"][i] / n),
-            "avg_logical_gb": float(period_sums["logical_gb"][i] / n),
-            "avg_physical_gb": float(period_sums["physical_gb"][i] / n),
-            "sum_quota_utilization": float(period_sums["quota_util"][i]),
-            "n_quota_samples": int(round(period_sums["quota_n"][i])),
-            "avg_soft_quota_gb": float(period_sums["soft_quota_gb"][i] / n),
-            "avg_hard_quota_gb": float(period_sums["hard_quota_gb"][i] / n),
-            "user_count": int(round(period_sums["user_count"][i])),
-            "n_snapshots": int(round(n)),
-        })
-    rows.sort(key=lambda r: (r["period_start"], r["resource_id"], r["filesystem"]))
-    _count_rows_built(obs, "storage", period, len(rows))
-    return rows
+    # groups come out ordered by (period, resource, filesystem label) —
+    # the oracle's order — since ``fs`` codes order as their labels do
+    touched = np.flatnonzero(period_sums["fresh"] > 0)
+    p, rid, fs = (k[touched] for k in period_keys)
+    sums = {m: v[touched] for m, v in period_sums.items()}
+    n = sums["n_snapshots"]
+    resource_type = np.array(
+        [meta[key] for key in zip(rid.tolist(), fs.tolist())], dtype=object
+    )
+    _count_rows_built(obs, "storage", period, len(touched))
+    return {
+        **_period_columns(period, bounds, p),
+        "resource_id": rid,
+        "filesystem": fs_labels[fs],
+        "resource_type": resource_type,
+        "avg_file_count": sums["file_count"] / n,
+        "avg_logical_gb": sums["logical_gb"] / n,
+        "avg_physical_gb": sums["physical_gb"] / n,
+        "sum_quota_utilization": sums["quota_util"],
+        "n_quota_samples": _counts(sums["quota_n"]),
+        "avg_soft_quota_gb": sums["soft_quota_gb"] / n,
+        "avg_hard_quota_gb": sums["hard_quota_gb"] / n,
+        "user_count": _counts(sums["user_count"]),
+        "n_snapshots": _counts(n),
+    }
 
 
 # -- cloud realm ------------------------------------------------------------
@@ -404,12 +431,12 @@ def build_cloud_rows(
     since: Mapping[str, int],
     *,
     obs: Any = None,
-) -> list[dict[str, Any]]:
+) -> dict[str, np.ndarray]:
     """Fold ``fact_vm_interval`` / ``fact_vm`` into ``agg_cloud_<period>`` rows.
 
-    Returns the row, computed from all its facts, of every group that a
-    row of either table at or past its ``since`` entry (absent: row 0, so
-    every group) contributes to.
+    Returns, as a column batch, the row, computed from all its facts, of
+    every group that a row of either table at or past its ``since`` entry
+    (absent: row 0, so every group) contributes to.
     """
     iv = _columns(schema, "fact_vm_interval", [
         "resource_id", "vm_id", "project", "os", "submission_venue",
@@ -422,19 +449,16 @@ def build_cloud_rows(
     ])
     n_iv, n_vm = len(iv["vm_id"]), len(vm["resource_id"])
     if n_iv == 0 and n_vm == 0:
-        return []
+        return {}
     levels = config.vm_memory_levels
     proj_labels, (iv_proj, vm_proj) = _factorize(iv["project"], vm["project"])
     os_labels, (iv_os, vm_os) = _factorize(iv["os"], vm["os"])
     venue_labels, (iv_venue, vm_venue) = _factorize(
         iv["submission_venue"], vm["submission_venue"])
-    iv_dims = [
-        iv["resource_id"], iv_proj, iv_os, iv_venue, levels.codes_of(iv["mem_gb"]),
-    ]
-    vm_dims = [
-        vm["resource_id"], vm_proj, vm_os, vm_venue,
-        levels.codes_of(vm["last_mem_gb"]),
-    ]
+    mem_labels, iv_mem = _level_codes(levels, iv["mem_gb"])
+    _, vm_mem = _level_codes(levels, vm["last_mem_gb"])
+    iv_dims = [iv["resource_id"], iv_proj, iv_os, iv_venue, iv_mem]
+    vm_dims = [vm["resource_id"], vm_proj, vm_os, vm_venue, vm_mem]
     start, end, state = iv["start_ts"], iv["end_ts"], iv["state"]
     term = np.asarray(vm["terminate_ts"], dtype=np.float64)
     bounds = _period_bounds(period, start, end, vm["provision_ts"], term)
@@ -487,33 +511,23 @@ def build_cloud_rows(
     )
     uniq, sums = contributions.reduce()
 
-    mem_labels = levels.coded_labels
-    rows: list[dict[str, Any]] = []
-    for i in range(len(uniq[0])):
-        p_start = int(bounds[uniq[0][i]])
-        rows.append({
-            "period_start": p_start,
-            "period_label": period_label(period, p_start),
-            "resource_id": int(uniq[1][i]),
-            "project": str(proj_labels[uniq[2][i]]),
-            "os": str(os_labels[uniq[3][i]]),
-            "submission_venue": str(venue_labels[uniq[4][i]]),
-            "memory_level": mem_labels[int(uniq[5][i])],
-            "core_hours": float(sums["core_hours"][i]),
-            "wall_hours": float(sums["wall_hours"][i]),
-            "mem_gb_hours": float(sums["mem_gb_hours"][i]),
-            "disk_gb_hours": float(sums["disk_gb_hours"][i]),
-            "stopped_hours": float(sums["stopped_hours"][i]),
-            "paused_hours": float(sums["paused_hours"][i]),
-            "n_state_changes": int(round(sums["n_state_changes"][i])),
-            "n_vms_active": int(round(sums["n_vms_active"][i])),
-            "n_vms_started": int(round(sums["n_vms_started"][i])),
-            "n_vms_ended": int(round(sums["n_vms_ended"][i])),
-            "total_cores": float(sums["total_cores"][i]),
-        })
-    rows.sort(key=lambda r: (
-        r["period_start"], r["resource_id"], r["project"], r["os"],
-        r["submission_venue"], r["memory_level"],
-    ))
-    _count_rows_built(obs, "cloud", period, len(rows))
-    return rows
+    _count_rows_built(obs, "cloud", period, len(uniq[0]))
+    return {
+        **_period_columns(period, bounds, uniq[0]),
+        "resource_id": uniq[1],
+        "project": proj_labels[uniq[2]],
+        "os": os_labels[uniq[3]],
+        "submission_venue": venue_labels[uniq[4]],
+        "memory_level": mem_labels[uniq[5]],
+        "core_hours": sums["core_hours"],
+        "wall_hours": sums["wall_hours"],
+        "mem_gb_hours": sums["mem_gb_hours"],
+        "disk_gb_hours": sums["disk_gb_hours"],
+        "stopped_hours": sums["stopped_hours"],
+        "paused_hours": sums["paused_hours"],
+        "n_state_changes": _counts(sums["n_state_changes"]),
+        "n_vms_active": _counts(sums["n_vms_active"]),
+        "n_vms_started": _counts(sums["n_vms_started"]),
+        "n_vms_ended": _counts(sums["n_vms_ended"]),
+        "total_cores": sums["total_cores"],
+    }

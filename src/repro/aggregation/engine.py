@@ -30,8 +30,10 @@ For each period (day/month/quarter/year) the engine builds:
 There is one aggregation path per realm: the columnar builder in
 :mod:`repro.aggregation.columnar`, run by :meth:`Aggregator._fold`.  A
 fold recomputes, from all their facts, exactly the groups that fact rows
-appended since the last fold contribute to, and upserts them; it records
-how far it got in the ``agg_watermark`` table.  The two verbs differ only
+appended since the last fold contribute to, and upserts them — the builder
+returns them as a column batch, written with one
+:meth:`repro.warehouse.Table.upsert_columns`; it records how far it got in
+the ``agg_watermark`` table.  The two verbs differ only
 in where the fold starts: ``aggregate_<realm>`` drops the table and its
 watermark and folds from row 0 (the Table I re-aggregation: hub levels
 change when a new satellite joins), ``aggregate_<realm>_incremental``
@@ -173,7 +175,7 @@ class _Realm:
     agg_schema: Callable[[str], TableSchema]
     #: the first is the one the realm cannot aggregate without
     fact_tables: tuple[str, ...]
-    build: Callable[..., list[dict[str, Any]]]
+    build: Callable[..., dict[str, Any]]
 
 
 _JOBS = _Realm(agg_job_schema, ("fact_job",), build_job_rows)
@@ -297,8 +299,9 @@ class Aggregator:
             return 0
         agg = schema.table(agg_schema.name)
         if schema.has_table(realm.fact_tables[0]):
-            for row in realm.build(schema, self.config, period, since, obs=self.obs):
-                agg.upsert(row)
+            agg.upsert_columns(
+                realm.build(schema, self.config, period, since, obs=self.obs)
+            )
         marks = schema.table("agg_watermark")
         for fact in facts:
             marks.upsert({

@@ -271,7 +271,8 @@ class MutationWithoutVersionBumpRule(Rule):
                     f"repro/warehouse/engine.py; mutations that bypass the "
                     f"engine skip the data_version bump (stale columnar "
                     f"cache) and the binlog (lost replication) — use "
-                    f"insert/upsert/update_where/delete_where/truncate",
+                    f"insert/upsert/upsert_columns/update_where/delete_where/"
+                    f"truncate",
                 )
 
 
@@ -396,8 +397,9 @@ class UnknownColumnRule(Rule):
     COLUMN_ARG_METHODS = frozenset({"column_array", "column_values"})
     #: Table methods whose first list/tuple argument holds column names.
     COLUMN_LIST_METHODS = frozenset({"column_arrays", "columns_values"})
-    #: Table methods taking a row mapping whose keys are columns.
-    ROW_METHODS = frozenset({"insert", "upsert"})
+    #: Table methods taking a row (or column-batch) mapping whose keys are
+    #: columns.
+    ROW_METHODS = frozenset({"insert", "upsert", "upsert_columns"})
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> Iterator[Violation]:
         if not ctx.matches(ctx.config.column_check_paths):

@@ -55,7 +55,9 @@ class BinlogEvent:
     data:
         Event payload.  For ``CREATE_TABLE``: the table schema dict.  For
         ``INSERT``: ``{"row": {...}}``.  For ``UPDATE``: ``{"key": [...],
-        "row": {...}}`` (full after-image).  For ``DELETE``: ``{"key":
+        "row": {...}}`` (full after-image; ``Table.update_where`` adds the
+        before-image as ``"old_row"``, which is how the applier sees a
+        primary key change).  For ``DELETE``: ``{"key":
         [...]}`` or ``{"row": {...}}`` for keyless tables.  ``TRUNCATE`` and
         ``DROP_TABLE`` carry an empty payload.
     """
@@ -94,17 +96,20 @@ class Binlog:
     def __init__(
         self,
         *,
-        on_append: Callable[[], None] | None = None,
+        on_append: Callable[[int], None] | None = None,
         trace_provider: Callable[[], Any] | None = None,
     ) -> None:
         self._events: list[BinlogEvent] = []
         self._lock = create_lock("Binlog")  # guards: _events
-        #: telemetry hook — must be cheap and non-raising; invoked outside
-        #: the log lock so a slow observer cannot stall replication tails
+        #: telemetry hook, called with the number of events recorded (once
+        #: per :meth:`append`, once per :meth:`extend`) — must be cheap and
+        #: non-raising; invoked outside the log lock so a slow observer
+        #: cannot stall replication tails
         self._on_append = on_append
-        #: trace propagation: called per append (outside the lock) for the
-        #: live trace context, kept in a sidecar keyed by LSN so event
-        #: payloads — and therefore binlog/dump checksums — never change
+        #: trace propagation: called per append / per batch (outside the
+        #: lock) for the live trace context, kept in a sidecar keyed by LSN
+        #: so event payloads — and therefore binlog/dump checksums — never
+        #: change
         self._trace_provider = trace_provider
         self._trace: dict[int, Any] = {}
 
@@ -116,12 +121,40 @@ class Binlog:
             )
             self._events.append(event)
         if self._on_append is not None:
-            self._on_append()
+            self._on_append(1)
         if self._trace_provider is not None:
             context = self._trace_provider()
             if context is not None:
                 self._trace[event.lsn] = context
         return event
+
+    def extend(
+        self, etype: EventType, table: str, payloads: Sequence[dict[str, Any]]
+    ) -> list[BinlogEvent]:
+        """Record one ``etype`` event on ``table`` per payload, as a batch.
+
+        The log ends up exactly as after one :meth:`append` per payload —
+        same events, same LSNs — but the batch takes the lock once (so its
+        LSNs are contiguous even under concurrent appenders), calls the
+        telemetry hook once with the count, and captures one trace context
+        shared by all its LSNs.
+        """
+        with self._lock:
+            base = len(self._events)
+            events = [
+                BinlogEvent(lsn=base + i, etype=etype, table=table, data=data)
+                for i, data in enumerate(payloads)
+            ]
+            self._events.extend(events)
+        if not events:
+            return events
+        if self._on_append is not None:
+            self._on_append(len(events))
+        if self._trace_provider is not None:
+            context = self._trace_provider()
+            if context is not None:
+                self._trace.update(dict.fromkeys(range(base, base + len(events)), context))
+        return events
 
     def trace_context(self, lsn: int):
         """Trace context captured when event ``lsn`` was appended (or None)."""

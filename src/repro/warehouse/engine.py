@@ -12,13 +12,16 @@ ids remain stable; the primary key is a hash map from key to row id.  The
 design favours clarity first (per the optimization guide: make it work, make
 it right); everything that filters or groups rows reads the cached column
 arrays (:meth:`Table.column_arrays`) and runs vectorized in
-:mod:`repro.aggregation`.
+:mod:`repro.aggregation`, and what that produces comes back the same way,
+as columns, in one batch write (:meth:`Table.upsert_columns`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -173,6 +176,51 @@ class Table:
             return rid
         return self._append(row, key, True)
 
+    def upsert_columns(self, columns: Mapping[str, Any]) -> int:
+        """Upsert a batch of rows held as equal-length columns (NumPy
+        arrays or sequences keyed by column name); returns the row count.
+
+        The table, its ``data_version`` and the binlog end up exactly as
+        after one :meth:`upsert` per row in batch order (:meth:`insert` on
+        a keyless table): a key already stored — or repeated earlier in
+        the batch — is updated in place, and every row logs its own
+        ``INSERT`` / ``UPDATE`` event.  What differs is the cost and the
+        failure mode: the whole batch is validated first
+        (:meth:`TableSchema.normalize_columns`, every check ``upsert``
+        makes), so a bad value anywhere raises before anything is written;
+        then the versions move once, by the row count, the column cache is
+        cleared once, and each run of like events reaches the binlog
+        through one :meth:`Binlog.extend`.  An empty batch writes nothing
+        and bumps nothing.
+        """
+        stored = self.schema.normalize_columns(columns)
+        rows = list(zip(*stored))
+        if not rows:
+            return 0
+        names = self.schema.column_names
+        key_columns = [stored[self.schema.position(c)] for c in self.schema.primary_key]
+        keys = zip(*key_columns) if key_columns else itertools.repeat(())
+        table_rows, index = self._rows, self._pk_index
+        log: list[tuple[EventType, dict[str, Any]]] = []
+        for row, key in zip(rows, keys):
+            image = dict(zip(names, row))
+            rid = index.get(key)  # a keyless table's index stays empty
+            if rid is not None:
+                table_rows[rid] = row
+                log.append((EventType.UPDATE, {"key": list(key), "row": image}))
+                continue
+            if key_columns:
+                index[key] = len(table_rows)
+            table_rows.append(row)
+            self._live_count += 1
+            log.append((EventType.INSERT, {"row": image}))
+        self._mutated(len(rows))
+        for etype, run in itertools.groupby(log, key=itemgetter(0)):
+            self._owner.binlog.extend(
+                etype, self.name, [payload for _, payload in run]
+            )
+        return len(rows)
+
     def get(self, key: Sequence[Any]) -> dict[str, Any] | None:
         """Primary-key point lookup; returns the row dict or None."""
         if not self.schema.primary_key:
@@ -259,11 +307,12 @@ class Table:
 
     # -- column access for vectorized aggregation ---------------------------
 
-    def _mutated(self) -> None:
-        """Invalidate the columnar cache; called from every mutation point
-        (the same points that record a binlog event)."""
-        self._data_version += 1
-        self._owner._bump_data_version()
+    def _mutated(self, n: int = 1) -> None:
+        """Count ``n`` row mutations and invalidate the columnar cache;
+        called from every mutation point (the same points that record a
+        binlog event)."""
+        self._data_version += n
+        self._owner._bump_data_version(n)
         if self._columnar_cache:
             self._columnar_cache.clear()
 
@@ -349,6 +398,12 @@ class Table:
         ]
 
 
+def _delete_key(table: Table, key: tuple[Any, ...]) -> None:
+    """Delete the row stored under primary key ``key``, if any (logged)."""
+    pk = table.schema.primary_key
+    table.delete_where(lambda r: tuple(r[c] for c in pk) == key)
+
+
 class Schema:
     """A named schema (logical database) with its own binlog.
 
@@ -385,14 +440,14 @@ class Schema:
     def _log(self, etype: EventType, table: str, data: dict[str, Any]) -> BinlogEvent:
         return self.binlog.append(etype, table, data)
 
-    def _bump_data_version(self) -> None:
+    def _bump_data_version(self, n: int = 1) -> None:
         # += on an int is read-modify-write: concurrent table mutators
         # (nightly ingest overlapping a replication tail) could lose
         # bumps and leave the serving cache thinking it is fresh.  The
         # RLock keeps the re-entrant call from create_table/drop_table
         # (which already hold it) cheap and safe.
         with self._lock:
-            self._data_version += 1
+            self._data_version += n
 
     @property
     def data_version(self) -> int:
@@ -454,7 +509,9 @@ class Schema:
         this for each event shipped from a satellite.  Row application goes
         through the normal table methods so the hub's own binlog also
         records the change (supporting hub-of-hubs topologies), but inserts
-        use upsert semantics so replay is idempotent.
+        use upsert semantics so replay is idempotent.  An update that
+        changed the row's primary key removes the row stored under the old
+        key first, so the replica holds what the source holds.
         """
         if self._apply_counter is not None:
             self._apply_counter.inc()
@@ -478,14 +535,19 @@ class Schema:
             else:
                 table.insert(row)
         elif event.etype is EventType.UPDATE:
-            table.upsert(event.data["row"])
+            # an update that changed the primary key (``update_where``
+            # logs the before-image) moved the row: drop it from under its
+            # old key, or the replica keeps both
+            pk = table.schema.primary_key
+            old_row, row = event.data.get("old_row"), event.data["row"]
+            if pk and old_row is not None:
+                old_key = tuple(old_row[c] for c in pk)
+                if old_key != tuple(row[c] for c in pk):
+                    _delete_key(table, old_key)
+            table.upsert(row)
         elif event.etype is EventType.DELETE:
             if event.data.get("key") is not None and table.schema.primary_key:
-                key = tuple(event.data["key"])
-                pk = table.schema.primary_key
-                table.delete_where(
-                    lambda r, key=key, pk=pk: tuple(r[c] for c in pk) == key
-                )
+                _delete_key(table, tuple(event.data["key"]))
             else:
                 target = event.data.get("row", {})
                 table.delete_where(

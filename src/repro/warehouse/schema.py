@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import SchemaError, TypeMismatchError
 
 
@@ -183,17 +185,20 @@ class TableSchema:
         except KeyError:
             raise SchemaError(f"table {self.name!r} has no column {name!r}") from None
 
+    def _reject_unknown(self, named: Mapping[str, Any]) -> None:
+        unknown = named.keys() - self._positions.keys()
+        if unknown:
+            raise SchemaError(
+                f"table {self.name!r}: unknown columns {sorted(unknown)!r}"
+            )
+
     def normalize_row(self, values: Mapping[str, Any]) -> tuple[Any, ...]:
         """Validate a mapping of column values and return the stored tuple.
 
         Missing columns take their default; unknown keys are an error; NULL
         constraints (including implicit PK non-nullability) are enforced.
         """
-        unknown = values.keys() - self._positions.keys()
-        if unknown:
-            raise SchemaError(
-                f"table {self.name!r}: unknown columns {sorted(unknown)!r}"
-            )
+        self._reject_unknown(values)
         row: list[Any] = []
         for name, ctype, as_is, default, required in self._row_plan:
             if name in values:
@@ -208,6 +213,52 @@ class TableSchema:
                 )
             row.append(stored)
         return tuple(row)
+
+    def normalize_columns(self, columns: Mapping[str, Any]) -> list[list[Any]]:
+        """:meth:`normalize_row` for a batch held as columns.
+
+        ``columns`` maps column names to equal-length NumPy arrays or
+        sequences, one value per row.  Returns the stored values as one
+        list per schema column, in schema order.  Every check
+        :meth:`normalize_row` makes on a row is made on each column — and
+        raises the same error — so a batch that comes back would have been
+        accepted row by row; columns of unequal length are a
+        :class:`SchemaError`.  Arrays are read through ``tolist()``: what
+        is stored is a plain ``int`` / ``float`` / ``str``, never a NumPy
+        scalar.
+        """
+        self._reject_unknown(columns)
+        given = {
+            name: col.tolist() if isinstance(col, np.ndarray) else list(col)
+            for name, col in columns.items()
+        }
+        lengths = {len(values) for values in given.values()}
+        if len(lengths) > 1:
+            raise SchemaError(
+                f"table {self.name!r}: columns of unequal length "
+                f"{sorted(lengths)!r}"
+            )
+        n_rows = lengths.pop() if lengths else 0
+        stored: list[list[Any]] = []
+        for name, ctype, as_is, default, required in self._row_plan:
+            values = given.get(name)
+            if values is None:
+                values = [default] * n_rows
+            elif set(map(type, values)) <= {as_is}:
+                # all of the exact stored type: nothing to coerce, no NULL
+                stored.append(values)
+                continue
+            else:
+                values = [
+                    v if type(v) is as_is else ctype.validate(v, column=name)
+                    for v in values
+                ]
+            if required and any(v is None for v in values):
+                raise TypeMismatchError(
+                    f"table {self.name!r}: column {name!r} may not be NULL"
+                )
+            stored.append(values)
+        return stored
 
     def key_of(self, row: Sequence[Any]) -> tuple[Any, ...] | None:
         """Return the primary-key tuple for a stored row, or None if keyless."""

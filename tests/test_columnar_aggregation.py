@@ -16,7 +16,9 @@ Three families of tests:
 
 from __future__ import annotations
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from repro.etl.cloudevents import create_cloud_realm
 from repro.etl.star import create_jobs_star
 from repro.etl.storagefs import create_storage_realm
 from repro.timeutil import PERIODS, SECONDS_PER_HOUR, period_start, ts
-from repro.warehouse import Schema
+from repro.warehouse import Schema, Table
 from tests.aggregation_oracles import (
     aggregate_cloud_oracle,
     aggregate_jobs_oracle,
@@ -296,6 +298,56 @@ class TestColumnarOracleParity:
         assert agg.aggregate_jobs_incremental("month") == 0
         assert agg.aggregate_storage_incremental("month") == 0
         assert agg.aggregate_cloud_incremental("month") == 0
+
+
+def upsert_row_by_row(table, columns):
+    """What the fold did before ``Table.upsert_columns``: one ``upsert``
+    per aggregate row."""
+    plain = {name: column.tolist() for name, column in columns.items()}
+    rows = [dict(zip(plain, values)) for values in zip(*plain.values())]
+    for row in rows:
+        table.upsert(row)
+    return len(rows)
+
+
+def written_state(s):
+    """Everything a fold writes, exactly: ``agg_*`` rows in stored order
+    (floats as text, so bit for bit), versions, and the schema's log."""
+    return {
+        "tables": {
+            name: (repr(list(s.table(name).raw_rows())), s.table(name).data_version)
+            for name in s.table_names() if name.startswith("agg_")
+        },
+        "schema_version": s.data_version,
+        "binlog": [(e.lsn, e.etype, e.table, repr(e.data)) for e in s.binlog],
+    }
+
+
+class TestBatchWriteEqualsRowWrites:
+    """The fold's one batch write leaves the tables, the watermark and the
+    binlog exactly as upserting the same rows one by one."""
+
+    @SETTINGS
+    @given(jobs=job_facts, snaps=storage_facts, vms=cloud_facts,
+           period=st.sampled_from(PERIODS), cut=st.floats(0.0, 1.0))
+    def test_rebuild_then_fold(self, jobs, snaps, vms, period, cut):
+        cut_j, cut_s, cut_v = (int(len(f) * cut) for f in (jobs, snaps, vms))
+        batched, looped = build_schema(), build_schema()
+        states = []
+        row_by_row = mock.patch.object(Table, "upsert_columns", upsert_row_by_row)
+        for s, write_path in ((batched, contextlib.nullcontext()), (looped, row_by_row)):
+            agg = Aggregator(s)
+            with write_path:
+                iv_n = populate(s, jobs[:cut_j], snaps[:cut_s], vms[:cut_v])
+                agg.aggregate_all([period])
+                rebuilt = written_state(s)
+                populate(
+                    s, jobs[cut_j:], snaps[cut_s:], vms[cut_v:],
+                    job_id0=cut_j, snap_id0=cut_s, vm_id0=cut_v, iv_id0=iv_n,
+                )
+                agg.aggregate_all_incremental([period])
+            states.append((rebuilt, written_state(s)))
+        assert states[0] == states[1]
 
 
 def agg_snapshot(s):

@@ -17,7 +17,14 @@ import pytest
 
 from repro.analysis import sanitizer
 from repro.analysis.sanitizer import LockMonitor, SanitizedLock
-from repro.warehouse import ColumnType, Database, TableSchema, make_columns
+from repro.warehouse import (
+    Binlog,
+    ColumnType,
+    Database,
+    EventType,
+    TableSchema,
+    make_columns,
+)
 
 C = ColumnType
 
@@ -362,6 +369,83 @@ class TestColumnCacheRace:
 
         run_threads([writer, reader, reader, reader])
         assert table.column_array("id").tolist() == list(range(n_rows))
+
+    def test_readers_see_whole_rows_while_a_writer_batches(self, table):
+        """``upsert_columns`` moves the version once, after its rows are in:
+        a reader overlapping the batch may see a prefix of it, never a
+        torn row, and never keeps what it saw past the bump."""
+        n_rows, batch, done = 600, 50, threading.Event()
+
+        def writer():
+            try:
+                for lo in range(self.N, n_rows, batch):
+                    ids = list(range(lo, min(lo + batch, n_rows)))
+                    table.upsert_columns({"id": ids, "val": [float(i) for i in ids]})
+            finally:
+                done.set()
+
+        def reader():
+            while not done.is_set():
+                cols = table.column_arrays(["id", "val"])
+                assert len(cols["id"]) == len(cols["val"])
+                assert (cols["id"] == cols["val"]).all()
+
+        run_threads([writer, reader, reader, reader])
+        assert table.column_array("id").tolist() == list(range(n_rows))
+        assert table.data_version == n_rows
+
+
+class TestBinlogBatchRace:
+    def test_appends_and_batches_interleave_into_a_dense_log(self, lock_sanitizer):
+        """``Binlog.extend`` takes the log lock once per batch: whatever
+        single appends race it, LSNs stay dense and unique, every batch
+        occupies consecutive LSNs in payload order, and the telemetry
+        hook has counted every event exactly once."""
+        counted = []
+        log = Binlog(on_append=counted.append)
+        n_appenders, n_batchers, n_appends, n_batches = 3, 3, 300, 60
+
+        def appender(worker):
+            def run():
+                for i in range(n_appends):
+                    log.append(EventType.INSERT, "t", {"single": worker, "i": i})
+
+            return run
+
+        def batcher(worker):
+            def run():
+                for b in range(n_batches):
+                    events = log.extend(
+                        EventType.UPDATE, "t",
+                        [{"batch": (worker, b), "i": i} for i in range(b % 8)],
+                    )
+                    assert [e.lsn - events[0].lsn for e in events] == list(
+                        range(len(events))
+                    )
+
+            return run
+
+        run_threads(
+            [appender(w) for w in range(n_appenders)]
+            + [batcher(w) for w in range(n_batchers)]
+        )
+        events = list(log)
+        n_batched = n_batchers * sum(b % 8 for b in range(n_batches))
+        assert len(events) == n_appenders * n_appends + n_batched
+        assert [e.lsn for e in events] == list(range(len(events)))
+        assert sum(counted) == len(events)
+        batches: dict = {}
+        for event in events:
+            if "batch" in event.data:
+                batches.setdefault(event.data["batch"], []).append(event)
+        for (worker, b), batch in batches.items():
+            assert [e.data["i"] for e in batch] == list(range(b % 8))
+            assert [e.lsn for e in batch] == list(
+                range(batch[0].lsn, batch[0].lsn + len(batch))
+            )
+        for worker in range(n_appenders):
+            mine = [e.data["i"] for e in events if e.data.get("single") == worker]
+            assert mine == list(range(n_appends))
 
 
 class TestCacheEntryPagesRace:

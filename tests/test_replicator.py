@@ -11,7 +11,7 @@ from repro.core import (
 )
 from repro.etl import ParsedJob, ingest_jobs
 from repro.timeutil import ts
-from repro.warehouse import ColumnType, Database
+from repro.warehouse import ColumnType, Database, TableSchema, make_columns
 
 C = ColumnType
 
@@ -54,6 +54,27 @@ class TestChannelBasics:
         assert channel.lag == 1
         channel.pump()
         assert len(target.table("fact_job")) == 2
+
+    def test_key_changing_update_replicates_as_a_move(self, source_and_target):
+        """The hub copy follows a row whose primary key was updated on the
+        satellite, instead of keeping it under both keys."""
+        source, target = source_and_target
+        people = source.create_table(TableSchema(
+            "dim_person",
+            make_columns([("person_id", C.INT, False), ("username", C.STR, False)]),
+            primary_key=("person_id",),
+        ))
+        people.insert({"person_id": 1, "username": "alice"})
+        people.insert({"person_id": 2, "username": "bob"})
+        channel = ReplicationChannel(source, target)
+        channel.catch_up()
+        people.update_where(lambda r: r["username"] == "alice", {"person_id": 9})
+        channel.pump()
+        assert channel.lag == 0
+        replica = target.table("dim_person")
+        assert sorted(replica.raw_rows()) == [(2, "bob"), (9, "alice")]
+        assert replica.checksum() == people.checksum()
+        assert target.checksum() == source.checksum()
 
     def test_stats_track_filtering(self, source_and_target):
         source, target = source_and_target

@@ -132,6 +132,14 @@ class TestMutationWithoutVersionBump:
         assert [v.rule_id for v in violations] == ["mutation-without-version-bump"]
         assert "data_version" in violations[0].message
 
+    def test_message_names_every_sanctioned_mutator(self, engine):
+        (violation,) = lint(engine, "table._rows.append(row)", path=ETL)
+        mutators = (
+            "insert", "upsert", "upsert_columns", "update_where",
+            "delete_where", "truncate",
+        )
+        assert "/".join(mutators) in violation.message
+
     def test_all_private_state_names(self, engine):
         source = """
         t._pk_index[key] = 3
@@ -273,6 +281,19 @@ class TestUnknownColumn:
             """,
             path=ETL,
         ) == ["unknown-column-literal"]
+
+    def test_upsert_columns_batch_keys_checked(self, engine):
+        violations = lint(
+            engine,
+            """
+            def fold(schema, period, ids, sums):
+                t = schema.table(f"agg_storage_{period}")
+                t.upsert_columns({"resource_id": ids, "sum_logical_gbs": sums})
+            """,
+            path=ETL,
+        )
+        assert [v.rule_id for v in violations] == ["unknown-column-literal"]
+        assert "'sum_logical_gbs'" in violations[0].message
 
     def test_column_array_and_list_methods(self, engine):
         violations = lint(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import datetime
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,71 @@ def test_ts_round_trip_iso():
     epoch = tu.ts(2017, 7, 14, 12, 30, 45)
     assert tu.iso(epoch) == "2017-07-14T12:30:45"
     assert tu.parse_iso("2017-07-14T12:30:45") == epoch
+
+
+def _strptime_parse_iso(text: str) -> int:
+    """``parse_iso`` without its fast path: the reference it must agree
+    with on every input."""
+    return int(
+        datetime.datetime.strptime(text, "%Y-%m-%dT%H:%M:%S")
+        .replace(tzinfo=datetime.timezone.utc)
+        .timestamp()
+    )
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+_FIELD = st.one_of(
+    st.integers(0, 99).map("{:02d}".format),  # padded, in or out of range
+    st.integers(0, 9).map(str),  # unpadded
+    st.sampled_from(["٠١", "１２", " 1", "1 ", "-1", "+1", "W1", ""]),
+)
+_ISO_LIKE = st.builds(
+    "{}-{}-{}{}{}:{}:{}{}".format,
+    st.one_of(
+        st.integers(0, 9999).map("{:04d}".format),
+        st.sampled_from(["17", "02017", "２０１７", "2017-W01"]),
+    ),
+    _FIELD, _FIELD,
+    st.sampled_from(["T", "T", "T", "t", " ", ""]),
+    _FIELD, _FIELD, _FIELD,
+    st.sampled_from(["", "", "", " ", "\n", "Z", ".5", "+00:00"]),
+)
+
+
+@given(EPOCHS)
+def test_parse_iso_inverts_iso_like_strptime(epoch):
+    assert tu.parse_iso(tu.iso(epoch)) == _strptime_parse_iso(tu.iso(epoch)) == epoch
+
+
+@given(_ISO_LIKE)
+def test_parse_iso_accepts_and_rejects_what_strptime_does(text):
+    assert _outcome(tu.parse_iso, text) == _outcome(_strptime_parse_iso, text)
+
+
+@pytest.mark.parametrize("text", [
+    "2017-W01-1T12:34:56",  # ISO week date: fromisoformat takes it on 3.11+
+    "2017-07-14 12:30:45",  # space separator
+    "2017-7-4T2:3:5",  # unpadded fields (strptime takes them)
+    "２０１７-０７-１４T１２:３０:４５",  # non-ASCII digits (strptime takes them)
+    "2017-07-14T12:30:45 ",  # trailing whitespace
+    "2017-07-14T12:30:45\n",
+    "2017-07-14T24:00:00",
+    "2017-07-14T12:30:60",
+    "2017-02-30T00:00:00",
+    "2016-02-29T00:00:00",
+    "2017-02-29T00:00:00",
+    "0000-01-01T00:00:00",
+    "20170714T123045",
+    "",
+])
+def test_parse_iso_edge_shapes_match_strptime(text):
+    assert _outcome(tu.parse_iso, text) == _outcome(_strptime_parse_iso, text)
 
 
 def test_month_start_and_next():

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
 
-from repro.warehouse import ColumnType, Database, DuplicateObjectError, PrimaryKeyError, SchemaError, TableSchema, UnknownObjectError, make_columns
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.obs import MetricsRegistry
+from repro.warehouse import Column, ColumnType, Database, DuplicateObjectError, EventType, PrimaryKeyError, SchemaError, TableSchema, TypeMismatchError, UnknownObjectError, make_columns
 
 C = ColumnType
 
@@ -185,6 +190,30 @@ class TestApplyEvent:
             target.apply_event(event)
         assert target.table("jobs").checksum() == t.checksum()
 
+    def test_key_changing_update_moves_the_row_on_replay(self):
+        """A replica that replays a primary-key change ends with the row
+        under its new key only (replication fidelity, DESIGN §5
+        invariant 1) — also when the old key is then taken again, and
+        when the whole log is delivered twice."""
+        db = Database()
+        source = db.create_schema("src")
+        t = source.create_table(jobs_table_schema())
+        t.insert({"job_id": 1, "user": "a", "cpu_hours": 1.0})
+        t.insert({"job_id": 2, "user": "b", "cpu_hours": 2.0})
+        t.update_where(lambda r: r["job_id"] == 1, {"job_id": 7, "cpu_hours": 5.0})
+        target = db.create_schema("dst")
+        for event in source.binlog:
+            target.apply_event(event)
+        replica = target.table("jobs")
+        assert sorted(replica.raw_rows()) == sorted(t.raw_rows())
+        assert replica.get((1,)) is None
+        assert replica.checksum() == t.checksum()
+        t.insert({"job_id": 1, "user": "c"})
+        for event in source.binlog:  # redelivery from LSN 0
+            target.apply_event(event)
+        assert replica.checksum() == t.checksum()
+        assert len(replica) == 3
+
     def test_insert_event_is_idempotent_for_keyed_tables(self):
         db = Database()
         source = db.create_schema("src")
@@ -223,3 +252,188 @@ class TestApplyEvent:
         for event in source.binlog:
             target.apply_event(event)
         assert [r["msg"] for r in target.table("log").rows()] == ["b"]
+
+
+# -- the batch write equals the row-by-row writes it replaces -------------------
+
+
+def batch_table_schema(keyed: bool) -> TableSchema:
+    return TableSchema(
+        "batch",
+        (
+            Column("k1", C.INT, nullable=False),
+            Column("k2", C.STR, nullable=False),
+            Column("f", C.FLOAT),
+            Column("n", C.INT, default=5),
+            Column("at", C.TIMESTAMP),
+            Column("flag", C.BOOL),
+            Column("doc", C.JSON),
+        ),
+        primary_key=("k1", "k2") if keyed else (),
+    )
+
+
+#: per column, values ``upsert`` accepts — a small key domain, so a batch
+#: repeats keys within itself and hits keys already stored
+BATCH_VALUES = {
+    "k1": st.integers(0, 3),
+    "k2": st.sampled_from(["a", "b"]),
+    "f": st.one_of(st.none(), st.integers(-3, 3), st.floats(allow_nan=False, width=32)),
+    "n": st.one_of(st.none(), st.integers(-9, 9), st.sampled_from([2.0, -4.0])),
+    "at": st.one_of(st.none(), st.integers(0, 2**40)),
+    "flag": st.one_of(st.none(), st.booleans()),
+    "doc": st.one_of(st.none(), st.lists(st.integers(0, 3), max_size=2),
+                     st.dictionaries(st.sampled_from(["x", "y"]), st.integers(0, 3))),
+}
+OPTIONAL_COLUMNS = ["f", "n", "at", "flag", "doc"]
+
+
+@st.composite
+def column_batches(draw, max_rows=8):
+    """A column batch: the key columns plus any subset of the rest, each
+    column a list or a NumPy array (typed when NumPy can, else object)."""
+    n_rows = draw(st.integers(0, max_rows))
+    names = ["k1", "k2"] + draw(st.lists(st.sampled_from(OPTIONAL_COLUMNS), unique=True))
+    batch = {}
+    for name in draw(st.permutations(names)):
+        values = draw(st.lists(BATCH_VALUES[name], min_size=n_rows, max_size=n_rows))
+        if name != "doc" and draw(st.booleans()):
+            typed = np.array(values)
+            values = typed if typed.ndim == 1 else np.array(values, dtype=object)
+        batch[name] = values
+    return batch
+
+
+def batch_rows(batch):
+    """The batch as the row dicts a caller of ``upsert`` would pass."""
+    plain = {
+        name: col.tolist() if isinstance(col, np.ndarray) else col
+        for name, col in batch.items()
+    }
+    return [dict(zip(plain, values)) for values in zip(*plain.values())]
+
+
+def twin_tables(keyed: bool):
+    tables = []
+    for _ in range(2):
+        registry = MetricsRegistry()
+        schema = Database(metrics=registry).create_schema("modw")
+        tables.append((schema.create_table(batch_table_schema(keyed)), registry))
+    return tables
+
+
+def observable_state(table, registry):
+    schema = table._owner
+    return {
+        "rows": list(table.raw_rows()),
+        "row_types": [[type(v) for v in row] for row in table.raw_rows()],
+        "len": len(table),
+        "table_version": table.data_version,
+        "schema_version": schema.data_version,
+        "binlog": schema.binlog.checksum(),
+        "events_total": registry.value("warehouse_binlog_events_total", schema="modw"),
+        "columns": {  # as text: a NULL reads back as NaN, which is not == itself
+            name: (array.dtype, repr(array.tolist()))
+            for name, array in table.column_arrays(["k1", "k2", "f", "n", "flag"]).items()
+        },
+    }
+
+
+class TestUpsertColumns:
+    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "keyless"])
+    @given(stored=column_batches(), batch=column_batches(), again=column_batches(max_rows=3))
+    def test_batch_equals_sequential_upserts(self, keyed, stored, batch, again):
+        (batched, batched_metrics), (looped, looped_metrics) = twin_tables(keyed)
+        write = looped.upsert if keyed else looped.insert
+        for table in (batched, looped):
+            for row in batch_rows(stored):
+                table.upsert(row)
+            table.delete_where(lambda r: r["k1"] == 0)  # leave tombstones behind
+            table.column_arrays(["k1", "f"])  # a warm cache the write must drop
+        for columns in (batch, again):
+            assert batched.upsert_columns(columns) == len(batch_rows(columns))
+            for row in batch_rows(columns):
+                write(row)
+            assert observable_state(batched, batched_metrics) == observable_state(
+                looped, looped_metrics
+            )
+        if keyed:
+            for key in itertools.product(range(4), "ab"):
+                assert batched.get(key) == looped.get(key)
+
+    def test_rows_come_back_as_plain_python_values(self, table):
+        table.upsert_columns({
+            "job_id": np.array([1, 2]),
+            "user": np.array(["a", "b"]),
+            "cpu_hours": np.array([1, 2], dtype=np.int64),
+        })
+        assert list(table.raw_rows()) == [(1, "a", 1.0), (2, "b", 2.0)]
+        assert [[type(v) for v in row] for row in table.raw_rows()] == [[int, str, float]] * 2
+        assert [e.data["row"] for e in table._owner.binlog if e.etype is EventType.INSERT] == [
+            {"job_id": 1, "user": "a", "cpu_hours": 1.0},
+            {"job_id": 2, "user": "b", "cpu_hours": 2.0},
+        ]
+
+    @pytest.mark.parametrize("columns", [{}, {"job_id": [], "user": np.array([], dtype=object)}])
+    def test_empty_batch_writes_nothing(self, table, columns):
+        """No row, no event and no version bump: a fold with nothing new
+        leaves the serving cache alone."""
+        table.insert({"job_id": 1, "user": "a"})
+        schema = table._owner
+        before = (table.data_version, schema.data_version, schema.binlog.checksum())
+        assert table.upsert_columns(columns) == 0
+        assert (table.data_version, schema.data_version, schema.binlog.checksum()) == before
+
+    @pytest.mark.parametrize("bad_row, error", [
+        ({"job_id": 3, "user": 7, "cpu_hours": 1.0}, TypeMismatchError),
+        ({"job_id": True, "user": "u", "cpu_hours": 1.0}, TypeMismatchError),
+        ({"job_id": 3, "user": "u", "cpu_hours": "1.0"}, TypeMismatchError),
+        ({"job_id": 3.5, "user": "u", "cpu_hours": 1.0}, TypeMismatchError),
+        ({"job_id": 3, "user": None, "cpu_hours": 1.0}, TypeMismatchError),
+        ({"job_id": None, "user": "u", "cpu_hours": 1.0}, TypeMismatchError),
+    ], ids=["str-type", "bool-as-int", "float-type", "fractional-int", "null-required", "null-key"])
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_a_bad_value_anywhere_rejects_the_whole_batch(self, table, bad_row, error, position):
+        rows = [
+            {"job_id": 1, "user": "a", "cpu_hours": 1.0},
+            {"job_id": 2, "user": "b", "cpu_hours": 2.0},
+        ]
+        rows.insert(position, bad_row)
+        with pytest.raises(error):
+            table.upsert(bad_row)
+        self.assert_rejected_untouched(
+            table, {name: [row[name] for row in rows] for name in rows[0]}, error
+        )
+
+    def test_omitted_required_column_rejects_the_batch(self, table):
+        with pytest.raises(TypeMismatchError):
+            table.upsert({"job_id": 1})
+        self.assert_rejected_untouched(table, {"job_id": [1, 2]}, TypeMismatchError)
+
+    def test_unknown_column_rejects_the_batch(self, table):
+        with pytest.raises(SchemaError):
+            table.upsert({"job_id": 1, "user": "a", "nope": 0})
+        self.assert_rejected_untouched(
+            table, {"job_id": [1], "user": ["a"], "nope": [0]}, SchemaError
+        )
+
+    def test_ragged_columns_reject_the_batch(self, table):
+        self.assert_rejected_untouched(
+            table, {"job_id": [1, 2], "user": np.array(["a"], dtype=object)}, SchemaError
+        )
+
+    @staticmethod
+    def assert_rejected_untouched(table, columns, error):
+        schema = table._owner
+        table.insert({"job_id": 1, "user": "kept", "cpu_hours": 9.0})
+        table.column_array("job_id")
+        before = (
+            list(table.raw_rows()), table.data_version, schema.data_version,
+            schema.binlog.checksum(), dict(table._columnar_cache),
+        )
+        with pytest.raises(error):
+            table.upsert_columns(columns)
+        assert (
+            list(table.raw_rows()), table.data_version, schema.data_version,
+            schema.binlog.checksum(), dict(table._columnar_cache),
+        ) == before

@@ -39,6 +39,23 @@ FOOTER = """\
   `update_where`, `delete_where`, `truncate`, replication replace), which
   invalidates the cache.  Repeated reads between mutations are free.
 
+### One batch write
+
+`Table.upsert_columns(columns)` is the way back in: equal-length columns
+(NumPy arrays or lists, keyed by column name) written with upsert
+semantics, to the same end state — rows, `data_version`s, binlog — as one
+`upsert` per row in batch order (`insert` on a keyless table; a key
+repeated inside the batch updates).  The whole batch is validated first
+(`TableSchema.normalize_columns`: every check `upsert` makes and the same
+errors, plus equal lengths), so a bad value anywhere raises before anything
+is written; what is stored is a plain `int` / `float` / `str`, never a
+NumPy scalar.  Versions move once, by the row count, the column cache is
+cleared once, and the events — one `INSERT` / `UPDATE` per row, as ever —
+are appended through `Binlog.extend(etype, table, payloads)`: one lock
+acquisition (so a batch's LSNs are contiguous), one telemetry call with the
+count, one trace context shared by the batch.  An empty batch writes and
+bumps nothing.
+
 ### One group-by kernel
 
 `repro.aggregation.group_reduce(keys, measures)` (one `np.lexsort` + one
@@ -57,8 +74,12 @@ row-at-a-time reference `Realm.query` is tested against lives in
 
 Each realm has one builder (`repro.aggregation.columnar`): a fold that
 recomputes, from all their facts, the groups that fact rows not yet folded
-contribute to, and upserts them into `agg_<realm>_<period>`.  The two
-verbs differ only in where the fold starts:
+contribute to.  `build_job_rows` / `build_storage_rows` /
+`build_cloud_rows(schema, config, period, since)` return those groups as a
+column batch (`dict[str, np.ndarray]`, one array per aggregate column, rows
+in the reference's order) and the fold hands it to
+`agg_<realm>_<period>.upsert_columns(...)` — the aggregate never exists as
+a list of row dicts.  The two verbs differ only in where the fold starts:
 
 | verb | entry point | starts at | returns |
 |---|---|---|---|

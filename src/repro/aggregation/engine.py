@@ -94,6 +94,7 @@ def agg_job_schema(period: str) -> TableSchema:
             "period_start", "resource_id", "person_id", "pi_id",
             "app_id", "queue_id", "walltime_level", "jobsize_level",
         ),
+        derived=True,
     )
 
 
@@ -117,6 +118,7 @@ def agg_storage_schema(period: str) -> TableSchema:
             ("n_snapshots", C.INT, False),
         ]),
         primary_key=("period_start", "resource_id", "filesystem"),
+        derived=True,
     )
 
 
@@ -147,6 +149,7 @@ def agg_cloud_schema(period: str) -> TableSchema:
             "period_start", "resource_id", "project", "os",
             "submission_venue", "memory_level",
         ),
+        derived=True,
     )
 
 
@@ -165,6 +168,7 @@ def agg_watermark_schema() -> TableSchema:
             ("version", C.INT, False),
         ]),
         primary_key=("agg_table", "fact_table"),
+        derived=True,
     )
 
 
@@ -302,12 +306,12 @@ class Aggregator:
             agg.upsert_columns(
                 realm.build(schema, self.config, period, since, obs=self.obs)
             )
-        marks = schema.table("agg_watermark")
-        for fact in facts:
-            marks.upsert({
-                "agg_table": agg.name, "fact_table": fact.name,
-                "n_rows": len(fact), "version": fact.data_version,
-            })
+        schema.table("agg_watermark").upsert_columns({
+            "agg_table": [agg.name] * len(facts),
+            "fact_table": [fact.name for fact in facts],
+            "n_rows": [len(fact) for fact in facts],
+            "version": [fact.data_version for fact in facts],
+        })
         return folded
 
     def _rebuild(self, realm: _Realm, period: str) -> int:

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ..etl.star import DimensionCache
+from ..etl.star import DimensionCache, land
 from ..obs import Observability
 from ..obs.anomaly import SCORE_SERIES
 from ..simulators.workload import DEFAULT_APPLICATIONS, ApplicationProfile
@@ -267,12 +267,9 @@ def ingest_summaries(schema: Schema, summaries: Iterable[JobSummary]) -> int:
     """Upsert summaries into ``fact_job_analytics``; returns rows written."""
     create_analytics_table(schema)
     dims = DimensionCache(schema)
-    fact = schema.table(ANALYTICS_TABLE)
-    n = 0
-    for summary in summaries:
-        fact.upsert(summary.row(dims.resource_id(summary.resource)))
-        n += 1
-    return n
+    rows = [summary.row(dims.resource_id(summary.resource)) for summary in summaries]
+    land(dims.stage((schema.table(ANALYTICS_TABLE), rows)))
+    return len(rows)
 
 
 def summarize_schema(

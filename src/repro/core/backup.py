@@ -34,7 +34,7 @@ from .federation import FederationHub
 
 
 def _member_dump(hub: FederationHub, member_name: str) -> dict[str, Any]:
-    """Dump a member's hub-side schema, aggregates stripped, re-checksummed."""
+    """Dump a member's hub-side schema, derived tables stripped, re-checksummed."""
     member = hub.member(member_name)
     if not hub.database.has_schema(member.fed_schema):
         raise MembershipError(
@@ -45,7 +45,7 @@ def _member_dump(hub: FederationHub, member_name: str) -> dict[str, Any]:
     dump["tables"] = [
         entry
         for entry in dump["tables"]
-        if not entry["schema"]["name"].startswith("agg_")
+        if not entry["schema"].get("derived")
     ]
     # subset of tables: recompute the checksum over what actually ships
     dump["checksum"] = dump_checksum(dump)
@@ -79,7 +79,7 @@ def regenerate_satellite(
     """Rebuild a satellite database from its hub-side replicated schema.
 
     Returns a database containing ``schema_name`` with the member's raw
-    replicated tables.  ``agg_*`` tables are not restored — the regenerated
+    replicated tables.  Derived (``agg_*``) tables are not restored — the regenerated
     instance re-runs its own aggregation, exactly as after any restore.
     """
     dump = _member_dump(hub, member_name)
@@ -136,7 +136,7 @@ def verify_regeneration(
 ) -> RegenerationReport:
     """Compare a regenerated schema against the original, per table.
 
-    ``tables`` defaults to the original's non-aggregate, non-bookkeeping
+    ``tables`` defaults to the original's non-derived, non-bookkeeping
     tables.  With ``strict=True`` any mismatch raises
     :class:`ConsistencyError`.
     """
@@ -144,7 +144,7 @@ def verify_regeneration(
         tables = tuple(
             t
             for t in original.table_names()
-            if not t.startswith("agg_") and t != "etl_markers"
+            if not original.table(t).schema.derived and t != "etl_markers"
         )
     matching: list[str] = []
     mismatched: list[str] = []

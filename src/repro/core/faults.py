@@ -10,7 +10,8 @@ replays identically under a debugger.
 The injectors wrap existing objects rather than patching them:
 
 - :class:`FaultySchema` wraps a hub-side :class:`~repro.warehouse.Schema`
-  and makes ``apply_event`` fail according to a :class:`FaultPlan`;
+  and makes ``apply_event`` / ``apply_events`` fail according to a
+  :class:`FaultPlan`;
 - :class:`StalledCursor` wraps a :class:`~repro.warehouse.BinlogCursor`
   and returns nothing from ``poll`` for a configured number of cycles;
 - :func:`corrupt_dump_file` / :func:`truncate_dump_file` damage loose
@@ -26,7 +27,7 @@ import gzip
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from ..warehouse import BinlogCursor, BinlogEvent, Schema
 
@@ -102,8 +103,10 @@ class FaultPlan:
 
 
 class FaultySchema:
-    """A :class:`~repro.warehouse.Schema` proxy whose ``apply_event`` fails
-    per a :class:`FaultPlan`.
+    """A :class:`~repro.warehouse.Schema` proxy whose applies fail to plan.
+
+    ``apply_event`` and ``apply_events`` raise what the :class:`FaultPlan`
+    holds for the LSNs they are given.
 
     Everything else delegates to the wrapped schema, so a replication
     channel (or anything downstream) cannot tell the difference.  Attempt
@@ -125,6 +128,21 @@ class FaultySchema:
             self.faults_raised += 1
             raise error
         self._target.apply_event(event)
+
+    def apply_events(self, events: Sequence[BinlogEvent]) -> None:
+        """Refuse the whole run with the first fault the plan holds for any
+        of its LSNs, consuming no attempt: the channel then applies the run
+        event by event through :meth:`apply_event`, which counts attempts
+        per LSN exactly as if there had been no batch."""
+        for event in events:
+            error = self.plan.should_fail(
+                event.lsn, self.attempts.get(event.lsn, 0)
+            )
+            if error is not None:
+                raise error
+        self._target.apply_events(events)
+        for event in events:
+            self.attempts[event.lsn] = self.attempts.get(event.lsn, 0) + 1
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._target, name)

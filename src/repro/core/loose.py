@@ -59,6 +59,7 @@ def _filtered_dump(source: Schema, filter: ReplicationFilter) -> dict[str, Any]:
     tables = []
     for entry in full["tables"]:
         name = entry["schema"]["name"]
+        filter.note_table(name, bool(entry["schema"].get("derived")))
         if not filter.table_allowed(name):
             continue
         columns = [c["name"] for c in entry["schema"]["columns"]]

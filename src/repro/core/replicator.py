@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..etl.perfingest import HEAVY_TABLES
 from ..etl.star import JOBS_REALM_TABLES
@@ -69,8 +69,9 @@ class ReplicationFilter:
     tables:
         Whitelist of table names to replicate.  ``None`` means "all except
         the standing exclusions" (user profiles, heavy timeseries, ETL
-        bookkeeping, and ``agg_*`` tables — the hub re-aggregates raw data
-        itself, so satellite aggregates are never shipped).
+        bookkeeping, and every table whose schema declares itself
+        ``derived`` — the hub re-aggregates raw data itself, so satellite
+        aggregates are never shipped, whatever the whitelist says).
     exclude_resources:
         Resource *names* whose fact rows must not reach the hub.
     include_resources:
@@ -94,13 +95,25 @@ class ReplicationFilter:
         self.drop_excluded_dim_rows = drop_excluded_dim_rows
         #: learned from dim_resource events flowing through the channel
         self._resource_names: dict[int, str] = {}
+        #: tables whose schema description said ``derived``
+        self._derived: set[str] = set()
 
     # -- table-level selection -------------------------------------------------
+
+    def note_table(self, table: str, derived: bool) -> None:
+        """Learn whether ``table`` is derived from a description of it going
+        by: a ``CREATE_TABLE`` / ``DROP_TABLE`` payload, a dump entry.  A
+        derived table logs nothing else, so a channel started anywhere in
+        the log learns of it from the first event that mentions it."""
+        if derived:
+            self._derived.add(table)
+        else:
+            self._derived.discard(table)
 
     def table_allowed(self, table: str) -> bool:
         if table in USER_PROFILE_TABLES or table in HEAVY_TABLES:
             return False
-        if table == "etl_markers" or table.startswith("agg_"):
+        if table == "etl_markers" or table in self._derived:
             return False
         if self.tables is None:
             return True
@@ -140,6 +153,8 @@ class ReplicationFilter:
 
     def admit(self, event: BinlogEvent) -> bool:
         """True when ``event`` should be applied to the hub."""
+        if event.etype in (EventType.CREATE_TABLE, EventType.DROP_TABLE):
+            self.note_table(event.table, bool(event.data.get("derived")))
         if not self.table_allowed(event.table):
             return False
         if event.etype in (
@@ -301,6 +316,37 @@ class ReplicationChannel:
                         stats.events_quarantined - quarantined0
                     )
 
+    def _runs(
+        self, events: Sequence[BinlogEvent], traced: bool
+    ) -> Iterator[tuple[bool, Any, list[BinlogEvent]]]:
+        """Cut polled events into ``(admitted, trace context, run)``.
+
+        A run longer than one event is a stretch of admitted ``INSERT``s
+        on one table under one trace context — what
+        :meth:`~repro.warehouse.Schema.apply_events` lands as one batch.
+        Every table change, context change, other event type and filtered
+        event ends the run; each event meets the filter once, in log
+        order.
+        """
+        trace_of = self.source.binlog.trace_context
+        run: list[BinlogEvent] = []
+        run_key = None
+        for event in events:
+            context = trace_of(event.lsn) if traced else None
+            admitted = self.filter.admit(event)
+            batchable = admitted and event.etype is EventType.INSERT
+            key = (event.table, context)
+            if run and not (batchable and key == run_key):
+                yield True, run_key[1], run
+                run = []
+            if batchable:
+                run.append(event)
+                run_key = key
+            else:
+                yield admitted, context, [event]
+        if run:
+            yield True, run_key[1], run
+
     def _pump(self, max_events: int | None = None) -> int:
         events = self.cursor.poll(max_events)
         applied = 0
@@ -309,7 +355,6 @@ class ReplicationChannel:
         # (context, table) open a single re-parented hub_apply span, so
         # span volume is bounded by context transitions, not event count
         tracer = self.obs.tracer if self.obs is not None else None
-        trace_of = self.source.binlog.trace_context
         group_span = None
         group_key = None
         group_n = 0
@@ -324,22 +369,32 @@ class ReplicationChannel:
             group_n = 0
 
         try:
-            for event in events:
-                context = trace_of(event.lsn) if tracer is not None else None
-                if self.filter.admit(event):
-                    if tracer is not None:
-                        key = (context, event.table)
-                        if key != group_key:
-                            close_group()
-                            if context is not None:
-                                group_span = tracer.span(
-                                    "hub_apply",
-                                    remote=context,
-                                    channel=self.name,
-                                    table=event.table,
-                                ).__enter__()
-                                group_key = key
-                        group_n += 1
+            for admitted, context, run in self._runs(events, tracer is not None):
+                if not admitted:
+                    self.stats.events_filtered += 1
+                    self.stats.events_seen += 1
+                    self.cursor.commit(run[0].lsn)
+                    continue
+                if tracer is not None:
+                    key = (context, run[0].table)
+                    if key != group_key:
+                        close_group()
+                        if context is not None:
+                            group_span = tracer.span(
+                                "hub_apply",
+                                remote=context,
+                                channel=self.name,
+                                table=run[0].table,
+                            ).__enter__()
+                            group_key = key
+                    group_n += len(run)
+                if len(run) > 1 and self._apply_batch(run):
+                    self.stats.events_applied += len(run)
+                    self.stats.events_seen += len(run)
+                    applied += len(run)
+                    self.cursor.commit(run[-1].lsn)
+                    continue
+                for event in run:
                     error = self._try_apply(event)
                     if error is not None:
                         attempts = 1 + (
@@ -359,14 +414,23 @@ class ReplicationChannel:
                     else:
                         self.stats.events_applied += 1
                         applied += 1
-                else:
-                    self.stats.events_filtered += 1
-                self.stats.events_seen += 1
-                self.cursor.commit(event.lsn)
+                    self.stats.events_seen += 1
+                    self.cursor.commit(event.lsn)
         finally:
             close_group()
             self.stats.syncs += 1
         return applied
+
+    def _apply_batch(self, run: list[BinlogEvent]) -> bool:
+        """Apply a run as one batch; False when it raised (nothing was
+        applied) and the run has to go event by event, which is where
+        retries, quarantine and the LSN at fault are accounted."""
+        try:
+            self.target.apply_events(run)
+            return True
+        # repolint: ignore[overbroad-except] -- quarantine boundary: whatever the batch raised is raised again, and captured, by the per-event apply
+        except Exception:
+            return False
 
     def replay(self, lsns: Sequence[int] | None = None) -> int:
         """Re-apply dead-lettered events (after the cause is fixed).

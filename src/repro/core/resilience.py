@@ -155,7 +155,7 @@ class DeadLetter:
     """One quarantined event: the event, why it failed, how hard we tried.
 
     ``trace`` keeps the propagation context the event carried when it was
-    quarantined (a :class:`~repro.obs.propagation.TraceContext`, or None),
+    quarantined (a :class:`~repro.obs.TraceContext`, or None),
     so a later :meth:`ReplicationChannel.replay` re-links to the original
     federated trace.
     """

@@ -45,6 +45,7 @@ from .star import (
     dimension_labels,
     ingest_jobs,
     jobs_star_schemas,
+    land,
 )
 from .storagefs import (
     STORAGE_REALM_TABLES,
@@ -83,6 +84,7 @@ __all__ = [
     "ingest_storage_snapshots",
     "is_valid",
     "jobs_star_schemas",
+    "land",
     "normalize_state",
     "parse_exit_code",
     "parse_pbs_log",

@@ -21,7 +21,7 @@ from typing import Any, Iterable, Mapping
 from ..timeutil import SECONDS_PER_HOUR
 from ..warehouse import ColumnType, Schema, TableSchema, make_columns
 from .jsonschema import JsonSchemaError, validate
-from .star import DimensionCache, create_jobs_star
+from .star import DimensionCache, create_jobs_star, land
 
 C = ColumnType
 
@@ -246,6 +246,11 @@ def ingest_cloud_events(
 
     Returns ``(vms_ingested, events_rejected)``.  Re-ingesting a VM id on
     the same resource replaces its rows (feeds are cumulative dumps).
+
+    The feed is staged and lands all or nothing: a ``strict`` failure, or
+    a value the schema refuses, raises before anything is written.  Then
+    the rows of re-ingested VMs are deleted, and dimensions, ``fact_vm``
+    and ``fact_vm_interval`` land in that order, one batch write each.
     """
     create_cloud_realm(schema)
     dims = DimensionCache(schema)
@@ -269,7 +274,9 @@ def ingest_cloud_events(
     # above every surviving id: a re-ingest deletes a VM's intervals, so the
     # live row count can fall below ids still in use
     next_interval = max(interval_fact.column_values("interval_id"), default=0) + 1
-    ingested = 0
+    vm_rows: list[dict[str, Any]] = []
+    interval_rows: list[dict[str, Any]] = []
+    replaced: set[tuple[int, int]] = set()
     for vm_id in sorted(by_vm):
         vm_events = sorted(by_vm[vm_id], key=lambda e: (e["ts"], e["event_id"]))
         result = _sessionize(vm_events, horizon)
@@ -279,22 +286,15 @@ def ingest_cloud_events(
         resource_id = dims.resource_id(vm["resource"])
         person_id = dims.person_id(vm["user"])
         if vm_fact.get((resource_id, vm_id)) is not None:
-            interval_fact.delete_where(
-                lambda r, v=vm_id, rid=resource_id: r["vm_id"] == v
-                and r["resource_id"] == rid
-            )
-            vm_fact.delete_where(
-                lambda r, v=vm_id, rid=resource_id: r["vm_id"] == v
-                and r["resource_id"] == rid
-            )
+            replaced.add((resource_id, vm_id))
         row = {k: v for k, v in vm.items() if k not in ("user", "resource")}
         row["resource_id"] = resource_id
         row["person_id"] = person_id
-        vm_fact.insert(row)
+        vm_rows.append(row)
         for interval in result["intervals"]:
-            interval_fact.insert(
+            interval_rows.append(
                 {
-                    "interval_id": next_interval,
+                    "interval_id": next_interval + len(interval_rows),
                     "vm_id": vm_id,
                     "resource_id": resource_id,
                     "person_id": person_id,
@@ -304,6 +304,12 @@ def ingest_cloud_events(
                     **interval,
                 }
             )
-            next_interval += 1
-        ingested += 1
-    return ingested, rejected
+    batches = dims.stage((vm_fact, vm_rows), (interval_fact, interval_rows))
+    if replaced:
+        interval_fact.delete_where(
+            lambda r: (r["resource_id"], r["vm_id"]) in replaced
+        )
+        for key in sorted(replaced):
+            vm_fact.delete_key(key)
+    land(batches)
+    return len(vm_rows), rejected

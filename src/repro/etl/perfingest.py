@@ -19,7 +19,7 @@ from typing import Iterable
 
 from ..simulators.perf import PERF_METRICS, JobPerformance
 from ..warehouse import ColumnType, Schema, TableSchema, make_columns
-from .star import DimensionCache, create_jobs_star
+from .star import DimensionCache, create_jobs_star, land
 
 C = ColumnType
 
@@ -70,18 +70,19 @@ def ingest_performance(
     """Ingest job performance records; returns the number ingested.
 
     Upserts by (resource, job), so re-processing a window is idempotent.
+    The batch is staged and lands all or nothing: dimensions, then
+    ``fact_job_perf``, then ``job_timeseries``, one batch write each.
     """
     create_supremm_realm(schema)
     dims = DimensionCache(schema)
-    fact = schema.table("fact_job_perf")
-    series_table = schema.table("job_timeseries")
-    n = 0
+    facts: list[dict] = []
+    series: list[dict] = []
     for perf in performances:
         resource_id = dims.resource_id(perf.resource)
-        row: dict = {"job_id": perf.job_id, "resource_id": resource_id}
-        row.update(perf.summary())
-        fact.upsert(row)
-        series_table.upsert(
+        facts.append(
+            {"job_id": perf.job_id, "resource_id": resource_id, **perf.summary()}
+        )
+        series.append(
             {
                 "job_id": perf.job_id,
                 "resource_id": resource_id,
@@ -94,5 +95,10 @@ def ingest_performance(
                 "job_script": perf.job_script,
             }
         )
-        n += 1
-    return n
+    land(
+        dims.stage(
+            (schema.table("fact_job_perf"), facts),
+            (schema.table("job_timeseries"), series),
+        )
+    )
+    return len(facts)

@@ -16,11 +16,11 @@ units (Section II-C6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from ..simulators.hpl import ConversionTable
 from ..timeutil import SECONDS_PER_HOUR
-from ..warehouse import ColumnType, Schema, TableSchema, make_columns
+from ..warehouse import ColumnType, Schema, Table, TableSchema, make_columns
 from .slurm import ParsedJob
 
 C = ColumnType
@@ -138,31 +138,66 @@ class PersonInfo:
     department: str = "Unknown"
 
 
+#: one table's share of an ingest batch, as ``Table.upsert_columns`` takes it
+Batch = tuple[Table, dict[str, list[Any]]]
+
+
+def land(batches: Iterable[Batch]) -> None:
+    """Write staged batches (:meth:`DimensionCache.stage`) in order, one
+    batch write per table."""
+    for table, columns in batches:
+        table.upsert_columns(columns)
+
+
 class DimensionCache:
-    """Upsert-or-lookup surrogate ids for the star's dimensions."""
+    """Look up, or assign and stage, the star's surrogate dimension ids.
+
+    A new dimension value gets the next id at once, so fact rows staged in
+    the same batch can carry it; its row is held back until the loader
+    calls :meth:`stage` and lands the result, dimensions first.
+    """
 
     def __init__(self, schema: Schema) -> None:
         self._schema = schema
-        self._resource: dict[str, int] = {}
-        self._person: dict[str, int] = {}
-        self._pi: dict[str, int] = {}
-        self._app: dict[str, int] = {}
-        self._queue: dict[tuple[str, str], int] = {}
-        self._prime()
+        self._staged: dict[str, list[dict[str, Any]]] = {}
 
-    def _prime(self) -> None:
-        """Load existing dimension rows (supports incremental ingest)."""
-        s = self._schema
-        for row in s.table("dim_resource").rows():
-            self._resource[row["name"]] = row["resource_id"]
-        for row in s.table("dim_person").rows():
-            self._person[row["username"]] = row["person_id"]
-        for row in s.table("dim_pi").rows():
-            self._pi[row["username"]] = row["pi_id"]
-        for row in s.table("dim_application").rows():
-            self._app[row["name"]] = row["app_id"]
-        for row in s.table("dim_queue").rows():
-            self._queue[(row["resource"], row["name"])] = row["queue_id"]
+        def ids(table: str, label: str, key: str) -> dict[str, int]:
+            return dict(schema.table(table).columns_values((label, key)))
+
+        # existing dimension rows (supports incremental ingest)
+        self._resource = ids("dim_resource", "name", "resource_id")
+        self._person = ids("dim_person", "username", "person_id")
+        self._pi = ids("dim_pi", "username", "pi_id")
+        self._app = ids("dim_application", "name", "app_id")
+        self._queue: dict[tuple[str, str], int] = {
+            (resource, name): queue_id
+            for resource, name, queue_id in schema.table(
+                "dim_queue"
+            ).columns_values(("resource", "name", "queue_id"))
+        }
+
+    def _stage(self, table: str, row: dict[str, Any]) -> None:
+        self._staged.setdefault(table, []).append(row)
+
+    def stage(
+        self, *facts: tuple[Table, Sequence[Mapping[str, Any]]]
+    ) -> list[Batch]:
+        """The ingest batch in landing order — the dimension rows staged
+        so far, then each of ``facts``' rows — as column batches for
+        :func:`land`.  Every batch has been through the checks its write
+        makes, so a value a table refuses raises here, before anything of
+        the batch is written."""
+        staged = [
+            (self._schema.table(name), rows) for name, rows in self._staged.items()
+        ]
+        self._staged = {}
+        batches: list[Batch] = []
+        for table, rows in (*staged, *facts):
+            if rows:
+                columns = table.schema.columns_from_rows(rows)
+                table.schema.normalize_columns(columns)
+                batches.append((table, columns))
+        return batches
 
     def resource_id(
         self,
@@ -175,14 +210,15 @@ class DimensionCache:
         rid = self._resource.get(name)
         if rid is None:
             rid = len(self._resource) + 1
-            self._schema.table("dim_resource").insert(
+            self._stage(
+                "dim_resource",
                 {
                     "resource_id": rid,
                     "name": name,
                     "nodes": nodes,
                     "cores": cores,
                     "conversion_factor": conversion_factor,
-                }
+                },
             )
             self._resource[name] = rid
         return rid
@@ -197,7 +233,8 @@ class DimensionCache:
             gateway = (
                 username[3:] if username.startswith("gw_") else ""
             )
-            self._schema.table("dim_person").insert(
+            self._stage(
+                "dim_person",
                 {
                     "person_id": pid,
                     "username": username,
@@ -206,7 +243,7 @@ class DimensionCache:
                     "decanal_unit": info.decanal_unit,
                     "department": info.department,
                     "gateway_label": gateway or "Not a gateway",
-                }
+                },
             )
             self._person[username] = pid
         return pid
@@ -215,9 +252,7 @@ class DimensionCache:
         pid = self._pi.get(username)
         if pid is None:
             pid = len(self._pi) + 1
-            self._schema.table("dim_pi").insert(
-                {"pi_id": pid, "username": username}
-            )
+            self._stage("dim_pi", {"pi_id": pid, "username": username})
             self._pi[username] = pid
         return pid
 
@@ -225,8 +260,9 @@ class DimensionCache:
         aid = self._app.get(name)
         if aid is None:
             aid = len(self._app) + 1
-            self._schema.table("dim_application").insert(
-                {"app_id": aid, "name": name, "science_field": science_field}
+            self._stage(
+                "dim_application",
+                {"app_id": aid, "name": name, "science_field": science_field},
             )
             self._app[name] = aid
         return aid
@@ -235,8 +271,8 @@ class DimensionCache:
         qid = self._queue.get((resource, name))
         if qid is None:
             qid = len(self._queue) + 1
-            self._schema.table("dim_queue").insert(
-                {"queue_id": qid, "name": name, "resource": resource}
+            self._stage(
+                "dim_queue", {"queue_id": qid, "name": name, "resource": resource}
             )
             self._queue[(resource, name)] = qid
         return qid
@@ -252,9 +288,14 @@ def ingest_jobs(
 ) -> int:
     """Ingest parsed job rows into the star; returns jobs inserted.
 
-    Jobs already present (same resource + job id) are skipped, making
-    repeated ingests of overlapping log windows idempotent — exactly the
-    behaviour a nightly shredder needs.
+    Jobs already present (same resource + job id), or repeated inside the
+    batch, are skipped, making repeated ingests of overlapping log windows
+    idempotent — exactly the behaviour a nightly shredder needs.
+
+    The batch is staged and lands all or nothing, dimensions first: one
+    batch write per dimension table, then one for ``fact_job``.  A value
+    a table refuses anywhere in the batch raises before any row of the
+    batch is written (row by row, the rows before it used to land).
     """
     create_jobs_star(schema)
     dims = DimensionCache(schema)
@@ -262,42 +303,41 @@ def ingest_jobs(
     conversion = conversion or ConversionTable()
     directory = directory or {}
     science_fields = science_fields or {}
-    inserted = 0
+    staged: dict[tuple[int, int], dict[str, Any]] = {}
     for job in jobs:
         resource_id = dims.resource_id(
             job.resource, conversion_factor=conversion.factor(job.resource)
         )
-        if fact.get((resource_id, job.job_id)) is not None:
+        key = (resource_id, job.job_id)
+        if key in staged or fact.get(key) is not None:
             continue
         cpu_hours = job.cores * job.walltime_s / SECONDS_PER_HOUR
-        fact.insert(
-            {
-                "job_id": job.job_id,
-                "resource_id": resource_id,
-                "person_id": dims.person_id(job.user, directory.get(job.user)),
-                "pi_id": dims.pi_id(job.pi),
-                "app_id": dims.app_id(
-                    job.application,
-                    science_fields.get(job.application, "Unknown"),
-                ),
-                "queue_id": dims.queue_id(job.resource, job.queue),
-                "submit_ts": job.submit_ts,
-                "start_ts": job.start_ts,
-                "end_ts": job.end_ts,
-                "walltime_s": job.walltime_s,
-                "wait_s": job.wait_s,
-                "req_walltime_s": job.req_walltime_s,
-                "nodes": job.nodes,
-                "cores": job.cores,
-                "cpu_hours": cpu_hours,
-                "node_hours": job.nodes * job.walltime_s / SECONDS_PER_HOUR,
-                "xdsu": conversion.to_xdsu(job.resource, cpu_hours),
-                "state": job.state,
-                "exit_code": job.exit_code,
-            }
-        )
-        inserted += 1
-    return inserted
+        staged[key] = {
+            "job_id": job.job_id,
+            "resource_id": resource_id,
+            "person_id": dims.person_id(job.user, directory.get(job.user)),
+            "pi_id": dims.pi_id(job.pi),
+            "app_id": dims.app_id(
+                job.application,
+                science_fields.get(job.application, "Unknown"),
+            ),
+            "queue_id": dims.queue_id(job.resource, job.queue),
+            "submit_ts": job.submit_ts,
+            "start_ts": job.start_ts,
+            "end_ts": job.end_ts,
+            "walltime_s": job.walltime_s,
+            "wait_s": job.wait_s,
+            "req_walltime_s": job.req_walltime_s,
+            "nodes": job.nodes,
+            "cores": job.cores,
+            "cpu_hours": cpu_hours,
+            "node_hours": job.nodes * job.walltime_s / SECONDS_PER_HOUR,
+            "xdsu": conversion.to_xdsu(job.resource, cpu_hours),
+            "state": job.state,
+            "exit_code": job.exit_code,
+        }
+    land(dims.stage((fact, list(staged.values()))))
+    return len(staged)
 
 
 def dimension_labels(schema: Schema, dimension: str) -> dict[int, str]:

@@ -16,7 +16,7 @@ from typing import Any, Iterable, Mapping
 
 from ..warehouse import ColumnType, Schema, TableSchema, make_columns
 from .jsonschema import JsonSchemaError, validate
-from .star import DimensionCache, create_jobs_star
+from .star import DimensionCache, create_jobs_star, land
 
 C = ColumnType
 
@@ -89,12 +89,17 @@ def ingest_storage_snapshots(
     Returns ``(ingested, rejected)``.  With ``strict=True`` the first
     invalid document raises :class:`JsonSchemaError`; otherwise invalid
     documents are counted and skipped.
+
+    The batch is staged and lands all or nothing, dimensions first, one
+    batch write per table: a ``strict`` failure, or a value the schema
+    refuses, raises before any document of the batch is written.
     """
     create_storage_realm(schema)
     dims = DimensionCache(schema)
     fact = schema.table("fact_storage")
     next_id = len(fact) + 1
-    ingested = rejected = 0
+    staged: list[dict[str, Any]] = []
+    rejected = 0
     for doc in documents:
         try:
             validate(doc, STORAGE_SNAPSHOT_SCHEMA)
@@ -103,9 +108,9 @@ def ingest_storage_snapshots(
                 raise
             rejected += 1
             continue
-        fact.insert(
+        staged.append(
             {
-                "snapshot_id": next_id,
+                "snapshot_id": next_id + len(staged),
                 "resource_id": dims.resource_id(doc["resource"]),
                 "filesystem": doc["filesystem"],
                 "mountpoint": doc["mountpoint"],
@@ -129,6 +134,5 @@ def ingest_storage_snapshots(
                 ),
             }
         )
-        next_id += 1
-        ingested += 1
-    return ingested, rejected
+    land(dims.stage((fact, staged)))
+    return len(staged), rejected

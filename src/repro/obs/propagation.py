@@ -6,8 +6,9 @@ across two independent instances, each with its own
 :class:`~repro.obs.trace.Tracer`.  This module carries the trace across
 that boundary:
 
-- :class:`TraceContext` is the wire format: the satellite's tracer
-  exports its innermost live span (``tracer.current_context()``), the
+- :class:`TraceContext` (defined beside the tracer that mints it, in
+  :mod:`repro.obs.trace`, and re-exported here) is the wire format: the
+  satellite's tracer exports its innermost live span (``tracer.current_context()``), the
   binlog records it per event at append time, and replication (tight
   deltas, dead letters, loose dumps) ships it to the hub.
 - Hub-side spans opened with ``tracer.span(..., remote=ctx)`` *re-parent*
@@ -23,51 +24,11 @@ that boundary:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Iterable
 
-from .trace import SpanRecord, Tracer, qualified_id
+from .trace import SpanRecord, TraceContext, Tracer, qualified_id
 
 __all__ = ["TraceContext", "FederatedTraceAssembler"]
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """Propagation context for one live span.
-
-    ``trace_id`` names the whole federated trace; ``span_id`` /
-    ``instance`` name the span that was live when the context was
-    captured (the future remote parent of any re-parented span).
-    """
-
-    trace_id: str
-    span_id: int
-    instance: str
-
-    @property
-    def qualified_span(self) -> str:
-        return qualified_id(self.instance, self.span_id)
-
-    def to_payload(self) -> dict[str, Any]:
-        """JSON-safe dict shipped inside loose dumps and dead letters."""
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "instance": self.instance,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any] | None) -> "TraceContext | None":
-        if not payload:
-            return None
-        try:
-            return cls(
-                trace_id=str(payload["trace_id"]),
-                span_id=int(payload["span_id"]),
-                instance=str(payload["instance"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            return None
 
 
 class FederatedTraceAssembler:

@@ -10,7 +10,7 @@ byte-identical across runs (``sort_keys`` JSONL export).
 Federation extension: every span belongs to a *trace*.  A root span
 mints a deterministic trace id (``<tracer name>:<span id>``); nested
 spans inherit their parent's.  :meth:`Tracer.current_context` exports
-the innermost live span as a :class:`~repro.obs.propagation.TraceContext`
+the innermost live span as a :class:`TraceContext`
 that replication attaches to binlog events and loose dumps, and
 ``tracer.span(..., remote=ctx)`` *re-parents* a hub-side span under that
 satellite context: the span adopts the remote trace id and records the
@@ -27,17 +27,56 @@ import json
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator, Mapping
 
 from ..analysis.sanitizer import create_lock
 from .clock import Clock, MonotonicClock
 
-__all__ = ["SpanRecord", "Tracer"]
+__all__ = ["SpanRecord", "TraceContext", "Tracer"]
 
 
 def qualified_id(instance: str, span_id: int) -> str:
     """Federation-unique span id: ``<instance>#<span id>``."""
     return f"{instance}#{span_id}"
+
+
+@dataclass(frozen=True)
+class TraceContext:
+    """Propagation context for one live span.
+
+    ``trace_id`` names the whole federated trace; ``span_id`` /
+    ``instance`` name the span that was live when the context was
+    captured (the future remote parent of any re-parented span).
+    """
+
+    trace_id: str
+    span_id: int
+    instance: str
+
+    @property
+    def qualified_span(self) -> str:
+        return qualified_id(self.instance, self.span_id)
+
+    def to_payload(self) -> dict[str, Any]:
+        """JSON-safe dict shipped inside loose dumps and dead letters."""
+        return {
+            "trace_id": self.trace_id,
+            "span_id": self.span_id,
+            "instance": self.instance,
+        }
+
+    @classmethod
+    def from_payload(cls, payload: Mapping[str, Any] | None) -> "TraceContext | None":
+        if not payload:
+            return None
+        try:
+            return cls(
+                trace_id=str(payload["trace_id"]),
+                span_id=int(payload["span_id"]),
+                instance=str(payload["instance"]),
+            )
+        except (KeyError, TypeError, ValueError):
+            return None
 
 
 @dataclass
@@ -242,7 +281,7 @@ class Tracer:
     def span(self, name: str, *, remote=None, **attrs):
         """``with tracer.span("stage", key=value): ...``
 
-        ``remote`` (a :class:`~repro.obs.propagation.TraceContext`)
+        ``remote`` (a :class:`~repro.obs.TraceContext`)
         re-parents the span under a context propagated from another
         instance: the span joins the remote trace instead of minting or
         inheriting a local one.
@@ -261,8 +300,6 @@ class Tracer:
         stack = getattr(self._local, "stack", None)
         if not stack:
             return None
-        from .propagation import TraceContext
-
         span_id, trace_id = stack[-1]
         return TraceContext(
             trace_id=trace_id, span_id=span_id, instance=self.name

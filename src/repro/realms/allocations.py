@@ -186,6 +186,7 @@ def agg_allocation_schema(period: str) -> TableSchema:
             ("su_granted", C.FLOAT, False),
         ]),
         primary_key=("period_start", "allocation_id"),
+        derived=True,
     )
 
 

@@ -13,8 +13,12 @@ gives the paper's "tight" federation.
 Events carry enough information to be applied to an empty schema:
 ``create_table`` events embed the full table schema, and row events embed the
 full row image (before-image for deletes/updates keyed by primary key).
-Replaying a binlog from LSN 0 onto an empty schema therefore reproduces the
-source tables exactly — an invariant the test suite checks property-based.
+Replaying a binlog from LSN 0 onto an empty schema therefore reproduces every
+*logged* table exactly — an invariant the test suite checks property-based.
+A table whose schema declares it ``derived`` (the ``agg_*`` tables) logs its
+creation and removal but not its rows: replay re-creates it empty, and
+re-aggregating the replayed facts reproduces its rows, which DESIGN §5
+invariant 2 already covers.
 """
 
 from __future__ import annotations
@@ -59,7 +63,9 @@ class BinlogEvent:
         before-image as ``"old_row"``, which is how the applier sees a
         primary key change).  For ``DELETE``: ``{"key":
         [...]}`` or ``{"row": {...}}`` for keyless tables.  ``TRUNCATE`` and
-        ``DROP_TABLE`` carry an empty payload.
+        ``DROP_TABLE`` carry an empty payload, except that dropping a
+        derived table says ``{"derived": true}``, as its ``CREATE_TABLE``
+        did: every event about a derived table says what it is.
     """
 
     lsn: int

@@ -105,9 +105,13 @@ def load_schema(
         for entry in dump["tables"]:
             table_schema = TableSchema.from_dict(entry["schema"])
             table = schema.create_table(table_schema)
-            names = table_schema.column_names
-            for row in entry["rows"]:
-                table.insert(dict(zip(names, row)))
+            names, rows = table_schema.column_names, entry["rows"]
+            if any(len(row) != len(names) for row in rows):
+                raise DumpError(f"table {table.name!r}: ragged row")
+            # one batch per table; an upsert would fold a repeated key
+            table.upsert_columns(dict(zip(names, zip(*rows))))
+            if len(table) != len(rows):
+                raise DumpError(f"table {table.name!r}: duplicate primary key")
     except Exception as exc:
         # malformed row data mid-load: never leave a partial schema behind
         database.drop_schema(target)

@@ -60,7 +60,10 @@ def rows_checksum(rows: Iterable[Sequence[Any]]) -> str:
 class Table:
     """One table: schema + rows + primary-key index.
 
-    Not constructed directly — use :meth:`Schema.create_table`.
+    Not constructed directly — use :meth:`Schema.create_table`.  When the
+    schema is ``derived`` the table is re-derivable from its sources: its
+    row mutations move the versions like any other table's and write no
+    binlog events.
     """
 
     def __init__(self, schema: "Schema", table_schema: TableSchema) -> None:
@@ -142,7 +145,7 @@ class Table:
         self._mutated()
         if key is not None:
             self._pk_index[key] = rid
-        if log:
+        if log and not self.schema.derived:
             self._owner._log(
                 EventType.INSERT,
                 self.name,
@@ -165,14 +168,15 @@ class Table:
         if key is not None and key in self._pk_index:
             rid = self._pk_index[key]
             self._replace(rid, row)
-            self._owner._log(
-                EventType.UPDATE,
-                self.name,
-                {
-                    "key": list(key),
-                    "row": dict(zip(self.schema.column_names, row)),
-                },
-            )
+            if not self.schema.derived:
+                self._owner._log(
+                    EventType.UPDATE,
+                    self.name,
+                    {
+                        "key": list(key),
+                        "row": dict(zip(self.schema.column_names, row)),
+                    },
+                )
             return rid
         return self._append(row, key, True)
 
@@ -190,8 +194,9 @@ class Table:
         makes), so a bad value anywhere raises before anything is written;
         then the versions move once, by the row count, the column cache is
         cleared once, and each run of like events reaches the binlog
-        through one :meth:`Binlog.extend`.  An empty batch writes nothing
-        and bumps nothing.
+        through one :meth:`Binlog.extend` (a derived table builds no row
+        images and logs nothing).  An empty batch writes nothing and bumps
+        nothing.
         """
         stored = self.schema.normalize_columns(columns)
         rows = list(zip(*stored))
@@ -201,19 +206,24 @@ class Table:
         key_columns = [stored[self.schema.position(c)] for c in self.schema.primary_key]
         keys = zip(*key_columns) if key_columns else itertools.repeat(())
         table_rows, index = self._rows, self._pk_index
+        logged = not self.schema.derived
         log: list[tuple[EventType, dict[str, Any]]] = []
         for row, key in zip(rows, keys):
-            image = dict(zip(names, row))
             rid = index.get(key)  # a keyless table's index stays empty
             if rid is not None:
                 table_rows[rid] = row
-                log.append((EventType.UPDATE, {"key": list(key), "row": image}))
+                if logged:
+                    log.append((
+                        EventType.UPDATE,
+                        {"key": list(key), "row": dict(zip(names, row))},
+                    ))
                 continue
             if key_columns:
                 index[key] = len(table_rows)
             table_rows.append(row)
             self._live_count += 1
-            log.append((EventType.INSERT, {"row": image}))
+            if logged:
+                log.append((EventType.INSERT, {"row": dict(zip(names, row))}))
         self._mutated(len(rows))
         for etype, run in itertools.groupby(log, key=itemgetter(0)):
             self._owner.binlog.extend(
@@ -257,15 +267,16 @@ class Table:
             if new_key is not None:
                 self._pk_index[new_key] = rid
             self._replace(rid, new_row)
-            self._owner._log(
-                EventType.UPDATE,
-                self.name,
-                {
-                    "key": list(new_key) if new_key is not None else None,
-                    "old_row": dict(zip(names, row)),
-                    "row": dict(zip(names, new_row)),
-                },
-            )
+            if not self.schema.derived:
+                self._owner._log(
+                    EventType.UPDATE,
+                    self.name,
+                    {
+                        "key": list(new_key) if new_key is not None else None,
+                        "old_row": dict(zip(names, row)),
+                        "row": dict(zip(names, new_row)),
+                    },
+                )
             updated += 1
         return updated
 
@@ -276,30 +287,50 @@ class Table:
         for rid, row in enumerate(self._rows):
             if row is None:
                 continue
-            asdict = dict(zip(names, row))
-            if not predicate(asdict):
-                continue
-            key = self.schema.key_of(row)
-            if key is not None:
-                del self._pk_index[key]
-            self._rows[rid] = None
-            self._live_count -= 1
-            self._mutated()
+            if predicate(dict(zip(names, row))):
+                self._remove(rid, row)
+                deleted += 1
+        return deleted
+
+    def delete_key(self, key: Sequence[Any]) -> bool:
+        """Delete the row stored under primary key ``key``; returns whether
+        there was one.  What :meth:`delete_where` on the key columns does
+        to the table, the versions and the binlog, found through the
+        primary-key index instead of a scan."""
+        if not self.schema.primary_key:
+            raise SchemaError(f"table {self.name!r} has no primary key")
+        rid = self._pk_index.get(tuple(key))
+        if rid is None:
+            return False
+        self._remove(rid, self._rows[rid])  # type: ignore[arg-type]
+        return True
+
+    def _remove(self, rid: int, row: tuple[Any, ...]) -> None:
+        """Tombstone live row ``rid`` (one mutation, one ``DELETE`` event)."""
+        key = self.schema.key_of(row)
+        if key is not None:
+            del self._pk_index[key]
+        self._rows[rid] = None
+        self._live_count -= 1
+        self._mutated()
+        if not self.schema.derived:
             self._owner._log(
                 EventType.DELETE,
                 self.name,
-                {"key": list(key) if key is not None else None, "row": asdict},
+                {
+                    "key": list(key) if key is not None else None,
+                    "row": dict(zip(self.schema.column_names, row)),
+                },
             )
-            deleted += 1
-        return deleted
 
     def truncate(self) -> None:
-        """Remove all rows (logged as one TRUNCATE event)."""
+        """Remove all rows (one ``TRUNCATE`` event)."""
         self._rows.clear()
         self._live_count = 0
         self._pk_index.clear()
         self._mutated()
-        self._owner._log(EventType.TRUNCATE, self.name, {})
+        if not self.schema.derived:
+            self._owner._log(EventType.TRUNCATE, self.name, {})
 
     def _replace(self, rid: int, new_row: tuple[Any, ...]) -> None:
         self._rows[rid] = new_row
@@ -398,12 +429,6 @@ class Table:
         ]
 
 
-def _delete_key(table: Table, key: tuple[Any, ...]) -> None:
-    """Delete the row stored under primary key ``key``, if any (logged)."""
-    pk = table.schema.primary_key
-    table.delete_where(lambda r: tuple(r[c] for c in pk) == key)
-
-
 class Schema:
     """A named schema (logical database) with its own binlog.
 
@@ -481,9 +506,10 @@ class Schema:
                 raise UnknownObjectError(
                     f"schema {self.name!r}: no table {name!r}"
                 )
-            del self._tables[name]
+            derived = self._tables.pop(name).schema.derived
             self._bump_data_version()
-            self._log(EventType.DROP_TABLE, name, {})
+            # like ``TableSchema.to_dict``: said only when true
+            self._log(EventType.DROP_TABLE, name, {"derived": True} if derived else {})
 
     def table(self, name: str) -> Table:
         try:
@@ -543,11 +569,11 @@ class Schema:
             if pk and old_row is not None:
                 old_key = tuple(old_row[c] for c in pk)
                 if old_key != tuple(row[c] for c in pk):
-                    _delete_key(table, old_key)
+                    table.delete_key(old_key)
             table.upsert(row)
         elif event.etype is EventType.DELETE:
             if event.data.get("key") is not None and table.schema.primary_key:
-                _delete_key(table, tuple(event.data["key"]))
+                table.delete_key(event.data["key"])
             else:
                 target = event.data.get("row", {})
                 table.delete_where(
@@ -557,6 +583,32 @@ class Schema:
                 )
         else:  # pragma: no cover - exhaustive
             raise AssertionError(f"unhandled event type {event.etype}")
+
+    def apply_events(self, events: Sequence[BinlogEvent]) -> None:
+        """Apply a run of ``INSERT`` events, all on one table, as one batch.
+
+        The table, the versions and this schema's own binlog (events,
+        LSNs, and one trace context for the run) end up as after
+        :meth:`apply_event` on each event in order, but the run costs one
+        :meth:`Table.upsert_columns`, which validates every row before it
+        writes any: a run that raises has applied nothing, and the caller
+        can apply it event by event to find the event at fault.
+        """
+        if not events:
+            return
+        table = self.table(events[0].table)
+        images = []
+        for event in events:
+            if event.etype is not EventType.INSERT or event.table != table.name:
+                raise SchemaError(
+                    f"schema {self.name!r}: apply_events takes INSERTs on one "
+                    f"table, got {event.etype.value} on {event.table!r} in a "
+                    f"run on {table.name!r}"
+                )
+            images.append(event.data["row"])
+        table.upsert_columns(table.schema.columns_from_rows(images))
+        if self._apply_counter is not None:
+            self._apply_counter.inc(len(events))
 
     def checksum(self) -> str:
         """Digest over all tables' contents (schema-name independent)."""

@@ -127,11 +127,18 @@ class TableSchema:
     empty means the table has no primary key and duplicate rows are allowed
     (fact tables in XDMoD use surrogate keys; aggregate tables often have
     composite keys).
+
+    ``derived`` declares that the table's rows are recomputed from other
+    tables of the same schema (the ``agg_*`` tables and their watermark):
+    its row mutations bump versions but write no binlog events, and
+    replication never ships it — whoever holds the source tables
+    re-derives it.
     """
 
     name: str
     columns: tuple[Column, ...]
     primary_key: tuple[str, ...] = ()
+    derived: bool = False
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "a").isalnum():
@@ -260,6 +267,24 @@ class TableSchema:
             stored.append(values)
         return stored
 
+    def columns_from_rows(
+        self, rows: Sequence[Mapping[str, Any]]
+    ) -> dict[str, list[Any]]:
+        """Row mappings as the column batch :meth:`normalize_columns` takes.
+
+        Rows that all name the same columns are transposed as they are
+        (a column none of them names is left to its default); rows that
+        differ go through :meth:`normalize_row` first, each taking its own
+        defaults.
+        """
+        if not rows:
+            return {}
+        names = rows[0].keys()
+        if all(row.keys() == names for row in rows):
+            return {name: [row[name] for row in rows] for name in names}
+        stored = [self.normalize_row(row) for row in rows]
+        return dict(zip(self.column_names, map(list, zip(*stored))))
+
     def key_of(self, row: Sequence[Any]) -> tuple[Any, ...] | None:
         """Return the primary-key tuple for a stored row, or None if keyless."""
         if not self.primary_key:
@@ -267,8 +292,11 @@ class TableSchema:
         return tuple(row[i] for i in self._key_positions)
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable description (used by dumps and replication)."""
-        return {
+        """JSON-serializable description (used by dumps and replication).
+
+        ``"derived"`` appears only when true, so the description of every
+        other table is what it was before the key existed."""
+        description = {
             "name": self.name,
             "columns": [
                 {
@@ -281,6 +309,9 @@ class TableSchema:
             ],
             "primary_key": list(self.primary_key),
         }
+        if self.derived:
+            description["derived"] = True
+        return description
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TableSchema":
@@ -300,6 +331,7 @@ class TableSchema:
             name=data["name"],
             columns=columns,
             primary_key=tuple(data.get("primary_key", ())),
+            derived=bool(data.get("derived", False)),
         )
 
 

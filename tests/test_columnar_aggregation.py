@@ -303,7 +303,10 @@ class TestColumnarOracleParity:
 def upsert_row_by_row(table, columns):
     """What the fold did before ``Table.upsert_columns``: one ``upsert``
     per aggregate row."""
-    plain = {name: column.tolist() for name, column in columns.items()}
+    plain = {
+        name: column.tolist() if isinstance(column, np.ndarray) else column
+        for name, column in columns.items()
+    }
     rows = [dict(zip(plain, values)) for values in zip(*plain.values())]
     for row in rows:
         table.upsert(row)

@@ -112,6 +112,97 @@ class TestFaultySchema:
             channel.pump()
 
 
+class TestFaultsUnderBatchedApply:
+    """``FaultySchema`` has its own ``apply_events``: without it the proxy's
+    ``__getattr__`` would hand a whole run to the wrapped schema and the
+    plan would never be consulted."""
+
+    @staticmethod
+    def _thousand_event_run():
+        """A source whose log ends in 1 000 contiguous fact_job inserts."""
+        schema = Database("sat").create_schema("modw")
+        ingest_jobs(schema, [make_job(0)])  # the dimension rows
+        run_start = schema.binlog.head_lsn
+        ingest_jobs(schema, [make_job(i) for i in range(1, 1001)])
+        assert schema.binlog.head_lsn - run_start == 1000
+        assert {e.table for e in schema.binlog.read_from(run_start)} == {"fact_job"}
+        return schema, run_start
+
+    @staticmethod
+    def _outcome(schema, batch, plan, **knobs):
+        target = Database("hub").create_schema("fed_sat")
+        channel = ReplicationChannel(schema, target, **knobs)
+        wrapper = inject_apply_faults(channel, plan)
+        error = None
+        try:
+            applied = channel.catch_up(batch)
+        except ReplicationError as exc:
+            applied, error = None, str(exc)
+        stats = vars(channel.stats).copy()
+        del stats["syncs"]
+        return {
+            "applied": applied,
+            "error": error,
+            "stats": stats,
+            "cursor": channel.cursor.position,
+            "dead_letters": [
+                (letter.event, letter.error, letter.attempts)
+                for letter in channel.dead_letters
+            ],
+            "attempts": wrapper.attempts,
+            "faults_raised": wrapper.faults_raised,
+            "rows": list(target.table("fact_job").raw_rows()),
+            "versions": (target.data_version, target.table("fact_job").data_version),
+            "binlog": target.binlog.checksum(),
+        }
+
+    @pytest.mark.parametrize("knobs", [
+        dict(quarantine=True),
+        dict(quarantine=True, retry_policy=RetryPolicy(max_retries=2, seed=1)),
+        dict(),
+        dict(retry_policy=RetryPolicy(max_retries=2, seed=1)),
+    ], ids=["quarantine", "quarantine+retry", "fail-stop", "fail-stop+retry"])
+    def test_poison_mid_run_ends_as_one_event_at_a_time(self, knobs):
+        schema, run_start = self._thousand_event_run()
+        poison = run_start + 500
+
+        def plan():
+            return FaultPlan(
+                poison_lsns={poison},
+                transient_lsns={run_start + 100, run_start + 900},
+                transient_burst=2,
+            )
+
+        one = self._outcome(schema, 1, plan(), **knobs)
+        batched = self._outcome(schema, 5000, plan(), **knobs)  # one pump, one run
+        assert batched == one
+        if knobs.get("quarantine") and "retry_policy" in knobs:
+            assert [event.lsn for event, _, _ in one["dead_letters"]] == [poison]
+            assert one["applied"] == schema.binlog.head_lsn - 1
+            assert one["attempts"][poison] == 3 and one["attempts"][run_start] == 1
+        if not knobs:
+            # stops at the first transient fault, the cursor on it
+            assert f"LSN {run_start + 100}" in one["error"]
+            assert one["cursor"] == run_start + 100
+
+    def test_refused_batch_consumes_no_attempt(self):
+        schema, run_start = self._thousand_event_run()
+        hub = Database("hub").create_schema("fed_sat")
+        for event in schema.binlog.read_from(0, run_start):
+            hub.apply_event(event)
+        faulty = FaultySchema(hub, FaultPlan(transient_lsns={run_start + 7}))
+        run = schema.binlog.read_from(run_start)
+        with pytest.raises(TransientApplyFault):
+            faulty.apply_events(run)
+        assert faulty.attempts == {} and len(hub.table("fact_job")) == 1
+        # event by event the fault is met, counted, and cleared by its burst
+        with pytest.raises(TransientApplyFault):
+            faulty.apply_event(run[7])
+        faulty.apply_events(run)
+        assert len(hub.table("fact_job")) == 1001
+        assert faulty.attempts[run_start + 7] == 2 and faulty.attempts[run_start] == 1
+
+
 class TestStalledCursor:
     def test_stall_then_resume(self, satellite_schema):
         hub_db = Database("hub")

@@ -136,9 +136,10 @@ class TestMutationWithoutVersionBump:
         (violation,) = lint(engine, "table._rows.append(row)", path=ETL)
         mutators = (
             "insert", "upsert", "upsert_columns", "update_where",
-            "delete_where", "truncate",
+            "delete_where", "delete_key", "truncate",
         )
         assert "/".join(mutators) in violation.message
+        assert "Schema.apply_event/apply_events" in violation.message
 
     def test_all_private_state_names(self, engine):
         source = """
@@ -593,6 +594,85 @@ class TestAlertRuleId:
         assert AlertRuleIdRule.RULE_IDS == frozenset(
             r.id for r in DEFAULT_ALERT_RULES
         )
+
+
+# -- R11: per-row-bulk-write --------------------------------------------------
+
+DUMP = "src/repro/warehouse/dump.py"
+AGG = "src/repro/aggregation/fake.py"
+
+
+class TestPerRowBulkWrite:
+    def test_insert_in_for_loop_fires(self, engine):
+        # the shape of every loader before PR 16
+        violations = lint(
+            engine,
+            """
+            def ingest(schema, jobs):
+                fact = schema.table("fact_job")
+                for job in jobs:
+                    fact.insert(row_of(job))
+            """,
+            path=ETL,
+        )
+        assert [v.rule_id for v in violations] == ["per-row-bulk-write"]
+        assert "upsert_columns" in violations[0].message
+
+    def test_upsert_in_while_and_comprehension_fire(self, engine):
+        source = """
+        def load(table, rows):
+            while rows:
+                table.upsert(rows.pop())
+            return [table.insert(row) for row in rows]
+        """
+        for path in (ETL, AGG, DUMP):
+            assert [v.rule_id for v in lint(engine, source, path=path)] == [
+                "per-row-bulk-write"
+            ] * 2
+
+    def test_nested_loops_report_each_call_once(self, engine):
+        violations = lint(
+            engine,
+            """
+            for entry in dump["tables"]:
+                for row in entry["rows"]:
+                    table.insert(dict(zip(names, row)))
+            """,
+            path=DUMP,
+        )
+        assert len(violations) == 1
+
+    def test_single_write_outside_a_loop_is_silent(self, engine):
+        # the ETL high-water marker: one row, no loop
+        assert fired(
+            engine,
+            """
+            def advance(markers, source, ts):
+                markers.upsert({"source": source, "high_water_ts": ts})
+            """,
+            path=ETL,
+        ) == []
+
+    def test_batched_loader_and_list_insert_are_silent(self, engine):
+        assert fired(
+            engine,
+            """
+            def ingest(dims, fact, jobs):
+                rows = []
+                for job in jobs:
+                    rows.insert(0, row_of(job))
+                land(dims.stage((fact, rows)))
+            """,
+            path=ETL,
+        ) == []
+
+    def test_scoped_to_bulk_write_paths(self, engine):
+        source = """
+        for row in rows:
+            table.insert(row)
+        """
+        assert fired(engine, source, path=NEUTRAL) == []
+        assert fired(engine, source, path="src/repro/warehouse/engine.py") == []
 
 
 # -- suppressions -------------------------------------------------------------

@@ -86,6 +86,43 @@ class TestDumpLoad:
         with pytest.raises(DumpError):
             load_schema(db2, dump)
 
+    @pytest.mark.parametrize("damage", [
+        lambda rows: rows.append(list(rows[3])),       # duplicate primary key
+        lambda rows: rows[7].pop(),                    # ragged: a row too short
+        lambda rows: rows[7].append("extra"),          # ragged: a row too long
+        lambda rows: rows[7].__setitem__(1, 99),       # a value the column refuses
+        lambda rows: rows[7].__setitem__(0, None),     # NULL primary key
+    ], ids=["duplicate-key", "short-row", "long-row", "bad-type", "null-key"])
+    def test_malformed_rows_raise_and_leave_no_partial_schema(self, damage):
+        """One batch per table: still every check the row-by-row load made,
+        and a failure mid-dump drops what was already loaded."""
+        source = populated_schema(Database())
+        extra = source.create_table(
+            TableSchema("first", make_columns([("n", C.INT, False)]), ("n",))
+        )
+        extra.insert({"n": 1})
+        dump = json.loads(json.dumps(dump_schema(source)))
+        assert [e["schema"]["name"] for e in dump["tables"]] == ["first", "jobs"]
+        damage(dump["tables"][1]["rows"])
+        db = Database()
+        with pytest.raises(DumpError) as error:
+            load_schema(db, dump, verify_checksum=False)
+        assert "failed to load" in str(error.value)
+        assert db.schema_names() == []
+
+    def test_load_lands_each_table_as_one_batch(self):
+        source = populated_schema(Database())
+        loaded = load_schema(Database(), dump_schema(source))
+        jobs = loaded.table("jobs")
+        assert list(jobs.raw_rows()) == list(source.table("jobs").raw_rows())
+        assert jobs.data_version == source.table("jobs").data_version
+        # same events as the row-by-row load logged: one INSERT per row
+        assert loaded.binlog.checksum() == source.binlog.checksum()
+        assert jobs.get((7,))["payload"] == {"tags": [7]}
+        empty = Database().create_schema("empty")
+        empty.create_table(source.table("jobs").schema)
+        assert len(load_schema(Database(), dump_schema(empty)).table("jobs")) == 0
+
     def test_bad_format_version(self):
         db = Database()
         dump = dump_schema(populated_schema(db))

@@ -140,6 +140,29 @@ class TestCrud:
         table.insert({"job_id": 0, "user": "u"})
         assert len(table) == 3
 
+    def test_delete_key_is_delete_where_on_the_key(self, table):
+        """Same row gone, same version bump, same ``DELETE`` event — found
+        through the primary-key index, not a scan."""
+        twin = Database().create_schema("modw").create_table(jobs_table_schema())
+        for t in (table, twin):
+            t.insert_many({"job_id": i, "user": "u"} for i in range(4))
+        assert table.delete_key((2,)) is True
+        assert twin.delete_where(lambda r: r["job_id"] == 2) == 1
+        assert table.delete_key([2]) is False  # already gone: nothing happens
+        assert list(table.raw_rows()) == list(twin.raw_rows())
+        assert table.data_version == twin.data_version
+        assert table._owner.binlog.checksum() == twin._owner.binlog.checksum()
+        assert table.get((2,)) is None
+        table.insert({"job_id": 2, "user": "back"})  # the key is free again
+        assert len(table) == 4
+
+    def test_delete_key_needs_a_primary_key(self):
+        log = Database().create_schema("modw").create_table(
+            TableSchema("log", make_columns([("msg", C.STR, False)]))
+        )
+        with pytest.raises(SchemaError):
+            log.delete_key(("a",))
+
     def test_truncate(self, table):
         table.insert_many({"job_id": i, "user": "u"} for i in range(4))
         table.truncate()
@@ -237,6 +260,24 @@ class TestApplyEvent:
         for event in source.binlog:
             target.apply_event(event)
         assert len(target.table("jobs")) == 0
+
+    def test_replicated_delete_and_key_change_never_scan(self, monkeypatch):
+        """A keyed ``DELETE`` and a key-changing ``UPDATE`` go through the
+        primary-key index (``Table.delete_key``), not ``delete_where``."""
+        source = Database().create_schema("src")
+        t = source.create_table(jobs_table_schema())
+        t.insert_many({"job_id": i, "user": "u"} for i in range(6))
+        t.delete_where(lambda r: r["job_id"] == 2)
+        t.update_where(lambda r: r["job_id"] == 3, {"job_id": 30})
+        target = Database().create_schema("dst")
+
+        def no_scan(self, predicate):
+            raise AssertionError("replicated delete scanned the table")
+
+        monkeypatch.setattr(type(t), "delete_where", no_scan)
+        for event in source.binlog:
+            target.apply_event(event)
+        assert sorted(target.table("jobs").raw_rows()) == sorted(t.raw_rows())
 
     def test_keyless_table_delete_by_row_image(self):
         schema_def = TableSchema(

@@ -137,6 +137,35 @@ class TestTableSchema:
                 stored = schema.normalize_row({col.name: value})[schema.position(col.name)]
                 assert stored == expected and type(stored) is type(expected)
 
+    def test_columns_from_rows_is_a_batch_normalize_columns_takes(self):
+        """Uniform rows are transposed as given; rows that differ in their
+        columns each take their own defaults; either way the batch stores
+        what ``normalize_row`` stores row by row."""
+        schema = TableSchema(
+            "t",
+            (
+                Column("id", C.INT, nullable=False),
+                Column("kind", C.STR, default="generic"),
+                Column("score", C.FLOAT),
+            ),
+            primary_key=("id",),
+        )
+        assert schema.columns_from_rows([]) == {}
+        uniform = [{"id": 1, "score": 1}, {"id": 2, "score": None}]
+        assert schema.columns_from_rows(uniform) == {"id": [1, 2], "score": [1, None]}
+        ragged = [{"id": 1, "kind": "k"}, {"id": 2, "score": 2.5}, {"id": 3}]
+        assert schema.columns_from_rows(ragged) == {
+            "id": [1, 2, 3], "kind": ["k", "generic", "generic"],
+            "score": [None, 2.5, None],
+        }
+        for rows in (uniform, ragged):
+            stored = schema.normalize_columns(schema.columns_from_rows(rows))
+            assert list(zip(*stored)) == [schema.normalize_row(row) for row in rows]
+        with pytest.raises(SchemaError):
+            schema.columns_from_rows([{"id": 1}, {"id": 2, "bogus": 0}])
+        with pytest.raises(SchemaError):
+            schema.normalize_columns(schema.columns_from_rows([{"id": 1, "bogus": 0}]))
+
     def test_normalize_row_rejects_unknown_columns(self):
         with pytest.raises(SchemaError):
             simple_schema().normalize_row({"id": 1, "bogus": 2})

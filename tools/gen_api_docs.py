@@ -56,6 +56,53 @@ acquisition (so a batch's LSNs are contiguous), one telemetry call with the
 count, one trace context shared by the batch.  An empty batch writes and
 bumps nothing.
 
+Every bulk writer reaches its table this way, and only this way:
+
+- the aggregator (the fold below, and its `agg_watermark` rows);
+- the ETL loaders — `ingest_jobs`, `ingest_storage_snapshots`,
+  `ingest_cloud_events`, `ingest_performance`, `ingest_summaries` — which
+  stage a parsed batch as rows, let `DimensionCache.stage(...)` hand out
+  surrogate ids and check every staged table's batch, and then `land` it
+  dimensions first, one `upsert_columns` per table.  An ingest batch is
+  all or nothing: a `strict` validation failure or a value a table refuses
+  raises before anything of the batch is written (row by row, a prefix
+  used to land); cloud re-ingest deletes the re-ingested VMs' rows after
+  that check and before the batches land;
+- `load_schema`, one batch per dumped table (a ragged row or a repeated
+  primary key is still a `DumpError` that leaves no partial schema);
+- the hub side of tight replication: `Schema.apply_events(run)` applies a
+  contiguous run of `INSERT` events on one table as one batch, to the same
+  rows, versions, hub binlog and trace sidecar as `Schema.apply_event` per
+  event.  `ReplicationChannel` cuts runs at every table change, trace
+  context change, other event type and filtered event; a run whose batch
+  raises has applied nothing and is re-applied event by event, which is
+  where retries, quarantine and the `ReplicationError` naming the LSN are
+  accounted.  `apply_event` remains for `UPDATE` / `DELETE` / `TRUNCATE` /
+  DDL, single events and that fallback; a replicated keyed `DELETE` (and
+  the old key of a key-changing `UPDATE`) goes through
+  `Table.delete_key(key)`, the primary-key index, not a scan.
+
+The row-at-a-time loaders these replaced are the oracles in
+`tests/row_loader_oracles.py`; `repolint`'s `per-row-bulk-write` rule keeps
+a per-row loop from coming back.
+
+### Derived tables
+
+`TableSchema(..., derived=True)` declares that a table's rows are
+recomputed from other tables of its schema: every `agg_*` table and
+`agg_watermark`.  Row mutations on a derived table bump
+`Table.data_version` / `Schema.data_version` and clear the column cache
+exactly like any other table's — the serving cache still goes stale after
+a fold — but build no row image and append no binlog event.  Its
+`CREATE_TABLE` and `DROP_TABLE` are logged and say `"derived": true`
+(the key is written only when true, so every other table's description,
+dump and checksum is what it was), and `ReplicationFilter` refuses a table
+because a description of it going by says so — for any whitelist,
+including `tables=None` — not because its name starts with `agg_`.
+Replaying a binlog reproduces every logged table; re-aggregating the
+replayed facts reproduces the derived ones.  A dump or binlog written
+before the key existed loads as `derived=False`.
+
 ### One group-by kernel
 
 `repro.aggregation.group_reduce(keys, measures)` (one `np.lexsort` + one

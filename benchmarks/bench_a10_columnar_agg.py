@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.aggregation import Aggregator
+from repro.aggregation import CLOUD, STORAGE, Aggregator
 from repro.timeutil import SECONDS_PER_HOUR, ts
 from repro.warehouse import Database
 
@@ -270,14 +270,11 @@ def test_a10_incremental_identical_to_rebuild(benchmark):
     inc = Aggregator(inc_schema)
     # first fold covers everything ingested so far; time the steady-state
     # second fold, which sees no new facts
-    inc.aggregate_storage_incremental("month")
-    inc.aggregate_cloud_incremental("month")
+    inc.fold(STORAGE, "month")
+    inc.fold(CLOUD, "month")
 
     def noop_fold():
-        return (
-            inc.aggregate_storage_incremental("month")
-            + inc.aggregate_cloud_incremental("month")
-        )
+        return inc.fold(STORAGE, "month") + inc.fold(CLOUD, "month")
 
     folded = benchmark(noop_fold)
     assert folded == 0

@@ -2,7 +2,8 @@
 
 The nightly aggregation step is the hottest path in the system: at
 federation-hub scale every member's raw facts are re-binned for every
-period.  Each realm has exactly one builder here.  It reads the
+period.  Each realm has exactly one builder here, named by its
+:class:`repro.aggregation.AggregateSpec`.  It reads the
 warehouse's cached columnar views
 (:meth:`repro.warehouse.Table.column_array`), expands each fact into one
 contribution row per overlapped period (``np.repeat`` over per-fact
@@ -39,6 +40,7 @@ __all__ = [
     "build_job_rows",
     "build_storage_rows",
     "build_cloud_rows",
+    "build_allocation_rows",
     "group_reduce",
 ]
 
@@ -227,24 +229,11 @@ def _counts(sums: np.ndarray) -> np.ndarray:
 # -- jobs realm -------------------------------------------------------------
 
 
-def _count_rows_built(obs: Any, realm: str, period: str, n: int) -> None:
-    """Publish one ``aggregation_rows_built_total`` bump per build."""
-    if obs is None:
-        return
-    obs.registry.counter(
-        "aggregation_rows_built_total",
-        "Aggregate rows produced by the columnar builders",
-        ("realm", "period"),
-    ).labels(realm=realm, period=period).inc(n)
-
-
 def build_job_rows(
     schema: Schema,
     config: Any,
     period: str,
     since: Mapping[str, int],
-    *,
-    obs: Any = None,
 ) -> dict[str, np.ndarray]:
     """Fold ``fact_job`` into ``agg_job_<period>`` rows.
 
@@ -303,8 +292,6 @@ def build_job_rows(
         wall_hours=wall[idx] / SECONDS_PER_HOUR,
     )
     uniq, sums = contributions.reduce()
-
-    _count_rows_built(obs, "jobs", period, len(uniq[0]))
     return {
         **_period_columns(period, bounds, uniq[0]),
         "resource_id": uniq[1],
@@ -332,8 +319,6 @@ def build_storage_rows(
     config: Any,
     period: str,
     since: Mapping[str, int],
-    *,
-    obs: Any = None,
 ) -> dict[str, np.ndarray]:
     """Fold ``fact_storage`` into ``agg_storage_<period>`` rows.
 
@@ -403,7 +388,6 @@ def build_storage_rows(
     resource_type = np.array(
         [meta[key] for key in zip(rid.tolist(), fs.tolist())], dtype=object
     )
-    _count_rows_built(obs, "storage", period, len(touched))
     return {
         **_period_columns(period, bounds, p),
         "resource_id": rid,
@@ -429,8 +413,6 @@ def build_cloud_rows(
     config: Any,
     period: str,
     since: Mapping[str, int],
-    *,
-    obs: Any = None,
 ) -> dict[str, np.ndarray]:
     """Fold ``fact_vm_interval`` / ``fact_vm`` into ``agg_cloud_<period>`` rows.
 
@@ -510,8 +492,6 @@ def build_cloud_rows(
         n_vms_ended=np.ones(len(idx)),
     )
     uniq, sums = contributions.reduce()
-
-    _count_rows_built(obs, "cloud", period, len(uniq[0]))
     return {
         **_period_columns(period, bounds, uniq[0]),
         "resource_id": uniq[1],
@@ -530,4 +510,80 @@ def build_cloud_rows(
         "n_vms_started": _counts(sums["n_vms_started"]),
         "n_vms_ended": _counts(sums["n_vms_ended"]),
         "total_cores": sums["total_cores"],
+    }
+
+
+# -- allocations realm ------------------------------------------------------
+
+
+def build_allocation_rows(
+    schema: Schema,
+    config: Any,
+    period: str,
+    since: Mapping[str, int],
+) -> dict[str, np.ndarray]:
+    """Fold ``fact_allocation_charge`` / ``dim_allocation`` into
+    ``agg_allocation_<period>`` rows, like :func:`build_job_rows`.
+
+    A charge lands in the period containing its ``end_ts``; a grant is
+    pro-rated over its validity window, charged or not.  A group's
+    ``project`` / ``resource_id`` are its first charge's, else its grant's
+    (the resource id by name from ``dim_resource``, 0 if absent; a fresh
+    ``dim_resource`` row refreshes the grants naming it).
+    """
+    ch = _columns(schema, "fact_allocation_charge", [
+        "allocation_id", "project", "resource_id", "end_ts", "xdsu_charged",
+    ])
+    al = _columns(schema, "dim_allocation", [
+        "allocation_id", "project", "resource", "su_granted", "start_ts", "end_ts",
+    ])
+    res = _columns(schema, "dim_resource", ["resource_id", "name"])
+    n_ch = len(ch["end_ts"])
+    if n_ch == 0 and len(al["end_ts"]) == 0:
+        return {}
+    start, end = al["start_ts"], al["end_ts"]
+    bounds = _period_bounds(period, ch["end_ts"], start, end)
+    idx = np.flatnonzero(end > start)
+    src, p, overlap = _expand_periods(start[idx], end[idx], bounds)
+    src = idx[src]
+    by_name = {name: i for i, name in enumerate(res["name"].tolist())}
+    res_row = np.array(
+        [by_name.get(name, -1) for name in al["resource"].tolist()], dtype=np.int64
+    )[src]
+    # contribution rows: every charge, then every (grant, overlapped period),
+    # so the first row of a group is its first charge when it has one
+    n_al = len(src)
+    keys = [
+        np.concatenate([_period_of(bounds, ch["end_ts"]), p]),
+        np.concatenate([ch["allocation_id"], al["allocation_id"][src]]),
+    ]
+    fresh = np.concatenate([
+        np.arange(n_ch) >= since.get("fact_allocation_charge", 0),
+        (src >= since.get("dim_allocation", 0))
+        | (res_row >= since.get("dim_resource", 0)),
+    ])
+    contributions = _Contributions(
+        ("xdsu_charged", "n_jobs_charged", "su_granted", "first")
+    )
+    contributions.add(
+        keys, fresh,
+        xdsu_charged=np.concatenate([ch["xdsu_charged"], np.zeros(n_al)]),
+        n_jobs_charged=np.concatenate([np.ones(n_ch), np.zeros(n_al)]),
+        su_granted=np.concatenate([
+            np.zeros(n_ch), al["su_granted"][src] * overlap / (end - start)[src],
+        ]),
+        # summed per group: the index of the group's first row
+        first=_first_occurrence(keys) * np.arange(len(fresh)),
+    )
+    uniq, sums = contributions.reduce()
+    first = _counts(sums["first"])
+    grant_rid = np.append(res["resource_id"], 0)[res_row]  # -1: not found
+    return {
+        **_period_columns(period, bounds, uniq[0]),
+        "allocation_id": uniq[1],
+        "project": np.concatenate([ch["project"], al["project"][src]])[first],
+        "resource_id": np.concatenate([ch["resource_id"], grant_rid])[first],
+        "xdsu_charged": sums["xdsu_charged"],
+        "n_jobs_charged": _counts(sums["n_jobs_charged"]),
+        "su_granted": sums["su_granted"],
     }

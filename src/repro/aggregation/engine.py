@@ -5,50 +5,59 @@ XDMoD data warehouse, binning numeric data in aggregation tables.  XDMoD
 can then use these tables to group metrics by appropriately-sized
 dimensions."
 
-For each period (day/month/quarter/year) the engine builds:
+Each aggregated realm is declared once, as an :class:`AggregateSpec` —
+its fact tables, the columns and key of its ``<prefix>_<period>`` table,
+its builder in :mod:`repro.aggregation.columnar` — which the fold,
+:meth:`Aggregator.aggregate_all`, the realms and repolint's catalog all
+read: a new realm costs one spec and one builder.  For each period:
 
-- ``agg_job_<period>`` from ``fact_job`` — grouped by period x resource x
-  person x PI x application x queue x wall-time level x job-size level,
-  with additive measures.  Usage measures (CPU hours, node hours, XD SUs,
-  wall hours) are *apportioned* across the periods a job overlaps, so
-  period totals conserve the raw totals exactly; zero-length jobs
-  (``walltime_s == 0`` or ``end_ts == start_ts``) attribute their full
-  usage to the period they ended in.  Job counts attribute to the period
-  the job ended in (XDMoD's "jobs ended" convention), and wait time to
-  the period the job started in.
-- ``agg_storage_<period>`` from ``fact_storage`` — per-timestamp totals
-  averaged within the period (storage metrics are point-in-time gauges,
-  not additive).  A ``NULL`` soft quota means "no quota configured" and
-  is excluded from ``n_quota_samples``; an explicit ``0.0`` quota is a
-  real sample.
-- ``agg_cloud_<period>`` from ``fact_vm`` / ``fact_vm_interval`` — running
-  core-hours apportioned by overlap, binned by the VM-memory level set
-  (Figure 7), plus VM started/ended/active counts.  A running interval
-  with ``start_ts == end_ts`` accrues no hours but still counts its VM
-  toward ``n_vms_active`` in the period containing ``start_ts``.
+- ``agg_job_<period>`` (:data:`JOBS`) from ``fact_job`` — grouped by
+  period x resource x person x PI x application x queue x wall-time level
+  x job-size level, with additive measures.  Usage measures (CPU hours,
+  node hours, XD SUs, wall hours) are *apportioned* across the periods a
+  job overlaps, so period totals conserve the raw totals exactly;
+  zero-length jobs (``walltime_s == 0`` or ``end_ts == start_ts``)
+  attribute their full usage to the period they ended in.  Job counts
+  attribute to the period the job ended in (XDMoD's "jobs ended"
+  convention), and wait time to the period the job started in.
+- ``agg_storage_<period>`` (:data:`STORAGE`) from ``fact_storage`` —
+  per-timestamp totals averaged within the period (storage metrics are
+  point-in-time gauges, not additive).  A ``NULL`` soft quota means "no
+  quota configured" and is excluded from ``n_quota_samples``; an explicit
+  ``0.0`` quota is a real sample.
+- ``agg_cloud_<period>`` (:data:`CLOUD`) from ``fact_vm`` /
+  ``fact_vm_interval`` — running core-hours apportioned by overlap, binned
+  by the VM-memory level set (Figure 7), plus VM started/ended/active
+  counts.  A running interval with ``start_ts == end_ts`` accrues no hours
+  but still counts its VM toward ``n_vms_active`` in the period containing
+  ``start_ts``.
+- ``agg_allocation_<period>`` (:data:`ALLOCATIONS`) — charges in the
+  period of their ``end_ts``, grants pro-rated over their windows; built
+  on demand (:func:`repro.realms.aggregate_allocations`), not by
+  :meth:`Aggregator.aggregate_all`.
 
-There is one aggregation path per realm: the columnar builder in
-:mod:`repro.aggregation.columnar`, run by :meth:`Aggregator._fold`.  A
-fold recomputes, from all their facts, exactly the groups that fact rows
-appended since the last fold contribute to, and upserts them — the builder
-returns them as a column batch, written with one
-:meth:`repro.warehouse.Table.upsert_columns`; it records how far it got in
-the ``agg_watermark`` table.  The two verbs differ only
-in where the fold starts: ``aggregate_<realm>`` drops the table and its
-watermark and folds from row 0 (the Table I re-aggregation: hub levels
-change when a new satellite joins), ``aggregate_<realm>_incremental``
-folds from the watermark — and rebuilds by itself when anything other
-than appends happened to the facts since.  Raw tables are never modified.
+:meth:`Aggregator.fold` recomputes, from all their facts, exactly the
+groups that fact rows appended since the last fold contribute to, writes
+them with one :meth:`repro.warehouse.Table.upsert_columns` and records how
+far it got in the ``agg_watermark`` table; after anything but appends it
+rebuilds by itself.  :meth:`Aggregator.rebuild` is the same fold from row
+0, after dropping the table and its watermark (the Table I
+re-aggregation: hub levels change when a new satellite joins).  Raw
+tables are never modified.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..warehouse import ColumnType, Schema, TableSchema, make_columns
-from .columnar import build_cloud_rows, build_job_rows, build_storage_rows
+from .columnar import (
+    build_allocation_rows,
+    build_cloud_rows,
+    build_job_rows,
+    build_storage_rows,
+)
 from .levels import (
     DEFAULT_JOBSIZE_LEVELS,
     DEFAULT_WALLTIME_LEVELS,
@@ -69,88 +78,126 @@ class AggregationConfig:
     periods: tuple[str, ...] = ("day", "month", "quarter", "year")
 
 
-def agg_job_schema(period: str) -> TableSchema:
-    return TableSchema(
-        f"agg_job_{period}",
-        make_columns([
-            ("period_start", C.TIMESTAMP, False),
-            ("period_label", C.STR, False),
-            ("resource_id", C.INT, False),
-            ("person_id", C.INT, False),
-            ("pi_id", C.INT, False),
-            ("app_id", C.INT, False),
-            ("queue_id", C.INT, False),
-            ("walltime_level", C.STR, False),
-            ("jobsize_level", C.STR, False),
-            ("n_jobs_ended", C.INT, False),
-            ("n_jobs_started", C.INT, False),
-            ("cpu_hours", C.FLOAT, False),
-            ("node_hours", C.FLOAT, False),
-            ("xdsu", C.FLOAT, False),
-            ("wall_hours", C.FLOAT, False),
-            ("wait_hours", C.FLOAT, False),
-        ]),
-        primary_key=(
-            "period_start", "resource_id", "person_id", "pi_id",
-            "app_id", "queue_id", "walltime_level", "jobsize_level",
-        ),
-        derived=True,
-    )
+@dataclass(frozen=True)
+class AggregateSpec:
+    """One realm's aggregate, declared once.
+
+    ``columns`` are the ``<prefix>_<period>`` table's columns after
+    ``period_start`` and ``period_label`` (none is nullable), ``key`` the
+    ones that follow ``period_start`` in its primary key.  The fold
+    watches ``fact_tables``, the first of which the realm cannot aggregate
+    without; ``build`` is the realm's builder in
+    :mod:`repro.aggregation.columnar`.
+    """
+
+    realm: str
+    prefix: str
+    fact_tables: tuple[str, ...]
+    columns: tuple[tuple[str, ColumnType], ...]
+    key: tuple[str, ...]
+    build: Callable[..., dict[str, Any]]
+
+    def table_schema(self, period: str) -> TableSchema:
+        """The derived ``<prefix>_<period>`` table."""
+        return TableSchema(
+            f"{self.prefix}_{period}",
+            make_columns([
+                ("period_start", C.TIMESTAMP, False),
+                ("period_label", C.STR, False),
+                *((name, ctype, False) for name, ctype in self.columns),
+            ]),
+            primary_key=("period_start", *self.key),
+            derived=True,
+        )
 
 
-def agg_storage_schema(period: str) -> TableSchema:
-    return TableSchema(
-        f"agg_storage_{period}",
-        make_columns([
-            ("period_start", C.TIMESTAMP, False),
-            ("period_label", C.STR, False),
-            ("resource_id", C.INT, False),
-            ("filesystem", C.STR, False),
-            ("resource_type", C.STR, False),
-            ("avg_file_count", C.FLOAT, False),
-            ("avg_logical_gb", C.FLOAT, False),
-            ("avg_physical_gb", C.FLOAT, False),
-            ("sum_quota_utilization", C.FLOAT, False),
-            ("n_quota_samples", C.INT, False),
-            ("avg_soft_quota_gb", C.FLOAT, False),
-            ("avg_hard_quota_gb", C.FLOAT, False),
-            ("user_count", C.INT, False),
-            ("n_snapshots", C.INT, False),
-        ]),
-        primary_key=("period_start", "resource_id", "filesystem"),
-        derived=True,
-    )
+JOBS = AggregateSpec(
+    "jobs", "agg_job", ("fact_job",),
+    (
+        ("resource_id", C.INT),
+        ("person_id", C.INT),
+        ("pi_id", C.INT),
+        ("app_id", C.INT),
+        ("queue_id", C.INT),
+        ("walltime_level", C.STR),
+        ("jobsize_level", C.STR),
+        ("n_jobs_ended", C.INT),
+        ("n_jobs_started", C.INT),
+        ("cpu_hours", C.FLOAT),
+        ("node_hours", C.FLOAT),
+        ("xdsu", C.FLOAT),
+        ("wall_hours", C.FLOAT),
+        ("wait_hours", C.FLOAT),
+    ),
+    (
+        "resource_id", "person_id", "pi_id", "app_id", "queue_id",
+        "walltime_level", "jobsize_level",
+    ),
+    build_job_rows,
+)
 
+STORAGE = AggregateSpec(
+    "storage", "agg_storage", ("fact_storage",),
+    (
+        ("resource_id", C.INT),
+        ("filesystem", C.STR),
+        ("resource_type", C.STR),
+        ("avg_file_count", C.FLOAT),
+        ("avg_logical_gb", C.FLOAT),
+        ("avg_physical_gb", C.FLOAT),
+        ("sum_quota_utilization", C.FLOAT),
+        ("n_quota_samples", C.INT),
+        ("avg_soft_quota_gb", C.FLOAT),
+        ("avg_hard_quota_gb", C.FLOAT),
+        ("user_count", C.INT),
+        ("n_snapshots", C.INT),
+    ),
+    ("resource_id", "filesystem"),
+    build_storage_rows,
+)
 
-def agg_cloud_schema(period: str) -> TableSchema:
-    return TableSchema(
-        f"agg_cloud_{period}",
-        make_columns([
-            ("period_start", C.TIMESTAMP, False),
-            ("period_label", C.STR, False),
-            ("resource_id", C.INT, False),
-            ("project", C.STR, False),
-            ("os", C.STR, False),
-            ("submission_venue", C.STR, False),
-            ("memory_level", C.STR, False),
-            ("core_hours", C.FLOAT, False),
-            ("wall_hours", C.FLOAT, False),
-            ("mem_gb_hours", C.FLOAT, False),
-            ("disk_gb_hours", C.FLOAT, False),
-            ("stopped_hours", C.FLOAT, False),
-            ("paused_hours", C.FLOAT, False),
-            ("n_state_changes", C.INT, False),
-            ("n_vms_active", C.INT, False),
-            ("n_vms_started", C.INT, False),
-            ("n_vms_ended", C.INT, False),
-            ("total_cores", C.FLOAT, False),
-        ]),
-        primary_key=(
-            "period_start", "resource_id", "project", "os",
-            "submission_venue", "memory_level",
-        ),
-        derived=True,
-    )
+CLOUD = AggregateSpec(
+    "cloud", "agg_cloud", ("fact_vm_interval", "fact_vm"),
+    (
+        ("resource_id", C.INT),
+        ("project", C.STR),
+        ("os", C.STR),
+        ("submission_venue", C.STR),
+        ("memory_level", C.STR),
+        ("core_hours", C.FLOAT),
+        ("wall_hours", C.FLOAT),
+        ("mem_gb_hours", C.FLOAT),
+        ("disk_gb_hours", C.FLOAT),
+        ("stopped_hours", C.FLOAT),
+        ("paused_hours", C.FLOAT),
+        ("n_state_changes", C.INT),
+        ("n_vms_active", C.INT),
+        ("n_vms_started", C.INT),
+        ("n_vms_ended", C.INT),
+        ("total_cores", C.FLOAT),
+    ),
+    ("resource_id", "project", "os", "submission_venue", "memory_level"),
+    build_cloud_rows,
+)
+
+ALLOCATIONS = AggregateSpec(
+    "allocations", "agg_allocation",
+    ("fact_allocation_charge", "dim_allocation", "dim_resource"),
+    (
+        ("allocation_id", C.INT),
+        ("project", C.STR),
+        ("resource_id", C.INT),
+        ("xdsu_charged", C.FLOAT),
+        ("n_jobs_charged", C.INT),
+        ("su_granted", C.FLOAT),
+    ),
+    ("allocation_id",),
+    build_allocation_rows,
+)
+
+#: Every realm's aggregate; :meth:`Aggregator.aggregate_all` builds all but
+#: :data:`ALLOCATIONS` (built on demand), in this order.
+SPECS = (JOBS, STORAGE, CLOUD, ALLOCATIONS)
 
 
 def agg_watermark_schema() -> TableSchema:
@@ -172,67 +219,6 @@ def agg_watermark_schema() -> TableSchema:
     )
 
 
-@dataclass(frozen=True)
-class _Realm:
-    """What one fold needs to know about a realm."""
-
-    agg_schema: Callable[[str], TableSchema]
-    #: the first is the one the realm cannot aggregate without
-    fact_tables: tuple[str, ...]
-    build: Callable[..., dict[str, Any]]
-
-
-_JOBS = _Realm(agg_job_schema, ("fact_job",), build_job_rows)
-_STORAGE = _Realm(agg_storage_schema, ("fact_storage",), build_storage_rows)
-_CLOUD = _Realm(
-    agg_cloud_schema, ("fact_vm_interval", "fact_vm"), build_cloud_rows
-)
-
-
-def _replace_table(schema: Schema, table_schema: TableSchema) -> None:
-    if schema.has_table(table_schema.name):
-        schema.drop_table(table_schema.name)
-    schema.create_table(table_schema)
-
-
-def _observed(realm: str, mode: str):
-    """Wrap one aggregation entry point with telemetry.
-
-    Publishes a span, an ``aggregation_build_seconds`` observation, and
-    an ``aggregation_rows_total`` bump per call (batch-level: one
-    histogram sample per build, never per row).  A plain pass-through
-    when the aggregator has no telemetry bundle.
-    """
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(self, period: str) -> int:
-            obs = self.obs
-            if obs is None:
-                return fn(self, period)
-            registry = obs.registry
-            start = obs.clock.now()
-            with obs.tracer.span(
-                f"aggregate_{realm}", realm=realm, mode=mode, period=period
-            ):
-                rows = fn(self, period)
-            registry.histogram(
-                "aggregation_build_seconds",
-                "Wall time of one aggregation build",
-                ("realm", "mode"),
-            ).labels(realm=realm, mode=mode).observe(obs.clock.now() - start)
-            registry.counter(
-                "aggregation_rows_total",
-                "Rows written (full) or facts folded (incremental) per build",
-                ("realm", "mode"),
-            ).labels(realm=realm, mode=mode).inc(rows)
-            return rows
-
-        return wrapper
-
-    return decorate
-
-
 class Aggregator:
     """Runs the aggregation step against one warehouse schema."""
 
@@ -247,9 +233,50 @@ class Aggregator:
         self.config = config or AggregationConfig()
         self.obs = obs
 
+    # -- the two verbs --------------------------------------------------------
+
+    def rebuild(self, spec: AggregateSpec, period: str) -> int:
+        """(Re)build ``<prefix>_<period>`` from row 0, after dropping the
+        table and its watermark; returns rows written."""
+        return self._run(spec, period, "full")
+
+    def fold(self, spec: AggregateSpec, period: str) -> int:
+        """Fold newly ingested facts into ``<prefix>_<period>`` in place —
+        XDMoD's nightly mode, "aggregation processes run against newly
+        ingested data" — and return the number of fact rows folded.  The
+        table equals a :meth:`rebuild` over the same facts exactly; after
+        anything but appends to the spec's fact tables it is one."""
+        return self._run(spec, period, "incremental")
+
+    def _run(self, spec: AggregateSpec, period: str, mode: str) -> int:
+        """:meth:`_fold` as one ``aggregate_<realm>`` span, one
+        ``aggregation_build_seconds`` observation and one
+        ``aggregation_rows_total`` bump (batch-level: never per row); a
+        plain call when the aggregator has no telemetry bundle."""
+        obs = self.obs
+        if obs is None:
+            return self._fold(spec, period, rebuild=mode == "full")
+        start = obs.clock.now()
+        with obs.tracer.span(
+            f"aggregate_{spec.realm}", realm=spec.realm, mode=mode, period=period
+        ):
+            rows = self._fold(spec, period, rebuild=mode == "full")
+        registry = obs.registry
+        registry.histogram(
+            "aggregation_build_seconds",
+            "Wall time of one aggregation build",
+            ("realm", "mode"),
+        ).labels(realm=spec.realm, mode=mode).observe(obs.clock.now() - start)
+        registry.counter(
+            "aggregation_rows_total",
+            "Rows written (full) or facts folded (incremental) per build",
+            ("realm", "mode"),
+        ).labels(realm=spec.realm, mode=mode).inc(rows)
+        return rows
+
     # -- the fold -------------------------------------------------------------
 
-    def _unfolded(self, realm: _Realm, agg_name: str) -> dict[str, int] | None:
+    def _unfolded(self, spec: AggregateSpec, agg_name: str) -> dict[str, int] | None:
         """Per fact table, the first row ``agg_name`` has not folded — or
         ``None`` when only a rebuild is safe.
 
@@ -265,7 +292,7 @@ class Aggregator:
             return None
         marks = schema.table("agg_watermark")
         since: dict[str, int] = {}
-        for name in realm.fact_tables:
+        for name in spec.fact_tables:
             mark = marks.get((agg_name, name))
             present = schema.has_table(name)
             if mark is None and not present:
@@ -279,106 +306,71 @@ class Aggregator:
             since[name] = mark["n_rows"]
         return since
 
-    def _fold(self, realm: _Realm, period: str, *, rebuild: bool) -> int:
-        """Fold the realm's unfolded facts into its ``<period>`` table.
+    def _fold(self, spec: AggregateSpec, period: str, *, rebuild: bool) -> int:
+        """Fold the spec's unfolded facts into its ``<period>`` table.
 
         With ``rebuild`` (or when :meth:`_unfolded` says so) the table and
         its watermark are dropped first, so every fact is unfolded.
-        Returns the number of fact rows folded.
+        Returns the table's row count after a ``rebuild``, else the number
+        of fact rows folded.
         """
         schema = self.schema
-        agg_schema = realm.agg_schema(period)
-        since = None if rebuild else self._unfolded(realm, agg_schema.name)
+        agg_schema = spec.table_schema(period)
+        since = None if rebuild else self._unfolded(spec, agg_schema.name)
         if since is None:
-            _replace_table(schema, agg_schema)
+            if schema.has_table(agg_schema.name):
+                schema.drop_table(agg_schema.name)
+            schema.create_table(agg_schema)
             if not schema.has_table("agg_watermark"):
                 schema.create_table(agg_watermark_schema())
             schema.table("agg_watermark").delete_where(
                 lambda mark: mark["agg_table"] == agg_schema.name
             )
             since = {}
-        facts = [schema.table(n) for n in realm.fact_tables if schema.has_table(n)]
-        folded = sum(len(fact) - since.get(fact.name, 0) for fact in facts)
-        if folded == 0:
-            return 0
         agg = schema.table(agg_schema.name)
-        if schema.has_table(realm.fact_tables[0]):
-            agg.upsert_columns(
-                realm.build(schema, self.config, period, since, obs=self.obs)
-            )
-        schema.table("agg_watermark").upsert_columns({
-            "agg_table": [agg.name] * len(facts),
-            "fact_table": [fact.name for fact in facts],
-            "n_rows": [len(fact) for fact in facts],
-            "version": [fact.data_version for fact in facts],
-        })
-        return folded
+        facts = [schema.table(n) for n in spec.fact_tables if schema.has_table(n)]
+        folded = sum(len(fact) - since.get(fact.name, 0) for fact in facts)
+        if folded:
+            if schema.has_table(spec.fact_tables[0]):
+                columns = spec.build(schema, self.config, period, since)
+                if columns and self.obs is not None:
+                    self.obs.registry.counter(
+                        "aggregation_rows_built_total",
+                        "Aggregate rows produced by the columnar builders",
+                        ("realm", "period"),
+                    ).labels(realm=spec.realm, period=period).inc(
+                        len(columns["period_start"])
+                    )
+                agg.upsert_columns(columns)
+            schema.table("agg_watermark").upsert_columns({
+                "agg_table": [agg.name] * len(facts),
+                "fact_table": [fact.name for fact in facts],
+                "n_rows": [len(fact) for fact in facts],
+                "version": [fact.data_version for fact in facts],
+            })
+        return len(agg) if rebuild else folded
 
-    def _rebuild(self, realm: _Realm, period: str) -> int:
-        self._fold(realm, period, rebuild=True)
-        return len(self.schema.table(realm.agg_schema(period).name))
+    # -- per-realm rebuilds by name -------------------------------------------
 
-    # -- per-realm verbs ------------------------------------------------------
-
-    @_observed("jobs", "full")
     def aggregate_jobs(self, period: str) -> int:
-        """(Re)build ``agg_job_<period>`` from row 0; returns rows written."""
-        return self._rebuild(_JOBS, period)
+        return self.rebuild(JOBS, period)
 
-    @_observed("jobs", "incremental")
-    def aggregate_jobs_incremental(self, period: str) -> int:
-        """Fold newly ingested jobs into ``agg_job_<period>`` in place.
-
-        This is XDMoD's actual nightly mode: "aggregation processes run
-        against newly ingested data".  Only the groups the new jobs
-        contribute to are recomputed and upserted; the table equals a
-        full :meth:`aggregate_jobs` rebuild over the same facts exactly.
-        After anything but appends to ``fact_job`` the fold rebuilds.
-
-        Returns the number of jobs folded in.
-        """
-        return self._fold(_JOBS, period, rebuild=False)
-
-    @_observed("storage", "full")
     def aggregate_storage(self, period: str) -> int:
-        """(Re)build ``agg_storage_<period>`` from row 0; returns rows written."""
-        return self._rebuild(_STORAGE, period)
+        return self.rebuild(STORAGE, period)
 
-    @_observed("storage", "incremental")
-    def aggregate_storage_incremental(self, period: str) -> int:
-        """Fold newly ingested snapshots into ``agg_storage_<period>``.
-
-        Same contract as :meth:`aggregate_jobs_incremental`; returns the
-        number of snapshots folded in.  Assumes ``resource_type`` is
-        stable per (resource, filesystem), which ingest guarantees.
-        """
-        return self._fold(_STORAGE, period, rebuild=False)
-
-    @_observed("cloud", "full")
     def aggregate_cloud(self, period: str) -> int:
-        """(Re)build ``agg_cloud_<period>`` from row 0; returns rows written."""
-        return self._rebuild(_CLOUD, period)
-
-    @_observed("cloud", "incremental")
-    def aggregate_cloud_incremental(self, period: str) -> int:
-        """Fold newly ingested cloud facts into ``agg_cloud_<period>``.
-
-        Same contract as :meth:`aggregate_jobs_incremental`; returns the
-        number of intervals + VM facts folded in.  A cumulative event-feed
-        re-ingest deletes and re-inserts its VMs, so it rebuilds.
-        """
-        return self._fold(_CLOUD, period, rebuild=False)
+        return self.rebuild(CLOUD, period)
 
     # -- orchestration ---------------------------------------------------------
 
     def aggregate_all(self, periods: Sequence[str] | None = None) -> dict[str, int]:
-        """Run every realm's aggregation for every configured period."""
-        out: dict[str, int] = {}
-        for period in periods or self.config.periods:
-            out[f"agg_job_{period}"] = self.aggregate_jobs(period)
-            out[f"agg_storage_{period}"] = self.aggregate_storage(period)
-            out[f"agg_cloud_{period}"] = self.aggregate_cloud(period)
-        return out
+        """Rebuild the jobs, storage and cloud tables for every configured
+        period; returns rows written per table."""
+        return {
+            f"{spec.prefix}_{period}": self.rebuild(spec, period)
+            for period in periods or self.config.periods
+            for spec in (JOBS, STORAGE, CLOUD)
+        }
 
     def aggregate_all_incremental(
         self, periods: Sequence[str] | None = None
@@ -387,12 +379,11 @@ class Aggregator:
 
         Returns facts-folded counts keyed like :meth:`aggregate_all`.
         """
-        out: dict[str, int] = {}
-        for period in periods or self.config.periods:
-            out[f"agg_job_{period}"] = self.aggregate_jobs_incremental(period)
-            out[f"agg_storage_{period}"] = self.aggregate_storage_incremental(period)
-            out[f"agg_cloud_{period}"] = self.aggregate_cloud_incremental(period)
-        return out
+        return {
+            f"{spec.prefix}_{period}": self.fold(spec, period)
+            for period in periods or self.config.periods
+            for spec in (JOBS, STORAGE, CLOUD)
+        }
 
     def reaggregate(
         self, config: AggregationConfig, periods: Sequence[str] | None = None

@@ -102,12 +102,7 @@ class SchemaCatalog:
 
 def build_default_catalog() -> SchemaCatalog:
     """Catalog of every table schema this repository defines."""
-    from ..aggregation.engine import (
-        agg_cloud_schema,
-        agg_job_schema,
-        agg_storage_schema,
-        agg_watermark_schema,
-    )
+    from ..aggregation.engine import SPECS, agg_watermark_schema
     from ..analytics.summarize import analytics_fact_schema
     from ..appkernels.kernels import appkernel_table_schema
     from ..etl.cloudevents import cloud_fact_schemas
@@ -115,7 +110,7 @@ def build_default_catalog() -> SchemaCatalog:
     from ..etl.pipeline import marker_schema
     from ..etl.star import jobs_star_schemas
     from ..etl.storagefs import storage_fact_schema
-    from ..realms.allocations import agg_allocation_schema, allocation_schemas
+    from ..realms.allocations import allocation_schemas
 
     catalog = SchemaCatalog()
     for schema in jobs_star_schemas():
@@ -132,9 +127,6 @@ def build_default_catalog() -> SchemaCatalog:
     catalog.add(appkernel_table_schema())
     catalog.add(agg_watermark_schema())
     for period in CATALOG_PERIODS:
-        for factory in (
-            agg_job_schema, agg_storage_schema, agg_cloud_schema,
-            agg_allocation_schema,
-        ):
-            catalog.add(factory(period))
+        for spec in SPECS:
+            catalog.add(spec.table_schema(period))
     return catalog

@@ -65,6 +65,7 @@ class LintConfig:
     #: bulk loaders: a per-row ``insert``/``upsert`` in a loop is flagged
     bulk_write_paths: tuple[str, ...] = (
         "repro/etl/", "repro/aggregation/", "repro/warehouse/dump.py",
+        "repro/realms/", "repro/appkernels/",
     )
 
 

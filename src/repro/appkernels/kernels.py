@@ -13,7 +13,7 @@ real anomalies to find.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -152,24 +152,19 @@ class AppKernelRunner:
 
 
 def ingest_appkernels(schema: Schema, results: Iterable[AppKernelResult]) -> int:
-    """Store execution records in the warehouse."""
+    """Store execution records in the warehouse.
+
+    One batch, validated whole; run ids follow the largest stored one, so
+    a stored run is never overwritten.  Returns the number stored."""
     if not schema.has_table("fact_appkernel"):
         schema.create_table(appkernel_table_schema())
     table = schema.table("fact_appkernel")
-    next_id = len(table) + 1
-    n = 0
-    for result in results:
-        table.insert(
-            {
-                "run_id": next_id,
-                "ts": result.ts,
-                "resource": result.resource,
-                "kernel": result.kernel,
-                "cores": result.cores,
-                "runtime_s": result.runtime_s,
-                "succeeded": result.succeeded,
-            }
-        )
-        next_id += 1
-        n += 1
-    return n
+    results = list(results)
+    first_id = int(table.column_array("run_id").max(initial=0)) + 1
+    return table.upsert_columns({
+        "run_id": range(first_id, first_id + len(results)),
+        **{
+            f.name: [getattr(r, f.name) for r in results]
+            for f in fields(AppKernelResult)
+        },
+    })

@@ -15,16 +15,14 @@ argument Section II-C6 makes for federation metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
-from ..timeutil import overlap_seconds, period_label, period_range, period_start
+from ..aggregation import ALLOCATIONS, Aggregator
 from ..warehouse import ColumnType, Schema, TableSchema, make_columns
 from .base import DimensionSpec, Metric, Realm
 
 C = ColumnType
-
-ALLOCATIONS_REALM_TABLES = ("dim_allocation", "fact_allocation_charge")
 
 
 @dataclass(frozen=True)
@@ -79,10 +77,13 @@ def create_allocations_realm(schema: Schema) -> None:
 
 
 def register_allocations(schema: Schema, allocations: Iterable[Allocation]) -> int:
-    """Store allocation grants; returns count registered (upsert by id)."""
-    create_allocations_realm(schema)
-    table = schema.table("dim_allocation")
-    n = 0
+    """Store allocation grants; returns count registered (upsert by id).
+
+    All or nothing: every grant is checked before any is stored, so a
+    grant with an empty validity window or a negative budget raises
+    :class:`ValueError` and leaves ``dim_allocation`` as it was.
+    """
+    allocations = list(allocations)
     for allocation in allocations:
         if allocation.end_ts <= allocation.start_ts:
             raise ValueError(
@@ -92,18 +93,10 @@ def register_allocations(schema: Schema, allocations: Iterable[Allocation]) -> i
             raise ValueError(
                 f"allocation {allocation.allocation_id}: negative grant"
             )
-        table.upsert(
-            {
-                "allocation_id": allocation.allocation_id,
-                "project": allocation.project,
-                "resource": allocation.resource,
-                "su_granted": allocation.su_granted,
-                "start_ts": allocation.start_ts,
-                "end_ts": allocation.end_ts,
-            }
-        )
-        n += 1
-    return n
+    create_allocations_realm(schema)
+    return schema.table("dim_allocation").upsert_columns({
+        f.name: [getattr(a, f.name) for a in allocations] for f in fields(Allocation)
+    })
 
 
 def reconcile_charges(schema: Schema) -> tuple[int, int]:
@@ -127,25 +120,15 @@ def reconcile_charges(schema: Schema) -> tuple[int, int]:
     pi_names = {
         row["pi_id"]: row["username"] for row in schema.table("dim_pi").rows()
     }
-    allocations = [
-        Allocation(
-            allocation_id=row["allocation_id"],
-            project=row["project"],
-            resource=row["resource"],
-            su_granted=row["su_granted"],
-            start_ts=row["start_ts"],
-            end_ts=row["end_ts"],
-        )
-        for row in schema.table("dim_allocation").rows()
-    ]
     by_key: dict[tuple[str, str], list[Allocation]] = {}
-    for allocation in allocations:
+    for grant in schema.table("dim_allocation").rows():
+        allocation = Allocation(**grant)
         by_key.setdefault(
             (allocation.project, allocation.resource), []
         ).append(allocation)
 
-    charged = uncovered = 0
-    next_id = 1
+    rows: list[dict] = []
+    uncovered = 0
     for job in schema.table("fact_job").rows():
         project = pi_names.get(job["pi_id"], "")
         resource = resource_names.get(job["resource_id"], "")
@@ -156,9 +139,9 @@ def reconcile_charges(schema: Schema) -> tuple[int, int]:
         if match is None:
             uncovered += 1
             continue
-        charges.insert(
+        rows.append(
             {
-                "charge_id": next_id,
+                "charge_id": len(rows) + 1,
                 "allocation_id": match.allocation_id,
                 "job_id": job["job_id"],
                 "resource_id": job["resource_id"],
@@ -167,91 +150,18 @@ def reconcile_charges(schema: Schema) -> tuple[int, int]:
                 "xdsu_charged": job["xdsu"],
             }
         )
-        next_id += 1
-        charged += 1
-    return charged, uncovered
-
-
-def agg_allocation_schema(period: str) -> TableSchema:
-    return TableSchema(
-        f"agg_allocation_{period}",
-        make_columns([
-            ("period_start", C.TIMESTAMP, False),
-            ("period_label", C.STR, False),
-            ("allocation_id", C.INT, False),
-            ("project", C.STR, False),
-            ("resource_id", C.INT, False),
-            ("xdsu_charged", C.FLOAT, False),
-            ("n_jobs_charged", C.INT, False),
-            ("su_granted", C.FLOAT, False),
-        ]),
-        primary_key=("period_start", "allocation_id"),
-        derived=True,
-    )
+    charges.upsert_columns(charges.schema.columns_from_rows(rows))
+    return len(rows), uncovered
 
 
 def aggregate_allocations(schema: Schema, period: str) -> int:
     """Build ``agg_allocation_<period>`` from the charge facts.
 
     ``su_granted`` is apportioned across the allocation's validity window
-    (pro-rated per period) so utilization-per-period is meaningful.
+    (pro-rated per period) so utilization-per-period is meaningful.  A
+    rebuild of :data:`repro.aggregation.ALLOCATIONS`; returns rows written.
     """
-    name = f"agg_allocation_{period}"
-    if schema.has_table(name):
-        schema.drop_table(name)
-    schema.create_table(agg_allocation_schema(period))
-    if not schema.has_table("fact_allocation_charge"):
-        return 0
-    agg = schema.table(name)
-    buckets: dict[tuple[int, int], dict] = {}
-    alloc_rows = {
-        row["allocation_id"]: row
-        for row in schema.table("dim_allocation").rows()
-    }
-    resource_ids = (
-        {
-            row["name"]: row["resource_id"]
-            for row in schema.table("dim_resource").rows()
-        }
-        if schema.has_table("dim_resource")
-        else {}
-    )
-    for charge in schema.table("fact_allocation_charge").rows():
-        key = (period_start(period, charge["end_ts"]), charge["allocation_id"])
-        entry = buckets.setdefault(
-            key, {"xdsu": 0.0, "n": 0, "project": charge["project"],
-                  "resource_id": charge["resource_id"]}
-        )
-        entry["xdsu"] += charge["xdsu_charged"]
-        entry["n"] += 1
-    # pro-rate grants over the allocation windows (even with no charges)
-    for allocation_id, row in alloc_rows.items():
-        span = row["end_ts"] - row["start_ts"]
-        for p_start, p_end in period_range(period, row["start_ts"], row["end_ts"]):
-            ov = overlap_seconds(row["start_ts"], row["end_ts"], p_start, p_end)
-            if ov <= 0:
-                continue
-            key = (p_start, allocation_id)
-            entry = buckets.setdefault(
-                key, {"xdsu": 0.0, "n": 0, "project": row["project"],
-                      "resource_id": resource_ids.get(row["resource"], 0)}
-            )
-            entry["granted"] = row["su_granted"] * ov / span
-    for (p_start, allocation_id) in sorted(buckets):
-        entry = buckets[(p_start, allocation_id)]
-        agg.insert(
-            {
-                "period_start": p_start,
-                "period_label": period_label(period, p_start),
-                "allocation_id": allocation_id,
-                "project": entry["project"],
-                "resource_id": entry["resource_id"],
-                "xdsu_charged": entry["xdsu"],
-                "n_jobs_charged": entry["n"],
-                "su_granted": entry.get("granted", 0.0),
-            }
-        )
-    return len(agg)
+    return Aggregator(schema).rebuild(ALLOCATIONS, period)
 
 
 ALLOCATIONS_METRICS = (
@@ -277,7 +187,7 @@ ALLOCATIONS_DIMENSIONS = (
 def allocations_realm() -> Realm:
     """Construct the Allocations realm."""
     return Realm(
-        "allocations", "agg_allocation",
+        ALLOCATIONS.realm, ALLOCATIONS.prefix,
         ALLOCATIONS_METRICS, ALLOCATIONS_DIMENSIONS,
     )
 

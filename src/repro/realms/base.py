@@ -123,8 +123,20 @@ class RealmResult:
         return sorted({r.group for r in self.rows})
 
 
+def check_query(start: int, end: int, period: str, view: str) -> None:
+    """The argument checks every realm's ``query`` makes before it reads."""
+    if end <= start:
+        raise RealmQueryError(f"empty time range [{start}, {end})")
+    if view not in ("timeseries", "aggregate"):
+        raise RealmQueryError(f"unknown view {view!r}")
+    if period not in PERIODS:
+        raise RealmQueryError(f"unknown period {period!r} (have {list(PERIODS)})")
+
+
 class Realm:
-    """A named metric family over one aggregate-table prefix."""
+    """A named metric family over one aggregate-table prefix.
+
+    ``agg_prefix`` is ``None`` for a realm answering from its facts (SUPReMM)."""
 
     #: overall group label when no dimension is requested
     TOTAL = "total"
@@ -132,7 +144,7 @@ class Realm:
     def __init__(
         self,
         name: str,
-        agg_prefix: str,
+        agg_prefix: str | None,
         metrics: Sequence[Metric],
         dimensions: Sequence[DimensionSpec],
     ) -> None:
@@ -188,12 +200,7 @@ class Realm:
         :func:`repro.aggregation.group_reduce` sums numerator and
         denominator over ``(group, period_start)``.  NULL adds nothing.
         """
-        if end <= start:
-            raise RealmQueryError(f"empty time range [{start}, {end})")
-        if view not in ("timeseries", "aggregate"):
-            raise RealmQueryError(f"unknown view {view!r}")
-        if period not in PERIODS:
-            raise RealmQueryError(f"unknown period {period!r} (have {list(PERIODS)})")
+        check_query(start, end, period, view)
         m = self.metric(metric)
         gspec = self.dimension(group_by) if group_by else None
         fspecs = [

@@ -12,6 +12,7 @@ Figure 7 charts **average core hours per VM, by VM memory size** with bins
 
 from __future__ import annotations
 
+from ..aggregation import CLOUD
 from .base import DimensionSpec, Metric, Realm
 
 CLOUD_METRICS = (
@@ -65,4 +66,4 @@ CLOUD_DIMENSIONS = (
 
 def cloud_realm() -> Realm:
     """Construct the Cloud realm."""
-    return Realm("cloud", "agg_cloud", CLOUD_METRICS, CLOUD_DIMENSIONS)
+    return Realm(CLOUD.realm, CLOUD.prefix, CLOUD_METRICS, CLOUD_DIMENSIONS)

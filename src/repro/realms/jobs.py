@@ -8,6 +8,7 @@ charge (Figure 1 plots total XD SUs charged per resource).
 
 from __future__ import annotations
 
+from ..aggregation import JOBS
 from .base import DimensionSpec, Metric, Realm
 
 JOBS_METRICS = (
@@ -83,4 +84,4 @@ JOBS_DIMENSIONS = (
 
 def jobs_realm() -> Realm:
     """Construct the HPC Jobs realm."""
-    return Realm("jobs", "agg_job", JOBS_METRICS, JOBS_DIMENSIONS)
+    return Realm(JOBS.realm, JOBS.prefix, JOBS_METRICS, JOBS_DIMENSIONS)

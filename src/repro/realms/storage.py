@@ -12,6 +12,7 @@ Figure 6 charts monthly file count and physical storage usage.
 
 from __future__ import annotations
 
+from ..aggregation import STORAGE
 from .base import DimensionSpec, Metric, Realm
 
 STORAGE_METRICS = (
@@ -41,4 +42,4 @@ STORAGE_DIMENSIONS = (
 
 def storage_realm() -> Realm:
     """Construct the Storage realm."""
-    return Realm("storage", "agg_storage", STORAGE_METRICS, STORAGE_DIMENSIONS)
+    return Realm(STORAGE.realm, STORAGE.prefix, STORAGE_METRICS, STORAGE_DIMENSIONS)

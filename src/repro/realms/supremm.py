@@ -10,181 +10,112 @@ Unlike the accounting realms, SUPReMM queries run against the per-job fact
 table (``fact_job_perf``) joined to ``fact_job`` — performance averages
 are weighted by each job's CPU time, matching XDMoD's core-hour-weighted
 statistics.  Note this realm is *not* federated in the initial release
-(Section II-C5); :meth:`SupremmRealm.query_federated` implements the
-paper's planned subsequent release, answering over hubs whose channels use
-:func:`repro.core.supremm_summary_filter` (summaries only — the raw
-timeseries never replicate).
+(Section II-C5); :meth:`SupremmRealm.query` over a mapping of sources
+implements the paper's planned subsequent release, answering over hubs
+whose channels use :func:`repro.core.supremm_summary_filter` (summaries
+only — the raw timeseries never replicate).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
+from ..core.identity import IdentityMap
 from ..simulators.perf import PERF_METRICS
 from ..timeutil import period_label, period_start
 from ..warehouse import Schema
-from .base import RealmQueryError, RealmResult, ResultRow, Metric
+from .base import Metric, Realm, RealmQueryError, RealmResult, ResultRow, check_query
+from .jobs import JOBS_DIMENSIONS
 
 #: Chartable SUPReMM statistics: core-hour-weighted averages of the
 #: per-job average for each hardware-counter metric.
 SUPREMM_METRIC_NAMES = tuple(f"avg_{m}" for m in PERF_METRICS)
 
 
-@dataclass(frozen=True)
-class SupremmQuery:
-    """Parameters for one SUPReMM aggregate query."""
-
-    metric: str
-    start: int
-    end: int
-    period: str = "month"
-    group_by: str | None = None  # resource | application | person
-
-
-class SupremmRealm:
+class SupremmRealm(Realm):
     """Fact-level performance queries for one XDMoD instance."""
 
-    name = "supremm"
-
     def __init__(self) -> None:
-        self.metrics = {
-            name: Metric(
-                name,
-                f"Avg {name[4:].replace('_', ' ')} (core-hour weighted)",
-                "",
-                name,
-            )
-            for name in SUPREMM_METRIC_NAMES
-        }
-
-    def _group_label_map(self, schema: Schema, group_by: str) -> tuple[str, dict]:
-        if group_by == "resource":
-            return "resource_id", {
-                r["resource_id"]: r["name"]
-                for r in schema.table("dim_resource").rows()
-            }
-        if group_by == "application":
-            return "app_id", {
-                r["app_id"]: r["name"]
-                for r in schema.table("dim_application").rows()
-            }
-        if group_by == "person":
-            return "person_id", {
-                r["person_id"]: r["username"]
-                for r in schema.table("dim_person").rows()
-            }
-        raise RealmQueryError(f"supremm: unknown dimension {group_by!r}")
-
-    def _accumulate(
-        self,
-        schema: Schema,
-        metric: str,
-        acc: dict[tuple[str, int], list[float]],
-        *,
-        start: int,
-        end: int,
-        period: str,
-        group_by: str | None,
-    ) -> None:
-        """Fold one schema's weighted sums into ``acc`` (num, den per cell)."""
-        if not schema.has_table("fact_job_perf"):
-            return
-        column = f"{metric[4:]}_avg"  # strip avg_ -> summary column prefix
-        # composite-key join: job ids are only unique per resource
-        jobs_by_key = {
-            (r["resource_id"], r["job_id"]): r
-            for r in schema.table("fact_job").rows()
-        }
-        gcol, labels = (
-            self._group_label_map(schema, group_by) if group_by else (None, {})
-        )
-        for perf in schema.table("fact_job_perf").rows():
-            job = jobs_by_key.get((perf["resource_id"], perf["job_id"]))
-            if job is None or not (start <= job["end_ts"] < end):
-                continue
-            weight = job["cpu_hours"] or 0.0
-            if weight <= 0:
-                continue
-            group = str(labels.get(job[gcol], job[gcol])) if gcol else "total"
-            p = period_start(period, job["end_ts"])
-            entry = acc.setdefault((group, p), [0.0, 0.0])
-            entry[0] += perf[column] * weight
-            entry[1] += weight
-
-    def _finish(
-        self,
-        metric: str,
-        group_by: str | None,
-        period: str,
-        acc: dict[tuple[str, int], list[float]],
-    ) -> RealmResult:
-        result = RealmResult(metric=self.metrics[metric], dimension=group_by)
-        for (group, p) in sorted(acc):
-            num, den = acc[(group, p)]
-            result.rows.append(
-                ResultRow(
-                    group=group,
-                    period_start=p,
-                    period_label=period_label(period, p),
-                    value=num / den if den else None,
+        super().__init__(
+            "supremm", None,
+            [
+                Metric(
+                    name,
+                    f"Avg {name[4:].replace('_', ' ')} (core-hour weighted)",
+                    "",
+                    name,
                 )
-            )
-        return result
+                for name in SUPREMM_METRIC_NAMES
+            ],
+            [
+                spec for spec in JOBS_DIMENSIONS
+                if spec.name in ("resource", "application", "person")
+            ],
+        )
 
     def query(
         self,
-        schema: Schema,
+        sources: Schema | Mapping[str, Schema],
         metric: str,
         *,
         start: int,
         end: int,
         period: str = "month",
         group_by: str | None = None,
+        filters: Mapping[str, Iterable[str]] | None = None,
+        view: str = "timeseries",
+        idmap: IdentityMap | None = None,
     ) -> RealmResult:
-        """Core-hour-weighted average of a per-job performance statistic."""
-        if metric not in self.metrics:
-            raise RealmQueryError(
-                f"supremm: unknown metric {metric!r} "
-                f"(have {sorted(self.metrics)})"
-            )
-        acc: dict[tuple[str, int], list[float]] = {}
-        self._accumulate(
-            schema, metric, acc,
-            start=start, end=end, period=period, group_by=group_by,
-        )
-        return self._finish(metric, group_by, period, acc)
+        """Core-hour-weighted average of a per-job performance statistic.
 
-    def query_federated(
-        self,
-        sources: Mapping[str, Schema],
-        metric: str,
-        *,
-        start: int,
-        end: int,
-        period: str = "month",
-        group_by: str | None = None,
-    ) -> RealmResult:
-        """Federation-wide performance statistics (the II-C5 next release).
-
-        Per-schema weighted sums merge their numerators and denominators
-        *before* the division, so federation-wide averages remain exactly
-        core-hour-weighted — never averages of averages.  Works against
-        hubs whose channels use :func:`repro.core.supremm_summary_filter`.
+        Over a mapping of sources — the II-C5 next release — per-schema
+        weighted sums merge their numerators and denominators *before* the
+        division, so federation-wide averages remain exactly
+        core-hour-weighted, never averages of averages.  Takes
+        :meth:`Realm.query`'s arguments; filters, the aggregate view and
+        an identity map raise :class:`RealmQueryError`.
         """
-        if metric not in self.metrics:
+        check_query(start, end, period, view)
+        m = self.metric(metric)
+        gspec = self.dimension(group_by) if group_by else None
+        if filters or view != "timeseries" or idmap is not None:
             raise RealmQueryError(
-                f"supremm: unknown metric {metric!r} "
-                f"(have {sorted(self.metrics)})"
+                "supremm: a timeseries only, with no filters or identity map"
             )
-        acc: dict[tuple[str, int], list[float]] = {}
+        if isinstance(sources, Schema):
+            sources = {"local": sources}
+        column = f"{metric[4:]}_avg"  # strip avg_ -> summary column prefix
+        acc: dict[tuple[str, int], list[float]] = {}  # (num, den) per cell
         for schema in sources.values():
-            self._accumulate(
-                schema, metric, acc,
-                start=start, end=end, period=period, group_by=group_by,
+            if not schema.has_table("fact_job_perf"):
+                continue
+            # composite-key join: job ids are only unique per resource
+            jobs_by_key = {
+                (r["resource_id"], r["job_id"]): r
+                for r in schema.table("fact_job").rows()
+            }
+            labels = {
+                r[gspec.dim_key]: r[gspec.dim_label]
+                for r in schema.table(gspec.dim_table).rows()
+            } if gspec else {}
+            for perf in schema.table("fact_job_perf").rows():
+                job = jobs_by_key.get((perf["resource_id"], perf["job_id"]))
+                if job is None or not (start <= job["end_ts"] < end):
+                    continue
+                weight = job["cpu_hours"] or 0.0
+                if weight <= 0:
+                    continue
+                key = job[gspec.column] if gspec else None
+                group = str(labels.get(key, key)) if gspec else self.TOTAL
+                entry = acc.setdefault((group, period_start(period, job["end_ts"])), [0.0, 0.0])
+                entry[0] += perf[column] * weight
+                entry[1] += weight
+        result = RealmResult(metric=m, dimension=group_by)
+        for (group, p), (num, den) in sorted(acc.items()):
+            result.rows.append(
+                ResultRow(group, p, period_label(period, p), num / den if den else None)
             )
-        return self._finish(metric, group_by, period, acc)
-
+        return result
 
     # -- job-level analytics (fact_job_analytics) ----------------------------
 

@@ -153,14 +153,6 @@ class Table:
             )
         return rid
 
-    def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
-        """Bulk insert; returns the number of rows inserted."""
-        n = 0
-        for values in rows:
-            self.insert(values)
-            n += 1
-        return n
-
     def upsert(self, values: Mapping[str, Any]) -> int:
         """Insert, or update in place when the primary key already exists."""
         row = self.schema.normalize_row(values)

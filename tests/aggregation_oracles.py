@@ -1,19 +1,21 @@
-"""Pure-Python reference builders for the three aggregate realms.
+"""Pure-Python reference builders for the four aggregate realms.
 
 The per-row, dict-bucketing implementations the columnar builders in
 :mod:`repro.aggregation.columnar` replaced.  They are the oracle the
-property tests (``tests/test_columnar_aggregation.py``) and benches A10 /
-A3 compare the shipped fold against row-for-row: each rebuilds
-``agg_<realm>_<period>`` from scratch by walking every fact as a dict.
+property tests (``tests/test_columnar_aggregation.py``,
+``tests/test_aggregate_specs.py``) and benches A10 / A3 compare the
+shipped fold against row-for-row: each rebuilds ``agg_<realm>_<period>``
+from scratch by walking every fact as a dict.
 """
 
 from __future__ import annotations
 
 from repro.aggregation import (
+    ALLOCATIONS,
+    CLOUD,
+    JOBS,
+    STORAGE,
     AggregationConfig,
-    agg_cloud_schema,
-    agg_job_schema,
-    agg_storage_schema,
 )
 from repro.timeutil import (
     SECONDS_PER_HOUR,
@@ -35,7 +37,7 @@ def aggregate_jobs_oracle(
     schema: Schema, config: AggregationConfig, period: str
 ) -> int:
     """Pure-Python reference rebuild of ``agg_job_<period>``."""
-    _replace_table(schema, agg_job_schema(period))
+    _replace_table(schema, JOBS.table_schema(period))
     if not schema.has_table("fact_job"):
         return 0
     agg = schema.table(f"agg_job_{period}")
@@ -121,7 +123,7 @@ def aggregate_storage_oracle(
     schema: Schema, config: AggregationConfig, period: str
 ) -> int:
     """Pure-Python reference rebuild of ``agg_storage_<period>``."""
-    _replace_table(schema, agg_storage_schema(period))
+    _replace_table(schema, STORAGE.table_schema(period))
     if not schema.has_table("fact_storage"):
         return 0
     agg = schema.table(f"agg_storage_{period}")
@@ -194,7 +196,7 @@ def aggregate_cloud_oracle(
     schema: Schema, config: AggregationConfig, period: str
 ) -> int:
     """Pure-Python reference rebuild of ``agg_cloud_<period>``."""
-    _replace_table(schema, agg_cloud_schema(period))
+    _replace_table(schema, CLOUD.table_schema(period))
     if not schema.has_table("fact_vm_interval"):
         return 0
     agg = schema.table(f"agg_cloud_{period}")
@@ -287,6 +289,70 @@ def aggregate_cloud_oracle(
                 "n_vms_started": int(measures["n_vms_started"]),
                 "n_vms_ended": int(measures["n_vms_ended"]),
                 "total_cores": measures["total_cores"],
+            }
+        )
+    return len(agg)
+
+
+def aggregate_allocations_oracle(schema: Schema, period: str) -> int:
+    """Build ``agg_allocation_<period>`` from the charge facts.
+
+    ``su_granted`` is apportioned across the allocation's validity window
+    (pro-rated per period) so utilization-per-period is meaningful.
+    """
+    name = f"agg_allocation_{period}"
+    if schema.has_table(name):
+        schema.drop_table(name)
+    schema.create_table(ALLOCATIONS.table_schema(period))
+    if not schema.has_table("fact_allocation_charge"):
+        return 0
+    agg = schema.table(name)
+    buckets: dict[tuple[int, int], dict] = {}
+    alloc_rows = {
+        row["allocation_id"]: row
+        for row in schema.table("dim_allocation").rows()
+    }
+    resource_ids = (
+        {
+            row["name"]: row["resource_id"]
+            for row in schema.table("dim_resource").rows()
+        }
+        if schema.has_table("dim_resource")
+        else {}
+    )
+    for charge in schema.table("fact_allocation_charge").rows():
+        key = (period_start(period, charge["end_ts"]), charge["allocation_id"])
+        entry = buckets.setdefault(
+            key, {"xdsu": 0.0, "n": 0, "project": charge["project"],
+                  "resource_id": charge["resource_id"]}
+        )
+        entry["xdsu"] += charge["xdsu_charged"]
+        entry["n"] += 1
+    # pro-rate grants over the allocation windows (even with no charges)
+    for allocation_id, row in alloc_rows.items():
+        span = row["end_ts"] - row["start_ts"]
+        for p_start, p_end in period_range(period, row["start_ts"], row["end_ts"]):
+            ov = overlap_seconds(row["start_ts"], row["end_ts"], p_start, p_end)
+            if ov <= 0:
+                continue
+            key = (p_start, allocation_id)
+            entry = buckets.setdefault(
+                key, {"xdsu": 0.0, "n": 0, "project": row["project"],
+                      "resource_id": resource_ids.get(row["resource"], 0)}
+            )
+            entry["granted"] = row["su_granted"] * ov / span
+    for (p_start, allocation_id) in sorted(buckets):
+        entry = buckets[(p_start, allocation_id)]
+        agg.insert(
+            {
+                "period_start": p_start,
+                "period_label": period_label(period, p_start),
+                "allocation_id": allocation_id,
+                "project": entry["project"],
+                "resource_id": entry["resource_id"],
+                "xdsu_charged": entry["xdsu"],
+                "n_jobs_charged": entry["n"],
+                "su_granted": entry.get("granted", 0.0),
             }
         )
     return len(agg)

@@ -146,3 +146,38 @@ class TestRealmQueries:
 
         create_allocations_realm(schema)
         assert aggregate_allocations(schema, "month") == 0
+
+
+class TestRegistrationIsAllOrNothing:
+    def test_a_bad_grant_stores_none_of_the_batch(self, schema):
+        before = sorted(schema.table("dim_allocation").raw_rows())
+        version = schema.data_version
+        with pytest.raises(ValueError, match="allocation 11"):
+            register_allocations(schema, [
+                Allocation(10, "pi_gamma", "r1", 10.0, Q1_START, Q1_END),
+                Allocation(11, "pi_gamma", "r1", 10.0, Q1_END, Q1_START),
+                Allocation(1, "pi_alpha", "r1", 1.0, Q1_START, Q1_END),
+            ])
+        assert sorted(schema.table("dim_allocation").raw_rows()) == before
+        assert schema.data_version == version
+
+    def test_batch_lands_like_upserts_one_by_one(self, schema):
+        twin = Database().create_schema("modw")
+        grants = [
+            Allocation(3, "pi_gamma", "r1", 10.0, Q1_START, Q1_END),
+            Allocation(3, "pi_gamma", "r1", 20.0, Q1_START, YEAR_END),
+            Allocation(4, "pi_delta", "r1", 5, Q1_START, Q1_END),
+        ]
+        assert register_allocations(schema, grants) == 3
+        for grant in grants:
+            register_allocations(twin, [grant])
+        assert schema.table("dim_allocation").get((3,))["su_granted"] == 20.0
+        assert schema.table("dim_allocation").get((4,))["su_granted"] == 5.0
+        def row_events(s):
+            return [
+                (e.etype, e.data) for e in s.binlog
+                if e.table == "dim_allocation" and "row" in e.data
+            ]
+
+        assert row_events(schema)[-3:] == row_events(twin)
+        assert [etype.value for etype, _ in row_events(twin)] == ["insert", "update", "insert"]

@@ -23,6 +23,8 @@ Covers the PR-9 analytics loop end to end:
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.analytics import (
@@ -41,7 +43,7 @@ from repro.obs.anomaly import (
     JobScore,
     classify_kind,
 )
-from repro.realms import supremm_realm
+from repro.realms import RealmQueryError, supremm_realm
 from repro.simulators import (
     WorkloadConfig,
     WorkloadGenerator,
@@ -341,6 +343,61 @@ class TestEfficiencyEndpoint:
         _, payload, headers = api.handle_full("/jobs/efficiency", {})
         assert headers["X-Cache"] == "stale"
         assert payload["jobs"][0]["score"] == 0.0
+
+
+class TestSupremmRealmInterface:
+    """The SUPReMM realm answers the realm interface the REST layer calls
+    (``/realms``, ``/query``) and checks its arguments like every realm."""
+
+    @pytest.fixture()
+    def api(self, two_member_sources):
+        return XdmodApi(
+            {"supremm": supremm_realm()}, two_member_sources,
+            obs=fake_obs("api"),
+        )
+
+    def get(self, api, path):
+        status, _, body, _ = api.handle_http(path, {})
+        return status, json.loads(body)
+
+    def test_realms_lists_its_dimensions(self, api):
+        status, payload = self.get(api, "/realms")
+        assert status == 200
+        assert payload["supremm"]["dimensions"] == ["application", "person", "resource"]
+        assert len(payload["supremm"]["metrics"]) == 9
+
+    def test_query_is_served(self, api, two_member_sources):
+        status, payload = self.get(
+            api,
+            f"/query?realm=supremm&metric=avg_cpu_user&start={T0}&end={T_MAR}"
+            "&group_by=application",
+        )
+        assert status == 200
+        want = supremm_realm().query(
+            two_member_sources, "avg_cpu_user", start=T0, end=T_MAR,
+            group_by="application",
+        )
+        assert want.rows
+        assert [(r["group"], r["period_start"], r["value"]) for r in payload["rows"]] == [
+            (r.group, r.period_start, r.value) for r in want.rows
+        ]
+
+    def test_what_it_cannot_serve_is_a_400(self, api):
+        base = f"/query?realm=supremm&metric=avg_cpu_user&start={T0}&end={T_MAR}"
+        for extra in ("&filter.resource=x", "&view=aggregate", "&group_by=queue"):
+            status, payload = self.get(api, base + extra)
+            assert status == 400, extra
+            assert "error" in payload
+
+    def test_bad_range_and_period_raise_realm_query_error(self, two_member_sources):
+        realm = supremm_realm()
+        with pytest.raises(RealmQueryError):
+            realm.query(two_member_sources, "avg_cpu_user", start=T_MAR, end=T0)
+        with pytest.raises(RealmQueryError):
+            realm.query(
+                two_member_sources, "avg_cpu_user", start=T0, end=T_MAR,
+                period="fortnight",
+            )
 
 
 # -- detector (synthetic scores) ----------------------------------------------

@@ -122,3 +122,30 @@ class TestIngest:
         # append-only: second batch continues ids
         ingest_appkernels(schema, results[:3])
         assert len(schema.table("fact_appkernel")) == n + 3
+
+    def test_run_ids_follow_the_largest_stored_one(self):
+        """After a deleted run, a batch still lands every record under a
+        fresh id and leaves every stored run as it was (ids used to be
+        ``len + 1``, which collides with a stored run)."""
+        schema = Database().create_schema("modw")
+        results = run_window(10)
+        ingest_appkernels(schema, results[:5])
+        table = schema.table("fact_appkernel")
+        table.delete_key((2,))
+        stored = {row["run_id"]: row for row in table.rows()}
+        assert ingest_appkernels(schema, results[5:8]) == 3
+        rows = {row["run_id"]: row for row in table.rows()}
+        assert sorted(rows) == [1, 3, 4, 5, 6, 7, 8]
+        assert all(rows[run_id] == row for run_id, row in stored.items())
+
+    def test_one_batch_with_the_row_events(self):
+        """One version bump by the batch size, one ``INSERT`` per run."""
+        schema = Database().create_schema("modw")
+        results = run_window(10)
+        ingest_appkernels(schema, results[:1])
+        version, head = schema.data_version, schema.binlog.head_lsn
+        ingest_appkernels(schema, results[1:6])
+        assert schema.data_version - version == 5
+        events = schema.binlog.read_from(head)
+        assert [e.etype.value for e in events] == ["insert"] * 5
+        assert [e.data["row"]["run_id"] for e in events] == [2, 3, 4, 5, 6]

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.aggregation import AggregationConfig, Aggregator
+from repro.aggregation import CLOUD, JOBS, STORAGE, AggregationConfig, Aggregator
 from repro.aggregation.columnar import group_reduce
 from repro.aggregation.levels import (
     DEFAULT_JOBSIZE_LEVELS,
@@ -295,9 +295,9 @@ class TestColumnarOracleParity:
         agg.aggregate_all_incremental(["month"])
         insert_job(s, 2, start=T0 + 86400, wall=7200)
         agg.aggregate_all(["month"])  # full rebuild covers job 2
-        assert agg.aggregate_jobs_incremental("month") == 0
-        assert agg.aggregate_storage_incremental("month") == 0
-        assert agg.aggregate_cloud_incremental("month") == 0
+        assert agg.fold(JOBS, "month") == 0
+        assert agg.fold(STORAGE, "month") == 0
+        assert agg.fold(CLOUD, "month") == 0
 
 
 def upsert_row_by_row(table, columns):
@@ -548,7 +548,7 @@ class TestZeroWalltimeRegression:
     def test_incremental_keeps_usage(self):
         s = build_schema()
         insert_job(s, 1, **self.params())
-        Aggregator(s).aggregate_jobs_incremental("month")
+        Aggregator(s).fold(JOBS, "month")
         rows = list(s.table("agg_job_month").rows())
         assert sum(r["cpu_hours"] for r in rows) == pytest.approx(7.5)
 
@@ -589,7 +589,7 @@ class TestZeroLengthIntervalRegression:
             elif mode == "fast":
                 Aggregator(s).aggregate_cloud("month")
             else:
-                Aggregator(s).aggregate_cloud_incremental("month")
+                Aggregator(s).fold(CLOUD, "month")
             results.append(table_rows(s, "agg_cloud_month"))
         assert results[0] == results[1] == results[2]
 

@@ -15,19 +15,13 @@ import json
 
 import pytest
 
-from repro.aggregation import Aggregator
-from repro.aggregation.engine import (
-    agg_cloud_schema,
-    agg_job_schema,
-    agg_storage_schema,
-    agg_watermark_schema,
-)
+from repro.aggregation import JOBS, SPECS, Aggregator
+from repro.aggregation.engine import agg_watermark_schema
 from repro.core import LooseChannel, ReplicationChannel, ReplicationFilter
 from repro.etl import ingest_cloud_events, ingest_jobs, ingest_storage_snapshots
 from repro.obs import MetricsRegistry, Observability
 from repro.realms import jobs_realm
-from repro.realms.allocations import agg_allocation_schema
-from repro.timeutil import ts
+from repro.timeutil import PERIODS, ts
 from repro.ui import XdmodApi
 from repro.warehouse import (
     ColumnType,
@@ -78,8 +72,7 @@ def aggregated_satellite():
 class TestSchemaFlag:
     def test_every_aggregate_table_declares_itself_derived(self):
         for table_schema in (
-            agg_job_schema("month"), agg_storage_schema("day"),
-            agg_cloud_schema("year"), agg_allocation_schema("quarter"),
+            *(spec.table_schema(period) for spec in SPECS for period in PERIODS),
             agg_watermark_schema(),
         ):
             assert table_schema.derived, table_schema.name
@@ -174,7 +167,7 @@ class TestRowMutationsLogNothing:
         assert lookups() == {"hit": 1.0, "miss": 1.0, "stale": 0.0}
         ingest_jobs(schema, [make_job(i) for i in range(20, 25)])
         head, version = schema.binlog.head_lsn, schema.data_version
-        assert aggregator.aggregate_jobs_incremental("month") == 5
+        assert aggregator.fold(JOBS, "month") == 5
         assert schema.binlog.head_lsn == head  # the fold wrote no event at all
         assert schema.data_version > version
         assert served_jobs() == 24

@@ -130,7 +130,7 @@ class TestFederatedSupremm:
     def test_federated_weighted_average(self, perf_federation):
         hub, satellites = perf_federation
         realm = supremm_realm()
-        federated = realm.query_federated(
+        federated = realm.query(
             hub.federated_schemas(), "avg_cpu_user",
             start=T0, end=T_MAR,
         )
@@ -149,7 +149,7 @@ class TestFederatedSupremm:
                     den += job["cpu_hours"]
         expected = num / den
         # collapse to a single period so the one row IS the weighted mean
-        whole = realm.query_federated(
+        whole = realm.query(
             hub.federated_schemas(), "avg_cpu_user",
             start=T0, end=T_MAR, period="year",
         )
@@ -159,7 +159,7 @@ class TestFederatedSupremm:
     def test_federated_group_by_person(self, perf_federation):
         hub, _ = perf_federation
         realm = supremm_realm()
-        result = realm.query_federated(
+        result = realm.query(
             hub.federated_schemas(), "avg_mem_used_gb",
             start=T0, end=T_MAR, group_by="person",
         )
@@ -176,7 +176,7 @@ class TestFederatedSupremm:
         """
         hub, satellites = perf_federation
         realm = supremm_realm()
-        federated = realm.query_federated(
+        federated = realm.query(
             hub.federated_schemas(), "avg_flops_gf",
             start=T0, end=T_MAR, period="year", group_by="application",
         )
@@ -208,21 +208,21 @@ class TestFederatedSupremm:
         hub, _ = perf_federation
         realm = supremm_realm()
         sources = dict(hub.federated_schemas())
-        baseline = realm.query_federated(
+        baseline = realm.query(
             sources, "avg_cpu_user", start=T0, end=T_MAR
         )
         assert baseline.rows
         # a member with no performance summaries contributes nothing
         # (and does not error the whole federated answer)
         sources["fed_idle"] = XdmodInstance("idle").schema
-        with_idle = realm.query_federated(
+        with_idle = realm.query(
             sources, "avg_cpu_user", start=T0, end=T_MAR
         )
         assert [
             (r.group, r.period_start, r.value) for r in with_idle.rows
         ] == [(r.group, r.period_start, r.value) for r in baseline.rows]
         # an empty source mapping answers empty, not an error
-        empty = realm.query_federated({}, "avg_cpu_user", start=T0, end=T_MAR)
+        empty = realm.query({}, "avg_cpu_user", start=T0, end=T_MAR)
         assert empty.rows == []
 
     def test_federated_unknown_metric_and_dimension_raise(
@@ -231,11 +231,11 @@ class TestFederatedSupremm:
         hub, _ = perf_federation
         realm = supremm_realm()
         with pytest.raises(RealmQueryError):
-            realm.query_federated(
+            realm.query(
                 hub.federated_schemas(), "avg_nope", start=T0, end=T_MAR
             )
         with pytest.raises(RealmQueryError):
-            realm.query_federated(
+            realm.query(
                 hub.federated_schemas(), "avg_cpu_user",
                 start=T0, end=T_MAR, group_by="galaxy",
             )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.aggregation import Aggregator
+from repro.aggregation import JOBS, Aggregator
 from repro.etl import (
     IngestPipeline,
     PbsParseError,
@@ -133,9 +133,9 @@ class TestIncrementalAggregation:
         schema = Database().create_schema("modw")
         aggregator = Aggregator(schema)
         ingest_jobs(schema, self._jobs(1, 20))
-        assert aggregator.aggregate_jobs_incremental("month") == 20
+        assert aggregator.fold(JOBS, "month") == 20
         ingest_jobs(schema, self._jobs(100, 15, base_day=20))
-        assert aggregator.aggregate_jobs_incremental("month") == 15
+        assert aggregator.fold(JOBS, "month") == 15
 
         incremental_rows = sorted(
             tuple(sorted(r.items()))
@@ -162,9 +162,9 @@ class TestIncrementalAggregation:
         schema = Database().create_schema("modw")
         aggregator = Aggregator(schema)
         ingest_jobs(schema, self._jobs(1, 10))
-        aggregator.aggregate_jobs_incremental("month")
+        aggregator.fold(JOBS, "month")
         total = sum(r["cpu_hours"] for r in schema.table("agg_job_month").rows())
-        assert aggregator.aggregate_jobs_incremental("month") == 0
+        assert aggregator.fold(JOBS, "month") == 0
         assert sum(
             r["cpu_hours"] for r in schema.table("agg_job_month").rows()
         ) == pytest.approx(total)
@@ -173,10 +173,10 @@ class TestIncrementalAggregation:
         schema = Database().create_schema("modw")
         aggregator = Aggregator(schema)
         ingest_jobs(schema, self._jobs(1, 10))
-        aggregator.aggregate_jobs_incremental("month")
+        aggregator.fold(JOBS, "month")
         aggregator.aggregate_jobs("month")  # full rebuild
         # nothing new -> incremental must not double count
-        assert aggregator.aggregate_jobs_incremental("month") == 0
+        assert aggregator.fold(JOBS, "month") == 0
         raw = sum(r["cpu_hours"] for r in schema.table("fact_job").rows())
         agg = sum(r["cpu_hours"] for r in schema.table("agg_job_month").rows())
         assert agg == pytest.approx(raw)
@@ -194,11 +194,11 @@ class TestIncrementalAggregation:
             resource="r1",
         )
         ingest_jobs(schema, [job])
-        aggregator.aggregate_jobs_incremental("month")
+        aggregator.fold(JOBS, "month")
         rows = {r["period_label"]: r for r in schema.table("agg_job_month").rows()}
         assert rows["2017-01"]["cpu_hours"] == pytest.approx(20.0)
         assert rows["2017-02"]["cpu_hours"] == pytest.approx(20.0)
 
     def test_incremental_on_empty_schema(self):
         schema = Database().create_schema("modw")
-        assert Aggregator(schema).aggregate_jobs_incremental("month") == 0
+        assert Aggregator(schema).fold(JOBS, "month") == 0

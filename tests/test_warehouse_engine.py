@@ -91,11 +91,12 @@ class TestCrud:
         table.insert({"job_id": 2, "user": "u2"})
         assert len(table) == 2
 
-    def test_insert_many(self, table):
-        n = table.insert_many(
-            {"job_id": i, "user": f"u{i}"} for i in range(5)
+    def test_upsert_columns_inserts_a_batch(self, table):
+        n = table.upsert_columns(
+            {"job_id": list(range(5)), "user": [f"u{i}" for i in range(5)]}
         )
         assert n == 5 and len(table) == 5
+        assert table.get((3,))["user"] == "u3"
 
     def test_duplicate_pk_rejected(self, table):
         table.insert({"job_id": 1, "user": "u1"})
@@ -115,8 +116,8 @@ class TestCrud:
         assert table.get((1,))["cpu_hours"] == 9.0
 
     def test_update_where(self, table):
-        table.insert_many(
-            {"job_id": i, "user": "u1" if i < 3 else "u2"} for i in range(5)
+        table.upsert_columns(
+            {"job_id": list(range(5)), "user": ["u1"] * 3 + ["u2"] * 2}
         )
         n = table.update_where(
             lambda r: r["user"] == "u1", {"cpu_hours": 7.0}
@@ -133,7 +134,7 @@ class TestCrud:
             table.update_where(lambda r: r["job_id"] == 2, {"job_id": 1})
 
     def test_delete_where(self, table):
-        table.insert_many({"job_id": i, "user": "u"} for i in range(4))
+        table.upsert_columns({"job_id": list(range(4)), "user": ["u"] * 4})
         assert table.delete_where(lambda r: r["job_id"] % 2 == 0) == 2
         assert sorted(r["job_id"] for r in table.rows()) == [1, 3]
         # deleted keys are reusable
@@ -145,7 +146,7 @@ class TestCrud:
         through the primary-key index, not a scan."""
         twin = Database().create_schema("modw").create_table(jobs_table_schema())
         for t in (table, twin):
-            t.insert_many({"job_id": i, "user": "u"} for i in range(4))
+            t.upsert_columns({"job_id": list(range(4)), "user": ["u"] * 4})
         assert table.delete_key((2,)) is True
         assert twin.delete_where(lambda r: r["job_id"] == 2) == 1
         assert table.delete_key([2]) is False  # already gone: nothing happens
@@ -164,7 +165,7 @@ class TestCrud:
             log.delete_key(("a",))
 
     def test_truncate(self, table):
-        table.insert_many({"job_id": i, "user": "u"} for i in range(4))
+        table.upsert_columns({"job_id": list(range(4)), "user": ["u"] * 4})
         table.truncate()
         assert len(table) == 0
         assert table.get((1,)) is None
@@ -266,7 +267,7 @@ class TestApplyEvent:
         primary-key index (``Table.delete_key``), not ``delete_where``."""
         source = Database().create_schema("src")
         t = source.create_table(jobs_table_schema())
-        t.insert_many({"job_id": i, "user": "u"} for i in range(6))
+        t.upsert_columns({"job_id": list(range(6)), "user": ["u"] * 6})
         t.delete_where(lambda r: r["job_id"] == 2)
         t.update_where(lambda r: r["job_id"] == 3, {"job_id": 30})
         target = Database().create_schema("dst")

@@ -117,21 +117,37 @@ warehouse has no row-level query API and no secondary indexes; the
 row-at-a-time reference `Realm.query` is tested against lives in
 `tests/realm_query_oracle.py`.
 
-### Aggregation: two verbs over one fold
+### Aggregation: one spec per realm, two verbs over one fold
 
-Each realm has one builder (`repro.aggregation.columnar`): a fold that
-recomputes, from all their facts, the groups that fact rows not yet folded
-contribute to.  `build_job_rows` / `build_storage_rows` /
-`build_cloud_rows(schema, config, period, since)` return those groups as a
-column batch (`dict[str, np.ndarray]`, one array per aggregate column, rows
-in the reference's order) and the fold hands it to
-`agg_<realm>_<period>.upsert_columns(...)` — the aggregate never exists as
+Each aggregated realm is declared once, as a frozen
+`repro.aggregation.AggregateSpec(realm, prefix, fact_tables, columns, key,
+build)` — `JOBS`, `STORAGE`, `CLOUD`, `ALLOCATIONS`, all four in `SPECS`.
+`spec.table_schema(period)` is the `<prefix>_<period>` table
+(`period_start`, `period_label`, then `columns`; primary key
+`("period_start", *key)`; `derived=True`); the fold, `aggregate_all`, the
+realm factories (`Realm.agg_prefix` is `spec.prefix`) and repolint's schema
+catalog all read the spec, so a new realm costs one spec and one builder.
+`spec.build` is the realm's one builder (`repro.aggregation.columnar`): a
+fold that recomputes, from all their facts, the groups that fact rows not
+yet folded contribute to.  `build_job_rows` / `build_storage_rows` /
+`build_cloud_rows` / `build_allocation_rows(schema, config, period, since)`
+return those groups as a column batch (`dict[str, np.ndarray]`, one array
+per aggregate column, rows in the reference's order) and the fold hands it
+to `<prefix>_<period>.upsert_columns(...)` — the aggregate never exists as
 a list of row dicts.  The two verbs differ only in where the fold starts:
 
 | verb | entry point | starts at | returns |
 |---|---|---|---|
-| rebuild | `Aggregator.aggregate_jobs` / `aggregate_storage` / `aggregate_cloud` | row 0, after dropping the table and its watermark | rows written |
-| fold | `Aggregator.aggregate_*_incremental` | the watermark | fact rows folded |
+| rebuild | `Aggregator.rebuild(spec, period)` | row 0, after dropping the table and its watermark | rows written |
+| fold | `Aggregator.fold(spec, period)` | the watermark | fact rows folded |
+
+Each call is one `aggregate_<realm>` span, one
+`aggregation_build_seconds{realm,mode}` observation and one
+`aggregation_rows_total` bump; `aggregate_all` / `aggregate_all_incremental`
+run them over `JOBS`, `STORAGE`, `CLOUD` for every period, and
+`aggregate_jobs` / `aggregate_storage` / `aggregate_cloud` name the three
+rebuilds.  Allocations is rebuilt on demand,
+`repro.realms.aggregate_allocations(schema, period)`.
 
 The watermark is one table per schema, `agg_watermark`
 (`agg_table, fact_table -> n_rows, version`), written by every fold.  A

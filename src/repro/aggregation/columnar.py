@@ -12,11 +12,19 @@ reduction (:func:`group_reduce`: ``np.lexsort`` + ``np.add.reduceat``).
 
 A builder takes ``since`` — per fact table, the index of the first row
 not yet folded — and carries one extra 0/1 measure through the same
-reduction: a group is emitted only when a row at or past ``since``
-contributed to it.  An emitted group is always computed from *all* its
-facts, so distinct counts and gauge averages need no running state and a
-fold equals a rebuild bit for bit; the rebuild is the fold with nothing
-folded yet (an empty ``since``).
+reduction: a group is emitted only when a row at or past ``since`` (a
+*fresh* row) contributed to it.  An emitted group is always computed from
+*all* its facts, so distinct counts and gauge averages need no running
+state; the rebuild is the fold with nothing folded yet (an empty
+``since``).
+
+A fold reads only the rows that can reach a touched group
+(:func:`_touching`): a builder first drops every row whose period span
+misses the fresh rows' period hull or whose group-key values no fresh row
+has, so a nightly fold costs what its delta touches, not the history.  It
+stays exact: a group's key holds its period and every key column, so the
+rows of a touched group all pass, in their order, and the stable sort in
+:func:`group_reduce` sums them as a rebuild does — bit for bit.
 
 What a builder returns is a column batch — one equal-length array per
 aggregate-table column, rows in the oracle's order — which the caller
@@ -33,7 +41,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..timeutil import SECONDS_PER_HOUR, period_bounds, period_label
+from ..timeutil import SECONDS_PER_HOUR, period_bounds, period_label, period_next, period_start
 from ..warehouse import Schema
 
 __all__ = [
@@ -168,6 +176,51 @@ def _expand_periods(
     return src, period_idx, overlap
 
 
+def _occurs(column: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether each of ``column``'s values is NULL or among ``values``
+    (strings as :func:`_factorize` codes them: ``None`` as ``"None"``)."""
+    if column.dtype != object:
+        return np.isin(column, values) | np.isnan(column)
+    wanted = set(values.tolist())
+    wanted |= {str(v) for v in wanted}
+    return np.isin(column, np.array(list(wanted), dtype=object)) | np.equal(column, None)
+
+
+def _touching(
+    period: str,
+    keys: Sequence[str],
+    *parts: tuple[dict[str, np.ndarray], np.ndarray, str, str],
+) -> list[tuple[dict[str, np.ndarray], np.ndarray]]:
+    """Each fact table cut down to the rows that can reach a group a fresh
+    row touches.
+
+    ``parts``: per fact table, its column arrays, its ``fresh`` mask and
+    the two columns whose periods bound those a row contributes to.  A row
+    is kept if fresh, or if its period span meets the hull of all fresh
+    rows' periods and each of its ``keys`` values is NULL or one a fresh
+    row has.  Returns ``(columns, fresh)`` per part, rows in order; a
+    rebuild (every row fresh) gets the parts back as they are.
+    """
+    if all(fresh.all() for _, fresh, _, _ in parts):
+        return [(columns, fresh) for columns, fresh, _, _ in parts]
+    lo = np.concatenate([c[first][f] for c, f, first, _ in parts])
+    hi = np.concatenate([c[last][f] for c, f, _, last in parts])
+    if len(lo) == 0:  # nothing fresh, no group touched
+        return [({name: v[:0] for name, v in c.items()}, f[:0]) for c, f, _, _ in parts]
+    hull_start = period_start(period, int(lo.min()))
+    hull_end = period_next(period, period_start(period, int(hi.max())))
+    values = {key: np.concatenate([c[key][f] for c, f, _, _ in parts]) for key in keys}
+    out = []
+    for columns, fresh, first, last in parts:
+        keep = (columns[last] >= hull_start) & (columns[first] < hull_end)
+        for key, wanted in values.items():
+            idx = np.flatnonzero(keep)
+            keep[idx] = _occurs(columns[key][idx], wanted)
+        rows = np.flatnonzero(keep | fresh)
+        out.append(({name: v[rows] for name, v in columns.items()}, fresh[rows]))
+    return out
+
+
 def _columns(schema: Schema, table: str, columns: Sequence[str]) -> dict[str, np.ndarray]:
     """Column arrays of ``table``; all empty when the schema lacks it."""
     if schema.has_table(table):
@@ -211,14 +264,13 @@ def _period_columns(
     period: str, bounds: np.ndarray, period_idx: np.ndarray
 ) -> dict[str, np.ndarray]:
     """The ``period_start`` / ``period_label`` columns of rows falling in
-    windows ``period_idx`` of ``bounds`` (one label computed per window)."""
+    windows ``period_idx`` of ``bounds`` (one label per window emitted)."""
+    windows, at = np.unique(period_idx, return_inverse=True)
     labels = np.array(
-        [period_label(period, start) for start in bounds.tolist()], dtype=object
+        [period_label(period, start) for start in bounds[windows].tolist()],
+        dtype=object,
     )
-    return {
-        "period_start": bounds[period_idx],
-        "period_label": labels[period_idx],
-    }
+    return {"period_start": bounds[period_idx], "period_label": labels[at]}
 
 
 def _counts(sums: np.ndarray) -> np.ndarray:
@@ -241,14 +293,18 @@ def build_job_rows(
     every group that a fact row at or past ``since["fact_job"]`` (absent:
     row 0, so every group) contributes to.
     """
-    table = schema.table("fact_job")
-    if len(table) == 0:
-        return {}
-    c = table.column_arrays([
+    c = schema.table("fact_job").column_arrays([
         "resource_id", "person_id", "pi_id", "app_id", "queue_id",
         "start_ts", "end_ts", "walltime_s", "wait_s", "cores",
         "cpu_hours", "node_hours", "xdsu",
     ])
+    ((c, fresh),) = _touching(
+        period, ("resource_id", "person_id", "pi_id", "app_id", "queue_id"),
+        (c, np.arange(len(c["end_ts"])) >= since.get("fact_job", 0), "start_ts", "end_ts"),
+    )
+    n = len(fresh)
+    if n == 0:
+        return {}
     start, end = c["start_ts"], c["end_ts"]
     wall = c["walltime_s"].astype(np.float64)
     wl_labels, wl = _level_codes(config.walltime_levels, wall)
@@ -256,9 +312,7 @@ def build_job_rows(
     dims = [c["resource_id"], c["person_id"], c["pi_id"], c["app_id"], c["queue_id"], wl, sz]
 
     bounds = _period_bounds(period, start, end)
-    n = len(start)
     ones = np.ones(n)
-    fresh = np.arange(n) >= since.get("fact_job", 0)
     contributions = _Contributions((
         "n_jobs_ended", "n_jobs_started", "cpu_hours", "node_hours",
         "xdsu", "wall_hours", "wait_hours",
@@ -326,17 +380,20 @@ def build_storage_rows(
     every group that a snapshot at or past ``since["fact_storage"]``
     (absent: row 0, so every group) falls in.  ``config`` is unused
     (storage has no level set); every realm builder shares one signature.
-    ``resource_type`` is the newest snapshot's per (resource, filesystem),
-    which ingest keeps stable.
+    A group's ``resource_type`` is its newest snapshot's (the later row on
+    a tie).
     """
-    table = schema.table("fact_storage")
-    if len(table) == 0:
-        return {}
-    c = table.column_arrays([
+    c = schema.table("fact_storage").column_arrays([
         "ts", "resource_id", "filesystem", "resource_type", "person_id",
         "file_count", "logical_usage_gb", "physical_usage_gb",
         "soft_quota_gb", "hard_quota_gb",
     ])
+    ((c, fresh),) = _touching(
+        period, ("resource_id", "filesystem"),
+        (c, np.arange(len(c["ts"])) >= since.get("fact_storage", 0), "ts", "ts"),
+    )
+    if len(fresh) == 0:
+        return {}
     ts_, rid = c["ts"], c["resource_id"]
     fs_labels, (fs,) = _factorize(c["filesystem"])
     soft = np.asarray(c["soft_quota_gb"], dtype=np.float64)
@@ -350,11 +407,16 @@ def build_storage_rows(
     bounds = _period_bounds(period, ts_)
     p_all = _period_of(bounds, ts_)
 
-    # last-snapshot-wins resource_type per (resource, filesystem), matching
-    # the oracle's meta dict
-    meta: dict[tuple[int, int], Any] = {}
-    for r, f, t in zip(rid.tolist(), fs.tolist(), c["resource_type"].tolist()):
-        meta[(int(r), int(f))] = t
+    # each (period, resource, filesystem) group's newest snapshot: the last
+    # of its rows once stably sorted by ts, groups in the order stage 2
+    # emits them
+    order = np.lexsort((ts_, fs, rid, p_all))
+    newest = np.zeros(len(order), dtype=bool)
+    newest[-1] = True
+    for k in (p_all, rid, fs):
+        k = k[order]
+        newest[:-1] |= k[:-1] != k[1:]
+    resource_type = c["resource_type"][order[newest]]
 
     # stage 1: collapse per-timestamp totals across users
     ts_keys, ts_sums = group_reduce(
@@ -368,7 +430,7 @@ def build_storage_rows(
             "soft_quota_gb": np.where(has_quota, soft, 0.0),
             "hard_quota_gb": np.where(np.isnan(hard), 0.0, hard),
             "user_count": _first_occurrence([p_all, rid, fs, c["person_id"]]),
-            "fresh": np.arange(len(ts_)) >= since.get("fact_storage", 0),
+            "fresh": fresh,
         },
     )
     # stage 2: average the per-timestamp totals within each period
@@ -385,14 +447,11 @@ def build_storage_rows(
     p, rid, fs = (k[touched] for k in period_keys)
     sums = {m: v[touched] for m, v in period_sums.items()}
     n = sums["n_snapshots"]
-    resource_type = np.array(
-        [meta[key] for key in zip(rid.tolist(), fs.tolist())], dtype=object
-    )
     return {
         **_period_columns(period, bounds, p),
         "resource_id": rid,
         "filesystem": fs_labels[fs],
-        "resource_type": resource_type,
+        "resource_type": resource_type[touched],
         "avg_file_count": sums["file_count"] / n,
         "avg_logical_gb": sums["logical_gb"] / n,
         "avg_physical_gb": sums["physical_gb"] / n,
@@ -429,7 +488,14 @@ def build_cloud_rows(
         "provision_ts", "terminate_ts", "last_vcpus", "last_mem_gb",
         "n_state_changes",
     ])
-    n_iv, n_vm = len(iv["vm_id"]), len(vm["resource_id"])
+    # a VM counts in the periods of its provision_ts and terminate_ts
+    vm["last_ts"] = np.fmax(np.asarray(vm["terminate_ts"], dtype=np.float64), vm["provision_ts"])
+    (iv, iv_fresh), (vm, vm_fresh) = _touching(
+        period, ("resource_id", "project", "os", "submission_venue"),
+        (iv, np.arange(len(iv["vm_id"])) >= since.get("fact_vm_interval", 0), "start_ts", "end_ts"),
+        (vm, np.arange(len(vm["last_ts"])) >= since.get("fact_vm", 0), "provision_ts", "last_ts"),
+    )
+    n_iv, n_vm = len(iv_fresh), len(vm_fresh)
     if n_iv == 0 and n_vm == 0:
         return {}
     levels = config.vm_memory_levels
@@ -453,7 +519,6 @@ def build_cloud_rows(
     # intervals: one row per (interval, overlapped period); a zero-length
     # running interval accrues no hours but its VM was active in the period
     # containing start_ts, so it gets one all-zero row there
-    fresh = np.arange(n_iv) >= since.get("fact_vm_interval", 0)
     idx = np.flatnonzero(end > start)
     src, p, overlap = _expand_periods(start[idx], end[idx], bounds)
     instant = np.flatnonzero((end == start) & (state == "running"))
@@ -468,7 +533,7 @@ def build_cloud_rows(
     r = np.flatnonzero(running)
     active[r] = _first_occurrence([k[r] for k in keys] + [iv["vm_id"][src][r]])
     contributions.add(
-        keys, fresh[src],
+        keys, iv_fresh[src],
         core_hours=np.where(running, iv["vcpus"][src] * hours, 0.0),
         wall_hours=np.where(running, hours, 0.0),
         mem_gb_hours=np.where(running, iv["mem_gb"][src] * hours, 0.0),
@@ -479,16 +544,15 @@ def build_cloud_rows(
     )
 
     # VMs: started in the period of provision_ts, ended in terminate_ts's
-    fresh = np.arange(n_vm) >= since.get("fact_vm", 0)
     contributions.add(
-        [_period_of(bounds, vm["provision_ts"])] + vm_dims, fresh,
+        [_period_of(bounds, vm["provision_ts"])] + vm_dims, vm_fresh,
         n_vms_started=np.ones(n_vm),
         total_cores=vm["last_vcpus"].astype(np.float64),
         n_state_changes=vm["n_state_changes"].astype(np.float64),
     )
     idx = np.flatnonzero(~np.isnan(term))
     contributions.add(
-        [_period_of(bounds, term[idx])] + [d[idx] for d in vm_dims], fresh[idx],
+        [_period_of(bounds, term[idx])] + [d[idx] for d in vm_dims], vm_fresh[idx],
         n_vms_ended=np.ones(len(idx)),
     )
     uniq, sums = contributions.reduce()
@@ -538,8 +602,16 @@ def build_allocation_rows(
         "allocation_id", "project", "resource", "su_granted", "start_ts", "end_ts",
     ])
     res = _columns(schema, "dim_resource", ["resource_id", "name"])
-    n_ch = len(ch["end_ts"])
-    if n_ch == 0 and len(al["end_ts"]) == 0:
+    (ch, ch_fresh), (al, al_fresh) = _touching(
+        period, ("allocation_id",),
+        (ch, np.arange(len(ch["end_ts"])) >= since.get("fact_allocation_charge", 0),
+         "end_ts", "end_ts"),
+        (al, (np.arange(len(al["end_ts"])) >= since.get("dim_allocation", 0))
+         | np.isin(al["resource"], res["name"][since.get("dim_resource", 0):]),
+         "start_ts", "end_ts"),
+    )
+    n_ch = len(ch_fresh)
+    if n_ch == 0 and len(al_fresh) == 0:
         return {}
     start, end = al["start_ts"], al["end_ts"]
     bounds = _period_bounds(period, ch["end_ts"], start, end)
@@ -557,11 +629,7 @@ def build_allocation_rows(
         np.concatenate([_period_of(bounds, ch["end_ts"]), p]),
         np.concatenate([ch["allocation_id"], al["allocation_id"][src]]),
     ]
-    fresh = np.concatenate([
-        np.arange(n_ch) >= since.get("fact_allocation_charge", 0),
-        (src >= since.get("dim_allocation", 0))
-        | (res_row >= since.get("dim_resource", 0)),
-    ])
+    fresh = np.concatenate([ch_fresh, al_fresh[src]])
     contributions = _Contributions(
         ("xdsu_charged", "n_jobs_charged", "su_granted", "first")
     )

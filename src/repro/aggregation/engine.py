@@ -315,19 +315,19 @@ class Aggregator:
         of fact rows folded.
         """
         schema = self.schema
-        agg_schema = spec.table_schema(period)
-        since = None if rebuild else self._unfolded(spec, agg_schema.name)
+        agg_name = f"{spec.prefix}_{period}"
+        since = None if rebuild else self._unfolded(spec, agg_name)
         if since is None:
-            if schema.has_table(agg_schema.name):
-                schema.drop_table(agg_schema.name)
-            schema.create_table(agg_schema)
+            if schema.has_table(agg_name):
+                schema.drop_table(agg_name)
+            schema.create_table(spec.table_schema(period))
             if not schema.has_table("agg_watermark"):
                 schema.create_table(agg_watermark_schema())
             schema.table("agg_watermark").delete_where(
-                lambda mark: mark["agg_table"] == agg_schema.name
+                lambda mark: mark["agg_table"] == agg_name
             )
             since = {}
-        agg = schema.table(agg_schema.name)
+        agg = schema.table(agg_name)
         facts = [schema.table(n) for n in spec.fact_tables if schema.has_table(n)]
         folded = sum(len(fact) - since.get(fact.name, 0) for fact in facts)
         if folded:

@@ -12,7 +12,7 @@ requirement is that every instance runs the same XDMoD version.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from ..aggregation import AggregationConfig, Aggregator
 from ..etl.pipeline import WAREHOUSE_SCHEMA, IngestPipeline
@@ -524,15 +524,14 @@ class FederationHub(XdmodInstance):
 
     # -- hub-side aggregation -----------------------------------------------------
 
-    def federated_schemas(self, *, include_local: bool = False) -> dict[str, Schema]:
-        """Instance name -> hub-side schema holding its replicated data."""
-        out: dict[str, Schema] = {}
-        if include_local and len(self.schema.table_names()) > 1:
-            out[self.name] = self.schema
-        for member in self.members:
-            if self.database.has_schema(member.fed_schema):
-                out[member.name] = self.database.schema(member.fed_schema)
-        return out
+    def federated_schemas(self, *, include_local: bool = False) -> Mapping[str, Schema]:
+        """Instance name -> hub-side schema holding its replicated data.
+
+        A read-only live view, resolved on every access: whoever holds it
+        (an :class:`repro.ui.XdmodApi`, say) sees a loose re-ship's new
+        schema and the members that joined or left since it was handed out.
+        """
+        return _MemberSchemas(self, include_local)
 
     def aggregate_federation(
         self,
@@ -616,3 +615,32 @@ class FederationHub(XdmodInstance):
         (the Table I new-satellite scenario)."""
         self.aggregator.config = aggregation
         return self.aggregate_federation(periods)
+
+
+class _MemberSchemas(Mapping[str, Schema]):
+    """:meth:`FederationHub.federated_schemas`: the hub's current member
+    schemas, looked up afresh on every access."""
+
+    def __init__(self, hub: FederationHub, include_local: bool) -> None:
+        self._hub, self._include_local = hub, include_local
+
+    def _current(self) -> dict[str, Schema]:
+        hub, out = self._hub, {}
+        if self._include_local and len(hub.schema.table_names()) > 1:
+            out[hub.name] = hub.schema
+        for member in hub.members:
+            if hub.database.has_schema(member.fed_schema):
+                out[member.name] = hub.database.schema(member.fed_schema)
+        return out
+
+    def __getitem__(self, name: str) -> Schema:
+        return self._current()[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._current())
+
+    def __len__(self) -> int:
+        return len(self._current())
+
+    def items(self):  # one lookup per pass, not one per key
+        return self._current().items()

@@ -10,10 +10,10 @@ path cache-first instead:
 - :class:`QueryCache` — a bounded LRU of fully built response payloads,
   keyed on the canonical request ``(chart?, realm, metric, start, end,
   period, group_by, filters, view, top_n, title)`` and stamped with the
-  warehouse ``data_version`` counters of every source schema at build
-  time.  A hit never touches the aggregation engine; an entry whose
-  stamp no longer matches is *stale* and is recomputed and re-stamped in
-  place; the key space is bounded by LRU eviction.
+  warehouse ``data_version`` counters and serials of every source schema
+  at build time.  A hit never touches the aggregation engine; an entry
+  whose stamp no longer matches is *stale* and is recomputed and
+  re-stamped in place; the key space is bounded by LRU eviction.
 - :class:`QueryService` — parses and canonicalizes request parameters
   (rejecting bad ones with a 400 instead of an exception), consults the
   cache, paginates (``offset``/``limit`` slice the cached full payload,
@@ -387,16 +387,18 @@ class QueryService:
     # -- versions ------------------------------------------------------------
 
     def source_versions(self) -> tuple:
-        """Current ``data_version`` stamp of every source schema.
+        """Current ``(name, serial, data_version)`` stamp of every source
+        schema.
 
-        One integer read per schema — the whole invalidation check is
+        The serial tells a schema from the one it replaced under the same
+        name, whose ``data_version`` a fresh load can land on again.  Two
+        integer reads per schema — the whole invalidation check is
         O(#sources), never O(rows).
         """
-        if isinstance(self.sources, Schema):
-            return ((self.sources.name, self.sources.data_version),)
-        return tuple(
-            sorted((name, s.data_version) for name, s in self.sources.items())
-        )
+        sources = self.sources
+        if isinstance(sources, Schema):
+            sources = {sources.name: sources}
+        return tuple(sorted((name, s.serial, s.data_version) for name, s in sources.items()))
 
     # -- the read path -------------------------------------------------------
 

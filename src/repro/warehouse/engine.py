@@ -75,7 +75,9 @@ class Table:
         # starts where the schema's counter stands, so a table dropped and
         # re-created under the same name never repeats a version
         self._data_version = schema.data_version
-        self._columnar_cache: dict[str, tuple[int, np.ndarray]] = {}
+        # column -> (epoch, raw rows converted, array); see column_array
+        self._epoch = 0
+        self._columnar_cache: dict[str, tuple[int, int, np.ndarray]] = {}
 
     # -- introspection ----------------------------------------------------
 
@@ -142,7 +144,7 @@ class Table:
         rid = len(self._rows)
         self._rows.append(row)
         self._live_count += 1
-        self._mutated()
+        self._appended()
         if key is not None:
             self._pk_index[key] = rid
         if log and not self.schema.derived:
@@ -185,9 +187,10 @@ class Table:
         (:meth:`TableSchema.normalize_columns`, every check ``upsert``
         makes), so a bad value anywhere raises before anything is written;
         then the versions move once, by the row count, the column cache is
-        cleared once, and each run of like events reaches the binlog
-        through one :meth:`Binlog.extend` (a derived table builds no row
-        images and logs nothing).  An empty batch writes nothing and bumps
+        kept (only new keys: see :meth:`column_array`) or cleared once, and
+        each run of like events reaches the binlog through one
+        :meth:`Binlog.extend` (a derived table builds no row images and
+        logs nothing).  An empty batch writes nothing and bumps
         nothing.
         """
         stored = self.schema.normalize_columns(columns)
@@ -200,10 +203,12 @@ class Table:
         table_rows, index = self._rows, self._pk_index
         logged = not self.schema.derived
         log: list[tuple[EventType, dict[str, Any]]] = []
+        replaced = False
         for row, key in zip(rows, keys):
             rid = index.get(key)  # a keyless table's index stays empty
             if rid is not None:
                 table_rows[rid] = row
+                replaced = True
                 if logged:
                     log.append((
                         EventType.UPDATE,
@@ -216,7 +221,7 @@ class Table:
             self._live_count += 1
             if logged:
                 log.append((EventType.INSERT, {"row": dict(zip(names, row))}))
-        self._mutated(len(rows))
+        (self._mutated if replaced else self._appended)(len(rows))
         for etype, run in itertools.groupby(log, key=itemgetter(0)):
             self._owner.binlog.extend(
                 etype, self.name, [payload for _, payload in run]
@@ -330,12 +335,19 @@ class Table:
 
     # -- column access for vectorized aggregation ---------------------------
 
-    def _mutated(self, n: int = 1) -> None:
-        """Count ``n`` row mutations and invalidate the columnar cache;
-        called from every mutation point (the same points that record a
-        binlog event)."""
+    def _appended(self, n: int = 1) -> None:
+        """Count ``n`` row mutations that only appended rows (the column
+        cache stays, a prefix the next read extends); after the write."""
         self._data_version += n
         self._owner._bump_data_version(n)
+
+    def _mutated(self, n: int = 1) -> None:
+        """Count ``n`` row mutations that may have changed stored rows: a
+        new cache epoch, the columnar cache cleared; after the write.  One
+        of the two is called from every mutation point (the same points
+        that record a binlog event)."""
+        self._appended(n)
+        self._epoch += 1
         if self._columnar_cache:
             self._columnar_cache.clear()
 
@@ -356,28 +368,38 @@ class Table:
         This is the columnar view feeding the aggregation builders
         (:mod:`repro.aggregation.columnar`) and the realm read path
         (:meth:`repro.realms.base.Realm.query`), so aggregator and REST
-        threads share it.  Arrays are built lazily per column and cached,
-        stamped with the table's ``data_version``, until the next mutation
-        — insert, update, delete, or truncate, i.e. the same hook points
-        that write the binlog — invalidates the whole cache.
+        threads share it.  Arrays are built lazily per column and cached
+        with how many stored rows they cover.  A mutation that only
+        appends rows — :meth:`insert`, an :meth:`upsert` or
+        :meth:`upsert_columns` adding only new keys, hub ``apply_events``
+        — keeps the cache, and the next read converts just the appended
+        tail and extends the array; every other mutation (an update, a
+        delete, a truncate) clears the cache and starts a new *epoch*.
+        An entry carries the epoch read before its rows were: a reader
+        overtaken by a non-append mutation stores an entry of an old
+        epoch, which no later read trusts or extends.
 
         dtype mapping: INT/TIMESTAMP columns become ``int64`` (``float64``
         with NaN standing in for NULL when the column holds NULLs);
         FLOAT becomes ``float64`` (NULL becomes NaN); everything else
         (STR/BOOL/JSON) becomes an ``object`` array with NULLs kept as
-        ``None``.  The returned array is shared cache state — callers must
-        treat it as read-only.
+        ``None``.  An extended array is the array a from-scratch
+        conversion gives, dtype included.  The returned array is shared
+        cache state — callers must treat it as read-only.
         """
-        # the version is read before the rows: a writer that lands in
-        # between leaves an entry stamped older than the table, which the
-        # next reader rebuilds instead of trusting
-        version = self._data_version
+        # the epoch is read before the rows: a non-append writer that lands
+        # in between leaves an entry of an epoch older than the table's
+        epoch = self._epoch
         cached = self._columnar_cache.get(column)
-        if cached is not None and cached[0] == version:
-            return cached[1]
+        done, head = 0, None
+        if cached is not None and cached[0] == epoch and cached[1] <= len(self._rows):
+            _, done, head = cached
+            if done == len(self._rows):
+                return head
         pos = self.schema.position(column)
         ctype = self.schema.column(column).ctype
-        values = [row[pos] for row in self._rows if row is not None]
+        tail = list(itertools.islice(self._rows, done, None))
+        values = [row[pos] for row in tail if row is not None]
         if ctype in (ColumnType.INT, ColumnType.TIMESTAMP, ColumnType.FLOAT):
             has_null = any(v is None for v in values)
             if has_null:
@@ -392,7 +414,9 @@ class Table:
         else:
             arr = np.empty(len(values), dtype=object)
             arr[:] = values
-        self._columnar_cache[column] = (version, arr)
+        if head is not None:
+            arr = np.concatenate([head, arr])
+        self._columnar_cache[column] = (epoch, done + len(tail), arr)
         return arr
 
     def column_arrays(self, columns: Sequence[str]) -> dict[str, np.ndarray]:
@@ -421,6 +445,9 @@ class Table:
         ]
 
 
+_SCHEMA_SERIALS = itertools.count()
+
+
 class Schema:
     """A named schema (logical database) with its own binlog.
 
@@ -436,6 +463,9 @@ class Schema:
         if not name or not name.replace("_", "a").isalnum():
             raise SchemaError(f"invalid schema name {name!r}")
         self.name = name
+        #: unique per Schema object: one loaded in place of another (a loose
+        #: re-ship) restarts ``data_version`` but never repeats a serial
+        self.serial = next(_SCHEMA_SERIALS)
         self._tables: dict[str, Table] = {}
         self._data_version = 0
         on_append = None

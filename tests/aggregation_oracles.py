@@ -131,7 +131,9 @@ def aggregate_storage_oracle(
     # per-timestamp totals within each period (gauge semantics).
     per_ts: dict[tuple, dict[str, float]] = {}
     users: dict[tuple, set[int]] = {}
-    meta: dict[tuple[int, str], str] = {}
+    # per (period, resource, filesystem): (ts, resource_type) of the newest
+    # snapshot, the later row on a tie
+    newest: dict[tuple, tuple[int, str]] = {}
     for snap in schema.table("fact_storage").rows():
         tkey = (snap["ts"], snap["resource_id"], snap["filesystem"])
         entry = per_ts.setdefault(
@@ -159,7 +161,8 @@ def aggregate_storage_oracle(
             snap["resource_id"], snap["filesystem"],
         )
         users.setdefault(pkey, set()).add(snap["person_id"])
-        meta[(snap["resource_id"], snap["filesystem"])] = snap["resource_type"]
+        if pkey not in newest or snap["ts"] >= newest[pkey][0]:
+            newest[pkey] = (snap["ts"], snap["resource_type"])
 
     periods: dict[tuple, list[dict[str, float]]] = {}
     for (ts_, rid, fs), entry in per_ts.items():
@@ -177,7 +180,7 @@ def aggregate_storage_oracle(
                 "period_label": period_label(period, p_start),
                 "resource_id": rid,
                 "filesystem": fs,
-                "resource_type": meta[(rid, fs)],
+                "resource_type": newest[key][1],
                 "avg_file_count": sum(s["file_count"] for s in samples) / n,
                 "avg_logical_gb": sum(s["logical_gb"] for s in samples) / n,
                 "avg_physical_gb": sum(s["physical_gb"] for s in samples) / n,

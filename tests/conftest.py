@@ -2,11 +2,16 @@
 
 Scale is kept small (days of workload, handfuls of users) so the whole
 suite runs in seconds; the benchmarks exercise year-scale data.
+
+The ``soak`` hypothesis profile runs the property tests that read
+:func:`property_settings` (fold == rebuild, batch writes, the column
+cache) at 400 examples each: ``pytest --hypothesis-profile=soak``.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.core import FederationHub, XdmodInstance, standardize_federation
 from repro.simulators import CloudConfig, CloudSimulator, ResourceSpec, StorageConfig, StorageSimulator, WorkloadConfig, WorkloadGenerator, simulate_resource, to_sacct_log
@@ -16,6 +21,22 @@ T0 = ts(2017, 1, 1)
 T_FEB = ts(2017, 2, 1)
 T_MAR = ts(2017, 3, 1)
 T_END = ts(2018, 1, 1)
+
+settings.register_profile(
+    "soak", max_examples=400, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def property_settings(max_examples: int) -> settings:
+    """A property test's settings: ``max_examples`` examples, or the soak
+    profile's when that profile is loaded."""
+    if settings.default is settings.get_profile("soak"):
+        return settings.default
+    return settings(
+        max_examples=max_examples, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
 
 
 @pytest.fixture(scope="session")

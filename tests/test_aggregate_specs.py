@@ -18,7 +18,7 @@ Three families of tests:
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.aggregation import (
     ALLOCATIONS,
@@ -46,6 +46,7 @@ from repro.simulators import ConversionTable
 from repro.timeutil import PERIODS, SECONDS_PER_DAY
 from repro.warehouse import ColumnType, Database
 from tests.aggregation_oracles import aggregate_allocations_oracle
+from tests.conftest import property_settings
 from tests.test_columnar_aggregation import (
     T0,
     build_schema,
@@ -54,6 +55,7 @@ from tests.test_columnar_aggregation import (
     seeded,
 )
 
+SETTINGS = property_settings(25)
 NUMERIC = (ColumnType.INT, ColumnType.FLOAT)
 REALMS = [
     (jobs_realm, JOBS), (storage_realm, STORAGE), (cloud_realm, CLOUD),
@@ -177,7 +179,7 @@ grants_strategy = st.lists(
 
 
 class TestAllocationsFold:
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @SETTINGS
     @given(jobs=jobs_strategy, grants=grants_strategy, period=st.sampled_from(PERIODS))
     def test_matches_the_per_row_oracle(self, jobs, grants, period):
         schema = allocations_schema(jobs, grants)
@@ -212,6 +214,29 @@ class TestAllocationsFold:
         assert {row[4] for row in folded if row[2] == 2} == {9}
         aggregator.rebuild(ALLOCATIONS, "month")
         assert sorted(schema.table("agg_allocation_month").raw_rows()) == folded
+
+    @SETTINGS
+    @given(jobs=jobs_strategy, grants=grants_strategy, late=grants_strategy,
+           period=st.sampled_from(PERIODS))
+    def test_fold_equals_rebuild_after_late_grants_and_a_late_resource(
+        self, jobs, grants, late, period
+    ):
+        schema = allocations_schema(jobs, grants)
+        aggregator = Aggregator(schema)
+        aggregator.fold(ALLOCATIONS, period)
+        register_allocations(schema, [
+            Allocation(len(grants) + i + 1, project, resource, granted,
+                       T0 + start, T0 + start + length)
+            for i, (project, resource, granted, start, length) in enumerate(late)
+        ])
+        aggregator.fold(ALLOCATIONS, period)
+        # r9 is named by grants but ran no job: its row arrives last
+        schema.table("dim_resource").insert({"resource_id": 9, "name": "r9"})
+        aggregator.fold(ALLOCATIONS, period)
+        name = ALLOCATIONS.table_schema(period).name
+        folded = sorted(schema.table(name).raw_rows())
+        aggregator.rebuild(ALLOCATIONS, period)
+        assert sorted(schema.table(name).raw_rows()) == folded
 
     def test_aggregate_all_leaves_allocations_alone(self):
         schema = allocations_schema([], [("pz", "r1", 900.0, 0, YEAR)])

@@ -17,7 +17,7 @@ import json
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.analytics import ingest_summaries, summarize_series
 from repro.etl import (
@@ -35,14 +35,11 @@ from repro.timeutil import ts
 from repro.warehouse import Database, EventType, TypeMismatchError
 
 from . import row_loader_oracles as oracle
+from .conftest import property_settings
 
 T0 = ts(2017, 1, 1)
 
-SETTINGS = settings(
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+SETTINGS = property_settings(60)
 
 
 # -- what must be equal --------------------------------------------------------

@@ -6,7 +6,10 @@ Three families of tests:
    (``tests/aggregation_oracles.py``) produce the same aggregate tables
    on randomized job/storage/cloud facts — including zero-walltime jobs,
    zero-length VM intervals, and None/0.0 quotas — and any sequence of
-   folds equals the rebuild exactly;
+   folds equals the rebuild exactly, late and out-of-order facts
+   included, though a fold reads only the rows that can reach a touched
+   group (and what it sends to ``group_reduce`` does not grow with the
+   history);
 2. conservation: per-period sums equal raw-fact totals for every period,
    which the pre-fix engine violated for zero-length jobs;
 3. regression tests for the three satellite bugfixes, each written to
@@ -22,10 +25,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.aggregation import CLOUD, JOBS, STORAGE, AggregationConfig, Aggregator
-from repro.aggregation.columnar import group_reduce
+from repro.aggregation.columnar import _touching, group_reduce
 from repro.aggregation.levels import (
     DEFAULT_JOBSIZE_LEVELS,
     DEFAULT_WALLTIME_LEVELS,
@@ -41,14 +44,11 @@ from tests.aggregation_oracles import (
     aggregate_jobs_oracle,
     aggregate_storage_oracle,
 )
+from tests.conftest import property_settings
 
 T0 = ts(2017, 1, 1)
 
-SETTINGS = settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+SETTINGS = property_settings(15)
 
 
 def build_schema() -> Schema:
@@ -76,11 +76,12 @@ def insert_job(s, job_id, *, start, wall, cores=4, cpu_hours=None,
 
 
 def insert_snapshot(s, snapshot_id, *, ts_, person_id, soft,
-                    resource_id=1, filesystem="home", logical=10.0):
+                    resource_id=1, filesystem="home", logical=10.0,
+                    resource_type="gpfs"):
     s.table("fact_storage").insert({
         "snapshot_id": snapshot_id, "resource_id": resource_id,
         "filesystem": filesystem, "mountpoint": f"/{filesystem}",
-        "resource_type": "gpfs", "person_id": person_id,
+        "resource_type": resource_type, "person_id": person_id,
         "pi": "p", "system_username": f"u{person_id}", "ts": ts_,
         "file_count": 100, "logical_usage_gb": logical,
         "physical_usage_gb": logical * 0.9,
@@ -473,6 +474,26 @@ class TestFoldEqualsRebuild:
         served = sum(r["core_hours"] for r in s.table("agg_cloud_month").rows())
         assert served == pytest.approx(raw)
 
+    def test_storage_resource_type_is_each_groups_newest_snapshot(self):
+        # a filesystem retyped between two folds: the fold left January
+        # typed "persistent", the rebuild typed every period by the newest
+        # snapshot of all, March's "scratch"
+        s = build_schema()
+        agg = Aggregator(s)
+        insert_snapshot(s, 1, ts_=ts(2017, 1, 10), person_id=1, soft=50.0,
+                        resource_type="persistent")
+        agg.fold(STORAGE, "month")
+        insert_snapshot(s, 2, ts_=ts(2017, 3, 10), person_id=1, soft=50.0,
+                        resource_type="scratch")
+        agg.fold(STORAGE, "month")
+        folded = agg_snapshot(s)
+        agg.rebuild(STORAGE, "month")
+        assert agg_snapshot(s) == folded
+        assert [
+            (r["period_label"], r["resource_type"])
+            for r in s.table("agg_storage_month").rows()
+        ] == [("2017-01", "persistent"), ("2017-03", "scratch")]
+
     def test_only_the_watermark_beside_the_served_tables(self):
         s = build_schema()
         iv_n = seeded(s)
@@ -491,6 +512,137 @@ class TestFoldEqualsRebuild:
         assert {
             n for n in s.table_names() if n.startswith("agg_")
         } == served | {"agg_watermark"}
+
+
+late_jobs = st.lists(
+    st.tuples(
+        st.integers(0, 10**6),                     # whose keys it shares
+        st.integers(-90 * 86400, 30 * 86400),      # start, from that job's
+        st.one_of(                                 # walltime: up to years
+            st.just(0), st.integers(1, 86400), st.integers(60 * 86400, 800 * 86400),
+        ),
+    ),
+    min_size=1, max_size=8,
+)
+late_snapshots = st.lists(
+    st.tuples(
+        st.integers(0, 10**6),                     # whose group it joins
+        st.integers(-40, 5),                       # days from that snapshot
+        st.sampled_from(["persistent", "scratch"]),
+    ),
+    max_size=6,
+)
+late_vms = st.lists(                               # VM rows, no new interval
+    st.tuples(st.integers(-30 * 86400, 90 * 86400), st.booleans(),
+              st.sampled_from([0.5, 1.5, 6.0])),
+    max_size=3,
+)
+
+
+class TestPrunedFoldEqualsRebuild:
+    """A fold reads only the rows that can reach a touched group; facts that
+    arrive late, out of order and under keys the history already has,
+    that span many periods, or that touch a group without an interval
+    still fold to exactly the rebuild."""
+
+    @SETTINGS
+    @given(jobs=job_facts, snaps=storage_facts, vms=cloud_facts, late=late_jobs,
+           more_snaps=late_snapshots, more_vms=late_vms, period=st.sampled_from(PERIODS))
+    def test_late_facts_fold_to_the_rebuild(
+        self, jobs, snaps, vms, late, more_snaps, more_vms, period
+    ):
+        s = build_schema()
+        agg = Aggregator(s)
+        populate(s, jobs, snaps, vms)
+        agg.aggregate_all_incremental([period])
+        for i, (pick, shift, wall) in enumerate(late):
+            off, _, cores, _, rid, pid = jobs[pick % len(jobs)] if jobs else (0, 0, 4, 0, 1, 1)
+            insert_job(s, len(jobs) + i + 1, start=T0 + off + shift, wall=wall,
+                       cores=cores, resource_id=rid, person_id=pid)
+        for i, (pick, days, kind) in enumerate(more_snaps):
+            day, pid, soft, fs, logical = snaps[pick % len(snaps)] if snaps else (
+                0, 1, None, "home", 1.0)
+            insert_snapshot(s, len(snaps) + i + 1, ts_=T0 + (day + days) * 86400,
+                            person_id=pid, soft=soft, filesystem=fs, logical=logical,
+                            resource_type=kind)
+        for i, (off, terminated, mem) in enumerate(more_vms):
+            insert_vm(s, len(vms) + i + 1, provision=T0 + off,
+                      terminate=T0 + off + 86400 if terminated else None, mem_gb=mem)
+        counts = agg.aggregate_all_incremental([period])
+        assert counts == {
+            f"agg_job_{period}": len(late),
+            f"agg_storage_{period}": len(more_snaps),
+            f"agg_cloud_{period}": len(more_vms),
+        }
+        folded = agg_snapshot(s)
+        agg.aggregate_all([period])
+        assert agg_snapshot(s) == folded
+
+
+class TestFoldCost:
+    """A fold's work follows its delta, not the history: one job folded
+    into H or 2H jobs of history sends the same contribution rows to
+    ``group_reduce``, for every period."""
+
+    @staticmethod
+    def contribution_rows(history, period):
+        s = build_schema()
+        for i in range(history):  # other people's jobs all over the year
+            insert_job(s, i + 1, start=T0 + (i * 7919 * 60) % (360 * 86400),
+                       wall=3600 * (1 + i % 30), person_id=10 + i % 40)
+        for j in range(3):  # the new job's neighbours: its keys, its month
+            insert_job(s, 10**6 + j, start=ts(2017, 5, 3 + j), wall=7200)
+        agg = Aggregator(s)
+        agg.fold(JOBS, period)
+        insert_job(s, 2 * 10**6, start=ts(2017, 5, 9), wall=5400)
+        rows = []
+
+        def counted(keys, measures):
+            rows.append(len(keys[0]))
+            return group_reduce(keys, measures)
+
+        with mock.patch("repro.aggregation.columnar.group_reduce", counted):
+            assert agg.fold(JOBS, period) == 1
+        folded = agg_snapshot(s)
+        agg.rebuild(JOBS, period)
+        assert agg_snapshot(s) == folded
+        return rows
+
+    @pytest.mark.parametrize("period", PERIODS)
+    def test_contribution_rows_do_not_grow_with_history(self, period):
+        assert self.contribution_rows(200, period) == self.contribution_rows(400, period)
+
+
+class TestTouching:
+    """The pruning helper on its own: the hull is in whole periods, a key
+    value must occur among the fresh rows', NULLs and fresh rows stay."""
+
+    def test_keeps_fresh_rows_null_keys_and_rows_sharing_keys_in_the_hull(self):
+        jan, feb, mar = ts(2017, 1, 5), ts(2017, 2, 5), ts(2017, 3, 5)
+        columns = {
+            "i": np.arange(7),
+            "at": np.array([jan, feb, feb, feb, feb, mar, feb]),
+            "rid": np.array([1.0, 1.0, 2.0, np.nan, 1.0, 1.0, 1.0]),
+            "fs": np.array(["None", "home", "None", "None", None, "None", "None"],
+                           dtype=object),
+            "proj": np.array([None, None, None, None, "None", None, None], dtype=object),
+        }
+        fresh = np.array([False, False, False, False, False, False, True])
+        ((kept, kept_fresh),) = _touching(
+            "month", ("rid", "fs", "proj"), (columns, fresh, "at", "at"),
+        )
+        # rows 0 and 5 miss February, 1 and 2 have a key value no fresh row
+        # has; a NaN or None key value is kept, and "None" is what the
+        # fresh row's None is coded as
+        assert kept["i"].tolist() == [3, 4, 6]
+        assert kept_fresh.tolist() == [False, False, True]
+
+    def test_every_row_fresh_is_returned_as_is(self):
+        columns = {"at": np.array([T0, T0 + 86400]), "rid": np.array([1, 2])}
+        ((kept, _),) = _touching(
+            "year", ("rid",), (columns, np.ones(2, dtype=bool), "at", "at"),
+        )
+        assert kept is columns
 
 
 class TestConservation:

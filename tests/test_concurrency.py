@@ -395,6 +395,17 @@ class TestColumnCacheRace:
         assert table.data_version == n_rows
 
 
+    def test_reader_overtaken_by_a_delete_never_extends_its_stale_array(self, table):
+        """A delete lands between a reader's epoch read and its store, then
+        an append follows: the array the reader stored still holds the
+        deleted row, and extending it by the appended tail would serve
+        that row until the next non-append write."""
+        table._rows = _PausingRows(table._rows, lambda: table.delete_key([1]))
+        assert table.column_array("val").tolist() == [0.0, 1.0, 2.0]
+        table.insert({"id": self.N, "val": float(self.N)})
+        assert table.column_array("val").tolist() == [0.0, 2.0, 3.0]
+
+
 class TestBinlogBatchRace:
     def test_appends_and_batches_interleave_into_a_dense_log(self, lock_sanitizer):
         """``Binlog.extend`` takes the log lock once per batch: whatever

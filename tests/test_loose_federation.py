@@ -1,12 +1,19 @@
-"""Loose federation: dump shipping, staleness, handover to tight."""
+"""Loose federation: dump shipping, staleness, handover to tight, and an
+API that keeps serving the hub across re-ships and joins."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core import LooseChannel, ReplicationFilter
+from repro.aggregation import Aggregator
+from repro.core import LooseChannel, ReplicationFilter, XdmodInstance
 from repro.etl import ParsedJob, ingest_jobs
+from repro.realms import jobs_realm
 from repro.timeutil import ts
+from repro.ui import XdmodApi
+from repro.ui.serving import QueryService
 from repro.warehouse import Database
 
 
@@ -93,3 +100,71 @@ class TestLooseChannel:
         channel = LooseChannel(satellite_schema, Database("hub"), "fed_sat")
         with pytest.raises(RuntimeError):
             channel.to_tight()
+
+
+class TestApiAcrossMembershipChanges:
+    """An API built once over ``hub.federated_schemas()`` serves what the
+    hub holds now: a loose re-ship loads a new ``Schema`` in place of the
+    old one, and members join after the API exists."""
+
+    END = ts(2018, 1, 1)
+
+    def jobs_ended(self, api):
+        status, payload = api.handle(
+            f"/query?realm=jobs&metric=n_jobs_ended&start={ts(2017, 1, 1)}"
+            f"&end={self.END}&period=year",
+            {},
+        )
+        assert status == 200
+        return sum(row["value"] for row in payload["rows"])
+
+    @staticmethod
+    def on_hub(hub):
+        return sum(len(s.table("fact_job")) for s in hub.federated_schemas().values())
+
+    def test_api_held_across_a_reship_serves_the_new_facts(self):
+        from tests.conftest import build_two_site_federation
+
+        hub, satellites, _, _ = build_two_site_federation(mode_b="loose")
+        hub.aggregate_federation()
+        api = XdmodApi({"jobs": jobs_realm()}, hub.federated_schemas())
+        before = self.jobs_ended(api)
+        assert before == self.on_hub(hub)
+        ingest_jobs(satellites["site1"].schema, [make_job(10**6 + i) for i in range(3)])
+        hub.ship_loose()
+        hub.aggregate_federation()
+        assert self.jobs_ended(api) == before + 3 == self.on_hub(hub)
+
+    def test_replaced_schema_with_an_equal_data_version_is_not_served_from_cache(self):
+        def member(cores):
+            schema = Database("sat").create_schema("modw")
+            ingest_jobs(schema, [replace(make_job(i), cores=cores) for i in range(4)])
+            Aggregator(schema).aggregate_all(["year"])
+            return schema
+
+        old, new = member(2), member(8)
+        assert old.data_version == new.data_version
+        sources = {"sat": old}
+        service = QueryService({"jobs": jobs_realm()}, sources)
+        params = {
+            "realm": "jobs", "metric": "cpu_hours", "start": str(ts(2017, 1, 1)),
+            "end": str(self.END), "period": "year",
+        }
+        first = service.respond(params, chart=False)
+        sources["sat"] = new  # what a re-ship does to the hub's mapping
+        second = service.respond(params, chart=False)
+        assert second.cache == "stale"
+        assert second.payload["rows"][0]["value"] == 4 * first.payload["rows"][0]["value"]
+
+    def test_member_that_joins_after_the_api_was_built_shows_up(self):
+        from tests.conftest import build_two_site_federation
+
+        hub, _, _, conversion = build_two_site_federation()
+        hub.aggregate_federation()
+        api = XdmodApi({"jobs": jobs_realm()}, hub.federated_schemas())
+        before = self.jobs_ended(api)
+        late = XdmodInstance("site9", conversion=conversion)
+        ingest_jobs(late.schema, [make_job(i, resource="gamma") for i in range(5)])
+        hub.join(late, mode="loose")
+        hub.aggregate_federation()
+        assert self.jobs_ended(api) == before + 5 == self.on_hub(hub)

@@ -1,7 +1,8 @@
-"""Storage engine: CRUD, keys, checksums, event application."""
+"""Storage engine: CRUD, keys, checksums, event application, column cache."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from repro.obs import MetricsRegistry
 from repro.warehouse import Column, ColumnType, Database, DuplicateObjectError, EventType, PrimaryKeyError, SchemaError, TableSchema, TypeMismatchError, UnknownObjectError, make_columns
+from tests.conftest import property_settings
 
 C = ColumnType
 
@@ -479,3 +481,104 @@ class TestUpsertColumns:
             list(table.raw_rows()), table.data_version, schema.data_version,
             schema.binlog.checksum(), dict(table._columnar_cache),
         ) == before
+
+
+# -- the column cache equals a conversion from scratch --------------------------
+
+
+CACHED = ["k1", "k2", "f", "n", "at", "flag"]
+VERBS = [
+    "insert", "upsert", "upsert_columns", "apply_events",
+    "update_where", "delete_where", "delete_key", "truncate",
+]
+
+
+def converted(table, name):
+    """``name``'s live values converted from scratch, typed as
+    ``Table.column_array`` documents."""
+    values = [row[table.schema.position(name)] for row in table.raw_rows()]
+    ctype = table.schema.column(name).ctype
+    if ctype in (C.INT, C.TIMESTAMP, C.FLOAT):
+        nullable = any(v is None for v in values) or ctype is C.FLOAT
+        return np.array(
+            [np.nan if v is None else v for v in values],
+            dtype=np.float64 if nullable else np.int64,
+        )
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def assert_cache_fresh(table):
+    for name, got in table.column_arrays(CACHED).items():
+        want = converted(table, name)
+        assert got.dtype == want.dtype, name
+        if want.dtype == object:
+            assert got.tolist() == want.tolist(), name
+        else:  # NaN positions included
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+class TestColumnCache:
+    """An append extends the cached arrays, every other write clears them:
+    whatever the writes, a read equals converting the live rows afresh."""
+
+    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "keyless"])
+    @property_settings(60)
+    @given(ops=st.lists(
+        st.tuples(st.sampled_from(VERBS), column_batches(max_rows=4),
+                  st.integers(0, 3), st.booleans()),
+        max_size=12,
+    ))
+    def test_reads_equal_a_conversion_from_scratch(self, keyed, ops):
+        schema = Database().create_schema("modw")
+        table = schema.create_table(batch_table_schema(keyed))
+        for verb, batch, k, read in ops:
+            rows = batch_rows(batch)
+            if verb == "insert":
+                for row in rows:
+                    with contextlib.suppress(PrimaryKeyError):
+                        table.insert(row)
+            elif verb == "upsert":
+                for row in rows:
+                    table.upsert(row)
+            elif verb == "upsert_columns":
+                table.upsert_columns(batch)
+            elif verb == "apply_events":  # the hub's batched apply
+                source = Database().create_schema("src")
+                source.create_table(batch_table_schema(keyed)).upsert_columns(batch)
+                schema.apply_events([
+                    e for e in source.binlog if e.etype is EventType.INSERT
+                ])
+            elif verb == "update_where":
+                table.update_where(lambda r, k=k: r["k1"] == k, {"f": k / 2, "n": None})
+            elif verb == "delete_where":
+                table.delete_where(lambda r, k=k: r["k1"] == k)
+            elif verb == "delete_key" and keyed:
+                table.delete_key((k, "a"))
+            elif verb == "truncate":
+                table.truncate()
+            if read:
+                assert_cache_fresh(table)
+        assert_cache_fresh(table)
+
+    def test_first_null_in_an_appended_tail_turns_an_int_column_float(self):
+        table = Database().create_schema("modw").create_table(batch_table_schema(True))
+        table.insert({"k1": 0, "k2": "a", "n": 7})
+        assert table.column_array("n").dtype == np.int64
+        table.upsert_columns({"k1": [1, 2], "k2": ["a", "a"], "n": [None, 3]})
+        got = table.column_array("n")
+        assert got.dtype == np.float64
+        assert got[0] == 7.0 and np.isnan(got[1]) and got[2] == 3.0
+        assert_cache_fresh(table)
+
+    def test_an_append_extends_the_cache_and_an_update_clears_it(self):
+        table = Database().create_schema("modw").create_table(batch_table_schema(True))
+        table.upsert_columns({"k1": [0, 1], "k2": ["a", "a"], "f": [0.5, 1.5]})
+        head = table.column_array("f")
+        table.insert({"k1": 2, "k2": "a", "f": 2.5})
+        assert table._columnar_cache["f"][2] is head  # kept: only extended on read
+        assert table.column_array("f").tolist() == [0.5, 1.5, 2.5]
+        table.upsert({"k1": 0, "k2": "a", "f": 9.0})
+        assert table._columnar_cache == {}
+        assert table.column_array("f").tolist() == [9.0, 1.5, 2.5]

@@ -18,6 +18,7 @@ from .engine import (
     JOBS,
     SPECS,
     STORAGE,
+    SUPREMM,
     AggregateSpec,
     AggregationConfig,
     Aggregator,
@@ -51,6 +52,7 @@ __all__ = [
     "LevelConfigError",
     "SPECS",
     "STORAGE",
+    "SUPREMM",
     "Source",
     "TABLE1_FEDERATION_HUB",
     "TABLE1_INSTANCE_A",

@@ -98,18 +98,18 @@ class Source:
 
     ``read`` names every column the spec uses from it; ``rename`` gives read
     columns a second name (``{name: column}``, such as the column a level
-    set bins, under its key's name).  ``join = (column, table, key, value)``
-    adds the column ``value`` of the row of ``table`` whose ``key`` equals
-    ``column`` (the last such row; 0 when there is none), and a row of
-    ``table`` not yet folded makes the rows it matches fresh.  A source has
-    every key of its spec.
+    set bins, under its key's name).  ``join = (columns, table, keys,
+    values)`` adds the columns ``values`` of the row of ``table`` whose
+    ``keys`` equal ``columns`` (the last such row; 0 when there is none),
+    and a row of ``table`` not yet folded makes the rows it matches fresh.
+    A source has every key of its spec.
     """
 
     table: str
     read: tuple[str, ...]
     attributions: tuple[Attribution, ...]
     rename: Mapping[str, str] = field(default_factory=dict)
-    join: tuple[str, str, str, str] | None = None
+    join: tuple[tuple[str, ...], str, tuple[str, ...], tuple[str, ...]] | None = None
 
 
 class Plan(NamedTuple):
@@ -407,12 +407,19 @@ def build(spec: Any, schema: Schema, config: Any, period: str,
             c[name] = c[column]
         fresh = np.arange(len(c[source.read[0]])) >= since.get(source.table, 0)
         if source.join:
-            column, table, key, value = source.join
-            joined = _columns(schema, table, (key, value))
-            fresh |= np.isin(c[column], joined[key][since.get(table, 0):])
-            row = {k: i for i, k in enumerate(joined[key].tolist())}
-            found = np.array([row.get(k, -1) for k in c[column].tolist()], dtype=np.int64)
-            c[value] = np.append(joined[value], 0)[found]
+            columns, table, keys, values = source.join
+            joined = _columns(schema, table, (*keys, *values))
+            row = {k: i for i, k in enumerate(zip(*(joined[k].tolist() for k in keys)))}
+            found = np.fromiter(
+                (row.get(k, -1) for k in zip(*(c[k].tolist() for k in columns))), np.int64)
+            fresh |= found >= since.get(table, 0)
+            for value in values:
+                c[value] = np.append(joined[value], 0)[found]
+        if all(a.where for a in source.attributions):
+            # a row no attribution places (a join miss's 0s) reaches no window
+            whole = _Gathered(c, None)
+            live = reduce(np.logical_or, [whole[a.where] for a in source.attributions])
+            c, fresh = {name: column[live] for name, column in c.items()}, fresh[live]
         parts.append((c, fresh, *_span(c, span)))
     parts = _touching(period, plan.touch, *parts)
     if not any(len(fresh) for _, fresh in parts):

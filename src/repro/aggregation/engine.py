@@ -24,7 +24,11 @@ read: a new realm is one spec and no code.  For each period:
 - ``agg_allocation_<period>`` (:data:`ALLOCATIONS`): charges where they
   ended, grants pro-rated over their windows; built on demand
   (:func:`repro.realms.aggregate_allocations`), not by
-  :meth:`Aggregator.aggregate_all`.
+  :meth:`Aggregator.aggregate_all`;
+- ``agg_supremm_<period>`` (:data:`SUPREMM`): each job's CPU hours and,
+  per metric, its average times those hours, where the job ended (a job
+  with no CPU hours or no ``fact_job`` row adds nothing); built only on a
+  schema with ``fact_job_perf``.
 
 :meth:`Aggregator.fold` recomputes, from all their facts, exactly the
 groups that fact rows appended since the last fold contribute to, writes
@@ -44,6 +48,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ..simulators.perf import PERF_METRICS
 from ..timeutil import SECONDS_PER_HOUR
 from ..warehouse import ColumnType, Schema, TableSchema, make_columns
 from .columnar import Columns, Distinct, Plan, Source, at, build, over
@@ -360,16 +365,39 @@ ALLOCATIONS = AggregateSpec(
                 "start_ts", "end_ts",
                 su_granted=lambda c: c["su_granted"] * c["overlap"] / (c["end_ts"] - c["start_ts"]),
             ),),
-            join=("resource", "dim_resource", "name", "resource_id"),
+            join=(("resource",), "dim_resource", ("name",), ("resource_id",)),
         ),
     ),
     # a group's project and resource are its first charge's, else its grant's
     pick={"project": None, "resource_id": None},
 )
 
+
+SUPREMM = AggregateSpec(
+    "supremm", "agg_supremm",
+    (
+        ("resource_id", C.INT),
+        ("person_id", C.INT),
+        ("app_id", C.INT),
+        ("cpu_hours", C.FLOAT),
+        *((f"{m}_weighted", C.FLOAT) for m in PERF_METRICS),
+    ),
+    ("resource_id", "person_id", "app_id"),
+    (Source(
+        "fact_job_perf",
+        ("resource_id", "job_id", *(f"{m}_avg" for m in PERF_METRICS)),
+        (at("end_ts", where=lambda c: c["cpu_hours"] > 0, cpu_hours="cpu_hours",
+            **{f"{m}_weighted": lambda c, m=m: c[f"{m}_avg"] * c["cpu_hours"]
+               for m in PERF_METRICS}),),
+        # job ids are unique per resource only
+        join=(("resource_id", "job_id"), "fact_job", ("resource_id", "job_id"),
+              ("end_ts", "cpu_hours", "person_id", "app_id")),
+    ),),
+)
+
 #: Every realm's aggregate; :meth:`Aggregator.aggregate_all` builds all but
 #: :data:`ALLOCATIONS` (built on demand), in this order.
-SPECS = (JOBS, STORAGE, CLOUD, ALLOCATIONS)
+SPECS = (JOBS, STORAGE, CLOUD, SUPREMM, ALLOCATIONS)
 
 
 def agg_watermark_schema() -> TableSchema:
@@ -535,14 +563,20 @@ class Aggregator:
 
     # -- orchestration ---------------------------------------------------------
 
-    def aggregate_all(self, periods: Sequence[str] | None = None) -> dict[str, int]:
-        """Rebuild the jobs, storage and cloud tables for every configured
-        period; returns rows written per table."""
+    def _all(self, verb: Callable[[AggregateSpec, str], int],
+             periods: Sequence[str] | None) -> dict[str, int]:
+        """``verb`` on the jobs, storage, cloud and SUPReMM tables of every
+        period; SUPReMM's only over performance data, so no other schema gains it."""
+        perf = self.schema.has_table(SUPREMM.fact_tables[0])
         return {
-            f"{spec.prefix}_{period}": self.rebuild(spec, period)
+            f"{spec.prefix}_{period}": verb(spec, period)
             for period in periods or self.config.periods
-            for spec in (JOBS, STORAGE, CLOUD)
+            for spec in (JOBS, STORAGE, CLOUD, SUPREMM) if perf or spec is not SUPREMM
         }
+
+    def aggregate_all(self, periods: Sequence[str] | None = None) -> dict[str, int]:
+        """Rebuild the nightly tables for every configured period; rows written per table."""
+        return self._all(self.rebuild, periods)
 
     def aggregate_all_incremental(
         self, periods: Sequence[str] | None = None
@@ -551,11 +585,7 @@ class Aggregator:
 
         Returns facts-folded counts keyed like :meth:`aggregate_all`.
         """
-        return {
-            f"{spec.prefix}_{period}": self.fold(spec, period)
-            for period in periods or self.config.periods
-            for spec in (JOBS, STORAGE, CLOUD)
-        }
+        return self._all(self.fold, periods)
 
     def reaggregate(
         self, config: AggregationConfig, periods: Sequence[str] | None = None

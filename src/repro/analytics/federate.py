@@ -26,8 +26,8 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..obs.anomaly import Anomaly, AnomalyDetector, JobScore
-from ..realms.supremm import SupremmRealm
 from ..warehouse import Schema
+from .summarize import job_scores
 
 __all__ = ["AnalyticsPlane"]
 
@@ -53,7 +53,6 @@ class AnalyticsPlane:
         )
         self.start = start
         self.end = end
-        self.realm = SupremmRealm()
         self.last_scores: tuple[JobScore, ...] = ()
         self.anomalies: tuple[Anomaly, ...] = ()
         self.refreshes = 0
@@ -73,9 +72,7 @@ class AnalyticsPlane:
                 tags=tuple(row["tags"]),
                 n_samples=row["n_samples"],
             )
-            for row in self.realm.job_scores(
-                self.sources(), start=self.start, end=self.end
-            )
+            for row in job_scores(self.sources(), start=self.start, end=self.end)
         ]
 
     def refresh(self) -> tuple[Anomaly, ...]:

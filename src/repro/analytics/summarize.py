@@ -55,6 +55,7 @@ __all__ = [
     "analytics_fact_schema",
     "create_analytics_table",
     "ingest_summaries",
+    "job_scores",
     "summarize_schema",
     "summarize_series",
 ]
@@ -331,3 +332,68 @@ def summarize_schema(
                 app=summary.application,
             )
     return ingest_summaries(schema, summaries)
+
+
+def job_scores(
+    sources: Schema | Mapping[str, Schema],
+    *,
+    start: int | None = None,
+    end: int | None = None,
+    application: str | None = None,
+    member: str | None = None,
+) -> list[dict]:
+    """Per-job efficiency rows, ranked least efficient first.
+
+    Reads the :data:`ANALYTICS_TABLE` this stage maintains, joined to
+    ``fact_job`` for the time filter (``start <= end_ts < end``).  Against
+    a federated source mapping this is the "least efficient jobs
+    federation-wide" view: one ranked list across every member, each row
+    carrying the member name (``"local"`` for a bare schema).  Ties rank
+    deterministically (score, member, resource, job id).
+    """
+    source_map = {"local": sources} if isinstance(sources, Schema) else sources
+    rows: list[dict] = []
+    for name, schema in sorted(source_map.items()):
+        if member is not None and name != member:
+            continue
+        if not schema.has_table(ANALYTICS_TABLE):
+            continue
+        jobs_by_key = {
+            (r["resource_id"], r["job_id"]): r
+            for r in schema.table("fact_job").rows()
+        }
+        resources = {
+            r["resource_id"]: r["name"]
+            for r in schema.table("dim_resource").rows()
+        }
+        for fact in schema.table(ANALYTICS_TABLE).rows():
+            if application is not None and fact["application"] != application:
+                continue
+            job = jobs_by_key.get((fact["resource_id"], fact["job_id"]))
+            end_ts = job["end_ts"] if job is not None else None
+            if start is not None or end is not None:
+                if end_ts is None:
+                    continue
+                if start is not None and end_ts < start:
+                    continue
+                if end is not None and end_ts >= end:
+                    continue
+            rows.append(
+                {
+                    "member": name,
+                    "resource": resources.get(
+                        fact["resource_id"], str(fact["resource_id"])
+                    ),
+                    "job_id": fact["job_id"],
+                    "application": fact["application"],
+                    "score": fact["efficiency_score"],
+                    "tags": [t for t in fact["tags"].split(",") if t],
+                    "end_ts": end_ts,
+                    "cpu_user_avg": fact["cpu_user_avg"],
+                    "idle_tail_frac": fact["idle_tail_frac"],
+                    "intensity_ratio": fact["intensity_ratio"],
+                    "n_samples": fact["n_samples"],
+                }
+            )
+    rows.sort(key=lambda r: (r["score"], r["member"], r["resource"], r["job_id"]))
+    return rows

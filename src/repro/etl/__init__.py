@@ -15,7 +15,6 @@ from .cloudevents import (
 from .jsonschema import JsonSchemaError, is_valid, validate
 from .perfingest import (
     HEAVY_TABLES,
-    SUPREMM_REALM_TABLES,
     create_supremm_realm,
     ingest_performance,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "PersonInfo",
     "STORAGE_REALM_TABLES",
     "STORAGE_SNAPSHOT_SCHEMA",
-    "SUPREMM_REALM_TABLES",
     "SacctParseError",
     "VM_STATES",
     "WAREHOUSE_SCHEMA",

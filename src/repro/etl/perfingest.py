@@ -23,7 +23,6 @@ from .star import DimensionCache, create_jobs_star, land
 
 C = ColumnType
 
-SUPREMM_REALM_TABLES = ("fact_job_perf",)
 #: Tables excluded from federation replication by default (II-C5).
 HEAVY_TABLES = ("job_timeseries",)
 

@@ -34,7 +34,7 @@ from .base import (
 from .cloud import CLOUD_DIMENSIONS, CLOUD_METRICS, cloud_realm
 from .jobs import JOBS_DIMENSIONS, JOBS_METRICS, jobs_realm
 from .storage import STORAGE_DIMENSIONS, STORAGE_METRICS, storage_realm
-from .supremm import SUPREMM_METRIC_NAMES, SupremmRealm, supremm_realm
+from .supremm import SUPREMM_METRIC_NAMES, supremm_realm
 
 __all__ = [
     "ALLOCATIONS_DIMENSIONS",
@@ -59,7 +59,6 @@ __all__ = [
     "STORAGE_DIMENSIONS",
     "STORAGE_METRICS",
     "SUPREMM_METRIC_NAMES",
-    "SupremmRealm",
     "cloud_realm",
     "jobs_realm",
     "storage_realm",

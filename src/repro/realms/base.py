@@ -123,20 +123,8 @@ class RealmResult:
         return sorted({r.group for r in self.rows})
 
 
-def check_query(start: int, end: int, period: str, view: str) -> None:
-    """The argument checks every realm's ``query`` makes before it reads."""
-    if end <= start:
-        raise RealmQueryError(f"empty time range [{start}, {end})")
-    if view not in ("timeseries", "aggregate"):
-        raise RealmQueryError(f"unknown view {view!r}")
-    if period not in PERIODS:
-        raise RealmQueryError(f"unknown period {period!r} (have {list(PERIODS)})")
-
-
 class Realm:
-    """A named metric family over one aggregate-table prefix.
-
-    ``agg_prefix`` is ``None`` for a realm answering from its facts (SUPReMM)."""
+    """A named metric family over one aggregate-table prefix."""
 
     #: overall group label when no dimension is requested
     TOTAL = "total"
@@ -144,7 +132,7 @@ class Realm:
     def __init__(
         self,
         name: str,
-        agg_prefix: str | None,
+        agg_prefix: str,
         metrics: Sequence[Metric],
         dimensions: Sequence[DimensionSpec],
     ) -> None:
@@ -200,7 +188,12 @@ class Realm:
         :func:`repro.aggregation.group_reduce` sums numerator and
         denominator over ``(group, period_start)``.  NULL adds nothing.
         """
-        check_query(start, end, period, view)
+        if end <= start:
+            raise RealmQueryError(f"empty time range [{start}, {end})")
+        if view not in ("timeseries", "aggregate"):
+            raise RealmQueryError(f"unknown view {view!r}")
+        if period not in PERIODS:
+            raise RealmQueryError(f"unknown period {period!r} (have {list(PERIODS)})")
         m = self.metric(metric)
         gspec = self.dimension(group_by) if group_by else None
         fspecs = [

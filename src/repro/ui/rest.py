@@ -51,6 +51,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
 from ..analysis.sanitizer import create_lock
+from ..analytics import job_scores
 from ..auth.accounts import Session
 from ..obs import PROMETHEUS_CONTENT_TYPE, Observability, alert_rule
 from ..realms.base import Realm
@@ -235,8 +236,7 @@ class XdmodApi:
         stamps — a replication sync that lands new analytics rows makes
         the next read a ``stale`` recompute, not a wrong answer.
         """
-        realm = self.realms.get("supremm")
-        if realm is None or not hasattr(realm, "job_scores"):
+        if "supremm" not in self.realms:
             return ServingResult(404, {"error": "supremm realm not attached"})
         try:
             start = _int_param(params, "start")
@@ -245,13 +245,15 @@ class XdmodApi:
             limit = _int_param(params, "limit", minimum=0)
         except ServingParamError as exc:
             return ServingResult(400, {"error": str(exc)})
+        if start is not None and end is not None and end <= start:
+            return ServingResult(400, {"error": f"empty time range [{start}, {end})"})
         application = params.get("application") or None
         member = params.get("member") or None
         key = ("jobs_efficiency", start, end, application, member)
 
         def compute() -> dict[str, Any]:
             return {
-                "jobs": realm.job_scores(
+                "jobs": job_scores(
                     self.sources,
                     start=start, end=end,
                     application=application, member=member,

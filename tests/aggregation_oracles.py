@@ -1,14 +1,18 @@
-"""Pure-Python reference builders for the four aggregate realms.
+"""Pure-Python reference builders for the aggregate realms.
 
 The per-row, dict-bucketing implementations the columnar builders in
 :mod:`repro.aggregation.columnar` replaced.  They are the oracle the
 property tests (``tests/test_columnar_aggregation.py``,
 ``tests/test_aggregate_specs.py``) and benches A10 / A3 compare the
 shipped fold against row-for-row: each rebuilds ``agg_<realm>_<period>``
-from scratch by walking every fact as a dict.
+from scratch by walking every fact as a dict.  SUPReMM's reference is the
+query it replaced (:func:`supremm_query_oracle`), which answered from the
+facts directly.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Mapping
 
 from repro.aggregation import (
     ALLOCATIONS,
@@ -17,7 +21,10 @@ from repro.aggregation import (
     STORAGE,
     AggregationConfig,
 )
+from repro.core.identity import IdentityMap
+from repro.realms import Realm, RealmQueryError, RealmResult, ResultRow
 from repro.timeutil import (
+    PERIODS,
     SECONDS_PER_HOUR,
     overlap_seconds,
     period_label,
@@ -359,3 +366,72 @@ def aggregate_allocations_oracle(schema: Schema, period: str) -> int:
             }
         )
     return len(agg)
+
+
+def supremm_query_oracle(
+    realm: Realm,
+    sources: Schema | Mapping[str, Schema],
+    metric: str,
+    *,
+    start: int,
+    end: int,
+    period: str = "month",
+    group_by: str | None = None,
+    filters: Mapping[str, Iterable[str]] | None = None,
+    view: str = "timeseries",
+    idmap: IdentityMap | None = None,
+) -> RealmResult:
+    """Core-hour-weighted average of a per-job performance statistic,
+    straight from ``fact_job_perf`` joined to ``fact_job`` per request.
+
+    The SUPReMM query :data:`repro.aggregation.SUPREMM` replaced: jobs are
+    selected by ``start <= end_ts < end``, and person labels are never
+    member-qualified.  Filters, the aggregate view and an identity map
+    raise :class:`RealmQueryError`.
+    """
+    if end <= start:
+        raise RealmQueryError(f"empty time range [{start}, {end})")
+    if view not in ("timeseries", "aggregate"):
+        raise RealmQueryError(f"unknown view {view!r}")
+    if period not in PERIODS:
+        raise RealmQueryError(f"unknown period {period!r} (have {list(PERIODS)})")
+    m = realm.metric(metric)
+    gspec = realm.dimension(group_by) if group_by else None
+    if filters or view != "timeseries" or idmap is not None:
+        raise RealmQueryError(
+            "supremm: a timeseries only, with no filters or identity map"
+        )
+    if isinstance(sources, Schema):
+        sources = {"local": sources}
+    column = f"{metric[4:]}_avg"  # strip avg_ -> summary column prefix
+    acc: dict[tuple[str, int], list[float]] = {}  # (num, den) per cell
+    for schema in sources.values():
+        if not schema.has_table("fact_job_perf"):
+            continue
+        # composite-key join: job ids are only unique per resource
+        jobs_by_key = {
+            (r["resource_id"], r["job_id"]): r
+            for r in schema.table("fact_job").rows()
+        }
+        labels = {
+            r[gspec.dim_key]: r[gspec.dim_label]
+            for r in schema.table(gspec.dim_table).rows()
+        } if gspec else {}
+        for perf in schema.table("fact_job_perf").rows():
+            job = jobs_by_key.get((perf["resource_id"], perf["job_id"]))
+            if job is None or not (start <= job["end_ts"] < end):
+                continue
+            weight = job["cpu_hours"] or 0.0
+            if weight <= 0:
+                continue
+            key = job[gspec.column] if gspec else None
+            group = str(labels.get(key, key)) if gspec else realm.TOTAL
+            entry = acc.setdefault((group, period_start(period, job["end_ts"])), [0.0, 0.0])
+            entry[0] += perf[column] * weight
+            entry[1] += weight
+    result = RealmResult(metric=m, dimension=group_by)
+    for (group, p), (num, den) in sorted(acc.items()):
+        result.rows.append(
+            ResultRow(group, p, period_label(period, p), num / den if den else None)
+        )
+    return result

@@ -10,7 +10,8 @@ Three families of tests:
    mid-request);
 2. the Allocations fold: ``aggregate_allocations`` against the per-row
    builder it replaced (``tests/aggregation_oracles.py``), and a fold
-   equal to a rebuild;
+   equal to a rebuild; the SUPReMM fold equal to a rebuild, and
+   ``Realm.query`` over it equal to the per-job query it replaced;
 3. what ``aggregate_all`` / ``aggregate_all_incremental`` return — keys
    and their order — and the ``Schema.data_version`` they leave, pinned;
 4. every spec's declarations name real columns, config fields and table
@@ -21,6 +22,7 @@ Three families of tests:
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +33,7 @@ from repro.aggregation import (
     JOBS,
     SPECS,
     STORAGE,
+    SUPREMM,
     AggregateSpec,
     AggregationConfig,
     Aggregator,
@@ -38,9 +41,9 @@ from repro.aggregation import (
     at,
     over,
 )
+from repro.aggregation import columnar
 from repro.analysis.catalog import build_default_catalog
-from repro.etl import ParsedJob, ingest_jobs
-from repro.etl.star import jobs_star_schemas
+from repro.etl import ParsedJob, create_supremm_realm, ingest_jobs
 from repro.realms import (
     Allocation,
     aggregate_allocations,
@@ -52,13 +55,13 @@ from repro.realms import (
     storage_realm,
     supremm_realm,
 )
-from repro.simulators import ConversionTable
+from repro.simulators import PERF_METRICS, ConversionTable
 from repro.timeutil import (
     PERIODS, SECONDS_PER_DAY, SECONDS_PER_HOUR, overlap_seconds, period_range,
     period_start, ts,
 )
 from repro.warehouse import ColumnType, Database
-from tests.aggregation_oracles import aggregate_allocations_oracle
+from tests.aggregation_oracles import aggregate_allocations_oracle, supremm_query_oracle
 from tests.conftest import property_settings
 from tests.test_columnar_aggregation import (
     T0,
@@ -73,7 +76,7 @@ SETTINGS = property_settings(25)
 NUMERIC = (ColumnType.INT, ColumnType.FLOAT)
 REALMS = [
     (jobs_realm, JOBS), (storage_realm, STORAGE), (cloud_realm, CLOUD),
-    (allocations_realm, ALLOCATIONS),
+    (supremm_realm, SUPREMM), (allocations_realm, ALLOCATIONS),
 ]
 
 
@@ -100,7 +103,9 @@ class TestSpecs:
                 assert catalog.get(f"{spec.prefix}_{period}") == spec.table_schema(period)
 
     def test_every_spec_is_a_realm_and_in_aggregate_order(self):
-        assert [spec.realm for spec in SPECS] == ["jobs", "storage", "cloud", "allocations"]
+        assert [spec.realm for spec in SPECS] == [
+            "jobs", "storage", "cloud", "supremm", "allocations",
+        ]
         assert [(realm().name, realm().agg_prefix) for realm, _ in REALMS] == [
             (spec.realm, spec.prefix) for spec in SPECS
         ]
@@ -116,13 +121,6 @@ class TestSpecs:
                 assert table.column(column).ctype in NUMERIC, (metric.name, column)
         for dimension in realm.dimensions.values():
             assert dimension.column in table.column_names, dimension.name
-
-    def test_supremm_dimensions_name_fact_job_columns(self):
-        fact_job = next(t for t in jobs_star_schemas() if t.name == "fact_job")
-        dimensions = supremm_realm().dimensions
-        assert sorted(dimensions) == ["application", "person", "resource"]
-        for dimension in dimensions.values():
-            assert dimension.column in fact_job.column_names
 
 
 # -- 2. Allocations --------------------------------------------------------------
@@ -258,6 +256,180 @@ class TestAllocationsFold:
         assert not any(n.startswith("agg_allocation") for n in schema.table_names())
 
 
+def perf_schema(jobs, rounds):
+    """A jobs-and-performance schema and its inserts, batch by batch.
+
+    ``jobs``: ``(resource, job_id, person, app, end offset, cpu_hours,
+    order, round, delay, value)``; ``order`` puts the ``fact_job`` row before
+    (``"job first"``) or after (``"perf first"``) the ``fact_job_perf`` row,
+    ``delay`` batches apart, or leaves out the perf row (``"no perf"``) or
+    the job row (``"orphan"``).  Returns the schema and one callable per
+    batch of the ``rounds`` batches.
+    """
+    schema = build_schema()
+    create_supremm_realm(schema)
+    batches = [[] for _ in range(rounds)]
+    for resource, job_id, person, app, end, cpu, order, first, delay, value in jobs:
+        second = min(first + delay, rounds - 1)
+        job_at, perf_at = (second, first) if order == "perf first" else (first, second)
+        if order != "orphan":
+            batches[job_at].append(partial(
+                insert_job, schema, job_id, start=T0 + end - 3600, wall=3600, cpu_hours=cpu,
+                resource_id=resource, person_id=person, app_id=app,
+            ))
+        if order != "no perf":
+            batches[perf_at].append(partial(schema.table("fact_job_perf").insert, {
+                "job_id": job_id, "resource_id": resource,
+                **{f"{m}_avg": value * (i + 1) for i, m in enumerate(PERF_METRICS)},
+                **{f"{m}_max": value * (i + 2) for i, m in enumerate(PERF_METRICS)},
+            }))
+    return schema, [lambda batch=batch: [insert() for insert in batch] for batch in batches]
+
+
+perf_jobs_strategy = st.lists(
+    st.tuples(
+        st.sampled_from([1, 2]),                             # resource
+        st.integers(1, 6),                                   # job id, per resource
+        st.sampled_from([1, 2, 3]),                          # person
+        st.sampled_from([1, 2]),                             # application
+        st.integers(3600, YEAR - 1),                         # end offset
+        st.sampled_from([0.0, 2.5]) | st.floats(1e-3, 1e4),  # cpu hours
+        st.sampled_from(["job first", "perf first", "no perf", "orphan"]),
+        st.integers(0, 2),                                   # first batch
+        st.integers(0, 2),                                   # batches later
+        st.floats(0.0, 100.0).map(lambda v: round(v, 6)),   # per-job averages
+    ),
+    unique_by=lambda t: (t[0], t[1]),
+    max_size=12,
+)
+
+
+def aligned_windows(period):
+    """Period-aligned ``[start, end)`` windows over 2017."""
+    bounds = [p for p, _ in period_range(period, T0, T0 + YEAR)] + [T0 + YEAR]
+    inner = [(bounds[1], bounds[2]), (bounds[1], bounds[-2])] if len(bounds) > 3 else []
+    return [(T0, T0 + YEAR), *inner]
+
+
+class TestSupremmFold:
+    """SUPReMM is a spec: performance summaries joined to their jobs on the
+    composite ``(resource_id, job_id)`` key, folded where the job ended."""
+
+    @SETTINGS
+    @given(jobs=perf_jobs_strategy, period=st.sampled_from(PERIODS),
+           reingest=st.booleans())
+    def test_fold_equals_rebuild(self, jobs, period, reingest):
+        schema, batches = perf_schema(jobs, 3)
+        aggregator = Aggregator(schema)
+        for insert in batches:
+            insert()
+            aggregator.fold(SUPREMM, period)
+        job_rows = list(schema.table("fact_job").rows())
+        if reingest and job_rows:  # an update: the fold rebuilds
+            schema.table("fact_job").upsert({**job_rows[0], "cpu_hours": 7.0})
+            aggregator.fold(SUPREMM, period)
+        name = SUPREMM.table_schema(period).name
+        folded = sorted(schema.table(name).raw_rows())
+        aggregator.rebuild(SUPREMM, period)
+        assert sorted(schema.table(name).raw_rows()) == folded
+
+    @SETTINGS
+    @given(a=perf_jobs_strategy, b=perf_jobs_strategy, period=st.sampled_from(PERIODS),
+           group_by=st.sampled_from([None, "resource", "application", "person"]))
+    def test_query_equals_the_per_job_query_on_aligned_windows(self, a, b, period, group_by):
+        members = {}
+        for name, jobs in (("a", a), ("b", b)):
+            members[name], batches = perf_schema(jobs, 3)
+            for insert in batches:
+                insert()
+                Aggregator(members[name]).aggregate_all_incremental([period])
+        realm = supremm_realm()
+        # on a hub, people are member-qualified: compare them per member
+        sources = [members["a"]] if group_by == "person" else [members["a"], members]
+        for source in sources:
+            for start, end in aligned_windows(period):
+                for metric in ("avg_cpu_user", "avg_block_write_mbs"):
+                    kwargs = dict(start=start, end=end, period=period, group_by=group_by)
+                    got = realm.query(source, metric, **kwargs).rows
+                    want = supremm_query_oracle(realm, source, metric, **kwargs).rows
+                    assert [(r.group, r.period_start, r.period_label) for r in got] == [
+                        (r.group, r.period_start, r.period_label) for r in want
+                    ]
+                    assert [r.value for r in got] == pytest.approx(
+                        [r.value for r in want], rel=1e-12)
+
+    def test_orphans_and_idle_jobs_add_nothing(self, monkeypatch):
+        bounds, real = [], columnar._period_bounds
+        monkeypatch.setattr(
+            columnar, "_period_bounds", lambda *args: bounds.append(real(*args)) or bounds[-1])
+        schema, batches = perf_schema([
+            (1, 1, 1, 1, 40 * SECONDS_PER_DAY, 0.0, "job first", 0, 0, 5.0),
+            (1, 2, 1, 1, 50 * SECONDS_PER_DAY, 2.0, "orphan", 0, 0, 5.0),
+            (2, 1, 2, 1, 60 * SECONDS_PER_DAY, 4.0, "job first", 0, 0, 3.0),
+        ], 1)
+        batches[0]()
+        assert Aggregator(schema).rebuild(SUPREMM, "day") == 1
+        (row,) = schema.table("agg_supremm_day").rows()
+        assert (row["resource_id"], row["person_id"], row["cpu_hours"]) == (2, 2, 4.0)
+        assert row["cpu_user_weighted"] == 12.0
+        assert bounds[0][0] >= T0  # a join miss's end_ts of 0 widens no window
+
+    def test_a_perf_row_before_its_job_folds_when_the_job_lands(self):
+        schema, batches = perf_schema(
+            [(1, 1, 1, 1, 40 * SECONDS_PER_DAY, 2.0, "perf first", 0, 1, 5.0)], 2)
+        aggregator = Aggregator(schema)
+        batches[0]()
+        assert aggregator.fold(SUPREMM, "month") == 1
+        assert len(schema.table("agg_supremm_month")) == 0
+        batches[1]()
+        assert aggregator.fold(SUPREMM, "month") == 1
+        (row,) = schema.table("agg_supremm_month").rows()
+        assert row["cpu_user_weighted"] == 10.0
+
+    def test_a_schema_without_performance_data_gains_nothing(self):
+        s = build_schema()
+        seeded(s)
+        agg = Aggregator(s)
+        assert not any("supremm" in key for key in agg.aggregate_all())
+        assert not any("supremm" in key for key in agg.aggregate_all_incremental())
+        assert not any("supremm" in name for name in s.table_names())
+        assert not any(
+            "supremm" in mark["agg_table"] for mark in s.table("agg_watermark").rows()
+        )
+        create_supremm_realm(s)
+        assert [key for key in agg.aggregate_all(["month"]) if "supremm" in key] == [
+            "agg_supremm_month"
+        ]
+
+    def test_hub_people_are_member_qualified(self):
+        """An intended change: the per-job query labelled a hub's people
+        bare, merging two members' person 1; every realm qualifies them."""
+        members = {}
+        for name in ("a", "b"):
+            members[name], batches = perf_schema(
+                [(1, 1, 1, 1, 40 * SECONDS_PER_DAY, 2.0, "job first", 0, 0, 5.0)], 1)
+            batches[0]()
+            Aggregator(members[name]).aggregate_all(["month"])
+        kwargs = dict(start=T0, end=T0 + YEAR, group_by="person")
+        realm = supremm_realm()
+        assert realm.query(members, "avg_cpu_user", **kwargs).groups() == ["1@a", "1@b"]
+        assert supremm_query_oracle(realm, members, "avg_cpu_user", **kwargs).groups() == ["1"]
+
+    def test_windows_select_whole_periods(self):
+        """An intended change: a window that is not period-aligned selects
+        the periods that start in it, as every realm does; the per-job
+        query selected the jobs that ended in it."""
+        schema, batches = perf_schema(
+            [(1, 1, 1, 1, 10 * SECONDS_PER_DAY, 2.0, "job first", 0, 0, 5.0),
+             (1, 2, 1, 1, 40 * SECONDS_PER_DAY, 2.0, "job first", 0, 0, 7.0)], 1)
+        batches[0]()
+        Aggregator(schema).aggregate_all(["month"])
+        realm, window = supremm_realm(), dict(start=T0 + 5 * SECONDS_PER_DAY, end=ts(2017, 3, 1))
+        assert [r.value for r in realm.query(schema, "avg_cpu_user", **window).rows] == [7.0]
+        assert [r.value for r in supremm_query_oracle(
+            realm, schema, "avg_cpu_user", **window).rows] == [5.0, 7.0]
+
+
 # -- 3. aggregate_all* pinned -----------------------------------------------------
 
 
@@ -302,8 +474,9 @@ def source_columns(source):
     """``(table, column)`` of everything a source reads, renames or joins."""
     yield from ((source.table, c) for c in (*source.read, *source.rename.values()))
     if source.join:
-        column, table, key, value = source.join
-        yield from ((source.table, column), (table, key), (table, value))
+        columns, table, keys, values = source.join
+        yield from ((source.table, c) for c in columns)
+        yield from ((table, c) for c in (*keys, *values))
 
 
 class TestDeclarations:

@@ -8,8 +8,8 @@ Covers the PR-9 analytics loop end to end:
   (idempotent upserts, ``data_version`` bumps, telemetry feeds) and the
   replication of ``fact_job_analytics`` through the SUPReMM summary
   filter while the raw series stay home;
-- :meth:`repro.realms.supremm.SupremmRealm.job_scores` — the
-  federation-wide worst-first ranking with member/application filters;
+- :func:`repro.analytics.job_scores` — the federation-wide worst-first
+  ranking with member/application filters;
 - ``GET /jobs/efficiency`` — cache/ETag/pagination contract;
 - :class:`repro.obs.anomaly.AnomalyDetector` — robust per-application
   baselines, the ``min_samples``/``min_baseline`` guards, exactly-once
@@ -30,6 +30,7 @@ import pytest
 from repro.analytics import (
     ANALYTICS_TABLE,
     AnalyticsPlane,
+    job_scores,
     summarize_schema,
     summarize_series,
 )
@@ -53,6 +54,7 @@ from repro.simulators import (
 )
 from repro.ui import XdmodApi
 from tests.conftest import T0, T_MAR
+from tests.realm_query_oracle import oracle_query
 
 
 def fake_obs(name: str) -> Observability:
@@ -224,6 +226,8 @@ class TestSummarizeSchema:
 def two_member_sources(small_resource):
     a, _ = build_perf_instance("a", small_resource, seed=50)
     b, _ = build_perf_instance("b", small_resource, seed=51)
+    a.aggregate(["month"])
+    b.aggregate(["month"])
     return {"a": a.schema, "b": b.schema}
 
 
@@ -231,7 +235,7 @@ class TestJobScores:
     def test_ranked_worst_first_with_deterministic_ties(
         self, two_member_sources
     ):
-        rows = supremm_realm().job_scores(two_member_sources)
+        rows = job_scores(two_member_sources)
         assert len(rows) == 24
         keys = [
             (r["score"], r["member"], r["resource"], r["job_id"])
@@ -241,36 +245,28 @@ class TestJobScores:
         assert {r["member"] for r in rows} == {"a", "b"}
 
     def test_member_and_application_filters(self, two_member_sources):
-        realm = supremm_realm()
-        only_a = realm.job_scores(two_member_sources, member="a")
+        only_a = job_scores(two_member_sources, member="a")
         assert only_a and all(r["member"] == "a" for r in only_a)
         app = only_a[0]["application"]
-        filtered = realm.job_scores(two_member_sources, application=app)
+        filtered = job_scores(two_member_sources, application=app)
         assert filtered and all(r["application"] == app for r in filtered)
 
     def test_time_window_filters_on_job_end(self, two_member_sources):
-        realm = supremm_realm()
-        everything = realm.job_scores(two_member_sources, start=T0, end=T_MAR)
-        assert everything == realm.job_scores(two_member_sources)
-        assert realm.job_scores(
+        everything = job_scores(two_member_sources, start=T0, end=T_MAR)
+        assert everything == job_scores(two_member_sources)
+        assert job_scores(
             two_member_sources, start=T_MAR, end=T_MAR + 86400
         ) == []
 
     def test_members_without_analytics_are_skipped(self, two_member_sources):
-        realm = supremm_realm()
-        baseline = realm.job_scores(two_member_sources)
+        baseline = job_scores(two_member_sources)
         with_idle = dict(two_member_sources)
         with_idle["idle"] = XdmodInstance("idle").schema
-        assert realm.job_scores(with_idle) == baseline
+        assert job_scores(with_idle) == baseline
 
     def test_bare_schema_source_is_member_local(self, two_member_sources):
-        rows = supremm_realm().job_scores(two_member_sources["a"])
+        rows = job_scores(two_member_sources["a"])
         assert rows and all(r["member"] == "local" for r in rows)
-
-    def test_query_efficiency_truncates(self, two_member_sources):
-        realm = supremm_realm()
-        full = realm.job_scores(two_member_sources)
-        assert realm.query_efficiency(two_member_sources, limit=3) == full[:3]
 
 
 # -- REST: /jobs/efficiency ---------------------------------------------------
@@ -321,6 +317,17 @@ class TestEfficiencyEndpoint:
         assert api.handle_full("/jobs/efficiency?limit=abc", {})[0] == 400
         assert api.handle_full("/jobs/efficiency?offset=-1", {})[0] == 400
         assert api.handle_full("/jobs/efficiency?start=soon", {})[0] == 400
+
+    def test_empty_window_is_400_and_not_cached(self, api):
+        """``end <= start`` is a 400, as on ``/query`` — not an empty
+        ranking cached under the window's key."""
+        for window in (f"start={T_MAR}&end={T0}", f"start={T0}&end={T0}"):
+            status, payload, headers = api.handle_full(
+                f"/jobs/efficiency?{window}", {}
+            )
+            assert status == 400, window
+            assert "empty time range" in payload["error"]
+            assert "ETag" not in headers
 
     def test_404_without_supremm_realm(self):
         api = XdmodApi({}, {}, obs=fake_obs("api"))
@@ -384,10 +391,38 @@ class TestSupremmRealmInterface:
 
     def test_what_it_cannot_serve_is_a_400(self, api):
         base = f"/query?realm=supremm&metric=avg_cpu_user&start={T0}&end={T_MAR}"
-        for extra in ("&filter.resource=x", "&view=aggregate", "&group_by=queue"):
-            status, payload = self.get(api, base + extra)
-            assert status == 400, extra
-            assert "error" in payload
+        status, payload = self.get(api, base + "&group_by=queue")
+        assert status == 400
+        assert "error" in payload
+
+    @pytest.mark.parametrize("case", ["filter", "aggregate", "person"])
+    def test_filters_aggregate_view_and_person_equal_the_oracle(
+        self, api, two_member_sources, small_resource, case
+    ):
+        """What every realm serves, SUPReMM now serves: each answer over
+        two members equals the row-at-a-time oracle over its aggregate."""
+        resource = small_resource.name
+        extra, kwargs = {
+            "filter": (f"&filter.resource={resource}", {"filters": {"resource": [resource]}}),
+            "aggregate": ("&view=aggregate", {"view": "aggregate"}),
+            "person": ("&group_by=person", {"group_by": "person"}),
+        }[case]
+        status, payload = self.get(
+            api,
+            f"/query?realm=supremm&metric=avg_cpu_user&start={T0}&end={T_MAR}{extra}",
+        )
+        assert status == 200
+        want = oracle_query(
+            supremm_realm(), two_member_sources, "avg_cpu_user",
+            start=T0, end=T_MAR, **kwargs,
+        )
+        assert want.rows
+        got = [(r["group"], r["period_start"], r["value"]) for r in payload["rows"]]
+        assert [g for g, _, _ in got] == [r.group for r in want.rows]
+        assert [p for _, p, _ in got] == [r.period_start for r in want.rows]
+        assert [v for _, _, v in got] == pytest.approx([r.value for r in want.rows], rel=1e-12)
+        if "group_by" in kwargs:  # member-qualified, as every realm's people
+            assert {g.split("@")[-1] for g, _, _ in got} == {"a", "b"}
 
     def test_bad_range_and_period_raise_realm_query_error(self, two_member_sources):
         realm = supremm_realm()

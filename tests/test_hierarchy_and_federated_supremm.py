@@ -117,6 +117,7 @@ class TestFederatedSupremm:
             ingest_performance(instance.schema, batch)
             hub.join(instance, filter=supremm_summary_filter())
             satellites.append(instance)
+        hub.aggregate_federation(["month", "year"])
         return hub, satellites
 
     def test_summaries_replicate_timeseries_do_not(self, perf_federation):

@@ -132,6 +132,7 @@ class TestSupremmRealm:
     def perf_instance(self, instance, job_records, small_resource):
         batch = generate_performance_batch(job_records, small_resource, max_jobs=40)
         ingest_performance(instance.schema, batch)
+        instance.aggregate(["month"])
         return instance
 
     def test_weighted_average_bounded(self, perf_instance):

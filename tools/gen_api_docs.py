@@ -121,8 +121,8 @@ row-at-a-time reference `Realm.query` is tested against lives in
 
 Each aggregated realm is declared once, as a frozen
 `repro.aggregation.AggregateSpec(realm, prefix, columns, key, sources,
-levels, pick, finish)` — `JOBS`, `STORAGE`, `CLOUD`, `ALLOCATIONS`, all
-four in `SPECS`.  `spec.table_schema(period)` is the `<prefix>_<period>`
+levels, pick, finish)` — `JOBS`, `STORAGE`, `CLOUD`, `SUPREMM`,
+`ALLOCATIONS`, all five in `SPECS`.  `spec.table_schema(period)` is the `<prefix>_<period>`
 table (`period_start`, `period_label`, then `columns`; primary key
 `("period_start", *key)`; `derived=True`); the fold, `aggregate_all`, the
 realm factories (`Realm.agg_prefix` is `spec.prefix`) and repolint's schema
@@ -134,9 +134,9 @@ spec and no code:
 
 - `Source(table, read, attributions, rename={}, join=None)`: one table, its
   columns read in one `column_arrays` call (one data version), second names
-  (`rename={name: column}`) and a lookup `join=(column, table, key, value)`
-  (0 when nothing matches; a new row of the joined table refreshes the rows
-  it matches);
+  (`rename={name: column}`) and a lookup `join=(columns, table, keys,
+  values)` (0 when nothing matches; a new row of the joined table refreshes
+  the rows it matches; a row no attribution's `where` holds on is dropped);
 - `at(ts, where=None, **values)`: a row's values land in
   the period containing `ts` (a NULL `ts` adds nothing);
   `over(start, end, where=None, **values)`: they land in every period
@@ -170,7 +170,8 @@ fresh row has.  The two verbs differ only in where the fold starts:
 Each call is one `aggregate_<realm>` span, one
 `aggregation_build_seconds{realm,mode}` observation and one
 `aggregation_rows_total` bump; `aggregate_all` / `aggregate_all_incremental`
-run them over `JOBS`, `STORAGE`, `CLOUD` for every period, and
+run them over `JOBS`, `STORAGE`, `CLOUD` and, on a schema with
+`fact_job_perf`, `SUPREMM` for every period, and
 `aggregate_jobs` / `aggregate_storage` / `aggregate_cloud` name the three
 rebuilds.  Allocations is rebuilt on demand,
 `repro.realms.aggregate_allocations(schema, period)`.

@@ -74,7 +74,7 @@ def _hammer(api: XdmodApi, paths: list[str], rounds: int) -> list[float]:
     for _ in range(rounds):
         for path in paths:
             t0 = time.perf_counter()
-            status, _ = api.handle(path, {})
+            status = api.handle_http(path, {})[0]
             latencies.append(time.perf_counter() - t0)
             assert status == 200
     return latencies

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ..etl.star import DimensionCache, land
+from ..etl.star import DimensionCache, dimension_labels, land
 from ..obs import Observability
 from ..obs.anomaly import SCORE_SERIES
 from ..simulators.workload import DEFAULT_APPLICATIONS, ApplicationProfile
@@ -291,16 +291,9 @@ def summarize_schema(
     """
     if not schema.has_table("job_timeseries"):
         return 0
-    resources = {
-        r["resource_id"]: r["name"] for r in schema.table("dim_resource").rows()
-    }
-    applications = {
-        r["app_id"]: r["name"] for r in schema.table("dim_application").rows()
-    }
-    jobs_by_key = {
-        (r["resource_id"], r["job_id"]): r
-        for r in schema.table("fact_job").rows()
-    }
+    resources = dimension_labels(schema, "dim_resource")
+    applications = dimension_labels(schema, "dim_application")
+    fact_job = schema.table("fact_job")
     counter = None
     if obs is not None:
         counter = obs.registry.counter(
@@ -310,7 +303,7 @@ def summarize_schema(
         ).labels(member=member or schema.name)
     summaries: list[JobSummary] = []
     for row in schema.table("job_timeseries").rows():
-        job = jobs_by_key.get((row["resource_id"], row["job_id"]))
+        job = fact_job.get((row["resource_id"], row["job_id"]))
         application = (
             applications.get(job["app_id"], "uncategorized")
             if job is not None else "uncategorized"
@@ -358,18 +351,12 @@ def job_scores(
             continue
         if not schema.has_table(ANALYTICS_TABLE):
             continue
-        jobs_by_key = {
-            (r["resource_id"], r["job_id"]): r
-            for r in schema.table("fact_job").rows()
-        }
-        resources = {
-            r["resource_id"]: r["name"]
-            for r in schema.table("dim_resource").rows()
-        }
+        fact_job = schema.table("fact_job")
+        resources = dimension_labels(schema, "dim_resource")
         for fact in schema.table(ANALYTICS_TABLE).rows():
             if application is not None and fact["application"] != application:
                 continue
-            job = jobs_by_key.get((fact["resource_id"], fact["job_id"]))
+            job = fact_job.get((fact["resource_id"], fact["job_id"]))
             end_ts = job["end_ts"] if job is not None else None
             if start is not None or end is not None:
                 if end_ts is None:

@@ -272,19 +272,23 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return run_lint(args)
 
 
-def _demo_federation(*, inject_faults: bool = False, days: int = 3):
-    """Two-site federation (tight + loose) under a deterministic clock.
-
-    The shared builder behind ``obs trace --federated`` and ``obs
-    alerts``: each satellite ingests a few days of synthetic jobs inside
-    an ``ingest_batch`` span, so every replicated event carries trace
-    context into the hub.  With ``inject_faults`` the tight member joins
-    with a backlog and a target schema that always fails, so sync cycles
-    record ``failed`` outcomes and the burn-rate alert fires.
-    """
-    from .core import FederationHub, FederationMonitor, XdmodInstance
-    from .core.faults import FaultPlan, inject_apply_faults
+def _demo_obs(name: str):
+    """A telemetry bundle on an auto-advancing fake clock, so a demo
+    build — and everything it renders — is deterministic."""
     from .obs import FakeClock, Observability
+
+    return Observability(clock=FakeClock(auto_advance=0.001), name=name)
+
+
+def _demo_site(i: int, *, scale: float, seed: int, days: int):
+    """Satellite ``site<i>`` of the demo federations.
+
+    Simulates ``days`` days of jobs from 2017-01-01 on a CCR-like preset
+    and ingests them as sacct text inside an ``ingest_batch`` span, under
+    :func:`_demo_obs`, so every replicated event carries trace context
+    into the hub.  Returns the instance, the preset and the records.
+    """
+    from .core import XdmodInstance
     from .simulators import (
         WorkloadGenerator,
         ccr_like_site,
@@ -293,24 +297,34 @@ def _demo_federation(*, inject_faults: bool = False, days: int = 3):
     )
     from .timeutil import ts
 
-    def bundle(name: str) -> Observability:
-        return Observability(
-            clock=FakeClock(auto_advance=0.001), name=name
+    instance = XdmodInstance(f"site{i}", obs=_demo_obs(f"site{i}"))
+    site = ccr_like_site(scale=scale, seed=seed)
+    records = simulate_resource(
+        site.resource,
+        WorkloadGenerator(site.workload).generate(ts(2017, 1, 1), ts(2017, 1, 1 + days)),
+    )
+    with instance.obs.tracer.span("ingest_batch", site=instance.name):
+        instance.pipeline.ingest_sacct(
+            to_sacct_log(records), default_resource=site.name
         )
+    return instance, site, records
 
-    hub = FederationHub("hub", obs=bundle("hub"))
-    start, end = ts(2017, 1, 1), ts(2017, 1, 1 + days)
+
+def _demo_federation(*, inject_faults: bool = False, days: int = 3):
+    """Two-site federation (tight + loose) under a deterministic clock.
+
+    The shared builder behind ``obs trace --federated`` and ``obs
+    alerts``.  With ``inject_faults`` the tight member joins with a
+    backlog and a target schema that always fails, so sync cycles record
+    ``failed`` outcomes and the burn-rate alert fires.
+    """
+    from .core import FederationHub, FederationMonitor
+    from .core.faults import FaultPlan, inject_apply_faults
+
+    hub = FederationHub("hub", obs=_demo_obs("hub"))
     satellites = []
     for i, mode in enumerate(("tight", "loose")):
-        instance = XdmodInstance(f"site{i}", obs=bundle(f"site{i}"))
-        site = ccr_like_site(scale=0.05, seed=20 + i)
-        records = simulate_resource(
-            site.resource, WorkloadGenerator(site.workload).generate(start, end)
-        )
-        with instance.obs.tracer.span("ingest_batch", site=instance.name):
-            instance.pipeline.ingest_sacct(
-                to_sacct_log(records), default_resource=site.name
-            )
+        instance, _, _ = _demo_site(i, scale=0.05, seed=20 + i, days=days)
         hub.join(
             instance, mode=mode,
             initial_sync=not (inject_faults and mode == "tight"),
@@ -341,35 +355,17 @@ def _demo_fleet_federation(*, inject_faults: bool = False, days: int = 2):
     window — so its shipments stop, ``fleet_telemetry_stale`` fires
     deterministically, and the dashboard shows one STALE member.
     """
-    from .core import FederationHub, FederationMonitor, XdmodInstance
+    from .core import FederationHub, FederationMonitor
     from .core.faults import FaultPlan, inject_apply_faults
-    from .obs import FakeClock, Observability, alert_rule
-    from .simulators import (
-        WorkloadGenerator,
-        ccr_like_site,
-        simulate_resource,
-        to_sacct_log,
-    )
+    from .obs import alert_rule
+    from .simulators import WorkloadGenerator, simulate_resource, to_sacct_log
     from .timeutil import ts
 
-    def bundle(name: str) -> Observability:
-        return Observability(
-            clock=FakeClock(auto_advance=0.001), name=name
-        )
-
-    hub = FederationHub("hub", obs=bundle("hub"))
-    start, end = ts(2017, 1, 1), ts(2017, 1, 1 + days)
+    hub = FederationHub("hub", obs=_demo_obs("hub"))
     satellites = []
     presets = []
     for i in range(3):
-        instance = XdmodInstance(f"site{i}", obs=bundle(f"site{i}"))
-        site = ccr_like_site(scale=0.04, seed=40 + i)
-        records = simulate_resource(
-            site.resource, WorkloadGenerator(site.workload).generate(start, end)
-        )
-        instance.pipeline.ingest_sacct(
-            to_sacct_log(records), default_resource=site.name
-        )
+        instance, site, _ = _demo_site(i, scale=0.04, seed=40 + i, days=days)
         hub.join(instance, mode="tight")
         satellites.append(instance)
         presets.append(site)
@@ -381,6 +377,7 @@ def _demo_fleet_federation(*, inject_faults: bool = False, days: int = 2):
         # fresh backlog + always-failing channel: site2's sync outcomes
         # turn failed, so its telemetry stops riding the sync machinery
         quiet, site = satellites[2], presets[2]
+        end = ts(2017, 1, 1 + days)
         extra = simulate_resource(
             site.resource,
             WorkloadGenerator(site.workload).generate(end, end + 86400),
@@ -507,39 +504,20 @@ def _demo_analytics_federation(
     deterministic.
     """
     from .analytics import AnalyticsPlane, summarize_schema
-    from .core import FederationHub, FederationMonitor, XdmodInstance
+    from .core import FederationHub, FederationMonitor
     from .core.replicator import supremm_summary_filter
-    from .obs import FakeClock, Observability
     from .simulators import (
-        WorkloadGenerator,
-        ccr_like_site,
         generate_performance_batch,
         inject_cache_thrash,
         inject_idle_tail,
-        simulate_resource,
-        to_sacct_log,
     )
-    from .timeutil import ts
 
-    def bundle(name: str) -> Observability:
-        return Observability(
-            clock=FakeClock(auto_advance=0.001), name=name
-        )
-
-    hub = FederationHub("hub", obs=bundle("hub"))
-    start, end = ts(2017, 1, 1), ts(2017, 1, 1 + days)
+    hub = FederationHub("hub", obs=_demo_obs("hub"))
     satellites = []
     pathological: list[tuple[str, int]] = []
     for i in range(2):
-        name = f"site{i}"
-        instance = XdmodInstance(name, obs=bundle(name))
-        site = ccr_like_site(scale=0.05, seed=30 + i)
-        records = simulate_resource(
-            site.resource, WorkloadGenerator(site.workload).generate(start, end)
-        )
-        instance.pipeline.ingest_sacct(
-            to_sacct_log(records), default_resource=site.name
-        )
+        instance, site, records = _demo_site(i, scale=0.05, seed=30 + i, days=days)
+        name = instance.name
         perfs = generate_performance_batch(
             records, site.resource, max_jobs=max_jobs
         )

@@ -416,9 +416,8 @@ class FederationHub(XdmodInstance):
         outcome carries the error, its circuit breaker is notified, and —
         once the breaker opens — subsequent cycles skip the member
         (``circuit_open``) until the cooldown elapses and a probe either
-        recovers it or re-opens the circuit.  The outcomes compare as the
-        number of events applied, so ``sync()["site"] > 0`` and
-        ``sum(sync().values())`` behave as before.
+        recovers it or re-opens the circuit.  Each outcome's ``applied``
+        counts the events applied.
         """
         out: dict[str, MemberSyncOutcome] = {}
         self._m_sync_cycles.inc()

@@ -59,8 +59,8 @@ class LiveReplicator:
     def _loop(self) -> None:
         while not self._stop_event.is_set():
             try:
-                applied = self.hub.sync()
-                self.stats.events_applied += sum(applied.values())
+                outcomes = self.hub.sync()
+                self.stats.events_applied += sum(o.applied for o in outcomes.values())
             # repolint: ignore[overbroad-except] -- daemon loop must survive any sync failure; error is surfaced via LiveStats
             except Exception as exc:
                 self.stats.errors += 1
@@ -87,8 +87,8 @@ class LiveReplicator:
             self._thread.join(timeout=timeout)
             self._thread = None
         if drain:
-            applied = self.hub.sync()
-            self.stats.events_applied += sum(applied.values())
+            outcomes = self.hub.sync()
+            self.stats.events_applied += sum(o.applied for o in outcomes.values())
 
     def wait_until_current(self, *, timeout: float = 10.0) -> bool:
         """Block until every tight channel reports zero lag (or timeout)."""

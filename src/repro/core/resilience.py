@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Any, Callable, Iterator
 
 from ..warehouse import BinlogEvent
@@ -202,87 +202,23 @@ class DeadLetterQueue:
         return iter(self._letters[lsn] for lsn in self.lsns())
 
 
+@dataclass(frozen=True)
 class MemberSyncOutcome:
     """Per-member result of one :meth:`FederationHub.sync` cycle.
 
-    Backwards-compatible with the historical ``dict[str, int]`` return:
-    comparisons, ``int()`` and addition all see the number of events (or
-    rows) applied, so ``sum(hub.sync().values())`` and
-    ``hub.sync()["site0"] > 0`` keep working while the resilience layer
-    reports *why* a member applied nothing.
-
-    ``status`` is one of ``applied`` (clean), ``retried`` (applied after
-    transient failures), ``quarantined`` (events were dead-lettered this
-    cycle), ``circuit_open`` (member skipped, breaker open), ``failed``
-    (channel error, breaker notified), or ``idle`` (loose member during a
-    live sync — they only move on :meth:`FederationHub.ship_loose`).
+    ``applied`` counts the events (or rows) applied; ``status`` says why
+    a member applied nothing: one of ``applied`` (clean), ``retried``
+    (applied after transient failures), ``quarantined`` (events were
+    dead-lettered this cycle), ``circuit_open`` (member skipped, breaker
+    open), ``failed`` (channel error, breaker notified), or ``idle``
+    (loose member during a live sync — they only move on
+    :meth:`FederationHub.ship_loose`).
     """
 
-    __slots__ = ("member", "status", "applied", "retried", "quarantined", "error")
-
-    def __init__(
-        self,
-        member: str,
-        status: str,
-        applied: int = 0,
-        *,
-        retried: int = 0,
-        quarantined: int = 0,
-        error: str = "",
-    ) -> None:
-        self.member = member
-        self.status = status
-        self.applied = applied
-        self.retried = retried
-        self.quarantined = quarantined
-        self.error = error
-
-    def __int__(self) -> int:
-        return self.applied
-
-    def __index__(self) -> int:
-        return self.applied
-
-    def __add__(self, other: Any) -> Any:
-        return self.applied + other
-
-    __radd__ = __add__
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, MemberSyncOutcome):
-            return (
-                self.member == other.member
-                and self.status == other.status
-                and self.applied == other.applied
-            )
-        if isinstance(other, (int, float)):
-            return self.applied == other
-        return NotImplemented
-
-    def __lt__(self, other: Any) -> bool:
-        return self.applied < other
-
-    def __le__(self, other: Any) -> bool:
-        return self.applied <= other
-
-    def __gt__(self, other: Any) -> bool:
-        return self.applied > other
-
-    def __ge__(self, other: Any) -> bool:
-        return self.applied >= other
-
-    def __hash__(self) -> int:
-        return hash((self.member, self.status, self.applied))
-
-    def __repr__(self) -> str:
-        extra = ""
-        if self.retried:
-            extra += f", retried={self.retried}"
-        if self.quarantined:
-            extra += f", quarantined={self.quarantined}"
-        if self.error:
-            extra += f", error={self.error!r}"
-        return (
-            f"MemberSyncOutcome({self.member!r}, {self.status!r}, "
-            f"applied={self.applied}{extra})"
-        )
+    member: str
+    status: str
+    applied: int = 0
+    _: KW_ONLY
+    retried: int = 0
+    quarantined: int = 0
+    error: str = ""

@@ -21,6 +21,7 @@ from typing import Iterable
 from .errors import MembershipError
 from .federation import FederationHub, FederationMember, XdmodInstance
 from .replicator import ReplicationFilter
+from .resilience import MemberSyncOutcome
 
 
 @dataclass
@@ -136,6 +137,6 @@ class FederationNetwork:
             out[hub_name] = member
         return out
 
-    def sync_all(self) -> dict[str, dict[str, int]]:
-        """Pump every hub's channels; returns per-hub per-member counts."""
+    def sync_all(self) -> dict[str, dict[str, MemberSyncOutcome]]:
+        """Pump every hub's channels; returns per-hub per-member outcomes."""
         return {hub.name: hub.sync() for hub in self.hubs}

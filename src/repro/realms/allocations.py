@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable
 
 from ..aggregation import ALLOCATIONS, Aggregator
+from ..etl.star import dimension_labels
 from ..warehouse import ColumnType, Schema, TableSchema, make_columns
 from .base import DimensionSpec, Metric, Realm
 
@@ -113,13 +114,8 @@ def reconcile_charges(schema: Schema) -> tuple[int, int]:
     if not schema.has_table("fact_job"):
         return 0, 0
 
-    resource_names = {
-        row["resource_id"]: row["name"]
-        for row in schema.table("dim_resource").rows()
-    }
-    pi_names = {
-        row["pi_id"]: row["username"] for row in schema.table("dim_pi").rows()
-    }
+    resource_names = dimension_labels(schema, "dim_resource")
+    pi_names = dimension_labels(schema, "dim_pi")
     by_key: dict[tuple[str, str], list[Allocation]] = {}
     for grant in schema.table("dim_allocation").rows():
         allocation = Allocation(**grant)

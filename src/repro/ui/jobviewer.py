@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..auth.accounts import AuthError, Session, job_viewer_allowed
+from ..etl.star import dimension_labels
 from ..timeutil import iso
 from ..warehouse import Schema
 
@@ -43,25 +44,16 @@ class JobViewer:
         self.schema = schema
 
     def _resource_id(self, resource: str) -> int:
-        for row in self.schema.table("dim_resource").rows():
-            if row["name"] == resource:
-                return row["resource_id"]
+        for resource_id, name in dimension_labels(self.schema, "dim_resource").items():
+            if name == resource:
+                return resource_id
         raise JobNotFoundError(f"unknown resource {resource!r}")
 
     def _labels(self) -> dict[str, dict[int, str]]:
-        out: dict[str, dict[int, str]] = {}
-        pairs = {
-            "dim_person": ("person_id", "username"),
-            "dim_pi": ("pi_id", "username"),
-            "dim_application": ("app_id", "name"),
-            "dim_queue": ("queue_id", "name"),
-            "dim_resource": ("resource_id", "name"),
+        return {
+            table: dimension_labels(self.schema, table)
+            for table in ("dim_person", "dim_pi", "dim_application", "dim_queue", "dim_resource")
         }
-        for table, (key, label) in pairs.items():
-            out[table] = {
-                row[key]: row[label] for row in self.schema.table(table).rows()
-            }
-        return out
 
     def fetch(
         self,

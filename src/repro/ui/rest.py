@@ -1,54 +1,61 @@
 """HTTP JSON API: the machine face of the XDMoD web interface.
 
 A thin stdlib ``http.server`` wrapper exposing realm catalogs and queries
-for one instance (or a federation hub's combined sources):
+for one instance (or a federation hub's combined sources).  Every GET,
+in-process through :meth:`XdmodApi.handle_http` or over a socket through
+:class:`ApiServer`, takes one path: the route table, the auth check on
+protected routes, the route's handler, one encoding of the body
+(:func:`~repro.ui.serving.encode_json`: strict JSON, non-finite floats
+spelled ``"NaN"``/``"+Inf"``), the ``If-None-Match`` rule, a 500 for a
+handler exception, and one count on the request metrics.  A JSON body
+is the same bytes in-process and over HTTP.
 
-- ``GET /health`` — liveness; with a federation monitor attached it
-  becomes a readiness payload (``degraded_members``, ``max_lag``, and
-  the SLO engine's currently firing alerts)
+Routes (``*``: needs ``Authorization: Bearer <token>`` when
+``require_auth`` is on):
+
+- ``GET /`` and ``GET /health`` — liveness; with a federation monitor
+  attached it becomes a readiness payload (``degraded_members``,
+  ``max_lag``, and the SLO engine's currently firing alerts)
 - ``GET /status`` — full :class:`~repro.core.monitor.FederationStatus`
   plus a metrics-registry snapshot, as JSON (needs a monitor)
+- ``GET /alerts`` — evaluate and dump the monitor's SLO alert states
 - ``GET /metrics`` — the telemetry registry in Prometheus text format
   (needs an :class:`~repro.obs.Observability` bundle); each scrape also
   snapshots the registry into the metrics history
 - ``GET /fleet/metrics`` — the merged fleet exposition: every member's
   shipped telemetry under its ``member`` label, from the hub's
-  :class:`~repro.obs.fleet.FleetTSDB` (needs a monitor over a hub)
-- ``GET /alerts`` — evaluate and dump the monitor's SLO alert states
+  :class:`~repro.obs.fleet.FleetTSDB` (needs a monitor)
 - ``GET /realms`` — realm catalog with metrics and dimensions
 - ``GET /query?realm=jobs&metric=xdsu&start=...&end=...&period=month``
-  ``&group_by=resource&view=timeseries&filter.resource=comet,stampede``
-- ``GET /chart?...`` — same parameters, chart-shaped payload
+  ``&group_by=resource&view=timeseries&filter.resource=comet,stampede`` *
+- ``GET /chart?...`` — same parameters, chart-shaped payload *
 - ``GET /jobs/efficiency?start=...&end=...&application=...&member=...``
   — the federation-wide per-job efficiency ranking (least efficient
-  first) from the analytics fact table; same cache/ETag/pagination
-  contract as ``/query``
+  first) from the analytics fact table *
 
-``/query`` and ``/chart`` are cache-first: they delegate to a
-:class:`~repro.ui.serving.QueryService` whose result cache is keyed on
-the canonical request and invalidated by the warehouse ``data_version``
-counters, support ``offset``/``limit`` pagination, and carry a strong
-``ETag`` so a client re-sending it via ``If-None-Match`` gets an empty
-``304 Not Modified`` instead of a re-serialized body.  ``X-Cache`` on
-each response says whether the answer was a ``hit``, ``miss``, ``stale``
-recompute, or cache ``bypass``.
+The three protected routes are cache-first: a
+:class:`~repro.ui.serving.QueryService` caches each result under the
+canonical request, invalidates it by the warehouse ``data_version``
+counters, pages it with ``offset``/``limit``, and keeps each page's
+encoded bytes.  The strong ``ETag`` is a hash of those bytes, so a
+client re-sending it via ``If-None-Match`` gets an empty ``304 Not
+Modified``.  ``X-Cache`` says whether the answer was a ``hit``,
+``miss``, ``stale`` recompute, or cache ``bypass``.
 
-Authentication: optional bearer tokens; when enabled, ``/query`` and
-``/chart`` require ``Authorization: Bearer <token>`` naming a session
-token opened through :mod:`repro.auth` (the public catalog stays open, as
-XDMoD's public charts do).  Expired sessions are evicted from the token
-table on registration and on any authorized request, so the table tracks
-live sessions rather than everything ever issued.
+Bearer tokens name sessions opened through :mod:`repro.auth`; the
+public catalog stays open, as XDMoD's public charts do.  Expired
+sessions are evicted from the token table on registration and on any
+authorized request, so the table tracks live sessions rather than
+everything ever issued.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..analysis.sanitizer import create_lock
 from ..analytics import job_scores
@@ -56,20 +63,10 @@ from ..auth.accounts import Session
 from ..obs import PROMETHEUS_CONTENT_TYPE, Observability, alert_rule
 from ..realms.base import Realm
 from ..warehouse import Schema
-from .serving import (
-    QueryService,
-    ServingParamError,
-    ServingResult,
-    _int_param,
-    json_sanitize,
-)
+from .serving import QueryService, ServingParamError, ServingResult, _int_param
 
-#: Routes that get their own label on the request counter/histogram;
-#: anything else is folded into "other" to bound label cardinality.
-_KNOWN_ROUTES = (
-    "/", "/health", "/status", "/alerts", "/metrics", "/fleet/metrics",
-    "/realms", "/query", "/chart", "/jobs/efficiency",
-)
+if TYPE_CHECKING:
+    from ..core.monitor import FederationMonitor
 
 
 def _etag_matches(if_none_match: str | None, etag: str) -> bool:
@@ -87,15 +84,23 @@ def _etag_matches(if_none_match: str | None, etag: str) -> bool:
     return False
 
 
+def _error(status: int, message: str) -> ServingResult:
+    return ServingResult.of(status, {"error": message})
+
+
+def _prometheus(text: str) -> ServingResult:
+    return ServingResult(200, text.encode("utf-8"), content_type=PROMETHEUS_CONTENT_TYPE)
+
+
 class XdmodApi:
     """The request-independent application object.
 
     ``obs`` enables ``GET /metrics`` and the request/cache telemetry;
     ``monitor`` (a :class:`~repro.core.monitor.FederationMonitor`)
-    enables ``GET /status`` and upgrades ``GET /health`` to readiness.
-    ``cache=False`` turns the serving layer into a pass-through (every
-    read recomputes) — the benchmark baseline and the ``serve
-    --no-cache`` escape hatch.
+    enables ``GET /status``, ``/alerts`` and ``/fleet/metrics`` and
+    upgrades ``GET /health`` to readiness.  ``cache=False`` turns the
+    serving layer into a pass-through (every read recomputes) — the
+    benchmark baseline and the ``serve --no-cache`` escape hatch.
     """
 
     def __init__(
@@ -105,7 +110,7 @@ class XdmodApi:
         *,
         require_auth: bool = False,
         obs: Observability | None = None,
-        monitor: Any = None,
+        monitor: FederationMonitor | None = None,
         cache: bool = True,
         cache_entries: int = 512,
     ) -> None:
@@ -172,166 +177,66 @@ class XdmodApi:
                 return False
         return True
 
-    # -- endpoint handlers ----------------------------------------------------
-
-    def handle(self, path: str, headers: Mapping[str, str]) -> tuple[int, dict[str, Any]]:
-        """Dispatch one GET; returns (status, json payload)."""
-        status, payload, _ = self.handle_full(path, headers)
-        return status, payload
-
-    def handle_full(
-        self, path: str, headers: Mapping[str, str]
-    ) -> tuple[int, dict[str, Any], dict[str, str]]:
-        """Dispatch one GET; returns (status, payload, extra headers).
-
-        The extra headers carry the serving layer's ``ETag`` and
-        ``X-Cache``; a matching ``If-None-Match`` collapses the response
-        to an empty ``304``.
-        """
-        parsed = urllib.parse.urlparse(path)
-        params = {
-            k: v[0] for k, v in urllib.parse.parse_qs(parsed.query).items()
-        }
-        route = parsed.path.rstrip("/") or "/"
-        if route in ("/", "/health"):
-            return (*self._health(), {})
-        if route == "/status":
-            return (*self._status(), {})
-        if route == "/alerts":
-            return (*self._alerts(), {})
-        if route == "/metrics":
-            if self.obs is None:
-                return 404, {"error": "no telemetry registry attached"}, {}
-            return 200, self.obs.registry.snapshot(), {}
-        if route == "/realms":
-            return 200, {
-                name: {
-                    "metrics": sorted(realm.metrics),
-                    "dimensions": sorted(realm.dimensions),
-                }
-                for name, realm in self.realms.items()
-            }, {}
-        if route in ("/query", "/chart", "/jobs/efficiency"):
-            if not self._authorized(headers):
-                return 401, {"error": "authentication required"}, {}
-            if route == "/jobs/efficiency":
-                result = self._jobs_efficiency(params)
-            else:
-                result = self.serving.respond(params, chart=(route == "/chart"))
-            extra: dict[str, str] = {}
-            if result.etag is not None:
-                extra["ETag"] = result.etag
-                extra["X-Cache"] = result.cache
-                if _etag_matches(headers.get("If-None-Match"), result.etag):
-                    return 304, {}, extra
-            return result.status, result.payload, extra
-        return 404, {"error": f"no route {route!r}"}, {}
-
-    def _jobs_efficiency(self, params: Mapping[str, str]) -> ServingResult:
-        """The per-job efficiency ranking, least efficient first.
-
-        Served cache-first through the query service's generic path: the
-        full ranking is cached under one key per (window, application,
-        member) and invalidated by the source schemas' ``data_version``
-        stamps — a replication sync that lands new analytics rows makes
-        the next read a ``stale`` recompute, not a wrong answer.
-        """
-        if "supremm" not in self.realms:
-            return ServingResult(404, {"error": "supremm realm not attached"})
-        try:
-            start = _int_param(params, "start")
-            end = _int_param(params, "end")
-            offset = _int_param(params, "offset", default=0, minimum=0)
-            limit = _int_param(params, "limit", minimum=0)
-        except ServingParamError as exc:
-            return ServingResult(400, {"error": str(exc)})
-        if start is not None and end is not None and end <= start:
-            return ServingResult(400, {"error": f"empty time range [{start}, {end})"})
-        application = params.get("application") or None
-        member = params.get("member") or None
-        key = ("jobs_efficiency", start, end, application, member)
-
-        def compute() -> dict[str, Any]:
-            return {
-                "jobs": job_scores(
-                    self.sources,
-                    start=start, end=end,
-                    application=application, member=member,
-                )
-            }
-
-        return self.serving.respond_cached(
-            key, compute,
-            offset=offset or 0, limit=limit, field="jobs",
-        )
-
-    def handle_raw(
-        self, path: str, headers: Mapping[str, str]
-    ) -> tuple[int, str, bytes]:
-        """Dispatch one GET; returns (status, content type, body bytes)."""
-        status, content_type, body, _ = self.handle_http(path, headers)
-        return status, content_type, body
+    # -- the request pipeline -------------------------------------------------
 
     def handle_http(
         self, path: str, headers: Mapping[str, str]
     ) -> tuple[int, str, bytes, dict[str, str]]:
-        """The full HTTP dispatch: (status, content type, body, headers).
+        """Answer one GET: (status, content type, body, extra headers).
 
-        ``/metrics`` renders Prometheus text exposition; every other
-        route goes through :meth:`handle_full` and serializes as strict
-        JSON (non-finite floats become their ``"NaN"``/``"+Inf"``
-        string spellings — ``json.dumps`` would otherwise emit tokens no
-        JSON parser accepts).  Any handler exception is caught here and
-        answered as a 500 JSON body: a bug in one handler must cost one
-        error response, not a hung client on a dead handler thread.
+        Route, auth, handler, then the ``If-None-Match`` rule on the
+        encoded answer; the extra headers carry a cached route's
+        ``ETag`` and ``X-Cache``.  Any handler exception is answered as
+        a 500 JSON body: a bug in one handler must cost one error
+        response, not a hung client on a dead handler thread.  Every
+        call, whatever its outcome, counts once on
+        ``serving_requests_total`` under the route's own label
+        (``other`` for an unknown path).
         """
-        route = urllib.parse.urlparse(path).path.rstrip("/") or "/"
-        metric_route = route if route in _KNOWN_ROUTES else "other"
+        url = urllib.parse.urlparse(path)
+        route = url.path.rstrip("/") or "/"
+        handler, protected = _ROUTES.get(route, (None, False))
         started = self.obs.clock.now() if self.obs is not None else 0.0
         try:
-            if route == "/metrics" and self.obs is not None:
-                # a scrape is a sampling point: snapshot into the history too
-                self.obs.history.record()
-                body = self.obs.registry.render_prometheus().encode("utf-8")
-                response = 200, PROMETHEUS_CONTENT_TYPE, body, {}
-            elif route == "/fleet/metrics":
-                fleet = self._fleet()
-                if fleet is None:
-                    body = json.dumps(
-                        {"error": "no fleet TSDB attached"}
-                    ).encode()
-                    response = 404, "application/json", body, {}
-                else:
-                    body = fleet.render_prometheus().encode("utf-8")
-                    response = 200, PROMETHEUS_CONTENT_TYPE, body, {}
+            if handler is None:
+                result = _error(404, f"no route {route!r}")
+            elif protected and not self._authorized(headers):
+                result = _error(401, "authentication required")
             else:
-                status, payload, extra = self.handle_full(path, headers)
-                if status == 304:
-                    body = b""
-                else:
-                    body = json.dumps(
-                        json_sanitize(payload), allow_nan=False
-                    ).encode()
-                response = status, "application/json", body, extra
+                params = {
+                    k: v[0] for k, v in urllib.parse.parse_qs(url.query).items()
+                }
+                result = handler(self, params)
         except Exception as exc:  # the 500 guard: no exception escapes
-            body = json.dumps(
-                {"error": f"internal error: {type(exc).__name__}: {exc}"}
-            ).encode()
-            response = 500, "application/json", body, {}
+            result = _error(500, f"internal error: {type(exc).__name__}: {exc}")
+        status, body, extra = result.status, result.body, {}
+        if result.etag is not None:
+            extra = {"ETag": result.etag, "X-Cache": result.cache}
+            if _etag_matches(headers.get("If-None-Match"), result.etag):
+                status, body = 304, b""
         if self.obs is not None:
+            label = route if handler is not None else "other"
             self._c_requests.labels(
-                route=metric_route, **{"class": f"{response[0] // 100}xx"}
+                route=label, **{"class": f"{status // 100}xx"}
             ).inc()
-            self._h_latency.labels(route=metric_route).observe(
+            self._h_latency.labels(route=label).observe(
                 self.obs.clock.now() - started
             )
-        return response
+        return status, result.content_type, body, extra
+
+    def handle_raw(
+        self, path: str, headers: Mapping[str, str]
+    ) -> tuple[int, str, bytes]:
+        """:meth:`handle_http` without its extra headers."""
+        return self.handle_http(path, headers)[:3]
+
+    # -- route handlers -------------------------------------------------------
 
     def _fleet(self):
-        """The hub's fleet TSDB when a monitor over a hub is attached."""
-        return getattr(getattr(self.monitor, "hub", None), "fleet", None)
+        """The hub's fleet TSDB when a monitor is attached."""
+        return self.monitor.hub.fleet if self.monitor is not None else None
 
-    def _health(self) -> tuple[int, dict[str, Any]]:
+    def _health(self, params: Mapping[str, str]) -> ServingResult:
         """Liveness, upgraded to readiness when a monitor is attached."""
         payload: dict[str, Any] = {
             "status": "ok", "realms": sorted(self.realms),
@@ -351,32 +256,24 @@ class XdmodApi:
             payload["all_consistent"] = snapshot.all_consistent
             if snapshot.degraded_members:
                 payload["status"] = "degraded"
-            if getattr(self.monitor, "alerts", None) is not None:
-                firing = [
-                    s.to_dict() for s in self.monitor.evaluate_alerts()
-                    if s.status == "firing"
-                ]
-                payload["alerts_firing"] = firing
-                if firing:
-                    payload["status"] = "degraded"
-            plane = getattr(self.monitor, "analytics", None)
-            if plane is not None:
-                payload["anomalies_open"] = plane.anomalies_open
+            firing = [
+                s.to_dict() for s in self.monitor.evaluate_alerts()
+                if s.status == "firing"
+            ]
+            payload["alerts_firing"] = firing
+            if firing:
+                payload["status"] = "degraded"
+            if self.monitor.analytics is not None:
+                payload["anomalies_open"] = self.monitor.analytics.anomalies_open
         if "anomalies_open" not in payload and self.obs is not None:
             last = self.obs.history.last("analytics_anomalies_open_rows")
             if last is not None:
                 payload["anomalies_open"] = int(last)
-        return 200, payload
+        return ServingResult.of(200, payload)
 
-    def _alerts(self) -> tuple[int, dict[str, Any]]:
-        if self.monitor is None or getattr(self.monitor, "alerts", None) is None:
-            return 404, {"error": "no federation monitor attached"}
-        self.monitor.evaluate_alerts()
-        return 200, self.monitor.alerts.to_dict()
-
-    def _status(self) -> tuple[int, dict[str, Any]]:
+    def _status(self, params: Mapping[str, str]) -> ServingResult:
         if self.monitor is None:
-            return 404, {"error": "no federation monitor attached"}
+            return _error(404, "no federation monitor attached")
         snapshot = self.monitor.status()
         members = []
         for member in snapshot.members:
@@ -384,7 +281,7 @@ class XdmodApi:
             entry["health"] = member.health
             entry["avg_sync_seconds"] = member.avg_sync_seconds
             members.append(entry)
-        return 200, {
+        return ServingResult.of(200, {
             "hub": snapshot.hub,
             "all_consistent": snapshot.all_consistent,
             "max_lag": snapshot.max_lag,
@@ -394,7 +291,97 @@ class XdmodApi:
             "metrics": (
                 self.obs.registry.snapshot() if self.obs is not None else {}
             ),
-        }
+        })
+
+    def _alerts(self, params: Mapping[str, str]) -> ServingResult:
+        if self.monitor is None:
+            return _error(404, "no federation monitor attached")
+        self.monitor.evaluate_alerts()
+        return ServingResult.of(200, self.monitor.alerts.to_dict())
+
+    def _metrics(self, params: Mapping[str, str]) -> ServingResult:
+        if self.obs is None:
+            return _error(404, "no telemetry registry attached")
+        # a scrape is a sampling point: snapshot into the history too
+        self.obs.history.record()
+        return _prometheus(self.obs.registry.render_prometheus())
+
+    def _fleet_metrics(self, params: Mapping[str, str]) -> ServingResult:
+        fleet = self._fleet()
+        if fleet is None:
+            return _error(404, "no fleet TSDB attached")
+        return _prometheus(fleet.render_prometheus())
+
+    def _realms(self, params: Mapping[str, str]) -> ServingResult:
+        return ServingResult.of(200, {
+            name: {
+                "metrics": sorted(realm.metrics),
+                "dimensions": sorted(realm.dimensions),
+            }
+            for name, realm in self.realms.items()
+        })
+
+    def _query(self, params: Mapping[str, str]) -> ServingResult:
+        return self.serving.respond(params, chart=False)
+
+    def _chart(self, params: Mapping[str, str]) -> ServingResult:
+        return self.serving.respond(params, chart=True)
+
+    def _jobs_efficiency(self, params: Mapping[str, str]) -> ServingResult:
+        """The per-job efficiency ranking, least efficient first.
+
+        Served cache-first through the query service's generic path: the
+        full ranking is cached under one key per (window, application,
+        member) and invalidated by the source schemas' ``data_version``
+        stamps — a replication sync that lands new analytics rows makes
+        the next read a ``stale`` recompute, not a wrong answer.
+        """
+        if "supremm" not in self.realms:
+            return _error(404, "supremm realm not attached")
+        try:
+            start = _int_param(params, "start")
+            end = _int_param(params, "end")
+            offset = _int_param(params, "offset", default=0, minimum=0)
+            limit = _int_param(params, "limit", minimum=0)
+        except ServingParamError as exc:
+            return _error(400, str(exc))
+        if start is not None and end is not None and end <= start:
+            return _error(400, f"empty time range [{start}, {end})")
+        application = params.get("application") or None
+        member = params.get("member") or None
+        key = ("jobs_efficiency", start, end, application, member)
+
+        def compute() -> dict[str, Any]:
+            return {
+                "jobs": job_scores(
+                    self.sources,
+                    start=start, end=end,
+                    application=application, member=member,
+                )
+            }
+
+        return self.serving.respond_cached(
+            key, compute,
+            offset=offset or 0, limit=limit, field="jobs",
+        )
+
+
+#: The one list of routes: path -> (handler, protected).  A protected
+#: route needs a live bearer token when ``require_auth`` is on.  Each
+#: path is its own ``route`` label on the request metrics; any other
+#: path answers 404 and is counted as ``other``.
+_ROUTES: dict[str, tuple[Callable[[XdmodApi, Mapping[str, str]], ServingResult], bool]] = {
+    "/": (XdmodApi._health, False),
+    "/health": (XdmodApi._health, False),
+    "/status": (XdmodApi._status, False),
+    "/alerts": (XdmodApi._alerts, False),
+    "/metrics": (XdmodApi._metrics, False),
+    "/fleet/metrics": (XdmodApi._fleet_metrics, False),
+    "/realms": (XdmodApi._realms, False),
+    "/query": (XdmodApi._query, True),
+    "/chart": (XdmodApi._chart, True),
+    "/jobs/efficiency": (XdmodApi._jobs_efficiency, True),
+}
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -17,9 +17,10 @@ path cache-first instead:
 - :class:`QueryService` — parses and canonicalizes request parameters
   (rejecting bad ones with a 400 instead of an exception), consults the
   cache, paginates (``offset``/``limit`` slice the cached full payload,
-  so every page is served from one cached compute), and derives the
-  strong ETag that lets :mod:`repro.ui.rest` answer ``If-None-Match``
-  revalidations with an empty 304.
+  so every page is served from one cached compute), encodes each page
+  once with :func:`encode_json` and memoizes the bytes, and hashes them
+  into the strong ETag that lets :mod:`repro.ui.rest` answer
+  ``If-None-Match`` revalidations with an empty 304.
 - :class:`ViewSpec` — a pre-materialized view: a registered query
   (top-N chart, dashboard timeseries) recomputed by
   :meth:`QueryService.materialize`, which the federation hub invokes
@@ -55,6 +56,7 @@ __all__ = [
     "ServingParamError",
     "ServingResult",
     "ViewSpec",
+    "encode_json",
     "json_sanitize",
 ]
 
@@ -70,8 +72,7 @@ def json_sanitize(obj: Any) -> Any:
 
     ``json.dumps`` alone emits bare ``NaN``/``Infinity`` tokens — legal
     Python, invalid JSON — which the metrics registry's ±Inf/NaN samples
-    would otherwise smuggle into ``/status`` and the JSON ``/metrics``
-    payloads.
+    would otherwise smuggle into the ``/status`` payload.
     """
     if isinstance(obj, float):
         if math.isfinite(obj):
@@ -84,6 +85,12 @@ def json_sanitize(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [json_sanitize(v) for v in obj]
     return obj
+
+
+def encode_json(payload: Any) -> bytes:
+    """The one encoder of every JSON response body: strict JSON
+    (non-finite floats spelled by :func:`json_sanitize`), UTF-8 bytes."""
+    return json.dumps(json_sanitize(payload), allow_nan=False).encode()
 
 
 def _int_param(
@@ -172,12 +179,22 @@ class QueryRequest:
 
 @dataclass
 class ServingResult:
-    """What the REST layer needs to answer one read request."""
+    """What the REST layer needs to answer one read request.
+
+    ``body`` is already encoded: a cached page keeps its bytes, so a hit
+    is answered without sanitizing or serializing anything.
+    """
 
     status: int
-    payload: dict[str, Any]
+    body: bytes
     etag: str | None = None
     cache: str = "none"  # hit | miss | stale | bypass | none
+    content_type: str = "application/json"
+
+    @classmethod
+    def of(cls, status: int, payload: Any) -> "ServingResult":
+        """A JSON answer, ``payload`` encoded by :func:`encode_json`."""
+        return cls(status, encode_json(payload))
 
 
 #: Distinct (offset, limit) windows memoized per cache entry; beyond
@@ -193,25 +210,25 @@ class _CacheEntry:
         self.payload = payload
         self.versions = versions
         self.hits = 0
-        # (offset, limit) -> (paginated payload, etag): a hit on a seen
-        # window returns a fully built response without re-slicing or
+        # (offset, limit) -> (encoded page, etag): a hit on a seen window
+        # returns the response bytes without re-slicing, re-encoding or
         # re-hashing.  Guarded by its own per-entry lock: concurrent
         # /query clients paginate the same resident entry, and an
         # unlocked check-then-insert both races the MAX_PAGES_PER_ENTRY
         # bound and mutates the dict mid-``get`` on other threads.
-        self.pages: dict[tuple, tuple[dict[str, Any], str]] = {}
+        self.pages: dict[tuple, tuple[bytes, str]] = {}
         self._plock = create_lock("QueryCache.entry")  # guards: pages
 
-    def get_page(self, page_key: tuple) -> tuple[dict[str, Any], str] | None:
+    def get_page(self, page_key: tuple) -> tuple[bytes, str] | None:
         with self._plock:
             return self.pages.get(page_key)
 
-    def memo_page(self, page_key: tuple, page: dict[str, Any], etag: str) -> None:
+    def memo_page(self, page_key: tuple, body: bytes, etag: str) -> None:
         """Memoize one window; the bound check and the insert are one
         critical section, so the entry can never exceed the page cap."""
         with self._plock:
             if len(self.pages) < MAX_PAGES_PER_ENTRY:
-                self.pages[page_key] = (page, etag)
+                self.pages[page_key] = (body, etag)
 
 
 class QueryCache:
@@ -407,9 +424,9 @@ class QueryService:
         try:
             request = QueryRequest.parse(params, chart=chart)
         except ServingParamError as exc:
-            return ServingResult(400, {"error": str(exc)})
+            return ServingResult.of(400, {"error": str(exc)})
         if request.realm not in self.realms:
-            return ServingResult(
+            return ServingResult.of(
                 400, {"error": f"unknown realm {request.realm!r}"}
             )
         return self.respond_cached(
@@ -430,7 +447,8 @@ class QueryService:
         field: str = "rows",
     ) -> ServingResult:
         """The cache-first flow behind every cached route: version-stamped
-        cache entry, per-window page memoization, strong ETag.
+        cache entry, per-window memoization of the encoded page, strong
+        ETag over those bytes.
 
         :meth:`respond` passes the realm query as ``compute``; routes
         whose payload is not a realm query (e.g. ``/jobs/efficiency``)
@@ -450,7 +468,7 @@ class QueryService:
             try:
                 full = compute()
             except RealmQueryError as exc:
-                return ServingResult(400, {"error": str(exc)})
+                return ServingResult.of(400, {"error": str(exc)})
             if self.enabled:
                 entry = self.cache.store(key, versions, full)
         else:
@@ -465,10 +483,11 @@ class QueryService:
         page[f"total_{field}"] = len(items)
         page["offset"] = offset
         page["limit"] = limit
-        etag = self._etag(page)
+        body = encode_json(page)
+        etag = '"' + hashlib.sha256(body).hexdigest()[:32] + '"'
         if entry is not None:
-            entry.memo_page(page_key, page, etag)
-        return ServingResult(200, page, etag=etag, cache=cache_state)
+            entry.memo_page(page_key, body, etag)
+        return ServingResult(200, body, etag=etag, cache=cache_state)
 
     def _compute(self, request: QueryRequest) -> dict[str, Any]:
         """Build the full (unpaginated) payload from the realm engine."""
@@ -506,14 +525,6 @@ class QueryService:
                 for r in result.rows
             ],
         }
-
-    @staticmethod
-    def _etag(payload: dict[str, Any]) -> str:
-        """Strong validator over the canonical payload serialization."""
-        canonical = json.dumps(
-            json_sanitize(payload), sort_keys=True, separators=(",", ":")
-        )
-        return '"' + hashlib.sha256(canonical.encode()).hexdigest()[:32] + '"'
 
     # -- materialized views ---------------------------------------------------
 

@@ -55,6 +55,7 @@ from repro.simulators import (
 from repro.ui import XdmodApi
 from tests.conftest import T0, T_MAR
 from tests.realm_query_oracle import oracle_query
+from tests.rest_client import get_json
 
 
 def fake_obs(name: str) -> Observability:
@@ -281,7 +282,7 @@ class TestEfficiencyEndpoint:
         )
 
     def test_ranking_cache_and_etag(self, api):
-        status, payload, headers = api.handle_full("/jobs/efficiency", {})
+        status, payload, headers = get_json(api, "/jobs/efficiency")
         assert status == 200
         assert headers["X-Cache"] == "miss"
         jobs = payload["jobs"]
@@ -289,17 +290,17 @@ class TestEfficiencyEndpoint:
         scores = [j["score"] for j in jobs]
         assert scores == sorted(scores)
         # warm path: cache hit, and If-None-Match collapses to a 304
-        status, _, again = api.handle_full("/jobs/efficiency", {})
+        status, _, again = get_json(api, "/jobs/efficiency")
         assert again["X-Cache"] == "hit" and again["ETag"] == headers["ETag"]
-        status, body, _ = api.handle_full(
-            "/jobs/efficiency", {"If-None-Match": headers["ETag"]}
+        status, body, _ = get_json(
+            api, "/jobs/efficiency", {"If-None-Match": headers["ETag"]}
         )
         assert status == 304 and body == {}
 
     def test_pagination(self, api):
-        _, full, _ = api.handle_full("/jobs/efficiency", {})
-        status, page, _ = api.handle_full(
-            "/jobs/efficiency?offset=1&limit=2", {}
+        _, full, _ = get_json(api, "/jobs/efficiency")
+        status, page, _ = get_json(
+            api, "/jobs/efficiency?offset=1&limit=2"
         )
         assert status == 200
         assert page["jobs"] == full["jobs"][1:3]
@@ -307,23 +308,23 @@ class TestEfficiencyEndpoint:
         assert page["offset"] == 1 and page["limit"] == 2
 
     def test_member_filter_param(self, api):
-        status, payload, _ = api.handle_full("/jobs/efficiency?member=b", {})
+        status, payload, _ = get_json(api, "/jobs/efficiency?member=b")
         assert status == 200
         assert payload["jobs"] and all(
             j["member"] == "b" for j in payload["jobs"]
         )
 
     def test_bad_params_are_400(self, api):
-        assert api.handle_full("/jobs/efficiency?limit=abc", {})[0] == 400
-        assert api.handle_full("/jobs/efficiency?offset=-1", {})[0] == 400
-        assert api.handle_full("/jobs/efficiency?start=soon", {})[0] == 400
+        assert get_json(api, "/jobs/efficiency?limit=abc")[0] == 400
+        assert get_json(api, "/jobs/efficiency?offset=-1")[0] == 400
+        assert get_json(api, "/jobs/efficiency?start=soon")[0] == 400
 
     def test_empty_window_is_400_and_not_cached(self, api):
         """``end <= start`` is a 400, as on ``/query`` — not an empty
         ranking cached under the window's key."""
         for window in (f"start={T_MAR}&end={T0}", f"start={T0}&end={T0}"):
-            status, payload, headers = api.handle_full(
-                f"/jobs/efficiency?{window}", {}
+            status, payload, headers = get_json(
+                api, f"/jobs/efficiency?{window}"
             )
             assert status == 400, window
             assert "empty time range" in payload["error"]
@@ -331,15 +332,15 @@ class TestEfficiencyEndpoint:
 
     def test_404_without_supremm_realm(self):
         api = XdmodApi({}, {}, obs=fake_obs("api"))
-        status, payload, _ = api.handle_full("/jobs/efficiency", {})
+        status, payload, _ = get_json(api, "/jobs/efficiency")
         assert status == 404
         assert "supremm" in payload["error"]
 
     def test_data_version_bump_invalidates_cache(
         self, api, two_member_sources
     ):
-        api.handle_full("/jobs/efficiency", {})
-        _, _, headers = api.handle_full("/jobs/efficiency", {})
+        get_json(api, "/jobs/efficiency")
+        _, _, headers = get_json(api, "/jobs/efficiency")
         assert headers["X-Cache"] == "hit"
         # a replication sync landing new analytics rows bumps the source
         # data_version; the next read must recompute, not serve stale
@@ -347,7 +348,7 @@ class TestEfficiencyEndpoint:
         row = dict(next(iter(fact.rows())))
         row["efficiency_score"] = 0.0
         fact.upsert(row)
-        _, payload, headers = api.handle_full("/jobs/efficiency", {})
+        _, payload, headers = get_json(api, "/jobs/efficiency")
         assert headers["X-Cache"] == "stale"
         assert payload["jobs"][0]["score"] == 0.0
 
@@ -548,7 +549,7 @@ class TestFederationAcceptance:
             {"supremm": supremm_realm()}, hub.federated_schemas(),
             obs=hub.obs, monitor=monitor,
         )
-        status, payload, _ = api.handle_full("/jobs/efficiency?limit=2", {})
+        status, payload, _ = get_json(api, "/jobs/efficiency?limit=2")
         assert status == 200
         assert {
             (j["member"], j["job_id"]) for j in payload["jobs"]
@@ -569,7 +570,7 @@ class TestFederationAcceptance:
             {"supremm": supremm_realm()}, hub.federated_schemas(),
             obs=hub.obs, monitor=monitor,
         )
-        status, payload = api.handle("/health", {})
+        status, payload, _ = get_json(api, "/health")
         assert status == 200
         assert payload["anomalies_open"] == plane.anomalies_open == 2
 

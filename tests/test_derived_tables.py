@@ -37,6 +37,7 @@ from repro.warehouse import (
 
 from .test_batch_apply import make_job
 from .test_batch_loaders import storage_doc, vm_events
+from tests.rest_client import get_json
 
 C = ColumnType
 T0 = ts(2017, 1, 1)
@@ -159,7 +160,7 @@ class TestRowMutationsLogNothing:
             }
 
         def served_jobs():
-            status, body = api.handle(query, {})
+            status, body, _ = get_json(api, query)
             assert status == 200
             return sum(row["value"] for row in body["rows"])
 

@@ -83,7 +83,7 @@ class TestSync:
         ingest_jobs(satellites["site0"].schema, [make_job(9001)])
         assert hub.lag()["site0"] > 0
         applied = hub.sync()
-        assert applied["site0"] > 0
+        assert applied["site0"].applied > 0
         assert hub.lag()["site0"] == 0
 
     def test_loose_member_needs_ship(self):

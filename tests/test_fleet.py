@@ -32,6 +32,7 @@ from repro.obs import (
 from repro.obs.fleet import SEQ_SERIES
 from repro.realms import jobs_realm
 from repro.ui import XdmodApi
+from tests.rest_client import get_json
 
 
 def _registry(**counters: float) -> MetricsRegistry:
@@ -425,7 +426,7 @@ class TestRestSurface:
     def test_health_reports_stale_members(self, stale_fleet):
         hub, _, monitor = stale_fleet
         api = XdmodApi({"jobs": jobs_realm()}, hub.schema, monitor=monitor)
-        status, payload = api.handle("/health", {})
+        status, payload, _ = get_json(api, "/health")
         assert status == 200
         assert payload["fleet_stale_members"] == ["site2"]
         assert payload["status"] == "degraded"
@@ -433,6 +434,6 @@ class TestRestSurface:
     def test_health_empty_stale_list_when_fresh(self, healthy_fleet):
         hub, _, monitor = healthy_fleet
         api = XdmodApi({"jobs": jobs_realm()}, hub.schema, monitor=monitor)
-        status, payload = api.handle("/health", {})
+        status, payload, _ = get_json(api, "/health")
         assert status == 200
         assert payload["fleet_stale_members"] == []

@@ -3,6 +3,7 @@ API that keeps serving the hub across re-ships and joins."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -15,6 +16,7 @@ from repro.timeutil import ts
 from repro.ui import XdmodApi
 from repro.ui.serving import QueryService
 from repro.warehouse import Database
+from tests.rest_client import get_json
 
 
 def make_job(job_id, resource="r1"):
@@ -110,10 +112,9 @@ class TestApiAcrossMembershipChanges:
     END = ts(2018, 1, 1)
 
     def jobs_ended(self, api):
-        status, payload = api.handle(
-            f"/query?realm=jobs&metric=n_jobs_ended&start={ts(2017, 1, 1)}"
+        status, payload, _ = get_json(
+            api, f"/query?realm=jobs&metric=n_jobs_ended&start={ts(2017, 1, 1)}"
             f"&end={self.END}&period=year",
-            {},
         )
         assert status == 200
         return sum(row["value"] for row in payload["rows"])
@@ -154,7 +155,7 @@ class TestApiAcrossMembershipChanges:
         sources["sat"] = new  # what a re-ship does to the hub's mapping
         second = service.respond(params, chart=False)
         assert second.cache == "stale"
-        assert second.payload["rows"][0]["value"] == 4 * first.payload["rows"][0]["value"]
+        assert json.loads(second.body)["rows"][0]["value"] == 4 * json.loads(first.body)["rows"][0]["value"]
 
     def test_member_that_joins_after_the_api_was_built_shows_up(self):
         from tests.conftest import build_two_site_federation

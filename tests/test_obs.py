@@ -26,6 +26,7 @@ from repro.realms import jobs_realm
 from repro.timeutil import ts
 from repro.ui import ApiServer, XdmodApi
 from tests.conftest import build_two_site_federation
+from tests.rest_client import get_json
 
 
 def make_job(job_id):
@@ -375,18 +376,18 @@ class TestRestSurfaces:
 
     def test_metrics_endpoint_404_without_obs(self, aggregated_instance):
         api = XdmodApi({"jobs": jobs_realm()}, aggregated_instance.schema)
-        status, payload = api.handle("/metrics", {})
+        status, payload, _ = get_json(api, "/metrics")
         assert status == 404
 
     def test_health_readiness_payload(self):
         hub, satellites, api = self._federated_api()
-        status, payload = api.handle("/health", {})
+        status, payload, _ = get_json(api, "/health")
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["degraded_members"] == []
         assert payload["max_lag"] == 0
         ingest_jobs(satellites["site0"].schema, [make_job(31337)])
-        status, payload = api.handle("/health", {})
+        status, payload, _ = get_json(api, "/health")
         assert status == 200  # degraded is still a 200 -- readiness payload
         assert payload["status"] == "degraded"
         assert "site0" in payload["degraded_members"]
@@ -395,7 +396,7 @@ class TestRestSurfaces:
     def test_status_payload(self):
         hub, _, api = self._federated_api()
         hub.sync()
-        status, payload = api.handle("/status", {})
+        status, payload, _ = get_json(api, "/status")
         assert status == 200
         assert payload["hub"] == "hub"
         assert {m["name"] for m in payload["members"]} == {"site0", "site1"}
@@ -406,7 +407,7 @@ class TestRestSurfaces:
 
     def test_status_404_without_monitor(self, aggregated_instance):
         api = XdmodApi({"jobs": jobs_realm()}, aggregated_instance.schema)
-        status, payload = api.handle("/status", {})
+        status, payload, _ = get_json(api, "/status")
         assert status == 404
 
     def test_metrics_over_live_server(self):

@@ -45,6 +45,7 @@ from repro.obs import (
 )
 from repro.timeutil import ts
 from repro.ui import XdmodApi, render_sparkline
+from tests.rest_client import get_json
 
 
 def make_job(job_id):
@@ -598,7 +599,7 @@ class TestAlertsEndToEnd:
             monitor.evaluate_alerts()
         api = XdmodApi({}, {}, obs=hub.obs, monitor=monitor)
 
-        status, payload = api.handle("/alerts", {})
+        status, payload, _ = get_json(api, "/alerts")
         assert status == 200
         assert payload["firing"] >= 2
         firing = {
@@ -606,7 +607,7 @@ class TestAlertsEndToEnd:
         }
         assert {"sync_failure_burn_rate", "replication_lag_high"} <= firing
 
-        status, health = api.handle("/health", {})
+        status, health, _ = get_json(api, "/health")
         assert status == 200
         assert health["status"] == "degraded"
         assert "sync_failure_burn_rate" in {
@@ -615,7 +616,7 @@ class TestAlertsEndToEnd:
 
     def test_alerts_endpoint_404_without_monitor(self):
         api = XdmodApi({}, {})
-        status, payload = api.handle("/alerts", {})
+        status, payload, _ = get_json(api, "/alerts")
         assert status == 404
         assert "monitor" in payload["error"]
 

@@ -125,21 +125,6 @@ class TestDeadLetterQueue:
 
 
 class TestMemberSyncOutcome:
-    def test_compares_as_events_applied(self):
-        outcome = MemberSyncOutcome("site0", "applied", 5)
-        assert outcome > 0
-        assert outcome >= 5
-        assert outcome < 6
-        assert outcome == 5
-        assert int(outcome) == 5
-
-    def test_sums_like_int(self):
-        outcomes = [
-            MemberSyncOutcome("a", "applied", 2),
-            MemberSyncOutcome("b", "circuit_open", 0),
-        ]
-        assert sum(outcomes) == 2
-
     def test_carries_failure_detail(self):
         outcome = MemberSyncOutcome(
             "a", "failed", 0, retried=3, error="apply blew up"

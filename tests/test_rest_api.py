@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
+from collections import Counter
 
 import pytest
 
 from repro.auth import Account, AccountStore, Role
-from repro.realms import jobs_realm
+from repro.cli import _demo_analytics_federation
+from repro.core import FederationMonitor
+from repro.obs import FakeClock, Observability
+from repro.realms import jobs_realm, supremm_realm
 from repro.timeutil import ts
-from repro.ui import ApiServer, XdmodApi
+from repro.ui import ApiServer, XdmodApi, serving
+from repro.ui.rest import _ROUTES
 from tests.conftest import T0
+from tests.rest_client import get_json
 
 END = ts(2017, 6, 1)
 
@@ -34,56 +41,53 @@ class TestDispatchUnit:
     """Handler logic without a socket."""
 
     def test_health(self, api):
-        status, payload = api.handle("/health", {})
+        status, payload, _ = get_json(api, "/health")
         assert status == 200 and payload["realms"] == ["jobs"]
 
     def test_realm_catalog(self, api):
-        status, payload = api.handle("/realms", {})
+        status, payload, _ = get_json(api, "/realms")
         assert "cpu_hours" in payload["jobs"]["metrics"]
         assert "resource" in payload["jobs"]["dimensions"]
 
     def test_unknown_route(self, api):
-        status, _ = api.handle("/bogus", {})
+        status, _, _ = get_json(api, "/bogus")
         assert status == 404
 
     def test_query_requires_params(self, api):
-        status, payload = api.handle("/query?realm=jobs", {})
+        status, payload, _ = get_json(api, "/query?realm=jobs")
         assert status == 400 and "error" in payload
 
     def test_unknown_realm(self, api):
-        status, _ = api.handle(f"/query?realm=nope&metric=x&start=0&end=1", {})
+        status, _, _ = get_json(api, f"/query?realm=nope&metric=x&start=0&end=1")
         assert status == 400
 
     def test_query_rows(self, api):
-        status, payload = api.handle(
-            f"/query?realm=jobs&metric=cpu_hours&start={T0}&end={END}"
+        status, payload, _ = get_json(
+            api, f"/query?realm=jobs&metric=cpu_hours&start={T0}&end={END}"
             "&group_by=queue",
-            {},
         )
         assert status == 200
         assert payload["rows"]
 
     def test_filters(self, api):
-        status, payload = api.handle(
-            f"/query?realm=jobs&metric=n_jobs_ended&start={T0}&end={END}"
+        status, payload, _ = get_json(
+            api, f"/query?realm=jobs&metric=n_jobs_ended&start={T0}&end={END}"
             "&group_by=queue&filter.queue=normal",
-            {},
         )
         assert status == 200
         assert {r["group"] for r in payload["rows"]} == {"normal"}
 
     def test_chart_payload(self, api):
-        status, payload = api.handle(
-            f"/chart?realm=jobs&metric=xdsu&start={T0}&end={END}"
+        status, payload, _ = get_json(
+            api, f"/chart?realm=jobs&metric=xdsu&start={T0}&end={END}"
             "&group_by=queue&top_n=2",
-            {},
         )
         assert status == 200
         assert len(payload["series"]) <= 2
 
     def test_bad_realm_query_error_maps_to_400(self, api):
-        status, _ = api.handle(
-            f"/query?realm=jobs&metric=bogus&start={T0}&end={END}", {}
+        status, _, _ = get_json(
+            api, f"/query?realm=jobs&metric=bogus&start={T0}&end={END}"
         )
         assert status == 400
 
@@ -94,21 +98,21 @@ class TestAuthGate:
             {"jobs": jobs_realm()}, aggregated_instance.schema,
             require_auth=True,
         )
-        status, _ = api.handle(
-            f"/query?realm=jobs&metric=cpu_hours&start={T0}&end={END}", {}
+        status, _, _ = get_json(
+            api, f"/query?realm=jobs&metric=cpu_hours&start={T0}&end={END}"
         )
         assert status == 401
         store = AccountStore("inst")
         store.add(Account("alice", roles={Role.USER}))
         session = store.open_session("alice", "local")
         api.register_session(session)
-        status, _ = api.handle(
-            f"/query?realm=jobs&metric=cpu_hours&start={T0}&end={END}",
+        status, _, _ = get_json(
+            api, f"/query?realm=jobs&metric=cpu_hours&start={T0}&end={END}",
             {"Authorization": f"Bearer {session.token}"},
         )
         assert status == 200
         # catalog stays public
-        status, _ = api.handle("/realms", {})
+        status, _, _ = get_json(api, "/realms")
         assert status == 200
 
 
@@ -139,10 +143,9 @@ class TestFederatedApi:
         hub, _, _, _ = federation
         hub.aggregate_federation(["month"])
         api = XdmodApi({"jobs": jobs_realm()}, hub.federated_schemas())
-        status, payload = api.handle(
-            f"/query?realm=jobs&metric=xdsu&start={T0}&end={END}"
+        status, payload, _ = get_json(
+            api, f"/query?realm=jobs&metric=xdsu&start={T0}&end={END}"
             "&group_by=resource&view=aggregate",
-            {},
         )
         assert status == 200
         groups = {r["group"] for r in payload["rows"]}
@@ -152,10 +155,149 @@ class TestFederatedApi:
         hub, _, _, _ = federation
         hub.aggregate_federation(["month"])
         api = XdmodApi({"jobs": jobs_realm()}, hub.federated_schemas())
-        status, payload = api.handle(
-            f"/query?realm=jobs&metric=n_jobs_ended&start={T0}&end={END}"
+        status, payload, _ = get_json(
+            api, f"/query?realm=jobs&metric=n_jobs_ended&start={T0}&end={END}"
             "&group_by=person&view=aggregate",
-            {},
         )
         assert status == 200
         assert all("@" in r["group"] for r in payload["rows"])
+
+
+# -- one door: every caller gets the same answer, counted once ---------------
+
+WINDOW = f"start={ts(2017, 1, 1)}&end={ts(2017, 2, 1)}"
+QUERY = f"/query?realm=jobs&metric=cpu_hours&{WINDOW}&group_by=resource"
+#: a URL per route in the table; a route not named here is asked bare
+URLS = {
+    "/query": QUERY,
+    "/chart": f"/chart?realm=jobs&metric=xdsu&{WINDOW}&group_by=resource",
+    "/jobs/efficiency": f"/jobs/efficiency?{WINDOW}&limit=5",
+}
+
+
+@pytest.fixture(scope="module")
+def demo_hub():
+    """Two members with fleet telemetry and the analytics plane; every
+    clock frozen, so equal request sequences give equal bytes."""
+    hub, satellites, plane, _, _ = _demo_analytics_federation()
+    for clock in {hub.obs.clock, *(s.obs.clock for s in satellites)}:
+        clock.auto_advance = 0.0
+    return hub, plane
+
+
+def _twin_apis(demo_hub, **options) -> tuple[XdmodApi, XdmodApi]:
+    """Two identical APIs over one hub, each with its own monitor and
+    frozen-clock registry: one is asked in-process, the other over HTTP."""
+    hub, plane = demo_hub
+
+    def build() -> XdmodApi:
+        return XdmodApi(
+            {"jobs": jobs_realm(), "supremm": supremm_realm()},
+            hub.federated_schemas(),
+            obs=Observability(clock=FakeClock()),
+            monitor=FederationMonitor(hub, analytics=plane),
+            **options,
+        )
+
+    return build(), build()
+
+
+def _fetch(server: ApiServer, path: str, headers=None):
+    """One GET over a socket, shaped like ``XdmodApi.handle_http``."""
+    host, port = server.address
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        conn.request("GET", path, headers=headers or {})
+        response = conn.getresponse()
+        extra = {
+            name: response.getheader(name)
+            for name in ("ETag", "X-Cache") if response.getheader(name)
+        }
+        return (
+            response.status, response.getheader("Content-Type"),
+            response.read(), extra,
+        )
+    finally:
+        conn.close()
+
+
+def _request_counts(api: XdmodApi) -> Counter:
+    values = api.obs.registry.snapshot()["serving_requests_total"]["values"]
+    return Counter({
+        (v["labels"]["route"], v["labels"]["class"]): v["value"] for v in values
+    })
+
+
+class TestOneDoor:
+    def test_every_route_is_the_same_in_process_and_over_http(self, demo_hub):
+        local, remote = _twin_apis(demo_hub)
+        with ApiServer(remote) as server:
+            for route in _ROUTES:
+                for _ in range(2):  # a cached route: miss, then hit
+                    path = URLS.get(route, route)
+                    answer = local.handle_http(path, {})
+                    assert answer[0] == 200, (route, answer[2])
+                    assert answer == _fetch(server, path), route
+        assert local.handle_http(QUERY, {})[3]["X-Cache"] == "hit"
+
+    @pytest.mark.parametrize("case", ["401", "404", "304", "400", "500"])
+    def test_error_answers_are_the_same_in_process_and_over_http(
+        self, demo_hub, monkeypatch, case
+    ):
+        local, remote = _twin_apis(demo_hub, require_auth=(case == "401"))
+        path, headers = QUERY, {}
+        if case == "404":
+            path = "/no/such/route"
+        elif case == "400":
+            path = f"{QUERY}&limit=-1"
+        elif case == "304":
+            etag = local.handle_http(QUERY, {})[3]["ETag"]
+            assert remote.handle_http(QUERY, {})[3]["ETag"] == etag
+            headers = {"If-None-Match": etag}
+        elif case == "500":
+            def boom(*args, **kwargs):
+                raise RuntimeError("handler bug")
+
+            for api in (local, remote):
+                monkeypatch.setattr(api.serving, "respond", boom)
+        with ApiServer(remote) as server:
+            answer = local.handle_http(path, headers)
+            assert answer == _fetch(server, path, headers)
+        assert answer[0] == int(case)
+        if case == "304":
+            assert answer[2] == b""
+        else:
+            assert "error" in json.loads(answer[2])
+
+    def test_each_request_counts_once_under_its_route_label(self, demo_hub):
+        api, _ = _twin_apis(demo_hub, require_auth=True)
+        for route in [*_ROUTES, "/nope"]:
+            before = _request_counts(api)
+            status = api.handle_http(URLS.get(route, route), {})[0]
+            label = route if route in _ROUTES else "other"
+            assert _request_counts(api) - before == Counter(
+                {(label, f"{status // 100}xx"): 1}
+            ), route
+
+    def test_a_memoized_hit_is_not_encoded_again(self, demo_hub, monkeypatch):
+        api, _ = _twin_apis(demo_hub)
+        miss = api.handle_http(QUERY, {})
+        calls: Counter = Counter()
+        dumps, sanitize = json.dumps, serving.json_sanitize
+
+        def counted_dumps(*args, **kwargs):
+            calls["json.dumps"] += 1
+            return dumps(*args, **kwargs)
+
+        def counted_sanitize(obj):
+            calls["json_sanitize"] += 1
+            return sanitize(obj)
+
+        monkeypatch.setattr(serving.json, "dumps", counted_dumps)
+        monkeypatch.setattr(serving, "json_sanitize", counted_sanitize)
+        hit = api.handle_http(QUERY, {})
+        assert hit[3]["X-Cache"] == "hit" and hit[:3] == miss[:3]
+        assert calls == Counter()
+        # a miss encodes its body once, and hashes those bytes for the ETag
+        api.handle_http(f"{QUERY}&view=aggregate", {})
+        assert calls["json.dumps"] == 1

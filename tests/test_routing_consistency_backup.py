@@ -127,7 +127,7 @@ class TestFederationNetwork:
         net.connect(satellite)
         ingest_jobs(satellite.schema, [make_job(99, resource="open")])
         out = net.sync_all()
-        assert out["h"]["sat"] > 0
+        assert out["h"]["sat"].applied > 0
 
 
 class TestConsistency:

@@ -43,6 +43,7 @@ from repro.ui import (
 from repro.ui.rest import ApiServer
 from repro.ui.serving import QueryCache, QueryRequest
 from tests.conftest import T0
+from tests.rest_client import get_json
 
 END = ts(2017, 6, 1)
 QUERY = (
@@ -110,16 +111,16 @@ class TestDataVersion:
 
 class TestQueryCache:
     def test_hit_miss_stale_counters(self, aggregated_instance, api):
-        assert api.handle(QUERY, {})[0] == 200
+        assert get_json(api, QUERY)[0] == 200
         assert _lookups(api)["miss"] == 1
-        assert api.handle(QUERY, {})[0] == 200
+        assert get_json(api, QUERY)[0] == 200
         assert _lookups(api)["hit"] == 1
         # any warehouse mutation invalidates: stale recompute, then hits
         aggregated_instance.schema.table("fact_job").update_where(
             lambda r: True, {"exit_code": 0}
         )
-        assert api.handle(QUERY, {})[0] == 200
-        assert api.handle(QUERY, {})[0] == 200
+        assert get_json(api, QUERY)[0] == 200
+        assert get_json(api, QUERY)[0] == 200
         counts = _lookups(api)
         assert counts == {"hit": 2.0, "miss": 1.0, "stale": 1.0, "bypass": 0.0}
 
@@ -136,15 +137,15 @@ class TestQueryCache:
             assert first == again == baseline
 
     def test_stale_entry_recomputes_new_values(self, aggregated_instance, api):
-        _, before = api.handle(QUERY, {})
+        _, before, _ = get_json(api, QUERY)
         schema = aggregated_instance.schema
         schema.table("fact_job").update_where(lambda r: True, {"cpu_hours": 0.0})
         aggregated_instance.aggregate(["day", "month"])
-        _, after = api.handle(QUERY, {})
+        _, after, _ = get_json(api, QUERY)
         assert before["rows"] != after["rows"]
         assert all(r["value"] == 0.0 for r in after["rows"])
         # re-stamped: the recomputed entry now serves hits
-        assert api.handle(QUERY, {})[1] == after
+        assert get_json(api, QUERY)[1] == after
         assert _lookups(api)["hit"] >= 1
 
     def test_lru_eviction_counted_and_bounded(self, aggregated_instance):
@@ -154,7 +155,7 @@ class TestQueryCache:
         )
         for metric in ("cpu_hours", "xdsu", "n_jobs_ended", "node_hours"):
             path = f"/query?realm=jobs&metric={metric}&start={T0}&end={END}"
-            assert api.handle(path, {})[0] == 200
+            assert get_json(api, path)[0] == 200
         assert len(api.serving.cache) == 3
         registry = api.obs.registry
         assert registry.value("serving_cache_evictions_total") == 1
@@ -165,8 +166,8 @@ class TestQueryCache:
             {"jobs": jobs_realm()}, aggregated_instance.schema,
             obs=Observability.default(), cache=False,
         )
-        api.handle(QUERY, {})
-        api.handle(QUERY, {})
+        get_json(api, QUERY)
+        get_json(api, QUERY)
         counts = _lookups(api)
         assert counts["bypass"] == 2 and counts["hit"] == 0
         assert len(api.serving.cache) == 0
@@ -192,20 +193,20 @@ class TestBadParameters:
     ])
     def test_bad_numeric_params_are_400(self, api, suffix):
         path = CHART if "top_n" in suffix else QUERY
-        status, payload = api.handle(path + suffix, {})
+        status, payload, _ = get_json(api, path + suffix)
         assert status == 400 and "bad parameters" in payload["error"]
 
     @pytest.mark.parametrize("path", [QUERY, CHART])
     def test_unknown_period_is_400_and_takes_no_cache_slot(self, api, path):
         """Was a 200 with empty rows (no ``agg_job_fortnight`` table to
         read), and every bogus spelling occupied a cache entry."""
-        status, payload = api.handle(path + "&period=fortnight", {})
+        status, payload, _ = get_json(api, path + "&period=fortnight")
         assert status == 400 and "fortnight" in payload["error"]
         assert len(api.serving.cache) == 0
-        assert api.handle(path + "&period=month", {})[0] == 200
+        assert get_json(api, path + "&period=month")[0] == 200
 
     def test_missing_params_named(self, api):
-        status, payload = api.handle("/query?realm=jobs", {})
+        status, payload, _ = get_json(api, "/query?realm=jobs")
         assert status == 400
         assert "metric" in payload["error"] and "start" in payload["error"]
 
@@ -275,18 +276,9 @@ class TestStrictJson:
     def test_metrics_json_route_with_nonfinite_samples(self, api):
         self._poison_registry(api.obs.registry)
         status, ctype, body = api.handle_raw("/metrics", {"Accept": "json"})
-        # Prometheus text path still renders (it spells inf as +Inf natively)
+        # /metrics is text exposition only (it spells inf as +Inf natively);
+        # the JSON snapshot rides /status, pinned by the test below
         assert status == 200 and "text/plain" in ctype
-        status, payload, _ = api.handle_full("/metrics", {})
-        assert status == 200
-        body = json.dumps(json_sanitize(payload), allow_nan=False)
-        decoded = json.loads(body)
-        values = {
-            v["labels"]["kind"]: v["value"]
-            for v in decoded["poison_gauge_rows"]["values"]
-        }
-        assert values == {"pos": "+Inf", "nan": "NaN"}
-        assert decoded["poison_seconds"]["values"][0]["sum"] == "+Inf"
 
     def test_status_embeds_snapshot_safely_over_http(self, federation):
         from repro.core.monitor import FederationMonitor
@@ -308,48 +300,48 @@ class TestStrictJson:
 
 class TestEtagAndPagination:
     def test_etag_roundtrip_unit(self, api):
-        status, payload, headers = api.handle_full(QUERY, {})
+        status, payload, headers = get_json(api, QUERY)
         assert status == 200 and headers["ETag"].startswith('"')
         assert headers["X-Cache"] == "miss"
-        status, payload2, headers2 = api.handle_full(
-            QUERY, {"If-None-Match": headers["ETag"]}
+        status, payload2, headers2 = get_json(
+            api, QUERY, {"If-None-Match": headers["ETag"]}
         )
         assert status == 304 and payload2 == {}
         assert headers2["ETag"] == headers["ETag"]
         # weak-comparison and list forms match too
-        status, _, _ = api.handle_full(
-            QUERY, {"If-None-Match": f'W/{headers["ETag"]}, "other"'}
+        status, _, _ = get_json(
+            api, QUERY, {"If-None-Match": f'W/{headers["ETag"]}, "other"'}
         )
         assert status == 304
 
     def test_etag_changes_when_data_changes(self, aggregated_instance, api):
-        _, _, headers = api.handle_full(QUERY, {})
+        _, _, headers = get_json(api, QUERY)
         aggregated_instance.schema.table("fact_job").update_where(
             lambda r: True, {"cpu_hours": 0.0}
         )
         aggregated_instance.aggregate(["day", "month"])
-        status, _, headers2 = api.handle_full(
-            QUERY, {"If-None-Match": headers["ETag"]}
+        status, _, headers2 = get_json(
+            api, QUERY, {"If-None-Match": headers["ETag"]}
         )
         assert status == 200 and headers2["ETag"] != headers["ETag"]
 
     def test_pagination_windows_partition_rows(self, api):
-        _, full = api.handle(QUERY, {})
+        _, full, _ = get_json(api, QUERY)
         total = full["total_rows"]
         assert total == len(full["rows"]) and full["offset"] == 0
         pages = []
         for offset in range(0, total, 2):
-            _, page = api.handle(f"{QUERY}&offset={offset}&limit=2", {})
+            _, page, _ = get_json(api, f"{QUERY}&offset={offset}&limit=2")
             assert page["total_rows"] == total and len(page["rows"]) <= 2
             pages.extend(page["rows"])
         assert pages == full["rows"]
-        _, beyond = api.handle(f"{QUERY}&offset={total + 5}&limit=2", {})
+        _, beyond, _ = get_json(api, f"{QUERY}&offset={total + 5}&limit=2")
         assert beyond["rows"] == []
 
     def test_chart_pagination_slices_series(self, api):
-        _, full = api.handle(CHART, {})
+        _, full, _ = get_json(api, CHART)
         assert full["total_series"] == len(full["series"]) >= 2
-        _, page = api.handle(f"{CHART}&limit=1", {})
+        _, page, _ = get_json(api, f"{CHART}&limit=1")
         assert len(page["series"]) == 1
         assert page["series"][0] == full["series"][0]
 
@@ -406,8 +398,8 @@ class TestSessionEviction:
             require_auth=True,
         )
         api.register_session(self._session("stale", ttl=-1.0))
-        status, _ = api.handle(
-            QUERY, {"Authorization": "Bearer stale"}
+        status, _, _ = get_json(
+            api, QUERY, {"Authorization": "Bearer stale"}
         )
         assert status == 401 and "stale" not in api._sessions
 
@@ -468,14 +460,14 @@ class TestMaterializedViews:
             f"/query?realm=jobs&metric=cpu_hours&start={T0}&end={end}"
             "&group_by=resource&view=aggregate"
         )
-        status, _, headers = api.handle_full(path, {})
+        status, _, headers = get_json(api, path)
         assert status == 200 and headers["X-Cache"] == "hit"
         # new replicated data + re-aggregation re-materializes to fresh rows
         site0.schema.table("fact_job").update_where(lambda r: True, {"cpu_hours": 0.0})
         hub.sync()
         hub.aggregate_federation(["month"])
         assert hub.obs.registry.value("serving_view_refreshes_total") == 4
-        status, payload, headers = api.handle_full(path, {})
+        status, payload, headers = get_json(api, path)
         assert status == 200 and headers["X-Cache"] == "hit"
         assert any(r["value"] == 0.0 for r in payload["rows"])
 

@@ -222,7 +222,7 @@ realm/aggregation engine:
   never answers (`XdmodApi(cache=False)` / `xdmod-repro serve
   --no-cache` is the pass-through baseline).
 - **ETag semantics**: each 200 response carries a strong `ETag` (SHA-256
-  of the canonical JSON of the exact paginated payload) plus an
+  of the response body bytes of the exact paginated payload) plus an
   `X-Cache: hit|miss|stale|bypass` header.  A request whose
   `If-None-Match` matches (comma lists, `W/` prefixes and `*` per
   RFC 9110) gets an empty `304 Not Modified`.  ETags change whenever the

@@ -28,28 +28,21 @@ from ..warehouse import (
     read_dump_file,
     write_dump_file,
 )
-from ..warehouse.dump import dump_checksum
 from .errors import ConsistencyError, MembershipError
 from .federation import FederationHub
 
 
 def _member_dump(hub: FederationHub, member_name: str) -> dict[str, Any]:
-    """Dump a member's hub-side schema, derived tables stripped, re-checksummed."""
+    """Dump a member's hub-side schema, derived tables left out."""
     member = hub.member(member_name)
     if not hub.database.has_schema(member.fed_schema):
         raise MembershipError(
             f"hub holds no replicated schema for {member_name!r}"
         )
-    source = hub.database.schema(member.fed_schema)
-    dump = dump_schema(source)
-    dump["tables"] = [
-        entry
-        for entry in dump["tables"]
-        if not entry["schema"].get("derived")
-    ]
-    # subset of tables: recompute the checksum over what actually ships
-    dump["checksum"] = dump_checksum(dump)
-    return dump
+    return dump_schema(
+        hub.database.schema(member.fed_schema),
+        select=lambda table: None if table.schema.derived else table.raw_rows(),
+    )
 
 
 def _restore(

@@ -193,7 +193,7 @@ class FederationHub(XdmodInstance):
         )
         self._m_loose_ships = registry.counter(
             "federation_loose_ship_total",
-            "Successful loose-mode dump shipments per member",
+            "Successful loose-mode shipments (dumps and segments) per member",
             ("member",),
         )
         self._g_lag = registry.gauge(
@@ -407,9 +407,9 @@ class FederationHub(XdmodInstance):
     def sync(self, *, batch: int | None = None) -> dict[str, MemberSyncOutcome]:
         """Pump every channel once; returns a per-member outcome.
 
-        Tight members stream binlog events; loose members re-ship their
-        dump only when called through :meth:`ship_loose` (live sync leaves
-        them stale, as the real mechanism would).
+        Tight members stream binlog events; loose members ship only when
+        called through :meth:`ship_loose` (live sync leaves them stale, as
+        the real mechanism would).
 
         Failures are isolated per member: one satellite's broken channel
         never stops the others from replicating.  A failing member's
@@ -471,8 +471,10 @@ class FederationHub(XdmodInstance):
         return out
 
     def ship_loose(self) -> dict[str, MemberSyncOutcome]:
-        """Re-ship every loose member's dump; returns per-member outcomes
-        whose value is the number of rows loaded.
+        """Ship every loose member once; returns per-member outcomes whose
+        ``applied`` is what the ship moved: the events applied when it
+        sent a binlog segment, the rows loaded when it sent a full dump
+        (see :class:`~repro.core.LooseChannel`).
 
         Like :meth:`sync`, failures (e.g. a corrupt dump file rejected by
         checksum verification) are isolated per member and feed the
@@ -491,8 +493,9 @@ class FederationHub(XdmodInstance):
                     error=member.breaker.last_error,
                 )
                 continue
+            moved_before = member.loose_channel.stats.moved
             try:
-                schema = member.loose_channel.ship()
+                member.loose_channel.ship()
             # repolint: ignore[overbroad-except] -- degraded-mode boundary: a failed shipment marks the member failed, others proceed
             except Exception as exc:
                 member.breaker.record_failure(str(exc))
@@ -506,8 +509,8 @@ class FederationHub(XdmodInstance):
             member.last_error = ""
             self._note_transition(member, breaker_before)
             self._m_loose_ships.labels(member=member.name).inc()
-            rows = sum(len(schema.table(t)) for t in schema.table_names())
-            out[member.name] = MemberSyncOutcome(member.name, "applied", rows)
+            moved = member.loose_channel.stats.moved - moved_before
+            out[member.name] = MemberSyncOutcome(member.name, "applied", moved)
         self._record_outcomes(out)
         return out
 

@@ -1,4 +1,4 @@
-"""Loose federation: periodic dump shipping instead of live replication.
+"""Loose federation: periodic shipping of dumps and binlog segments.
 
 "Instead, log files or database dumps could be periodically shipped to the
 federation hub, and batch processed there to make their data available to
@@ -7,29 +7,50 @@ A heterogeneous model could also be employed, in which a federation hub is
 provided with data using loose federation from some member instances and
 tight federation from others." (Section II-C2)
 
-A :class:`LooseChannel` snapshots the satellite schema (filtered the same
-way tight replication filters — realm selection and resource routing apply
-identically) and loads it into the hub's per-instance schema, replacing the
-previous shipment.  The dump records the satellite binlog head at snapshot
-time, so :meth:`LooseChannel.to_tight` can hand over to a live channel with
-no gap or overlap.
+A :class:`LooseChannel` ships one satellite schema into the hub's
+per-instance schema.  :meth:`LooseChannel.export` produces what a ship
+sends, one of two checksummed documents:
+
+- a **dump** of the whole satellite schema, filtered the way tight
+  replication filters (realm selection and resource routing apply
+  identically), which the hub loads in place of what it held.  A channel
+  dumps on its first ship; on the ship after a segment whose apply failed
+  partway (the hub holds part of that segment, and the dump resyncs it);
+  when its filter, or the filter's settings, changed since the last dump
+  (so a routing change re-filters history); and when the satellite's
+  binlog no longer holds the events since the last ship, or the hub no
+  longer holds the shipped schema.
+- a **segment** on every other ship: the satellite binlog events since
+  the last ship that the channel's filter admits.  The hub verifies the
+  segment before it applies anything, then applies it on top of what it
+  holds through :meth:`ReplicationChannel.apply`, the tight channel's
+  apply path.
+
+Both record the satellite binlog head they cover, which becomes
+:attr:`LooseChannel.last_shipped_lsn` only once the document is verified
+and applied, so :meth:`LooseChannel.to_tight` can hand over to a live
+channel with no gap or overlap.
 """
 
 from __future__ import annotations
 
+import contextlib
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from ..obs import Observability, TraceContext
 from ..warehouse import (
     Database,
+    DumpError,
     Schema,
+    Table,
     dump_schema,
     load_schema,
     read_dump_file,
     write_dump_file,
 )
-from ..warehouse.dump import dump_checksum
+from ..warehouse.dump import SEGMENT_KIND, segment_document, segment_events
 from .replicator import (
     RESOURCE_SCOPED_TABLES,
     ReplicationChannel,
@@ -38,46 +59,59 @@ from .replicator import (
 
 
 def _filtered_dump(source: Schema, filter: ReplicationFilter) -> dict[str, Any]:
-    """Dump ``source`` with the channel filter applied to tables and rows."""
-    full = dump_schema(source)
-    resource_names: dict[int, str] = {}
+    """Dump ``source`` with the channel filter applied to tables and rows.
+
+    The dump teaches ``filter`` what the log before it would have: whether
+    each table is derived, and every ``dim_resource`` id -> name pair,
+    excluded resources' included.  The segments and the tight channel
+    that carry on from the dump see only later events, and route a new
+    fact row by what the filter learned here.
+    """
     if source.has_table("dim_resource"):
-        for row in source.table("dim_resource").rows():
-            resource_names[row["resource_id"]] = row["name"]
+        for resource_id, name in source.table("dim_resource").columns_values(
+            ("resource_id", "name")
+        ):
+            filter.note_resource(resource_id, name)
 
-    def row_allowed(table_name: str, row: dict[str, Any]) -> bool:
-        if table_name == "dim_resource":
-            if not filter.drop_excluded_dim_rows:
-                return True
-            return not filter._resource_excluded(row["name"])
-        if table_name in RESOURCE_SCOPED_TABLES:
-            name = resource_names.get(row.get("resource_id"))
-            if name is not None and filter._resource_excluded(name):
-                return False
-        return True
-
-    tables = []
-    for entry in full["tables"]:
-        name = entry["schema"]["name"]
-        filter.note_table(name, bool(entry["schema"].get("derived")))
+    def select(table: Table) -> Iterable[Sequence[Any]] | None:
+        name, schema = table.name, table.schema
+        filter.note_table(name, schema.derived)
         if not filter.table_allowed(name):
-            continue
-        columns = [c["name"] for c in entry["schema"]["columns"]]
-        rows = [
-            row
-            for row in entry["rows"]
-            if row_allowed(name, dict(zip(columns, row)))
-        ]
-        tables.append({"schema": entry["schema"], "rows": rows})
-    full["tables"] = tables
-    # the original checksum covered the unfiltered content; recompute it
-    # over the filtered document so the hub can verify exactly what ships
-    full["checksum"] = dump_checksum(full)
-    return full
+            return None
+        if name == "dim_resource" and filter.drop_excluded_dim_rows:
+            at = schema.position("name")
+            return (
+                row for row in table.raw_rows()
+                if not filter.resource_excluded(row[at])
+            )
+        if name in RESOURCE_SCOPED_TABLES:
+            at = schema.position("resource_id")
+            return (
+                row for row in table.raw_rows() if not filter.routed_out(row[at])
+            )
+        return table.raw_rows()
+
+    return dump_schema(source, select=select)
+
+
+@dataclass
+class LooseStats:
+    """What a channel's ships moved: ``dumps`` loaded ``rows_moved`` rows,
+    ``segments`` applied ``events_moved`` events."""
+
+    dumps: int = 0
+    rows_moved: int = 0
+    segments: int = 0
+    events_moved: int = 0
+
+    @property
+    def moved(self) -> int:
+        """Rows loaded plus events applied, over every ship."""
+        return self.rows_moved + self.events_moved
 
 
 class LooseChannel:
-    """Batch dump shipping from one satellite schema into the hub."""
+    """Batch shipping from one satellite schema into the hub."""
 
     def __init__(
         self,
@@ -94,76 +128,137 @@ class LooseChannel:
         self.filter = filter or ReplicationFilter()
         self.obs = obs
         self.last_shipped_lsn: int | None = None
-        self.shipments = 0
+        self.stats = LooseStats()
+        #: the filter, and its settings, the last loaded dump was cut with
+        self._dumped_with: tuple | None = None
+        #: a segment's apply failed partway: the hub holds part of it
+        self._resync = False
+
+    @property
+    def shipments(self) -> int:
+        """Successful ships, dumps and segments alike."""
+        return self.stats.dumps + self.stats.segments
+
+    def _needs_dump(self) -> bool:
+        return (
+            self.last_shipped_lsn is None
+            or self._resync
+            or self._dumped_with != (self.filter, self.filter.settings())
+            or self.source.binlog.head_lsn < self.last_shipped_lsn
+            or not self.hub_database.has_schema(self.target_schema_name)
+        )
 
     def export(self) -> dict[str, Any]:
-        """Produce the (filtered) dump document to ship.
+        """Produce the document the next ship sends: a filtered dump or a
+        binlog segment (the module docstring says which).
 
-        The dump carries the trace context recorded with the newest
-        satellite binlog event (key ``trace``, outside the checksummed
-        table content), so the hub-side load re-parents into the trace
-        that produced the data.
+        The document carries the trace context recorded with the newest
+        satellite binlog event it covers (key ``trace``; outside a dump's
+        checksummed table content, inside a segment's checksum), so the
+        hub-side load re-parents into the trace that produced the data.
         """
+        if not self._needs_dump():
+            base = self.last_shipped_lsn
+            suffix = self.source.binlog.read_from(base)
+            head = base + len(suffix)
+            return segment_document(
+                self.source.name,
+                base,
+                head,
+                [event for event in suffix if self.filter.admit(event)],
+                trace=self._trace_payload(head),
+            )
         dump = _filtered_dump(self.source, self.filter)
-        context = self.source.binlog.trace_context(
-            self.source.binlog.head_lsn - 1
-        )
-        if context is not None:
-            dump["trace"] = context.to_payload()
+        trace = self._trace_payload(dump["binlog_head"])
+        if trace is not None:
+            dump["trace"] = trace
         return dump
 
+    def _trace_payload(self, head: int) -> dict[str, Any] | None:
+        context = self.source.binlog.trace_context(head - 1)
+        return None if context is None else context.to_payload()
+
     def ship(self) -> Schema:
-        """Snapshot the satellite and load it into the hub, replacing the
-        previous shipment.  Returns the hub-side schema."""
-        dump = self.export()
-        schema = self._load(dump)
-        self.last_shipped_lsn = dump["binlog_head"]
-        self.shipments += 1
-        return schema
+        """Export and apply in memory; returns the hub-side schema."""
+        return self._receive(self.export())
 
     def ship_via_file(self, path: str | Path) -> Schema:
-        """Ship through an on-disk dump file (the literal paper mechanism:
-        'database dumps could be periodically shipped to the federation
-        hub').
+        """Ship through an on-disk file (the literal paper mechanism: 'log
+        files or database dumps could be periodically shipped to the
+        federation hub').
 
-        The received file is checksum-verified before loading: a dump
-        corrupted or truncated in transit raises
-        :class:`~repro.warehouse.DumpError` and the previous shipment (if
-        any) stays in place on the hub.
+        The received document is checksum-verified before anything is
+        applied: a file corrupted or truncated in transit raises
+        :class:`~repro.warehouse.DumpError` and the hub keeps what it
+        held.
         """
         write_dump_file(self.export(), path)
-        received = read_dump_file(path)
-        schema = self._load(received)
-        self.last_shipped_lsn = received["binlog_head"]
-        self.shipments += 1
-        return schema
+        return self._receive(read_dump_file(path))
 
-    def _load(self, dump: dict[str, Any]) -> Schema:
-        """Verified load into the hub's per-instance schema.
+    def _receive(self, document: dict[str, Any]) -> Schema:
+        """Verify and apply one shipped document, then record its head.
 
         Re-parents a ``loose_load`` span under the shipped trace context
         when the hub carries a tracer, so even batch shipments appear in
         the federated trace.
         """
-        context = TraceContext.from_payload(dump.get("trace"))
-        if self.obs is not None and context is not None:
-            with self.obs.tracer.span(
+        context = TraceContext.from_payload(document.get("trace"))
+        span = (
+            self.obs.tracer.span(
                 "loose_load",
                 remote=context,
                 member=self.source.name,
                 target=self.target_schema_name,
-            ):
-                return self._load_verified(dump)
-        return self._load_verified(dump)
+            )
+            if self.obs is not None and context is not None
+            else contextlib.nullcontext()
+        )
+        with span:
+            if document.get("kind") == SEGMENT_KIND:
+                schema = self._apply_segment(document)
+            else:
+                schema = self._load_dump(document)
+        self.last_shipped_lsn = document["binlog_head"]
+        return schema
 
-    def _load_verified(self, dump: dict[str, Any]) -> Schema:
-        return load_schema(
+    def _load_dump(self, dump: dict[str, Any]) -> Schema:
+        schema = load_schema(
             self.hub_database,
             dump,
             rename_to=self.target_schema_name,
             replace=True,
             verify_checksum=True,
         )
+        self._dumped_with = (self.filter, self.filter.settings())
+        self._resync = False
+        self.stats.dumps += 1
+        self.stats.rows_moved += sum(len(entry["rows"]) for entry in dump["tables"])
+        return schema
+
+    def _apply_segment(self, segment: dict[str, Any]) -> Schema:
+        events = segment_events(segment)  # verified before anything applies
+        if segment["base_lsn"] != self.last_shipped_lsn:
+            raise DumpError(
+                f"segment of {self.source.name!r} starts at LSN "
+                f"{segment['base_lsn']}, the hub holds up to "
+                f"{self.last_shipped_lsn}"
+            )
+        target = self.hub_database.schema(self.target_schema_name)
+        # the segment holds only what this channel's filter admitted, in
+        # log order; the applier's filter keeps just the standing
+        # exclusions, which admit all of it
+        applier = ReplicationChannel(
+            self.source,
+            target,
+            filter=ReplicationFilter(tables=None),
+            start_lsn=segment["base_lsn"],
+        )
+        self._resync = True  # until every event applied
+        applied = applier.apply(events)
+        self._resync = False
+        self.stats.segments += 1
+        self.stats.events_moved += applied
+        return target
 
     @property
     def staleness(self) -> int:

@@ -20,7 +20,8 @@ hub's per-instance schema (``fed_<instance>`` by convention).  A
   before they ever reach the hub, "which could ensure that potentially
   sensitive data does not ever get replicated" (Section II-C4).  The filter
   learns the resource_id -> name mapping by watching ``dim_resource``
-  inserts stream past, so it needs no out-of-band catalog.
+  inserts stream past (or from the dump a loose channel shipped before
+  it), so it needs no out-of-band catalog.
 """
 
 from __future__ import annotations
@@ -110,6 +111,17 @@ class ReplicationFilter:
         else:
             self._derived.discard(table)
 
+    def settings(self) -> tuple:
+        """What the filter was configured with, not what it has learned:
+        a channel that sees this change must re-filter its history."""
+        return (
+            self.tables,
+            frozenset(self.exclude_resources),
+            None if self.include_resources is None
+            else frozenset(self.include_resources),
+            self.drop_excluded_dim_rows,
+        )
+
     def table_allowed(self, table: str) -> bool:
         if table in USER_PROFILE_TABLES or table in HEAVY_TABLES:
             return False
@@ -121,22 +133,31 @@ class ReplicationFilter:
 
     # -- row-level routing ------------------------------------------------------
 
-    def _resource_excluded(self, name: str) -> bool:
+    def note_resource(self, resource_id: Any, name: Any) -> None:
+        """Learn that ``resource_id`` names resource ``name``: from a
+        ``dim_resource`` event going by, or a row of a dump."""
+        if resource_id is not None and name is not None:
+            self._resource_names[resource_id] = name
+
+    def resource_excluded(self, name: str) -> bool:
         if name in self.exclude_resources:
             return True
         if self.include_resources is not None and name not in self.include_resources:
             return True
         return False
 
+    def routed_out(self, resource_id: Any) -> bool:
+        """True when a fact row of ``resource_id`` must not reach the hub."""
+        name = self._resource_names.get(resource_id)
+        return name is not None and self.resource_excluded(name)
+
     def _row_allowed(self, event: BinlogEvent) -> bool:
         row = event.data.get("row") or {}
         if event.table == "dim_resource":
-            rid = row.get("resource_id")
             name = row.get("name")
-            if rid is not None and name is not None:
-                self._resource_names[rid] = name
+            self.note_resource(row.get("resource_id"), name)
             if name is not None and self.drop_excluded_dim_rows:
-                return not self._resource_excluded(name)
+                return not self.resource_excluded(name)
             return True
         if event.table in RESOURCE_SCOPED_TABLES:
             rid = row.get("resource_id")
@@ -146,9 +167,7 @@ class ReplicationFilter:
                 key = event.data.get("key")
                 if key:
                     rid = key[0]
-            name = self._resource_names.get(rid)
-            if name is not None and self._resource_excluded(name):
-                return False
+            return not self.routed_out(rid)
         return True
 
     def admit(self, event: BinlogEvent) -> bool:
@@ -348,7 +367,18 @@ class ReplicationChannel:
             yield True, run_key[1], run
 
     def _pump(self, max_events: int | None = None) -> int:
-        events = self.cursor.poll(max_events)
+        return self.apply(self.cursor.poll(max_events))
+
+    def apply(self, events: Sequence[BinlogEvent]) -> int:
+        """Apply ``events`` — a stretch of the source log, in LSN order —
+        to the hub; returns events applied.
+
+        The one apply path: each event meets the filter, admitted
+        ``INSERT`` runs land through :meth:`Schema.apply_events` with the
+        per-event fallback, and the cursor is committed past each event
+        as it resolves.  :meth:`pump` feeds it from the cursor, and a
+        loose channel feeds it a verified binlog segment.
+        """
         applied = 0
         # cross-member propagation: each event carries the trace context
         # captured at satellite append time; contiguous runs sharing one

@@ -1,18 +1,23 @@
-"""Schema dump/load: the transport for loose federation and backups.
+"""Schema dump/load and binlog segments: the transport for loose
+federation and backups.
 
 The paper's "loose" federation ships *database dumps or log files*
 periodically to the hub instead of live binlog replication.  A dump here is
 a JSON-serializable document: schema catalog + all row data + the binlog
 head position at dump time (so a hub can later switch a loose channel to
 tight replication without gaps — the dump records where the binlog cursor
-should start).
+should start).  A *segment* (:func:`segment_document`) is the log-file
+form: the events of one schema's binlog between two positions, which a
+hub that already holds everything before the first applies on top.
 
 Integrity: every dump carries a content checksum (:func:`dump_checksum`)
 computed purely from the document, matching what
 :meth:`~repro.warehouse.engine.Schema.checksum` would report for the
 materialized schema.  :func:`load_schema` verifies it *before* touching
 the target database, so a corrupted or truncated shipment is rejected
-outright — never half-loaded over the previous good copy.
+outright — never half-loaded over the previous good copy.  A segment's
+checksum covers the whole document, and :func:`segment_events` verifies
+it before handing over a single event.
 """
 
 from __future__ import annotations
@@ -22,13 +27,19 @@ import hashlib
 import json
 import zlib
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable, Sequence
 
-from .engine import Database, Schema, rows_checksum
+from .binlog import BinlogEvent
+from .engine import Database, Schema, Table, rows_checksum
 from .errors import DumpError
 from .schema import TableSchema
 
 DUMP_FORMAT_VERSION = 1
+
+#: the ``kind`` of a segment document (a dump document has no ``kind``)
+SEGMENT_KIND = "binlog_segment"
+
+_encode_document = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
 def dump_checksum(dump: dict[str, Any]) -> str:
@@ -48,24 +59,38 @@ def dump_checksum(dump: dict[str, Any]) -> str:
     return h.hexdigest()
 
 
-def dump_schema(schema: Schema) -> dict[str, Any]:
-    """Serialize one schema to a plain dict (tables, rows, binlog head)."""
+def dump_schema(
+    schema: Schema,
+    *,
+    select: Callable[[Table], Iterable[Sequence[Any]] | None] | None = None,
+) -> dict[str, Any]:
+    """Serialize one schema to a plain dict (tables, rows, binlog head).
+
+    ``select`` makes a filtered dump: called with each table, it returns
+    the rows of that table to dump, or ``None`` to leave the table out.
+    Without it every table is dumped whole.  The content checksum is
+    computed once, over exactly the rows the document holds.
+    """
     tables = []
     for name in schema.table_names():
         table = schema.table(name)
+        rows = table.raw_rows() if select is None else select(table)
+        if rows is None:
+            continue
         tables.append(
             {
                 "schema": table.schema.to_dict(),
-                "rows": [list(row) for row in table.raw_rows()],
+                "rows": [list(row) for row in rows],
             }
         )
-    return {
+    dump = {
         "format_version": DUMP_FORMAT_VERSION,
         "schema_name": schema.name,
         "binlog_head": schema.binlog.head_lsn,
-        "checksum": schema.checksum(),
         "tables": tables,
     }
+    dump["checksum"] = dump_checksum(dump)
+    return dump
 
 
 def load_schema(
@@ -91,6 +116,11 @@ def load_schema(
     version = dump.get("format_version")
     if version != DUMP_FORMAT_VERSION:
         raise DumpError(f"unsupported dump format version {version!r}")
+    if "tables" not in dump:
+        raise DumpError(
+            f"{dump.get('kind', 'document')!r} of {dump.get('schema_name')!r} "
+            "is not a dump"
+        )
     if verify_checksum and dump_checksum(dump) != dump.get("checksum"):
         raise DumpError(
             f"dump of {dump.get('schema_name')!r} failed checksum verification"
@@ -119,6 +149,59 @@ def load_schema(
             f"dump of {dump.get('schema_name')!r} failed to load: {exc}"
         ) from exc
     return schema
+
+
+def segment_document(
+    schema_name: str,
+    base_lsn: int,
+    binlog_head: int,
+    events: Sequence[BinlogEvent],
+    *,
+    trace: dict[str, Any] | None = None,
+) -> dict[str, Any]:
+    """A checksummed binlog segment: ``events`` taken from the log of
+    ``schema_name`` between ``base_lsn`` and ``binlog_head`` (the position
+    after the last event read, as a dump's ``binlog_head`` is).
+
+    ``events`` may be a filtered subset of that stretch of the log.  The
+    checksum covers every other key of the document, ``trace`` included.
+    """
+    segment: dict[str, Any] = {
+        "format_version": DUMP_FORMAT_VERSION,
+        "kind": SEGMENT_KIND,
+        "schema_name": schema_name,
+        "base_lsn": base_lsn,
+        "binlog_head": binlog_head,
+        "events": [event.to_dict() for event in events],
+    }
+    if trace is not None:
+        segment["trace"] = trace
+    segment["checksum"] = _segment_checksum(segment)
+    return segment
+
+
+def _segment_checksum(segment: dict[str, Any]) -> str:
+    """Digest of a segment document, its ``checksum`` key left out."""
+    body = {key: value for key, value in segment.items() if key != "checksum"}
+    return hashlib.sha256(_encode_document(body).encode()).hexdigest()
+
+
+def segment_events(segment: dict[str, Any]) -> list[BinlogEvent]:
+    """Verify a segment document and decode its events.
+
+    Raises :class:`DumpError` — before any event is returned, so before
+    any is applied — when the document is not a segment of this format
+    or its checksum does not match its content.
+    """
+    version = segment.get("format_version")
+    if version != DUMP_FORMAT_VERSION:
+        raise DumpError(f"unsupported segment format version {version!r}")
+    name = segment.get("schema_name")
+    if segment.get("kind") != SEGMENT_KIND:
+        raise DumpError(f"document of {name!r} is not a binlog segment")
+    if _segment_checksum(segment) != segment.get("checksum"):
+        raise DumpError(f"segment of {name!r} failed checksum verification")
+    return [BinlogEvent.from_dict(event) for event in segment["events"]]
 
 
 def write_dump_file(

@@ -37,24 +37,25 @@ from .errors import (
 from .schema import ColumnType, TableSchema
 
 
+#: ``json.dumps(row, default=str)`` without building an encoder per row
+_encode_row = json.JSONEncoder(default=str).encode
+
+
 def rows_checksum(rows: Iterable[Sequence[Any]]) -> str:
     """Order-independent digest of one table's row data.
 
     The one definition behind :meth:`Table.checksum` and the dump
     document's content checksum (:func:`repro.warehouse.dump.dump_checksum`):
-    ``json.dumps`` renders tuples and lists identically, so rows that
-    round-tripped through a JSON dump digest the same as the live table.
+    each row's ``json.dumps(row, default=str)`` is hashed, and the sorted
+    hex digests are hashed in turn.  JSON renders tuples and lists
+    identically, so rows that round-tripped through a JSON dump digest the
+    same as the live table.
     """
+    sha256 = hashlib.sha256
     digests = sorted(
-        hashlib.sha256(
-            json.dumps(row, sort_keys=False, default=str).encode()
-        ).hexdigest()
-        for row in rows
+        sha256(_encode_row(row).encode()).hexdigest() for row in rows
     )
-    h = hashlib.sha256()
-    for d in digests:
-        h.update(d.encode())
-    return h.hexdigest()
+    return sha256("".join(digests).encode()).hexdigest()
 
 
 class Table:

@@ -5,7 +5,8 @@ suite runs in seconds; the benchmarks exercise year-scale data.
 
 The ``soak`` hypothesis profile runs the property tests that read
 :func:`property_settings` (fold == rebuild, batch writes, the column
-cache) at 400 examples each: ``pytest --hypothesis-profile=soak``.
+cache, loose fan-in equivalence) at 400 examples each:
+``pytest --hypothesis-profile=soak``.
 """
 
 from __future__ import annotations

@@ -266,9 +266,10 @@ class TestDumpDamage:
         (tmp_path / "d1").mkdir()
         (tmp_path / "d2").mkdir()
         a, b = tmp_path / "d1" / "x.gz", tmp_path / "d2" / "x.gz"
-        channel = LooseChannel(satellite_schema, Database("hub"), "fed_sat")
-        channel.ship_via_file(a)
-        channel.ship_via_file(b)
+        # two fresh channels: each first ship is a full dump of the same
+        # source (a second ship through one channel would send a segment)
+        for path in (a, b):
+            LooseChannel(satellite_schema, Database("hub"), "fed_sat").ship_via_file(path)
         corrupt_dump_file(a, seed=7, mode="payload")
         corrupt_dump_file(b, seed=7, mode="payload")
         # same seed, same source bytes => byte-identical damage

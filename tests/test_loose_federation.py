@@ -1,22 +1,42 @@
-"""Loose federation: dump shipping, staleness, handover to tight, and an
-API that keeps serving the hub across re-ships and joins."""
+"""Loose federation: dump and segment shipping, staleness, handover to
+tight, routing across both, damaged shipments, fan-in equivalence of any
+interleaving of ingest and ships, and an API that keeps serving the hub
+across re-ships and joins."""
 
 from __future__ import annotations
 
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.aggregation import Aggregator
-from repro.core import LooseChannel, ReplicationFilter, XdmodInstance
-from repro.etl import ParsedJob, ingest_jobs
+from repro.core import (
+    FederationHub,
+    LooseChannel,
+    ReplicationChannel,
+    ReplicationError,
+    ReplicationFilter,
+    XdmodInstance,
+    corrupt_dump_file,
+    truncate_dump_file,
+)
+from repro.core import loose
+from repro.etl import ParsedJob, ingest_cloud_events, ingest_jobs, ingest_storage_snapshots
 from repro.realms import jobs_realm
 from repro.timeutil import ts
 from repro.ui import XdmodApi
 from repro.ui.serving import QueryService
-from repro.warehouse import Database
+from repro.warehouse import Database, DumpError
+from repro.warehouse.dump import SEGMENT_KIND
+from tests.conftest import property_settings
 from tests.rest_client import get_json
+from tests.test_batch_loaders import storage_doc, vm_events
+from tests.test_columnar_aggregation import agg_snapshot
 
 
 def make_job(job_id, resource="r1"):
@@ -102,6 +122,385 @@ class TestLooseChannel:
         channel = LooseChannel(satellite_schema, Database("hub"), "fed_sat")
         with pytest.raises(RuntimeError):
             channel.to_tight()
+
+
+def hub_tables(schema):
+    """Checksum of every replicated (non-derived) table of a hub schema."""
+    return {
+        name: schema.table(name).checksum()
+        for name in schema.table_names()
+        if not schema.table(name).schema.derived
+    }
+
+
+def resource_ids(schema, table="fact_job"):
+    return {row["resource_id"] for row in schema.table(table).rows()}
+
+
+def resource_id(schema, name):
+    return next(
+        row["resource_id"] for row in schema.table("dim_resource").rows()
+        if row["name"] == name
+    )
+
+
+class TestSegments:
+    """After the first ship, a ship sends the binlog events since the last
+    one, not the schema."""
+
+    def count_calls(self, monkeypatch):
+        calls = {"dump_schema": 0, "load_schema": 0}
+        for name in calls:
+            real = getattr(loose, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(loose, name, counted)
+        return calls
+
+    def test_reship_after_a_small_delta_neither_dumps_nor_loads(
+        self, satellite_schema, monkeypatch
+    ):
+        calls = self.count_calls(monkeypatch)
+        hub_db = Database("hub")
+        channel = LooseChannel(satellite_schema, hub_db, "fed_sat")
+        channel.ship()
+        assert calls == {"dump_schema": 1, "load_schema": 1}
+        rows = channel.stats.rows_moved
+        ingest_jobs(satellite_schema, [make_job(100), make_job(101)])
+        delta = satellite_schema.binlog.head_lsn - channel.last_shipped_lsn
+        shipped = channel.ship()
+        assert calls == {"dump_schema": 1, "load_schema": 1}
+        assert shipped is hub_db.schema("fed_sat")  # applied in place
+        # exactly the admitted events of the delta: two fact_job inserts
+        assert delta == 2
+        assert channel.stats.events_moved == 2 and channel.stats.rows_moved == rows
+        assert (channel.stats.dumps, channel.stats.segments) == (1, 1)
+        assert channel.shipments == 2 and channel.staleness == 0
+        assert hub_tables(shipped) == {
+            name: satellite_schema.table(name).checksum() for name in hub_tables(shipped)
+        }
+
+    def test_segment_moves_only_the_admitted_events(self, satellite_schema):
+        channel = LooseChannel(
+            satellite_schema, Database("hub"), "fed_sat",
+            filter=ReplicationFilter(exclude_resources={"secret"}),
+        )
+        channel.ship()
+        ingest_jobs(satellite_schema, [make_job(60, resource="secret"), make_job(61)])
+        delta = satellite_schema.binlog.read_from(channel.last_shipped_lsn)
+        segment = channel.export()
+        assert segment["kind"] == SEGMENT_KIND
+        assert segment["binlog_head"] == satellite_schema.binlog.head_lsn
+        # all of the delta but the excluded resource's dimension and fact rows
+        routed_out = [
+            e for e in delta
+            if e.table == "dim_resource"
+            or (e.table == "fact_job" and e.data["row"]["job_id"] == 60)
+        ]
+        assert len(routed_out) == 2
+        assert segment["events"] == [e.to_dict() for e in delta if e not in routed_out]
+        assert ("insert", "fact_job") in [(e["etype"], e["table"]) for e in segment["events"]]
+
+    def test_ship_loose_counts_rows_for_a_dump_and_events_for_a_segment(self):
+        hub = FederationHub("hub")
+        sat = XdmodInstance("sat")
+        ingest_jobs(sat.schema, [make_job(i) for i in range(5)])
+        hub.join(sat, mode="loose", initial_sync=False)
+        first = hub.ship_loose()["sat"]
+        channel = hub.member("sat").loose_channel
+        assert first.applied == channel.stats.rows_moved > 5
+        ingest_jobs(sat.schema, [make_job(100), make_job(101), make_job(102)])
+        assert hub.ship_loose()["sat"].applied == 3 == channel.stats.events_moved
+        assert hub.ship_loose()["sat"].applied == 0  # nothing new: empty segment
+
+    def test_filter_change_reships_a_dump_that_refilters_history(
+        self, satellite_schema, monkeypatch
+    ):
+        ingest_jobs(satellite_schema, [make_job(50, resource="secret")])
+        hub_db = Database("hub")
+        channel = LooseChannel(satellite_schema, hub_db, "fed_sat")
+        channel.ship()
+        secret = resource_id(satellite_schema, "secret")
+        assert secret in resource_ids(hub_db.schema("fed_sat"))
+        calls = self.count_calls(monkeypatch)
+        channel.filter.exclude_resources.add("secret")
+        channel.ship()
+        assert calls == {"dump_schema": 1, "load_schema": 1}
+        assert secret not in resource_ids(hub_db.schema("fed_sat"))
+        channel.filter = ReplicationFilter(exclude_resources={"secret"})
+        channel.ship()  # a new filter object has learned nothing: dump again
+        assert calls == {"dump_schema": 2, "load_schema": 2}
+        channel.ship()
+        assert calls == {"dump_schema": 2, "load_schema": 2}
+
+    def test_source_binlog_behind_the_last_ship_forces_a_dump(
+        self, satellite_schema, monkeypatch
+    ):
+        hub_db = Database("hub")
+        channel = LooseChannel(satellite_schema, hub_db, "fed_sat")
+        channel.ship()
+        calls = self.count_calls(monkeypatch)
+        # the satellite was rebuilt: its log is shorter than what shipped
+        rebuilt = Database("sat").create_schema("modw")
+        ingest_jobs(rebuilt, [make_job(i) for i in range(3)])
+        assert rebuilt.binlog.head_lsn < channel.last_shipped_lsn
+        channel.source = rebuilt
+        channel.ship()
+        assert calls == {"dump_schema": 1, "load_schema": 1}
+        assert len(hub_db.schema("fed_sat").table("fact_job")) == 3
+
+    def test_hub_schema_gone_forces_a_dump(self, satellite_schema):
+        hub_db = Database("hub")
+        channel = LooseChannel(satellite_schema, hub_db, "fed_sat")
+        channel.ship()
+        hub_db.drop_schema("fed_sat")
+        channel.ship()
+        assert channel.stats.dumps == 2
+        assert len(hub_db.schema("fed_sat").table("fact_job")) == 8
+
+    def test_segment_that_fails_partway_is_followed_by_a_resyncing_dump(
+        self, satellite_schema, monkeypatch
+    ):
+        hub_db = Database("hub")
+        channel = LooseChannel(satellite_schema, hub_db, "fed_sat")
+        channel.ship()
+        lsn = channel.last_shipped_lsn
+        # a new resource: a dim_resource insert, then a run of fact_job ones
+        ingest_jobs(satellite_schema, [make_job(100, "r9"), make_job(101, "r9")])
+        target = hub_db.schema("fed_sat")
+
+        def refuse_batches(events):
+            raise RuntimeError("batch refused")
+
+        def refuse_facts(event, _apply=target.apply_event):
+            if event.table == "fact_job":
+                raise RuntimeError("hub refused a fact row")
+            _apply(event)
+
+        monkeypatch.setattr(target, "apply_events", refuse_batches)
+        monkeypatch.setattr(target, "apply_event", refuse_facts)
+        with pytest.raises(ReplicationError, match="hub refused a fact row"):
+            channel.ship()
+        assert channel.last_shipped_lsn == lsn and channel.shipments == 1
+        assert len(target.table("dim_resource")) == 2  # applied partway
+        monkeypatch.undo()
+        calls = self.count_calls(monkeypatch)
+        shipped = channel.ship()
+        assert calls == {"dump_schema": 1, "load_schema": 1}
+        assert shipped is not target
+        assert hub_tables(shipped) == {
+            name: satellite_schema.table(name).checksum() for name in hub_tables(shipped)
+        }
+        ingest_jobs(satellite_schema, [make_job(102, "r9")])
+        channel.ship()
+        assert calls == {"dump_schema": 1, "load_schema": 1}  # segments again
+
+
+class TestSegmentDamage:
+    """A segment file damaged in transit is rejected before any event
+    applies; the hub and ``last_shipped_lsn`` stay as they were, and the
+    next ship recovers."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            *(lambda path, seed=seed: corrupt_dump_file(path, seed=seed, mode="payload")
+              for seed in range(6)),
+            lambda path: corrupt_dump_file(path, seed=1, mode="raw"),
+            lambda path: truncate_dump_file(path, keep_fraction=0.5),
+            lambda path: truncate_dump_file(path, keep_fraction=0.0),
+        ],
+        ids=[*(f"payload-{seed}" for seed in range(6)), "raw", "truncated", "empty"],
+    )
+    def test_damaged_segment_file_rejected_and_next_ship_recovers(
+        self, satellite_schema, tmp_path, monkeypatch, damage
+    ):
+        hub_db = Database("hub")
+        channel = LooseChannel(satellite_schema, hub_db, "fed_sat")
+        channel.ship_via_file(tmp_path / "dump.gz")
+        before, lsn = hub_db.schema("fed_sat").checksum(), channel.last_shipped_lsn
+        ingest_jobs(satellite_schema, [make_job(100), make_job(101, "r2")])
+        write = loose.write_dump_file
+
+        def write_damaged(document, path):
+            assert document["kind"] == SEGMENT_KIND
+            damage(write(document, path))
+
+        monkeypatch.setattr(loose, "write_dump_file", write_damaged)
+        with pytest.raises(DumpError):
+            channel.ship_via_file(tmp_path / "segment.gz")
+        assert hub_db.schema("fed_sat").checksum() == before
+        assert channel.last_shipped_lsn == lsn and channel.shipments == 1
+        monkeypatch.undo()
+        shipped = channel.ship_via_file(tmp_path / "segment.gz")
+        assert channel.stats.segments == 1 and channel.stats.dumps == 1
+        assert hub_tables(shipped) == {
+            name: satellite_schema.table(name).checksum() for name in hub_tables(shipped)
+        }
+
+    def test_segment_from_the_wrong_position_rejected(self, satellite_schema):
+        channel = LooseChannel(satellite_schema, Database("hub"), "fed_sat")
+        channel.ship()
+        ingest_jobs(satellite_schema, [make_job(100)])
+        segment = channel.export()
+        ingest_jobs(satellite_schema, [make_job(101)])
+        channel.ship()
+        with pytest.raises(DumpError, match="starts at LSN"):
+            channel._receive(segment)  # a stale redelivery
+
+
+class TestRoutingAcrossHandover:
+    """A resource excluded by the filter stays off the hub after a dump,
+    whichever way new rows follow it: a dump teaches the channel's filter
+    every resource id it saw, so a later ``fact_job`` row of a resource
+    whose ``dim_resource`` row came before the dump is still routed out."""
+
+    @pytest.mark.parametrize("follow", ["to_tight", "segment"])
+    def test_new_rows_of_an_excluded_resource_never_reach_the_hub(
+        self, satellite_schema, follow
+    ):
+        ingest_jobs(satellite_schema, [make_job(50, resource="secret")])
+        hub_db = Database("hub")
+        channel = LooseChannel(
+            satellite_schema, hub_db, "fed_sat",
+            filter=ReplicationFilter(exclude_resources={"secret"}),
+        )
+        channel.ship()
+        ingest_jobs(satellite_schema, [make_job(60, resource="secret"), make_job(61)])
+        if follow == "to_tight":
+            channel.to_tight().catch_up()
+        else:
+            channel.ship()
+        hub = hub_db.schema("fed_sat")
+        assert resource_id(satellite_schema, "secret") not in resource_ids(hub)
+        assert {row["job_id"] for row in hub.table("fact_job").rows()} == {*range(8), 61}
+
+
+# -- fan-in equivalence under any interleaving ---------------------------------
+
+
+SETTINGS = property_settings(30)
+T0 = ts(2017, 1, 1)
+
+SHIP = st.tuples(st.just("ship"), st.sampled_from(["memory", "file"]))
+STEPS = st.one_of(
+    st.tuples(st.just("jobs"), st.integers(1, 4), st.sampled_from(["r1", "r2", "secret"])),
+    st.tuples(st.just("storage"), st.integers(1, 3), st.sampled_from(["store1", "secret"])),
+    st.tuples(st.just("cloud"), st.integers(0, 2)),
+    SHIP,
+    SHIP,
+    st.just(("corrupt",)),
+    st.just(("filter",)),
+    st.just(("aggregate",)),
+)
+
+
+def cloud_feed(n_vms):
+    """The cumulative feed after ``n_vms`` VMs: every VM again, each with
+    its whole history (ingesting it deletes and re-inserts the VMs already
+    seen); every third VM runs on the excluded resource."""
+    return [
+        event
+        for vm in range(1, n_vms + 1)
+        for event in vm_events(
+            vm, 7200 * vm, steps=("start", "stop", "start")[: 1 + vm % 3],
+            resource="secret" if vm % 3 == 0 else "cloud1",
+            first_event_id=10 * vm,
+        )
+    ]
+
+
+def oracle_tables(source, excluded):
+    """What a fresh full filtered dump ships and a tight channel from LSN 0
+    replicates, under a new filter with the same settings."""
+    dumped = LooseChannel(
+        source, Database("oracle"), "fed",
+        filter=ReplicationFilter(tables=None, exclude_resources=excluded),
+    ).ship()
+    tight = Database("tight").create_schema("fed")
+    ReplicationChannel(
+        source, tight, filter=ReplicationFilter(tables=None, exclude_resources=excluded)
+    ).catch_up()
+    return hub_tables(dumped), hub_tables(tight)
+
+
+class TestFanInEquivalence:
+    @SETTINGS
+    @given(
+        excluded=st.sampled_from([set(), {"secret"}]),
+        steps=st.lists(STEPS, min_size=4, max_size=16),
+        last=SHIP,
+    )
+    def test_any_interleaving_ships_what_a_dump_and_a_tight_channel_would(
+        self, excluded, steps, last
+    ):
+        hub = FederationHub("hub")
+        sat = XdmodInstance("sat")
+        # every realm holds rows of the excluded resource from the start
+        steps = [
+            ("jobs", 3, "r1"), ("jobs", 2, "secret"), ("storage", 2, "secret"),
+            ("cloud", 3), *steps, last,
+        ]
+        member = hub.join(
+            sat, mode="loose", initial_sync=False,
+            filter=ReplicationFilter(tables=None, exclude_resources=excluded),
+        )
+        channel = member.loose_channel
+        next_job = day = n_vms = 0
+        with tempfile.TemporaryDirectory() as scratch:
+            for step in steps:
+                kind = step[0]
+                if kind == "jobs":
+                    _, n, resource = step
+                    ingest_jobs(sat.schema, [
+                        make_job(next_job + i, resource) for i in range(n)
+                    ])
+                    next_job += n
+                elif kind == "storage":
+                    _, n, resource = step
+                    ingest_storage_snapshots(sat.schema, [
+                        storage_doc(user, T0 + 86400 * (day + i), resource=resource)
+                        for i, user in enumerate(["alice", "bob", "carol"][:n])
+                    ])
+                    day += n
+                elif kind == "cloud":
+                    n_vms += step[1]
+                    ingest_cloud_events(sat.schema, cloud_feed(n_vms))
+                elif kind == "filter":
+                    channel.filter.exclude_resources ^= {"secret"}
+                elif kind == "aggregate":
+                    hub.aggregate_federation(["month"], incremental=True)
+                elif kind == "corrupt":
+                    if channel.last_shipped_lsn is None:
+                        continue
+                    before = hub_tables(hub.database.schema(member.fed_schema))
+                    lsn = channel.last_shipped_lsn
+                    real = channel.export
+                    with mock.patch.object(
+                        channel, "export",
+                        lambda: {**real(), "checksum": "0" * 64},
+                    ), pytest.raises(DumpError, match="checksum"):
+                        channel.ship()
+                    assert channel.last_shipped_lsn == lsn
+                    assert hub_tables(hub.database.schema(member.fed_schema)) == before
+                else:
+                    if step[1] == "file":
+                        channel.ship_via_file(Path(scratch) / f"ship{channel.shipments}.gz")
+                    else:
+                        assert hub.ship_loose()["sat"].status == "applied"
+                    on_hub = hub_tables(hub.database.schema(member.fed_schema))
+                    dumped, tight = oracle_tables(
+                        sat.schema, set(channel.filter.exclude_resources)
+                    )
+                    assert on_hub == dumped == tight
+        fed = hub.database.schema(member.fed_schema)
+        hub.aggregate_federation(["month"], incremental=True)
+        folded = agg_snapshot(fed)
+        hub.aggregate_federation(["month"])
+        assert agg_snapshot(fed) == folded
 
 
 class TestApiAcrossMembershipChanges:

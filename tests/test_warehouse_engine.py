@@ -201,6 +201,27 @@ class TestChecksum:
             t.insert({"job_id": 1, "user": "u"})
         assert db.schema("x").checksum() == db.schema("y").checksum()
 
+    def test_rows_checksum_digest_is_pinned(self):
+        # the definition every fidelity check, dump and /status digest
+        # shares: sha256 over the sorted sha256 hex digests of each row's
+        # json.dumps(row, default=str); tuples and lists digest alike
+        from repro.warehouse.engine import rows_checksum
+
+        rows = [
+            (1, 2.5, "a", None),
+            [0, -3.25, 'é"x', None],
+            (10**20, 1e-300, "", True),
+            (7, float("inf"), "z", None),
+            (2, 0.1 + 0.2, "日本", None),
+        ]
+        assert rows_checksum(rows) == (
+            "eea025cbfcbcfaa0fba0de076b5c5767dfbbc9ea6d154aa01a1d3de28c9c04f1"
+        )
+        assert rows_checksum(reversed([list(r) for r in rows])) == rows_checksum(rows)
+        assert rows_checksum([]) == (
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        )
+
 
 class TestApplyEvent:
     def test_full_replay_reproduces_tables(self):

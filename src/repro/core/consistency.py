@@ -48,14 +48,14 @@ class MemberCheck:
 def _jobs_totals(schema: Schema) -> dict[str, float]:
     if not schema.has_table("fact_job"):
         return {"n_jobs": 0.0, "cpu_hours": 0.0, "xdsu": 0.0}
-    n = 0
-    cpu = 0.0
-    xdsu = 0.0
-    for row in schema.table("fact_job").rows():
-        n += 1
-        cpu += row["cpu_hours"]
-        xdsu += row["xdsu"]
-    return {"n_jobs": float(n), "cpu_hours": cpu, "xdsu": xdsu}
+    fact = schema.table("fact_job")
+    return {
+        "n_jobs": float(len(fact)),
+        # Python's sequential sum, not np.sum: the /status totals stay
+        # bit-identical to a row-by-row fold
+        "cpu_hours": sum(fact.column_values("cpu_hours"), 0.0),
+        "xdsu": sum(fact.column_values("xdsu"), 0.0),
+    }
 
 
 def check_member(hub: FederationHub, member_name: str) -> MemberCheck:
@@ -70,17 +70,9 @@ def check_member(hub: FederationHub, member_name: str) -> MemberCheck:
     if not hub.database.has_schema(member.fed_schema):
         return MemberCheck(member_name, (), False)
     hub_schema = hub.database.schema(member.fed_schema)
-    channel_filter = (
-        member.channel.filter
-        if member.channel is not None
-        else member.loose_channel.filter if member.loose_channel else None
-    )
+    routing = member.filter
     filtered = bool(
-        channel_filter
-        and (
-            channel_filter.exclude_resources
-            or channel_filter.include_resources is not None
-        )
+        routing.exclude_resources or routing.include_resources is not None
     )
     checks: list[TableCheck] = []
     for table_name in hub_schema.table_names():

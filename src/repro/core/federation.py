@@ -12,6 +12,7 @@ requirement is that every instance runs the same XDMoD version.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence
 
 from ..aggregation import AggregationConfig, Aggregator
@@ -114,15 +115,17 @@ class XdmodInstance:
 class FederationMember:
     """Hub-side registration of one satellite.
 
-    Every member carries a :class:`CircuitBreaker`: repeated sync
-    failures stop the member from consuming sync cycles (OPEN), and the
-    breaker automatically re-probes it after a cooldown (HALF_OPEN).
+    Every member has one hub-side :class:`ReplicationChannel`, a loose
+    member's being its ``loose_channel``'s applier, and a
+    :class:`CircuitBreaker`: repeated sync failures stop the member from
+    consuming sync cycles (OPEN), and the breaker automatically re-probes
+    it after a cooldown (HALF_OPEN).
     """
 
     instance: XdmodInstance
     mode: str  # "tight" | "loose"
     fed_schema: str
-    channel: ReplicationChannel | None = None
+    channel: ReplicationChannel
     loose_channel: LooseChannel | None = None
     breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
     last_error: str = ""
@@ -133,8 +136,16 @@ class FederationMember:
         return self.instance.name
 
     @property
+    def filter(self) -> ReplicationFilter:
+        """The routing filter the member's data went through: the one a
+        loose member's ships are cut with, else the channel's."""
+        if self.loose_channel is not None:
+            return self.loose_channel.filter
+        return self.channel.filter
+
+    @property
     def dead_letter_depth(self) -> int:
-        return len(self.channel.dead_letters) if self.channel else 0
+        return len(self.channel.dead_letters)
 
 
 @dataclass(frozen=True)
@@ -305,9 +316,10 @@ class FederationHub(XdmodInstance):
         and (for tight mode) opens a replication channel from the
         satellite's binlog position 0 so all historical data replicates.
 
-        ``retry_policy`` and ``quarantine`` configure the member's tight
-        channel (see :class:`~repro.core.ReplicationChannel`); ``breaker``
-        overrides the member's default circuit breaker.
+        ``retry_policy`` and ``quarantine`` configure the member's
+        channel, tight or the applier of a loose member's ships (see
+        :class:`~repro.core.ReplicationChannel`); ``breaker`` overrides
+        the member's default circuit breaker.
         """
         if satellite.version != self.version:
             raise VersionMismatchError(
@@ -322,9 +334,20 @@ class FederationHub(XdmodInstance):
             raise MembershipError(f"unknown federation mode {mode!r}")
 
         fed_schema_name = FED_SCHEMA_PREFIX + satellite.name
-        member = FederationMember(
-            instance=satellite, mode=mode, fed_schema=fed_schema_name
+        options = dict(
+            filter=filter, retry_policy=retry_policy, quarantine=quarantine,
+            obs=self.obs, name=satellite.name,
         )
+        loose = None
+        if mode == "tight":
+            target = self.database.ensure_schema(fed_schema_name)
+            channel = ReplicationChannel(satellite.schema, target, **options)
+        else:
+            loose = LooseChannel(
+                satellite.schema, self.database, fed_schema_name, **options
+            )
+            channel = loose.channel
+        member = FederationMember(satellite, mode, fed_schema_name, channel, loose)
         if breaker is not None:
             member.breaker = breaker
         if self.fleet.enabled:
@@ -335,29 +358,11 @@ class FederationHub(XdmodInstance):
                 member=satellite.name,
                 clock=satellite.obs.clock,
             )
-        if mode == "tight":
-            target = self.database.ensure_schema(fed_schema_name)
-            member.channel = ReplicationChannel(
-                satellite.schema,
-                target,
-                filter=filter,
-                retry_policy=retry_policy,
-                quarantine=quarantine,
-                obs=self.obs,
-                name=satellite.name,
-            )
-            if initial_sync:
-                member.channel.catch_up()
-        else:
-            member.loose_channel = LooseChannel(
-                satellite.schema,
-                self.database,
-                fed_schema_name,
-                filter=filter,
-                obs=self.obs,
-            )
-            if initial_sync:
-                member.loose_channel.ship()
+        if initial_sync:
+            if loose is not None:
+                loose.ship()
+            else:
+                channel.catch_up()
         self._members[satellite.name] = member
         return member
 
@@ -404,12 +409,54 @@ class FederationHub(XdmodInstance):
 
     # -- data movement ------------------------------------------------------------
 
+    def _step(
+        self, member: FederationMember, move: Callable[[], int]
+    ) -> MemberSyncOutcome:
+        """One member's turn in :meth:`sync` or :meth:`ship_loose`: the
+        breaker gates ``move``, whose failure is recorded, never raised,
+        and whose channel's retries and quarantines set the status."""
+        breaker_before = member.breaker.state
+        if not member.breaker.allow():
+            self._note_transition(member, breaker_before)
+            return MemberSyncOutcome(
+                member.name, "circuit_open", 0, error=member.breaker.last_error
+            )
+        stats = member.channel.stats
+        retries_before = stats.retries
+        quarantined_before = stats.events_quarantined
+        try:
+            applied = move()
+        # repolint: ignore[overbroad-except] -- degraded-mode boundary: any member failure is recorded per-member and the others proceed
+        except Exception as exc:
+            member.breaker.record_failure(str(exc))
+            member.last_error = str(exc)
+            self._note_transition(member, breaker_before)
+            return MemberSyncOutcome(
+                member.name, "failed", 0,
+                retried=stats.retries - retries_before,
+                error=str(exc),
+            )
+        member.breaker.record_success()
+        member.last_error = ""
+        self._note_transition(member, breaker_before)
+        retried = stats.retries - retries_before
+        quarantined = stats.events_quarantined - quarantined_before
+        status = (
+            "quarantined" if quarantined
+            else "retried" if retried
+            else "applied"
+        )
+        return MemberSyncOutcome(
+            member.name, status, applied,
+            retried=retried, quarantined=quarantined,
+        )
+
     def sync(self, *, batch: int | None = None) -> dict[str, MemberSyncOutcome]:
-        """Pump every channel once; returns a per-member outcome.
+        """Pump every tight channel once; returns a per-member outcome.
 
         Tight members stream binlog events; loose members ship only when
         called through :meth:`ship_loose` (live sync leaves them stale, as
-        the real mechanism would).
+        the real mechanism would, and reports them ``idle``).
 
         Failures are isolated per member: one satellite's broken channel
         never stops the others from replicating.  A failing member's
@@ -422,51 +469,12 @@ class FederationHub(XdmodInstance):
         out: dict[str, MemberSyncOutcome] = {}
         self._m_sync_cycles.inc()
         for member in self.members:
-            if member.channel is None:
+            if member.mode == "loose":
                 out[member.name] = MemberSyncOutcome(member.name, "idle", 0)
                 continue
-            breaker_before = member.breaker.state
-            if not member.breaker.allow():
-                self._note_transition(member, breaker_before)
-                out[member.name] = MemberSyncOutcome(
-                    member.name, "circuit_open", 0,
-                    error=member.breaker.last_error,
-                )
-                continue
-            stats = member.channel.stats
-            retries_before = stats.retries
-            quarantined_before = stats.events_quarantined
-            try:
-                applied = (
-                    member.channel.catch_up()
-                    if batch is None
-                    else member.channel.pump(batch)
-                )
-            # repolint: ignore[overbroad-except] -- degraded-mode boundary: any member failure is recorded per-member and sync continues
-            except Exception as exc:
-                member.breaker.record_failure(str(exc))
-                member.last_error = str(exc)
-                self._note_transition(member, breaker_before)
-                out[member.name] = MemberSyncOutcome(
-                    member.name, "failed", 0,
-                    retried=stats.retries - retries_before,
-                    error=str(exc),
-                )
-                continue
-            member.breaker.record_success()
-            member.last_error = ""
-            self._note_transition(member, breaker_before)
-            retried = stats.retries - retries_before
-            quarantined = stats.events_quarantined - quarantined_before
-            status = (
-                "quarantined" if quarantined
-                else "retried" if retried
-                else "applied"
-            )
-            out[member.name] = MemberSyncOutcome(
-                member.name, status, applied,
-                retried=retried, quarantined=quarantined,
-            )
+            channel = member.channel
+            move = channel.catch_up if batch is None else partial(channel.pump, batch)
+            out[member.name] = self._step(member, move)
         self._record_outcomes(out)
         return out
 
@@ -476,53 +484,33 @@ class FederationHub(XdmodInstance):
         sent a binlog segment, the rows loaded when it sent a full dump
         (see :class:`~repro.core.LooseChannel`).
 
-        Like :meth:`sync`, failures (e.g. a corrupt dump file rejected by
-        checksum verification) are isolated per member and feed the
-        member's circuit breaker; the previous good shipment stays live
-        on the hub.
+        Each ship is a member turn exactly like :meth:`sync`'s: failures
+        (e.g. a corrupt dump file rejected by checksum verification) are
+        isolated per member and feed the member's circuit breaker, the
+        previous good shipment stays live on the hub, and a segment's
+        retries and quarantined events set the outcome's status.
         """
         out: dict[str, MemberSyncOutcome] = {}
         for member in self.members:
-            if member.loose_channel is None:
-                continue
-            breaker_before = member.breaker.state
-            if not member.breaker.allow():
-                self._note_transition(member, breaker_before)
-                out[member.name] = MemberSyncOutcome(
-                    member.name, "circuit_open", 0,
-                    error=member.breaker.last_error,
+            loose = member.loose_channel
+            if loose is not None:
+                out[member.name] = self._step(
+                    member, partial(self._ship, member.name, loose)
                 )
-                continue
-            moved_before = member.loose_channel.stats.moved
-            try:
-                member.loose_channel.ship()
-            # repolint: ignore[overbroad-except] -- degraded-mode boundary: a failed shipment marks the member failed, others proceed
-            except Exception as exc:
-                member.breaker.record_failure(str(exc))
-                member.last_error = str(exc)
-                self._note_transition(member, breaker_before)
-                out[member.name] = MemberSyncOutcome(
-                    member.name, "failed", 0, error=str(exc)
-                )
-                continue
-            member.breaker.record_success()
-            member.last_error = ""
-            self._note_transition(member, breaker_before)
-            self._m_loose_ships.labels(member=member.name).inc()
-            moved = member.loose_channel.stats.moved - moved_before
-            out[member.name] = MemberSyncOutcome(member.name, "applied", moved)
         self._record_outcomes(out)
         return out
 
+    def _ship(self, name: str, loose: LooseChannel) -> int:
+        """Ship one loose member; returns the rows or events it moved."""
+        moved = loose.stats.moved
+        loose.ship()
+        self._m_loose_ships.labels(member=name).inc()
+        return loose.stats.moved - moved
+
     def lag(self) -> dict[str, int]:
-        """Replication lag (tight: binlog events; loose: staleness)."""
-        out: dict[str, int] = {}
-        for member in self.members:
-            if member.channel is not None:
-                out[member.name] = member.channel.lag
-            elif member.loose_channel is not None:
-                out[member.name] = member.loose_channel.staleness
-        return out
+        """Replication lag: the satellite binlog events each member's
+        channel has yet to bring over (a loose member's staleness)."""
+        return {member.name: member.channel.lag for member in self.members}
 
     # -- hub-side aggregation -----------------------------------------------------
 

@@ -91,8 +91,8 @@ def federated_user_counts(hub, idmap: IdentityMap | None = None) -> dict[str, in
     for name, schema in hub.federated_schemas().items():
         if not schema.has_table("dim_person"):
             continue
-        for row in schema.table("dim_person").rows():
-            identities.add(qualified_identity(name, row["username"]))
+        for username in schema.table("dim_person").column_values("username"):
+            identities.add(qualified_identity(name, username))
     qualified = len(identities)
     canonical = (
         idmap.canonical_count(identities) if idmap is not None else qualified

@@ -91,14 +91,16 @@ class LiveReplicator:
             self.stats.events_applied += sum(o.applied for o in outcomes.values())
 
     def wait_until_current(self, *, timeout: float = 10.0) -> bool:
-        """Block until every tight channel reports zero lag (or timeout)."""
+        """Block until every tight channel reports zero lag (or timeout);
+        loose members move only when shipped, never by this loop."""
+        tight = [m.channel for m in self.hub.members if m.mode == "tight"]
         waiter = threading.Event()
         end = self._clock.now() + timeout
         while self._clock.now() < end:
-            if all(lag == 0 for lag in self.hub.lag().values()):
+            if not any(channel.lag for channel in tight):
                 return True
             waiter.wait(self.interval_s / 2)
-        return all(lag == 0 for lag in self.hub.lag().values())
+        return not any(channel.lag for channel in tight)
 
     def __enter__(self) -> "LiveReplicator":
         return self.start()

@@ -28,8 +28,12 @@ sends, one of two checksummed documents:
 
 Both record the satellite binlog head they cover, which becomes
 :attr:`LooseChannel.last_shipped_lsn` only once the document is verified
-and applied, so :meth:`LooseChannel.to_tight` can hand over to a live
-channel with no gap or overlap.
+and applied.  The hub side of the channel is one
+:class:`ReplicationChannel`, :attr:`LooseChannel.channel`, built once:
+every segment applies through it (with its retry policy, quarantine and
+telemetry), a dump re-points it at the loaded schema, and its cursor
+stands at the last shipped LSN, so :meth:`LooseChannel.to_tight` hands
+that same channel over to live replication with no gap or overlap.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .replicator import (
     ReplicationChannel,
     ReplicationFilter,
 )
+from .resilience import RetryPolicy
 
 
 def _filtered_dump(source: Schema, filter: ReplicationFilter) -> dict[str, Any]:
@@ -111,7 +116,11 @@ class LooseStats:
 
 
 class LooseChannel:
-    """Batch shipping from one satellite schema into the hub."""
+    """Batch shipping from one satellite schema into the hub.
+
+    ``obs``, ``retry_policy``, ``quarantine`` and ``name`` configure
+    :attr:`channel` as they would a tight :class:`ReplicationChannel`.
+    """
 
     def __init__(
         self,
@@ -121,18 +130,33 @@ class LooseChannel:
         *,
         filter: ReplicationFilter | None = None,
         obs: Observability | None = None,
+        retry_policy: RetryPolicy | None = None,
+        quarantine: bool = False,
+        name: str | None = None,
     ) -> None:
         self.source = source
         self.hub_database = hub_database
         self.target_schema_name = target_schema_name
         self.filter = filter or ReplicationFilter()
         self.obs = obs
+        #: the hub-side applier.  A segment holds only what ``filter``
+        #: admitted, so until :meth:`to_tight` installs ``filter`` the
+        #: applier's own keeps just the standing exclusions, which admit
+        #: all of it.  Its target is a detached stand-in until the first
+        #: ship, always a dump, loads the hub schema.
+        self.channel = ReplicationChannel(
+            source, Schema(target_schema_name),
+            filter=ReplicationFilter(tables=None), retry_policy=retry_policy,
+            quarantine=quarantine, obs=obs, name=name,
+        )
         self.last_shipped_lsn: int | None = None
         self.stats = LooseStats()
         #: the filter, and its settings, the last loaded dump was cut with
         self._dumped_with: tuple | None = None
         #: a segment's apply failed partway: the hub holds part of it
         self._resync = False
+        #: :meth:`to_tight` gave :attr:`channel` to live replication
+        self._handed_over = False
 
     @property
     def shipments(self) -> int:
@@ -202,6 +226,8 @@ class LooseChannel:
         when the hub carries a tracer, so even batch shipments appear in
         the federated trace.
         """
+        if self._handed_over:
+            raise RuntimeError("the channel was handed over by to_tight()")
         context = TraceContext.from_payload(document.get("trace"))
         span = (
             self.obs.tracer.span(
@@ -214,15 +240,20 @@ class LooseChannel:
             else contextlib.nullcontext()
         )
         with span:
-            if document.get("kind") == SEGMENT_KIND:
-                schema = self._apply_segment(document)
-            else:
-                schema = self._load_dump(document)
-        self.last_shipped_lsn = document["binlog_head"]
-        return schema
+            try:
+                if document.get("kind") == SEGMENT_KIND:
+                    self._apply_segment(document)
+                else:
+                    self._load_dump(document)
+                self.last_shipped_lsn = document["binlog_head"]
+            finally:
+                # the applier's cursor stands where the hub's copy is
+                # whole; a segment refused partway is resent by a dump
+                self.channel.cursor.seek(self.last_shipped_lsn or 0)
+        return self.hub_database.schema(self.target_schema_name)
 
-    def _load_dump(self, dump: dict[str, Any]) -> Schema:
-        schema = load_schema(
+    def _load_dump(self, dump: dict[str, Any]) -> None:
+        self.channel.target = load_schema(
             self.hub_database,
             dump,
             rename_to=self.target_schema_name,
@@ -233,9 +264,8 @@ class LooseChannel:
         self._resync = False
         self.stats.dumps += 1
         self.stats.rows_moved += sum(len(entry["rows"]) for entry in dump["tables"])
-        return schema
 
-    def _apply_segment(self, segment: dict[str, Any]) -> Schema:
+    def _apply_segment(self, segment: dict[str, Any]) -> None:
         events = segment_events(segment)  # verified before anything applies
         if segment["base_lsn"] != self.last_shipped_lsn:
             raise DumpError(
@@ -243,22 +273,11 @@ class LooseChannel:
                 f"{segment['base_lsn']}, the hub holds up to "
                 f"{self.last_shipped_lsn}"
             )
-        target = self.hub_database.schema(self.target_schema_name)
-        # the segment holds only what this channel's filter admitted, in
-        # log order; the applier's filter keeps just the standing
-        # exclusions, which admit all of it
-        applier = ReplicationChannel(
-            self.source,
-            target,
-            filter=ReplicationFilter(tables=None),
-            start_lsn=segment["base_lsn"],
-        )
         self._resync = True  # until every event applied
-        applied = applier.apply(events)
+        applied = self.channel.apply(events)
         self._resync = False
         self.stats.segments += 1
         self.stats.events_moved += applied
-        return target
 
     @property
     def staleness(self) -> int:
@@ -266,23 +285,18 @@ class LooseChannel:
 
         The loose-federation freshness cost the A1 ablation measures.
         """
-        if self.last_shipped_lsn is None:
-            return self.source.binlog.head_lsn
-        return self.source.binlog.head_lsn - self.last_shipped_lsn
+        return self.channel.lag
 
     def to_tight(self) -> ReplicationChannel:
-        """Convert to live replication, resuming from the last shipment.
+        """Hand :attr:`channel` over to live replication, resuming from
+        the last shipment: it takes on the routing filter the ships used,
+        and the channel ships no more.
 
         Must ship at least once first, so the hub schema exists and the
         binlog position is known.
         """
         if self.last_shipped_lsn is None:
             raise RuntimeError("cannot convert to tight before first shipment")
-        target = self.hub_database.schema(self.target_schema_name)
-        return ReplicationChannel(
-            self.source,
-            target,
-            filter=self.filter,
-            start_lsn=self.last_shipped_lsn,
-            obs=self.obs,
-        )
+        self.channel.filter = self.filter
+        self._handed_over = True
+        return self.channel

@@ -147,13 +147,13 @@ class FederationMonitor:
                 self.hub.database.schema(member.fed_schema)
                 if has_schema else None
             )
-            stats = member.channel.stats if member.channel else None
+            stats = member.channel.stats
             member_check = by_member.get(member.name)
             consistent = bool(
                 member_check and (member_check.ok or member_check.filtered)
             )
             syncs, sync_seconds, rate = self._pump_figures(
-                member.name, stats.events_applied if stats else 0
+                member.name, stats.events_applied
             )
             members.append(
                 MemberStatus(
@@ -166,16 +166,13 @@ class FederationMonitor:
                         len(schema.table("fact_job"))
                         if schema and schema.has_table("fact_job") else 0
                     ),
-                    events_applied=stats.events_applied if stats else 0,
-                    events_filtered=stats.events_filtered if stats else 0,
+                    events_applied=stats.events_applied,
+                    events_filtered=stats.events_filtered,
                     consistent=consistent,
                     circuit_state=member.breaker.state.value,
-                    retries=stats.retries if stats else 0,
+                    retries=stats.retries,
                     dead_letters=member.dead_letter_depth,
-                    last_error=(
-                        stats.last_error if stats and stats.last_error
-                        else member.last_error
-                    ),
+                    last_error=stats.last_error or member.last_error,
                     syncs=syncs,
                     sync_seconds=sync_seconds,
                     events_per_second=rate,

@@ -191,8 +191,8 @@ class ChannelStats:
     filtered, or quarantined) — an event whose apply fails and will be
     re-polled is not counted until it resolves, so the counters add up
     under partial batches: ``events_seen == events_applied +
-    events_filtered + events_quarantined``.  ``syncs`` counts every pump,
-    including ones that raised.
+    events_filtered + events_quarantined``.  ``syncs`` counts every
+    applied batch (a pump, a loose segment), including ones that raised.
     """
 
     events_seen: int = 0
@@ -308,32 +308,7 @@ class ReplicationChannel:
         idempotent) — or, with ``quarantine`` enabled, is dead-lettered
         and skipped so the rest of the batch still replicates.
         """
-        if self.obs is None:
-            return self._pump(max_events)
-        # telemetry is batch-level: snapshot the lifetime counters, run
-        # the pump, publish the deltas — one histogram observation and at
-        # most four counter bumps per batch, never per event
-        stats = self.stats
-        applied0 = stats.events_applied
-        filtered0 = stats.events_filtered
-        retries0 = stats.retries
-        quarantined0 = stats.events_quarantined
-        start = self.obs.clock.now()
-        with self.obs.tracer.span("replication_pump", channel=self.name):
-            try:
-                return self._pump(max_events)
-            finally:
-                self._h_pump.observe(self.obs.clock.now() - start)
-                if stats.events_applied != applied0:
-                    self._m_applied.inc(stats.events_applied - applied0)
-                if stats.events_filtered != filtered0:
-                    self._m_filtered.inc(stats.events_filtered - filtered0)
-                if stats.retries != retries0:
-                    self._m_retries.inc(stats.retries - retries0)
-                if stats.events_quarantined != quarantined0:
-                    self._m_quarantined.inc(
-                        stats.events_quarantined - quarantined0
-                    )
+        return self.apply(self.cursor.poll(max_events))
 
     def _runs(
         self, events: Sequence[BinlogEvent], traced: bool
@@ -366,9 +341,6 @@ class ReplicationChannel:
         if run:
             yield True, run_key[1], run
 
-    def _pump(self, max_events: int | None = None) -> int:
-        return self.apply(self.cursor.poll(max_events))
-
     def apply(self, events: Sequence[BinlogEvent]) -> int:
         """Apply ``events`` — a stretch of the source log, in LSN order —
         to the hub; returns events applied.
@@ -379,6 +351,34 @@ class ReplicationChannel:
         as it resolves.  :meth:`pump` feeds it from the cursor, and a
         loose channel feeds it a verified binlog segment.
         """
+        if self.obs is None:
+            return self._apply(events)
+        # telemetry is batch-level: snapshot the lifetime counters, run
+        # the batch, publish the deltas — one histogram observation and
+        # at most four counter bumps per batch, never per event
+        stats = self.stats
+        applied0 = stats.events_applied
+        filtered0 = stats.events_filtered
+        retries0 = stats.retries
+        quarantined0 = stats.events_quarantined
+        start = self.obs.clock.now()
+        with self.obs.tracer.span("replication_pump", channel=self.name):
+            try:
+                return self._apply(events)
+            finally:
+                self._h_pump.observe(self.obs.clock.now() - start)
+                if stats.events_applied != applied0:
+                    self._m_applied.inc(stats.events_applied - applied0)
+                if stats.events_filtered != filtered0:
+                    self._m_filtered.inc(stats.events_filtered - filtered0)
+                if stats.retries != retries0:
+                    self._m_retries.inc(stats.retries - retries0)
+                if stats.events_quarantined != quarantined0:
+                    self._m_quarantined.inc(
+                        stats.events_quarantined - quarantined0
+                    )
+
+    def _apply(self, events: Sequence[BinlogEvent]) -> int:
         applied = 0
         # cross-member propagation: each event carries the trace context
         # captured at satellite append time; contiguous runs sharing one

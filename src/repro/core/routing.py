@@ -120,10 +120,9 @@ class FederationNetwork:
         carrying that hub's compiled routing filter."""
         resource_names = []
         if satellite.schema.has_table("dim_resource"):
-            resource_names = [
-                row["name"]
-                for row in satellite.schema.table("dim_resource").rows()
-            ]
+            resource_names = satellite.schema.table("dim_resource").column_values(
+                "name"
+            )
         out: dict[str, FederationMember] = {}
         for hub_name in sorted(hubs) if hubs is not None else sorted(self._hubs):
             hub = self._hubs.get(hub_name)

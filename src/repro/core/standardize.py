@@ -67,6 +67,5 @@ def federation_resource_names(hub) -> list[str]:
     names: set[str] = set()
     for schema in hub.federated_schemas().values():
         if schema.has_table("dim_resource"):
-            for row in schema.table("dim_resource").rows():
-                names.add(row["name"])
+            names.update(schema.table("dim_resource").column_values("name"))
     return sorted(names)

@@ -375,6 +375,53 @@ class TestLooseResilience:
         )
 
 
+class TestLooseSegmentResilience:
+    """A loose member's segments apply through the member's one channel,
+    under the ``retry_policy`` and ``quarantine`` it joined with."""
+
+    def loose_hub(self, **options):
+        hub = FederationHub("hub")
+        satellite = make_satellite("sat")
+        member = hub.join(satellite, mode="loose", **options)
+        base = satellite.schema.binlog.head_lsn
+        ingest_jobs(satellite.schema, [
+            make_job(100 + i, resource="sat_cluster") for i in range(3)
+        ])
+        first_fact = next(
+            event.lsn for event in satellite.schema.binlog.read_from(base)
+            if event.table == "fact_job"
+        )
+        return hub, satellite, member, first_fact
+
+    def test_poison_event_in_a_segment_is_quarantined_then_replayed(self):
+        hub, satellite, member, poison = self.loose_hub(quarantine=True)
+        assert member.channel.quarantine
+        plan = FaultPlan(poison_lsns={poison})
+        inject_apply_faults(member.channel, plan)
+        out = hub.ship_loose()["sat"]
+        assert (out.status, out.applied, out.quarantined) == ("quarantined", 2, 1)
+        assert member.dead_letter_depth == 1
+        assert member.loose_channel.last_shipped_lsn == satellite.schema.binlog.head_lsn
+        hub.aggregate_federation()
+        assert hub.last_aggregation.quarantined == {"sat": 1}
+        plan.heal()
+        assert member.channel.replay() == 1
+        fed = hub.database.schema("fed_sat")
+        replicated = [n for n in fed.table_names() if not fed.table(n).schema.derived]
+        assert "fact_job" in replicated
+        for name in replicated:
+            assert fed.table(name).checksum() == satellite.schema.table(name).checksum()
+
+    def test_transient_fault_in_a_segment_is_retried(self):
+        policy = RetryPolicy(max_retries=3)
+        hub, _, member, flaky = self.loose_hub(retry_policy=policy)
+        assert member.channel.retry_policy is policy
+        inject_apply_faults(member.channel, FaultPlan(transient_lsns={flaky}))
+        out = hub.ship_loose()["sat"]
+        assert (out.status, out.applied, out.retried) == ("retried", 3, 1)
+        assert member.dead_letter_depth == 0 and hub.lag()["sat"] == 0
+
+
 class TestMonitorResilience:
     def test_render_shows_quarantined_member(self, three_site_hub):
         hub, satellites = three_site_hub

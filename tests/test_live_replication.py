@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.core import LiveReplicator
+from repro.core import FederationHub, LiveReplicator, XdmodInstance
 from repro.etl import ParsedJob, ingest_jobs
 from repro.timeutil import ts
 
@@ -64,3 +64,16 @@ class TestLiveReplicator:
         assert live.stats.cycles > 0
         assert live.stats.events_applied >= 1
         assert live.stats.errors == 0
+
+    def test_current_means_tight_members_only(self):
+        """A loose member moves only when shipped, so its staleness never
+        keeps the daemon from being current."""
+        hub = FederationHub("hub")
+        tight, loose = XdmodInstance("t"), XdmodInstance("l")
+        for satellite in (tight, loose):
+            ingest_jobs(satellite.schema, [make_job(1)])
+        hub.join(tight, mode="tight")
+        hub.join(loose, mode="loose")
+        ingest_jobs(loose.schema, [make_job(2)])
+        assert hub.lag() == {"l": 1, "t": 0}
+        assert LiveReplicator(hub).wait_until_current(timeout=0.5)

@@ -17,6 +17,7 @@ from hypothesis import given, strategies as st
 from repro.aggregation import Aggregator
 from repro.core import (
     FederationHub,
+    FederationMonitor,
     LooseChannel,
     ReplicationChannel,
     ReplicationError,
@@ -377,6 +378,78 @@ class TestRoutingAcrossHandover:
         hub = hub_db.schema("fed_sat")
         assert resource_id(satellite_schema, "secret") not in resource_ids(hub)
         assert {row["job_id"] for row in hub.table("fact_job").rows()} == {*range(8), 61}
+
+
+class TestOneChannelPerMember:
+    """A loose member's hub side is the member's one ReplicationChannel:
+    the hub counts, lags and hands it over like a tight member's."""
+
+    def test_segments_count_in_the_member_status(self):
+        hub = FederationHub("hub")
+        sat = XdmodInstance("sat")
+        ingest_jobs(sat.schema, [make_job(i) for i in range(3)])
+        member = hub.join(sat, mode="loose")
+        assert member.channel is member.loose_channel.channel
+        ingest_jobs(sat.schema, [make_job(100), make_job(101), make_job(102)])
+        hub.ship_loose()
+        status = next(m for m in FederationMonitor(hub).status().members)
+        assert status.events_applied == member.loose_channel.stats.events_moved == 3
+        assert status.syncs > 0 and status.sync_seconds >= 0
+
+    def test_hub_lag_is_the_loose_staleness(self):
+        hub = FederationHub("hub")
+        sat = XdmodInstance("sat")
+        ingest_jobs(sat.schema, [make_job(i) for i in range(3)])
+        member = hub.join(sat, mode="loose", initial_sync=False)
+        channel = member.loose_channel
+
+        def lag():
+            assert hub.lag()["sat"] == channel.staleness
+            return channel.staleness
+
+        assert lag() == sat.schema.binlog.head_lsn > 0
+        assert hub.ship_loose()["sat"].status == "applied" and lag() == 0
+        ingest_jobs(sat.schema, [make_job(100)])
+        assert lag() == 1
+        original_export = channel.export
+        channel.export = lambda: {**original_export(), "checksum": "0" * 64}
+        assert hub.ship_loose()["sat"].status == "failed"
+        assert lag() == 1
+
+    def test_to_tight_hands_over_the_same_channel(self, satellite_schema):
+        loose = LooseChannel(satellite_schema, Database("hub"), "fed_sat")
+        loose.ship()
+        assert loose.to_tight() is loose.channel
+        assert loose.channel.filter is loose.filter
+        with pytest.raises(RuntimeError, match="to_tight"):
+            loose.ship()
+
+    def test_a_row_renamed_into_an_excluded_resource_after_it_shipped(self):
+        """The satellite routes a segment once: a job that was admitted
+        before its resource was renamed to an excluded one reaches the hub
+        whether the member is tight or loose."""
+        hub = FederationHub("hub")
+        satellites = {"t": XdmodInstance("t"), "l": XdmodInstance("l")}
+        for mode, sat in zip(("tight", "loose"), satellites.values()):
+            # r2 is known before the first ship: the segment holds no
+            # dim_resource insert that would teach its name again
+            ingest_jobs(sat.schema, [make_job(1), make_job(2, resource="r2")])
+            hub.join(
+                sat, mode=mode,
+                filter=ReplicationFilter(exclude_resources={"secret"}),
+            )
+            ingest_jobs(sat.schema, [make_job(10, resource="r2")])
+            sat.schema.table("dim_resource").update_where(
+                lambda row: row["name"] == "r2", {"name": "secret"}
+            )
+        hub.sync()
+        assert hub.ship_loose()["l"].status == "applied"
+        facts = {
+            name: hub.database.schema(f"fed_{name}").table("fact_job")
+            for name in satellites
+        }
+        assert facts["l"].checksum() == facts["t"].checksum()
+        assert 10 in facts["l"].column_values("job_id")
 
 
 # -- fan-in equivalence under any interleaving ---------------------------------

@@ -257,7 +257,7 @@ class MutationWithoutVersionBumpRule(Rule):
     PRIVATE_STATE = frozenset(
         {
             "_rows", "_pk_index", "_live_count",
-            "_columnar_cache", "_data_version", "_epoch",
+            "_columnar_cache", "_data_version", "_epoch", "_checksum_memo",
         }
     )
 

@@ -31,9 +31,11 @@ Both record the satellite binlog head they cover, which becomes
 and applied.  The hub side of the channel is one
 :class:`ReplicationChannel`, :attr:`LooseChannel.channel`, built once:
 every segment applies through it (with its retry policy, quarantine and
-telemetry), a dump re-points it at the loaded schema, and its cursor
-stands at the last shipped LSN, so :meth:`LooseChannel.to_tight` hands
-that same channel over to live replication with no gap or overlap.
+telemetry), a dump re-points it at the loaded schema and drops the dead
+letters of the events it covers (``ChannelStats.events_quarantined``
+keeps its count), and its cursor stands at the last shipped LSN, so
+:meth:`LooseChannel.to_tight` hands that same channel over to live
+replication with no gap or overlap.
 """
 
 from __future__ import annotations
@@ -222,9 +224,10 @@ class LooseChannel:
     def _receive(self, document: dict[str, Any]) -> Schema:
         """Verify and apply one shipped document, then record its head.
 
-        Re-parents a ``loose_load`` span under the shipped trace context
-        when the hub carries a tracer, so even batch shipments appear in
-        the federated trace.
+        Re-parents a ``loose_load`` span, labelled with the channel's
+        ``name`` (the member's name under ``FederationHub.join``), under
+        the shipped trace context when the hub carries a tracer, so even
+        batch shipments appear in the federated trace.
         """
         if self._handed_over:
             raise RuntimeError("the channel was handed over by to_tight()")
@@ -233,7 +236,7 @@ class LooseChannel:
             self.obs.tracer.span(
                 "loose_load",
                 remote=context,
-                member=self.source.name,
+                member=self.channel.name,
                 target=self.target_schema_name,
             )
             if self.obs is not None and context is not None
@@ -260,6 +263,12 @@ class LooseChannel:
             replace=True,
             verify_checksum=True,
         )
+        # the dump holds the source as of its head, quarantined events
+        # included: their letters have nothing left to replay
+        letters = self.channel.dead_letters
+        for lsn in letters.lsns():
+            if lsn < dump["binlog_head"]:
+                letters.remove(lsn)
         self._dumped_with = (self.filter, self.filter.settings())
         self._resync = False
         self.stats.dumps += 1

@@ -79,6 +79,8 @@ class Table:
         # column -> (epoch, raw rows converted, array); see column_array
         self._epoch = 0
         self._columnar_cache: dict[str, tuple[int, int, np.ndarray]] = {}
+        # (data_version, digest) of the last hash; see checksum
+        self._checksum_memo: tuple[int, str] | None = None
 
     # -- introspection ----------------------------------------------------
 
@@ -119,9 +121,29 @@ class Table:
 
         Used by :mod:`repro.core.consistency` to verify that replicated data
         on the hub is byte-identical to the satellite's (invariant 1 in
-        DESIGN.md).
+        DESIGN.md).  The digest is kept per :attr:`data_version`, so a
+        check re-hashes only the tables written since the last one.  The
+        version is read before the rows, as :meth:`column_array` reads its
+        epoch: a writer that lands mid-hash leaves a digest of an older
+        version behind, which no later call serves.
+
+        Sound because every change to stored rows bumps the version (the
+        ``mutation-without-version-bump`` lint keeps writes to row storage
+        inside this module).  ``ColumnType.JSON`` cells are kept by
+        reference: the dicts :meth:`rows` and :meth:`get` return, the
+        binlog's row images and, under in-process replication, the hub's
+        copy all share the stored object, so mutating one in place would
+        change the rows without a bump.  No caller does: the one JSON
+        column, ``job_timeseries.series``, is built afresh per ingest batch
+        and only read after (the Job Viewer, the summarization stage).
         """
-        return rows_checksum(self.raw_rows())
+        version = self._data_version
+        memo = self._checksum_memo
+        if memo is not None and memo[0] == version:
+            return memo[1]
+        digest = rows_checksum(self.raw_rows())
+        self._checksum_memo = (version, digest)
+        return digest
 
     # -- mutation ----------------------------------------------------------
 

@@ -148,3 +148,20 @@ def lock_sanitizer():
             "lock-order inversion detected by the runtime sanitizer:\n"
             + monitor.report()
         )
+
+
+@pytest.fixture()
+def count_hashes(monkeypatch):
+    """A list that gains one entry per table :meth:`Table.checksum`
+    actually hashes (a memoized digest adds none)."""
+    from repro.warehouse import engine
+
+    calls = []
+    rows_checksum = engine.rows_checksum
+
+    def counting(rows):
+        calls.append(1)
+        return rows_checksum(rows)
+
+    monkeypatch.setattr(engine, "rows_checksum", counting)
+    return calls

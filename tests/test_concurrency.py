@@ -25,6 +25,7 @@ from repro.warehouse import (
     TableSchema,
     make_columns,
 )
+from repro.warehouse.engine import rows_checksum
 
 C = ColumnType
 
@@ -404,6 +405,37 @@ class TestColumnCacheRace:
         assert table.column_array("val").tolist() == [0.0, 1.0, 2.0]
         table.insert({"id": self.N, "val": float(self.N)})
         assert table.column_array("val").tolist() == [0.0, 2.0, 3.0]
+
+    def test_checksum_is_fresh_after_readers_race_a_writer(self, table):
+        """Readers hash while a writer replaces and deletes rows: whatever
+        digests they stored along the way, the one served afterwards is
+        the digest of the rows as they end."""
+        done = threading.Event()
+
+        def writer():
+            try:
+                for i in range(300):
+                    table.upsert({"id": i % 7, "val": float(i)})
+                    table.delete_key([(i * 3) % 7])
+            finally:
+                done.set()
+
+        def reader():
+            while not done.is_set():
+                table.checksum()
+
+        run_threads([writer, reader, reader, reader])
+        assert table.checksum() == rows_checksum(table.raw_rows())
+
+    def test_checksum_overtaken_by_a_delete_is_never_served(self, table):
+        """A delete lands after a checksum hashed the rows and before it
+        stored the digest: the stored digest is of the version read before
+        the rows, so the next call hashes the rows afresh."""
+        stale = rows_checksum(table.raw_rows())
+        table._rows = _PausingRows(table._rows, lambda: table.delete_key([1]))
+        assert table.checksum() == stale
+        assert len(table) == self.N - 1
+        assert table.checksum() == rows_checksum(table.raw_rows()) != stale
 
 
 class TestBinlogBatchRace:

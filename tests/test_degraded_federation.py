@@ -19,6 +19,7 @@ from repro.core import (
     LooseChannel,
     ReplicationChannel,
     ReplicationError,
+    ReplicationFilter,
     RetryPolicy,
     XdmodInstance,
     check_federation,
@@ -411,6 +412,26 @@ class TestLooseSegmentResilience:
         assert "fact_job" in replicated
         for name in replicated:
             assert fed.table(name).checksum() == satellite.schema.table(name).checksum()
+
+    def test_a_dump_drops_the_dead_letters_it_covers(self):
+        """A dump loads the satellite as of its head, the quarantined
+        event included: its letter has nothing left to replay."""
+        hub, satellite, member, poison = self.loose_hub(quarantine=True)
+        plan = FaultPlan(poison_lsns={poison})
+        inject_apply_faults(member.channel, plan)
+        hub.ship_loose()
+        assert member.dead_letter_depth == 1
+        member.loose_channel.filter = ReplicationFilter()  # forces a dump
+        out = hub.ship_loose()["sat"]
+        assert out.status == "applied" and member.loose_channel.stats.dumps == 2
+        assert member.dead_letter_depth == 0
+        assert member.channel.stats.events_quarantined == 1  # history kept
+        plan.heal()
+        assert member.channel.replay() == 0
+        hub.aggregate_federation()
+        assert hub.last_aggregation.quarantined == {}
+        fed = hub.database.schema("fed_sat")
+        assert len(fed.table("fact_job")) == len(satellite.schema.table("fact_job"))
 
     def test_transient_fault_in_a_segment_is_retried(self):
         policy = RetryPolicy(max_retries=3)

@@ -542,6 +542,19 @@ class TestFederatedTraceAcceptance:
         assert "<= loose_load" in text
         assert "(from site0#" in text
 
+    def test_loose_load_spans_name_their_member(self):
+        """Every satellite's schema is ``modw``: the span is labelled with
+        the member, so two loose members' loads tell apart."""
+        hub = FederationHub("hub", obs=fake_obs("hub"))
+        for name in ("site1", "site2"):
+            sat = XdmodInstance(name, obs=fake_obs(name))
+            with sat.obs.tracer.span("ingest_batch", site=name):
+                ingest_jobs(sat.schema, [make_job(i) for i in range(3)])
+            hub.join(sat, mode="loose")
+        loads = [s for s in hub.obs.tracer.finished if s.name == "loose_load"]
+        assert sorted(s.attrs["member"] for s in loads) == ["site1", "site2"]
+        assert sorted(s.attrs["target"] for s in loads) == ["fed_site1", "fed_site2"]
+
     def test_assembly_is_byte_identical_across_runs(self):
         def render_once():
             hub, sat = build_traced_federation()

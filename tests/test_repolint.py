@@ -152,6 +152,12 @@ class TestMutationWithoutVersionBump:
         assert len(violations) == 4
         assert {v.rule_id for v in violations} == {"mutation-without-version-bump"}
 
+    def test_checksum_memo_is_private_state(self, engine):
+        # a digest planted outside the engine would be served as the
+        # table's checksum until its next write
+        violations = lint(engine, "t._checksum_memo = (t.data_version, d)", path=ETL)
+        assert [v.rule_id for v in violations] == ["mutation-without-version-bump"]
+
     def test_warehouse_engine_itself_exempt(self, engine):
         assert fired(
             engine, "table._rows.append(row)",

@@ -13,6 +13,7 @@ import pytest
 from repro.auth import Account, AccountStore, Role
 from repro.cli import _demo_analytics_federation
 from repro.core import FederationMonitor
+from repro.etl import ParsedJob, ingest_jobs
 from repro.obs import FakeClock, Observability
 from repro.realms import jobs_realm, supremm_realm
 from repro.timeutil import ts
@@ -161,6 +162,55 @@ class TestFederatedApi:
         )
         assert status == 200
         assert all("@" in r["group"] for r in payload["rows"])
+
+
+# -- /status re-hashes only what changed ------------------------------------
+
+
+def checked_versions(hub):
+    """Every table ``check_federation`` digests (hub copy and satellite
+    original), with its ``data_version``."""
+    out = {}
+    for member in hub.members:
+        hub_schema = hub.database.schema(member.fed_schema)
+        satellite = member.instance.schema
+        for name in hub_schema.table_names():
+            if satellite.has_table(name):
+                for table in (hub_schema.table(name), satellite.table(name)):
+                    out[table] = table.data_version
+    return out
+
+
+class TestStatusCost:
+    def test_status_hashes_only_the_tables_whose_version_moved(
+        self, federation, count_hashes
+    ):
+        hub, satellites, _, _ = federation
+        api = XdmodApi(
+            {"jobs": jobs_realm()}, hub.federated_schemas(),
+            monitor=FederationMonitor(hub),
+        )
+        assert get_json(api, "/status")[0] == 200
+        first = len(count_hashes)
+        before = checked_versions(hub)
+        assert first == len(before)
+        assert get_json(api, "/status")[0] == 200
+        assert len(count_hashes) == first  # an unchanged hub hashes nothing
+
+        job = ParsedJob(
+            job_id=90001, user="newcomer", pi="p", queue="q", application="a",
+            submit_ts=T0, start_ts=T0 + 60, end_ts=T0 + 3600, nodes=1, cores=2,
+            req_walltime_s=3600, state="COMPLETED", exit_code=0,
+            resource="alpha_cluster",
+        )
+        ingest_jobs(satellites["site0"].schema, [job])
+        hub.sync()
+        after = checked_versions(hub)
+        moved = [t for t, version in after.items() if before.get(t) != version]
+        _, payload, _ = get_json(api, "/status")
+        assert payload["all_consistent"]
+        assert len(count_hashes) - first == len(moved)
+        assert 0 < len(moved) < len(after)
 
 
 # -- one door: every caller gets the same answer, counted once ---------------

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from repro.obs import MetricsRegistry
 from repro.warehouse import Column, ColumnType, Database, DuplicateObjectError, EventType, PrimaryKeyError, SchemaError, TableSchema, TypeMismatchError, UnknownObjectError, make_columns
+from repro.warehouse.engine import rows_checksum
 from tests.conftest import property_settings
 
 C = ColumnType
@@ -530,6 +531,35 @@ def converted(table, name):
     return out
 
 
+def apply_verb(table, verb, batch, k):
+    """Write ``batch`` (or key ``k``) into ``table`` through ``verb``."""
+    keyed = bool(table.schema.primary_key)
+    rows = batch_rows(batch)
+    if verb == "insert":
+        for row in rows:
+            with contextlib.suppress(PrimaryKeyError):
+                table.insert(row)
+    elif verb == "upsert":
+        for row in rows:
+            table.upsert(row)
+    elif verb == "upsert_columns":
+        table.upsert_columns(batch)
+    elif verb == "apply_events":  # the hub's batched apply
+        source = Database().create_schema("src")
+        source.create_table(batch_table_schema(keyed)).upsert_columns(batch)
+        table._owner.apply_events([
+            e for e in source.binlog if e.etype is EventType.INSERT
+        ])
+    elif verb == "update_where":
+        table.update_where(lambda r: r["k1"] == k, {"f": k / 2, "n": None})
+    elif verb == "delete_where":
+        table.delete_where(lambda r: r["k1"] == k)
+    elif verb == "delete_key" and keyed:
+        table.delete_key((k, "a"))
+    elif verb == "truncate":
+        table.truncate()
+
+
 def assert_cache_fresh(table):
     for name, got in table.column_arrays(CACHED).items():
         want = converted(table, name)
@@ -555,30 +585,7 @@ class TestColumnCache:
         schema = Database().create_schema("modw")
         table = schema.create_table(batch_table_schema(keyed))
         for verb, batch, k, read in ops:
-            rows = batch_rows(batch)
-            if verb == "insert":
-                for row in rows:
-                    with contextlib.suppress(PrimaryKeyError):
-                        table.insert(row)
-            elif verb == "upsert":
-                for row in rows:
-                    table.upsert(row)
-            elif verb == "upsert_columns":
-                table.upsert_columns(batch)
-            elif verb == "apply_events":  # the hub's batched apply
-                source = Database().create_schema("src")
-                source.create_table(batch_table_schema(keyed)).upsert_columns(batch)
-                schema.apply_events([
-                    e for e in source.binlog if e.etype is EventType.INSERT
-                ])
-            elif verb == "update_where":
-                table.update_where(lambda r, k=k: r["k1"] == k, {"f": k / 2, "n": None})
-            elif verb == "delete_where":
-                table.delete_where(lambda r, k=k: r["k1"] == k)
-            elif verb == "delete_key" and keyed:
-                table.delete_key((k, "a"))
-            elif verb == "truncate":
-                table.truncate()
+            apply_verb(table, verb, batch, k)
             if read:
                 assert_cache_fresh(table)
         assert_cache_fresh(table)
@@ -603,3 +610,83 @@ class TestColumnCache:
         table.upsert({"k1": 0, "k2": "a", "f": 9.0})
         assert table._columnar_cache == {}
         assert table.column_array("f").tolist() == [9.0, 1.5, 2.5]
+
+
+# -- the checksum is memoized per data_version ----------------------------------
+
+
+def memo_table():
+    schema = Database().create_schema("modw")
+    table = schema.create_table(jobs_table_schema())
+    table.upsert_columns({
+        "job_id": [1, 2, 3], "user": ["a", "b", "c"], "cpu_hours": [1.0, 2.0, 3.0],
+    })
+    return table
+
+
+def job_insert_events(*job_ids):
+    source = Database().create_schema("src")
+    source.create_table(jobs_table_schema()).upsert_columns({
+        "job_id": list(job_ids), "user": ["e"] * len(job_ids),
+    })
+    return [e for e in source.binlog if e.etype is EventType.INSERT]
+
+
+#: each verb, applied to :func:`memo_table`, changes its contents
+MEMO_WRITES = {
+    "insert": lambda t: t.insert({"job_id": 9, "user": "z"}),
+    "upsert new key": lambda t: t.upsert({"job_id": 9, "user": "z"}),
+    "upsert replace": lambda t: t.upsert({"job_id": 1, "user": "z"}),
+    "upsert_columns append": lambda t: t.upsert_columns({"job_id": [9], "user": ["z"]}),
+    "upsert_columns replace": lambda t: t.upsert_columns({"job_id": [2], "user": ["z"]}),
+    "update_where": lambda t: t.update_where(lambda r: r["job_id"] == 3, {"cpu_hours": 7.5}),
+    "delete_where": lambda t: t.delete_where(lambda r: r["user"] == "b"),
+    "delete_key": lambda t: t.delete_key([1]),
+    "truncate": lambda t: t.truncate(),
+    "apply_events": lambda t: t._owner.apply_events(job_insert_events(1, 8)),
+}
+
+
+class TestChecksumMemo:
+    """``Table.checksum`` keeps one digest per ``data_version``."""
+
+    @pytest.mark.parametrize("verb", MEMO_WRITES)
+    def test_every_write_moves_the_digest(self, verb):
+        table = memo_table()
+        before = table.checksum()
+        MEMO_WRITES[verb](table)
+        assert table.checksum() == rows_checksum(table.raw_rows())
+        assert table.checksum() != before
+
+    def test_drop_and_recreate_digests_the_new_table(self):
+        table = memo_table()
+        schema, before = table._owner, table.checksum()
+        schema.drop_table("jobs")
+        again = schema.create_table(jobs_table_schema())
+        assert again.checksum() == rows_checksum([]) != before
+        again.upsert_columns({"job_id": [1, 2], "user": ["a", "b"], "cpu_hours": [1.0, 2.0]})
+        assert again.checksum() == rows_checksum(again.raw_rows()) != before
+
+    def test_an_unchanged_table_is_hashed_once(self, count_hashes):
+        table = memo_table()
+        digests = {table.checksum(), table.checksum(), table._owner.checksum()}
+        assert len(count_hashes) == 1 and len(digests) == 2
+        table.insert({"job_id": 9, "user": "z"})
+        table.checksum()
+        table.checksum()
+        assert len(count_hashes) == 2
+
+    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "keyless"])
+    @property_settings(60)
+    @given(ops=st.lists(
+        st.tuples(st.sampled_from(VERBS), column_batches(max_rows=4),
+                  st.integers(0, 3), st.booleans()),
+        max_size=12,
+    ))
+    def test_digest_equals_a_hash_from_scratch(self, keyed, ops):
+        table = Database().create_schema("modw").create_table(batch_table_schema(keyed))
+        for verb, batch, k, read in ops:
+            apply_verb(table, verb, batch, k)
+            if read:
+                assert table.checksum() == rows_checksum(table.raw_rows())
+        assert table.checksum() == rows_checksum(table.raw_rows())

@@ -5,8 +5,9 @@ Three independent XDMoD instances — monitoring Comet-, Stampede2-, and
 Stampede-shaped resources — replicate their HPC Jobs realm into a central
 federation hub (fan-in, Figure 2).  The hub re-aggregates raw data under
 its own Table-I-style aggregation levels and serves a unified Figure-1
-chart in standardized XD SUs.  The demo also exercises loose federation,
-consistency checking, hub-as-backup, and the identity-mapping question.
+chart in standardized XD SUs.  The demo also exercises loose federation
+and converting a loose member to tight, consistency checking,
+hub-as-backup, and the identity-mapping question.
 
 Run:  python examples/federation_demo.py
 """
@@ -54,7 +55,8 @@ def main() -> None:
     )
 
     # One satellite per site; the third joins loosely to show the
-    # heterogeneous model (Section II-C2).
+    # heterogeneous model (Section II-C2), and ships only its first half
+    # of the year before its link changes.
     satellites: dict[str, XdmodInstance] = {}
     for i, (name, preset) in enumerate(sorted(sites.items())):
         instance = XdmodInstance(f"site_{name}", conversion=conversion)
@@ -62,16 +64,29 @@ def main() -> None:
             preset.resource,
             WorkloadGenerator(preset.workload).generate(start, end),
         )
-        instance.pipeline.ingest_sacct(
-            to_sacct_log(records), default_resource=name
-        )
         mode = "loose" if i == 2 else "tight"
+        cut = len(records) // 2 if mode == "loose" else len(records)
+        instance.pipeline.ingest_sacct(
+            to_sacct_log(records[:cut]), default_resource=name
+        )
         hub.join(instance, mode=mode)
         satellites[name] = instance
-        print(f"joined {instance.name} ({mode}): {len(records)} jobs")
+        print(f"joined {instance.name} ({mode}): {cut} jobs")
+        if mode == "loose":
+            loose_site, later_log = instance, to_sacct_log(records[cut:])
+            loose_resource = name
 
-    # Live replication: new data on a satellite flows on sync().
-    print(f"replication lag after join: {hub.lag()}")
+    # The loose site converts to tight: the hub pumps the rest of its
+    # year from where its shipment left off.
+    loose_site.pipeline.ingest_sacct(later_log, default_resource=loose_resource)
+    print(f"replication lag before converting {loose_site.name}: {hub.lag()}")
+    hub.convert(loose_site.name, "tight")
+    hub.sync()
+    assert hub.lag()[loose_site.name] == 0
+    fed_jobs = hub.federated_schemas()[loose_site.name].table("fact_job")
+    assert len(fed_jobs) == len(loose_site.schema.table("fact_job"))
+    print(f"converted {loose_site.name} to tight: {len(fed_jobs)} jobs on "
+          f"the hub, lag {hub.lag()}")
 
     # Hub-side aggregation under the hub's levels.
     hub.aggregate_federation(["month"])

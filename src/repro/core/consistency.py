@@ -5,7 +5,8 @@ individual instances" — these checks make that claim falsifiable.  They
 verify, for every member:
 
 1. **replication fidelity** — each replicated table's contents checksum
-   equals the satellite's (modulo the channel's configured filtering);
+   equals the satellite's seen through the member's filter, which routes
+   rows by the rule its channel ships them by;
 2. **metric equivalence** — additive jobs-realm totals (job count, CPU
    hours, XD SUs) on the hub equal the satellite's totals; and federation-
    wide totals equal the sum over members (the fan-in equivalence
@@ -17,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..warehouse import Schema
+from ..warehouse import Schema, Table
+from ..warehouse.engine import rows_checksum
 from .errors import ConsistencyError
 from .federation import FederationHub
+from .replicator import ReplicationFilter
 
 
 @dataclass(frozen=True)
@@ -38,28 +41,44 @@ class TableCheck:
 class MemberCheck:
     member: str
     tables: tuple[TableCheck, ...]
-    filtered: bool  # channel filters rows; count mismatch may be expected
 
     @property
     def ok(self) -> bool:
         return all(t.ok for t in self.tables)
 
 
-def _jobs_totals(schema: Schema) -> dict[str, float]:
+def _seen(table: Table, routing: ReplicationFilter) -> tuple[int, str]:
+    """Row count and checksum of ``table`` seen through ``routing``; a
+    table whose rows the filter does not route keeps its memoized digest."""
+    if not routing.routes(table.name):
+        return len(table), table.checksum()
+    rows = list(routing.rows(table))
+    return len(rows), rows_checksum(rows)
+
+
+_NO_JOBS = {"n_jobs": 0.0, "cpu_hours": 0.0, "xdsu": 0.0}
+
+
+def _jobs_totals(schema: Schema, routing: ReplicationFilter) -> dict[str, float]:
     if not schema.has_table("fact_job"):
-        return {"n_jobs": 0.0, "cpu_hours": 0.0, "xdsu": 0.0}
+        return dict(_NO_JOBS)
     fact = schema.table("fact_job")
+    rows = list(routing.rows(fact))
+    cpu_hours, xdsu = fact.schema.position("cpu_hours"), fact.schema.position("xdsu")
     return {
-        "n_jobs": float(len(fact)),
+        "n_jobs": float(len(rows)),
         # Python's sequential sum, not np.sum: the /status totals stay
         # bit-identical to a row-by-row fold
-        "cpu_hours": sum(fact.column_values("cpu_hours"), 0.0),
-        "xdsu": sum(fact.column_values("xdsu"), 0.0),
+        "cpu_hours": sum((row[cpu_hours] for row in rows), 0.0),
+        "xdsu": sum((row[xdsu] for row in rows), 0.0),
     }
 
 
 def check_member(hub: FederationHub, member_name: str) -> MemberCheck:
-    """Table-level fidelity check for one member.
+    """Table-level fidelity check for one member, through its filter.
+
+    Each hub table is compared with the satellite's seen through the
+    member's filter: what the channel ships of it.
 
     A member whose schema never replicated (e.g. its first loose shipment
     failed) yields an empty, non-failing check — the monitor reports it
@@ -68,27 +87,23 @@ def check_member(hub: FederationHub, member_name: str) -> MemberCheck:
     member = hub.member(member_name)
     satellite = member.instance.schema
     if not hub.database.has_schema(member.fed_schema):
-        return MemberCheck(member_name, (), False)
+        return MemberCheck(member_name, ())
     hub_schema = hub.database.schema(member.fed_schema)
-    routing = member.filter
-    filtered = bool(
-        routing.exclude_resources or routing.include_resources is not None
-    )
     checks: list[TableCheck] = []
     for table_name in hub_schema.table_names():
         if not satellite.has_table(table_name):
             continue
-        sat_table = satellite.table(table_name)
+        sat_rows, sat_checksum = _seen(satellite.table(table_name), member.filter)
         hub_table = hub_schema.table(table_name)
         checks.append(
             TableCheck(
                 table=table_name,
-                satellite_rows=len(sat_table),
+                satellite_rows=sat_rows,
                 hub_rows=len(hub_table),
-                checksums_match=sat_table.checksum() == hub_table.checksum(),
+                checksums_match=sat_checksum == hub_table.checksum(),
             )
         )
-    return MemberCheck(member_name, tuple(checks), filtered)
+    return MemberCheck(member_name, tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -99,7 +114,7 @@ class FederationCheck:
 
     @property
     def ok(self) -> bool:
-        if not all(m.ok for m in self.members if not m.filtered):
+        if not all(m.ok for m in self.members):
             return False
         for name, sat in self.satellite_totals.items():
             hub = self.hub_totals.get(name, {})
@@ -110,7 +125,7 @@ class FederationCheck:
 
     def federation_totals(self) -> dict[str, float]:
         """Fan-in totals over all members' hub-side data."""
-        out: dict[str, float] = {"n_jobs": 0.0, "cpu_hours": 0.0, "xdsu": 0.0}
+        out: dict[str, float] = dict(_NO_JOBS)
         for totals in self.hub_totals.values():
             for metric, value in totals.items():
                 out[metric] += value
@@ -122,26 +137,23 @@ def check_federation(
 ) -> FederationCheck:
     """Run all consistency checks across the federation.
 
-    With ``strict=True`` a failed unfiltered-member check raises
-    :class:`ConsistencyError`.  Members with routing filters are verified
-    on totals only when their filters are empty; otherwise their table
-    checks are informational (``filtered`` flag set).
+    With ``strict=True`` a failed check raises :class:`ConsistencyError`.
+    Tables and totals are compared through each member's filter, so a
+    routed member is verified like any other.
     """
     member_checks = []
     satellite_totals: dict[str, dict[str, float]] = {}
     hub_totals: dict[str, dict[str, float]] = {}
     for member in hub.members:
-        check = check_member(hub, member.name)
-        member_checks.append(check)
+        member_checks.append(check_member(hub, member.name))
         if not hub.database.has_schema(member.fed_schema):
-            hub_totals[member.name] = {
-                "n_jobs": 0.0, "cpu_hours": 0.0, "xdsu": 0.0,
-            }
+            hub_totals[member.name] = dict(_NO_JOBS)
             continue
-        if not check.filtered:
-            satellite_totals[member.name] = _jobs_totals(member.instance.schema)
+        satellite_totals[member.name] = _jobs_totals(
+            member.instance.schema, member.filter
+        )
         hub_totals[member.name] = _jobs_totals(
-            hub.database.schema(member.fed_schema)
+            hub.database.schema(member.fed_schema), member.filter
         )
     result = FederationCheck(
         tuple(member_checks), satellite_totals, hub_totals
@@ -150,7 +162,6 @@ def check_federation(
         failing = [
             f"{m.member}:{t.table}"
             for m in result.members
-            if not m.filtered
             for t in m.tables
             if not t.ok
         ]

@@ -115,15 +115,14 @@ class XdmodInstance:
 class FederationMember:
     """Hub-side registration of one satellite.
 
-    Every member has one hub-side :class:`ReplicationChannel`, a loose
-    member's being its ``loose_channel``'s applier, and a
+    Every member has one hub-side :class:`ReplicationChannel`, which a
+    loose member's ``loose_channel`` feeds with shipments, and a
     :class:`CircuitBreaker`: repeated sync failures stop the member from
     consuming sync cycles (OPEN), and the breaker automatically re-probes
     it after a cooldown (HALF_OPEN).
     """
 
     instance: XdmodInstance
-    mode: str  # "tight" | "loose"
     fed_schema: str
     channel: ReplicationChannel
     loose_channel: LooseChannel | None = None
@@ -136,11 +135,13 @@ class FederationMember:
         return self.instance.name
 
     @property
+    def mode(self) -> str:
+        """How the channel is fed (:meth:`FederationHub.convert`)."""
+        return "tight" if self.loose_channel is None else "loose"
+
+    @property
     def filter(self) -> ReplicationFilter:
-        """The routing filter the member's data went through: the one a
-        loose member's ships are cut with, else the channel's."""
-        if self.loose_channel is not None:
-            return self.loose_channel.filter
+        """The routing filter the member's data goes through."""
         return self.channel.filter
 
     @property
@@ -316,8 +317,8 @@ class FederationHub(XdmodInstance):
         and (for tight mode) opens a replication channel from the
         satellite's binlog position 0 so all historical data replicates.
 
-        ``retry_policy`` and ``quarantine`` configure the member's
-        channel, tight or the applier of a loose member's ships (see
+        ``filter``, ``retry_policy`` and ``quarantine`` configure the
+        member's one channel, whichever way it is fed (see
         :class:`~repro.core.ReplicationChannel`); ``breaker`` overrides
         the member's default circuit breaker.
         """
@@ -347,7 +348,7 @@ class FederationHub(XdmodInstance):
                 satellite.schema, self.database, fed_schema_name, **options
             )
             channel = loose.channel
-        member = FederationMember(satellite, mode, fed_schema_name, channel, loose)
+        member = FederationMember(satellite, fed_schema_name, channel, loose)
         if breaker is not None:
             member.breaker = breaker
         if self.fleet.enabled:
@@ -362,8 +363,26 @@ class FederationHub(XdmodInstance):
             if loose is not None:
                 loose.ship()
             else:
-                channel.catch_up()
+                self._pump(channel, None)
         self._members[satellite.name] = member
+        return member
+
+    def convert(self, name: str, mode: str) -> FederationMember:
+        """Switch how member ``name``'s one channel is fed, with the
+        :class:`~repro.core.LiveReplicator` stopped: to ``"tight"``, the
+        next :meth:`sync` pumps it from the cursor the last ship left; to
+        ``"loose"``, the next :meth:`ship_loose` sends a segment from the
+        cursor.  Its filter, cursor and dead letters stay as they are."""
+        member = self.member(name)
+        if mode == "tight":
+            member.loose_channel = None
+        elif mode != "loose":
+            raise MembershipError(f"unknown federation mode {mode!r}")
+        elif member.loose_channel is None:
+            channel = member.channel
+            loose = LooseChannel(channel.source, self.database, member.fed_schema)
+            loose.channel = channel
+            member.loose_channel = loose
         return member
 
     def leave(self, name: str, *, drop_data: bool = False) -> None:
@@ -454,7 +473,8 @@ class FederationHub(XdmodInstance):
     def sync(self, *, batch: int | None = None) -> dict[str, MemberSyncOutcome]:
         """Pump every tight channel once; returns a per-member outcome.
 
-        Tight members stream binlog events; loose members ship only when
+        Tight members stream binlog events (and resync when
+        :meth:`ReplicationChannel.resync_due`); loose members ship only when
         called through :meth:`ship_loose` (live sync leaves them stale, as
         the real mechanism would, and reports them ``idle``).
 
@@ -464,7 +484,7 @@ class FederationHub(XdmodInstance):
         once the breaker opens — subsequent cycles skip the member
         (``circuit_open``) until the cooldown elapses and a probe either
         recovers it or re-opens the circuit.  Each outcome's ``applied``
-        counts the events applied.
+        counts the events applied, plus the rows a resync loaded.
         """
         out: dict[str, MemberSyncOutcome] = {}
         self._m_sync_cycles.inc()
@@ -472,11 +492,19 @@ class FederationHub(XdmodInstance):
             if member.mode == "loose":
                 out[member.name] = MemberSyncOutcome(member.name, "idle", 0)
                 continue
-            channel = member.channel
-            move = channel.catch_up if batch is None else partial(channel.pump, batch)
-            out[member.name] = self._step(member, move)
+            out[member.name] = self._step(member, partial(self._pump, member.channel, batch))
         self._record_outcomes(out)
         return out
+
+    def _pump(self, channel: ReplicationChannel, batch: int | None) -> int:
+        """A tight member's move: pump while the hub's copy can be carried
+        on, then resync it if it cannot (a rename the pump met, say)."""
+        applied = 0
+        if not channel.resync_due(self.database):
+            applied = channel.catch_up() if batch is None else channel.pump(batch)
+        if channel.resync_due(self.database):
+            applied += channel.resync(self.database)
+        return applied
 
     def ship_loose(self) -> dict[str, MemberSyncOutcome]:
         """Ship every loose member once; returns per-member outcomes whose

@@ -149,9 +149,7 @@ class FederationMonitor:
             )
             stats = member.channel.stats
             member_check = by_member.get(member.name)
-            consistent = bool(
-                member_check and (member_check.ok or member_check.filtered)
-            )
+            consistent = bool(member_check and member_check.ok)
             syncs, sync_seconds, rate = self._pump_figures(
                 member.name, stats.events_applied
             )

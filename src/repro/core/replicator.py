@@ -20,8 +20,11 @@ hub's per-instance schema (``fed_<instance>`` by convention).  A
   before they ever reach the hub, "which could ensure that potentially
   sensitive data does not ever get replicated" (Section II-C4).  The filter
   learns the resource_id -> name mapping by watching ``dim_resource``
-  inserts stream past (or from the dump a loose channel shipped before
-  it), so it needs no out-of-band catalog.
+  rows stream past (or from a dump of the source cut before them), so it
+  needs no out-of-band catalog.  The hub holds the source seen through the
+  filter by each resource's *current* name (DESIGN §5, invariant 6), which
+  the channel's one resync rule (:meth:`ReplicationChannel.resync_due`)
+  keeps when a rename moves a resource across the routing boundary.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from typing import Any, Iterable, Iterator, Sequence
 from ..etl.perfingest import HEAVY_TABLES
 from ..etl.star import JOBS_REALM_TABLES
 from ..obs import Observability
-from ..warehouse import BinlogCursor, BinlogEvent, EventType, Schema
+from ..warehouse import BinlogCursor, BinlogEvent, Database, EventType, Schema, Table
+from ..warehouse import dump_schema, load_schema
 from .errors import ReplicationError
 from .resilience import DeadLetterQueue, RetryPolicy
 
@@ -46,6 +50,12 @@ RESOURCE_SCOPED_TABLES = (
     "fact_job", "fact_job_perf", "fact_job_analytics", "fact_storage",
     "fact_vm", "fact_vm_interval",
 )
+
+#: The column that routes a row of each routed table: a ``dim_resource``
+#: row goes by its own name, a resource-scoped row by its resource's.
+_ROUTED_BY = {
+    "dim_resource": "name", **dict.fromkeys(RESOURCE_SCOPED_TABLES, "resource_id")
+}
 
 _NULL_CONTEXT = contextlib.nullcontext()
 
@@ -74,9 +84,10 @@ class ReplicationFilter:
         ``derived`` — the hub re-aggregates raw data itself, so satellite
         aggregates are never shipped, whatever the whitelist says).
     exclude_resources:
-        Resource *names* whose fact rows must not reach the hub.
+        Resource *names* whose rows must not reach the hub: their
+        ``dim_resource`` rows and their resource-scoped fact rows.
     include_resources:
-        If given, only these resource names' fact rows replicate (an
+        If given, only these resource names' rows replicate (an
         allowlist; combines with ``exclude_resources``).
     """
 
@@ -86,18 +97,18 @@ class ReplicationFilter:
         *,
         exclude_resources: Iterable[str] = (),
         include_resources: Iterable[str] | None = None,
-        drop_excluded_dim_rows: bool = True,
     ) -> None:
         self.tables = tuple(tables) if tables is not None else None
         self.exclude_resources = set(exclude_resources)
         self.include_resources = (
             set(include_resources) if include_resources is not None else None
         )
-        self.drop_excluded_dim_rows = drop_excluded_dim_rows
         #: learned from dim_resource events flowing through the channel
         self._resource_names: dict[int, str] = {}
         #: tables whose schema description said ``derived``
         self._derived: set[str] = set()
+        #: renames that moved a known resource across the routing boundary
+        self._flips = 0
 
     # -- table-level selection -------------------------------------------------
 
@@ -119,7 +130,6 @@ class ReplicationFilter:
             frozenset(self.exclude_resources),
             None if self.include_resources is None
             else frozenset(self.include_resources),
-            self.drop_excluded_dim_rows,
         )
 
     def table_allowed(self, table: str) -> bool:
@@ -135,52 +145,68 @@ class ReplicationFilter:
 
     def note_resource(self, resource_id: Any, name: Any) -> None:
         """Learn that ``resource_id`` names resource ``name``: from a
-        ``dim_resource`` event going by, or a row of a dump."""
-        if resource_id is not None and name is not None:
-            self._resource_names[resource_id] = name
+        ``dim_resource`` event going by, or a row of a dump.  A new name
+        that moves a known resource across the routing boundary counts
+        as a flip."""
+        if resource_id is None or name is None:
+            return
+        known = self._resource_names.get(resource_id)
+        if known is not None and self.resource_excluded(known) != self.resource_excluded(name):
+            self._flips += 1
+        self._resource_names[resource_id] = name
 
     def resource_excluded(self, name: str) -> bool:
-        if name in self.exclude_resources:
-            return True
-        if self.include_resources is not None and name not in self.include_resources:
-            return True
-        return False
+        include = self.include_resources
+        return name in self.exclude_resources or (
+            include is not None and name not in include
+        )
 
-    def routed_out(self, resource_id: Any) -> bool:
-        """True when a fact row of ``resource_id`` must not reach the hub."""
-        name = self._resource_names.get(resource_id)
+    def routes(self, table: str) -> bool:
+        """True when the settings keep some rows of ``table`` off the hub."""
+        return table in _ROUTED_BY and bool(
+            self.exclude_resources or self.include_resources is not None
+        )
+
+    def routed_out(self, table: str, value: Any) -> bool:
+        """The routing rule, one row at a time: True when a row of
+        ``table`` whose routing column holds ``value`` must not reach the
+        hub — a ``dim_resource`` row by its own name, a resource-scoped
+        row by its resource's current name.  :meth:`admit` applies it to
+        an event's row image, :meth:`rows` to a table's rows."""
+        name = value if table == "dim_resource" else self._resource_names.get(value)
         return name is not None and self.resource_excluded(name)
 
-    def _row_allowed(self, event: BinlogEvent) -> bool:
-        row = event.data.get("row") or {}
-        if event.table == "dim_resource":
-            name = row.get("name")
-            self.note_resource(row.get("resource_id"), name)
-            if name is not None and self.drop_excluded_dim_rows:
-                return not self.resource_excluded(name)
-            return True
-        if event.table in RESOURCE_SCOPED_TABLES:
-            rid = row.get("resource_id")
-            if rid is None and event.etype is EventType.DELETE:
-                # key-only delete: key order matches the PK; resource_id is
-                # the first PK component on all resource-scoped tables
-                key = event.data.get("key")
-                if key:
-                    rid = key[0]
-            return not self.routed_out(rid)
-        return True
+    def rows(self, table: Table) -> Iterable[Sequence[Any]]:
+        """``table``'s rows that :meth:`routed_out` lets through: what a
+        filtered dump holds of it, and so what the hub's copy should."""
+        if not self.routes(table.name):
+            return table.raw_rows()
+        name, at = table.name, table.schema.position(_ROUTED_BY[table.name])
+        return (
+            row for row in table.raw_rows() if not self.routed_out(name, row[at])
+        )
 
     def admit(self, event: BinlogEvent) -> bool:
         """True when ``event`` should be applied to the hub."""
-        if event.etype in (EventType.CREATE_TABLE, EventType.DROP_TABLE):
-            self.note_table(event.table, bool(event.data.get("derived")))
-        if not self.table_allowed(event.table):
+        etype, table = event.etype, event.table
+        if etype in (EventType.CREATE_TABLE, EventType.DROP_TABLE):
+            self.note_table(table, bool(event.data.get("derived")))
+        if not self.table_allowed(table):
             return False
-        if event.etype in (
+        column = _ROUTED_BY.get(table)
+        if column is None or etype in (
             EventType.CREATE_TABLE, EventType.DROP_TABLE, EventType.TRUNCATE
         ):
             return True
-        return self._row_allowed(event)
+        row = event.data.get("row") or {}
+        if table == "dim_resource":
+            self.note_resource(row.get("resource_id"), row.get("name"))
+        value = row.get(column)
+        if value is None and column == "resource_id" and event.data.get("key"):
+            # key-only delete: key order matches the PK; resource_id is
+            # the first PK component on all resource-scoped tables
+            value = event.data["key"][0]
+        return not self.routed_out(table, value)
 
 
 @dataclass
@@ -245,6 +271,8 @@ class ReplicationChannel:
         self.dead_letters = DeadLetterQueue()
         self.obs = obs
         self.name = name if name is not None else source.name
+        #: what the hub's copy was last made with (:meth:`resync_due`)
+        self._synced = self._routing(target)
         if obs is not None:
             registry = obs.registry
             label = {"channel": self.name}
@@ -512,3 +540,62 @@ class ReplicationChannel:
             if self.cursor.position == position:
                 break
         return total
+
+    # -- the one resync rule -----------------------------------------------------
+
+    def _routing(self, schema: Schema | None) -> tuple:
+        """What the hub's copy depends on besides the log."""
+        return (schema, self.filter, self.filter.settings(), self.filter._flips)
+
+    def resync_due(self, database: Database) -> bool:
+        """True when the hub's copy in ``database`` cannot be carried on
+        from the cursor, however the channel is fed (DESIGN §5, invariant
+        6): the filter or its settings changed, a rename moved a known
+        resource across the routing boundary, ``database`` lost the copy's
+        schema, or the source's log no longer reaches the cursor."""
+        name = self._synced[0].name
+        held = database.schema(name) if database.has_schema(name) else None
+        return (
+            self._routing(held) != self._synced
+            or self.cursor.position > self.source.binlog.head_lsn
+        )
+
+    def dump(self, *, trace: dict[str, Any] | None = None) -> dict[str, Any]:
+        """The source seen through :attr:`filter` as a dump document.
+
+        It teaches the filter what the log before it would have: whether
+        each table is derived, and every ``dim_resource`` id -> name pair,
+        excluded resources' included, so what carries on from it routes
+        new rows by what it learned.
+        """
+        source, filter = self.source, self.filter
+        if source.has_table("dim_resource"):
+            for resource_id, name in source.table("dim_resource").columns_values(
+                ("resource_id", "name")
+            ):
+                filter.note_resource(resource_id, name)
+
+        def select(table: Table) -> Iterable[Sequence[Any]] | None:
+            filter.note_table(table.name, table.schema.derived)
+            return filter.rows(table) if filter.table_allowed(table.name) else None
+
+        return dump_schema(source, select=select, trace=trace)
+
+    def load(self, database: Database, dump: dict[str, Any]) -> int:
+        """Verify and load a :meth:`dump` into ``database`` in place of the
+        hub's copy and carry on from its head; returns the rows loaded.
+        Dead letters it covers go (``events_quarantined`` keeps them)."""
+        self.target = load_schema(
+            database, dump, rename_to=self.target.name, replace=True
+        )
+        head = dump["binlog_head"]
+        for lsn in self.dead_letters.lsns():
+            if lsn < head:
+                self.dead_letters.remove(lsn)
+        self.cursor.seek(head)
+        self._synced = self._routing(self.target)
+        return sum(len(entry["rows"]) for entry in dump["tables"])
+
+    def resync(self, database: Database) -> int:
+        """:meth:`load` a :meth:`dump` of the source as it is now."""
+        return self.load(database, self.dump())

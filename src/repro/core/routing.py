@@ -65,8 +65,6 @@ def filter_for_hub(
     policy: RoutingPolicy,
     hub_name: str,
     resource_names: Iterable[str],
-    *,
-    tables: tuple[str, ...] | None = None,
 ) -> ReplicationFilter:
     """Compile the routing policy into one hub's replication filter.
 
@@ -82,10 +80,7 @@ def filter_for_hub(
         include = [
             name for name in resource_names if policy.admitted(name, hub_name)
         ]
-    kwargs: dict = {"exclude_resources": excluded, "include_resources": include}
-    if tables is not None:
-        return ReplicationFilter(tables, **kwargs)
-    return ReplicationFilter(**kwargs)
+    return ReplicationFilter(exclude_resources=excluded, include_resources=include)
 
 
 class FederationNetwork:

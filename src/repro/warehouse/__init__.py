@@ -12,7 +12,7 @@ Public surface:
   loose federation and backup transport
 """
 
-from .binlog import Binlog, BinlogCursor, BinlogEvent, EventType, row_event_filter
+from .binlog import Binlog, BinlogCursor, BinlogEvent, EventType
 from .dump import (
     dump_schema,
     load_schema,
@@ -59,7 +59,6 @@ __all__ = [
     "load_schema",
     "make_columns",
     "read_dump_file",
-    "row_event_filter",
     "save_database",
     "snapshot_info",
     "write_dump_file",

@@ -245,21 +245,3 @@ class BinlogCursor:
             raise BinlogError(f"negative LSN {lsn}")
         self._position = lsn
 
-
-def row_event_filter(
-    predicate: Callable[[BinlogEvent], bool],
-    events: Sequence[BinlogEvent],
-) -> list[BinlogEvent]:
-    """Filter row events, always keeping DDL (create/drop/truncate).
-
-    Selective replication (the paper's resource routing, Section II-C4) must
-    drop *rows* for excluded resources while still creating the tables, so
-    the hub schema stays structurally complete.
-    """
-    kept: list[BinlogEvent] = []
-    for event in events:
-        if event.etype in (EventType.CREATE_TABLE, EventType.DROP_TABLE, EventType.TRUNCATE):
-            kept.append(event)
-        elif predicate(event):
-            kept.append(event)
-    return kept

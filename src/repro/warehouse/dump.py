@@ -13,11 +13,12 @@ hub that already holds everything before the first applies on top.
 Integrity: every dump carries a content checksum (:func:`dump_checksum`)
 computed purely from the document, matching what
 :meth:`~repro.warehouse.engine.Schema.checksum` would report for the
-materialized schema.  :func:`load_schema` verifies it *before* touching
-the target database, so a corrupted or truncated shipment is rejected
-outright — never half-loaded over the previous good copy.  A segment's
-checksum covers the whole document, and :func:`segment_events` verifies
-it before handing over a single event.
+materialized schema, and a header checksum over the rest (format, kind,
+schema name, binlog head, trace).  :func:`load_schema` verifies both
+*before* touching the target database, so a damaged shipment is rejected
+outright — never half-loaded over the previous good copy, nor loaded with
+a wrong head.  A segment's checksum covers the whole document, and
+:func:`segment_events` verifies it before handing over a single event.
 """
 
 from __future__ import annotations
@@ -42,6 +43,17 @@ SEGMENT_KIND = "binlog_segment"
 _encode_document = json.JSONEncoder(sort_keys=True, default=str).encode
 
 
+def _header_checksum(dump: dict[str, Any]) -> str:
+    """Digest of the keys of a dump outside its content."""
+    keys = ("format_version", "kind", "schema_name", "binlog_head", "trace")
+    return hashlib.sha256(_encode_document([dump.get(k) for k in keys]).encode()).hexdigest()
+
+
+def _verify_header(dump: dict[str, Any]) -> None:
+    if _header_checksum(dump) != dump.get("header_checksum"):
+        raise DumpError(f"dump of {dump.get('schema_name')!r} failed header verification")
+
+
 def dump_checksum(dump: dict[str, Any]) -> str:
     """Content checksum of a dump document.
 
@@ -63,13 +75,15 @@ def dump_schema(
     schema: Schema,
     *,
     select: Callable[[Table], Iterable[Sequence[Any]] | None] | None = None,
+    trace: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Serialize one schema to a plain dict (tables, rows, binlog head).
 
     ``select`` makes a filtered dump: called with each table, it returns
     the rows of that table to dump, or ``None`` to leave the table out.
     Without it every table is dumped whole.  The content checksum is
-    computed once, over exactly the rows the document holds.
+    computed once, over exactly the rows the document holds.  ``trace``,
+    a trace context payload, goes into the header with the binlog head.
     """
     tables = []
     for name in schema.table_names():
@@ -89,7 +103,10 @@ def dump_schema(
         "binlog_head": schema.binlog.head_lsn,
         "tables": tables,
     }
+    if trace is not None:
+        dump["trace"] = trace
     dump["checksum"] = dump_checksum(dump)
+    dump["header_checksum"] = _header_checksum(dump)
     return dump
 
 
@@ -108,10 +125,10 @@ def load_schema(
     ``replace=True`` an existing schema of the target name is dropped first
     (periodic loose-federation refresh).
 
-    With ``verify_checksum`` (the default) the dump's content checksum is
-    verified *before* any existing schema is dropped or any row inserted:
-    a corrupt dump raises :class:`DumpError` and leaves the database —
-    including the previous shipment — untouched.
+    With ``verify_checksum`` (the default) the dump's header and content
+    checksums are verified *before* any existing schema is dropped or any
+    row inserted: a corrupt dump raises :class:`DumpError` and leaves the
+    database — including the previous shipment — untouched.
     """
     version = dump.get("format_version")
     if version != DUMP_FORMAT_VERSION:
@@ -121,10 +138,10 @@ def load_schema(
             f"{dump.get('kind', 'document')!r} of {dump.get('schema_name')!r} "
             "is not a dump"
         )
-    if verify_checksum and dump_checksum(dump) != dump.get("checksum"):
-        raise DumpError(
-            f"dump of {dump.get('schema_name')!r} failed checksum verification"
-        )
+    if verify_checksum:
+        _verify_header(dump)
+        if dump_checksum(dump) != dump.get("checksum"):
+            raise DumpError(f"dump of {dump.get('schema_name')!r} failed checksum verification")
     target = rename_to or dump["schema_name"]
     if database.has_schema(target):
         if not replace:
@@ -233,7 +250,8 @@ def read_dump_file(path: str | Path) -> dict[str, Any]:
     """Read a dump written by :func:`write_dump_file` (auto-detects gzip).
 
     Any form of file damage — broken gzip framing, truncation, invalid
-    JSON, a non-object payload — surfaces as :class:`DumpError`.
+    JSON, a non-object payload, a dump header that fails its checksum —
+    surfaces as :class:`DumpError`.
     """
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
@@ -247,6 +265,8 @@ def read_dump_file(path: str | Path) -> dict[str, Any]:
         raise DumpError(f"corrupt dump file {path}: {exc}") from exc
     if not isinstance(dump, dict):
         raise DumpError(f"corrupt dump file {path}: not a dump document")
+    if dump.get("kind") != SEGMENT_KIND:  # a segment's checksum covers it all
+        _verify_header(dump)
     # JSON round-trip turns row tuples into lists and may stringify nothing
     # else; normalize_row on load re-validates types.
     return dump

@@ -6,9 +6,8 @@ one (gzip) dump file per schema plus a manifest.  Used by the CLI and by
 operators who want a satellite's state on disk between runs.  The binlog
 position at save time is recorded in the manifest for audit; a reloaded
 schema carries a *fresh* binlog (its load history), so replication after a
-reload should re-ship loosely and hand the loose channel's applier over to
-live replication (:meth:`repro.core.LooseChannel.to_tight`) rather than
-resume an old LSN.
+reload should re-ship loosely and then convert the member to tight
+(:meth:`repro.core.FederationHub.convert`) rather than resume an old LSN.
 """
 
 from __future__ import annotations

@@ -345,12 +345,12 @@ class TestLooseResilience:
         assert out["bad"].status == "circuit_open"
 
     def test_to_tight_handover_after_failed_shipment(self):
-        """A failed re-shipment must not poison the loose->tight handover:
+        """A failed re-shipment must not poison the loose->tight convert:
         the channel still resumes from the last *successful* shipment."""
         satellite = make_satellite("sat")
-        hub_db = Database("hub")
-        channel = LooseChannel(satellite.schema, hub_db, "fed_sat")
-        channel.ship()
+        hub = FederationHub("hub")
+        member = hub.join(satellite, mode="loose")
+        channel = member.loose_channel
         lsn_after_good_ship = channel.last_shipped_lsn
         # same resource as the seed jobs: the delta is exactly 2 fact rows
         ingest_jobs(satellite.schema, [
@@ -369,9 +369,9 @@ class TestLooseResilience:
         assert channel.shipments == 1
         channel.export = original_export
 
-        tight = channel.to_tight()
-        assert tight.catch_up() == 2  # exactly the two new fact rows
-        assert hub_db.schema("fed_sat").table("fact_job").checksum() == (
+        hub.convert("sat", "tight")
+        assert hub.sync()["sat"].applied == 2  # exactly the two new fact rows
+        assert hub.database.schema("fed_sat").table("fact_job").checksum() == (
             satellite.schema.table("fact_job").checksum()
         )
 
@@ -421,7 +421,7 @@ class TestLooseSegmentResilience:
         inject_apply_faults(member.channel, plan)
         hub.ship_loose()
         assert member.dead_letter_depth == 1
-        member.loose_channel.filter = ReplicationFilter()  # forces a dump
+        member.channel.filter = ReplicationFilter()  # forces a dump
         out = hub.ship_loose()["sat"]
         assert out.status == "applied" and member.loose_channel.stats.dumps == 2
         assert member.dead_letter_depth == 0

@@ -77,3 +77,26 @@ class TestLiveReplicator:
         ingest_jobs(loose.schema, [make_job(2)])
         assert hub.lag() == {"l": 1, "t": 0}
         assert LiveReplicator(hub).wait_until_current(timeout=0.5)
+
+    def test_a_member_converted_to_tight_is_waited_on(self):
+        hub = FederationHub("hub")
+        satellite = XdmodInstance("l")
+        ingest_jobs(satellite.schema, [make_job(1)])
+        hub.join(satellite, mode="loose")
+        live = LiveReplicator(hub, interval_s=0.01).start()
+        ingest_jobs(satellite.schema, [make_job(2)])
+        assert live.wait_until_current(timeout=0.5)  # loose: not waited on
+        live.stop()
+        assert hub.lag() == {"l": 1}
+        hub.convert("l", "tight")
+        assert not live.wait_until_current(timeout=0.1)  # stopped: still lags
+        live.start()
+        try:
+            assert live.wait_until_current(timeout=5.0)
+        finally:
+            live.stop()
+        assert hub.lag() == {"l": 0}
+        fed = hub.database.schema("fed_l")
+        assert fed.table("fact_job").checksum() == (
+            satellite.schema.table("fact_job").checksum()
+        )

@@ -1,7 +1,8 @@
-"""Loose federation: dump and segment shipping, staleness, handover to
-tight, routing across both, damaged shipments, fan-in equivalence of any
-interleaving of ingest and ships, and an API that keeps serving the hub
-across re-ships and joins."""
+"""Loose federation: dump and segment shipping, staleness, converting a
+member between loose and tight, routing across both, damaged shipments,
+fan-in equivalence of any interleaving of ingest, ships, syncs, renames
+and converts, and an API that keeps serving the hub across re-ships and
+joins."""
 
 from __future__ import annotations
 
@@ -23,16 +24,17 @@ from repro.core import (
     ReplicationError,
     ReplicationFilter,
     XdmodInstance,
+    check_federation,
     corrupt_dump_file,
     truncate_dump_file,
 )
-from repro.core import loose
+from repro.core import loose, replicator
 from repro.etl import ParsedJob, ingest_cloud_events, ingest_jobs, ingest_storage_snapshots
 from repro.realms import jobs_realm
 from repro.timeutil import ts
 from repro.ui import XdmodApi
 from repro.ui.serving import QueryService
-from repro.warehouse import Database, DumpError
+from repro.warehouse import BinlogCursor, Database, DumpError
 from repro.warehouse.dump import SEGMENT_KIND
 from tests.conftest import property_settings
 from tests.rest_client import get_json
@@ -54,6 +56,15 @@ def satellite_schema():
     schema = Database("sat").create_schema("modw")
     ingest_jobs(schema, [make_job(i) for i in range(8)])
     return schema
+
+
+def loose_member(n_jobs=8, **join):
+    """A hub and a satellite of ``n_jobs`` jobs that joined it loosely."""
+    hub = FederationHub("hub")
+    sat = XdmodInstance("sat")
+    ingest_jobs(sat.schema, [make_job(i) for i in range(n_jobs)])
+    hub.join(sat, mode="loose", **join)
+    return hub, sat
 
 
 class TestLooseChannel:
@@ -106,23 +117,32 @@ class TestLooseChannel:
             satellite_schema.table("fact_job").checksum()
         )
 
-    def test_to_tight_resumes_without_gap_or_overlap(self, satellite_schema):
-        """The heterogeneous model: start loose, upgrade to tight."""
-        hub_db = Database("hub")
-        loose = LooseChannel(satellite_schema, hub_db, "fed_sat")
-        loose.ship()
-        ingest_jobs(satellite_schema, [make_job(100), make_job(101)])
-        tight = loose.to_tight()
-        applied = tight.catch_up()
-        assert applied == 2  # exactly the two new fact rows
-        hub_fact = hub_db.schema("fed_sat").table("fact_job")
+    def test_to_tight_resumes_without_gap_or_overlap(self):
+        """The heterogeneous model: start loose, convert to tight."""
+        hub, sat = loose_member()
+        ingest_jobs(sat.schema, [make_job(100), make_job(101)])
+        hub.convert("sat", "tight")
+        outcome = hub.sync()["sat"]
+        assert outcome.applied == 2  # exactly the two new fact rows
+        hub_fact = hub.database.schema("fed_sat").table("fact_job")
         assert len(hub_fact) == 10
-        assert hub_fact.checksum() == satellite_schema.table("fact_job").checksum()
+        assert hub_fact.checksum() == sat.schema.table("fact_job").checksum()
+        assert hub.ship_loose() == {} and hub.lag() == {"sat": 0}
 
-    def test_to_tight_before_ship_rejected(self, satellite_schema):
-        channel = LooseChannel(satellite_schema, Database("hub"), "fed_sat")
-        with pytest.raises(RuntimeError):
-            channel.to_tight()
+    def test_converting_a_member_never_shipped_copies_it_whole_at_the_next_sync(
+        self,
+    ):
+        hub, sat = loose_member(initial_sync=False)
+        hub.convert("sat", "tight")
+        assert not hub.database.has_schema("fed_sat")
+        assert hub.sync()["sat"].status == "applied"
+        fed = hub.database.schema("fed_sat")
+        assert hub_tables(fed) == {
+            name: sat.schema.table(name).checksum() for name in hub_tables(fed)
+        }
+        assert "fact_job" in hub_tables(fed) and hub.lag() == {"sat": 0}
+        ingest_jobs(sat.schema, [make_job(100)])
+        assert hub.sync()["sat"].applied == 1  # pumped from there on
 
 
 def hub_tables(schema):
@@ -152,13 +172,13 @@ class TestSegments:
     def count_calls(self, monkeypatch):
         calls = {"dump_schema": 0, "load_schema": 0}
         for name in calls:
-            real = getattr(loose, name)
+            real = getattr(replicator, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(loose, name, counted)
+            monkeypatch.setattr(replicator, name, counted)
         return calls
 
     def test_reship_after_a_small_delta_neither_dumps_nor_loads(
@@ -227,11 +247,11 @@ class TestSegments:
         secret = resource_id(satellite_schema, "secret")
         assert secret in resource_ids(hub_db.schema("fed_sat"))
         calls = self.count_calls(monkeypatch)
-        channel.filter.exclude_resources.add("secret")
+        channel.channel.filter.exclude_resources.add("secret")
         channel.ship()
         assert calls == {"dump_schema": 1, "load_schema": 1}
         assert secret not in resource_ids(hub_db.schema("fed_sat"))
-        channel.filter = ReplicationFilter(exclude_resources={"secret"})
+        channel.channel.filter = ReplicationFilter(exclude_resources={"secret"})
         channel.ship()  # a new filter object has learned nothing: dump again
         assert calls == {"dump_schema": 2, "load_schema": 2}
         channel.ship()
@@ -248,7 +268,8 @@ class TestSegments:
         rebuilt = Database("sat").create_schema("modw")
         ingest_jobs(rebuilt, [make_job(i) for i in range(3)])
         assert rebuilt.binlog.head_lsn < channel.last_shipped_lsn
-        channel.source = rebuilt
+        channel.channel.source = rebuilt
+        channel.channel.cursor = BinlogCursor(rebuilt.binlog, channel.last_shipped_lsn)
         channel.ship()
         assert calls == {"dump_schema": 1, "load_schema": 1}
         assert len(hub_db.schema("fed_sat").table("fact_job")) == 3
@@ -262,9 +283,11 @@ class TestSegments:
         assert channel.stats.dumps == 2
         assert len(hub_db.schema("fed_sat").table("fact_job")) == 8
 
-    def test_segment_that_fails_partway_is_followed_by_a_resyncing_dump(
+    def test_segment_that_fails_partway_resumes_where_it_stopped(
         self, satellite_schema, monkeypatch
     ):
+        """As a pump does: the cursor stands past the events that applied,
+        and the next ship is a segment from there, not a dump."""
         hub_db = Database("hub")
         channel = LooseChannel(satellite_schema, hub_db, "fed_sat")
         channel.ship()
@@ -285,19 +308,20 @@ class TestSegments:
         monkeypatch.setattr(target, "apply_event", refuse_facts)
         with pytest.raises(ReplicationError, match="hub refused a fact row"):
             channel.ship()
-        assert channel.last_shipped_lsn == lsn and channel.shipments == 1
+        first_fact = next(
+            event.lsn for event in satellite_schema.binlog.read_from(lsn)
+            if event.table == "fact_job"
+        )
+        assert channel.last_shipped_lsn == first_fact and channel.shipments == 1
         assert len(target.table("dim_resource")) == 2  # applied partway
         monkeypatch.undo()
         calls = self.count_calls(monkeypatch)
         shipped = channel.ship()
-        assert calls == {"dump_schema": 1, "load_schema": 1}
-        assert shipped is not target
+        assert calls == {"dump_schema": 0, "load_schema": 0}
+        assert shipped is target and channel.stats.events_moved == 2
         assert hub_tables(shipped) == {
             name: satellite_schema.table(name).checksum() for name in hub_tables(shipped)
         }
-        ingest_jobs(satellite_schema, [make_job(102, "r9")])
-        channel.ship()
-        assert calls == {"dump_schema": 1, "load_schema": 1}  # segments again
 
 
 class TestSegmentDamage:
@@ -342,6 +366,33 @@ class TestSegmentDamage:
             name: satellite_schema.table(name).checksum() for name in hub_tables(shipped)
         }
 
+    def test_a_dump_with_a_flipped_digit_in_its_binlog_head_is_rejected(
+        self, satellite_schema, tmp_path, monkeypatch
+    ):
+        """Every later segment would start from a wrong head: the header
+        checksum refuses the dump, and the hub keeps what it held."""
+        hub_db = Database("hub")
+        channel = LooseChannel(satellite_schema, hub_db, "fed_sat")
+        channel.ship()
+        ingest_jobs(satellite_schema, [make_job(100)])
+        channel.channel.filter = ReplicationFilter()  # the next ship dumps
+        before, lsn = hub_db.schema("fed_sat").checksum(), channel.last_shipped_lsn
+        write = loose.write_dump_file
+
+        def write_flipped(document, path):
+            head = str(document["binlog_head"])
+            flipped = str(int(head[0]) % 9 + 1) + head[1:]
+            return write({**document, "binlog_head": int(flipped)}, path)
+
+        monkeypatch.setattr(loose, "write_dump_file", write_flipped)
+        with pytest.raises(DumpError, match="header"):
+            channel.ship_via_file(tmp_path / "dump.gz")
+        assert hub_db.schema("fed_sat").checksum() == before
+        assert channel.last_shipped_lsn == lsn and channel.stats.dumps == 1
+        monkeypatch.undo()
+        channel.ship_via_file(tmp_path / "dump.gz")
+        assert channel.last_shipped_lsn == satellite_schema.binlog.head_lsn
+
     def test_segment_from_the_wrong_position_rejected(self, satellite_schema):
         channel = LooseChannel(satellite_schema, Database("hub"), "fed_sat")
         channel.ship()
@@ -360,24 +411,24 @@ class TestRoutingAcrossHandover:
     whose ``dim_resource`` row came before the dump is still routed out."""
 
     @pytest.mark.parametrize("follow", ["to_tight", "segment"])
-    def test_new_rows_of_an_excluded_resource_never_reach_the_hub(
-        self, satellite_schema, follow
-    ):
-        ingest_jobs(satellite_schema, [make_job(50, resource="secret")])
-        hub_db = Database("hub")
-        channel = LooseChannel(
-            satellite_schema, hub_db, "fed_sat",
+    def test_new_rows_of_an_excluded_resource_never_reach_the_hub(self, follow):
+        hub = FederationHub("hub")
+        sat = XdmodInstance("sat")
+        ingest_jobs(sat.schema, [make_job(i) for i in range(8)])
+        ingest_jobs(sat.schema, [make_job(50, resource="secret")])
+        hub.join(
+            sat, mode="loose",
             filter=ReplicationFilter(exclude_resources={"secret"}),
         )
-        channel.ship()
-        ingest_jobs(satellite_schema, [make_job(60, resource="secret"), make_job(61)])
+        ingest_jobs(sat.schema, [make_job(60, resource="secret"), make_job(61)])
         if follow == "to_tight":
-            channel.to_tight().catch_up()
+            hub.convert("sat", "tight")
+            assert hub.sync()["sat"].applied == 1
         else:
-            channel.ship()
-        hub = hub_db.schema("fed_sat")
-        assert resource_id(satellite_schema, "secret") not in resource_ids(hub)
-        assert {row["job_id"] for row in hub.table("fact_job").rows()} == {*range(8), 61}
+            hub.ship_loose()
+        fed = hub.database.schema("fed_sat")
+        assert resource_id(sat.schema, "secret") not in resource_ids(fed)
+        assert {row["job_id"] for row in fed.table("fact_job").rows()} == {*range(8), 61}
 
 
 class TestOneChannelPerMember:
@@ -416,18 +467,73 @@ class TestOneChannelPerMember:
         assert hub.ship_loose()["sat"].status == "failed"
         assert lag() == 1
 
-    def test_to_tight_hands_over_the_same_channel(self, satellite_schema):
-        loose = LooseChannel(satellite_schema, Database("hub"), "fed_sat")
-        loose.ship()
-        assert loose.to_tight() is loose.channel
-        assert loose.channel.filter is loose.filter
-        with pytest.raises(RuntimeError, match="to_tight"):
-            loose.ship()
+    def test_to_tight_hands_over_the_same_channel(self):
+        hub, sat = loose_member()
+        member = hub.member("sat")
+        channel, routing = member.channel, member.filter
+        assert hub.convert("sat", "tight") is member
+        assert member.mode == "tight" and member.loose_channel is None
+        assert member.channel is channel and member.filter is routing
+        assert hub.ship_loose() == {}  # the member ships no more
+        hub.convert("sat", "loose")
+        assert member.mode == "loose" and member.channel is channel
+        ingest_jobs(sat.schema, [make_job(100)])
+        assert hub.ship_loose()["sat"].applied == 1  # a segment, not a dump
+        assert member.loose_channel.stats.dumps == 0
+
+    def test_a_tight_member_whose_routing_never_changes_cuts_no_dump(
+        self, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dump was cut")
+
+        monkeypatch.setattr(replicator, "dump_schema", refuse)
+        hub = FederationHub("hub")
+        sat = XdmodInstance("sat")
+        ingest_jobs(sat.schema, [make_job(i) for i in range(4)])
+        ingest_jobs(sat.schema, [make_job(50, resource="secret")])
+        hub.join(sat, filter=ReplicationFilter(exclude_resources={"secret"}))
+        for job in (100, 101, 102):
+            ingest_jobs(sat.schema, [make_job(job), make_job(job + 10, "secret")])
+            assert hub.sync()["sat"].status == "applied"
+        assert hub.sync(batch=1)["sat"].applied == 0
+        assert len(hub.database.schema("fed_sat").table("fact_job")) == 7
+        assert check_federation(hub, strict=True).ok
+
+    def test_a_tight_member_refilters_its_history_after_a_rename(self):
+        hub = FederationHub("hub")
+        sat = XdmodInstance("sat")
+        ingest_jobs(sat.schema, [make_job(1), make_job(2, resource="r2")])
+        hub.join(sat, filter=ReplicationFilter(exclude_resources={"secret"}))
+        dim = sat.schema.table("dim_resource")
+        for old, new, jobs in (("r2", "secret", [1]), ("secret", "r2", [1, 2])):
+            dim.update_where(lambda row, old=old: row["name"] == old, {"name": new})
+            assert hub.sync()["sat"].status == "applied"
+            fact = hub.database.schema("fed_sat").table("fact_job")
+            assert sorted(fact.column_values("job_id")) == jobs
+            assert check_federation(hub, strict=True).ok
+
+    def test_converting_tight_to_loose_ships_a_segment_from_the_cursor(self):
+        hub = FederationHub("hub")
+        sat = XdmodInstance("sat")
+        ingest_jobs(sat.schema, [make_job(i) for i in range(8)])
+        member = hub.join(sat)
+        ingest_jobs(sat.schema, [make_job(100), make_job(101)])
+        hub.convert("sat", "loose")
+        assert hub.sync()["sat"].status == "idle" and hub.lag() == {"sat": 2}
+        assert member.loose_channel.export()["kind"] == SEGMENT_KIND
+        assert hub.ship_loose()["sat"].applied == 2
+        assert member.loose_channel.stats.dumps == 0
+        fed = hub.database.schema("fed_sat")
+        assert hub_tables(fed) == {
+            name: sat.schema.table(name).checksum() for name in hub_tables(fed)
+        }
 
     def test_a_row_renamed_into_an_excluded_resource_after_it_shipped(self):
-        """The satellite routes a segment once: a job that was admitted
-        before its resource was renamed to an excluded one reaches the hub
-        whether the member is tight or loose."""
+        """The hub holds the satellite seen through the filter by each
+        resource's current name: once ``r2`` is renamed to the excluded
+        ``secret``, its jobs leave the hub, the ones that reached it before
+        included, whether the member is tight or loose."""
         hub = FederationHub("hub")
         satellites = {"t": XdmodInstance("t"), "l": XdmodInstance("l")}
         for mode, sat in zip(("tight", "loose"), satellites.values()):
@@ -449,7 +555,13 @@ class TestOneChannelPerMember:
             for name in satellites
         }
         assert facts["l"].checksum() == facts["t"].checksum()
-        assert 10 in facts["l"].column_values("job_id")
+        assert facts["l"].column_values("job_id") == [1]
+        for name, sat in satellites.items():
+            fed = hub.database.schema(f"fed_{name}")
+            assert fed.table("dim_resource").column_values("name") == ["r1"]
+            dumped, tight = oracle_tables(sat.schema, {"secret"})
+            assert hub_tables(fed) == dumped == tight
+        assert check_federation(hub, strict=True).ok
 
 
 # -- fan-in equivalence under any interleaving ---------------------------------
@@ -468,6 +580,8 @@ STEPS = st.one_of(
     st.just(("corrupt",)),
     st.just(("filter",)),
     st.just(("aggregate",)),
+    st.just(("convert",)),
+    st.just(("rename",)),
 )
 
 
@@ -488,16 +602,23 @@ def cloud_feed(n_vms):
 
 def oracle_tables(source, excluded):
     """What a fresh full filtered dump ships and a tight channel from LSN 0
-    replicates, under a new filter with the same settings."""
+    replicates, under a new filter with the same settings.  The tight
+    channel answers the resync rule after its catch-up, as a tight member's
+    sync does: a stream routes a row by the name its resource had when the
+    row went by, and a rename across the routing boundary resyncs."""
     dumped = LooseChannel(
         source, Database("oracle"), "fed",
         filter=ReplicationFilter(tables=None, exclude_resources=excluded),
     ).ship()
-    tight = Database("tight").create_schema("fed")
-    ReplicationChannel(
-        source, tight, filter=ReplicationFilter(tables=None, exclude_resources=excluded)
-    ).catch_up()
-    return hub_tables(dumped), hub_tables(tight)
+    database = Database("tight")
+    channel = ReplicationChannel(
+        source, database.create_schema("fed"),
+        filter=ReplicationFilter(tables=None, exclude_resources=excluded),
+    )
+    channel.catch_up()
+    if channel.resync_due(database):
+        channel.resync(database)
+    return hub_tables(dumped), hub_tables(channel.target)
 
 
 class TestFanInEquivalence:
@@ -521,11 +642,10 @@ class TestFanInEquivalence:
             sat, mode="loose", initial_sync=False,
             filter=ReplicationFilter(tables=None, exclude_resources=excluded),
         )
-        channel = member.loose_channel
-        next_job = day = n_vms = 0
+        next_job = day = n_vms = files = 0
         with tempfile.TemporaryDirectory() as scratch:
             for step in steps:
-                kind = step[0]
+                kind, channel = step[0], member.loose_channel
                 if kind == "jobs":
                     _, n, resource = step
                     ingest_jobs(sat.schema, [
@@ -543,11 +663,19 @@ class TestFanInEquivalence:
                     n_vms += step[1]
                     ingest_cloud_events(sat.schema, cloud_feed(n_vms))
                 elif kind == "filter":
-                    channel.filter.exclude_resources ^= {"secret"}
+                    member.filter.exclude_resources ^= {"secret"}
+                elif kind == "rename":
+                    # r2 and secret swap names: each moves across the
+                    # routing boundary, with whatever rows it holds
+                    dim = sat.schema.table("dim_resource")
+                    for old, new in (("r2", "swap"), ("secret", "r2"), ("swap", "secret")):
+                        dim.update_where(lambda row, old=old: row["name"] == old, {"name": new})
+                elif kind == "convert":
+                    hub.convert("sat", "tight" if channel is not None else "loose")
                 elif kind == "aggregate":
                     hub.aggregate_federation(["month"], incremental=True)
                 elif kind == "corrupt":
-                    if channel.last_shipped_lsn is None:
+                    if channel is None or channel.last_shipped_lsn is None:
                         continue
                     before = hub_tables(hub.database.schema(member.fed_schema))
                     lsn = channel.last_shipped_lsn
@@ -560,13 +688,16 @@ class TestFanInEquivalence:
                     assert channel.last_shipped_lsn == lsn
                     assert hub_tables(hub.database.schema(member.fed_schema)) == before
                 else:
-                    if step[1] == "file":
-                        channel.ship_via_file(Path(scratch) / f"ship{channel.shipments}.gz")
+                    if channel is None:
+                        assert hub.sync()["sat"].status == "applied"
+                    elif step[1] == "file":
+                        files += 1
+                        channel.ship_via_file(Path(scratch) / f"ship{files}.gz")
                     else:
                         assert hub.ship_loose()["sat"].status == "applied"
                     on_hub = hub_tables(hub.database.schema(member.fed_schema))
                     dumped, tight = oracle_tables(
-                        sat.schema, set(channel.filter.exclude_resources)
+                        sat.schema, set(member.filter.exclude_resources)
                     )
                     assert on_hub == dumped == tight
         fed = hub.database.schema(member.fed_schema)

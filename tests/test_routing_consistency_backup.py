@@ -7,6 +7,7 @@ import pytest
 from repro.core import (
     ConsistencyError,
     FederationHub,
+    FederationMonitor,
     FederationNetwork,
     IdentityError,
     IdentityMap,
@@ -153,8 +154,33 @@ class TestConsistency:
     def test_member_check_reports_tables(self, federation):
         hub, _, _, _ = federation
         check = check_member(hub, "site0")
-        assert check.ok and not check.filtered
+        assert check.ok
         assert {t.table for t in check.tables} >= {"fact_job", "dim_person"}
+
+    @pytest.mark.parametrize("policy", [
+        RoutingPolicy().exclude("secret"),
+        RoutingPolicy(default="none").allow("open", ["hub"]),
+    ], ids=["exclude", "include"])
+    def test_a_routed_member_is_verified_through_its_filter(self, policy):
+        """Compared with the satellite seen through its filter, a routed
+        member passes while whole and fails once its hub copy loses rows."""
+        network = FederationNetwork(policy)
+        hub = network.add_hub(FederationHub("hub"))
+        satellite = XdmodInstance("sat")
+        ingest_jobs(satellite.schema, [
+            make_job(i, resource=("open", "secret")[i % 2]) for i in range(6)
+        ])
+        network.connect(satellite)
+        check = check_federation(hub, strict=True)
+        assert check.ok and check.satellite_totals["sat"]["n_jobs"] == 3
+        assert check.hub_totals["sat"] == check.satellite_totals["sat"]
+        hub.database.schema("fed_sat").table("fact_job").delete_where(
+            lambda row: True
+        )
+        status = FederationMonitor(hub).status()
+        assert not status.all_consistent and not status.members[0].consistent
+        with pytest.raises(ConsistencyError, match="sat:fact_job"):
+            check_federation(hub, strict=True)
 
 
 class TestBackup:

@@ -14,7 +14,6 @@ from repro.warehouse import (
     EventType,
     TableSchema,
     make_columns,
-    row_event_filter,
 )
 
 C = ColumnType
@@ -96,15 +95,6 @@ class TestCursor:
     def test_negative_start_rejected(self):
         with pytest.raises(BinlogError):
             BinlogCursor(Binlog(), start_lsn=-2)
-
-
-class TestRowEventFilter:
-    def test_ddl_always_kept(self):
-        log = Binlog()
-        e1 = log.append(EventType.CREATE_TABLE, "t", {})
-        e2 = log.append(EventType.INSERT, "t", {"row": {"x": 1}})
-        kept = row_event_filter(lambda e: False, [e1, e2])
-        assert kept == [e1]
 
 
 # -- property-based replay determinism ---------------------------------------

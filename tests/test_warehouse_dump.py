@@ -155,6 +155,29 @@ class TestDumpFiles:
         loaded = load_schema(Database(), read_dump_file(path))
         assert loaded.checksum() == schema.checksum()
 
+    def test_content_checksum_is_the_schema_checksum_and_stays_put(self):
+        """The header digest sits beside the content checksum: dumps
+        already written keep the content digest they carried."""
+        schema = populated_schema(Database())
+        dump = dump_schema(schema)
+        assert dump["checksum"] == schema.checksum() == (
+            "2bc172b0f1134e072a4e6458635d1da749057bc599ed0c119d3a348ee5b95768"
+        )
+
+    @pytest.mark.parametrize("damage", [
+        {"binlog_head": 28}, {"schema_name": "modx"}, {"kind": "dump"},
+        {"trace": {"trace_id": "t", "span_id": "s"}},
+    ], ids=["binlog_head", "schema_name", "kind", "trace"])
+    def test_a_damaged_header_is_rejected(self, tmp_path, damage):
+        schema = populated_schema(Database())
+        assert schema.binlog.head_lsn == 21  # 28 is one flipped digit away
+        damaged = {**dump_schema(schema), **damage}
+        path = write_dump_file(damaged, tmp_path / "dump.json")
+        with pytest.raises(DumpError, match="header"):
+            read_dump_file(path)
+        with pytest.raises(DumpError, match="header"):
+            load_schema(Database(), damaged)
+
     def test_corrupt_file_raises(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"not json at all{{{")

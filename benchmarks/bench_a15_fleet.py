@@ -1,16 +1,15 @@
 """Ablation A15: cost of the federated telemetry plane at fleet scale.
 
-The federated telemetry plane makes every healthy sync cycle ship the
-satellite's metrics registry into the hub's fleet TSDB.  This ablation prices that plane on
-an N-satellite federation (N up to 32) where every satellite runs a
-fully *enabled* observability bundle: the baseline arm disables the
-fleet TSDB before joining (so no shippers attach and no shipments are
-built), the measured arm is the configuration this PR ships.  Budget:
-within 5% (plus a small absolute slack for sub-millisecond cycles).
+The federated telemetry plane makes every healthy sync turn scrape the
+member's metrics registry into the hub's fleet TSDB.  This ablation
+prices that plane on an N-satellite federation (N up to 32) where every
+satellite runs a fully *enabled* observability bundle: the baseline arm
+disables the fleet TSDB (so nothing is scraped), the measured arm is
+the default configuration.  Budget: within 5% (plus a small absolute
+slack for sub-millisecond cycles).
 
-Two supporting measurements price the plane's parts in isolation:
-the wire size of one registry shipment, and the hub-side merge cost of
-``FleetTSDB.ingest`` per shipment.
+A supporting measurement prices the hub-side cost of one
+``FleetTSDB.scrape`` in isolation.
 
 Also renders the fleet dashboard from the fault-injected demo
 federation and saves it under ``out/`` — CI uploads that report as a
@@ -28,8 +27,7 @@ import pytest
 
 from repro.cli import _demo_fleet_federation
 from repro.core import FederationHub, XdmodInstance
-from repro.obs import FakeClock, FleetTSDB, Observability, build_shipment
-from repro.obs.fleet import shipment_size
+from repro.obs import FakeClock, FleetTSDB, Observability
 from repro.timeutil import SECONDS_PER_HOUR, ts
 
 from conftest import emit, emit_metrics
@@ -55,8 +53,8 @@ def _min_time(fn, repeats: int = REPEATS) -> float:
 def _satellite(idx: int, n: int) -> XdmodInstance:
     """An instance with ``n`` binlogged fact rows ready to replicate.
 
-    Unlike A12, satellite telemetry is *enabled*: the shipments under
-    test carry each satellite's real registry, so both arms must pay the
+    Unlike A12, satellite telemetry is *enabled*: the scrapes under
+    test read each satellite's real registry, so both arms must pay the
     identical satellite-side instrumentation cost.
     """
     from repro.etl.star import create_jobs_star
@@ -85,7 +83,7 @@ def _satellite(idx: int, n: int) -> XdmodInstance:
             "xdsu": 1.2 * cores * wall / SECONDS_PER_HOUR,
             "state": "completed", "exit_code": 0,
         })
-    # flesh out the registry so shipments carry a representative payload
+    # flesh out the registry so scrapes carry a representative payload
     # (labelled counters + histogram buckets, like a real ETL satellite)
     ingested = sat.obs.registry.counter(
         "bench_ingest_rows", "Synthetic per-satellite ingest volume",
@@ -107,10 +105,9 @@ def _run_sync_cycles(sats: list[XdmodInstance], *, fleet: bool) -> FederationHub
 
     Each ``hub.sync()`` is one full catch-up cycle — the shape every
     caller in this repo uses — so the plane is priced as it runs in
-    production: one telemetry shipment per member per healthy cycle.
-    ``fleet=True`` is the configuration this PR ships; ``fleet=False``
-    disables the fleet TSDB *before* joining, so no shippers attach and
-    the cycle is the bare pre-fleet sync.
+    production: one scrape per member per healthy cycle.  ``fleet=True``
+    is the default configuration; ``fleet=False`` disables the fleet
+    TSDB, so the cycle is the bare sync.
     """
     hub = FederationHub("hub")
     hub.fleet.enabled = fleet
@@ -135,25 +132,19 @@ def test_a15_fleet_overhead(n_sats):
     assert hub.fleet.history.last(
         "fleet_shipment_seq_rows", member=sats[0].name
     ) is not None
-    ship_bytes = [
-        m.telemetry.last_bytes for m in hub.members if m.telemetry is not None
-    ]
     overhead = (t_fleet / t_bare - 1.0) * 100 if t_bare > 0 else 0.0
     emit(f"a15_fleet_{n_sats}", "\n".join([
         f"A15 federated telemetry plane, {n_sats} satellites x "
         f"{EVENTS_PER_SAT} events per full-catch-up sync cycle:",
         f"  bare sync cycles (fleet disabled): {t_bare * 1e3:.2f} ms",
-        f"  shipments + fleet TSDB merge:      {t_fleet * 1e3:.2f} ms",
+        f"  scrapes into the fleet TSDB:       {t_fleet * 1e3:.2f} ms",
         f"  overhead: {overhead:+.1f}% (budget {(BUDGET_REL - 1) * 100:.0f}%"
         f" + {BUDGET_ABS * 1e3:.0f} ms slack)",
-        f"  shipment size: {max(ship_bytes)} bytes max, "
-        f"{sum(ship_bytes) / len(ship_bytes):.0f} mean",
         f"  fleet series stored: {hub.fleet.series_count()}",
     ]))
     emit_metrics(f"a15_fleet_{n_sats}", {
         "bare_time": (t_bare, "s"),
         "fleet_time": (t_fleet, "s"),
-        "shipment_bytes_max": (float(max(ship_bytes)), "bytes"),
         "fleet_series": (float(hub.fleet.series_count()), "series"),
     })
     assert t_fleet <= t_bare * BUDGET_REL + BUDGET_ABS, (
@@ -162,33 +153,27 @@ def test_a15_fleet_overhead(n_sats):
     )
 
 
-def test_a15_ingest_merge_cost():
-    """Hub-side merge cost of one shipment, isolated from sync."""
+def test_a15_scrape_merge_cost():
+    """Hub-side cost of one scrape, isolated from sync."""
     sat = _satellite(0, EVENTS_PER_SAT)
     hub = _run_sync_cycles([sat], fleet=True)
     registry = sat.obs.registry
-    n_ship = 200
-    shipments = [
-        build_shipment(registry, member="sat00", seq=i + 1, scraped_at=float(i))
-        for i in range(n_ship)
-    ]
-    size = shipment_size(shipments[0])
+    n_scrapes = 200
 
-    def ingest_all():
+    def scrape_all():
         tsdb = FleetTSDB(FakeClock(auto_advance=0.001))
-        for doc in shipments:
-            tsdb.ingest(doc)
+        for _ in range(n_scrapes):
+            tsdb.scrape("sat00", registry)
 
-    t = _min_time(ingest_all)
-    per_ship_us = t / n_ship * 1e6
-    emit("a15_ingest_merge", "\n".join([
-        f"A15 fleet ingest merge cost ({n_ship} shipments of "
-        f"{len(shipments[0]['samples'])} samples):",
-        f"  {per_ship_us:.0f} us per shipment, {size} bytes on the wire",
+    t = _min_time(scrape_all)
+    per_scrape_us = t / n_scrapes * 1e6
+    n_samples = sum(1 for _ in registry.iter_exposition_samples())
+    emit("a15_scrape_merge", "\n".join([
+        f"A15 fleet scrape cost ({n_scrapes} scrapes of {n_samples} samples):",
+        f"  {per_scrape_us:.0f} us per scrape",
     ]))
-    emit_metrics("a15_ingest_merge", {
-        "ingest_time_per_shipment": (per_ship_us / 1e6, "s"),
-        "shipment_bytes": (float(size), "bytes"),
+    emit_metrics("a15_scrape_merge", {
+        "scrape_time": (per_scrape_us / 1e6, "s"),
     })
     assert hub.fleet.series_count("sat00") > 0
 

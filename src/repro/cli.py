@@ -344,15 +344,15 @@ def _demo_federation(*, inject_faults: bool = False, days: int = 3):
 
 
 def _demo_fleet_federation(*, inject_faults: bool = False, days: int = 2):
-    """Three-site tight federation with telemetry shipping to the hub.
+    """Three-site tight federation whose telemetry the hub scrapes.
 
     The builder behind ``obs fleet`` and the A15 dashboard artifact:
     every satellite ingests a couple of days of synthetic jobs, joins
-    tight, and ships its registry into the hub's fleet TSDB on each
-    healthy sync cycle.  With ``inject_faults`` the third site gets a
+    tight, and has its registry scraped into the hub's fleet TSDB on
+    each healthy sync cycle.  With ``inject_faults`` the third site gets a
     fresh replication backlog and a channel that always fails *after*
     two clean cycles, then the shared clock jumps past the staleness
-    window — so its shipments stop, ``fleet_telemetry_stale`` fires
+    window — so its scrapes stop, ``fleet_telemetry_stale`` fires
     deterministically, and the dashboard shows one STALE member.
     """
     from .core import FederationHub, FederationMonitor
@@ -375,7 +375,7 @@ def _demo_fleet_federation(*, inject_faults: bool = False, days: int = 2):
         monitor.evaluate_alerts()
     if inject_faults:
         # fresh backlog + always-failing channel: site2's sync outcomes
-        # turn failed, so its telemetry stops riding the sync machinery
+        # turn failed, so the hub stops scraping its telemetry
         quiet, site = satellites[2], presets[2]
         end = ts(2017, 1, 1 + days)
         extra = simulate_resource(
@@ -648,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="metrics: Prometheus text; slow: slow-span report; "
              "trace: span JSONL (tail) or --federated trace trees; "
              "alerts: evaluate the SLO rule catalog on a demo federation; "
-             "fleet: the fleet telemetry dashboard over shipped metrics",
+             "fleet: the fleet telemetry dashboard over scraped metrics",
     )
     p.add_argument("--scale", type=float, default=0.1)
     p.add_argument("--top", type=int, default=10,

@@ -19,7 +19,7 @@ from ..aggregation import AggregationConfig, Aggregator
 from ..etl.pipeline import WAREHOUSE_SCHEMA, IngestPipeline
 from ..etl.star import PersonInfo
 from ..obs import Observability
-from ..obs.fleet import FleetTSDB, ShipmentError, TelemetryShipper
+from ..obs.fleet import FleetTSDB
 from ..simulators.hpl import ConversionTable
 from ..warehouse import Database, Schema
 from .errors import MembershipError, VersionMismatchError
@@ -128,7 +128,6 @@ class FederationMember:
     loose_channel: LooseChannel | None = None
     breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
     last_error: str = ""
-    telemetry: TelemetryShipper | None = None
 
     @property
     def name(self) -> str:
@@ -223,19 +222,9 @@ class FederationHub(XdmodInstance):
             "Per-member sync/shipment outcomes by status",
             ("member", "status"),
         )
-        #: merged TSDB over every member's shipped telemetry; disabled in
+        #: merged TSDB over every member's scraped telemetry; disabled in
         #: lockstep with the hub's own observability bundle
         self.fleet = FleetTSDB(self.obs.clock, enabled=self.obs.enabled)
-        self._m_fleet_ships = registry.counter(
-            "fleet_shipments_total",
-            "Telemetry shipments ingested into the fleet TSDB by outcome",
-            ("member", "status"),
-        )
-        self._g_fleet_bytes = registry.gauge(
-            "fleet_shipment_bytes",
-            "Wire size of the member's most recent telemetry shipment",
-            ("member",),
-        )
         self._g_fleet_series = registry.gauge(
             "fleet_series_rows",
             "Fleet TSDB series currently held per member",
@@ -248,31 +237,16 @@ class FederationHub(XdmodInstance):
         )
 
     def _record_outcomes(self, out: Mapping[str, MemberSyncOutcome]) -> None:
-        """Count outcomes, ship telemetry, refresh gauges, snapshot."""
+        """Count outcomes, scrape telemetry, refresh gauges, snapshot."""
         for name, outcome in out.items():
             self._m_member_syncs.labels(member=name, status=outcome.status).inc()
-            # telemetry rides the sync machinery: a member the hub could
-            # not reach this cycle (failed / circuit open) ships nothing,
-            # so its fleet series go stale exactly when its data does
+            # a member the hub could not reach this cycle (failed /
+            # circuit open) is not scraped, so its fleet series go stale
+            # exactly when its data does
             if outcome.status not in ("failed", "circuit_open"):
-                self._ship_telemetry(self._members.get(name))
+                self.fleet.scrape(name, self._members[name].instance.obs.registry)
         self._record_member_gauges()
         self.obs.history.record()
-
-    def _ship_telemetry(self, member: FederationMember | None) -> None:
-        """Snapshot one member's registry into the fleet TSDB."""
-        if member is None or member.telemetry is None or not self.fleet.enabled:
-            return
-        shipment = member.telemetry.snapshot()
-        try:
-            status = self.fleet.ingest(shipment)
-        except ShipmentError:
-            self._m_fleet_ships.labels(member=member.name, status="corrupt").inc()
-            return
-        self._m_fleet_ships.labels(member=member.name, status=status).inc()
-        self._g_fleet_bytes.labels(member=member.name).set(
-            member.telemetry.last_bytes
-        )
 
     def _note_transition(self, member: FederationMember, before: CircuitState) -> None:
         after = member.breaker.state
@@ -289,7 +263,7 @@ class FederationHub(XdmodInstance):
             self._g_dead_letters.labels(member=member.name).set(
                 member.dead_letter_depth
             )
-            if member.telemetry is None:
+            if not self.fleet.enabled:
                 continue
             staleness = self.fleet.staleness(member.name, at=at)
             if staleness is not None:
@@ -351,14 +325,6 @@ class FederationHub(XdmodInstance):
         member = FederationMember(satellite, fed_schema_name, channel, loose)
         if breaker is not None:
             member.breaker = breaker
-        if self.fleet.enabled:
-            # telemetry remote-write: the member's local registry ships
-            # into the hub's fleet TSDB after every healthy sync cycle
-            member.telemetry = TelemetryShipper(
-                satellite.obs.registry,
-                member=satellite.name,
-                clock=satellite.obs.clock,
-            )
         if initial_sync:
             if loose is not None:
                 loose.ship()
@@ -394,7 +360,7 @@ class FederationHub(XdmodInstance):
         a phantom member and keep feeding the lag alert), its
         ``MetricsHistory`` series (otherwise partial-label queries like
         ``quantile_over_time(..., )`` would keep pooling them), and its
-        fleet TSDB state and shipped series.
+        fleet TSDB key set and scraped series.
         """
         member = self._members.pop(name, None)
         if member is None:
@@ -407,8 +373,6 @@ class FederationHub(XdmodInstance):
             "federation_member_syncs_total",
             "federation_circuit_transitions_total",
             "federation_loose_ship_total",
-            "fleet_shipments_total",
-            "fleet_shipment_bytes",
             "fleet_series_rows",
             "fleet_staleness_seconds",
         ):

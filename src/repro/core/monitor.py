@@ -298,7 +298,7 @@ class FederationMonitor:
     def render_fleet(self, *, at: float | None = None) -> str:
         """Fleet telemetry dashboard over the hub's merged TSDB.
 
-        Per member: last shipment sequence, stored series, staleness,
+        Per member: last scrape number, stored series, staleness,
         ETL ingest rate and cache hit-ratio *as the satellite reported
         them*, hub-side replication lag, and the fleet-scoped alerts
         currently firing (evaluate first via :meth:`evaluate_alerts`).

@@ -350,4 +350,4 @@ def dimension_labels(schema: Schema, dimension: str) -> dict[int, str]:
         "dim_queue": ("queue_id", "name"),
     }
     key, label = table_key[dimension]
-    return {row[key]: row[label] for row in schema.table(dimension).rows()}
+    return dict(schema.table(dimension).columns_values((key, label)))

@@ -21,16 +21,7 @@ from .alerts import (
 )
 from .anomaly import Anomaly, AnomalyDetector, JobScore
 from .clock import Clock, FakeClock, MonotonicClock
-from .fleet import (
-    SHIPMENT_VERSION,
-    FleetTSDB,
-    MemberTelemetry,
-    ShipmentError,
-    TelemetryShipper,
-    build_shipment,
-    shipment_checksum,
-    shipment_size,
-)
+from .fleet import FleetTSDB
 from .history import DEFAULT_RETENTION, MetricsHistory
 from .metrics import (
     DEFAULT_BUCKETS,
@@ -51,7 +42,6 @@ __all__ = [
     "METRIC_NAME_PATTERN",
     "METRIC_NAME_RE",
     "PROMETHEUS_CONTENT_TYPE",
-    "SHIPMENT_VERSION",
     "AlertEngine",
     "AlertRule",
     "AlertState",
@@ -64,23 +54,17 @@ __all__ = [
     "FleetTSDB",
     "GLOBAL_SCOPE",
     "JobScore",
-    "MemberTelemetry",
     "MetricError",
     "MetricsHistory",
     "MetricsRegistry",
     "MonotonicClock",
     "Observability",
     "ParsedExposition",
-    "ShipmentError",
     "SpanRecord",
-    "TelemetryShipper",
     "TraceContext",
     "Tracer",
     "alert_rule",
-    "build_shipment",
     "parse_prometheus_text",
-    "shipment_checksum",
-    "shipment_size",
 ]
 
 

@@ -74,8 +74,8 @@ class AlertRule:
     once per cycle under the :data:`GLOBAL_SCOPE` pseudo-member.
     ``scope="fleet"`` rules are evaluated per member like
     ``scope="member"``, but against the hub's merged
-    :class:`~repro.obs.fleet.FleetTSDB` history — the series satellites
-    *ship* rather than the series the hub records locally.  ``for_count``
+    :class:`~repro.obs.fleet.FleetTSDB` history — the series the hub
+    *scrapes* from members rather than the series it records locally.  ``for_count``
     is how many consecutive breaching evaluations promote pending to
     firing.
     """

@@ -117,6 +117,8 @@ class MetricsHistory:
         self._registry = registry
         self._clock = clock
         self.retention = retention
+        #: upper age bound of the raw tier (the tier starting at age 0)
+        self._raw_s = next(l.hi for l in retention.levels if l.lo == 0.0)
         self.max_samples = max_samples
         self.enabled = enabled
         self._series: dict[SeriesKey, _Series] = {}
@@ -145,8 +147,7 @@ class MetricsHistory:
                 series = self._series.setdefault((name, labels), _Series())
             series.append(t, value)
             if len(series.samples) > self.max_samples:
-                self._compact_series(series, t)
-                del series.samples[: max(0, len(series.samples) - self.max_samples)]
+                self._cap(series, t)
             n += 1
         self._records += 1
         if self._records % 16 == 0:
@@ -176,7 +177,7 @@ class MetricsHistory:
     ) -> None:
         """:meth:`observe` with a prebuilt series key.
 
-        The fleet TSDB merge path calls this once per shipped sample on
+        The fleet TSDB merge path calls this once per scraped sample on
         every sync cycle; the caller guarantees the key's label items
         are already ``(name, value)`` string pairs in sorted order.
         """
@@ -188,8 +189,17 @@ class MetricsHistory:
             series = self._series.setdefault(key, _Series())
         series.append(t, float(value))
         if len(series.samples) > self.max_samples:
-            self._compact_series(series, t)
-            del series.samples[: max(0, len(series.samples) - self.max_samples)]
+            self._cap(series, t)
+
+    def _cap(self, series: _Series, now: float) -> None:
+        """Bring a series over ``max_samples`` back to it: compact, then
+        trim oldest-first.  While the oldest sample is still in the raw
+        tier the compaction would keep every sample, so it is skipped —
+        otherwise a full series pays an O(``max_samples``) pass on every
+        append."""
+        if not 0.0 <= now - series.samples[0][0] < self._raw_s:
+            self._compact_series(series, now)
+        del series.samples[: max(0, len(series.samples) - self.max_samples)]
 
     def compact(self, *, now: float | None = None) -> None:
         """Apply the retention ladder to every series."""

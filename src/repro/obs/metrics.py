@@ -376,7 +376,7 @@ class MetricsRegistry:
         series and all — producing exactly the samples
         :func:`parse_prometheus_text` recovers from
         :meth:`render_prometheus`, without the text round-trip.  The
-        telemetry shipment builder walks this on every sync cycle, so it
+        fleet TSDB's scrape walks this on every sync cycle, so it
         must stay cheap and byte-compatible with the rendered form.
         """
         with self._lock:

@@ -145,21 +145,24 @@ class JobViewer:
                 if name == resource
             }
         out = []
-        for fact in self.schema.table("fact_job").rows():
-            if person_ids is not None and fact["person_id"] not in person_ids:
+        facts = self.schema.table("fact_job").columns_values((
+            "job_id", "person_id", "resource_id", "state", "end_ts", "cpu_hours",
+        ))
+        for job_id, person_id, resource_id, job_state, end_ts, cpu_hours in facts:
+            if person_ids is not None and person_id not in person_ids:
                 continue
-            if resource_ids is not None and fact["resource_id"] not in resource_ids:
+            if resource_ids is not None and resource_id not in resource_ids:
                 continue
-            if state is not None and fact["state"] != state:
+            if state is not None and job_state != state:
                 continue
             out.append(
                 {
-                    "job_id": fact["job_id"],
-                    "resource": labels["dim_resource"].get(fact["resource_id"]),
-                    "user": labels["dim_person"].get(fact["person_id"]),
-                    "state": fact["state"],
-                    "end": iso(fact["end_ts"]),
-                    "cpu_hours": fact["cpu_hours"],
+                    "job_id": job_id,
+                    "resource": labels["dim_resource"].get(resource_id),
+                    "user": labels["dim_person"].get(person_id),
+                    "state": job_state,
+                    "end": iso(end_ts),
+                    "cpu_hours": cpu_hours,
                 }
             )
             if len(out) >= limit:

@@ -23,7 +23,7 @@ Routes (``*``: needs ``Authorization: Bearer <token>`` when
   (needs an :class:`~repro.obs.Observability` bundle); each scrape also
   snapshots the registry into the metrics history
 - ``GET /fleet/metrics`` — the merged fleet exposition: every member's
-  shipped telemetry under its ``member`` label, from the hub's
+  scraped telemetry under its ``member`` label, from the hub's
   :class:`~repro.obs.fleet.FleetTSDB` (needs a monitor)
 - ``GET /realms`` — realm catalog with metrics and dimensions
 - ``GET /query?realm=jobs&metric=xdsu&start=...&end=...&period=month``

@@ -1,38 +1,36 @@
-"""Federated telemetry plane: shipments, fleet TSDB, dashboards, REST.
+"""Federated telemetry plane: member scrapes, fleet TSDB, dashboards, REST.
 
-Covers the PR-10 tentpole end to end — satellite registry snapshots
-riding the sync machinery into the hub's fleet TSDB — plus the
-satellite fixes that shipped with it: the tracer ring buffer, the
-``leave()`` telemetry purge, and shipment round-trip fidelity
-(histogram buckets, non-finite values, counter resets).
+Covers the fleet telemetry plane end to end — member registries scraped
+into the hub's fleet TSDB on every healthy sync turn — plus the tracer
+ring buffer, the ``leave()`` telemetry purge, and scrape fidelity
+(histogram buckets, non-finite values, counter resets, the reserved
+``member`` label).
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.cli import _demo_fleet_federation
+from repro.core import FederationHub, XdmodInstance
+from repro.core.faults import FaultPlan, inject_apply_faults
+from repro.core.resilience import CircuitBreaker
+from repro.etl import ingest_jobs
 from repro.obs import (
     FakeClock,
     FleetTSDB,
     MetricsHistory,
     MetricsRegistry,
     Observability,
-    ShipmentError,
-    TelemetryShipper,
     Tracer,
     alert_rule,
-    build_shipment,
     parse_prometheus_text,
-    shipment_checksum,
-    shipment_size,
 )
 from repro.obs.fleet import SEQ_SERIES
 from repro.realms import jobs_realm
 from repro.ui import XdmodApi
 from tests.rest_client import get_json
+from tests.test_loose_federation import make_job
 
 
 def _registry(**counters: float) -> MetricsRegistry:
@@ -46,29 +44,40 @@ def _registry(**counters: float) -> MetricsRegistry:
     return registry
 
 
+def _stored(fleet: FleetTSDB, member: str) -> dict:
+    """The member's newest stored samples, keyed as the registry walk
+    keys them (the ``member`` label dropped), the seq series left out."""
+    out = {}
+    for key in fleet.history.series_keys():
+        name, labels = key
+        if name == SEQ_SERIES or ("member", member) not in labels:
+            continue
+        rest = tuple(item for item in labels if item[0] != "member")
+        out[(name, rest)] = fleet.history.last_sample(key)[1]
+    return out
+
+
 class TestShipment:
+    """What one scrape carries into the fleet."""
+
     def test_carries_full_exposition_including_buckets(self):
         registry = _registry(sacct=42)
         hist = registry.histogram(
             "etl_phase_seconds", "Phase latency", ("phase",)
         )
         hist.labels(phase="shred").observe(0.25)
-        doc = build_shipment(registry, member="site0", seq=1, scraped_at=5.0)
+        fleet = FleetTSDB(FakeClock(auto_advance=1.0))
+        assert fleet.scrape("site0", registry) == 1
 
         parsed = parse_prometheus_text(registry.render_prometheus())
-        shipped = {
-            (name, tuple(tuple(item) for item in labels)): value
-            for name, labels, value in doc["samples"]
-        }
-        want = {
-            (name, labels): _fmt_value
-            for (name, labels), _fmt_value in parsed.samples.items()
-        }
-        assert set(shipped) == set(want)
+        stored = _stored(fleet, "site0")
+        assert stored == parsed.samples
         assert ("etl_phase_seconds_bucket",
-                (("le", "+Inf"), ("phase", "shred"))) in shipped
-        assert doc["types"]["etl_phase_seconds"] == "histogram"
-        assert doc["member"] == "site0" and doc["seq"] == 1
+                (("le", "+Inf"), ("phase", "shred"))) in stored
+        assert fleet.history.last(SEQ_SERIES, member="site0") == 1
+        text = fleet.render_prometheus()
+        assert "# TYPE etl_phase_seconds histogram" in text
+        assert "# TYPE etl_ingest_records_total counter" in text
 
     def test_walk_matches_text_round_trip(self):
         """The direct exposition walk is pinned to parse(render())."""
@@ -84,26 +93,14 @@ class TestShipment:
         assert walked == parsed.samples
         assert registry.type_names() == parsed.types
 
-    def test_checksum_detects_tamper(self):
-        doc = build_shipment(_registry(sacct=1), member="m", seq=1, scraped_at=0.0)
-        assert doc["checksum"] == shipment_checksum(doc)
-        doc["samples"][0][2] = "999"
-        assert doc["checksum"] != shipment_checksum(doc)
-
-    def test_nonfinite_values_survive_strict_json(self):
+    def test_nonfinite_values_survive_the_scrape(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("probe_value_ratio", "Probe", ("kind",))
         gauge.labels(kind="inf").set(float("inf"))
         gauge.labels(kind="ninf").set(float("-inf"))
         gauge.labels(kind="nan").set(float("nan"))
-        doc = build_shipment(registry, member="m", seq=1, scraped_at=0.0)
-        # strict JSON (allow_nan=False) round-trip must not lose them
-        wire = json.dumps(doc, allow_nan=False)
-        back = json.loads(wire)
-        assert back == doc
-
         fleet = FleetTSDB(FakeClock(auto_advance=1.0))
-        assert fleet.ingest(back) == "applied"
+        fleet.scrape("m", registry)
         assert fleet.history.last(
             "probe_value_ratio", kind="inf", member="m"
         ) == float("inf")
@@ -112,25 +109,18 @@ class TestShipment:
         ) == float("-inf")
         nan = fleet.history.last("probe_value_ratio", kind="nan", member="m")
         assert nan != nan  # NaN
-
-    def test_shipper_sequences_and_reships(self):
-        shipper = TelemetryShipper(
-            _registry(sacct=1), member="m", clock=FakeClock(auto_advance=1.0)
-        )
-        first = shipper.snapshot()
-        assert first["seq"] == 1
-        assert shipper.last_bytes == shipment_size(first)
-        assert shipper.reship() is first  # redelivery: same doc, same seq
-        assert shipper.snapshot()["seq"] == 2
+        # and the merged exposition spells them the Prometheus way
+        text = fleet.render_prometheus()
+        assert 'probe_value_ratio{kind="inf",member="m"} +Inf' in text
+        assert 'probe_value_ratio{kind="ninf",member="m"} -Inf' in text
+        assert 'probe_value_ratio{kind="nan",member="m"} NaN' in text
 
 
 class TestFleetTSDB:
     def test_merges_under_member_label(self):
         fleet = FleetTSDB(FakeClock(auto_advance=1.0))
-        fleet.ingest(build_shipment(
-            _registry(sacct=10), member="site0", seq=1, scraped_at=0.0))
-        fleet.ingest(build_shipment(
-            _registry(sacct=99), member="site1", seq=1, scraped_at=0.0))
+        fleet.scrape("site0", _registry(sacct=10))
+        fleet.scrape("site1", _registry(sacct=99))
         assert fleet.member_names() == ["site0", "site1"]
         assert fleet.history.last(
             "etl_ingest_records_total", member="site0", source="sacct") == 10
@@ -138,126 +128,72 @@ class TestFleetTSDB:
             "etl_ingest_records_total", member="site1", source="sacct") == 99
 
     def test_member_label_is_reserved(self):
-        """A shipped sample carrying its own member label is re-labelled."""
+        """A scraped sample carrying its own member label is re-labelled."""
         registry = MetricsRegistry()
         gauge = registry.gauge("fleet_series_rows", "Nested fleet", ("member",))
         gauge.labels(member="inner").set(5)
         fleet = FleetTSDB(FakeClock(auto_advance=1.0))
-        fleet.ingest(build_shipment(registry, member="outer", seq=1, scraped_at=0.0))
+        fleet.scrape("outer", registry)
         assert fleet.history.last("fleet_series_rows", member="outer") == 5
         assert fleet.history.last("fleet_series_rows", member="inner") is None
+        assert fleet.history.series_keys("fleet_series_rows") == [
+            ("fleet_series_rows", (("member", "outer"),))
+        ]
 
-    def test_redelivery_collapses_in_place(self):
-        clock = FakeClock(auto_advance=1.0)
-        fleet = FleetTSDB(clock)
-        shipper = TelemetryShipper(
-            _registry(sacct=50), member="m", clock=FakeClock(auto_advance=1.0)
-        )
-        doc = shipper.snapshot()
-        assert fleet.ingest(doc) == "applied"
-        assert fleet.ingest(shipper.reship()) == "redelivered"
-        assert fleet.ingest(shipper.reship()) == "redelivered"
-        # the redelivered samples collapsed onto the original timestamp:
-        # one stored sample, and increase() sees no extra growth
-        assert len(fleet.history.samples(
-            "etl_ingest_records_total", member="m")) == 1
-        state = fleet.member_state("m")
-        assert state.applied == 1 and state.redelivered == 2
-
-    def test_redelivery_does_not_double_count_increase(self):
+    def test_counter_reset_across_snapshots(self):
+        """A member restart (counter back to a lower value) is treated as
+        a reset by the history's increase(), not negative growth."""
         clock = FakeClock(auto_advance=1.0)
         fleet = FleetTSDB(clock)
         registry = _registry(sacct=100)
-        shipper = TelemetryShipper(
-            registry, member="m", clock=FakeClock(auto_advance=1.0)
-        )
-        fleet.ingest(shipper.snapshot())            # seq 1: 100
+        fleet.scrape("m", registry)
         registry.counter(
             "etl_ingest_records_total", "Records ingested", ("source",)
         ).labels(source="sacct").inc(20)
-        fleet.ingest(shipper.snapshot())            # seq 2: 120
-        fleet.ingest(shipper.reship())              # seq 2 again (retry)
+        fleet.scrape("m", registry)                 # 120: grew by 20
+        fleet.scrape("m", _registry(sacct=10))      # restarted, then 10
         at = clock.now()
         assert fleet.history.increase(
             "etl_ingest_records_total", 1000.0, at=at, member="m"
-        ) == pytest.approx(20.0)
-
-    def test_counter_reset_across_snapshots(self):
-        """A satellite restart (counter back to a lower value) is treated
-        as a reset by the history's increase(), not negative growth."""
-        clock = FakeClock(auto_advance=1.0)
-        fleet = FleetTSDB(clock)
-        fleet.ingest(build_shipment(
-            _registry(sacct=100), member="m", seq=1, scraped_at=0.0))
-        fleet.ingest(build_shipment(
-            _registry(sacct=10), member="m", seq=2, scraped_at=1.0))
-        at = clock.now()
-        assert fleet.history.increase(
-            "etl_ingest_records_total", 1000.0, at=at, member="m"
-        ) == pytest.approx(10.0)
-
-    def test_out_of_order_duplicate_dropped(self):
-        fleet = FleetTSDB(FakeClock(auto_advance=1.0))
-        old = build_shipment(_registry(sacct=1), member="m", seq=1, scraped_at=0.0)
-        new = build_shipment(_registry(sacct=9), member="m", seq=5, scraped_at=4.0)
-        fleet.ingest(new)
-        assert fleet.ingest(old) == "duplicate"
-        assert fleet.history.last(
-            "etl_ingest_records_total", member="m", source="sacct") == 9
-        assert fleet.member_state("m").duplicates == 1
-
-    def test_corrupt_and_malformed_shipments_rejected(self):
-        fleet = FleetTSDB(FakeClock(auto_advance=1.0))
-        doc = build_shipment(_registry(sacct=1), member="m", seq=1, scraped_at=0.0)
-        tampered = dict(doc)
-        tampered["seq"] = 99
-        with pytest.raises(ShipmentError, match="checksum"):
-            fleet.ingest(tampered)
-        with pytest.raises(ShipmentError, match="missing"):
-            fleet.ingest({"member": "m"})
-        future = dict(doc)
-        future["version"] = 99
-        with pytest.raises(ShipmentError, match="version"):
-            fleet.ingest(future)
-        # nothing was stored by any rejected document
-        assert fleet.member_names() == []
+        ) == pytest.approx(30.0)
 
     def test_disabled_fleet_ignores_shipments(self):
         fleet = FleetTSDB(FakeClock(auto_advance=1.0), enabled=False)
-        doc = build_shipment(_registry(sacct=1), member="m", seq=1, scraped_at=0.0)
-        assert fleet.ingest(doc) == "disabled"
+        assert fleet.scrape("m", _registry(sacct=1)) == 0
         assert fleet.member_names() == []
+        assert fleet.last_seq("m") is None
 
     def test_staleness_tracks_fresh_shipments_only(self):
+        """Staleness is the age of the member's last scrape, read from the
+        last sample of its scrape-number series."""
         clock = FakeClock()
         fleet = FleetTSDB(clock)
-        shipper = TelemetryShipper(
-            _registry(sacct=1), member="m", clock=FakeClock(auto_advance=1.0)
-        )
-        fleet.ingest(shipper.snapshot())
+        registry = _registry(sacct=1)
+        assert fleet.staleness("m") is None and fleet.last_seq("m") is None
+        assert fleet.scrape("m", registry) == 1
         t0 = clock.now()
         clock.advance(500.0)
         assert fleet.staleness("m") == pytest.approx(clock.now() - t0)
-        # a redelivery must NOT refresh staleness
-        fleet.ingest(shipper.reship())
-        assert fleet.staleness("m") == pytest.approx(clock.now() - t0)
         assert fleet.stale_members(100.0) == ["m"]
         assert fleet.stale_members(10_000.0) == []
-        # a fresh shipment does
-        fleet.ingest(shipper.snapshot())
+        # the next scrape refreshes it and counts on
+        assert fleet.scrape("m", registry) == 2
+        assert fleet.last_seq("m") == 2
         assert fleet.staleness("m") == pytest.approx(0.0)
         assert fleet.staleness("unknown") is None
-        # the synthetic sequence series agrees with the bookkeeping
+        # the alert rules' view of the sequence series agrees
+        clock.advance(42.0)
         assert fleet.history.age_s(SEQ_SERIES, member="m") == pytest.approx(
             fleet.staleness("m")
         )
+        assert [v for _, v in fleet.history.samples(SEQ_SERIES, member="m")] == [
+            1.0, 2.0
+        ]
 
     def test_series_count_and_purge(self):
         fleet = FleetTSDB(FakeClock(auto_advance=1.0))
-        fleet.ingest(build_shipment(
-            _registry(sacct=1, pbs=2), member="a", seq=1, scraped_at=0.0))
-        fleet.ingest(build_shipment(
-            _registry(sacct=1), member="b", seq=1, scraped_at=0.0))
+        fleet.scrape("a", _registry(sacct=1, pbs=2))
+        fleet.scrape("b", _registry(sacct=1))
         assert fleet.series_count("a") == 3  # two counters + seq series
         assert fleet.series_count("b") == 2
         assert fleet.series_count() == 5
@@ -266,6 +202,8 @@ class TestFleetTSDB:
         assert fleet.series_count("a") == 0
         assert fleet.history.last(
             "etl_ingest_records_total", member="a") is None
+        # a member that joins again starts counting from its first scrape
+        assert fleet.scrape("a", _registry(sacct=1)) == 1
 
     def test_render_prometheus_merged_and_deterministic(self):
         def build() -> FleetTSDB:
@@ -275,8 +213,7 @@ class TestFleetTSDB:
                 hist = registry.histogram(
                     "etl_phase_seconds", "Phase", ("phase",))
                 hist.labels(phase="shred").observe(0.5)
-                fleet.ingest(build_shipment(
-                    registry, member=f"site{i}", seq=1, scraped_at=0.0))
+                fleet.scrape(f"site{i}", registry)
             return fleet
 
         text = build().render_prometheus()
@@ -407,6 +344,50 @@ class TestFederationAcceptance:
         # the survivors still work
         assert hub.fleet.history.last(
             "etl_ingest_records_total", member="site0") is not None
+
+
+class TestScrapeRidesSync:
+    def test_healthy_turns_scrape_once_and_failed_or_open_turns_never(self):
+        def obs(name):
+            return Observability(clock=FakeClock(auto_advance=0.001), name=name)
+
+        hub = FederationHub("hub", obs=obs("hub"))
+        satellites = {}
+        for name in ("a", "b"):
+            satellites[name] = XdmodInstance(name, obs=obs(name))
+            ingest_jobs(satellites[name].schema, [make_job(i) for i in range(3)])
+        hub.join(satellites["a"])
+        hub.join(
+            satellites["b"],
+            breaker=CircuitBreaker(failure_threshold=1, cooldown=5),
+        )
+
+        def scrapes():
+            return {
+                name: len(hub.fleet.history.samples(SEQ_SERIES, member=name))
+                for name in satellites
+            }
+
+        assert scrapes() == {"a": 0, "b": 0}
+        statuses = []
+        for turn in range(3):
+            if turn == 1:
+                # a backlog the hub can never apply: b's turn fails, and
+                # its breaker opens for the turn after
+                ingest_jobs(satellites["b"].schema, [make_job(10)])
+                inject_apply_faults(
+                    hub.member("b").channel,
+                    FaultPlan(transient_rate=1.0, transient_burst=10**9),
+                )
+            before = scrapes()
+            out = hub.sync()
+            statuses.append(out["b"].status)
+            assert out["a"].status == "applied"
+            after = scrapes()
+            assert after["a"] == before["a"] + 1
+            assert after["b"] == before["b"] + (out["b"].status == "applied")
+        assert statuses == ["applied", "failed", "circuit_open"]
+        assert hub.fleet.last_seq("a") == 3 and hub.fleet.last_seq("b") == 1
 
 
 class TestRestSurface:

@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.aggregation import Aggregator
 from repro.core import (
@@ -22,10 +22,12 @@ from repro.core import (
     LooseChannel,
     ReplicationChannel,
     ReplicationError,
+    FaultPlan,
     ReplicationFilter,
     XdmodInstance,
     check_federation,
     corrupt_dump_file,
+    inject_apply_faults,
     truncate_dump_file,
 )
 from repro.core import loose, replicator
@@ -578,6 +580,7 @@ STEPS = st.one_of(
     SHIP,
     SHIP,
     st.just(("corrupt",)),
+    st.just(("poison",)),
     st.just(("filter",)),
     st.just(("aggregate",)),
     st.just(("convert",)),
@@ -628,6 +631,13 @@ class TestFanInEquivalence:
         steps=st.lists(STEPS, min_size=4, max_size=16),
         last=SHIP,
     )
+    # a segment dead-letters a poisoned event; the hub lacks it until the
+    # filter change's dump covers it
+    @example(
+        excluded=set(),
+        steps=[("ship", "memory"), ("poison",), ("jobs", 2, "r1"), ("ship", "memory")],
+        last=("ship", "memory"),
+    )
     def test_any_interleaving_ships_what_a_dump_and_a_tight_channel_would(
         self, excluded, steps, last
     ):
@@ -639,12 +649,12 @@ class TestFanInEquivalence:
             ("cloud", 3), *steps, last,
         ]
         member = hub.join(
-            sat, mode="loose", initial_sync=False,
+            sat, mode="loose", initial_sync=False, quarantine=True,
             filter=ReplicationFilter(tables=None, exclude_resources=excluded),
         )
         next_job = day = n_vms = files = 0
         with tempfile.TemporaryDirectory() as scratch:
-            for step in steps:
+            for i, step in enumerate(steps):
                 kind, channel = step[0], member.loose_channel
                 if kind == "jobs":
                     _, n, resource = step
@@ -674,6 +684,13 @@ class TestFanInEquivalence:
                     hub.convert("sat", "tight" if channel is not None else "loose")
                 elif kind == "aggregate":
                     hub.aggregate_federation(["month"], incremental=True)
+                elif kind == "poison":
+                    # the next event the satellite logs fails every apply:
+                    # a segment or a pump dead-letters it
+                    inject_apply_faults(
+                        member.channel,
+                        FaultPlan(poison_lsns={sat.schema.binlog.head_lsn}),
+                    )
                 elif kind == "corrupt":
                     if channel is None or channel.last_shipped_lsn is None:
                         continue
@@ -689,17 +706,24 @@ class TestFanInEquivalence:
                     assert hub_tables(hub.database.schema(member.fed_schema)) == before
                 else:
                     if channel is None:
-                        assert hub.sync()["sat"].status == "applied"
+                        assert hub.sync()["sat"].status in ("applied", "quarantined")
                     elif step[1] == "file":
                         files += 1
                         channel.ship_via_file(Path(scratch) / f"ship{files}.gz")
                     else:
-                        assert hub.ship_loose()["sat"].status == "applied"
+                        assert hub.ship_loose()["sat"].status in ("applied", "quarantined")
+                    if member.dead_letter_depth:
+                        # only a dump covers a dead-lettered event: end
+                        # with a filter change and one more ship
+                        if i == len(steps) - 1:
+                            steps += [("filter",), last]
+                        continue
                     on_hub = hub_tables(hub.database.schema(member.fed_schema))
                     dumped, tight = oracle_tables(
                         sat.schema, set(member.filter.exclude_resources)
                     )
                     assert on_hub == dumped == tight
+        assert member.dead_letter_depth == 0
         fed = hub.database.schema(member.fed_schema)
         hub.aggregate_federation(["month"], incremental=True)
         folded = agg_snapshot(fed)

@@ -324,6 +324,29 @@ class TestMetricsHistory:
         assert len(samples) <= 32
         assert samples[-1] == (99.0, 99.0)
 
+    def test_full_raw_series_is_not_compacted_on_every_append(self, monkeypatch):
+        """A series at its cap whose samples all sit in the raw tier has
+        nothing a compaction could drop: appends past the cap only trim."""
+        registry, history, _ = build_history(max_samples=32)
+        gauge = registry.gauge("v_rows", "g")
+        compactions = []
+        compact_series = history._compact_series
+        monkeypatch.setattr(
+            history, "_compact_series",
+            lambda series, now: (compactions.append(now), compact_series(series, now)),
+        )
+        appends = 5000
+        for i in range(32 + appends):  # 0.01 s apart: all inside the 300 s raw tier
+            gauge.set(i)
+            history.record(now=i * 0.01)
+            history.observe_key(("w_rows", ()), float(i), now=i * 0.01)
+        # only record()'s periodic sweep (every 16 records, 2 series) remains
+        assert len(compactions) <= 2 * (32 + appends) // 16
+        for name in ("v_rows", "w_rows"):
+            samples = history.samples(name)
+            assert len(samples) == 32
+            assert samples[0][1] == appends and samples[-1][1] == 31 + appends
+
     def test_metrics_scrape_records_into_history(self):
         obs = fake_obs("api")
         obs.registry.counter("hits_total", "c").inc(2)

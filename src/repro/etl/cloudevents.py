@@ -25,7 +25,9 @@ from .star import DimensionCache, create_jobs_star, land
 
 C = ColumnType
 
-#: Schema the raw event documents must satisfy.
+#: Schema the raw event documents must satisfy.  Compiled once, at the
+#: first validation (:mod:`repro.etl.jsonschema`), so it is not edited
+#: after import; a ``NaN`` or ``Infinity`` number fails it.
 CLOUD_EVENT_SCHEMA: dict[str, Any] = {
     "type": "object",
     "required": [
@@ -246,6 +248,8 @@ def ingest_cloud_events(
 
     Returns ``(vms_ingested, events_rejected)``.  Re-ingesting a VM id on
     the same resource replaces its rows (feeds are cumulative dumps).
+    Every event is checked against :data:`CLOUD_EVENT_SCHEMA`, compiled
+    once; an event with a non-finite number (``mem_gb=NaN``) is rejected.
 
     The feed is staged and lands all or nothing: a ``strict`` failure, or
     a value the schema refuses, raises before anything is written.  Then

@@ -7,7 +7,10 @@ can be accommodated; installations must only ensure their data validates
 against our provided JSON schema."
 
 :data:`STORAGE_SNAPSHOT_SCHEMA` is that provided schema; ingestion rejects
-non-conforming documents through :mod:`repro.etl.jsonschema`.
+non-conforming documents through :mod:`repro.etl.jsonschema`, which
+compiles the schema once, at its first use (so it is not edited after
+import), and rejects non-finite numbers: a ``NaN`` or ``Infinity`` usage
+that :func:`json.loads` accepts never reaches ``fact_storage``.
 """
 
 from __future__ import annotations

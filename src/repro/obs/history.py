@@ -122,6 +122,9 @@ class MetricsHistory:
         self.max_samples = max_samples
         self.enabled = enabled
         self._series: dict[SeriesKey, _Series] = {}
+        #: sample name -> label items -> series: a query reads its own
+        #: name's series only, not the whole store
+        self._by_name: dict[str, dict[tuple[tuple[str, str], ...], _Series]] = {}
         self._records = 0
 
     @property
@@ -144,7 +147,7 @@ class MetricsHistory:
         for name, labels, value in self._registry.iter_scalar_samples():
             series = self._series.get((name, labels))
             if series is None:
-                series = self._series.setdefault((name, labels), _Series())
+                series = self._add_series((name, labels))
             series.append(t, value)
             if len(series.samples) > self.max_samples:
                 self._cap(series, t)
@@ -186,10 +189,15 @@ class MetricsHistory:
         t = float(self._clock.now() if now is None else now)
         series = self._series.get(key)
         if series is None:
-            series = self._series.setdefault(key, _Series())
+            series = self._add_series(key)
         series.append(t, float(value))
         if len(series.samples) > self.max_samples:
             self._cap(series, t)
+
+    def _add_series(self, key: SeriesKey) -> _Series:
+        series = self._series.setdefault(key, _Series())
+        self._by_name.setdefault(key[0], {})[key[1]] = series
+        return series
 
     def _cap(self, series: _Series, now: float) -> None:
         """Bring a series over ``max_samples`` back to it: compact, then
@@ -241,15 +249,14 @@ class MetricsHistory:
         want = {(k, str(v)) for k, v in labels.items()}
         return [
             series
-            for (sname, skey), series in sorted(self._series.items())
-            if sname == name and want <= set(skey)
+            for skey, series in sorted(self._by_name.get(name, {}).items())
+            if want <= set(skey)
         ]
 
     def series_keys(self, name: str | None = None) -> list[SeriesKey]:
-        keys = sorted(self._series)
         if name is None:
-            return keys
-        return [k for k in keys if k[0] == name]
+            return sorted(self._series)
+        return [(name, skey) for skey in sorted(self._by_name.get(name, ()))]
 
     def last_sample(self, key: SeriesKey) -> tuple[float, float] | None:
         """Newest ``(t, value)`` of one exact series (None when absent).
@@ -274,8 +281,12 @@ class MetricsHistory:
             raise ValueError("purge_labels() requires at least one label")
         want = {(k, str(v)) for k, v in labels.items()}
         doomed = [key for key in self._series if want <= set(key[1])]
-        for key in doomed:
-            del self._series[key]
+        for name, skey in doomed:
+            del self._series[(name, skey)]
+            by_labels = self._by_name[name]
+            del by_labels[skey]
+            if not by_labels:
+                del self._by_name[name]
         return len(doomed)
 
     def samples(self, name: str, **labels: str) -> list[tuple[float, float]]:

@@ -205,6 +205,46 @@ class TestFleetTSDB:
         # a member that joins again starts counting from its first scrape
         assert fleet.scrape("a", _registry(sacct=1)) == 1
 
+    def test_repeat_scrapes_and_purge_keep_series_exact(self):
+        """Across repeat scrapes the stored series and values are what a
+        fresh TSDB stores from the same registry, new children are picked
+        up, and a purge (what ``FederationHub.leave`` calls) forgets the
+        member's series and leaves the others alone."""
+        registry = _registry(sacct=1, pbs=2)
+        records = registry.counter(
+            "etl_ingest_records_total", "Records ingested", ("source",))
+        phases = registry.histogram("etl_phase_seconds", "Phase", ("phase",))
+        phases.labels(phase="shred").observe(0.5)
+
+        def walk(reg: MetricsRegistry) -> dict:
+            return {(n, labels): v for n, labels, v in reg.iter_exposition_samples()}
+
+        def fresh_keys(reg: MetricsRegistry, member: str) -> list:
+            fresh = FleetTSDB(FakeClock(auto_advance=1.0))
+            fresh.scrape(member, reg)
+            return fresh.history.series_keys()
+
+        fleet = FleetTSDB(FakeClock(auto_advance=1.0))
+        fleet.scrape("a", registry)
+        fleet.scrape("b", registry)
+        records.labels(source="sacct").inc(5)
+        phases.labels(phase="load").observe(2.0)  # a new child between scrapes
+        fleet.scrape("a", registry)
+        assert _stored(fleet, "a") == walk(registry)
+        assert [k for k in fleet.history.series_keys() if ("member", "a") in k[1]] == (
+            fresh_keys(registry, "a")
+        )
+        assert fleet.series_count("a") == len(walk(registry)) + 1
+        assert [v for _, v in fleet.history.samples(
+            "etl_ingest_records_total", member="a", source="sacct")] == [1.0, 6.0]
+        before_b = _stored(fleet, "b")
+
+        fleet.purge_member("a")
+        fleet.scrape("a", _registry(sacct=7))
+        assert _stored(fleet, "a") == walk(_registry(sacct=7))
+        assert fleet.series_count("a") == 2
+        assert _stored(fleet, "b") == before_b
+
     def test_render_prometheus_merged_and_deterministic(self):
         def build() -> FleetTSDB:
             fleet = FleetTSDB(FakeClock(auto_advance=1.0))

@@ -107,6 +107,23 @@ class TestExpositionEdgeCases:
 # -- metrics history ----------------------------------------------------------
 
 
+class _Tripwire(str):
+    """A sample name that fails the test when touched while armed."""
+
+    armed = False
+
+    def _touched(self, *_):
+        if _Tripwire.armed:
+            raise AssertionError(f"query touched the {str(self)!r} series")
+        return NotImplemented
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _touched
+
+    def __hash__(self):
+        self._touched()
+        return str.__hash__(self)
+
+
 def build_history(**kwargs):
     clock = kwargs.pop("clock", None) or FakeClock(1000.0)
     registry = MetricsRegistry()
@@ -346,6 +363,39 @@ class TestMetricsHistory:
             samples = history.samples(name)
             assert len(samples) == 32
             assert samples[0][1] == appends and samples[-1][1] == 31 + appends
+
+    def test_query_visits_only_its_own_names_series(self):
+        """Queries go through a name index: once the store is filled, no
+        query hashes, compares or reads another sample name's series."""
+        registry, history, _ = build_history()
+        other = _Tripwire("other_rows")
+        for m in range(50):
+            history.observe_key((other, (("member", f"m{m:02d}"),)), float(m), now=1.0)
+        history.observe("wanted_rows", 1.0, now=1.0, member="a", status="ok")
+        history.observe("wanted_rows", 3.0, now=2.0, member="a", status="ok")
+        history.observe("wanted_rows", 5.0, now=2.0, member="b", status="ok")
+        _Tripwire.armed = True
+        try:
+            assert history.last("wanted_rows") == 8.0
+            assert history.last("wanted_rows", member="a") == 3.0
+            assert history.rate("wanted_rows", 10.0, at=2.0, member="a") == 0.2
+            assert history.age_s("wanted_rows", at=4.0, member="b") == 2.0
+            assert history.samples("wanted_rows", member="a") == [(1.0, 1.0), (2.0, 3.0)]
+            assert history.series_keys("wanted_rows") == [
+                ("wanted_rows", (("member", "a"), ("status", "ok"))),
+                ("wanted_rows", (("member", "b"), ("status", "ok"))),
+            ]
+            assert history.last("missing_rows") is None
+        finally:
+            _Tripwire.armed = False
+        assert history.purge_labels(member="a") == 1
+        assert history.series_keys("wanted_rows") == [
+            ("wanted_rows", (("member", "b"), ("status", "ok")))
+        ]
+        assert history.purge_labels(member="b") == 1
+        assert history.series_keys("wanted_rows") == []
+        assert history.last("wanted_rows") is None
+        assert len(history.series_keys()) == 50
 
     def test_metrics_scrape_records_into_history(self):
         obs = fake_obs("api")

@@ -302,17 +302,16 @@ def summarize_schema(
             ("member",),
         ).labels(member=member or schema.name)
     summaries: list[JobSummary] = []
-    for row in schema.table("job_timeseries").rows():
-        job = fact_job.get((row["resource_id"], row["job_id"]))
+    for resource_id, job_id, series in schema.table("job_timeseries").columns_values(
+        ("resource_id", "job_id", "series")
+    ):
+        job = fact_job.get((resource_id, job_id))
         application = (
             applications.get(job["app_id"], "uncategorized")
             if job is not None else "uncategorized"
         )
         summary = summarize_series(
-            row["job_id"],
-            resources.get(row["resource_id"], str(row["resource_id"])),
-            application,
-            row["series"],
+            job_id, resources.get(resource_id, str(resource_id)), application, series
         )
         summaries.append(summary)
         if counter is not None:
@@ -353,10 +352,16 @@ def job_scores(
             continue
         fact_job = schema.table("fact_job")
         resources = dimension_labels(schema, "dim_resource")
-        for fact in schema.table(ANALYTICS_TABLE).rows():
-            if application is not None and fact["application"] != application:
+        for (
+            resource_id, job_id, app, score, tags, cpu_user_avg,
+            idle_tail_frac, intensity_ratio, n_samples,
+        ) in schema.table(ANALYTICS_TABLE).columns_values((
+            "resource_id", "job_id", "application", "efficiency_score", "tags",
+            "cpu_user_avg", "idle_tail_frac", "intensity_ratio", "n_samples",
+        )):
+            if application is not None and app != application:
                 continue
-            job = fact_job.get((fact["resource_id"], fact["job_id"]))
+            job = fact_job.get((resource_id, job_id))
             end_ts = job["end_ts"] if job is not None else None
             if start is not None or end is not None:
                 if end_ts is None:
@@ -368,18 +373,16 @@ def job_scores(
             rows.append(
                 {
                     "member": name,
-                    "resource": resources.get(
-                        fact["resource_id"], str(fact["resource_id"])
-                    ),
-                    "job_id": fact["job_id"],
-                    "application": fact["application"],
-                    "score": fact["efficiency_score"],
-                    "tags": [t for t in fact["tags"].split(",") if t],
+                    "resource": resources.get(resource_id, str(resource_id)),
+                    "job_id": job_id,
+                    "application": app,
+                    "score": score,
+                    "tags": [t for t in tags.split(",") if t],
                     "end_ts": end_ts,
-                    "cpu_user_avg": fact["cpu_user_avg"],
-                    "idle_tail_frac": fact["idle_tail_frac"],
-                    "intensity_ratio": fact["intensity_ratio"],
-                    "n_samples": fact["n_samples"],
+                    "cpu_user_avg": cpu_user_avg,
+                    "idle_tail_frac": idle_tail_frac,
+                    "intensity_ratio": intensity_ratio,
+                    "n_samples": n_samples,
                 }
             )
     rows.sort(key=lambda r: (r["score"], r["member"], r["resource"], r["job_id"]))

@@ -430,15 +430,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "fleet":
-        from .obs import alert_rule
-
-        hub, _, monitor = _demo_fleet_federation(
-            inject_faults=args.inject_faults
-        )
+        _, _, monitor = _demo_fleet_federation(inject_faults=args.inject_faults)
         print(monitor.render_fleet())
-        stale = hub.fleet.stale_members(
-            alert_rule("fleet_telemetry_stale").max_age_s
-        )
+        stale = monitor.stale_members()
         if stale:
             print(
                 f"{len(stale)} member(s) stale: {', '.join(stale)}",

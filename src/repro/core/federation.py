@@ -18,8 +18,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 from ..aggregation import AggregationConfig, Aggregator
 from ..etl.pipeline import WAREHOUSE_SCHEMA, IngestPipeline
 from ..etl.star import PersonInfo
-from ..obs import Observability
-from ..obs.fleet import FleetTSDB
+from ..obs import MetricsHistory, MetricsRegistry, Observability
+from ..obs.history import SEQ_SERIES
 from ..simulators.hpl import ConversionTable
 from ..warehouse import Database, Schema
 from .errors import MembershipError, VersionMismatchError
@@ -222,9 +222,12 @@ class FederationHub(XdmodInstance):
             "Per-member sync/shipment outcomes by status",
             ("member", "status"),
         )
-        #: merged TSDB over every member's scraped telemetry; disabled in
-        #: lockstep with the hub's own observability bundle
-        self.fleet = FleetTSDB(self.obs.clock, enabled=self.obs.enabled)
+        #: history of every member's scraped telemetry (the fleet TSDB);
+        #: disabled in lockstep with the hub's own observability bundle
+        self.fleet = MetricsHistory(
+            MetricsRegistry(enabled=False), self.obs.clock,
+            enabled=self.obs.enabled,
+        )
         self._g_fleet_series = registry.gauge(
             "fleet_series_rows",
             "Fleet TSDB series currently held per member",
@@ -244,7 +247,11 @@ class FederationHub(XdmodInstance):
             # circuit open) is not scraped, so its fleet series go stale
             # exactly when its data does
             if outcome.status not in ("failed", "circuit_open"):
-                self.fleet.scrape(name, self._members[name].instance.obs.registry)
+                series = self.fleet.scrape(
+                    name, self._members[name].instance.obs.registry
+                )
+                if series:
+                    self._g_fleet_series.labels(member=name).set(series)
         self._record_member_gauges()
         self.obs.history.record()
 
@@ -265,12 +272,9 @@ class FederationHub(XdmodInstance):
             )
             if not self.fleet.enabled:
                 continue
-            staleness = self.fleet.staleness(member.name, at=at)
+            staleness = self.fleet.age_s(SEQ_SERIES, at=at, member=member.name)
             if staleness is not None:
                 self._g_fleet_staleness.labels(member=member.name).set(staleness)
-            self._g_fleet_series.labels(member=member.name).set(
-                self.fleet.series_count(member.name)
-            )
 
     # -- membership -----------------------------------------------------------
 
@@ -360,7 +364,7 @@ class FederationHub(XdmodInstance):
         a phantom member and keep feeding the lag alert), its
         ``MetricsHistory`` series (otherwise partial-label queries like
         ``quantile_over_time(..., )`` would keep pooling them), and its
-        fleet TSDB key set and scraped series.
+        scraped series in the fleet history.
         """
         member = self._members.pop(name, None)
         if member is None:
@@ -378,7 +382,7 @@ class FederationHub(XdmodInstance):
         ):
             self.obs.registry.remove_labels(metric, member=name)
         self.obs.history.purge_labels(member=name)
-        self.fleet.purge_member(name)
+        self.fleet.purge_labels(member=name)
 
     def member(self, name: str) -> FederationMember:
         try:

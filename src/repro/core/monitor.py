@@ -25,6 +25,7 @@ from ..obs import (
     Observability,
     alert_rule,
 )
+from ..obs.history import SEQ_SERIES
 from ..ui.ascii import render_sparkline
 from .consistency import check_federation
 from .federation import FederationHub
@@ -113,7 +114,7 @@ class FederationMonitor:
         self.hub = hub
         self.obs = obs if obs is not None else hub.obs
         self.alerts = AlertEngine(
-            self.obs.history, alert_rules, fleet=getattr(hub, "fleet", None)
+            self.obs.history, alert_rules, fleet=hub.fleet
         )
         # duck-typed AnalyticsPlane (repro.analytics) — kept untyped so the
         # core monitor never imports the analytics package
@@ -295,10 +296,23 @@ class FederationMonitor:
             lines.append("last aggregation: " + "; ".join(parts))
         return "\n".join(lines)
 
-    def render_fleet(self, *, at: float | None = None) -> str:
-        """Fleet telemetry dashboard over the hub's merged TSDB.
+    def stale_members(self, *, at: float | None = None) -> list[str]:
+        """Members the ``fleet_telemetry_stale`` rule judges stale (the
+        ``age_s`` of their :data:`SEQ_SERIES` past its ``max_age_s``): the
+        one staleness rule of :meth:`render_fleet`, ``/health`` and CLI."""
+        fleet = self.hub.fleet
+        rule = alert_rule("fleet_telemetry_stale")
+        now = float(fleet.clock.now() if at is None else at)
+        return [
+            name for name in fleet.label_values(SEQ_SERIES, "member")
+            if rule.breaches(rule.value_for(fleet, name, at=now))
+        ]
 
-        Per member: last scrape number, stored series, staleness,
+    def render_fleet(self, *, at: float | None = None) -> str:
+        """Fleet telemetry dashboard over the hub's fleet history.
+
+        Per member: last scrape number, series in its latest scrape
+        (``fleet_series_rows``), staleness,
         ETL ingest rate and cache hit-ratio *as the satellite reported
         them*, hub-side replication lag, and the fleet-scoped alerts
         currently firing (evaluate first via :meth:`evaluate_alerts`).
@@ -308,60 +322,54 @@ class FederationMonitor:
         of the same FakeClock-driven scenario.
         """
         hub = self.hub
-        fleet = getattr(hub, "fleet", None)
+        fleet = hub.fleet
+        names = fleet.label_values(SEQ_SERIES, "member")
         title = f"Fleet telemetry: {hub.name}"
         lines = [title, "=" * len(title)]
-        if fleet is None or not fleet.member_names():
+        if not names:
             lines.append("(no telemetry shipments ingested)")
             return "\n".join(lines)
         now = float(self.obs.clock.now() if at is None else at)
-        stale_after = alert_rule("fleet_telemetry_stale").max_age_s
+        stale = self.stale_members(at=now)
         window = 600.0
         lag = hub.lag()
-        names = fleet.member_names()
         name_w = max([len("member")] + [len(n) for n in names]) + 2
         lines.append(
             f"{'member':<{name_w}}{'seq':>6}{'series':>8}{'age_s':>8}"
             f"{'ingest/s':>10}{'lag':>6}{'cache':>7}  state"
         )
         for name in names:
-            seq = fleet.last_seq(name) or 0
-            age = fleet.staleness(name, at=now)
-            rate = fleet.history.rate(
+            seq = int(fleet.last(SEQ_SERIES, member=name) or 0)
+            age = fleet.age_s(SEQ_SERIES, at=now, member=name)
+            rate = fleet.rate(
                 "etl_ingest_records_total", window, at=now, member=name
             )
-            hits = fleet.history.last(
+            hits = fleet.last(
                 "serving_cache_lookups_total", member=name, result="hit"
             )
-            lookups = fleet.history.last(
-                "serving_cache_lookups_total", member=name
-            )
+            lookups = fleet.last("serving_cache_lookups_total", member=name)
             cache = (
                 f"{hits / lookups * 100:.0f}%"
                 if hits is not None and lookups else "-"
             )
-            state = "STALE" if age is not None and age > stale_after else "fresh"
             lines.append(
-                f"{name:<{name_w}}{seq:>6}{fleet.series_count(name):>8}"
+                f"{name:<{name_w}}{seq:>6}"
+                f"{hub.obs.registry.value('fleet_series_rows', member=name):>8.0f}"
                 f"{(f'{age:.0f}' if age is not None else '-'):>8}"
                 f"{(f'{rate:.2f}' if rate is not None else '-'):>10}"
-                f"{lag.get(name, 0):>6}{cache:>7}  {state}"
+                f"{lag.get(name, 0):>6}{cache:>7}  "
+                + ("STALE" if name in stale else "fresh")
             )
         spark: list[str] = []
         for name in names:
-            seqs = [
-                v for _, v in fleet.history.samples(
-                    "fleet_shipment_seq_rows", member=name
-                )
-            ]
+            seqs = [v for _, v in fleet.samples(SEQ_SERIES, member=name)]
             if len(seqs) > 1:
                 spark.append(f"  {name:<{name_w}}seq {render_sparkline(seqs)}")
         if spark:
             lines.append("shipments (oldest -> newest):")
             lines.extend(spark)
-        stale_members = fleet.stale_members(stale_after, at=now)
-        if stale_members:
-            lines.append("stale members: " + ", ".join(stale_members))
+        if stale:
+            lines.append("stale members: " + ", ".join(stale))
         if self.alerts.evaluations:
             firing = [
                 s for s in self.alerts.firing() if s.rule.scope == "fleet"

@@ -21,7 +21,6 @@ from .alerts import (
 )
 from .anomaly import Anomaly, AnomalyDetector, JobScore
 from .clock import Clock, FakeClock, MonotonicClock
-from .fleet import FleetTSDB
 from .history import DEFAULT_RETENTION, MetricsHistory
 from .metrics import (
     DEFAULT_BUCKETS,
@@ -51,7 +50,6 @@ __all__ = [
     "DEFAULT_ALERT_RULES",
     "FakeClock",
     "FederatedTraceAssembler",
-    "FleetTSDB",
     "GLOBAL_SCOPE",
     "JobScore",
     "MetricError",

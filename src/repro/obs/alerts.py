@@ -36,10 +36,10 @@ fires alerts deterministically.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
-from .history import MetricsHistory
+from .history import SEQ_SERIES, MetricsHistory
 
 __all__ = [
     "AlertEngine",
@@ -73,9 +73,9 @@ class AlertRule:
     series with no member label (the API error ratio) and are evaluated
     once per cycle under the :data:`GLOBAL_SCOPE` pseudo-member.
     ``scope="fleet"`` rules are evaluated per member like
-    ``scope="member"``, but against the hub's merged
-    :class:`~repro.obs.fleet.FleetTSDB` history — the series the hub
-    *scrapes* from members rather than the series it records locally.  ``for_count``
+    ``scope="member"``, but against the hub's fleet history
+    (``FederationHub.fleet``) — the series the hub *scrapes* from
+    members rather than the series it records locally.  ``for_count``
     is how many consecutive breaching evaluations promote pending to
     firing.
     """
@@ -295,8 +295,10 @@ class AlertEngine:
 
     One engine per hub; :meth:`evaluate` is called after sync cycles (or
     on demand by ``GET /alerts``) with the current member list.  States
-    persist across evaluations; a member that leaves the federation keeps
-    its last state but is no longer evaluated.
+    persist across evaluations; a member no longer among a rule's targets
+    (it left the federation, or its fleet series were purged) loses its
+    state at the next evaluation, so a departed member's alert cannot
+    fire forever.
     """
 
     def __init__(
@@ -308,6 +310,7 @@ class AlertEngine:
         fleet=None,
     ) -> None:
         self.history = history
+        #: the hub's fleet :class:`MetricsHistory` (scraped member series)
         self.fleet = fleet
         self.rules = tuple(rules)
         ids = [r.id for r in self.rules]
@@ -322,13 +325,14 @@ class AlertEngine:
 
         ``scope="global"`` rules ignore the member list and evaluate once
         under the :data:`GLOBAL_SCOPE` pseudo-member; ``scope="fleet"``
-        rules evaluate over the fleet TSDB's merged history for every
-        member it has ingested telemetry from (skipped entirely when the
-        engine was built without a ``fleet``).
+        rules evaluate over the fleet history for every member it holds a
+        scrape of (skipped entirely when the engine was built without a
+        ``fleet``).  States of pairs not evaluated this time are dropped.
         """
         now = self._clock.now()
         self.evaluations += 1
         member_list = list(members)
+        evaluated: set[tuple[str, str]] = set()
         for rule in self.rules:
             source = self.history
             if rule.scope == "member":
@@ -336,12 +340,13 @@ class AlertEngine:
             elif rule.scope == "fleet":
                 if self.fleet is None:
                     continue
-                targets = self.fleet.member_names()
-                source = self.fleet.history
+                targets = self.fleet.label_values(SEQ_SERIES, "member")
+                source = self.fleet
             else:
                 targets = [GLOBAL_SCOPE]
             for member in targets:
                 key = (rule.id, member)
+                evaluated.add(key)
                 state = self._states.get(key)
                 if state is None:
                     state = self._states.setdefault(key, AlertState(rule, member))
@@ -362,6 +367,8 @@ class AlertEngine:
                     elif state.status in ("pending", "resolved"):
                         state.status = "inactive"
                     state.breaches = 0
+        for key in self._states.keys() - evaluated:
+            del self._states[key]
         return self.states()
 
     def states(self) -> list[AlertState]:

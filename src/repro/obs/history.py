@@ -20,20 +20,31 @@ the ladder's span are dropped.  Downsampling keeps the *newest* sample in
 each bucket, so the compaction is deterministic under a
 :class:`~repro.obs.clock.FakeClock` and history-backed renders stay
 byte-identical across runs.
+
+The federation hub's fleet TSDB (``FederationHub.fleet``) is a history
+too, with no registry of its own: :meth:`MetricsHistory.scrape` merges a
+member registry's full exposition into it under a ``member`` label after
+every healthy sync turn, so the same vocabulary answers fleet queries.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..aggregation.levels import AggregationLevel, AggregationLevelSet
+from ..analysis.sanitizer import create_lock
 from .clock import Clock
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, _fmt, _render_labels
 
-__all__ = ["DEFAULT_RETENTION", "MetricsHistory", "SeriesKey"]
+__all__ = ["DEFAULT_RETENTION", "MetricsHistory", "SEQ_SERIES", "SeriesKey"]
 
 #: ``(sample_name, sorted ((label, value), ...))`` — one stored series.
 SeriesKey = tuple[str, tuple[tuple[str, str], ...]]
+
+#: Synthetic per-member series every :meth:`MetricsHistory.scrape`
+#: appends (value = the member's scrape number).  Its ``age_s`` is the
+#: fleet staleness signal the ``fleet_telemetry_stale`` rule judges.
+SEQ_SERIES = "fleet_shipment_seq_rows"
 
 #: Default retention ladder: 5 minutes raw, one sample per minute out to
 #: an hour, one per 10 minutes out to a day.  Ages are in seconds.
@@ -126,6 +137,9 @@ class MetricsHistory:
         #: name's series only, not the whole store
         self._by_name: dict[str, dict[tuple[tuple[str, str], ...], _Series]] = {}
         self._records = 0
+        #: family name -> ``# TYPE`` of every scraped registry (first wins)
+        self._types: dict[str, str] = {}
+        self._lock = create_lock("MetricsHistory")  # guards: _types
 
     @property
     def clock(self) -> Clock:
@@ -180,9 +194,9 @@ class MetricsHistory:
     ) -> None:
         """:meth:`observe` with a prebuilt series key.
 
-        The fleet TSDB merge path calls this once per scraped sample on
-        every sync cycle; the caller guarantees the key's label items
-        are already ``(name, value)`` string pairs in sorted order.
+        :meth:`scrape` calls this once per scraped sample on every sync
+        cycle; the caller guarantees the key's label items are already
+        ``(name, value)`` string pairs in sorted order.
         """
         if not self.enabled:
             return
@@ -193,6 +207,35 @@ class MetricsHistory:
         series.append(t, float(value))
         if len(series.samples) > self.max_samples:
             self._cap(series, t)
+
+    def scrape(self, member: str, registry: MetricsRegistry) -> int:
+        """Merge ``registry``'s exposition samples (histogram buckets
+        included) under a reserved ``member`` label, which replaces any
+        scraped one, plus one :data:`SEQ_SERIES` sample, all at one clock
+        reading.  Returns the series written (0 when disabled)."""
+        if not self.enabled:
+            return 0
+        # read the registry before taking our lock: its own lock must
+        # never nest inside this one
+        samples = list(registry.iter_exposition_samples())
+        types = registry.type_names()
+        seq_key: SeriesKey = (SEQ_SERIES, (("member", member),))
+        with self._lock:
+            t = float(self._clock.now())
+            latest = self.last_sample(seq_key)
+            self._types.setdefault(SEQ_SERIES, "gauge")
+            for name, type_name in types.items():
+                self._types.setdefault(name, type_name)
+            observe_key = self.observe_key
+            for name, labels, value in samples:
+                # drop any scraped member label, then insert ours keeping
+                # the label items sorted
+                items = [item for item in labels if item[0] != "member"]
+                items.append(("member", member))
+                items.sort()
+                observe_key((name, tuple(items)), value, now=t)
+            observe_key(seq_key, (latest[1] if latest else 0.0) + 1.0, now=t)
+        return len(samples) + 1
 
     def _add_series(self, key: SeriesKey) -> _Series:
         series = self._series.setdefault(key, _Series())
@@ -257,6 +300,16 @@ class MetricsHistory:
         if name is None:
             return sorted(self._series)
         return [(name, skey) for skey in sorted(self._by_name.get(name, ()))]
+
+    def label_values(self, name: str, label: str) -> list[str]:
+        """Sorted distinct values of ``label`` across ``name``'s series
+        (the fleet's members: ``label_values(SEQ_SERIES, "member")``)."""
+        return sorted({
+            value
+            for skey in self._by_name.get(name, ())
+            for key, value in skey
+            if key == label
+        })
 
     def last_sample(self, key: SeriesKey) -> tuple[float, float] | None:
         """Newest ``(t, value)`` of one exact series (None when absent).
@@ -419,3 +472,35 @@ class MetricsHistory:
         lo = int(pos)
         hi = min(lo + 1, len(values) - 1)
         return values[lo] + (values[hi] - values[lo]) * (pos - lo)
+
+    # -- exposition --------------------------------------------------------
+
+    def _family_of(self, sample_name: str) -> str:
+        if sample_name not in self._types:
+            for suffix in ("_bucket", "_count", "_sum"):
+                base = sample_name.removesuffix(suffix)
+                if base != sample_name and self._types.get(base) == "histogram":
+                    return base
+        return sample_name
+
+    def render_prometheus(self) -> str:
+        """Newest value of every series as Prometheus text (``GET
+        /fleet/metrics``), typed by the scraped ``# TYPE`` maps, in a
+        deterministic order: family, then sample name and labels."""
+        families: dict[str, list[tuple[str, tuple, float]]] = {}
+        for (sample_name, labels), series in self._series.items():
+            latest = series.last()
+            if latest is not None:
+                families.setdefault(self._family_of(sample_name), []).append(
+                    (sample_name, labels, latest[1])
+                )
+        lines: list[str] = []
+        for family in sorted(families):
+            lines.append(f"# TYPE {family} {self._types.get(family, 'untyped')}")
+            for sample_name, labels, value in sorted(
+                families[family], key=lambda s: (s[0], s[1])
+            ):
+                lines.append(
+                    f"{sample_name}{_render_labels(dict(labels))} {_fmt(value)}"
+                )
+        return "\n".join(lines) + ("\n" if lines else "")

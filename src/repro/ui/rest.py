@@ -23,8 +23,8 @@ Routes (``*``: needs ``Authorization: Bearer <token>`` when
   (needs an :class:`~repro.obs.Observability` bundle); each scrape also
   snapshots the registry into the metrics history
 - ``GET /fleet/metrics`` — the merged fleet exposition: every member's
-  scraped telemetry under its ``member`` label, from the hub's
-  :class:`~repro.obs.fleet.FleetTSDB` (needs a monitor)
+  scraped telemetry under its ``member`` label, from the hub's fleet
+  :class:`~repro.obs.MetricsHistory` (needs a monitor)
 - ``GET /realms`` — realm catalog with metrics and dimensions
 - ``GET /query?realm=jobs&metric=xdsu&start=...&end=...&period=month``
   ``&group_by=resource&view=timeseries&filter.resource=comet,stampede`` *
@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 from ..analysis.sanitizer import create_lock
 from ..analytics import job_scores
 from ..auth.accounts import Session
-from ..obs import PROMETHEUS_CONTENT_TYPE, Observability, alert_rule
+from ..obs import PROMETHEUS_CONTENT_TYPE, Observability
 from ..realms.base import Realm
 from ..warehouse import Schema
 from .serving import QueryService, ServingParamError, ServingResult, _int_param
@@ -232,20 +232,13 @@ class XdmodApi:
 
     # -- route handlers -------------------------------------------------------
 
-    def _fleet(self):
-        """The hub's fleet TSDB when a monitor is attached."""
-        return self.monitor.hub.fleet if self.monitor is not None else None
-
     def _health(self, params: Mapping[str, str]) -> ServingResult:
         """Liveness, upgraded to readiness when a monitor is attached."""
         payload: dict[str, Any] = {
             "status": "ok", "realms": sorted(self.realms),
         }
-        fleet = self._fleet()
-        if fleet is not None and fleet.enabled:
-            stale = fleet.stale_members(
-                alert_rule("fleet_telemetry_stale").max_age_s
-            )
+        if self.monitor is not None and self.monitor.hub.fleet.enabled:
+            stale = self.monitor.stale_members()
             payload["fleet_stale_members"] = stale
             if stale:
                 payload["status"] = "degraded"
@@ -307,10 +300,9 @@ class XdmodApi:
         return _prometheus(self.obs.registry.render_prometheus())
 
     def _fleet_metrics(self, params: Mapping[str, str]) -> ServingResult:
-        fleet = self._fleet()
-        if fleet is None:
+        if self.monitor is None:
             return _error(404, "no fleet TSDB attached")
-        return _prometheus(fleet.render_prometheus())
+        return _prometheus(self.monitor.hub.fleet.render_prometheus())
 
     def _realms(self, params: Mapping[str, str]) -> ServingResult:
         return ServingResult.of(200, {

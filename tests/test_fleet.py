@@ -1,24 +1,24 @@
 """Federated telemetry plane: member scrapes, fleet TSDB, dashboards, REST.
 
 Covers the fleet telemetry plane end to end — member registries scraped
-into the hub's fleet TSDB on every healthy sync turn — plus the tracer
-ring buffer, the ``leave()`` telemetry purge, and scrape fidelity
-(histogram buckets, non-finite values, counter resets, the reserved
-``member`` label).
+into the hub's fleet history (``FederationHub.fleet``, a plain
+:class:`MetricsHistory`) on every healthy sync turn — plus the tracer
+ring buffer, the ``leave()`` telemetry purge, departed members' alert
+states, and scrape fidelity (histogram buckets, non-finite values,
+counter resets, the reserved ``member`` label).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cli import _demo_fleet_federation
+from repro.cli import _demo_federation, _demo_fleet_federation
 from repro.core import FederationHub, XdmodInstance
 from repro.core.faults import FaultPlan, inject_apply_faults
 from repro.core.resilience import CircuitBreaker
 from repro.etl import ingest_jobs
 from repro.obs import (
     FakeClock,
-    FleetTSDB,
     MetricsHistory,
     MetricsRegistry,
     Observability,
@@ -26,7 +26,7 @@ from repro.obs import (
     alert_rule,
     parse_prometheus_text,
 )
-from repro.obs.fleet import SEQ_SERIES
+from repro.obs.history import SEQ_SERIES
 from repro.realms import jobs_realm
 from repro.ui import XdmodApi
 from tests.rest_client import get_json
@@ -44,16 +44,33 @@ def _registry(**counters: float) -> MetricsRegistry:
     return registry
 
 
-def _stored(fleet: FleetTSDB, member: str) -> dict:
+def _fleet(clock: FakeClock | None = None, *, enabled: bool = True) -> MetricsHistory:
+    """A fleet history as the hub builds one: no registry of its own."""
+    return MetricsHistory(
+        MetricsRegistry(enabled=False),
+        clock if clock is not None else FakeClock(auto_advance=1.0),
+        enabled=enabled,
+    )
+
+
+def _members(fleet: MetricsHistory) -> list[str]:
+    return fleet.label_values(SEQ_SERIES, "member")
+
+
+def _member_keys(fleet: MetricsHistory, member: str) -> list:
+    return [k for k in fleet.series_keys() if ("member", member) in k[1]]
+
+
+def _stored(fleet: MetricsHistory, member: str) -> dict:
     """The member's newest stored samples, keyed as the registry walk
     keys them (the ``member`` label dropped), the seq series left out."""
     out = {}
-    for key in fleet.history.series_keys():
+    for key in _member_keys(fleet, member):
         name, labels = key
-        if name == SEQ_SERIES or ("member", member) not in labels:
+        if name == SEQ_SERIES:
             continue
         rest = tuple(item for item in labels if item[0] != "member")
-        out[(name, rest)] = fleet.history.last_sample(key)[1]
+        out[(name, rest)] = fleet.last_sample(key)[1]
     return out
 
 
@@ -66,18 +83,20 @@ class TestShipment:
             "etl_phase_seconds", "Phase latency", ("phase",)
         )
         hist.labels(phase="shred").observe(0.25)
-        fleet = FleetTSDB(FakeClock(auto_advance=1.0))
-        assert fleet.scrape("site0", registry) == 1
-
+        fleet = _fleet()
         parsed = parse_prometheus_text(registry.render_prometheus())
+        # every exposition sample plus the scrape-number sample
+        assert fleet.scrape("site0", registry) == len(parsed.samples) + 1
+
         stored = _stored(fleet, "site0")
         assert stored == parsed.samples
         assert ("etl_phase_seconds_bucket",
                 (("le", "+Inf"), ("phase", "shred"))) in stored
-        assert fleet.history.last(SEQ_SERIES, member="site0") == 1
+        assert fleet.last(SEQ_SERIES, member="site0") == 1
         text = fleet.render_prometheus()
         assert "# TYPE etl_phase_seconds histogram" in text
         assert "# TYPE etl_ingest_records_total counter" in text
+        assert f"# TYPE {SEQ_SERIES} gauge" in text
 
     def test_walk_matches_text_round_trip(self):
         """The direct exposition walk is pinned to parse(render())."""
@@ -99,15 +118,15 @@ class TestShipment:
         gauge.labels(kind="inf").set(float("inf"))
         gauge.labels(kind="ninf").set(float("-inf"))
         gauge.labels(kind="nan").set(float("nan"))
-        fleet = FleetTSDB(FakeClock(auto_advance=1.0))
+        fleet = _fleet()
         fleet.scrape("m", registry)
-        assert fleet.history.last(
+        assert fleet.last(
             "probe_value_ratio", kind="inf", member="m"
         ) == float("inf")
-        assert fleet.history.last(
+        assert fleet.last(
             "probe_value_ratio", kind="ninf", member="m"
         ) == float("-inf")
-        nan = fleet.history.last("probe_value_ratio", kind="nan", member="m")
+        nan = fleet.last("probe_value_ratio", kind="nan", member="m")
         assert nan != nan  # NaN
         # and the merged exposition spells them the Prometheus way
         text = fleet.render_prometheus()
@@ -117,14 +136,17 @@ class TestShipment:
 
 
 class TestFleetTSDB:
+    """The hub's fleet TSDB is a plain :class:`MetricsHistory`: members,
+    scrape numbers, staleness and purges are ordinary history queries."""
+
     def test_merges_under_member_label(self):
-        fleet = FleetTSDB(FakeClock(auto_advance=1.0))
+        fleet = _fleet()
         fleet.scrape("site0", _registry(sacct=10))
         fleet.scrape("site1", _registry(sacct=99))
-        assert fleet.member_names() == ["site0", "site1"]
-        assert fleet.history.last(
+        assert _members(fleet) == ["site0", "site1"]
+        assert fleet.last(
             "etl_ingest_records_total", member="site0", source="sacct") == 10
-        assert fleet.history.last(
+        assert fleet.last(
             "etl_ingest_records_total", member="site1", source="sacct") == 99
 
     def test_member_label_is_reserved(self):
@@ -132,11 +154,11 @@ class TestFleetTSDB:
         registry = MetricsRegistry()
         gauge = registry.gauge("fleet_series_rows", "Nested fleet", ("member",))
         gauge.labels(member="inner").set(5)
-        fleet = FleetTSDB(FakeClock(auto_advance=1.0))
+        fleet = _fleet()
         fleet.scrape("outer", registry)
-        assert fleet.history.last("fleet_series_rows", member="outer") == 5
-        assert fleet.history.last("fleet_series_rows", member="inner") is None
-        assert fleet.history.series_keys("fleet_series_rows") == [
+        assert fleet.last("fleet_series_rows", member="outer") == 5
+        assert fleet.last("fleet_series_rows", member="inner") is None
+        assert fleet.series_keys("fleet_series_rows") == [
             ("fleet_series_rows", (("member", "outer"),))
         ]
 
@@ -144,7 +166,7 @@ class TestFleetTSDB:
         """A member restart (counter back to a lower value) is treated as
         a reset by the history's increase(), not negative growth."""
         clock = FakeClock(auto_advance=1.0)
-        fleet = FleetTSDB(clock)
+        fleet = _fleet(clock)
         registry = _registry(sacct=100)
         fleet.scrape("m", registry)
         registry.counter(
@@ -153,57 +175,66 @@ class TestFleetTSDB:
         fleet.scrape("m", registry)                 # 120: grew by 20
         fleet.scrape("m", _registry(sacct=10))      # restarted, then 10
         at = clock.now()
-        assert fleet.history.increase(
+        assert fleet.increase(
             "etl_ingest_records_total", 1000.0, at=at, member="m"
         ) == pytest.approx(30.0)
 
     def test_disabled_fleet_ignores_shipments(self):
-        fleet = FleetTSDB(FakeClock(auto_advance=1.0), enabled=False)
+        fleet = _fleet(enabled=False)
         assert fleet.scrape("m", _registry(sacct=1)) == 0
-        assert fleet.member_names() == []
-        assert fleet.last_seq("m") is None
+        assert _members(fleet) == []
+        assert fleet.last(SEQ_SERIES, member="m") is None
+        assert fleet.render_prometheus() == ""
 
     def test_staleness_tracks_fresh_shipments_only(self):
-        """Staleness is the age of the member's last scrape, read from the
-        last sample of its scrape-number series."""
+        """Staleness is ``age_s`` of the member's scrape-number series:
+        the age of its last scrape, the signal the stale rule judges."""
         clock = FakeClock()
-        fleet = FleetTSDB(clock)
+        fleet = _fleet(clock)
         registry = _registry(sacct=1)
-        assert fleet.staleness("m") is None and fleet.last_seq("m") is None
-        assert fleet.scrape("m", registry) == 1
+        rule = alert_rule("fleet_telemetry_stale")
+        assert fleet.age_s(SEQ_SERIES, member="m") is None
+        assert fleet.last(SEQ_SERIES, member="m") is None
+        fleet.scrape("m", registry)
         t0 = clock.now()
         clock.advance(500.0)
-        assert fleet.staleness("m") == pytest.approx(clock.now() - t0)
-        assert fleet.stale_members(100.0) == ["m"]
-        assert fleet.stale_members(10_000.0) == []
-        # the next scrape refreshes it and counts on
-        assert fleet.scrape("m", registry) == 2
-        assert fleet.last_seq("m") == 2
-        assert fleet.staleness("m") == pytest.approx(0.0)
-        assert fleet.staleness("unknown") is None
-        # the alert rules' view of the sequence series agrees
-        clock.advance(42.0)
-        assert fleet.history.age_s(SEQ_SERIES, member="m") == pytest.approx(
-            fleet.staleness("m")
+        assert fleet.age_s(SEQ_SERIES, member="m") == pytest.approx(
+            clock.now() - t0
         )
-        assert [v for _, v in fleet.history.samples(SEQ_SERIES, member="m")] == [
+        assert rule.value_for(fleet, "m") == pytest.approx(500.0)
+        assert not rule.breaches(rule.value_for(fleet, "m"))
+        clock.advance(rule.max_age_s)
+        assert rule.breaches(rule.value_for(fleet, "m"))
+        # the next scrape refreshes it and counts on
+        fleet.scrape("m", registry)
+        assert fleet.last(SEQ_SERIES, member="m") == 2
+        assert fleet.age_s(SEQ_SERIES, member="m") == pytest.approx(0.0)
+        assert fleet.age_s(SEQ_SERIES, member="unknown") is None
+        # age_s is the age of the newest seq sample: its value changes
+        # on every scrape
+        clock.advance(42.0)
+        newest = fleet.last_sample((SEQ_SERIES, (("member", "m"),)))
+        assert fleet.age_s(SEQ_SERIES, member="m") == pytest.approx(
+            clock.now() - newest[0]
+        )
+        assert [v for _, v in fleet.samples(SEQ_SERIES, member="m")] == [
             1.0, 2.0
         ]
 
     def test_series_count_and_purge(self):
-        fleet = FleetTSDB(FakeClock(auto_advance=1.0))
-        fleet.scrape("a", _registry(sacct=1, pbs=2))
-        fleet.scrape("b", _registry(sacct=1))
-        assert fleet.series_count("a") == 3  # two counters + seq series
-        assert fleet.series_count("b") == 2
-        assert fleet.series_count() == 5
-        assert fleet.purge_member("a") == 3
-        assert fleet.member_names() == ["b"]
-        assert fleet.series_count("a") == 0
-        assert fleet.history.last(
+        fleet = _fleet()
+        assert fleet.scrape("a", _registry(sacct=1, pbs=2)) == 3  # + seq
+        assert fleet.scrape("b", _registry(sacct=1)) == 2
+        assert len(_member_keys(fleet, "a")) == 3
+        assert len(fleet.series_keys()) == 5
+        assert fleet.purge_labels(member="a") == 3
+        assert _members(fleet) == ["b"]
+        assert _member_keys(fleet, "a") == []
+        assert fleet.last(
             "etl_ingest_records_total", member="a") is None
         # a member that joins again starts counting from its first scrape
-        assert fleet.scrape("a", _registry(sacct=1)) == 1
+        fleet.scrape("a", _registry(sacct=1))
+        assert fleet.last(SEQ_SERIES, member="a") == 1
 
     def test_repeat_scrapes_and_purge_keep_series_exact(self):
         """Across repeat scrapes the stored series and values are what a
@@ -220,34 +251,32 @@ class TestFleetTSDB:
             return {(n, labels): v for n, labels, v in reg.iter_exposition_samples()}
 
         def fresh_keys(reg: MetricsRegistry, member: str) -> list:
-            fresh = FleetTSDB(FakeClock(auto_advance=1.0))
+            fresh = _fleet()
             fresh.scrape(member, reg)
-            return fresh.history.series_keys()
+            return fresh.series_keys()
 
-        fleet = FleetTSDB(FakeClock(auto_advance=1.0))
+        fleet = _fleet()
         fleet.scrape("a", registry)
         fleet.scrape("b", registry)
         records.labels(source="sacct").inc(5)
         phases.labels(phase="load").observe(2.0)  # a new child between scrapes
-        fleet.scrape("a", registry)
+        assert fleet.scrape("a", registry) == len(walk(registry)) + 1
         assert _stored(fleet, "a") == walk(registry)
-        assert [k for k in fleet.history.series_keys() if ("member", "a") in k[1]] == (
-            fresh_keys(registry, "a")
-        )
-        assert fleet.series_count("a") == len(walk(registry)) + 1
-        assert [v for _, v in fleet.history.samples(
+        assert _member_keys(fleet, "a") == fresh_keys(registry, "a")
+        assert len(_member_keys(fleet, "a")) == len(walk(registry)) + 1
+        assert [v for _, v in fleet.samples(
             "etl_ingest_records_total", member="a", source="sacct")] == [1.0, 6.0]
         before_b = _stored(fleet, "b")
 
-        fleet.purge_member("a")
-        fleet.scrape("a", _registry(sacct=7))
+        fleet.purge_labels(member="a")
+        assert fleet.scrape("a", _registry(sacct=7)) == 2
         assert _stored(fleet, "a") == walk(_registry(sacct=7))
-        assert fleet.series_count("a") == 2
+        assert len(_member_keys(fleet, "a")) == 2
         assert _stored(fleet, "b") == before_b
 
     def test_render_prometheus_merged_and_deterministic(self):
-        def build() -> FleetTSDB:
-            fleet = FleetTSDB(FakeClock(auto_advance=1.0))
+        def build() -> MetricsHistory:
+            fleet = _fleet()
             for i in range(2):
                 registry = _registry(sacct=10 * (i + 1))
                 hist = registry.histogram(
@@ -335,7 +364,7 @@ class TestFederationAcceptance:
         )
         # … yet the hub can query them, under the member label
         for instance in satellites:
-            shipped = hub.fleet.history.last(
+            shipped = hub.fleet.last(
                 "etl_ingest_records_total", member=instance.name
             )
             exposed = parse_prometheus_text(
@@ -346,7 +375,7 @@ class TestFederationAcceptance:
                 if name == "etl_ingest_records_total"
             )
             assert shipped is not None and shipped == local_total > 0
-        assert hub.fleet.member_names() == [s.name for s in satellites]
+        assert _members(hub.fleet) == [s.name for s in satellites]
 
     def test_fleet_dashboard_deterministic(self, healthy_fleet):
         _, _, monitor = healthy_fleet
@@ -357,12 +386,11 @@ class TestFederationAcceptance:
         assert "site0" in board and "STALE" not in board
 
     def test_staleness_alert_fires_when_shipments_stop(self, stale_fleet):
-        hub, _, monitor = stale_fleet
+        _, _, monitor = stale_fleet
         firing = {s.rule.id: s for s in monitor.alerts.firing()}
         assert "fleet_telemetry_stale" in firing
         assert firing["fleet_telemetry_stale"].member == "site2"
-        stale_after = alert_rule("fleet_telemetry_stale").max_age_s
-        assert hub.fleet.stale_members(stale_after) == ["site2"]
+        assert monitor.stale_members() == ["site2"]
         board = monitor.render_fleet()
         assert "STALE" in board and "stale members: site2" in board
 
@@ -377,13 +405,48 @@ class TestFederationAcceptance:
         assert hub.obs.history.quantile_over_time(
             0.5, "replication_lag_rows", 10_000.0, member="site1") is None
         # fleet TSDB: state and series gone
-        assert "site1" not in hub.fleet.member_names()
-        assert hub.fleet.series_count("site1") == 0
-        assert hub.fleet.history.last(
+        assert "site1" not in _members(hub.fleet)
+        assert _member_keys(hub.fleet, "site1") == []
+        assert hub.fleet.last(
             "etl_ingest_records_total", member="site1") is None
         # the survivors still work
-        assert hub.fleet.history.last(
+        assert hub.fleet.last(
             "etl_ingest_records_total", member="site0") is not None
+
+
+class TestDepartedMemberAlerts:
+    """A member that leaves takes its alert states with it, in every
+    scope: otherwise its last firing state pins ``/health`` degraded."""
+
+    def test_fleet_scope_alert_clears_after_leave(self):
+        hub, _, monitor = _demo_fleet_federation(inject_faults=True)
+        assert monitor.alerts.state_of(
+            "fleet_telemetry_stale", "site2").status == "firing"
+        hub.leave("site2")
+        for _ in range(3):
+            hub.sync()
+            monitor.evaluate_alerts()
+        assert monitor.alerts.state_of("fleet_telemetry_stale", "site2") is None
+        assert all(s.member != "site2" for s in monitor.alerts.states())
+        api = XdmodApi({"jobs": jobs_realm()}, hub.schema, monitor=monitor)
+        status, payload, _ = get_json(api, "/health")
+        assert status == 200
+        assert payload["alerts_firing"] == []
+        assert payload["degraded_members"] == []
+        assert payload["fleet_stale_members"] == []
+        assert payload["status"] == "ok"
+
+    def test_member_scope_alert_clears_after_leave(self):
+        hub, _, monitor = _demo_federation(inject_faults=True)
+        assert monitor.alerts.state_of(
+            "sync_failure_burn_rate", "site0").status == "firing"
+        hub.leave("site0")
+        monitor.evaluate_alerts()
+        assert monitor.alerts.state_of("sync_failure_burn_rate", "site0") is None
+        assert monitor.alerts.firing() == []
+        # the survivor is still evaluated
+        assert monitor.alerts.state_of(
+            "sync_failure_burn_rate", "site1") is not None
 
 
 class TestScrapeRidesSync:
@@ -404,7 +467,7 @@ class TestScrapeRidesSync:
 
         def scrapes():
             return {
-                name: len(hub.fleet.history.samples(SEQ_SERIES, member=name))
+                name: len(hub.fleet.samples(SEQ_SERIES, member=name))
                 for name in satellites
             }
 
@@ -427,7 +490,36 @@ class TestScrapeRidesSync:
             assert after["a"] == before["a"] + 1
             assert after["b"] == before["b"] + (out["b"].status == "applied")
         assert statuses == ["applied", "failed", "circuit_open"]
-        assert hub.fleet.last_seq("a") == 3 and hub.fleet.last_seq("b") == 1
+        assert hub.fleet.last(SEQ_SERIES, member="a") == 3
+        assert hub.fleet.last(SEQ_SERIES, member="b") == 1
+
+    def test_series_gauge_is_latest_scrape_and_absent_before_first(self):
+        """``fleet_series_rows{member}`` is the series count of the
+        member's latest scrape; a member never scraped has no child,
+        like ``fleet_staleness_seconds``."""
+        def obs(name):
+            return Observability(clock=FakeClock(auto_advance=0.001), name=name)
+
+        hub = FederationHub("hub", obs=obs("hub"))
+        satellites = {}
+        for name in ("a", "b"):
+            satellites[name] = XdmodInstance(name, obs=obs(name))
+            ingest_jobs(satellites[name].schema, [make_job(i) for i in range(3)])
+        hub.join(satellites["a"])
+        hub.join(satellites["b"], initial_sync=False)
+        inject_apply_faults(
+            hub.member("b").channel,
+            FaultPlan(transient_rate=1.0, transient_burst=10**9),
+        )
+        hub.sync()
+        parsed = parse_prometheus_text(hub.obs.registry.render_prometheus())
+        scraped = sum(
+            1 for _ in satellites["a"].obs.registry.iter_exposition_samples()
+        )
+        assert parsed.value("fleet_series_rows", member="a") == scraped + 1
+        assert parsed.value("fleet_staleness_seconds", member="a") is not None
+        for metric in ("fleet_series_rows", "fleet_staleness_seconds"):
+            assert parsed.value(metric, member="b") is None
 
 
 class TestRestSurface:

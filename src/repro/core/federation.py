@@ -230,7 +230,7 @@ class FederationHub(XdmodInstance):
         )
         self._g_fleet_series = registry.gauge(
             "fleet_series_rows",
-            "Fleet TSDB series currently held per member",
+            "Series in the member's latest fleet scrape",
             ("member",),
         )
         self._g_fleet_staleness = registry.gauge(

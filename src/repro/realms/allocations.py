@@ -41,6 +41,10 @@ class Allocation:
         return self.start_ts <= ts < self.end_ts
 
 
+#: ``dim_allocation``'s columns: the :class:`Allocation` fields, in order
+_ALLOCATION_FIELDS = tuple(f.name for f in fields(Allocation))
+
+
 def allocation_schemas() -> list[TableSchema]:
     return [
         TableSchema(
@@ -96,7 +100,7 @@ def register_allocations(schema: Schema, allocations: Iterable[Allocation]) -> i
             )
     create_allocations_realm(schema)
     return schema.table("dim_allocation").upsert_columns({
-        f.name: [getattr(a, f.name) for a in allocations] for f in fields(Allocation)
+        name: [getattr(a, name) for a in allocations] for name in _ALLOCATION_FIELDS
     })
 
 
@@ -117,21 +121,22 @@ def reconcile_charges(schema: Schema) -> tuple[int, int]:
     resource_names = dimension_labels(schema, "dim_resource")
     pi_names = dimension_labels(schema, "dim_pi")
     by_key: dict[tuple[str, str], list[Allocation]] = {}
-    for grant in schema.table("dim_allocation").rows():
-        allocation = Allocation(**grant)
+    for grant in schema.table("dim_allocation").columns_values(_ALLOCATION_FIELDS):
+        allocation = Allocation(*grant)
         by_key.setdefault(
             (allocation.project, allocation.resource), []
         ).append(allocation)
 
     rows: list[dict] = []
     uncovered = 0
-    for job in schema.table("fact_job").rows():
-        project = pi_names.get(job["pi_id"], "")
-        resource = resource_names.get(job["resource_id"], "")
+    jobs = schema.table("fact_job").columns_values(
+        ("job_id", "pi_id", "resource_id", "end_ts", "xdsu")
+    )
+    for job_id, pi_id, resource_id, end_ts, xdsu in jobs:
+        project = pi_names.get(pi_id, "")
+        resource = resource_names.get(resource_id, "")
         candidates = by_key.get((project, resource), ())
-        match = next(
-            (a for a in candidates if a.active_at(job["end_ts"])), None
-        )
+        match = next((a for a in candidates if a.active_at(end_ts)), None)
         if match is None:
             uncovered += 1
             continue
@@ -139,11 +144,11 @@ def reconcile_charges(schema: Schema) -> tuple[int, int]:
             {
                 "charge_id": len(rows) + 1,
                 "allocation_id": match.allocation_id,
-                "job_id": job["job_id"],
-                "resource_id": job["resource_id"],
+                "job_id": job_id,
+                "resource_id": resource_id,
                 "project": project,
-                "end_ts": job["end_ts"],
-                "xdsu_charged": job["xdsu"],
+                "end_ts": end_ts,
+                "xdsu_charged": xdsu,
             }
         )
     charges.upsert_columns(charges.schema.columns_from_rows(rows))
@@ -192,22 +197,26 @@ def allocation_balances(schema: Schema) -> list[dict]:
     """Point-in-time remaining balance per allocation (ops report)."""
     create_allocations_realm(schema)
     charged: dict[int, float] = {}
-    for charge in schema.table("fact_allocation_charge").rows():
-        charged[charge["allocation_id"]] = (
-            charged.get(charge["allocation_id"], 0.0) + charge["xdsu_charged"]
-        )
+    charges = schema.table("fact_allocation_charge").columns_values(
+        ("allocation_id", "xdsu_charged")
+    )
+    for allocation_id, xdsu_charged in charges:
+        charged[allocation_id] = charged.get(allocation_id, 0.0) + xdsu_charged
     out = []
-    for row in schema.table("dim_allocation").rows():
-        used = charged.get(row["allocation_id"], 0.0)
+    grants = schema.table("dim_allocation").columns_values(
+        ("allocation_id", "project", "resource", "su_granted")
+    )
+    for allocation_id, project, resource, su_granted in grants:
+        used = charged.get(allocation_id, 0.0)
         out.append(
             {
-                "allocation_id": row["allocation_id"],
-                "project": row["project"],
-                "resource": row["resource"],
-                "su_granted": row["su_granted"],
+                "allocation_id": allocation_id,
+                "project": project,
+                "resource": resource,
+                "su_granted": su_granted,
                 "xdsu_charged": used,
-                "remaining": row["su_granted"] - used,
-                "overspent": used > row["su_granted"],
+                "remaining": su_granted - used,
+                "overspent": used > su_granted,
             }
         )
     out.sort(key=lambda r: r["allocation_id"])

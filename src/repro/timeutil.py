@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import calendar
 import datetime as _dt
+import functools
 import re
 from typing import Iterator
 
@@ -39,25 +40,41 @@ def iso(epoch: int) -> str:
 _CANONICAL_ISO = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", re.ASCII)
 
 
+@functools.lru_cache(maxsize=4096)
+def _midnight(date: str) -> int:
+    """Epoch seconds of UTC midnight on canonical ``YYYY-MM-DD`` ``date``,
+    one ``datetime`` per distinct day (sacct stamps cluster on a few
+    hundred); an invalid date raises ``ValueError`` as ``datetime`` does."""
+    return int(
+        _dt.datetime(
+            int(date[:4]), int(date[5:7]), int(date[8:]), tzinfo=_dt.timezone.utc
+        ).timestamp()
+    )
+
+
 def parse_iso(text: str) -> int:
     """Epoch seconds for an ISO-8601 ``YYYY-MM-DDTHH:MM:SS`` string.
 
     What parses, and to what, is ``strptime``'s decision.  Text of exactly
     the canonical shape (zero-padded ASCII digits — every stamp sacct
-    writes) is read from its six slices, which ``strptime`` would read to
-    the same fields at several times the cost; anything else goes to
-    ``strptime`` itself, so both reject the same input with ``ValueError``.
+    writes) is read from its slices: the date through a bounded cache of
+    midnights (one ``datetime`` per distinct day, which validates it) and
+    the time of day by arithmetic, range-checked as ``datetime`` checks
+    it; ``strptime`` would read the same fields at several times the
+    cost.  Anything else goes to ``strptime`` itself, so both reject the
+    same input with ``ValueError``.
     """
     if _CANONICAL_ISO.fullmatch(text):
-        dt = _dt.datetime(
-            int(text[:4]), int(text[5:7]), int(text[8:10]),
-            int(text[11:13]), int(text[14:16]), int(text[17:]),
-            tzinfo=_dt.timezone.utc,
+        hour, minute, second = int(text[11:13]), int(text[14:16]), int(text[17:])
+        if hour > 23 or minute > 59 or second > 59:
+            raise ValueError(f"time of day out of range in {text!r}")
+        return (
+            _midnight(text[:10])
+            + hour * SECONDS_PER_HOUR + minute * SECONDS_PER_MINUTE + second
         )
-    else:
-        dt = _dt.datetime.strptime(text, "%Y-%m-%dT%H:%M:%S").replace(
-            tzinfo=_dt.timezone.utc
-        )
+    dt = _dt.datetime.strptime(text, "%Y-%m-%dT%H:%M:%S").replace(
+        tzinfo=_dt.timezone.utc
+    )
     return int(dt.timestamp())
 
 

@@ -10,6 +10,12 @@ sequence number (LSN).  Replicators (see :mod:`repro.core.replicator`) hold a
 applied LSN — exactly the fan-in, resume-from-position semantics Tungsten
 gives the paper's "tight" federation.
 
+A batch write (:meth:`Binlog.extend`, one per run of like events in a
+``Table.upsert_columns``) is stored as one record holding the row tuples
+the table stores, and its events are built when read: a bulk load keeps
+no object per row in the log, while every reader sees the events — LSNs,
+payloads, checksums — that one append per row would have logged.
+
 Events carry enough information to be applied to an empty schema:
 ``create_table`` events embed the full table schema, and row events embed the
 full row image (before-image for deletes/updates keyed by primary key).
@@ -26,8 +32,9 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from ..analysis.sanitizer import create_lock
 from .errors import BinlogError
@@ -91,8 +98,42 @@ class BinlogEvent:
         )
 
 
+class _Batch(NamedTuple):
+    """One :meth:`Binlog.extend`: a run of ``INSERT`` or ``UPDATE`` events
+    on one table, kept as the row tuples the table stores (and, for
+    updates, their keys) — the events are built when read."""
+
+    base: int
+    etype: EventType
+    table: str
+    names: tuple[str, ...]
+    rows: Sequence[tuple[Any, ...]]
+    keys: Sequence[tuple[Any, ...]] | None
+
+    def events(self, lo: int, hi: int) -> list[BinlogEvent]:
+        """Events ``base + lo`` up to ``base + hi``, with fresh payloads."""
+        base, etype, table, names = self.base + lo, self.etype, self.table, self.names
+        rows = self.rows[lo:hi]
+        if self.keys is None:
+            return [
+                BinlogEvent(base + i, etype, table, {"row": dict(zip(names, row))})
+                for i, row in enumerate(rows)
+            ]
+        return [
+            BinlogEvent(
+                base + i, etype, table,
+                {"key": list(key), "row": dict(zip(names, row))},
+            )
+            for i, (key, row) in enumerate(zip(self.keys[lo:hi], rows))
+        ]
+
+
 class Binlog:
     """Append-only, in-memory change log for one schema.
+
+    The log is a list of chunks, each one event (:meth:`append`) or one
+    batch record (:meth:`extend`), with the LSN each starts at;
+    :meth:`read_from` builds the events of a window from them.
 
     Thread-safe: ingest (the ETL pipeline) and replication (the federation
     replicator thread) may run concurrently, as they do in a live XDMoD
@@ -105,88 +146,118 @@ class Binlog:
         on_append: Callable[[int], None] | None = None,
         trace_provider: Callable[[], Any] | None = None,
     ) -> None:
-        self._events: list[BinlogEvent] = []
-        self._lock = create_lock("Binlog")  # guards: _events
+        self._chunks: list[BinlogEvent | _Batch] = []
+        self._starts: list[int] = []  # first LSN of each chunk
+        self._head = 0
+        self._lock = create_lock("Binlog")  # guards: _chunks, _starts, _head
         #: telemetry hook, called with the number of events recorded (once
         #: per :meth:`append`, once per :meth:`extend`) — must be cheap and
         #: non-raising; invoked outside the log lock so a slow observer
         #: cannot stall replication tails
         self._on_append = on_append
         #: trace propagation: called per append / per batch (outside the
-        #: lock) for the live trace context, kept in a sidecar keyed by LSN
-        #: so event payloads — and therefore binlog/dump checksums — never
-        #: change
+        #: lock) for the live trace context, kept in a sidecar keyed by the
+        #: chunk's first LSN so event payloads — and therefore binlog/dump
+        #: checksums — never change
         self._trace_provider = trace_provider
         self._trace: dict[int, Any] = {}
+
+    def _recorded(self, base: int, n: int) -> None:
+        """Telemetry and trace context for a chunk just recorded; outside
+        the lock."""
+        if self._on_append is not None:
+            self._on_append(n)
+        if self._trace_provider is not None:
+            context = self._trace_provider()
+            if context is not None:
+                self._trace[base] = context
 
     def append(self, etype: EventType, table: str, data: dict[str, Any] | None = None) -> BinlogEvent:
         """Record one event; returns it with its assigned LSN."""
         with self._lock:
             event = BinlogEvent(
-                lsn=len(self._events), etype=etype, table=table, data=data or {}
+                lsn=self._head, etype=etype, table=table, data=data or {}
             )
-            self._events.append(event)
-        if self._on_append is not None:
-            self._on_append(1)
-        if self._trace_provider is not None:
-            context = self._trace_provider()
-            if context is not None:
-                self._trace[event.lsn] = context
+            self._chunks.append(event)
+            self._starts.append(event.lsn)
+            self._head += 1
+        self._recorded(event.lsn, 1)
         return event
 
     def extend(
-        self, etype: EventType, table: str, payloads: Sequence[dict[str, Any]]
-    ) -> list[BinlogEvent]:
-        """Record one ``etype`` event on ``table`` per payload, as a batch.
+        self,
+        etype: EventType,
+        table: str,
+        names: Sequence[str],
+        rows: Sequence[tuple[Any, ...]],
+        keys: Sequence[tuple[Any, ...]] | None = None,
+    ) -> int:
+        """Record one ``etype`` event on ``table`` per row, as one batch
+        record; returns the first LSN.
 
-        The log ends up exactly as after one :meth:`append` per payload —
-        same events, same LSNs — but the batch takes the lock once (so its
-        LSNs are contiguous even under concurrent appenders), calls the
-        telemetry hook once with the count, and captures one trace context
-        shared by all its LSNs.
+        ``rows`` are row tuples over ``names``, kept as they are (callers
+        hand over tuples nothing mutates): each reads back as an
+        ``INSERT`` payload ``{"row": dict(zip(names, row))}`` or, given
+        ``keys`` (one per row), an ``UPDATE`` payload ``{"key":
+        list(key), "row": ...}``.  The events read back exactly as after
+        one :meth:`append` per row — same events, same LSNs — but the
+        batch takes the lock once (so its LSNs are contiguous even under
+        concurrent appenders), keeps no object per row, calls the
+        telemetry hook once with the count, and captures one trace
+        context shared by all its LSNs.
         """
+        n = len(rows)
         with self._lock:
-            base = len(self._events)
-            events = [
-                BinlogEvent(lsn=base + i, etype=etype, table=table, data=data)
-                for i, data in enumerate(payloads)
-            ]
-            self._events.extend(events)
-        if not events:
-            return events
-        if self._on_append is not None:
-            self._on_append(len(events))
-        if self._trace_provider is not None:
-            context = self._trace_provider()
-            if context is not None:
-                self._trace.update(dict.fromkeys(range(base, base + len(events)), context))
-        return events
+            base = self._head
+            if n:
+                self._chunks.append(_Batch(base, etype, table, tuple(names), rows, keys))
+                self._starts.append(base)
+                self._head += n
+        if n:
+            self._recorded(base, n)
+        return base
 
     def trace_context(self, lsn: int):
         """Trace context captured when event ``lsn`` was appended (or None)."""
-        return self._trace.get(lsn)
+        if not 0 <= lsn < self._head:
+            return None
+        return self._trace.get(self._starts[bisect_right(self._starts, lsn) - 1])
 
     @property
     def head_lsn(self) -> int:
         """LSN that the *next* appended event will receive."""
         with self._lock:
-            return len(self._events)
+            return self._head
 
     def read_from(self, lsn: int, limit: int | None = None) -> list[BinlogEvent]:
         """Return events with LSN >= ``lsn``, up to ``limit`` of them.
 
         Requesting a position beyond the head is allowed (empty result); a
-        negative position is a :class:`BinlogError`.
+        negative position is a :class:`BinlogError`.  Events of a batch
+        record are built by the read, each with a fresh payload.
         """
         if lsn < 0:
             raise BinlogError(f"negative LSN {lsn}")
         with self._lock:
-            chunk = self._events[lsn : (lsn + limit) if limit is not None else None]
-            return list(chunk)
+            stop = self._head if limit is None else min(self._head, lsn + limit)
+            if lsn >= stop:
+                return []
+            starts = self._starts
+            first = bisect_right(starts, lsn) - 1
+            chunks = self._chunks[first : bisect_left(starts, stop, first)]
+        events: list[BinlogEvent] = []
+        for chunk in chunks:
+            if type(chunk) is BinlogEvent:
+                events.append(chunk)
+            else:
+                events.extend(chunk.events(
+                    max(lsn - chunk.base, 0), stop - chunk.base
+                ))
+        return events
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._events)
+            return self._head
 
     def __iter__(self) -> Iterator[BinlogEvent]:
         return iter(self.read_from(0))

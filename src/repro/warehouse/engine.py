@@ -201,55 +201,62 @@ class Table:
         """Upsert a batch of rows held as equal-length columns (NumPy
         arrays or sequences keyed by column name); returns the row count.
 
-        The table, its ``data_version`` and the binlog end up exactly as
-        after one :meth:`upsert` per row in batch order (:meth:`insert` on
-        a keyless table): a key already stored — or repeated earlier in
-        the batch — is updated in place, and every row logs its own
-        ``INSERT`` / ``UPDATE`` event.  What differs is the cost and the
-        failure mode: the whole batch is validated first
-        (:meth:`TableSchema.normalize_columns`, every check ``upsert``
-        makes), so a bad value anywhere raises before anything is written;
-        then the versions move once, by the row count, the column cache is
-        kept (only new keys: see :meth:`column_array`) or cleared once, and
-        each run of like events reaches the binlog through one
-        :meth:`Binlog.extend` (a derived table builds no row images and
-        logs nothing).  An empty batch writes nothing and bumps
-        nothing.
+        The table, its ``data_version`` and the events the binlog reads
+        back end up exactly as after one :meth:`upsert` per row in batch
+        order (:meth:`insert` on a keyless table): a key already stored —
+        or repeated earlier in the batch — is updated in place, and every
+        row reads back as its own ``INSERT`` / ``UPDATE`` event.  What
+        differs is the cost and the failure mode: the whole batch is
+        validated first (:meth:`TableSchema.normalize_columns`, every
+        check ``upsert`` makes), so a bad value anywhere raises before
+        anything is written; then the versions move once, by the row
+        count, the column cache is kept (only new keys: see
+        :meth:`column_array`) or cleared once, and each run of like
+        events is one :meth:`Binlog.extend` record holding the stored row
+        tuples (a derived table logs nothing).  A batch with no key
+        already stored and none repeated — every append — is one list
+        extend, one index update and one record.  An empty batch writes
+        nothing and bumps nothing.
         """
         stored = self.schema.normalize_columns(columns)
         rows = list(zip(*stored))
-        if not rows:
+        n = len(rows)
+        if not n:
             return 0
         names = self.schema.column_names
         key_columns = [stored[self.schema.position(c)] for c in self.schema.primary_key]
-        keys = zip(*key_columns) if key_columns else itertools.repeat(())
         table_rows, index = self._rows, self._pk_index
         logged = not self.schema.derived
-        log: list[tuple[EventType, dict[str, Any]]] = []
-        replaced = False
+        keys = list(zip(*key_columns)) if key_columns else None
+        # each key's row id were every row appended (a keyless table has no index)
+        fresh = dict(zip(keys, itertools.count(len(table_rows)))) if keys else {}
+        if keys is None or (len(fresh) == n and index.keys().isdisjoint(fresh)):
+            table_rows.extend(rows)
+            index.update(fresh)
+            self._live_count += n
+            self._appended(n)
+            if logged:
+                self._owner.binlog.extend(EventType.INSERT, self.name, names, rows)
+            return n
+        log: list[tuple[bool, tuple[Any, ...], tuple[Any, ...]]] = []
         for row, key in zip(rows, keys):
-            rid = index.get(key)  # a keyless table's index stays empty
+            rid = index.get(key)
             if rid is not None:
                 table_rows[rid] = row
-                replaced = True
-                if logged:
-                    log.append((
-                        EventType.UPDATE,
-                        {"key": list(key), "row": dict(zip(names, row))},
-                    ))
-                continue
-            if key_columns:
+            else:
                 index[key] = len(table_rows)
-            table_rows.append(row)
-            self._live_count += 1
-            if logged:
-                log.append((EventType.INSERT, {"row": dict(zip(names, row))}))
-        (self._mutated if replaced else self._appended)(len(rows))
-        for etype, run in itertools.groupby(log, key=itemgetter(0)):
-            self._owner.binlog.extend(
-                etype, self.name, [payload for _, payload in run]
-            )
-        return len(rows)
+                table_rows.append(row)
+                self._live_count += 1
+            log.append((rid is not None, row, key))
+        self._mutated(n)  # a key was stored or repeated: some row was replaced
+        if logged:
+            for updated, run in itertools.groupby(log, key=itemgetter(0)):
+                _, run_rows, run_keys = zip(*run)
+                etype = EventType.UPDATE if updated else EventType.INSERT
+                self._owner.binlog.extend(
+                    etype, self.name, names, run_rows, run_keys if updated else None
+                )
+        return n
 
     def get(self, key: Sequence[Any]) -> dict[str, Any] | None:
         """Primary-key point lookup; returns the row dict or None."""

@@ -6,7 +6,8 @@ suite runs in seconds; the benchmarks exercise year-scale data.
 The ``soak`` hypothesis profile runs the property tests that read
 :func:`property_settings` (fold == rebuild, batch writes, the column
 cache, loose fan-in equivalence, the compiled JSON Schema validator
-against its interpreter) at 400 examples each:
+against its interpreter, binlog batch records against the per-event log
+and binlog replay) at 400 examples each:
 ``pytest --hypothesis-profile=soak``.
 """
 

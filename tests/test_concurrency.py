@@ -442,7 +442,7 @@ class TestBinlogBatchRace:
     def test_appends_and_batches_interleave_into_a_dense_log(self, lock_sanitizer):
         """``Binlog.extend`` takes the log lock once per batch: whatever
         single appends race it, LSNs stay dense and unique, every batch
-        occupies consecutive LSNs in payload order, and the telemetry
+        occupies consecutive LSNs in row order, and the telemetry
         hook has counted every event exactly once."""
         counted = []
         log = Binlog(on_append=counted.append)
@@ -458,13 +458,15 @@ class TestBinlogBatchRace:
         def batcher(worker):
             def run():
                 for b in range(n_batches):
-                    events = log.extend(
-                        EventType.UPDATE, "t",
-                        [{"batch": (worker, b), "i": i} for i in range(b % 8)],
+                    rows = [(worker, b, i) for i in range(b % 8)]
+                    base = log.extend(
+                        EventType.UPDATE, "t", ("worker", "batch", "i"),
+                        rows, [(i,) for i in range(len(rows))],
                     )
-                    assert [e.lsn - events[0].lsn for e in events] == list(
-                        range(len(events))
-                    )
+                    events = log.read_from(base, len(rows))
+                    assert [(e.lsn - base, e.data["row"]["i"]) for e in events] == [
+                        (i, i) for i in range(len(rows))
+                    ]
 
             return run
 
@@ -479,10 +481,12 @@ class TestBinlogBatchRace:
         assert sum(counted) == len(events)
         batches: dict = {}
         for event in events:
-            if "batch" in event.data:
-                batches.setdefault(event.data["batch"], []).append(event)
+            if "row" in event.data:
+                row = event.data["row"]
+                batches.setdefault((row["worker"], row["batch"]), []).append(event)
         for (worker, b), batch in batches.items():
-            assert [e.data["i"] for e in batch] == list(range(b % 8))
+            assert [e.data["row"]["i"] for e in batch] == list(range(b % 8))
+            assert [e.data["key"] for e in batch] == [[i] for i in range(b % 8)]
             assert [e.lsn for e in batch] == list(
                 range(batch[0].lsn, batch[0].lsn + len(batch))
             )

@@ -50,11 +50,16 @@ repeated inside the batch updates).  The whole batch is validated first
 errors, plus equal lengths), so a bad value anywhere raises before anything
 is written; what is stored is a plain `int` / `float` / `str`, never a
 NumPy scalar.  Versions move once, by the row count, the column cache is
-cleared once, and the events — one `INSERT` / `UPDATE` per row, as ever —
-are appended through `Binlog.extend(etype, table, payloads)`: one lock
-acquisition (so a batch's LSNs are contiguous), one telemetry call with the
-count, one trace context shared by the batch.  An empty batch writes and
-bumps nothing.
+kept (a batch of new keys only, which is one list extend and one index
+update) or cleared once, and each run of like events is one record,
+`Binlog.extend(etype, table, names, rows, keys=None)`, holding the stored
+row tuples (and, for `UPDATE`s, their keys): one lock acquisition (so a
+batch's LSNs are contiguous), one telemetry call with the count, one trace
+context shared by the batch, and no object per row.  Events are built
+when read: `read_from` turns each row into the `INSERT` / `UPDATE` event
+one `upsert` per row would have logged — same LSN, same payload, a fresh
+dict on every read — so readers, checksums and dumps see the log as
+before.  An empty batch writes and bumps nothing.
 
 Every bulk writer reaches its table this way, and only this way:
 

@@ -282,7 +282,7 @@ class MutationWithoutVersionBumpRule(Rule):
                     f"engine skip the data_version bump (stale columnar "
                     f"cache) and the binlog (lost replication) — use "
                     f"insert/upsert/upsert_columns/update_where/delete_where/"
-                    f"delete_key/truncate, or Schema.apply_event/apply_events "
+                    f"delete_key/truncate, or Schema.apply_event/apply_rows "
                     f"for replicated events",
                 )
 

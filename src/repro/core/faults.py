@@ -10,7 +10,7 @@ replays identically under a debugger.
 The injectors wrap existing objects rather than patching them:
 
 - :class:`FaultySchema` wraps a hub-side :class:`~repro.warehouse.Schema`
-  and makes ``apply_event`` / ``apply_events`` fail according to a
+  and makes ``apply_event`` / ``apply_rows`` fail according to a
   :class:`FaultPlan`;
 - :class:`StalledCursor` wraps a :class:`~repro.warehouse.BinlogCursor`
   and returns nothing from ``poll`` for a configured number of cycles;
@@ -27,9 +27,9 @@ import gzip
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
-from ..warehouse import BinlogCursor, BinlogEvent, Schema
+from ..warehouse import BinlogCursor, BinlogEvent, RowBatch, Schema
 
 
 class InjectedFault(Exception):
@@ -105,7 +105,7 @@ class FaultPlan:
 class FaultySchema:
     """A :class:`~repro.warehouse.Schema` proxy whose applies fail to plan.
 
-    ``apply_event`` and ``apply_events`` raise what the :class:`FaultPlan`
+    ``apply_event`` and ``apply_rows`` raise what the :class:`FaultPlan`
     holds for the LSNs they are given.
 
     Everything else delegates to the wrapped schema, so a replication
@@ -129,20 +129,19 @@ class FaultySchema:
             raise error
         self._target.apply_event(event)
 
-    def apply_events(self, events: Sequence[BinlogEvent]) -> None:
-        """Refuse the whole run with the first fault the plan holds for any
-        of its LSNs, consuming no attempt: the channel then applies the run
-        event by event through :meth:`apply_event`, which counts attempts
-        per LSN exactly as if there had been no batch."""
-        for event in events:
-            error = self.plan.should_fail(
-                event.lsn, self.attempts.get(event.lsn, 0)
-            )
+    def apply_rows(self, batch: RowBatch) -> None:
+        """Refuse the whole batch with the first fault the plan holds for
+        any of its LSNs, consuming no attempt: the channel then applies
+        the batch event by event through :meth:`apply_event`, which counts
+        attempts per LSN exactly as if there had been no batch."""
+        lsns = range(batch.base, batch.base + len(batch.rows))
+        for lsn in lsns:
+            error = self.plan.should_fail(lsn, self.attempts.get(lsn, 0))
             if error is not None:
                 raise error
-        self._target.apply_events(events)
-        for event in events:
-            self.attempts[event.lsn] = self.attempts.get(event.lsn, 0) + 1
+        self._target.apply_rows(batch)
+        for lsn in lsns:
+            self.attempts[lsn] = self.attempts.get(lsn, 0) + 1
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._target, name)
@@ -175,7 +174,7 @@ class StalledCursor:
     def stalled(self) -> bool:
         return self.polls_seen < self.stall_polls
 
-    def poll(self, max_events: int | None = None) -> list[BinlogEvent]:
+    def poll(self, max_events: int | None = None) -> list[BinlogEvent | RowBatch]:
         self.polls_seen += 1
         if self.polls_seen <= self.stall_polls:
             return []

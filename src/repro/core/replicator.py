@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Iterable, Iterator, Sequence
 
 from ..etl.perfingest import HEAVY_TABLES
 from ..etl.star import JOBS_REALM_TABLES
 from ..obs import Observability
-from ..warehouse import BinlogCursor, BinlogEvent, Database, EventType, Schema, Table
+from ..warehouse import BinlogCursor, BinlogEvent, Database, EventType, RowBatch, Schema, Table
 from ..warehouse import dump_schema, load_schema
 from .errors import ReplicationError
 from .resilience import DeadLetterQueue, RetryPolicy
@@ -172,7 +173,8 @@ class ReplicationFilter:
         ``table`` whose routing column holds ``value`` must not reach the
         hub — a ``dim_resource`` row by its own name, a resource-scoped
         row by its resource's current name.  :meth:`admit` applies it to
-        an event's row image, :meth:`rows` to a table's rows."""
+        an event's row image, :meth:`split` to a batch record's rows,
+        :meth:`rows` to a table's rows."""
         name = value if table == "dim_resource" else self._resource_names.get(value)
         return name is not None and self.resource_excluded(name)
 
@@ -207,6 +209,37 @@ class ReplicationFilter:
             # the first PK component on all resource-scoped tables
             value = event.data["key"][0]
         return not self.routed_out(table, value)
+
+    def split(self, batch: RowBatch) -> Iterator[tuple[bool, RowBatch]]:
+        """:meth:`admit` for a batch record: its rows, cut in log order
+        into ``(admitted, slice)`` pairs, learning resource names from a
+        ``dim_resource`` batch as the events would teach them.  A batch
+        row is a full row image, so its routing value is in the row."""
+        table, names, rows = batch.table, batch.names, batch.rows
+        allowed, column = self.table_allowed(table), _ROUTED_BY.get(table)
+        at = names.index(column) if allowed and column in names else None
+        if table == "dim_resource" and at is not None and "resource_id" in names:
+            ids = names.index("resource_id")
+            for row in rows:
+                self.note_resource(row[ids], row[at])
+        if at is None or not self.routes(table):
+            yield allowed, batch
+            return
+        lsn = batch.base
+        for out, run in groupby(self.routed_out(table, row[at]) for row in rows):
+            stop = lsn + sum(1 for _ in run)
+            yield not out, batch.window(lsn, stop)
+            lsn = stop
+
+
+def _gathered(run: list[BinlogEvent], key: tuple) -> tuple[bool, Any, BinlogEvent | RowBatch]:
+    """A run of admitted single ``INSERT`` events with one ``(table, trace
+    context, column names)`` key and contiguous LSNs, as one record."""
+    table, context, names = key
+    if len(run) == 1:
+        return True, context, run[0]
+    rows = [tuple(event.data["row"].values()) for event in run]
+    return True, context, RowBatch(run[0].lsn, EventType.INSERT, table, names, rows, None)
 
 
 @dataclass
@@ -339,48 +372,58 @@ class ReplicationChannel:
         return self.apply(self.cursor.poll(max_events))
 
     def _runs(
-        self, events: Sequence[BinlogEvent], traced: bool
-    ) -> Iterator[tuple[bool, Any, list[BinlogEvent]]]:
-        """Cut polled events into ``(admitted, trace context, run)``.
-
-        A run longer than one event is a stretch of admitted ``INSERT``s
-        on one table under one trace context — what
-        :meth:`~repro.warehouse.Schema.apply_events` lands as one batch.
-        Every table change, context change, other event type and filtered
-        event ends the run; each event meets the filter once, in log
-        order.
+        self, records: Sequence[BinlogEvent | RowBatch], traced: bool
+    ) -> Iterator[tuple[bool, Any, BinlogEvent | RowBatch]]:
+        """Cut polled records into ``(admitted, trace context, record)``:
+        events, slices of batch records (:meth:`ReplicationFilter.split`),
+        and stretches of admitted single ``INSERT`` events gathered into a
+        :class:`RowBatch`, each ended by any other record or a change of
+        table, trace context or column set.  Each record meets the filter
+        once, in log order, and has its trace context looked up once.
         """
         trace_of = self.source.binlog.trace_context
         run: list[BinlogEvent] = []
-        run_key = None
-        for event in events:
+        run_key: tuple = ()
+        for record in records:
+            if type(record) is RowBatch:
+                context = trace_of(record.base) if traced else None
+                if run:
+                    yield _gathered(run, run_key)
+                    run = []
+                for admitted, part in self.filter.split(record):
+                    yield admitted, context, part
+                continue
+            event = record
             context = trace_of(event.lsn) if traced else None
             admitted = self.filter.admit(event)
-            batchable = admitted and event.etype is EventType.INSERT
-            key = (event.table, context)
-            if run and not (batchable and key == run_key):
-                yield True, run_key[1], run
-                run = []
-            if batchable:
+            if admitted and event.etype is EventType.INSERT:
+                key = (event.table, context, tuple(event.data["row"]))
+                if run and (key != run_key or event.lsn != run[0].lsn + len(run)):
+                    yield _gathered(run, run_key)
+                    run = []
                 run.append(event)
                 run_key = key
-            else:
-                yield admitted, context, [event]
+                continue
+            if run:
+                yield _gathered(run, run_key)
+                run = []
+            yield admitted, context, event
         if run:
-            yield True, run_key[1], run
+            yield _gathered(run, run_key)
 
-    def apply(self, events: Sequence[BinlogEvent]) -> int:
-        """Apply ``events`` — a stretch of the source log, in LSN order —
-        to the hub; returns events applied.
+    def apply(self, records: Sequence[BinlogEvent | RowBatch]) -> int:
+        """Apply ``records`` — a stretch of the source log, in LSN order,
+        as events and :class:`RowBatch` records — to the hub; returns
+        events applied.
 
-        The one apply path: each event meets the filter, admitted
-        ``INSERT`` runs land through :meth:`Schema.apply_events` with the
-        per-event fallback, and the cursor is committed past each event
-        as it resolves.  :meth:`pump` feeds it from the cursor, and a
-        loose channel feeds it a verified binlog segment.
+        The one apply path: each record meets the filter, admitted row
+        batches land through :meth:`Schema.apply_rows` with the per-event
+        fallback, and the cursor is committed past each record as it
+        resolves.  :meth:`pump` feeds it from the cursor, and a loose
+        channel feeds it a verified binlog segment.
         """
         if self.obs is None:
-            return self._apply(events)
+            return self._apply(records)
         # telemetry is batch-level: snapshot the lifetime counters, run
         # the batch, publish the deltas — one histogram observation and
         # at most four counter bumps per batch, never per event
@@ -392,7 +435,7 @@ class ReplicationChannel:
         start = self.obs.clock.now()
         with self.obs.tracer.span("replication_pump", channel=self.name):
             try:
-                return self._apply(events)
+                return self._apply(records)
             finally:
                 self._h_pump.observe(self.obs.clock.now() - start)
                 if stats.events_applied != applied0:
@@ -406,12 +449,12 @@ class ReplicationChannel:
                         stats.events_quarantined - quarantined0
                     )
 
-    def _apply(self, events: Sequence[BinlogEvent]) -> int:
+    def _apply(self, records: Sequence[BinlogEvent | RowBatch]) -> int:
         applied = 0
         # cross-member propagation: each event carries the trace context
-        # captured at satellite append time; contiguous runs sharing one
-        # (context, table) open a single re-parented hub_apply span, so
-        # span volume is bounded by context transitions, not event count
+        # captured at satellite append time; contiguous records sharing
+        # one (context, table) open a single re-parented hub_apply span,
+        # so span volume is bounded by context transitions, not event count
         tracer = self.obs.tracer if self.obs is not None else None
         group_span = None
         group_key = None
@@ -427,14 +470,17 @@ class ReplicationChannel:
             group_n = 0
 
         try:
-            for admitted, context, run in self._runs(events, tracer is not None):
+            for admitted, context, record in self._runs(records, tracer is not None):
+                single = type(record) is BinlogEvent
+                n = 1 if single else len(record.rows)
+                last = (record.lsn if single else record.base) + n - 1
                 if not admitted:
-                    self.stats.events_filtered += 1
-                    self.stats.events_seen += 1
-                    self.cursor.commit(run[0].lsn)
+                    self.stats.events_filtered += n
+                    self.stats.events_seen += n
+                    self.cursor.commit(last)
                     continue
                 if tracer is not None:
-                    key = (context, run[0].table)
+                    key = (context, record.table)
                     if key != group_key:
                         close_group()
                         if context is not None:
@@ -442,17 +488,17 @@ class ReplicationChannel:
                                 "hub_apply",
                                 remote=context,
                                 channel=self.name,
-                                table=run[0].table,
+                                table=record.table,
                             ).__enter__()
                             group_key = key
-                    group_n += len(run)
-                if len(run) > 1 and self._apply_batch(run):
-                    self.stats.events_applied += len(run)
-                    self.stats.events_seen += len(run)
-                    applied += len(run)
-                    self.cursor.commit(run[-1].lsn)
+                    group_n += n
+                if n > 1 and self._apply_batch(record):
+                    self.stats.events_applied += n
+                    self.stats.events_seen += n
+                    applied += n
+                    self.cursor.commit(last)
                     continue
-                for event in run:
+                for event in (record,) if single else record.events():
                     error = self._try_apply(event)
                     if error is not None:
                         attempts = 1 + (
@@ -479,12 +525,12 @@ class ReplicationChannel:
             self.stats.syncs += 1
         return applied
 
-    def _apply_batch(self, run: list[BinlogEvent]) -> bool:
-        """Apply a run as one batch; False when it raised (nothing was
-        applied) and the run has to go event by event, which is where
-        retries, quarantine and the LSN at fault are accounted."""
+    def _apply_batch(self, batch: RowBatch) -> bool:
+        """Apply a batch's rows at once; False when it raised (nothing
+        was applied) and the batch has to go event by event, which is
+        where retries, quarantine and the LSN at fault are accounted."""
         try:
-            self.target.apply_events(run)
+            self.target.apply_rows(batch)
             return True
         # repolint: ignore[overbroad-except] -- quarantine boundary: whatever the batch raised is raised again, and captured, by the per-event apply
         except Exception:

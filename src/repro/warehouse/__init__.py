@@ -7,12 +7,13 @@ Public surface:
   :func:`repro.aggregation.group_reduce` (there is no row-level query API)
 - :class:`TableSchema`, :class:`Column`, :class:`ColumnType` — catalog types
 - :class:`Binlog`, :class:`BinlogCursor`, :class:`BinlogEvent`,
-  :class:`EventType` — change-data-capture used by federation
+  :class:`EventType`, :class:`RowBatch` — change-data-capture used by
+  federation
 - :func:`dump_schema` / :func:`load_schema` and the dump-file helpers —
   loose federation and backup transport
 """
 
-from .binlog import Binlog, BinlogCursor, BinlogEvent, EventType
+from .binlog import Binlog, BinlogCursor, BinlogEvent, EventType, RowBatch
 from .dump import (
     dump_schema,
     load_schema,
@@ -47,6 +48,7 @@ __all__ = [
     "EventType",
     "IntegrityError",
     "PrimaryKeyError",
+    "RowBatch",
     "Schema",
     "SchemaError",
     "Table",

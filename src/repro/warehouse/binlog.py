@@ -98,10 +98,12 @@ class BinlogEvent:
         )
 
 
-class _Batch(NamedTuple):
-    """One :meth:`Binlog.extend`: a run of ``INSERT`` or ``UPDATE`` events
-    on one table, kept as the row tuples the table stores (and, for
-    updates, their keys) — the events are built when read."""
+class RowBatch(NamedTuple):
+    """A batch record: a run of ``INSERT`` or ``UPDATE`` events as rows.
+
+    One :meth:`Binlog.extend` on one table, kept as the row tuples the
+    table stores (and, for updates, their keys) — the events are built
+    when read, and a hub applies the rows as they are."""
 
     base: int
     etype: EventType
@@ -110,21 +112,28 @@ class _Batch(NamedTuple):
     rows: Sequence[tuple[Any, ...]]
     keys: Sequence[tuple[Any, ...]] | None
 
-    def events(self, lo: int, hi: int) -> list[BinlogEvent]:
-        """Events ``base + lo`` up to ``base + hi``, with fresh payloads."""
-        base, etype, table, names = self.base + lo, self.etype, self.table, self.names
-        rows = self.rows[lo:hi]
+    def window(self, lsn: int, stop: int) -> "RowBatch":
+        """The part of the batch from LSN ``lsn`` up to ``stop``."""
+        lo, hi = max(lsn - self.base, 0), stop - self.base
+        if lo == 0 and hi >= len(self.rows):
+            return self
+        keys = None if self.keys is None else self.keys[lo:hi]
+        return self._replace(base=self.base + lo, rows=self.rows[lo:hi], keys=keys)
+
+    def events(self) -> list[BinlogEvent]:
+        """The batch's events, with fresh payloads."""
+        base, etype, table, names = self.base, self.etype, self.table, self.names
         if self.keys is None:
             return [
                 BinlogEvent(base + i, etype, table, {"row": dict(zip(names, row))})
-                for i, row in enumerate(rows)
+                for i, row in enumerate(self.rows)
             ]
         return [
             BinlogEvent(
                 base + i, etype, table,
                 {"key": list(key), "row": dict(zip(names, row))},
             )
-            for i, (key, row) in enumerate(zip(self.keys[lo:hi], rows))
+            for i, (key, row) in enumerate(zip(self.keys, self.rows))
         ]
 
 
@@ -133,7 +142,8 @@ class Binlog:
 
     The log is a list of chunks, each one event (:meth:`append`) or one
     batch record (:meth:`extend`), with the LSN each starts at;
-    :meth:`read_from` builds the events of a window from them.
+    :meth:`read_records` hands out a window's chunks and
+    :meth:`read_from` builds its events from them.
 
     Thread-safe: ingest (the ETL pipeline) and replication (the federation
     replicator thread) may run concurrently, as they do in a live XDMoD
@@ -146,7 +156,7 @@ class Binlog:
         on_append: Callable[[int], None] | None = None,
         trace_provider: Callable[[], Any] | None = None,
     ) -> None:
-        self._chunks: list[BinlogEvent | _Batch] = []
+        self._chunks: list[BinlogEvent | RowBatch] = []
         self._starts: list[int] = []  # first LSN of each chunk
         self._head = 0
         self._lock = create_lock("Binlog")  # guards: _chunks, _starts, _head
@@ -210,7 +220,7 @@ class Binlog:
         with self._lock:
             base = self._head
             if n:
-                self._chunks.append(_Batch(base, etype, table, tuple(names), rows, keys))
+                self._chunks.append(RowBatch(base, etype, table, tuple(names), rows, keys))
                 self._starts.append(base)
                 self._head += n
         if n:
@@ -229,12 +239,15 @@ class Binlog:
         with self._lock:
             return self._head
 
-    def read_from(self, lsn: int, limit: int | None = None) -> list[BinlogEvent]:
-        """Return events with LSN >= ``lsn``, up to ``limit`` of them.
+    def read_records(
+        self, lsn: int, limit: int | None = None
+    ) -> list[BinlogEvent | RowBatch]:
+        """The window :meth:`read_from` reads, as the log holds it: single
+        events as they are and batch records as :class:`RowBatch` records
+        sliced to the window, with no object per row.
 
         Requesting a position beyond the head is allowed (empty result); a
-        negative position is a :class:`BinlogError`.  Events of a batch
-        record are built by the read, each with a fresh payload.
+        negative position is a :class:`BinlogError`.
         """
         if lsn < 0:
             raise BinlogError(f"negative LSN {lsn}")
@@ -244,15 +257,23 @@ class Binlog:
                 return []
             starts = self._starts
             first = bisect_right(starts, lsn) - 1
-            chunks = self._chunks[first : bisect_left(starts, stop, first)]
+            records = self._chunks[first : bisect_left(starts, stop, first)]
+        # only the first and the last chunk can reach outside the window
+        for at in (0, -1):
+            if type(records[at]) is RowBatch:
+                records[at] = records[at].window(lsn, stop)
+        return records
+
+    def read_from(self, lsn: int, limit: int | None = None) -> list[BinlogEvent]:
+        """Return events with LSN >= ``lsn``, up to ``limit`` of them: the
+        :meth:`read_records` window, each batch record's events built by
+        the read, each with a fresh payload."""
         events: list[BinlogEvent] = []
-        for chunk in chunks:
-            if type(chunk) is BinlogEvent:
-                events.append(chunk)
+        for record in self.read_records(lsn, limit):
+            if type(record) is BinlogEvent:
+                events.append(record)
             else:
-                events.extend(chunk.events(
-                    max(lsn - chunk.base, 0), stop - chunk.base
-                ))
+                events.extend(record.events())
         return events
 
     def __len__(self) -> int:
@@ -295,9 +316,10 @@ class BinlogCursor:
         """Number of events not yet consumed."""
         return max(0, self._binlog.head_lsn - self._position)
 
-    def poll(self, max_events: int | None = None) -> list[BinlogEvent]:
-        """Fetch unconsumed events without advancing the cursor."""
-        return self._binlog.read_from(self._position, max_events)
+    def poll(self, max_events: int | None = None) -> list[BinlogEvent | RowBatch]:
+        """Fetch unconsumed events, as :meth:`Binlog.read_records` records,
+        without advancing the cursor."""
+        return self._binlog.read_records(self._position, max_events)
 
     def commit(self, lsn: int) -> None:
         """Advance the cursor past event ``lsn``.

@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..analysis.sanitizer import create_lock
-from .binlog import Binlog, BinlogEvent, EventType
+from .binlog import Binlog, BinlogEvent, EventType, RowBatch
 from .errors import (
     DuplicateObjectError,
     PrimaryKeyError,
@@ -401,7 +401,7 @@ class Table:
         threads share it.  Arrays are built lazily per column and cached
         with how many stored rows they cover.  A mutation that only
         appends rows — :meth:`insert`, an :meth:`upsert` or
-        :meth:`upsert_columns` adding only new keys, hub ``apply_events``
+        :meth:`upsert_columns` adding only new keys, hub ``apply_rows``
         — keeps the cache, and the next read converts just the appended
         tail and extends the array; every other mutation (an update, a
         delete, a truncate) clears the cache and starts a new *epoch*.
@@ -636,31 +636,25 @@ class Schema:
         else:  # pragma: no cover - exhaustive
             raise AssertionError(f"unhandled event type {event.etype}")
 
-    def apply_events(self, events: Sequence[BinlogEvent]) -> None:
-        """Apply a run of ``INSERT`` events, all on one table, as one batch.
+    def apply_rows(self, batch: RowBatch) -> None:
+        """Apply a replicated batch record (``INSERT`` or keyed ``UPDATE``
+        events on one table) as one batch.
 
         The table, the versions and this schema's own binlog (events,
-        LSNs, and one trace context for the run) end up as after
-        :meth:`apply_event` on each event in order, but the run costs one
-        :meth:`Table.upsert_columns`, which validates every row before it
-        writes any: a run that raises has applied nothing, and the caller
-        can apply it event by event to find the event at fault.
+        LSNs, and one trace context for the batch) end up as after
+        :meth:`apply_event` on each of its events in order, but the batch
+        costs one :meth:`Table.upsert_columns`, which validates every row
+        before it writes any: a batch that raises has applied nothing, and
+        the caller can apply its events one by one to find the one at fault.
         """
-        if not events:
-            return
-        table = self.table(events[0].table)
-        images = []
-        for event in events:
-            if event.etype is not EventType.INSERT or event.table != table.name:
-                raise SchemaError(
-                    f"schema {self.name!r}: apply_events takes INSERTs on one "
-                    f"table, got {event.etype.value} on {event.table!r} in a "
-                    f"run on {table.name!r}"
-                )
-            images.append(event.data["row"])
-        table.upsert_columns(table.schema.columns_from_rows(images))
+        if batch.etype not in (EventType.INSERT, EventType.UPDATE):
+            raise SchemaError(
+                f"schema {self.name!r}: apply_rows takes INSERT or UPDATE "
+                f"records, got {batch.etype.value} on {batch.table!r}"
+            )
+        self.table(batch.table).upsert_columns(dict(zip(batch.names, zip(*batch.rows))))
         if self._apply_counter is not None:
-            self._apply_counter.inc(len(events))
+            self._apply_counter.inc(len(batch.rows))
 
     def checksum(self) -> str:
         """Digest over all tables' contents (schema-name independent)."""

@@ -113,8 +113,8 @@ class TestFaultySchema:
 
 
 class TestFaultsUnderBatchedApply:
-    """``FaultySchema`` has its own ``apply_events``: without it the proxy's
-    ``__getattr__`` would hand a whole run to the wrapped schema and the
+    """``FaultySchema`` has its own ``apply_rows``: without it the proxy's
+    ``__getattr__`` would hand a whole batch to the wrapped schema and the
     plan would never be consulted."""
 
     @staticmethod
@@ -191,14 +191,14 @@ class TestFaultsUnderBatchedApply:
         for event in schema.binlog.read_from(0, run_start):
             hub.apply_event(event)
         faulty = FaultySchema(hub, FaultPlan(transient_lsns={run_start + 7}))
-        run = schema.binlog.read_from(run_start)
+        (run,) = schema.binlog.read_records(run_start)
         with pytest.raises(TransientApplyFault):
-            faulty.apply_events(run)
+            faulty.apply_rows(run)
         assert faulty.attempts == {} and len(hub.table("fact_job")) == 1
         # event by event the fault is met, counted, and cleared by its burst
         with pytest.raises(TransientApplyFault):
-            faulty.apply_event(run[7])
-        faulty.apply_events(run)
+            faulty.apply_event(run.events()[7])
+        faulty.apply_rows(run)
         assert len(hub.table("fact_job")) == 1001
         assert faulty.attempts[run_start + 7] == 2 and faulty.attempts[run_start] == 1
 

@@ -298,7 +298,7 @@ class TestSegments:
         ingest_jobs(satellite_schema, [make_job(100, "r9"), make_job(101, "r9")])
         target = hub_db.schema("fed_sat")
 
-        def refuse_batches(events):
+        def refuse_batches(batch):
             raise RuntimeError("batch refused")
 
         def refuse_facts(event, _apply=target.apply_event):
@@ -306,7 +306,7 @@ class TestSegments:
                 raise RuntimeError("hub refused a fact row")
             _apply(event)
 
-        monkeypatch.setattr(target, "apply_events", refuse_batches)
+        monkeypatch.setattr(target, "apply_rows", refuse_batches)
         monkeypatch.setattr(target, "apply_event", refuse_facts)
         with pytest.raises(ReplicationError, match="hub refused a fact row"):
             channel.ship()

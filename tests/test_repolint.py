@@ -139,7 +139,7 @@ class TestMutationWithoutVersionBump:
             "delete_where", "delete_key", "truncate",
         )
         assert "/".join(mutators) in violation.message
-        assert "Schema.apply_event/apply_events" in violation.message
+        assert "Schema.apply_event/apply_rows" in violation.message
 
     def test_all_private_state_names(self, engine):
         source = """

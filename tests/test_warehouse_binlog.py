@@ -248,15 +248,14 @@ def run_history(ops, *, batched, traced=False):
         elif verb == "apply":
             start = peer.binlog.head_lsn
             peer_table.upsert_columns(job_columns(ids, version))
-            events = [
-                e for e in peer.binlog.read_from(start) if e.etype is EventType.INSERT
-            ]
-            if batched:
-                if events:
-                    schema.apply_events(events)
-            else:
-                for event in events:
-                    schema.apply_event(event)
+            for record in peer.binlog.read_records(start):
+                if record.etype is not EventType.INSERT:
+                    continue
+                if batched:
+                    schema.apply_rows(record)
+                else:
+                    for event in record.events():
+                        schema.apply_event(event)
         elif verb == "truncate":
             keyless.truncate()
         elif verb == "ddl":

@@ -510,7 +510,7 @@ class TestUpsertColumns:
 
 CACHED = ["k1", "k2", "f", "n", "at", "flag"]
 VERBS = [
-    "insert", "upsert", "upsert_columns", "apply_events",
+    "insert", "upsert", "upsert_columns", "apply_rows",
     "update_where", "delete_where", "delete_key", "truncate",
 ]
 
@@ -544,12 +544,11 @@ def apply_verb(table, verb, batch, k):
             table.upsert(row)
     elif verb == "upsert_columns":
         table.upsert_columns(batch)
-    elif verb == "apply_events":  # the hub's batched apply
+    elif verb == "apply_rows":  # the hub's batched apply
         source = Database().create_schema("src")
         source.create_table(batch_table_schema(keyed)).upsert_columns(batch)
-        table._owner.apply_events([
-            e for e in source.binlog if e.etype is EventType.INSERT
-        ])
+        for record in insert_records(source):
+            table._owner.apply_rows(record)
     elif verb == "update_where":
         table.update_where(lambda r: r["k1"] == k, {"f": k / 2, "n": None})
     elif verb == "delete_where":
@@ -624,12 +623,18 @@ def memo_table():
     return table
 
 
-def job_insert_events(*job_ids):
+def insert_records(source):
+    """The ``INSERT`` batch records of ``source``'s log, as a hub gets them."""
+    return [r for r in source.binlog.read_records(0) if r.etype is EventType.INSERT]
+
+
+def apply_job_inserts(table, *job_ids):
     source = Database().create_schema("src")
     source.create_table(jobs_table_schema()).upsert_columns({
         "job_id": list(job_ids), "user": ["e"] * len(job_ids),
     })
-    return [e for e in source.binlog if e.etype is EventType.INSERT]
+    for record in insert_records(source):
+        table._owner.apply_rows(record)
 
 
 #: each verb, applied to :func:`memo_table`, changes its contents
@@ -643,7 +648,7 @@ MEMO_WRITES = {
     "delete_where": lambda t: t.delete_where(lambda r: r["user"] == "b"),
     "delete_key": lambda t: t.delete_key([1]),
     "truncate": lambda t: t.truncate(),
-    "apply_events": lambda t: t._owner.apply_events(job_insert_events(1, 8)),
+    "apply_rows": lambda t: apply_job_inserts(t, 1, 8),
 }
 
 

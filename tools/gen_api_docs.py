@@ -75,17 +75,25 @@ Every bulk writer reaches its table this way, and only this way:
   that check and before the batches land;
 - `load_schema`, one batch per dumped table (a ragged row or a repeated
   primary key is still a `DumpError` that leaves no partial schema);
-- the hub side of tight replication: `Schema.apply_events(run)` applies a
-  contiguous run of `INSERT` events on one table as one batch, to the same
-  rows, versions, hub binlog and trace sidecar as `Schema.apply_event` per
-  event.  `ReplicationChannel` cuts runs at every table change, trace
-  context change, other event type and filtered event; a run whose batch
-  raises has applied nothing and is re-applied event by event, which is
-  where retries, quarantine and the `ReplicationError` naming the LSN are
-  accounted.  `apply_event` remains for `UPDATE` / `DELETE` / `TRUNCATE` /
-  DDL, single events and that fallback; a replicated keyed `DELETE` (and
-  the old key of a key-changing `UPDATE`) goes through
-  `Table.delete_key(key)`, the primary-key index, not a scan.
+- the hub side of tight replication: `Schema.apply_rows(batch)` applies a
+  `RowBatch` — `INSERT`s, or keyed `UPDATE`s, on one table — as one
+  batch, to the same rows, versions, hub binlog and trace sidecar as
+  `Schema.apply_event` per event.  A channel polls the source log as
+  records (`Binlog.read_records(lsn, limit)`: single events, and batch
+  records sliced to the window with no object per row), so a batch
+  record's rows reach the hub without an event or a dict per row.
+  `ReplicationFilter.split(batch)` cuts a batch record into admitted and
+  filtered slices by the routing rule, and `ReplicationChannel` gathers a
+  run of admitted single `INSERT`s (a loose segment's, or single
+  appends') into one `RowBatch`, cut at every table, trace context or
+  column-set change, other event type and filtered event.  A batch that
+  raises has applied nothing and is re-applied event by event
+  (`RowBatch.events()`), which is where retries, quarantine and the
+  `ReplicationError` naming the LSN are accounted.  `apply_event` remains
+  for `UPDATE`s with a before-image, `DELETE` / `TRUNCATE` / DDL, single
+  events and that fallback; a replicated keyed `DELETE` (and the old key
+  of a key-changing `UPDATE`) goes through `Table.delete_key(key)`, the
+  primary-key index, not a scan.
 
 The row-at-a-time loaders these replaced are the oracles in
 `tests/row_loader_oracles.py`; `repolint`'s `per-row-bulk-write` rule keeps

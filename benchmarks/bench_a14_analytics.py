@@ -55,7 +55,7 @@ def _min_time(fn, repeats: int = REPEATS) -> float:
 
 
 def _bundle(name: str) -> Observability:
-    return Observability(clock=FakeClock(auto_advance=0.001), name=name)
+    return Observability(clock=FakeClock(), name=name)
 
 
 def _perf_satellite(

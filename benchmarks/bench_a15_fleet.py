@@ -68,7 +68,7 @@ def _satellite(idx: int, n: int) -> XdmodInstance:
 
     sat = XdmodInstance(
         f"sat{idx:02d}",
-        obs=Observability(clock=FakeClock(auto_advance=0.001), name=f"sat{idx:02d}"),
+        obs=Observability(clock=FakeClock(), name=f"sat{idx:02d}"),
     )
     create_jobs_star(sat.schema)
     fact = sat.schema.table("fact_job")
@@ -171,10 +171,10 @@ def test_a15_scrape_merge_cost():
     n_scrapes = 200
 
     def scrape_all():
-        fleet = MetricsHistory(
-            MetricsRegistry(enabled=False), FakeClock(auto_advance=0.001)
-        )
+        clock = FakeClock()
+        fleet = MetricsHistory(MetricsRegistry(enabled=False), clock)
         for _ in range(n_scrapes):
+            clock.advance(1.0)  # one tick per scrape: each appends
             fleet.scrape("sat00", registry)
 
     (t,) = _best_times(scrape_all)

@@ -272,23 +272,38 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return run_lint(args)
 
 
-def _demo_obs(name: str):
-    """A telemetry bundle on an auto-advancing fake clock, so a demo
-    build — and everything it renders — is deterministic."""
+#: seconds a demo federation's clock moves before each operation
+DEMO_TICK_S = 1.0
+
+
+def _demo_hub():
+    """A demo federation's hub, on a fake clock its satellites share and
+    only :func:`_ticked` moves, so a demo build — and everything it
+    renders — is deterministic however often the code reads the clock."""
+    from .core import FederationHub
     from .obs import FakeClock, Observability
 
-    return Observability(clock=FakeClock(auto_advance=0.001), name=name)
+    return FederationHub("hub", obs=Observability(clock=FakeClock(), name="hub"))
 
 
-def _demo_site(i: int, *, scale: float, seed: int, days: int):
-    """Satellite ``site<i>`` of the demo federations.
+def _ticked(hub, *steps) -> None:
+    """Run a demo's operations (sync cycles, ships, alert evaluations) in
+    order, its clock :data:`DEMO_TICK_S` on before each."""
+    for step in steps:
+        hub.obs.clock.advance(DEMO_TICK_S)
+        step()
+
+
+def _demo_site(i: int, clock, *, scale: float, seed: int, days: int):
+    """Satellite ``site<i>`` of the demo federations, on ``clock``.
 
     Simulates ``days`` days of jobs from 2017-01-01 on a CCR-like preset
-    and ingests them as sacct text inside an ``ingest_batch`` span, under
-    :func:`_demo_obs`, so every replicated event carries trace context
-    into the hub.  Returns the instance, the preset and the records.
+    and ingests them as sacct text inside an ``ingest_batch`` span, so
+    every replicated event carries trace context into the hub.  Returns
+    the instance, the preset and the records.
     """
     from .core import XdmodInstance
+    from .obs import Observability
     from .simulators import (
         WorkloadGenerator,
         ccr_like_site,
@@ -297,7 +312,7 @@ def _demo_site(i: int, *, scale: float, seed: int, days: int):
     )
     from .timeutil import ts
 
-    instance = XdmodInstance(f"site{i}", obs=_demo_obs(f"site{i}"))
+    instance = XdmodInstance(f"site{i}", obs=Observability(clock=clock, name=f"site{i}"))
     site = ccr_like_site(scale=scale, seed=seed)
     records = simulate_resource(
         site.resource,
@@ -311,20 +326,20 @@ def _demo_site(i: int, *, scale: float, seed: int, days: int):
 
 
 def _demo_federation(*, inject_faults: bool = False, days: int = 3):
-    """Two-site federation (tight + loose) under a deterministic clock.
+    """Two-site federation (tight + loose) on one fake clock.
 
     The shared builder behind ``obs trace --federated`` and ``obs
     alerts``.  With ``inject_faults`` the tight member joins with a
     backlog and a target schema that always fails, so sync cycles record
     ``failed`` outcomes and the burn-rate alert fires.
     """
-    from .core import FederationHub, FederationMonitor
+    from .core import FederationMonitor
     from .core.faults import FaultPlan, inject_apply_faults
 
-    hub = FederationHub("hub", obs=_demo_obs("hub"))
+    hub = _demo_hub()
     satellites = []
     for i, mode in enumerate(("tight", "loose")):
-        instance, _, _ = _demo_site(i, scale=0.05, seed=20 + i, days=days)
+        instance, _, _ = _demo_site(i, hub.obs.clock, scale=0.05, seed=20 + i, days=days)
         hub.join(
             instance, mode=mode,
             initial_sync=not (inject_faults and mode == "tight"),
@@ -336,10 +351,7 @@ def _demo_federation(*, inject_faults: bool = False, days: int = 3):
             FaultPlan(transient_rate=1.0, transient_burst=10**9),
         )
     monitor = FederationMonitor(hub)
-    for _ in range(4):
-        hub.sync()
-        hub.ship_loose()
-        monitor.evaluate_alerts()
+    _ticked(hub, *(hub.sync, hub.ship_loose, monitor.evaluate_alerts) * 4)
     return hub, satellites, monitor
 
 
@@ -351,28 +363,26 @@ def _demo_fleet_federation(*, inject_faults: bool = False, days: int = 2):
     tight, and has its registry scraped into the hub's fleet TSDB on
     each healthy sync cycle.  With ``inject_faults`` the third site gets a
     fresh replication backlog and a channel that always fails *after*
-    two clean cycles, then the shared clock jumps past the staleness
+    two clean cycles, then the federation's clock jumps past the staleness
     window — so its scrapes stop, ``fleet_telemetry_stale`` fires
     deterministically, and the dashboard shows one STALE member.
     """
-    from .core import FederationHub, FederationMonitor
+    from .core import FederationMonitor
     from .core.faults import FaultPlan, inject_apply_faults
     from .obs import alert_rule
     from .simulators import WorkloadGenerator, simulate_resource, to_sacct_log
     from .timeutil import ts
 
-    hub = FederationHub("hub", obs=_demo_obs("hub"))
+    hub = _demo_hub()
     satellites = []
     presets = []
     for i in range(3):
-        instance, site, _ = _demo_site(i, scale=0.04, seed=40 + i, days=days)
+        instance, site, _ = _demo_site(i, hub.obs.clock, scale=0.04, seed=40 + i, days=days)
         hub.join(instance, mode="tight")
         satellites.append(instance)
         presets.append(site)
     monitor = FederationMonitor(hub)
-    for _ in range(3):
-        hub.sync()
-        monitor.evaluate_alerts()
+    _ticked(hub, *(hub.sync, monitor.evaluate_alerts) * 3)
     if inject_faults:
         # fresh backlog + always-failing channel: site2's sync outcomes
         # turn failed, so the hub stops scraping its telemetry
@@ -394,12 +404,8 @@ def _demo_fleet_federation(*, inject_faults: bool = False, days: int = 2):
             hub.member(quiet.name).channel,
             FaultPlan(transient_rate=1.0, transient_burst=10**9),
         )
-        hub.obs.clock.advance(
-            alert_rule("fleet_telemetry_stale").max_age_s + 300.0
-        )
-        for _ in range(2):
-            hub.sync()
-            monitor.evaluate_alerts()
+        hub.obs.clock.advance(alert_rule("fleet_telemetry_stale").max_age_s + 300.0)
+        _ticked(hub, *(hub.sync, monitor.evaluate_alerts) * 2)
     return hub, satellites, monitor
 
 
@@ -493,12 +499,12 @@ def _demo_analytics_federation(
     filter (raw series stay home).  With ``inject_pathological`` the
     first site's first two jobs are rewritten into an idle-tail job and
     a cache-thrashing job, so the hub-side detector has real outliers to
-    flag.  Everything runs under auto-advancing fake clocks, so the
-    whole build — scores, baselines, anomalies, rendered panel — is
-    deterministic.
+    flag.  Everything runs on one fake clock that only the builder
+    advances, so the whole build — scores, baselines, anomalies,
+    rendered panel — is deterministic.
     """
     from .analytics import AnalyticsPlane, summarize_schema
-    from .core import FederationHub, FederationMonitor
+    from .core import FederationMonitor
     from .core.replicator import supremm_summary_filter
     from .simulators import (
         generate_performance_batch,
@@ -506,11 +512,13 @@ def _demo_analytics_federation(
         inject_idle_tail,
     )
 
-    hub = FederationHub("hub", obs=_demo_obs("hub"))
+    hub = _demo_hub()
     satellites = []
     pathological: list[tuple[str, int]] = []
     for i in range(2):
-        instance, site, records = _demo_site(i, scale=0.05, seed=30 + i, days=days)
+        instance, site, records = _demo_site(
+            i, hub.obs.clock, scale=0.05, seed=30 + i, days=days
+        )
         name = instance.name
         perfs = generate_performance_batch(
             records, site.resource, max_jobs=max_jobs
@@ -526,9 +534,10 @@ def _demo_analytics_federation(
     plane = AnalyticsPlane(hub)
     hub.add_post_aggregation_hook(plane.refresh)
     monitor = FederationMonitor(hub, analytics=plane)
-    hub.sync()
-    hub.aggregate_federation(["month"])
-    monitor.evaluate_alerts()
+    _ticked(
+        hub, hub.sync, lambda: hub.aggregate_federation(["month"]),
+        monitor.evaluate_alerts,
+    )
     return hub, satellites, plane, monitor, pathological
 
 

@@ -272,9 +272,11 @@ class FederationHub(XdmodInstance):
             )
             if not self.fleet.enabled:
                 continue
-            staleness = self.fleet.age_s(SEQ_SERIES, at=at, member=member.name)
-            if staleness is not None:
-                self._g_fleet_staleness.labels(member=member.name).set(staleness)
+            # age_s by the exact key scrape() writes, no label scan: every
+            # scrape moves its value, so its newest sample is its last change
+            latest = self.fleet.last_sample((SEQ_SERIES, (("member", member.name),)))
+            if latest is not None:
+                self._g_fleet_staleness.labels(member=member.name).set(at - latest[0])
 
     # -- membership -----------------------------------------------------------
 

@@ -9,7 +9,9 @@ satellite commits appear on the hub without anyone calling
 
 Thread-safety: binlogs are lock-protected, and appliers touch only the
 hub-side schemas this thread owns while it runs.  Call :meth:`stop` (or
-use the context manager) before querying the hub from another thread.
+use the context manager) before querying the hub from another thread,
+:meth:`~LiveReplicator.wait_until_current` aside: it waits on a
+condition the daemon notifies after each cycle, not on a clock.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from ..obs import Clock
+from ..analysis.sanitizer import create_lock
 from .federation import FederationHub
 
 
@@ -34,23 +36,16 @@ class LiveStats:
 class LiveReplicator:
     """Background sync loop over one hub's tight channels."""
 
-    def __init__(
-        self,
-        hub: FederationHub,
-        *,
-        interval_s: float = 0.05,
-        clock: Clock | None = None,
-    ) -> None:
+    def __init__(self, hub: FederationHub, *, interval_s: float = 0.05) -> None:
         if interval_s <= 0:
             raise ValueError("interval must be positive")
         self.hub = hub
         self.interval_s = interval_s
-        # deadline bookkeeping goes through the injectable clock so this
-        # module needs no wall-clock reads of its own
-        self._clock = clock if clock is not None else hub.obs.clock
         self.stats = LiveStats()
         self._stop_event = threading.Event()
         self._thread: threading.Thread | None = None
+        #: notified after every cycle and on stop: when the lag can move
+        self._cycled = threading.Condition(create_lock("LiveReplicator"))
 
     @property
     def running(self) -> bool:
@@ -66,6 +61,8 @@ class LiveReplicator:
                 self.stats.errors += 1
                 self.stats.last_error = str(exc)
             self.stats.cycles += 1
+            with self._cycled:
+                self._cycled.notify_all()
             self._stop_event.wait(self.interval_s)
 
     def start(self) -> "LiveReplicator":
@@ -86,21 +83,24 @@ class LiveReplicator:
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             self._thread = None
+        with self._cycled:
+            self._cycled.notify_all()
         if drain:
             outcomes = self.hub.sync()
             self.stats.events_applied += sum(o.applied for o in outcomes.values())
 
     def wait_until_current(self, *, timeout: float = 10.0) -> bool:
-        """Block until every tight channel reports zero lag (or timeout);
-        loose members move only when shipped, never by this loop."""
+        """Block until every tight channel reports zero lag (False after
+        ``timeout`` seconds).  Loose members move only when shipped, and a
+        stopped daemon moves nothing, so neither is waited on."""
         tight = [m.channel for m in self.hub.members if m.mode == "tight"]
-        waiter = threading.Event()
-        end = self._clock.now() + timeout
-        while self._clock.now() < end:
-            if not any(channel.lag for channel in tight):
-                return True
-            waiter.wait(self.interval_s / 2)
-        return not any(channel.lag for channel in tight)
+
+        def current() -> bool:
+            return not any(channel.lag for channel in tight)
+
+        with self._cycled:
+            self._cycled.wait_for(lambda: current() or not self.running, timeout)
+        return current()
 
     def __enter__(self) -> "LiveReplicator":
         return self.start()

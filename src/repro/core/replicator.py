@@ -343,7 +343,7 @@ class ReplicationChannel:
     def _try_apply(self, event: BinlogEvent) -> Exception | None:
         """Apply one event with retries; returns the final error, if any."""
         policy = self.retry_policy
-        attempts = policy.attempts() if policy else iter((0,))
+        attempts = policy.attempts() if policy else range(1)
         last_exc: Exception | None = None
         for attempt in attempts:
             if attempt:

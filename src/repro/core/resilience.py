@@ -7,9 +7,9 @@ useful if such failures degrade the aggregate view instead of destroying
 it, so the reproduction gets the same three defensive layers:
 
 - :class:`RetryPolicy` — exponential backoff with deterministic, seeded
-  jitter.  Delays are *computed*, not slept, unless a ``sleep`` callable is
-  supplied; the simulation cares about schedules and attempt counts, a real
-  deployment would pass ``time.sleep``.
+  jitter.  Delays are *computed*, never slept: a channel adds each one to
+  its ``backoff_s`` counter, so the simulation keeps the schedule and the
+  attempt counts without any code here reading or waiting on a clock.
 - :class:`CircuitBreaker` — the classic closed / open / half-open machine,
   measured in sync cycles rather than wall-clock time.  A member whose
   channel keeps failing stops consuming sync work, then gets re-probed
@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import KW_ONLY, dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from ..warehouse import BinlogEvent
 
@@ -40,16 +40,13 @@ class RetryPolicy:
         Re-attempts after the first failure (total attempts =
         ``max_retries + 1``).
     base_delay / multiplier / max_delay:
-        Classic exponential schedule: attempt ``n`` waits
-        ``min(base_delay * multiplier**n, max_delay)`` seconds.
+        Classic exponential schedule: retry ``n``'s delay is
+        ``min(base_delay * multiplier**n, max_delay)`` seconds, computed
+        but never slept; a channel sums it in ``ChannelStats.backoff_s``.
     jitter:
         Fraction of the computed delay randomized away (0 disables).  The
         jitter stream is seeded so two policies built with the same seed
         produce identical schedules — tests and benchmarks are repeatable.
-    sleep:
-        Optional callable invoked with each delay.  ``None`` (default)
-        records the schedule without waiting, which is what the in-memory
-        simulation wants; pass ``time.sleep`` for real deployments.
     """
 
     max_retries: int = 3
@@ -58,7 +55,6 @@ class RetryPolicy:
     max_delay: float = 5.0
     jitter: float = 0.5
     seed: int = 0
-    sleep: Callable[[float], None] | None = None
 
     def delay(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (0-based), jitter applied."""
@@ -72,12 +68,9 @@ class RetryPolicy:
         """The full backoff schedule this policy would follow."""
         return [self.delay(i) for i in range(self.max_retries)]
 
-    def attempts(self) -> Iterator[int]:
-        """Yield attempt numbers, invoking ``sleep`` between them."""
-        for attempt in range(self.max_retries + 1):
-            if attempt and self.sleep is not None:
-                self.sleep(self.delay(attempt - 1))
-            yield attempt
+    def attempts(self) -> range:
+        """Attempt numbers, the first try included."""
+        return range(self.max_retries + 1)
 
 
 class CircuitState(enum.Enum):

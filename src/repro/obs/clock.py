@@ -2,8 +2,9 @@
 
 Instrumented code never reads ``time.monotonic`` directly — it asks the
 :class:`Clock` handed to it.  Production wiring uses
-:class:`MonotonicClock`; tests inject :class:`FakeClock` so spans and
-histograms come out byte-identical across runs.  Keeping the only
+:class:`MonotonicClock`; tests and demos inject :class:`FakeClock` and
+advance it themselves, so spans and histograms come out byte-identical
+across runs.  Keeping the only
 wall-clock read in this module (outside ``repro/core/``) is what lets the
 replication layer stay clean under repolint's
 ``nondeterminism-in-replication`` rule without suppressions.
@@ -31,20 +32,16 @@ class MonotonicClock(Clock):
 class FakeClock(Clock):
     """Deterministic clock for tests.
 
-    ``advance`` moves time explicitly; ``auto_advance`` ticks the clock
-    by a fixed step on every :meth:`now` read, so loops that poll the
-    clock for a deadline (``LiveReplicator.wait_until_current``)
-    terminate without wall-clock involvement.
+    Reading it never moves it; only :meth:`advance` does, called by the
+    test or demo at its own operation boundaries, so span durations,
+    staleness and alert windows never depend on how often code reads it.
     """
 
-    def __init__(self, start: float = 0.0, *, auto_advance: float = 0.0) -> None:
+    def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self.auto_advance = float(auto_advance)
 
     def now(self) -> float:
-        value = self._now
-        self._now += self.auto_advance
-        return value
+        return self._now
 
     def advance(self, dt: float) -> None:
         if dt < 0:

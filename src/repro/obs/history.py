@@ -69,14 +69,16 @@ class _Series:
         self.samples: list[tuple[float, float]] = []
         self.last_changed: float = 0.0
 
-    def append(self, t: float, value: float) -> None:
+    def append(self, t: float, value: float, *, snapshot: bool = False) -> None:
+        """Add a sample, unless it is a ``snapshot`` (a re-read of state)
+        repeating the newest sample's reading and value."""
         if self.samples:
             last_t, last_v = self.samples[-1]
-            if value != last_v:
+            if value == last_v:
+                if snapshot and t == last_t:
+                    return
+            else:
                 self.last_changed = t
-            if t == last_t:
-                self.samples[-1] = (t, value)
-                return
         else:
             self.last_changed = t
         self.samples.append((t, value))
@@ -159,12 +161,7 @@ class MetricsHistory:
         t = float(self._clock.now() if now is None else now)
         n = 0
         for name, labels, value in self._registry.iter_scalar_samples():
-            series = self._series.get((name, labels))
-            if series is None:
-                series = self._add_series((name, labels))
-            series.append(t, value)
-            if len(series.samples) > self.max_samples:
-                self._cap(series, t)
+            self._put((name, labels), t, value, snapshot=True)
             n += 1
         self._records += 1
         if self._records % 16 == 0:
@@ -178,9 +175,8 @@ class MetricsHistory:
         document — that has no natural counter/gauge in the registry but
         should still be queryable with the history's window vocabulary
         (the analytics stage records one efficiency score per job this
-        way).  Two observations at the same clock reading collapse to the
-        newer value, matching :meth:`record`; pair with an auto-advancing
-        :class:`~repro.obs.clock.FakeClock` when sample identity matters.
+        way).  Every observation is kept, several at one clock reading
+        too: only snapshots (:meth:`record`, :meth:`scrape`) collapse.
         """
         if not self.enabled:
             return
@@ -192,21 +188,12 @@ class MetricsHistory:
     def observe_key(
         self, key: SeriesKey, value: float, *, now: float | None = None
     ) -> None:
-        """:meth:`observe` with a prebuilt series key.
-
-        :meth:`scrape` calls this once per scraped sample on every sync
-        cycle; the caller guarantees the key's label items are already
-        ``(name, value)`` string pairs in sorted order.
-        """
+        """:meth:`observe` with a prebuilt series key, whose label items
+        the caller guarantees are ``(name, value)`` string pairs in
+        sorted order."""
         if not self.enabled:
             return
-        t = float(self._clock.now() if now is None else now)
-        series = self._series.get(key)
-        if series is None:
-            series = self._add_series(key)
-        series.append(t, float(value))
-        if len(series.samples) > self.max_samples:
-            self._cap(series, t)
+        self._put(key, float(self._clock.now() if now is None else now), float(value))
 
     def scrape(self, member: str, registry: MetricsRegistry) -> int:
         """Merge ``registry``'s exposition samples (histogram buckets
@@ -226,16 +213,26 @@ class MetricsHistory:
             self._types.setdefault(SEQ_SERIES, "gauge")
             for name, type_name in types.items():
                 self._types.setdefault(name, type_name)
-            observe_key = self.observe_key
+            put = self._put
             for name, labels, value in samples:
                 # drop any scraped member label, then insert ours keeping
                 # the label items sorted
                 items = [item for item in labels if item[0] != "member"]
                 items.append(("member", member))
                 items.sort()
-                observe_key((name, tuple(items)), value, now=t)
-            observe_key(seq_key, (latest[1] if latest else 0.0) + 1.0, now=t)
+                put((name, tuple(items)), t, float(value), snapshot=True)
+            put(seq_key, t, (latest[1] if latest else 0.0) + 1.0, snapshot=True)
         return len(samples) + 1
+
+    def _put(
+        self, key: SeriesKey, t: float, value: float, *, snapshot: bool = False
+    ) -> None:
+        series = self._series.get(key)
+        if series is None:
+            series = self._add_series(key)
+        series.append(t, value, snapshot=snapshot)
+        if len(series.samples) > self.max_samples:
+            self._cap(series, t)
 
     def _add_series(self, key: SeriesKey) -> _Series:
         series = self._series.setdefault(key, _Series())

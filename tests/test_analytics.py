@@ -59,7 +59,7 @@ from tests.rest_client import get_json
 
 
 def fake_obs(name: str) -> Observability:
-    return Observability(clock=FakeClock(auto_advance=0.001), name=name)
+    return Observability(clock=FakeClock(), name=name)
 
 
 def build_perf_instance(name, small_resource, *, seed, obs=None, member=""):

@@ -88,7 +88,7 @@ def satellite(traced: bool):
     aggregation — which logs only DDL, its tables being derived — and a
     same-table run that changes trace context half way."""
     obs = (
-        Observability(clock=FakeClock(auto_advance=0.001), name="sat")
+        Observability(clock=FakeClock(), name="sat")
         if traced else None
     )
     schema = Database(
@@ -187,7 +187,7 @@ def replicate(source, *, batch, traced=False, per_event_only=False, plan=None,
     """Run one channel to the end (or to its ``ReplicationError``) and
     return everything observable about the outcome."""
     obs = (
-        Observability(clock=FakeClock(auto_advance=0.001), name="hub")
+        Observability(clock=FakeClock(), name="hub")
         if traced else None
     )
     registry = obs.registry if traced else MetricsRegistry()
@@ -614,7 +614,7 @@ def replica(channel):
 
 def channel_into(source, routing, traced, name):
     obs = (
-        Observability(clock=FakeClock(auto_advance=0.001), name=name)
+        Observability(clock=FakeClock(), name=name)
         if traced else None
     )
     target = Database(
@@ -638,7 +638,7 @@ class TestRecordsAgainstEvents:
         oracle ends: same hub tables, versions, hub log, joined traces,
         cursor, stats, and the same names and flips learned."""
         obs = (
-            Observability(clock=FakeClock(auto_advance=0.001), name="sat")
+            Observability(clock=FakeClock(), name="sat")
             if traced else None
         )
         source = Database(

@@ -292,17 +292,13 @@ class TestTraceUnderFaults:
     def _traced_setup(self):
         from repro.obs import FakeClock, Observability
 
-        sat_obs = Observability(
-            clock=FakeClock(auto_advance=0.001), name="sat"
-        )
+        sat_obs = Observability(clock=FakeClock(), name="sat")
         schema = Database(
             "sat", trace_provider=sat_obs.tracer.current_context
         ).create_schema("modw")
         with sat_obs.tracer.span("ingest_batch"):
             ingest_jobs(schema, [make_job(i) for i in range(5)])
-        hub_obs = Observability(
-            clock=FakeClock(auto_advance=0.001), name="hub"
-        )
+        hub_obs = Observability(clock=FakeClock(), name="hub")
         target = Database("hub").create_schema("fed_sat")
         channel = ReplicationChannel(
             schema, target, quarantine=True, obs=hub_obs, name="sat"

@@ -48,7 +48,7 @@ def _fleet(clock: FakeClock | None = None, *, enabled: bool = True) -> MetricsHi
     """A fleet history as the hub builds one: no registry of its own."""
     return MetricsHistory(
         MetricsRegistry(enabled=False),
-        clock if clock is not None else FakeClock(auto_advance=1.0),
+        clock if clock is not None else FakeClock(),
         enabled=enabled,
     )
 
@@ -165,7 +165,7 @@ class TestFleetTSDB:
     def test_counter_reset_across_snapshots(self):
         """A member restart (counter back to a lower value) is treated as
         a reset by the history's increase(), not negative growth."""
-        clock = FakeClock(auto_advance=1.0)
+        clock = FakeClock()
         fleet = _fleet(clock)
         registry = _registry(sacct=100)
         fleet.scrape("m", registry)
@@ -300,7 +300,7 @@ class TestFleetTSDB:
 class TestHistorySupport:
     def test_purge_labels_superset_match(self):
         history = MetricsHistory(
-            MetricsRegistry(enabled=False), FakeClock(auto_advance=1.0)
+            MetricsRegistry(enabled=False), FakeClock()
         )
         history.observe("x_rows", 1.0, member="a", source="s")
         history.observe("x_rows", 2.0, member="b", source="s")
@@ -313,12 +313,12 @@ class TestHistorySupport:
 
     def test_observe_key_matches_observe(self):
         history = MetricsHistory(
-            MetricsRegistry(enabled=False), FakeClock(auto_advance=1.0)
+            MetricsRegistry(enabled=False), FakeClock()
         )
         history.observe("x_rows", 1.0, now=5.0, b="2", a="1")
         history.observe_key(("x_rows", (("a", "1"), ("b", "2"))), 4.0, now=5.0)
-        # same key, same timestamp: collapsed last-write-wins
-        assert history.samples("x_rows", a="1", b="2") == [(5.0, 4.0)]
+        # same key, same timestamp: one series, both observations kept
+        assert history.samples("x_rows", a="1", b="2") == [(5.0, 1.0), (5.0, 4.0)]
         assert history.last_sample(
             ("x_rows", (("a", "1"), ("b", "2")))) == (5.0, 4.0)
 
@@ -334,7 +334,7 @@ class TestTracerRingBuffer:
         assert tracer.spans_dropped == 3
 
     def test_drops_counted_in_registry(self):
-        obs = Observability(clock=FakeClock(auto_advance=0.001), name="t")
+        obs = Observability(clock=FakeClock(), name="t")
         obs.tracer.max_spans = 1
         for i in range(4):
             with obs.tracer.span(f"s{i}"):
@@ -452,7 +452,7 @@ class TestDepartedMemberAlerts:
 class TestScrapeRidesSync:
     def test_healthy_turns_scrape_once_and_failed_or_open_turns_never(self):
         def obs(name):
-            return Observability(clock=FakeClock(auto_advance=0.001), name=name)
+            return Observability(clock=FakeClock(), name=name)
 
         hub = FederationHub("hub", obs=obs("hub"))
         satellites = {}
@@ -498,7 +498,7 @@ class TestScrapeRidesSync:
         member's latest scrape; a member never scraped has no child,
         like ``fleet_staleness_seconds``."""
         def obs(name):
-            return Observability(clock=FakeClock(auto_advance=0.001), name=name)
+            return Observability(clock=FakeClock(), name=name)
 
         hub = FederationHub("hub", obs=obs("hub"))
         satellites = {}
@@ -520,6 +520,43 @@ class TestScrapeRidesSync:
         assert parsed.value("fleet_staleness_seconds", member="a") is not None
         for metric in ("fleet_series_rows", "fleet_staleness_seconds"):
             assert parsed.value(metric, member="b") is None
+
+
+    def test_staleness_gauges_look_up_one_series_per_member(self, monkeypatch):
+        """The gauge pass reads each member's scrape-number series by the
+        exact key ``scrape`` writes: no partial-label scan, so its cost
+        is linear in members, and its values are ``age_s``'s."""
+        clock = FakeClock()
+        hub = FederationHub("hub", obs=Observability(clock=clock, name="hub"))
+        names = [f"s{i}" for i in range(4)]
+        for name in names:
+            satellite = XdmodInstance(name, obs=Observability(clock=clock, name=name))
+            ingest_jobs(satellite.schema, [make_job(1)])
+            hub.join(satellite)
+        for name in names:  # one scrape each, a tick apart: distinct ages
+            clock.advance(1.0)
+            hub.fleet.scrape(name, hub.member(name).instance.obs.registry)
+        clock.advance(5.0)
+        scans = []
+        matches = MetricsHistory._matches
+
+        def counting(self, *args, **kwargs):
+            scans.append(args)
+            return matches(self, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsHistory, "_matches", counting)
+        hub._record_member_gauges()
+        assert scans == []
+        monkeypatch.undo()
+        parsed = parse_prometheus_text(hub.obs.registry.render_prometheus())
+        ages = {
+            name: parsed.value("fleet_staleness_seconds", member=name)
+            for name in names
+        }
+        assert ages == {
+            name: hub.fleet.age_s(SEQ_SERIES, member=name) for name in names
+        }
+        assert ages == {"s0": 8.0, "s1": 7.0, "s2": 6.0, "s3": 5.0}
 
 
 class TestRestSurface:

@@ -6,12 +6,15 @@ stdout and exit status of ``obs fleet`` and ``obs alerts`` (healthy and
 and ``/metrics`` bodies.  The builders are the cheap CLI demos, so the
 whole module runs in about a second.
 
-The demos run on ``FakeClock(auto_advance=0.001)``: every clock read
-moves time, so a change that adds or removes one read on the sync path
-shifts the ``obs alerts`` absence values (``member_stale`` and friends)
-even when nothing else moved.  A change that alters these outputs on
-purpose regenerates the files with ``PYTHONPATH=src python -m
-tests.test_golden`` and explains every changed line in CHANGES.md.
+Each demo federation runs on one ``FakeClock`` that only its builder
+moves: one ``DEMO_TICK_S`` per sync cycle, ship, aggregation and alert
+evaluation, and here one per request.  Reading the clock never moves
+it, so the pinned bytes depend on those operations alone, not on how
+often the code reads the clock (``test_extra_clock_reads_move_nothing``);
+a span lasts exactly the advances inside it, so every pinned duration is
+0.  A change that alters these outputs on purpose regenerates the files
+with ``PYTHONPATH=src python -m tests.test_golden`` and explains every
+changed line in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import _demo_fleet_federation, main
+from repro.cli import DEMO_TICK_S, _demo_fleet_federation, main
+from repro.core import FederationHub, FederationMonitor
 from repro.realms import jobs_realm
 from repro.ui import XdmodApi
 
@@ -59,6 +63,7 @@ def http_bodies() -> dict[str, str]:
     api = XdmodApi({"jobs": jobs_realm()}, hub.schema, obs=hub.obs, monitor=monitor)
     bodies = {}
     for stem, route in HTTP_CASES.items():
+        hub.obs.clock.advance(DEMO_TICK_S)
         status, _, body, _ = api.handle_http(route, {})
         assert status == 200, (route, body)
         bodies[stem] = body.decode()
@@ -79,6 +84,25 @@ def outputs() -> dict[str, str]:
 @pytest.mark.parametrize("stem", [*CLI_CASES, *HTTP_CASES])
 def test_output_matches_golden(outputs, stem):
     assert outputs[stem] == (GOLDEN / f"{stem}.txt").read_text()
+
+
+def test_extra_clock_reads_move_nothing(monkeypatch):
+    """One more hub clock read per sync cycle and per alert evaluation
+    changes no pinned byte: time is what the demos advance."""
+    for cls, method in ((FederationHub, "sync"), (FederationMonitor, "evaluate_alerts")):
+        original = getattr(cls, method)
+
+        def reading(self, *args, _original=original, **kwargs):
+            hub = self if isinstance(self, FederationHub) else self.hub
+            hub.obs.clock.now()
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, method, reading)
+    moved = [
+        stem for stem, text in current_outputs().items()
+        if text != (GOLDEN / f"{stem}.txt").read_text()
+    ]
+    assert moved == []
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
-"""Live (threaded) replication daemon."""
+"""Live (threaded) replication daemon.
+
+No test here reads a clock or sleeps: ``wait_until_current`` waits on the
+condition the daemon notifies after each cycle, and answers at once when
+the daemon is not running.
+"""
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -60,10 +63,23 @@ class TestLiveReplicator:
         with LiveReplicator(hub, interval_s=0.01) as live:
             ingest_jobs(satellites["site1"].schema, [make_job(7001)])
             live.wait_until_current(timeout=5.0)
-            time.sleep(0.05)
         assert live.stats.cycles > 0
         assert live.stats.events_applied >= 1
         assert live.stats.errors == 0
+
+    def test_wait_until_current_answers_at_once_on_standing_lag(self, federation):
+        hub, satellites, _, _ = federation
+        ingest_jobs(satellites["site0"].schema, [make_job(5555)])
+        live = LiveReplicator(hub, interval_s=0.01)
+        # never started, so nothing of its own will drain the lag: the
+        # wait answers at once (a regression waits out the whole minute)
+        assert live.wait_until_current(timeout=60.0) is False
+
+    def test_wait_until_current_succeeds_after_sync(self, federation):
+        hub, _, _, _ = federation
+        live = LiveReplicator(hub, interval_s=0.01)
+        hub.sync()
+        assert live.wait_until_current(timeout=60.0) is True
 
     def test_current_means_tight_members_only(self):
         """A loose member moves only when shipped, so its staleness never

@@ -9,7 +9,6 @@ import pytest
 
 from repro.cli import main
 from repro.core import FederationHub, FederationMonitor, XdmodInstance
-from repro.core.live import LiveReplicator
 from repro.core.resilience import CircuitBreaker
 from repro.etl import ParsedJob, ingest_jobs
 from repro.obs import (
@@ -54,12 +53,6 @@ class TestClocks:
         assert clock.now() == 100.0
         clock.advance(2.5)
         assert clock.now() == 102.5
-
-    def test_fake_clock_auto_advance(self):
-        clock = FakeClock(0.0, auto_advance=0.25)
-        assert clock.now() == 0.0
-        assert clock.now() == 0.25
-        assert clock.now() == 0.5
 
     def test_fake_clock_rejects_negative_advance(self):
         with pytest.raises(ValueError):
@@ -199,16 +192,20 @@ class TestPrometheusExposition:
 
 class TestTracer:
     def test_nested_spans_record_parents(self):
-        tracer = Tracer(FakeClock(auto_advance=1.0))
+        clock = FakeClock()
+        tracer = Tracer(clock)
         with tracer.span("outer", site="a"):
+            clock.advance(1.0)
             with tracer.span("inner"):
-                pass
+                clock.advance(1.0)
+            clock.advance(1.0)
         inner, outer = tracer.finished[0], tracer.finished[1]
         assert inner.name == "inner" and outer.name == "outer"
         assert inner.parent_id == outer.span_id
         assert outer.parent_id is None
         assert outer.attrs == {"site": "a"}
         assert outer.duration_s == pytest.approx(3.0)
+        assert inner.duration_s == pytest.approx(1.0)
 
     def test_exception_marks_span_and_propagates(self):
         tracer = Tracer(FakeClock())
@@ -234,12 +231,15 @@ class TestTracer:
         assert tracer.to_jsonl() == ""
 
     def test_slow_span_report(self):
-        tracer = Tracer(FakeClock(auto_advance=1.0))
+        clock = FakeClock()
+        tracer = Tracer(clock)
         with tracer.span("fast"):
-            pass
+            clock.advance(1.0)
         with tracer.span("slow"):
+            clock.advance(1.0)
             with tracer.span("fast"):
-                pass
+                clock.advance(1.0)
+            clock.advance(1.0)
         report = tracer.slow_spans(top=2)
         assert report[0]["name"] == "slow"
         assert report[0]["count"] == 1
@@ -250,12 +250,14 @@ class TestTracer:
 
     def test_jsonl_is_byte_identical_across_runs(self):
         def run():
-            tracer = Tracer(FakeClock(auto_advance=0.5))
+            clock = FakeClock()
+            tracer = Tracer(clock)
             with tracer.span("a", step=1):
+                clock.advance(0.5)
                 with tracer.span("b"):
-                    pass
+                    clock.advance(0.5)
             with tracer.span("c"):
-                pass
+                clock.advance(0.5)
             return tracer.to_jsonl()
 
         first, second = run(), run()
@@ -426,7 +428,7 @@ class TestRestSurfaces:
         assert parsed.value("federation_sync_cycles_total", hub="hub") >= 1
 
 
-# -- monitor + live replicator ------------------------------------------------
+# -- monitor ------------------------------------------------------------------
 
 
 class TestMonitorRates:
@@ -441,33 +443,13 @@ class TestMonitorRates:
         assert member.events_per_second >= 0.0
 
 
-class TestLiveReplicatorClock:
-    def test_wait_until_current_times_out_on_standing_lag(self, federation):
-        hub, satellites, _, _ = federation
-        ingest_jobs(satellites["site0"].schema, [make_job(5555)])
-        live = LiveReplicator(
-            hub, interval_s=0.01, clock=FakeClock(auto_advance=0.5)
-        )
-        # never started, so lag never drains; the fake clock walks the
-        # deadline forward and the wait must give up on its own
-        assert live.wait_until_current(timeout=2.0) is False
-
-    def test_wait_until_current_succeeds_after_sync(self, federation):
-        hub, _, _, _ = federation
-        live = LiveReplicator(
-            hub, interval_s=0.01, clock=FakeClock(auto_advance=0.5)
-        )
-        hub.sync()
-        assert live.wait_until_current(timeout=2.0) is True
-
-
 # -- determinism end to end ---------------------------------------------------
 
 
 class TestDeterministicTraces:
     @staticmethod
     def _run():
-        obs = Observability(clock=FakeClock(auto_advance=0.001))
+        obs = Observability(clock=FakeClock())
         instance = XdmodInstance("det", obs=obs)
         instance.pipeline.ingest_parsed_jobs([make_job(i) for i in range(5)])
         instance.aggregate(["day", "month"])
@@ -487,7 +469,7 @@ class TestDeterministicTraces:
 
     def test_federated_sync_traces_deterministic(self):
         def run():
-            obs = Observability(clock=FakeClock(auto_advance=0.001))
+            obs = Observability(clock=FakeClock())
             sat = XdmodInstance("s0")
             sat.pipeline.ingest_parsed_jobs(
                 [make_job(i) for i in range(3)]
@@ -519,7 +501,7 @@ class TestObsCli:
 
     def test_trace_tail_from_file(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
-        tracer = Tracer(FakeClock(auto_advance=1.0))
+        tracer = Tracer(FakeClock())
         for i in range(4):
             with tracer.span(f"s{i}"):
                 pass

@@ -58,7 +58,7 @@ def make_job(job_id):
 
 
 def fake_obs(name: str) -> Observability:
-    return Observability(clock=FakeClock(auto_advance=0.001), name=name)
+    return Observability(clock=FakeClock(), name=name)
 
 
 # -- exposition edge cases ----------------------------------------------------
@@ -261,13 +261,35 @@ class TestMetricsHistory:
         assert history.quantile_over_time(
             0.5, "job_score_ratio", 3600.0, app="namd"
         ) == 0.8
-        # same clock reading: the newer observation wins, as record() does
+        # same clock reading: an observation is an event, so both are kept
         history.observe("job_score_ratio", 0.5, now=1002.0, member="s0", app="namd")
+        assert history.samples("job_score_ratio")[-2:] == [(1002.0, 0.2), (1002.0, 0.5)]
         assert history.last("job_score_ratio") == 0.5
         # disabled history ignores observations entirely
         _, disabled, _ = build_history(enabled=False)
         disabled.observe("job_score_ratio", 1.0)
         assert disabled.samples("job_score_ratio") == []
+
+    def test_observe_keeps_every_observation_at_one_reading(self):
+        registry, history, clock = build_history()
+        scores = [0.1 * i for i in range(12)]
+        for score in scores:  # one job score each, the clock never moves
+            history.observe("job_score_ratio", score, member="s0", app="namd")
+        assert history.samples("job_score_ratio") == [(1000.0, v) for v in scores]
+        assert history.quantile_over_time(0.5, "job_score_ratio", 60.0) == (
+            pytest.approx(0.55)
+        )
+
+    def test_snapshot_at_one_reading_keeps_only_a_moved_value(self):
+        registry, history, clock = build_history()
+        counter = registry.counter("flags_total", "c")
+        counter.inc(0)
+        history.record()
+        history.record()  # a re-read of the same state adds nothing
+        counter.inc()
+        history.record()  # the step is kept, though no time has passed
+        assert history.samples("flags_total") == [(1000.0, 0.0), (1000.0, 1.0)]
+        assert history.increase("flags_total", 60.0) == 1.0
 
     def test_age_tracks_value_changes_not_samples(self):
         registry, history, clock = build_history()
@@ -655,12 +677,19 @@ def build_faulted_federation(n_jobs=600):
     return hub, FederationMonitor(hub)
 
 
+def run_cycles(hub, monitor, n=3):
+    """``n`` sync cycles, each followed by an alert evaluation, the hub's
+    clock moving one tick before each operation."""
+    for _ in range(n):
+        for step in (hub.sync, monitor.evaluate_alerts):
+            hub.obs.clock.advance(1.0)
+            step()
+
+
 class TestAlertsEndToEnd:
     def test_burn_rate_and_lag_alerts_fire_deterministically(self):
         hub, monitor = build_faulted_federation()
-        for _ in range(3):
-            hub.sync()
-            monitor.evaluate_alerts()
+        run_cycles(hub, monitor)
         firing = {s.rule.id for s in monitor.alerts.firing()}
         assert "sync_failure_burn_rate" in firing
         assert "replication_lag_high" in firing
@@ -680,9 +709,7 @@ class TestAlertsEndToEnd:
 
     def test_firing_alerts_surface_in_rest_endpoints(self):
         hub, monitor = build_faulted_federation()
-        for _ in range(3):
-            hub.sync()
-            monitor.evaluate_alerts()
+        run_cycles(hub, monitor)
         api = XdmodApi({}, {}, obs=hub.obs, monitor=monitor)
 
         status, payload, _ = get_json(api, "/alerts")
@@ -708,9 +735,7 @@ class TestAlertsEndToEnd:
 
     def test_monitor_render_shows_history_and_alerts(self):
         hub, monitor = build_faulted_federation()
-        for _ in range(3):
-            hub.sync()
-            monitor.evaluate_alerts()
+        run_cycles(hub, monitor)
         text = monitor.render()
         assert "history (oldest -> newest):" in text
         assert "lag " in text

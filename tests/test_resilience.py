@@ -35,12 +35,6 @@ class TestRetryPolicy:
         for jittered, raw in zip(policy.schedule(), plain.schedule()):
             assert 0 < jittered <= raw
 
-    def test_attempts_invokes_sleep_between_tries(self):
-        slept: list[float] = []
-        policy = RetryPolicy(max_retries=3, jitter=0.0, sleep=slept.append)
-        assert list(policy.attempts()) == [0, 1, 2, 3]
-        assert slept == policy.schedule()
-
     def test_attempts_without_sleep_just_counts(self):
         assert list(RetryPolicy(max_retries=2).attempts()) == [0, 1, 2]
 

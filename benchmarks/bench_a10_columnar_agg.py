@@ -43,6 +43,7 @@ def _jobs_schema(n: int):
     create_jobs_star(schema)
     fact = schema.table("fact_job")
     rng = random.Random(10)
+    rows = []
     for i in range(n):
         start = T0 + rng.randrange(0, 300 * 86400)
         wall = 0 if i % 97 == 0 else rng.randrange(1, 3 * 86400)
@@ -50,7 +51,7 @@ def _jobs_schema(n: int):
         # realistic aggregation regime: many facts per group (users run
         # many jobs a month), so agg rows << fact rows
         person = 1 + i % 12
-        fact.insert({
+        rows.append({
             "job_id": i + 1, "resource_id": 1 + i % 3,
             "person_id": person, "pi_id": 1 + person % 4,
             "app_id": 1 + person % 6, "queue_id": 1,
@@ -62,7 +63,8 @@ def _jobs_schema(n: int):
             "node_hours": max(1, cores // 16) * wall / SECONDS_PER_HOUR,
             "xdsu": 1.2 * cores * wall / SECONDS_PER_HOUR,
             "state": "completed", "exit_code": 0,
-        }, _log=False)
+        })
+    fact.upsert_columns(fact.schema.columns_from_rows(rows))
     return schema
 
 
@@ -73,10 +75,11 @@ def _storage_schema(n: int):
     create_storage_realm(schema)
     fact = schema.table("fact_storage")
     rng = random.Random(11)
+    rows = []
     for i in range(n):
         fs = ("home", "scratch", "projects")[i % 3]
         soft = (None, 0.0, 100.0, 250.0)[i % 4]
-        fact.insert({
+        rows.append({
             "snapshot_id": i + 1, "resource_id": 1 + i % 2,
             "filesystem": fs, "mountpoint": f"/{fs}",
             "resource_type": "gpfs" if fs == "home" else "lustre",
@@ -87,7 +90,8 @@ def _storage_schema(n: int):
             "physical_usage_gb": rng.random() * 450,
             "soft_quota_gb": soft,
             "hard_quota_gb": None if soft is None else soft * 1.5,
-        }, _log=False)
+        })
+    fact.upsert_columns(fact.schema.columns_from_rows(rows))
     return schema
 
 
@@ -100,6 +104,7 @@ def _cloud_schema(n_vms: int):
     iv_fact = schema.table("fact_vm_interval")
     rng = random.Random(12)
     iv_id = 0
+    vms, ivs = [], []
     for i in range(n_vms):
         vm_id = i + 1
         project = ("astro", "bio", "chem")[i % 3]
@@ -111,7 +116,7 @@ def _cloud_schema(n_vms: int):
         for k in range(n_ivs):
             dur = 0 if (i + k) % 53 == 0 else rng.randrange(1, 10 * 86400)
             iv_id += 1
-            iv_fact.insert({
+            ivs.append({
                 "interval_id": iv_id, "vm_id": vm_id, "resource_id": 1,
                 "person_id": 1 + i % 20, "project": project,
                 "os": ("centos7", "ubuntu16")[i % 2],
@@ -120,9 +125,9 @@ def _cloud_schema(n_vms: int):
                 "state": ("running", "running", "stopped", "paused")[k % 4],
                 "start_ts": cursor, "end_ts": cursor + dur,
                 "vcpus": vcpus, "mem_gb": mem, "disk_gb": 20.0,
-            }, _log=False)
+            })
             cursor += dur
-        vm_fact.insert({
+        vms.append({
             "vm_id": vm_id, "resource_id": 1, "person_id": 1 + i % 20,
             "project": project, "os": ("centos7", "ubuntu16")[i % 2],
             "submission_venue": "api", "provision_ts": prov,
@@ -134,7 +139,9 @@ def _cloud_schema(n_vms: int):
             "reserved_mem_gb_hours": 0.0, "reserved_disk_gb_hours": 0.0,
             "n_state_changes": n_ivs, "n_resizes": 0,
             "running_s": 0, "stopped_s": 0, "paused_s": 0,
-        }, _log=False)
+        })
+    for table, rows in ((iv_fact, ivs), (vm_fact, vms)):
+        table.upsert_columns(table.schema.columns_from_rows(rows))
     return schema
 
 
@@ -258,14 +265,14 @@ def test_a10_incremental_identical_to_rebuild(benchmark):
     for target in (inc_schema, full_schema):
         src_storage = _storage_schema(n_snaps)
         src_cloud = _cloud_schema(n_vms)
-        for name in ("fact_storage",):
-            target.create_table(src_storage.table(name).schema)
-            for row in src_storage.table(name).rows():
-                target.table(name).insert(row, _log=False)
-        for name in ("fact_vm", "fact_vm_interval"):
-            target.create_table(src_cloud.table(name).schema)
-            for row in src_cloud.table(name).rows():
-                target.table(name).insert(row, _log=False)
+        for source, name in (
+            (src_storage, "fact_storage"), (src_cloud, "fact_vm"),
+            (src_cloud, "fact_vm_interval"),
+        ):
+            table = source.table(name)
+            target.create_table(table.schema).upsert_columns(
+                {c: table.column_values(c) for c in table.schema.column_names}
+            )
 
     inc = Aggregator(inc_schema)
     # first fold covers everything ingested so far; time the steady-state

@@ -57,11 +57,12 @@ def _satellite(n: int) -> XdmodInstance:
     create_jobs_star(sat.schema)
     fact = sat.schema.table("fact_job")
     rng = random.Random(13)
+    rows = []
     for i in range(n):
         start = T0 + rng.randrange(0, 300 * 86400)
         wall = rng.randrange(1, 86400)
         cores = (1, 4, 16)[i % 3]
-        fact.insert({
+        rows.append({
             "job_id": i + 1, "resource_id": 1 + i % 3,
             "person_id": 1 + i % 12, "pi_id": 1 + i % 4,
             "app_id": 1 + i % 6, "queue_id": 1,
@@ -74,6 +75,7 @@ def _satellite(n: int) -> XdmodInstance:
             "xdsu": 1.2 * cores * wall / SECONDS_PER_HOUR,
             "state": "completed", "exit_code": 0,
         })
+    fact.upsert_columns(fact.schema.columns_from_rows(rows))
     return sat
 
 

@@ -73,11 +73,12 @@ def _satellite(idx: int, n: int) -> XdmodInstance:
     create_jobs_star(sat.schema)
     fact = sat.schema.table("fact_job")
     rng = random.Random(100 + idx)
+    rows = []
     for i in range(n):
         start = T0 + rng.randrange(0, 300 * 86400)
         wall = rng.randrange(1, 86400)
         cores = (1, 4, 16)[i % 3]
-        fact.insert({
+        rows.append({
             "job_id": i + 1, "resource_id": 1 + i % 3,
             "person_id": 1 + i % 12, "pi_id": 1 + i % 4,
             "app_id": 1 + i % 6, "queue_id": 1,
@@ -90,6 +91,7 @@ def _satellite(idx: int, n: int) -> XdmodInstance:
             "xdsu": 1.2 * cores * wall / SECONDS_PER_HOUR,
             "state": "completed", "exit_code": 0,
         })
+    fact.upsert_columns(fact.schema.columns_from_rows(rows))
     # flesh out the registry so scrapes carry a representative payload
     # (labelled counters + histogram buckets, like a real ETL satellite)
     ingested = sat.obs.registry.counter(

@@ -21,11 +21,6 @@ Every rule here is grounded in a bug class that actually bit this project
   quarantine loops swallows injected faults (and bare ``except`` eats
   ``KeyboardInterrupt``); resilience boundaries that really must catch
   everything carry an explicit suppression with a reason.
-- ``per-row-bulk-write`` — ``table.insert(row)`` / ``table.upsert(row)``
-  inside a loop in a bulk loader pays a validation pass, a version bump
-  and a binlog append per row; bulk writers stage the batch and land it
-  with one ``upsert_columns`` per table (PR 16 took the last of them off
-  the per-row path, this keeps them off).
 """
 
 from __future__ import annotations
@@ -61,11 +56,6 @@ class LintConfig:
     #: hot paths where blocking calls under a held lock are flagged (R10)
     blocking_paths: tuple[str, ...] = (
         "repro/ui/", "repro/core/", "repro/warehouse/", "repro/obs/",
-    )
-    #: bulk loaders: a per-row ``insert``/``upsert`` in a loop is flagged
-    bulk_write_paths: tuple[str, ...] = (
-        "repro/etl/", "repro/aggregation/", "repro/warehouse/dump.py",
-        "repro/realms/", "repro/appkernels/",
     )
 
 
@@ -281,8 +271,8 @@ class MutationWithoutVersionBumpRule(Rule):
                     f"repro/warehouse/engine.py; mutations that bypass the "
                     f"engine skip the data_version bump (stale columnar "
                     f"cache) and the binlog (lost replication) — use "
-                    f"insert/upsert/upsert_columns/update_where/delete_where/"
-                    f"delete_key/truncate, or Schema.apply_event/apply_rows "
+                    f"upsert_columns/update_where/delete_where/delete_key/"
+                    f"truncate, or Schema.apply_event/apply_rows "
                     f"for replicated events",
                 )
 
@@ -408,9 +398,8 @@ class UnknownColumnRule(Rule):
     COLUMN_ARG_METHODS = frozenset({"column_array", "column_values"})
     #: Table methods whose first list/tuple argument holds column names.
     COLUMN_LIST_METHODS = frozenset({"column_arrays", "columns_values"})
-    #: Table methods taking a row (or column-batch) mapping whose keys are
-    #: columns.
-    ROW_METHODS = frozenset({"insert", "upsert", "upsert_columns"})
+    #: Table methods taking a column-batch mapping whose keys are columns.
+    ROW_METHODS = frozenset({"upsert_columns"})
 
     def check(self, tree: ast.Module, ctx: RuleContext) -> Iterator[Violation]:
         if not ctx.matches(ctx.config.column_check_paths):
@@ -740,51 +729,6 @@ class AlertRuleIdRule(Rule):
                 )
 
 
-# -- R11: per-row-bulk-write --------------------------------------------------
-
-
-class PerRowBulkWriteRule(Rule):
-    id = "per-row-bulk-write"
-    summary = (
-        "insert()/upsert() called per row inside a loop in a bulk loader; "
-        "stage the batch and land it with one upsert_columns per table"
-    )
-
-    ROW_WRITERS = frozenset({"insert", "upsert"})
-    LOOPS = (
-        ast.For, ast.AsyncFor, ast.While,
-        ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
-    )
-
-    def check(self, tree: ast.Module, ctx: RuleContext) -> Iterator[Violation]:
-        if not ctx.matches(ctx.config.bulk_write_paths):
-            return
-        for node in self._calls_in_loops(tree, False):
-            yield self.violation(
-                ctx, node,
-                f"per-row {node.func.attr}() inside a loop in a bulk "  # type: ignore[attr-defined]
-                f"loader: every row pays its own validation pass, version "
-                f"bump and binlog append — stage the rows and land them "
-                f"with one Table.upsert_columns per table "
-                f"(etl.star.DimensionCache.stage + land)",
-            )
-
-    def _calls_in_loops(self, node: ast.AST, in_loop: bool) -> Iterator[ast.Call]:
-        for child in ast.iter_child_nodes(node):
-            if (
-                in_loop
-                and isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr in self.ROW_WRITERS
-                # list.insert(i, x) takes two; a row writer takes the row
-                and len(child.args) == 1
-            ):
-                yield child
-            yield from self._calls_in_loops(
-                child, in_loop or isinstance(child, self.LOOPS)
-            )
-
-
 #: Registry, in reporting order.
 ALL_RULES: tuple[Rule, ...] = (
     NullableTruthinessRule(),
@@ -794,5 +738,4 @@ ALL_RULES: tuple[Rule, ...] = (
     OverbroadExceptRule(),
     MetricNameRule(),
     AlertRuleIdRule(),
-    PerRowBulkWriteRule(),
 )

@@ -17,9 +17,9 @@ resource-scoped and replicates through the federation's SUPReMM summary
 filter (:func:`repro.core.supremm_summary_filter`), so the hub can rank
 jobs federation-wide while the storage-intensive raw series stay on the
 satellite (Section II-C5).  All writes go through
-:meth:`~repro.warehouse.engine.Table.upsert`, so re-summarizing a window
-is idempotent and every mutation bumps ``Schema.data_version`` — the
-serving cache's invalidation stamp stays correct for free.
+:meth:`~repro.warehouse.engine.Table.upsert_columns`, so re-summarizing a
+window is idempotent and every mutation bumps ``Schema.data_version`` —
+the serving cache's invalidation stamp stays correct for free.
 
 Scoring formula (documented in docs/observability.md):
 

@@ -492,7 +492,7 @@ class ReplicationChannel:
                             ).__enter__()
                             group_key = key
                     group_n += n
-                if n > 1 and self._apply_batch(record):
+                if not single and self._apply_batch(record):
                     self.stats.events_applied += n
                     self.stats.events_seen += n
                     applied += n

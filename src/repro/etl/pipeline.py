@@ -128,11 +128,11 @@ class IngestPipeline:
     def _advance(self, source: str, ts: int, records: int) -> None:
         markers = self.schema.table("etl_markers")
         row = markers.get((source,))
-        markers.upsert(
+        markers.upsert_columns(
             {
-                "source": source,
-                "high_water_ts": max(ts, row["high_water_ts"] if row else 0),
-                "records_total": (row["records_total"] if row else 0) + records,
+                "source": [source],
+                "high_water_ts": [max(ts, row["high_water_ts"] if row else 0)],
+                "records_total": [(row["records_total"] if row else 0) + records],
             }
         )
 

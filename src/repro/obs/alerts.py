@@ -306,7 +306,6 @@ class AlertEngine:
         history: MetricsHistory,
         rules: Iterable[AlertRule] = DEFAULT_ALERT_RULES,
         *,
-        clock=None,
         fleet=None,
     ) -> None:
         self.history = history
@@ -316,7 +315,6 @@ class AlertEngine:
         ids = [r.id for r in self.rules]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate alert rule ids in {ids}")
-        self._clock = clock if clock is not None else history.clock
         self._states: dict[tuple[str, str], AlertState] = {}
         self.evaluations = 0
 
@@ -329,7 +327,7 @@ class AlertEngine:
         scrape of (skipped entirely when the engine was built without a
         ``fleet``).  States of pairs not evaluated this time are dropped.
         """
-        now = self._clock.now()
+        now = self.history.clock.now()
         self.evaluations += 1
         member_list = list(members)
         evaluated: set[tuple[str, str]] = set()

@@ -257,11 +257,15 @@ class MetricsHistory:
 
     def _compact_series(self, series: _Series, now: float) -> None:
         _, horizon = self.retention.span()
+        raw_s = self._raw_s
         tiers = {l.label: _tier_width(l) for l in self.retention.levels}
         kept: list[tuple[float, float]] = []
         seen: set[tuple[str, int]] = set()
         for t, v in reversed(series.samples):  # newest first: keep newest per bucket
             age = now - t
+            if 0.0 <= age < raw_s:  # the raw tier keeps every sample
+                kept.append((t, v))
+                continue
             if age >= horizon:
                 break
             label = self.retention.level_of(age)

@@ -104,11 +104,6 @@ class Table:
             if row is not None:
                 yield row
 
-    def row_ids(self) -> Iterator[int]:
-        for rid, row in enumerate(self._rows):
-            if row is not None:
-                yield rid
-
     def row_at(self, rid: int) -> tuple[Any, ...]:
         row = self._rows[rid]
         if row is None:
@@ -147,76 +142,28 @@ class Table:
 
     # -- mutation ----------------------------------------------------------
 
-    def insert(self, values: Mapping[str, Any], *, _log: bool = True) -> int:
-        """Insert one row; returns its row id.
-
-        Raises :class:`PrimaryKeyError` on duplicate key.
-        """
-        row = self.schema.normalize_row(values)
-        key = self.schema.key_of(row)
-        if key is not None and key in self._pk_index:
-            raise PrimaryKeyError(
-                f"table {self.name!r}: duplicate primary key {key!r}"
-            )
-        return self._append(row, key, _log)
-
-    def _append(
-        self, row: tuple[Any, ...], key: tuple[Any, ...] | None, log: bool
-    ) -> int:
-        """Store an already-normalised row whose key is known to be free."""
-        rid = len(self._rows)
-        self._rows.append(row)
-        self._live_count += 1
-        self._appended()
-        if key is not None:
-            self._pk_index[key] = rid
-        if log and not self.schema.derived:
-            self._owner._log(
-                EventType.INSERT,
-                self.name,
-                {"row": dict(zip(self.schema.column_names, row))},
-            )
-        return rid
-
-    def upsert(self, values: Mapping[str, Any]) -> int:
-        """Insert, or update in place when the primary key already exists."""
-        row = self.schema.normalize_row(values)
-        key = self.schema.key_of(row)
-        if key is not None and key in self._pk_index:
-            rid = self._pk_index[key]
-            self._replace(rid, row)
-            if not self.schema.derived:
-                self._owner._log(
-                    EventType.UPDATE,
-                    self.name,
-                    {
-                        "key": list(key),
-                        "row": dict(zip(self.schema.column_names, row)),
-                    },
-                )
-            return rid
-        return self._append(row, key, True)
-
     def upsert_columns(self, columns: Mapping[str, Any]) -> int:
-        """Upsert a batch of rows held as equal-length columns (NumPy
+        """Write a batch of rows held as equal-length columns (NumPy
         arrays or sequences keyed by column name); returns the row count.
+        The one way a row enters a table: loaders, the aggregator, dump
+        loads and the hub's applier all land their rows here, a single
+        row as a batch of one.
 
-        The table, its ``data_version`` and the events the binlog reads
-        back end up exactly as after one :meth:`upsert` per row in batch
-        order (:meth:`insert` on a keyless table): a key already stored —
-        or repeated earlier in the batch — is updated in place, and every
-        row reads back as its own ``INSERT`` / ``UPDATE`` event.  What
-        differs is the cost and the failure mode: the whole batch is
-        validated first (:meth:`TableSchema.normalize_columns`, every
-        check ``upsert`` makes), so a bad value anywhere raises before
-        anything is written; then the versions move once, by the row
-        count, the column cache is kept (only new keys: see
-        :meth:`column_array`) or cleared once, and each run of like
-        events is one :meth:`Binlog.extend` record holding the stored row
-        tuples (a derived table logs nothing).  A batch with no key
-        already stored and none repeated — every append — is one list
-        extend, one index update and one record.  An empty batch writes
-        nothing and bumps nothing.
+        Rows land in batch order.  On a keyed table a row whose key is
+        already stored — or repeated earlier in the batch — replaces the
+        stored row in place and logs an ``UPDATE`` event; any other row
+        is appended and logs an ``INSERT`` (a keyless table only
+        appends).  A row omitting a column takes its default.  The whole
+        batch is validated first (:meth:`TableSchema.normalize_columns`),
+        so a bad value anywhere raises before anything is written.  Then
+        the versions move once, by the row count; the column cache is
+        kept when only new keys were written (see :meth:`column_array`)
+        and cleared once otherwise; and each run of like events is one
+        :meth:`Binlog.extend` record holding the stored row tuples (a
+        derived table logs nothing), read back as one event per row.  A
+        batch with no key already stored and none repeated — every
+        append — is one list extend, one index update and one record.
+        An empty batch writes nothing and bumps nothing.
         """
         stored = self.schema.normalize_columns(columns)
         rows = list(zip(*stored))
@@ -293,7 +240,8 @@ class Table:
                 del self._pk_index[old_key]
             if new_key is not None:
                 self._pk_index[new_key] = rid
-            self._replace(rid, new_row)
+            self._rows[rid] = new_row
+            self._mutated()
             if not self.schema.derived:
                 self._owner._log(
                     EventType.UPDATE,
@@ -359,10 +307,6 @@ class Table:
         if not self.schema.derived:
             self._owner._log(EventType.TRUNCATE, self.name, {})
 
-    def _replace(self, rid: int, new_row: tuple[Any, ...]) -> None:
-        self._rows[rid] = new_row
-        self._mutated()
-
     # -- column access for vectorized aggregation ---------------------------
 
     def _appended(self, n: int = 1) -> None:
@@ -400,11 +344,11 @@ class Table:
         (:meth:`repro.realms.base.Realm.query`), so aggregator and REST
         threads share it.  Arrays are built lazily per column and cached
         with how many stored rows they cover.  A mutation that only
-        appends rows — :meth:`insert`, an :meth:`upsert` or
-        :meth:`upsert_columns` adding only new keys, hub ``apply_rows``
-        — keeps the cache, and the next read converts just the appended
-        tail and extends the array; every other mutation (an update, a
-        delete, a truncate) clears the cache and starts a new *epoch*.
+        appends rows — an :meth:`upsert_columns` adding only new keys,
+        which is also how the hub applies replicated inserts — keeps the
+        cache, and the next read converts just the appended tail and
+        extends the array; every other mutation (an update, a delete, a
+        truncate) clears the cache and starts a new *epoch*.
         An entry carries the epoch read before its rows were: a reader
         overtaken by a non-append mutation stores an entry of an old
         epoch, which no later read trusts or extends.
@@ -586,10 +530,12 @@ class Schema:
         This is the replication "applier" side: the federation hub calls
         this for each event shipped from a satellite.  Row application goes
         through the normal table methods so the hub's own binlog also
-        records the change (supporting hub-of-hubs topologies), but inserts
-        use upsert semantics so replay is idempotent.  An update that
-        changed the row's primary key removes the row stored under the old
-        key first, so the replica holds what the source holds.
+        records the change (supporting hub-of-hubs topologies).  An
+        ``INSERT`` or ``UPDATE`` lands its row through
+        :meth:`Table.upsert_columns` as a batch of one, so replaying an
+        insert is idempotent; an update that changed the row's primary
+        key removes the row stored under the old key first, so the
+        replica holds what the source holds.
         """
         if self._apply_counter is not None:
             self._apply_counter.inc()
@@ -606,13 +552,7 @@ class Schema:
         table = self.table(event.table)
         if event.etype is EventType.TRUNCATE:
             table.truncate()
-        elif event.etype is EventType.INSERT:
-            row = event.data["row"]
-            if table.schema.primary_key:
-                table.upsert(row)
-            else:
-                table.insert(row)
-        elif event.etype is EventType.UPDATE:
+        elif event.etype in (EventType.INSERT, EventType.UPDATE):
             # an update that changed the primary key (``update_where``
             # logs the before-image) moved the row: drop it from under its
             # old key, or the replica keeps both
@@ -622,7 +562,7 @@ class Schema:
                 old_key = tuple(old_row[c] for c in pk)
                 if old_key != tuple(row[c] for c in pk):
                     table.delete_key(old_key)
-            table.upsert(row)
+            table.upsert_columns({name: [value] for name, value in row.items()})
         elif event.etype is EventType.DELETE:
             if event.data.get("key") is not None and table.schema.primary_key:
                 table.delete_key(event.data["key"])

@@ -5,14 +5,15 @@ The per-row, dict-bucketing implementations the columnar builders in
 property tests (``tests/test_columnar_aggregation.py``,
 ``tests/test_aggregate_specs.py``) and benches A10 / A3 compare the
 shipped fold against row-for-row: each rebuilds ``agg_<realm>_<period>``
-from scratch by walking every fact as a dict.  SUPReMM's reference is the
+from scratch by walking every fact as a dict, and writes the rows one
+at a time, in key order.  SUPReMM's reference is the
 query it replaced (:func:`supremm_query_oracle`), which answered from the
 facts directly.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.aggregation import (
     ALLOCATIONS,
@@ -31,7 +32,12 @@ from repro.timeutil import (
     period_range,
     period_start,
 )
-from repro.warehouse import Schema, TableSchema
+from repro.warehouse import Schema, Table, TableSchema
+
+
+def _write_row(table: Table, row: Mapping[str, Any]) -> None:
+    """Write one aggregate row, as a batch of one."""
+    table.upsert_columns({name: [value] for name, value in row.items()})
 
 
 def _replace_table(schema: Schema, table_schema: TableSchema) -> None:
@@ -103,7 +109,8 @@ def aggregate_jobs_oracle(
     for key in sorted(buckets):
         p_start, rid, pid, piid, aid, qid, wl_level, sz_level = key
         measures = buckets[key]
-        agg.insert(
+        _write_row(
+            agg,
             {
                 "period_start": p_start,
                 "period_label": period_label(period, p_start),
@@ -181,7 +188,8 @@ def aggregate_storage_oracle(
         samples = periods[key]
         n = len(samples)
         quota_n = sum(s["quota_n"] for s in samples)
-        agg.insert(
+        _write_row(
+            agg,
             {
                 "period_start": p_start,
                 "period_label": period_label(period, p_start),
@@ -279,7 +287,8 @@ def aggregate_cloud_oracle(
     for key in sorted(buckets):
         p_start, rid, project, os, venue, mem_level = key
         measures = buckets[key]
-        agg.insert(
+        _write_row(
+            agg,
             {
                 "period_start": p_start,
                 "period_label": period_label(period, p_start),
@@ -353,7 +362,8 @@ def aggregate_allocations_oracle(schema: Schema, period: str) -> int:
             entry["granted"] = row["su_granted"] * ov / span
     for (p_start, allocation_id) in sorted(buckets):
         entry = buckets[(p_start, allocation_id)]
-        agg.insert(
+        _write_row(
+            agg,
             {
                 "period_start": p_start,
                 "period_label": period_label(period, p_start),

@@ -7,8 +7,9 @@ The ``soak`` hypothesis profile runs the property tests that read
 :func:`property_settings` (fold == rebuild, batch writes, the column
 cache, loose fan-in equivalence, the compiled JSON Schema validator
 against its interpreter, binlog batch records against the per-event log,
-binlog replay, and replicated batch records against the per-event
-channel in ``test_batch_apply.py``) at 400 examples each:
+binlog replay, history compaction against the walk that classifies every
+sample, and replicated batch records against the per-event channel in
+``test_batch_apply.py``) at 400 examples each:
 ``pytest --hypothesis-profile=soak``.
 """
 

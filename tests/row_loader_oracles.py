@@ -1,12 +1,12 @@
 """Row-at-a-time reference loaders.
 
 These are the star, storage, cloud, performance and analytics loaders as
-they stood before PR 16 batched them: one ``insert`` / ``upsert`` per
-row, dimension rows written the moment an id is assigned, cloud
-re-ingest deleting per VM.  They live here, not under ``src/``, as the
-oracles ``tests/test_batch_loaders.py`` holds the batched loaders to:
-same tables row for row, same versions, the same multiset of binlog
-events.  Behaviour is frozen; do not "improve" them.
+they stood before PR 16 batched them: one single-row write per row
+(:func:`_write_row`), dimension rows written the moment an id is
+assigned, cloud re-ingest deleting per VM.  They live here, not under
+``src/``, as the oracles ``tests/test_batch_loaders.py`` holds the
+batched loaders to: same tables row for row, same versions, the same
+multiset of binlog events.  Behaviour is frozen; do not "improve" them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,12 @@ from repro.etl.storagefs import STORAGE_SNAPSHOT_SCHEMA, create_storage_realm
 from repro.simulators.hpl import ConversionTable
 from repro.simulators.perf import JobPerformance
 from repro.timeutil import SECONDS_PER_HOUR
-from repro.warehouse import Schema
+from repro.warehouse import Schema, Table
+
+
+def _write_row(table: Table, row: Mapping[str, Any]) -> None:
+    """Write one row, as a batch of one."""
+    table.upsert_columns({name: [value] for name, value in row.items()})
 
 
 class DimensionCache:
@@ -71,7 +76,8 @@ class DimensionCache:
         rid = self._resource.get(name)
         if rid is None:
             rid = len(self._resource) + 1
-            self._schema.table("dim_resource").insert(
+            _write_row(
+                self._schema.table("dim_resource"),
                 {
                     "resource_id": rid,
                     "name": name,
@@ -93,7 +99,8 @@ class DimensionCache:
             gateway = (
                 username[3:] if username.startswith("gw_") else ""
             )
-            self._schema.table("dim_person").insert(
+            _write_row(
+                self._schema.table("dim_person"),
                 {
                     "person_id": pid,
                     "username": username,
@@ -111,7 +118,8 @@ class DimensionCache:
         pid = self._pi.get(username)
         if pid is None:
             pid = len(self._pi) + 1
-            self._schema.table("dim_pi").insert(
+            _write_row(
+                self._schema.table("dim_pi"),
                 {"pi_id": pid, "username": username}
             )
             self._pi[username] = pid
@@ -121,7 +129,8 @@ class DimensionCache:
         aid = self._app.get(name)
         if aid is None:
             aid = len(self._app) + 1
-            self._schema.table("dim_application").insert(
+            _write_row(
+                self._schema.table("dim_application"),
                 {"app_id": aid, "name": name, "science_field": science_field}
             )
             self._app[name] = aid
@@ -131,7 +140,8 @@ class DimensionCache:
         qid = self._queue.get((resource, name))
         if qid is None:
             qid = len(self._queue) + 1
-            self._schema.table("dim_queue").insert(
+            _write_row(
+                self._schema.table("dim_queue"),
                 {"queue_id": qid, "name": name, "resource": resource}
             )
             self._queue[(resource, name)] = qid
@@ -166,7 +176,8 @@ def ingest_jobs(
         if fact.get((resource_id, job.job_id)) is not None:
             continue
         cpu_hours = job.cores * job.walltime_s / SECONDS_PER_HOUR
-        fact.insert(
+        _write_row(
+            fact,
             {
                 "job_id": job.job_id,
                 "resource_id": resource_id,
@@ -221,7 +232,8 @@ def ingest_storage_snapshots(
                 raise
             rejected += 1
             continue
-        fact.insert(
+        _write_row(
+            fact,
             {
                 "snapshot_id": next_id,
                 "resource_id": dims.resource_id(doc["resource"]),
@@ -306,9 +318,10 @@ def ingest_cloud_events(
         row = {k: v for k, v in vm.items() if k not in ("user", "resource")}
         row["resource_id"] = resource_id
         row["person_id"] = person_id
-        vm_fact.insert(row)
+        _write_row(vm_fact, row)
         for interval in result["intervals"]:
-            interval_fact.insert(
+            _write_row(
+                interval_fact,
                 {
                     "interval_id": next_interval,
                     "vm_id": vm_id,
@@ -342,8 +355,9 @@ def ingest_performance(
         resource_id = dims.resource_id(perf.resource)
         row: dict = {"job_id": perf.job_id, "resource_id": resource_id}
         row.update(perf.summary())
-        fact.upsert(row)
-        series_table.upsert(
+        _write_row(fact, row)
+        _write_row(
+            series_table,
             {
                 "job_id": perf.job_id,
                 "resource_id": resource_id,
@@ -367,6 +381,6 @@ def ingest_summaries(schema: Schema, summaries: Iterable[JobSummary]) -> int:
     fact = schema.table(ANALYTICS_TABLE)
     n = 0
     for summary in summaries:
-        fact.upsert(summary.row(dims.resource_id(summary.resource)))
+        _write_row(fact, summary.row(dims.resource_id(summary.resource)))
         n += 1
     return n

@@ -70,6 +70,7 @@ from tests.test_columnar_aggregation import (
     insert_job,
     insert_snapshot,
     seeded,
+    write_row,
 )
 
 SETTINGS = property_settings(25)
@@ -220,7 +221,7 @@ class TestAllocationsFold:
         register_allocations(schema, [Allocation(2, "pz", "r9", 50.0, T0, T0 + YEAR)])
         assert aggregator.fold(ALLOCATIONS, "month") == 1
         # a resource registered after the fold renames the grants naming it
-        schema.table("dim_resource").insert({"resource_id": 9, "name": "r9"})
+        schema.table("dim_resource").upsert_columns({"resource_id": [9], "name": ["r9"]})
         assert aggregator.fold(ALLOCATIONS, "month") == 1
         folded = sorted(schema.table("agg_allocation_month").raw_rows())
         assert {row[4] for row in folded if row[2] == 2} == {9}
@@ -243,7 +244,7 @@ class TestAllocationsFold:
         ])
         aggregator.fold(ALLOCATIONS, period)
         # r9 is named by grants but ran no job: its row arrives last
-        schema.table("dim_resource").insert({"resource_id": 9, "name": "r9"})
+        schema.table("dim_resource").upsert_columns({"resource_id": [9], "name": ["r9"]})
         aggregator.fold(ALLOCATIONS, period)
         name = ALLOCATIONS.table_schema(period).name
         folded = sorted(schema.table(name).raw_rows())
@@ -278,7 +279,7 @@ def perf_schema(jobs, rounds):
                 resource_id=resource, person_id=person, app_id=app,
             ))
         if order != "no perf":
-            batches[perf_at].append(partial(schema.table("fact_job_perf").insert, {
+            batches[perf_at].append(partial(write_row, schema.table("fact_job_perf"), {
                 "job_id": job_id, "resource_id": resource,
                 **{f"{m}_avg": value * (i + 1) for i, m in enumerate(PERF_METRICS)},
                 **{f"{m}_max": value * (i + 2) for i, m in enumerate(PERF_METRICS)},
@@ -326,7 +327,7 @@ class TestSupremmFold:
             aggregator.fold(SUPREMM, period)
         job_rows = list(schema.table("fact_job").rows())
         if reingest and job_rows:  # an update: the fold rebuilds
-            schema.table("fact_job").upsert({**job_rows[0], "cpu_hours": 7.0})
+            write_row(schema.table("fact_job"), {**job_rows[0], "cpu_hours": 7.0})
             aggregator.fold(SUPREMM, period)
         name = SUPREMM.table_schema(period).name
         folded = sorted(schema.table(name).raw_rows())

@@ -347,7 +347,7 @@ class TestEfficiencyEndpoint:
         fact = two_member_sources["a"].table(ANALYTICS_TABLE)
         row = dict(next(iter(fact.rows())))
         row["efficiency_score"] = 0.0
-        fact.upsert(row)
+        fact.upsert_columns({name: [value] for name, value in row.items()})
         _, payload, headers = get_json(api, "/jobs/efficiency")
         assert headers["X-Cache"] == "stale"
         assert payload["jobs"][0]["score"] == 0.0

@@ -5,8 +5,8 @@ by the filter into admitted and filtered slices — and every contiguous
 run of admitted single ``INSERT``s on one table to the hub as one batch
 write.  Two oracles hold it to the per-event applier it replaced:
 
-* ``catch_up(batch=1)`` polls one event at a time, so no run ever forms:
-  the twin-channel tests require the same target tables, versions, hub
+* ``catch_up(batch=1)`` polls one event at a time, so no run ever forms
+  and every batch holds one row: the twin-channel tests require the same target tables, versions, hub
   binlog, dead letters, cursor and :class:`ChannelStats` (all but
   ``syncs``) as ``catch_up(batch=1000)``, with and without tracing, retry
   policy, quarantine, injected faults and a target that genuinely refuses
@@ -106,7 +106,7 @@ def satellite(traced: bool):
     users = schema.create_table(
         TableSchema("users", make_columns([("name", C.STR, False)]), ("name",))
     )
-    users.insert({"name": "root"})  # user profiles never replicate
+    users.upsert_columns({"name": ["root"]})  # user profiles never replicate
     with span("ingest_2"):
         ingest_jobs(schema, [make_job(i, "r1", f"u{i % 9}") for i in range(50, 120)])
     fact = schema.table("fact_job")
@@ -128,9 +128,9 @@ def satellite(traced: bool):
         )
     notes = schema.create_table(notes_schema())
     for body in ("x", "x", "y"):
-        notes.insert({"body": body, "n": 1})
+        notes.upsert_columns({"body": [body], "n": [1]})
     notes.truncate()
-    notes.insert({"body": "z"})
+    notes.upsert_columns({"body": ["z"]})
     schema.drop_table("notes")
     notes = schema.create_table(notes_schema())
     notes.upsert_columns({"body": ["p", "p", "q"], "n": [1, 1, None]})
@@ -337,7 +337,7 @@ class TestTwinChannels:
         )
         channel.target = Spy(target)
         channel.catch_up()
-        assert max(calls) >= 60 and min(calls) >= 2
+        assert max(calls) >= 60 and min(calls) == 1  # one-row records batch too
         assert sum(calls) < channel.stats.events_applied  # some went one by one
         assert channel.stats.events_filtered > 10
         assert {e.etype for e in source.binlog} == set(EventType)
@@ -531,10 +531,10 @@ def write_op(schema, verb, ids, version):
     elif verb == "insert":
         for j in ids:
             if facts.get((j % 4, j)) is None:
-                facts.insert({"resource_id": j % 4, "job_id": j, "user": "solo"})
+                facts.upsert_columns({"resource_id": [j % 4], "job_id": [j], "user": ["solo"]})
     elif verb == "upsert":
         for j in ids:
-            facts.upsert({"resource_id": j % 4, "job_id": j, "user": "up"})
+            facts.upsert_columns({"resource_id": [j % 4], "job_id": [j], "user": ["up"]})
     elif verb == "update_where":
         facts.update_where(lambda r: r["job_id"] in ids, {"hours": float(version)})
     elif verb == "rekey" and ids:
@@ -551,7 +551,7 @@ def write_op(schema, verb, ids, version):
         if version % 2:
             notes.upsert_columns({"body": [f"b{j}" for j in ids], "n": list(ids)})
         for j in ids:
-            notes.insert({"body": f"s{j}", "n": j if j % 2 else None})
+            notes.upsert_columns({"body": [f"s{j}"], "n": [j if j % 2 else None]})
     elif verb == "truncate":
         schema.table("notes" if version % 2 else "fact_job").truncate()
     elif verb == "ddl":
@@ -701,7 +701,7 @@ class TestRecordsAgainstEvents:
         loose.ship()  # the first ship is a dump
         base = source.binlog.head_lsn
         for j in range(8):  # every third job runs on r2
-            facts.insert({"resource_id": 2 if j % 3 == 0 else 1, "job_id": j, "user": "u"})
+            facts.upsert_columns({"resource_id": [2 if j % 3 == 0 else 1], "job_id": [j], "user": ["u"]})
         inject_apply_faults(loose.channel, FaultPlan(poison_lsns={base + 5}))
         hub = loose.ship()
         (letter,) = map(loose.channel.dead_letters.get, loose.channel.dead_letters.lsns())

@@ -59,10 +59,15 @@ def build_schema() -> Schema:
     return s
 
 
+def write_row(table, row):
+    """Write one row, as a batch of one."""
+    table.upsert_columns({name: [value] for name, value in row.items()})
+
+
 def insert_job(s, job_id, *, start, wall, cores=4, cpu_hours=None,
                resource_id=1, person_id=1, pi_id=1, app_id=1, queue_id=1,
                wait=600, end=None):
-    s.table("fact_job").insert({
+    write_row(s.table("fact_job"), {
         "job_id": job_id, "resource_id": resource_id, "person_id": person_id,
         "pi_id": pi_id, "app_id": app_id, "queue_id": queue_id,
         "submit_ts": start - wait, "start_ts": start,
@@ -79,7 +84,7 @@ def insert_job(s, job_id, *, start, wall, cores=4, cpu_hours=None,
 def insert_snapshot(s, snapshot_id, *, ts_, person_id, soft,
                     resource_id=1, filesystem="home", logical=10.0,
                     resource_type="gpfs"):
-    s.table("fact_storage").insert({
+    write_row(s.table("fact_storage"), {
         "snapshot_id": snapshot_id, "resource_id": resource_id,
         "filesystem": filesystem, "mountpoint": f"/{filesystem}",
         "resource_type": resource_type, "person_id": person_id,
@@ -93,7 +98,7 @@ def insert_snapshot(s, snapshot_id, *, ts_, person_id, soft,
 
 def insert_interval(s, interval_id, *, vm_id, start, dur, state="running",
                     resource_id=1, vcpus=2, mem_gb=1.5):
-    s.table("fact_vm_interval").insert({
+    write_row(s.table("fact_vm_interval"), {
         "interval_id": interval_id, "vm_id": vm_id,
         "resource_id": resource_id, "person_id": 1, "project": "astro",
         "os": "centos7", "submission_venue": "api",
@@ -105,7 +110,7 @@ def insert_interval(s, interval_id, *, vm_id, start, dur, state="running",
 
 def insert_vm(s, vm_id, *, provision, terminate, resource_id=1,
               vcpus=2, mem_gb=1.5, n_state_changes=1):
-    s.table("fact_vm").insert({
+    write_row(s.table("fact_vm"), {
         "vm_id": vm_id, "resource_id": resource_id, "person_id": 1,
         "project": "astro", "os": "centos7", "submission_venue": "api",
         "provision_ts": provision, "terminate_ts": terminate,
@@ -302,16 +307,19 @@ class TestColumnarOracleParity:
         assert agg.fold(CLOUD, "month") == 0
 
 
+_upsert_columns = Table.upsert_columns  # unpatched
+
+
 def upsert_row_by_row(table, columns):
-    """What the fold did before ``Table.upsert_columns``: one ``upsert``
-    per aggregate row."""
+    """What the fold did before it wrote columns: one write per aggregate
+    row, each a batch of one."""
     plain = {
         name: column.tolist() if isinstance(column, np.ndarray) else column
         for name, column in columns.items()
     }
     rows = [dict(zip(plain, values)) for values in zip(*plain.values())]
     for row in rows:
-        table.upsert(row)
+        _upsert_columns(table, {name: [value] for name, value in row.items()})
     return len(rows)
 
 

@@ -271,7 +271,7 @@ class TestSchemaDataVersionRace:
         def writer(table):
             def run():
                 for i in range(n_rows):
-                    table.insert({"id": i, "val": float(i)})
+                    table.upsert_columns({"id": [i], "val": [float(i)]})
 
             return run
 
@@ -310,7 +310,7 @@ class TestColumnCacheRace:
     def table(self):
         table = Database().create_schema("modw").create_table(_table_schema("jobs"))
         for i in range(self.N):
-            table.insert({"id": i, "val": float(i)})
+            table.upsert_columns({"id": [i], "val": [float(i)]})
         return table
 
     def _insert_after_snapshot(self, table, read):
@@ -328,7 +328,7 @@ class TestColumnCacheRace:
         reader.start()
         try:
             assert snapshotted.wait(5)
-            table.insert({"id": self.N, "val": float(self.N)})
+            table.upsert_columns({"id": [self.N], "val": [float(self.N)]})
         finally:
             mutated.set()
             reader.join(5)
@@ -358,7 +358,7 @@ class TestColumnCacheRace:
         def writer():
             try:
                 for i in range(self.N, n_rows):
-                    table.insert({"id": i, "val": float(i)})
+                    table.upsert_columns({"id": [i], "val": [float(i)]})
             finally:
                 done.set()
 
@@ -403,7 +403,7 @@ class TestColumnCacheRace:
         that row until the next non-append write."""
         table._rows = _PausingRows(table._rows, lambda: table.delete_key([1]))
         assert table.column_array("val").tolist() == [0.0, 1.0, 2.0]
-        table.insert({"id": self.N, "val": float(self.N)})
+        table.upsert_columns({"id": [self.N], "val": [float(self.N)]})
         assert table.column_array("val").tolist() == [0.0, 2.0, 3.0]
 
     def test_checksum_is_fresh_after_readers_race_a_writer(self, table):
@@ -415,7 +415,7 @@ class TestColumnCacheRace:
         def writer():
             try:
                 for i in range(300):
-                    table.upsert({"id": i % 7, "val": float(i)})
+                    table.upsert_columns({"id": [i % 7], "val": [float(i)]})
                     table.delete_key([(i * 3) % 7])
             finally:
                 done.set()
@@ -600,7 +600,7 @@ class TestProductionPathsUnderSanitizer:
 
         def writer():
             for i in range(50):
-                table.insert({"id": i, "val": float(i)})
+                table.upsert_columns({"id": [i], "val": [float(i)]})
 
         def reader():
             for i in range(50):

@@ -102,9 +102,9 @@ class TestRowMutationsLogNothing:
     def test_ddl_is_logged_row_mutations_are_not(self, schema):
         table = schema.create_table(rollup_schema())
         head = schema.binlog.head_lsn
-        table.insert({"k": 1, "total": 1.0})
-        table.upsert({"k": 1, "total": 2.0})
-        table.upsert({"k": 2, "total": 2.0})
+        table.upsert_columns({"k": [1], "total": [1.0]})
+        table.upsert_columns({"k": [1], "total": [2.0]})
+        table.upsert_columns({"k": [2], "total": [2.0]})
         table.upsert_columns({"k": [2, 3, 4], "total": [0.5, 1.5, 2.5]})
         table.update_where(lambda r: r["k"] == 3, {"total": 9.0})
         table.update_where(lambda r: r["k"] == 4, {"k": 40})
@@ -128,7 +128,7 @@ class TestRowMutationsLogNothing:
             start = (table.data_version, schema.data_version)
             table.upsert_columns({"k": [1, 2, 3], "total": [1.0, 2.0, 3.0]})
             assert table.column_array("total").tolist() == [1.0, 2.0, 3.0]
-            table.upsert({"k": 2, "total": 20.0})
+            table.upsert_columns({"k": [2], "total": [20.0]})
             assert table.column_array("total").tolist() == [1.0, 20.0, 3.0]
             table.update_where(lambda r: r["k"] == 3, {"total": 30.0})
             table.delete_key((1,))
@@ -258,10 +258,10 @@ class TestDumpAndReplay:
 class TestReplicationRefusesDerivedTables:
     def test_refusal_follows_the_schema_not_the_name(self):
         source = Database("sat").create_schema("modw")
-        source.create_table(rollup_schema()).insert({"k": 1, "total": 1.0})
+        source.create_table(rollup_schema()).upsert_columns({"k": [1], "total": [1.0]})
         # a logged table that merely looks like an aggregate
-        source.create_table(rollup_schema(derived=False, name="agg_by_hand")).insert(
-            {"k": 1, "total": 1.0}
+        source.create_table(rollup_schema(derived=False, name="agg_by_hand")).upsert_columns(
+            {"k": [1], "total": [1.0]}
         )
         target = Database("hub").create_schema("fed_sat")
         channel = ReplicationChannel(

@@ -113,8 +113,7 @@ class TestEngineColumnAccess:
                 primary_key=("a",),
             )
         )
-        for i in range(4):
-            table.insert({"a": i, "b": f"x{i}"})
+        table.upsert_columns({"a": list(range(4)), "b": [f"x{i}" for i in range(4)]})
         table.delete_where(lambda r: r["a"] == 2)
         assert table.column_values("a") == [0, 1, 3]
         assert table.columns_values(["b", "a"]) == [
@@ -128,7 +127,7 @@ class TestEngineColumnAccess:
             TableSchema("t", make_columns([("a", C.INT, False)]),
                         primary_key=("a",))
         )
-        table.insert({"a": 1})
+        table.upsert_columns({"a": [1]})
         table.delete_where(lambda r: True)
         from repro.warehouse import UnknownObjectError
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.aggregation.levels import AggregationLevel, AggregationLevelSet
 from repro.cli import main
@@ -43,8 +44,10 @@ from repro.obs import (
     alert_rule,
     parse_prometheus_text,
 )
+from repro.obs.history import DEFAULT_RETENTION, _Series
 from repro.timeutil import ts
 from repro.ui import XdmodApi, render_sparkline
+from tests.conftest import property_settings
 from tests.rest_client import get_json
 
 
@@ -427,6 +430,71 @@ class TestMetricsHistory:
         assert status == 200
         assert b"hits_total 2" in body
         assert obs.history.last("hits_total") == 2.0
+
+
+def compacted_by_walk(retention, samples, now):
+    """The compaction walk that classifies every sample with
+    ``level_of``, raw tier included: newest first, stop at the horizon,
+    keep every raw sample and the newest sample per tier bucket."""
+    _, horizon = retention.span()
+    kept, seen = [], set()
+    for t, v in reversed(samples):
+        age = now - t
+        if age >= horizon:
+            break
+        label = retention.level_of(age)
+        if label == retention.OUTSIDE:
+            continue
+        width = next(l.lo for l in retention.levels if l.label == label)
+        if width <= 0:
+            kept.append((t, v))
+            continue
+        bucket = (label, int(t // width))
+        if bucket not in seen:
+            seen.add(bucket)
+            kept.append((t, v))
+    return kept[::-1]
+
+
+NOW = 100_000.0
+#: sample ages: the default ladder's tier edges, just either side of
+#: them, negative ages (a sample stamped after ``now``) and anything else
+AGES = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 1e-9, -1e-9, -1.0, 299.999, 300.0, 300.001,
+        3599.999, 3600.0, 3600.001, 86399.999, 86400.0, 86400.5,
+    ]),
+    st.floats(-600.0, 90_000.0, allow_nan=False),
+)
+
+
+class TestCompaction:
+    @property_settings(200)
+    @given(ages=st.lists(AGES, max_size=40))
+    def test_compaction_equals_the_classifying_walk(self, ages):
+        """Out-of-order times included: explicit ``now=`` observations
+        need not arrive in time order."""
+        _, history, _ = build_history()
+        samples = [(NOW - age, float(i)) for i, age in enumerate(ages)]
+        series = _Series()
+        series.samples = list(samples)
+        history._compact_series(series, NOW)
+        assert series.samples == compacted_by_walk(DEFAULT_RETENTION, samples, NOW)
+
+    def test_raw_tier_samples_never_reach_level_of(self, monkeypatch):
+        classified = []
+        level_of = AggregationLevelSet.level_of
+        monkeypatch.setattr(
+            AggregationLevelSet, "level_of",
+            lambda self, value: (classified.append(value), level_of(self, value))[1],
+        )
+        _, history, _ = build_history()
+        ages = [4000.0, 0.0, 299.5, 301.0, 3599.0, 3600.0, 150.0, -5.0, 299.999]
+        series = _Series()
+        series.samples = [(NOW - age, age) for age in ages]
+        history._compact_series(series, NOW)
+        assert sorted(classified) == [-5.0, 301.0, 3599.0, 3600.0, 4000.0]
+        assert {v for _, v in series.samples} >= {0.0, 299.5, 150.0, 299.999}
 
 
 # -- alert rules and engine ---------------------------------------------------

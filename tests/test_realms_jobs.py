@@ -293,15 +293,15 @@ def build_property_source(name: str, period: str, rows, bounds) -> Schema:
         "dim_res", make_columns([("res_id", C.INT, False), ("name", C.STR)]),
         primary_key=("res_id",),
     ))
-    for res_id, label in DIM_RES.items():
-        dim_res.insert({"res_id": res_id, "name": label})
+    dim_res.upsert_columns({"res_id": list(DIM_RES), "name": list(DIM_RES.values())})
     dim_person = schema.create_table(TableSchema(
         "dim_person",
         make_columns([("person_id", C.INT, False), ("username", C.STR, False)]),
         primary_key=("person_id",),
     ))
-    for person_id, username in DIM_PERSON.items():
-        dim_person.insert({"person_id": person_id, "username": username})
+    dim_person.upsert_columns({
+        "person_id": list(DIM_PERSON), "username": list(DIM_PERSON.values()),
+    })
     if rows is None:  # a member that has not aggregated this period yet
         return schema
     agg = schema.create_table(TableSchema(
@@ -315,11 +315,8 @@ def build_property_source(name: str, period: str, rows, bounds) -> Schema:
     for row in rows:
         row = dict(row)
         p_start = bounds[row.pop("slot")]
-        agg.insert({
-            "period_start": p_start,
-            "period_label": period_label(period, p_start),
-            **row,
-        })
+        row = {"period_start": p_start, "period_label": period_label(period, p_start), **row}
+        agg.upsert_columns({name: [value] for name, value in row.items()})
     return schema
 
 

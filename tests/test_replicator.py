@@ -5,13 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (
+    FaultPlan,
+    FederationHub,
     ReplicationChannel,
     ReplicationFilter,
+    RetryPolicy,
     USER_PROFILE_TABLES,
+    XdmodInstance,
+    inject_apply_faults,
 )
 from repro.etl import ParsedJob, ingest_jobs
 from repro.timeutil import ts
-from repro.warehouse import ColumnType, Database, TableSchema, make_columns
+from repro.warehouse import ColumnType, Database, RowBatch, Schema, TableSchema, make_columns
 
 C = ColumnType
 
@@ -64,8 +69,7 @@ class TestChannelBasics:
             make_columns([("person_id", C.INT, False), ("username", C.STR, False)]),
             primary_key=("person_id",),
         ))
-        people.insert({"person_id": 1, "username": "alice"})
-        people.insert({"person_id": 2, "username": "bob"})
+        people.upsert_columns({"person_id": [1, 2], "username": ["alice", "bob"]})
         channel = ReplicationChannel(source, target)
         channel.catch_up()
         people.update_where(lambda r: r["username"] == "alice", {"person_id": 9})
@@ -232,3 +236,56 @@ class TestAmendmentsPropagate:
             r["cpu_hours"] for r in target.table("agg_job_month").rows()
         )
         assert agg_total == 123.0
+
+
+class TestOneRowRecords:
+    """A single-row write is a one-row batch record, and the hub applies
+    it through ``Schema.apply_rows`` like any other batch record."""
+
+    def test_a_one_row_ingest_reaches_the_hub_through_apply_rows(self, monkeypatch):
+        hub = FederationHub("hub")
+        site = XdmodInstance("site")
+        site.pipeline.ingest_parsed_jobs([make_job(1)])
+        member = hub.join(site)
+        hub.sync()
+        events, batches = [], []
+        apply_rows = Schema.apply_rows
+        monkeypatch.setattr(Schema, "apply_event", lambda self, event: events.append(event))
+
+        def counted(self, batch):
+            batches.append(batch)
+            apply_rows(self, batch)
+
+        monkeypatch.setattr(Schema, "apply_rows", counted)
+        site.pipeline.ingest_parsed_jobs([make_job(2)])  # dimensions known: one fact row
+        hub.sync()
+        assert events == []
+        assert [(b.table, b.etype.value, len(b.rows)) for b in batches] == [
+            ("fact_job", "insert", 1),
+        ]
+        assert member.channel.lag == 0
+        hub_fact = member.channel.target.table("fact_job")
+        assert hub_fact.checksum() == site.schema.table("fact_job").checksum()
+
+    def test_a_poisoned_one_row_record_quarantines_at_its_lsn(self, source_and_target):
+        source, target = source_and_target
+        ingest_jobs(source, [make_job(1)])
+        channel = ReplicationChannel(
+            source, target, retry_policy=RetryPolicy(max_retries=2), quarantine=True,
+        )
+        channel.catch_up()
+        ingest_jobs(source, [make_job(2)])
+        (record,) = source.binlog.read_records(channel.cursor.position)
+        assert type(record) is RowBatch and len(record.rows) == 1
+        wrapper = inject_apply_faults(channel, FaultPlan(poison_lsns={record.base}))
+        assert channel.pump() == 0
+        assert channel.dead_letters.lsns() == [record.base]
+        letter = channel.dead_letters.get(record.base)
+        assert letter.attempts == 3 and letter.event.data["row"]["job_id"] == 2
+        assert wrapper.attempts[record.base] == 3
+        stats = channel.stats
+        assert (stats.retries, stats.apply_failures, stats.events_quarantined) == (2, 3, 1)
+        assert channel.lag == 0 and len(target.table("fact_job")) == 1
+        wrapper.plan.heal()
+        assert channel.replay() == 1
+        assert target.table("fact_job").checksum() == source.table("fact_job").checksum()

@@ -128,9 +128,9 @@ def _apply_ops(ops):
     for op, k, v in ops:
         if op == "insert":
             if table.get((k,)) is None:
-                table.insert({"k": k, "v": v})
+                table.upsert_columns({"k": [k], "v": [v]})
         elif op == "upsert":
-            table.upsert({"k": k, "v": v})
+            table.upsert_columns({"k": [k], "v": [v]})
         elif op == "delete":
             table.delete_where(lambda r, k=k: r["k"] == k)
         else:
@@ -202,13 +202,12 @@ def job_columns(job_ids, version):
 
 
 def write_batch(table, columns, batched):
-    """One ``upsert_columns``, or the row-by-row writes it stands for."""
+    """One ``upsert_columns``, or the single-row batches it stands for."""
     if batched:
         table.upsert_columns(columns)
         return
-    write = table.upsert if table.schema.primary_key else table.insert
     for values in zip(*columns.values()):
-        write(dict(zip(columns, values)))
+        table.upsert_columns({name: [value] for name, value in zip(columns, values)})
 
 
 def run_history(ops, *, batched, traced=False):
@@ -233,7 +232,7 @@ def run_history(ops, *, batched, traced=False):
             }, batched)
         elif verb == "insert":
             if ids and keyed.get((ids[0],)) is None:
-                keyed.insert({"job_id": ids[0], "user": "solo"})
+                keyed.upsert_columns({"job_id": [ids[0]], "user": ["solo"]})
         elif verb == "update_where":
             keyed.update_where(lambda r: r["job_id"] in ids, {"hours": float(version)})
         elif verb == "rekey":

@@ -36,7 +36,7 @@ def populated_schema(db: Database, name: str = "modw"):
         )
     )
     for i in range(20):
-        t.insert({"job_id": i, "user": f"u{i % 3}", "payload": {"tags": [i]}})
+        t.upsert_columns({"job_id": [i], "user": [f"u{i % 3}"], "payload": [{"tags": [i]}]})
     return schema
 
 
@@ -100,7 +100,7 @@ class TestDumpLoad:
         extra = source.create_table(
             TableSchema("first", make_columns([("n", C.INT, False)]), ("n",))
         )
-        extra.insert({"n": 1})
+        extra.upsert_columns({"n": [1]})
         dump = json.loads(json.dumps(dump_schema(source)))
         assert [e["schema"]["name"] for e in dump["tables"]] == ["first", "jobs"]
         damage(dump["tables"][1]["rows"])

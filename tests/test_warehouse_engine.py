@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.obs import MetricsRegistry
-from repro.warehouse import Column, ColumnType, Database, DuplicateObjectError, EventType, PrimaryKeyError, SchemaError, TableSchema, TypeMismatchError, UnknownObjectError, make_columns
+from repro.warehouse import BinlogEvent, Column, ColumnType, Database, DuplicateObjectError, EventType, PrimaryKeyError, RowBatch, SchemaError, TableSchema, TypeMismatchError, UnknownObjectError, make_columns
 from repro.warehouse.engine import rows_checksum
 from tests.conftest import property_settings
 
@@ -90,9 +89,14 @@ class TestDatabaseAndSchema:
 
 class TestCrud:
     def test_insert_and_len(self, table):
-        table.insert({"job_id": 1, "user": "u1", "cpu_hours": 2.0})
-        table.insert({"job_id": 2, "user": "u2"})
+        table.upsert_columns({"job_id": [1], "user": ["u1"], "cpu_hours": [2.0]})
+        table.upsert_columns({"job_id": [2], "user": ["u2"]})
         assert len(table) == 2
+        assert table.get((2,)) == {"job_id": 2, "user": "u2", "cpu_hours": None}
+
+    def test_rows_enter_only_through_the_batch_write(self, table):
+        for verb in ("insert", "upsert", "_append", "row_ids"):
+            assert not hasattr(table, verb), verb
 
     def test_upsert_columns_inserts_a_batch(self, table):
         n = table.upsert_columns(
@@ -101,20 +105,15 @@ class TestCrud:
         assert n == 5 and len(table) == 5
         assert table.get((3,))["user"] == "u3"
 
-    def test_duplicate_pk_rejected(self, table):
-        table.insert({"job_id": 1, "user": "u1"})
-        with pytest.raises(PrimaryKeyError):
-            table.insert({"job_id": 1, "user": "other"})
-
     def test_get_by_key(self, table):
-        table.insert({"job_id": 1, "user": "u1", "cpu_hours": 3.5})
+        table.upsert_columns({"job_id": [1], "user": ["u1"], "cpu_hours": [3.5]})
         row = table.get((1,))
         assert row["user"] == "u1" and row["cpu_hours"] == 3.5
         assert table.get((99,)) is None
 
     def test_upsert_updates_in_place(self, table):
-        table.insert({"job_id": 1, "user": "u1", "cpu_hours": 1.0})
-        table.upsert({"job_id": 1, "user": "u1", "cpu_hours": 9.0})
+        table.upsert_columns({"job_id": [1], "user": ["u1"], "cpu_hours": [1.0]})
+        table.upsert_columns({"job_id": [1], "user": ["u1"], "cpu_hours": [9.0]})
         assert len(table) == 1
         assert table.get((1,))["cpu_hours"] == 9.0
 
@@ -131,8 +130,7 @@ class TestCrud:
         )
 
     def test_update_pk_collision_rejected(self, table):
-        table.insert({"job_id": 1, "user": "a"})
-        table.insert({"job_id": 2, "user": "b"})
+        table.upsert_columns({"job_id": [1, 2], "user": ["a", "b"]})
         with pytest.raises(PrimaryKeyError):
             table.update_where(lambda r: r["job_id"] == 2, {"job_id": 1})
 
@@ -141,7 +139,7 @@ class TestCrud:
         assert table.delete_where(lambda r: r["job_id"] % 2 == 0) == 2
         assert sorted(r["job_id"] for r in table.rows()) == [1, 3]
         # deleted keys are reusable
-        table.insert({"job_id": 0, "user": "u"})
+        table.upsert_columns({"job_id": [0], "user": ["u"]})
         assert len(table) == 3
 
     def test_delete_key_is_delete_where_on_the_key(self, table):
@@ -157,7 +155,7 @@ class TestCrud:
         assert table.data_version == twin.data_version
         assert table._owner.binlog.checksum() == twin._owner.binlog.checksum()
         assert table.get((2,)) is None
-        table.insert({"job_id": 2, "user": "back"})  # the key is free again
+        table.upsert_columns({"job_id": [2], "user": ["back"]})  # the key is free again
         assert len(table) == 4
 
     def test_delete_key_needs_a_primary_key(self):
@@ -181,15 +179,16 @@ class TestChecksum:
         s2 = db.create_schema("b")
         t1 = s1.create_table(jobs_table_schema())
         t2 = s2.create_table(jobs_table_schema())
-        rows = [{"job_id": i, "user": f"u{i}", "cpu_hours": float(i)} for i in range(10)]
-        for r in rows:
-            t1.insert(r)
-        for r in reversed(rows):
-            t2.insert(r)
+        ids = list(range(10))
+        for t, order in ((t1, ids), (t2, ids[::-1])):
+            t.upsert_columns({
+                "job_id": order, "user": [f"u{i}" for i in order],
+                "cpu_hours": [float(i) for i in order],
+            })
         assert t1.checksum() == t2.checksum()
 
     def test_checksum_detects_content_change(self, table):
-        table.insert({"job_id": 1, "user": "u", "cpu_hours": 1.0})
+        table.upsert_columns({"job_id": [1], "user": ["u"], "cpu_hours": [1.0]})
         before = table.checksum()
         table.update_where(lambda r: True, {"cpu_hours": 2.0})
         assert table.checksum() != before
@@ -199,7 +198,7 @@ class TestChecksum:
         for name in ("x", "y"):
             schema = db.create_schema(name)
             t = schema.create_table(jobs_table_schema())
-            t.insert({"job_id": 1, "user": "u"})
+            t.upsert_columns({"job_id": [1], "user": ["u"]})
         assert db.schema("x").checksum() == db.schema("y").checksum()
 
     def test_rows_checksum_digest_is_pinned(self):
@@ -229,8 +228,7 @@ class TestApplyEvent:
         db = Database()
         source = db.create_schema("src")
         t = source.create_table(jobs_table_schema())
-        t.insert({"job_id": 1, "user": "a", "cpu_hours": 1.0})
-        t.insert({"job_id": 2, "user": "b", "cpu_hours": 2.0})
+        t.upsert_columns({"job_id": [1, 2], "user": ["a", "b"], "cpu_hours": [1.0, 2.0]})
         t.update_where(lambda r: r["job_id"] == 1, {"cpu_hours": 5.0})
         t.delete_where(lambda r: r["job_id"] == 2)
         target = db.create_schema("dst")
@@ -246,8 +244,7 @@ class TestApplyEvent:
         db = Database()
         source = db.create_schema("src")
         t = source.create_table(jobs_table_schema())
-        t.insert({"job_id": 1, "user": "a", "cpu_hours": 1.0})
-        t.insert({"job_id": 2, "user": "b", "cpu_hours": 2.0})
+        t.upsert_columns({"job_id": [1, 2], "user": ["a", "b"], "cpu_hours": [1.0, 2.0]})
         t.update_where(lambda r: r["job_id"] == 1, {"job_id": 7, "cpu_hours": 5.0})
         target = db.create_schema("dst")
         for event in source.binlog:
@@ -256,17 +253,34 @@ class TestApplyEvent:
         assert sorted(replica.raw_rows()) == sorted(t.raw_rows())
         assert replica.get((1,)) is None
         assert replica.checksum() == t.checksum()
-        t.insert({"job_id": 1, "user": "c"})
+        t.upsert_columns({"job_id": [1], "user": ["c"]})
         for event in source.binlog:  # redelivery from LSN 0
             target.apply_event(event)
         assert replica.checksum() == t.checksum()
         assert len(replica) == 3
 
+    def test_an_applied_row_is_a_one_row_batch_record(self):
+        """The applier's own log holds each applied row as a one-row
+        batch record, read back as the event it applied: same LSN,
+        payload and trace context."""
+        source = Database().create_schema("src")
+        t = source.create_table(jobs_table_schema())
+        t.upsert_columns({"job_id": [1, 2], "user": ["a", "b"]})
+        t.upsert_columns({"job_id": [2], "user": ["c"]})
+        target = Database(trace_provider=lambda: "ctx").create_schema("dst")
+        for event in source.binlog:
+            target.apply_event(event)
+        records = target.binlog.read_records(1)
+        assert [(type(r), len(r.rows)) for r in records] == [(RowBatch, 1)] * 3
+        assert list(target.binlog) == list(source.binlog)
+        assert target.binlog.checksum() == source.binlog.checksum()
+        assert [target.binlog.trace_context(lsn) for lsn in range(4)] == ["ctx"] * 4
+
     def test_insert_event_is_idempotent_for_keyed_tables(self):
         db = Database()
         source = db.create_schema("src")
         t = source.create_table(jobs_table_schema())
-        t.insert({"job_id": 1, "user": "a"})
+        t.upsert_columns({"job_id": [1], "user": ["a"]})
         target = db.create_schema("dst")
         events = list(source.binlog)
         for event in events:
@@ -279,7 +293,7 @@ class TestApplyEvent:
         db = Database()
         source = db.create_schema("src")
         t = source.create_table(jobs_table_schema())
-        t.insert({"job_id": 1, "user": "a"})
+        t.upsert_columns({"job_id": [1], "user": ["a"]})
         t.truncate()
         target = db.create_schema("dst")
         for event in source.binlog:
@@ -311,8 +325,7 @@ class TestApplyEvent:
         db = Database()
         source = db.create_schema("src")
         t = source.create_table(schema_def)
-        t.insert({"msg": "a"})
-        t.insert({"msg": "b"})
+        t.upsert_columns({"msg": ["a", "b"]})
         t.delete_where(lambda r: r["msg"] == "a")
         target = db.create_schema("dst")
         for event in source.binlog:
@@ -371,12 +384,18 @@ def column_batches(draw, max_rows=8):
 
 
 def batch_rows(batch):
-    """The batch as the row dicts a caller of ``upsert`` would pass."""
+    """The batch as row dicts, one per row."""
     plain = {
         name: col.tolist() if isinstance(col, np.ndarray) else col
         for name, col in batch.items()
     }
     return [dict(zip(plain, values)) for values in zip(*plain.values())]
+
+
+def write_rows(table, rows):
+    """Write ``rows`` one at a time: one single-row batch per row."""
+    for row in rows:
+        table.upsert_columns({name: [value] for name, value in row.items()})
 
 
 def twin_tables(keyed: bool):
@@ -410,16 +429,13 @@ class TestUpsertColumns:
     @given(stored=column_batches(), batch=column_batches(), again=column_batches(max_rows=3))
     def test_batch_equals_sequential_upserts(self, keyed, stored, batch, again):
         (batched, batched_metrics), (looped, looped_metrics) = twin_tables(keyed)
-        write = looped.upsert if keyed else looped.insert
         for table in (batched, looped):
-            for row in batch_rows(stored):
-                table.upsert(row)
+            write_rows(table, batch_rows(stored))
             table.delete_where(lambda r: r["k1"] == 0)  # leave tombstones behind
             table.column_arrays(["k1", "f"])  # a warm cache the write must drop
         for columns in (batch, again):
             assert batched.upsert_columns(columns) == len(batch_rows(columns))
-            for row in batch_rows(columns):
-                write(row)
+            write_rows(looped, batch_rows(columns))
             assert observable_state(batched, batched_metrics) == observable_state(
                 looped, looped_metrics
             )
@@ -444,7 +460,7 @@ class TestUpsertColumns:
     def test_empty_batch_writes_nothing(self, table, columns):
         """No row, no event and no version bump: a fold with nothing new
         leaves the serving cache alone."""
-        table.insert({"job_id": 1, "user": "a"})
+        table.upsert_columns({"job_id": [1], "user": ["a"]})
         schema = table._owner
         before = (table.data_version, schema.data_version, schema.binlog.checksum())
         assert table.upsert_columns(columns) == 0
@@ -466,19 +482,19 @@ class TestUpsertColumns:
         ]
         rows.insert(position, bad_row)
         with pytest.raises(error):
-            table.upsert(bad_row)
+            write_rows(table, [bad_row])
         self.assert_rejected_untouched(
             table, {name: [row[name] for row in rows] for name in rows[0]}, error
         )
 
     def test_omitted_required_column_rejects_the_batch(self, table):
         with pytest.raises(TypeMismatchError):
-            table.upsert({"job_id": 1})
+            write_rows(table, [{"job_id": 1}])
         self.assert_rejected_untouched(table, {"job_id": [1, 2]}, TypeMismatchError)
 
     def test_unknown_column_rejects_the_batch(self, table):
         with pytest.raises(SchemaError):
-            table.upsert({"job_id": 1, "user": "a", "nope": 0})
+            write_rows(table, [{"job_id": 1, "user": "a", "nope": 0}])
         self.assert_rejected_untouched(
             table, {"job_id": [1], "user": ["a"], "nope": [0]}, SchemaError
         )
@@ -491,7 +507,7 @@ class TestUpsertColumns:
     @staticmethod
     def assert_rejected_untouched(table, columns, error):
         schema = table._owner
-        table.insert({"job_id": 1, "user": "kept", "cpu_hours": 9.0})
+        table.upsert_columns({"job_id": [1], "user": ["kept"], "cpu_hours": [9.0]})
         table.column_array("job_id")
         before = (
             list(table.raw_rows()), table.data_version, schema.data_version,
@@ -510,7 +526,7 @@ class TestUpsertColumns:
 
 CACHED = ["k1", "k2", "f", "n", "at", "flag"]
 VERBS = [
-    "insert", "upsert", "upsert_columns", "apply_rows",
+    "row by row", "upsert_columns", "apply_rows",
     "update_where", "delete_where", "delete_key", "truncate",
 ]
 
@@ -535,13 +551,8 @@ def apply_verb(table, verb, batch, k):
     """Write ``batch`` (or key ``k``) into ``table`` through ``verb``."""
     keyed = bool(table.schema.primary_key)
     rows = batch_rows(batch)
-    if verb == "insert":
-        for row in rows:
-            with contextlib.suppress(PrimaryKeyError):
-                table.insert(row)
-    elif verb == "upsert":
-        for row in rows:
-            table.upsert(row)
+    if verb == "row by row":
+        write_rows(table, rows)
     elif verb == "upsert_columns":
         table.upsert_columns(batch)
     elif verb == "apply_rows":  # the hub's batched apply
@@ -591,7 +602,7 @@ class TestColumnCache:
 
     def test_first_null_in_an_appended_tail_turns_an_int_column_float(self):
         table = Database().create_schema("modw").create_table(batch_table_schema(True))
-        table.insert({"k1": 0, "k2": "a", "n": 7})
+        table.upsert_columns({"k1": [0], "k2": ["a"], "n": [7]})
         assert table.column_array("n").dtype == np.int64
         table.upsert_columns({"k1": [1, 2], "k2": ["a", "a"], "n": [None, 3]})
         got = table.column_array("n")
@@ -603,10 +614,10 @@ class TestColumnCache:
         table = Database().create_schema("modw").create_table(batch_table_schema(True))
         table.upsert_columns({"k1": [0, 1], "k2": ["a", "a"], "f": [0.5, 1.5]})
         head = table.column_array("f")
-        table.insert({"k1": 2, "k2": "a", "f": 2.5})
+        table.upsert_columns({"k1": [2], "k2": ["a"], "f": [2.5]})
         assert table._columnar_cache["f"][2] is head  # kept: only extended on read
         assert table.column_array("f").tolist() == [0.5, 1.5, 2.5]
-        table.upsert({"k1": 0, "k2": "a", "f": 9.0})
+        table.upsert_columns({"k1": [0], "k2": ["a"], "f": [9.0]})
         assert table._columnar_cache == {}
         assert table.column_array("f").tolist() == [9.0, 1.5, 2.5]
 
@@ -637,11 +648,19 @@ def apply_job_inserts(table, *job_ids):
         table._owner.apply_rows(record)
 
 
-#: each verb, applied to :func:`memo_table`, changes its contents
+def apply_job_event(table, etype, job_id, user):
+    """A replicated single-row event landing on ``table``."""
+    row = {"job_id": job_id, "user": user, "cpu_hours": None}
+    data = {"row": row} if etype is EventType.INSERT else {"key": [job_id], "row": row}
+    table._owner.apply_event(BinlogEvent(0, etype, table.name, data))
+
+
+#: each verb, applied to :func:`memo_table`, changes its contents; the
+#: replicated single-row events land through the batch write
 MEMO_WRITES = {
-    "insert": lambda t: t.insert({"job_id": 9, "user": "z"}),
-    "upsert new key": lambda t: t.upsert({"job_id": 9, "user": "z"}),
-    "upsert replace": lambda t: t.upsert({"job_id": 1, "user": "z"}),
+    "insert": lambda t: apply_job_event(t, EventType.INSERT, 9, "z"),
+    "upsert new key": lambda t: apply_job_event(t, EventType.UPDATE, 9, "z"),
+    "upsert replace": lambda t: apply_job_event(t, EventType.UPDATE, 1, "z"),
     "upsert_columns append": lambda t: t.upsert_columns({"job_id": [9], "user": ["z"]}),
     "upsert_columns replace": lambda t: t.upsert_columns({"job_id": [2], "user": ["z"]}),
     "update_where": lambda t: t.update_where(lambda r: r["job_id"] == 3, {"cpu_hours": 7.5}),
@@ -676,7 +695,7 @@ class TestChecksumMemo:
         table = memo_table()
         digests = {table.checksum(), table.checksum(), table._owner.checksum()}
         assert len(count_hashes) == 1 and len(digests) == 2
-        table.insert({"job_id": 9, "user": "z"})
+        table.upsert_columns({"job_id": [9], "user": ["z"]})
         table.checksum()
         table.checksum()
         assert len(count_hashes) == 2

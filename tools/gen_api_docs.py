@@ -35,31 +35,34 @@ FOOTER = """\
   callers and threads (the aggregator and every REST worker); **do not
   mutate them in place**.  `column_arrays` returns arrays of one table
   version, gathering them again if a writer got in between.
-- `Table.data_version` increments once on every row mutation (`insert`,
-  `update_where`, `delete_where`, `truncate`, replication replace), which
-  invalidates the cache.  Repeated reads between mutations are free.
+- `Table.data_version` increments once on every row mutation
+  (`upsert_columns`, `update_where`, `delete_where`, `delete_key`,
+  `truncate`), which invalidates the cache.  Repeated reads between
+  mutations are free.
 
 ### One batch write
 
-`Table.upsert_columns(columns)` is the way back in: equal-length columns
-(NumPy arrays or lists, keyed by column name) written with upsert
-semantics, to the same end state — rows, `data_version`s, binlog — as one
-`upsert` per row in batch order (`insert` on a keyless table; a key
-repeated inside the batch updates).  The whole batch is validated first
-(`TableSchema.normalize_columns`: every check `upsert` makes and the same
-errors, plus equal lengths), so a bad value anywhere raises before anything
-is written; what is stored is a plain `int` / `float` / `str`, never a
-NumPy scalar.  Versions move once, by the row count, the column cache is
-kept (a batch of new keys only, which is one list extend and one index
-update) or cleared once, and each run of like events is one record,
+`Table.upsert_columns(columns)` is the one way a row enters a table:
+equal-length columns (NumPy arrays or lists, keyed by column name),
+written in batch order with upsert semantics — on a keyed table a key
+already stored, or repeated earlier in the batch, replaces its row and
+logs an `UPDATE`; every other row is appended and logs an `INSERT`; a
+keyless table only appends.  A single row is a batch of one.  The whole
+batch is validated first (`TableSchema.normalize_columns`: every check
+`normalize_row` makes and the same errors, plus equal lengths), so a bad
+value anywhere raises before anything is written; what is stored is a
+plain `int` / `float` / `str`, never a NumPy scalar.  Versions move once,
+by the row count, the column cache is kept (a batch of new keys only,
+which is one list extend and one index update) or cleared once, and
+each run of like events is one record,
 `Binlog.extend(etype, table, names, rows, keys=None)`, holding the stored
 row tuples (and, for `UPDATE`s, their keys): one lock acquisition (so a
 batch's LSNs are contiguous), one telemetry call with the count, one trace
 context shared by the batch, and no object per row.  Events are built
-when read: `read_from` turns each row into the `INSERT` / `UPDATE` event
-one `upsert` per row would have logged — same LSN, same payload, a fresh
-dict on every read — so readers, checksums and dumps see the log as
-before.  An empty batch writes and bumps nothing.
+when read: `read_from` turns each row into its own `INSERT` / `UPDATE`
+event — one LSN per row, a fresh payload dict on every read — so
+readers, checksums and dumps see one event per row.  An empty batch
+writes and bumps nothing.
 
 Every bulk writer reaches its table this way, and only this way:
 
@@ -84,20 +87,21 @@ Every bulk writer reaches its table this way, and only this way:
   record's rows reach the hub without an event or a dict per row.
   `ReplicationFilter.split(batch)` cuts a batch record into admitted and
   filtered slices by the routing rule, and `ReplicationChannel` gathers a
-  run of admitted single `INSERT`s (a loose segment's, or single
-  appends') into one `RowBatch`, cut at every table, trace context or
-  column-set change, other event type and filtered event.  A batch that
+  run of admitted single `INSERT`s (a loose segment's) into one
+  `RowBatch`, cut at every table, trace context or column-set change,
+  other event type and filtered event.  Every admitted batch record,
+  one-row records included, goes to `apply_rows` first.  A batch that
   raises has applied nothing and is re-applied event by event
   (`RowBatch.events()`), which is where retries, quarantine and the
   `ReplicationError` naming the LSN are accounted.  `apply_event` remains
   for `UPDATE`s with a before-image, `DELETE` / `TRUNCATE` / DDL, single
-  events and that fallback; a replicated keyed `DELETE` (and the old key
-  of a key-changing `UPDATE`) goes through `Table.delete_key(key)`, the
-  primary-key index, not a scan.
+  events and that fallback; it lands an `INSERT` or `UPDATE` row through
+  `upsert_columns` as a batch of one, and a replicated keyed `DELETE`
+  (and the old key of a key-changing `UPDATE`) goes through
+  `Table.delete_key(key)`, the primary-key index, not a scan.
 
 The row-at-a-time loaders these replaced are the oracles in
-`tests/row_loader_oracles.py`; `repolint`'s `per-row-bulk-write` rule keeps
-a per-row loop from coming back.
+`tests/row_loader_oracles.py`.
 
 ### Derived tables
 

@@ -17,9 +17,13 @@ and loose differ only in how that channel is fed.  Each ship sends what
   (:meth:`ReplicationChannel.resync_due`) says the copy cannot be carried
   on: the first ship, a filter change, a rename across the routing
   boundary, a lost log or hub schema;
-- a **segment** otherwise: the admitted satellite binlog events from the
-  channel's cursor on, verified before anything applies, then applied
-  through :meth:`ReplicationChannel.apply`, the tight apply path.
+- a **segment** otherwise: the satellite binlog's own records from the
+  channel's cursor on — single events and batch records, as a pump polls
+  them — cut by the channel's filter as a pump's are
+  (:meth:`ReplicationFilter.cut`) and only the admitted parts kept;
+  verified and decoded before anything applies, then applied through
+  :meth:`ReplicationChannel.apply`, the tight apply path, whose filter
+  drops whatever a document read from disk carries that it must not.
 
 The cursor stands at :attr:`LooseChannel.last_shipped_lsn`, so
 :meth:`~repro.core.FederationHub.convert` switches a member between the
@@ -35,7 +39,7 @@ from typing import Any
 
 from ..obs import Observability, TraceContext
 from ..warehouse import Database, DumpError, Schema, read_dump_file, write_dump_file
-from ..warehouse.dump import SEGMENT_KIND, segment_document, segment_events
+from ..warehouse.dump import SEGMENT_KIND, segment_document, segment_records
 from .replicator import ReplicationChannel, ReplicationFilter
 from .resilience import RetryPolicy
 
@@ -109,15 +113,14 @@ class LooseChannel:
         channel = self.channel
         log = channel.source.binlog
         if not channel.resync_due(self.hub_database):
-            base = channel.cursor.position
-            suffix = log.read_from(base)
-            events = [event for event in suffix if channel.filter.admit(event)]
-            # a rename in the suffix may have flipped a resource: only a
+            base, head = channel.cursor.position, log.head_lsn
+            records = log.read_records(base, head - base)
+            kept = [part for admitted, part in channel.filter.cut(records) if admitted]
+            # a rename in the records may have flipped a resource: only a
             # dump then ships what the hub should hold
             if not channel.resync_due(self.hub_database):
-                head = base + len(suffix)
                 return segment_document(
-                    channel.source.name, base, head, events,
+                    channel.source.name, base, head, kept,
                     trace=self._trace_payload(head),
                 )
         return channel.dump(trace=self._trace_payload(log.head_lsn))
@@ -169,16 +172,14 @@ class LooseChannel:
         return self.hub_database.schema(channel.target.name)
 
     def _apply_segment(self, segment: dict[str, Any]) -> None:
-        events = segment_events(segment)  # verified before anything applies
+        records = segment_records(segment)  # verified before anything applies
         if segment["base_lsn"] != self.last_shipped_lsn:
             raise DumpError(
                 f"segment of {self.channel.source.name!r} starts at LSN "
                 f"{segment['base_lsn']}, the hub holds up to "
                 f"{self.last_shipped_lsn}"
             )
-        applied = self.channel.apply(events)
-        # the segment's filtered-out tail is covered too
-        self.channel.cursor.seek(segment["binlog_head"])
+        applied = self.channel.apply(records, stop=segment["binlog_head"])
         self.stats.segments += 1
         self.stats.events_moved += applied
 

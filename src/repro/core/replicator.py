@@ -231,15 +231,18 @@ class ReplicationFilter:
             yield not out, batch.window(lsn, stop)
             lsn = stop
 
-
-def _gathered(run: list[BinlogEvent], key: tuple) -> tuple[bool, Any, BinlogEvent | RowBatch]:
-    """A run of admitted single ``INSERT`` events with one ``(table, trace
-    context, column names)`` key and contiguous LSNs, as one record."""
-    table, context, names = key
-    if len(run) == 1:
-        return True, context, run[0]
-    rows = [tuple(event.data["row"].values()) for event in run]
-    return True, context, RowBatch(run[0].lsn, EventType.INSERT, table, names, rows, None)
+    def cut(
+        self, records: Iterable[BinlogEvent | RowBatch]
+    ) -> Iterator[tuple[bool, BinlogEvent | RowBatch]]:
+        """The filter over a stretch of the log, in log order: each event
+        with :meth:`admit`'s verdict, each batch record's :meth:`split`
+        slices.  What a pump applies and what a loose segment ships are
+        cut here."""
+        for record in records:
+            if type(record) is RowBatch:
+                yield from self.split(record)
+            else:
+                yield self.admit(record), record
 
 
 @dataclass
@@ -309,26 +312,24 @@ class ReplicationChannel:
         if obs is not None:
             registry = obs.registry
             label = {"channel": self.name}
-            self._m_applied = registry.counter(
-                "replication_events_applied_total",
-                "Events applied to the hub per channel",
-                ("channel",),
-            ).labels(**label)
-            self._m_filtered = registry.counter(
-                "replication_events_filtered_total",
-                "Events dropped by the replication filter per channel",
-                ("channel",),
-            ).labels(**label)
-            self._m_retries = registry.counter(
-                "replication_retries_total",
-                "Apply retries per channel",
-                ("channel",),
-            ).labels(**label)
-            self._m_quarantined = registry.counter(
-                "replication_quarantined_total",
-                "Events dead-lettered per channel",
-                ("channel",),
-            ).labels(**label)
+            #: each counter publishes the growth of one ChannelStats field
+            self._m_stats = {
+                "events_applied": registry.counter(
+                    "replication_events_applied_total",
+                    "Events applied to the hub per channel", ("channel",),
+                ).labels(**label),
+                "events_filtered": registry.counter(
+                    "replication_events_filtered_total",
+                    "Events dropped by the replication filter per channel", ("channel",),
+                ).labels(**label),
+                "retries": registry.counter(
+                    "replication_retries_total", "Apply retries per channel", ("channel",),
+                ).labels(**label),
+                "events_quarantined": registry.counter(
+                    "replication_quarantined_total",
+                    "Events dead-lettered per channel", ("channel",),
+                ).labels(**label),
+            }
             self._h_pump = registry.histogram(
                 "replication_pump_seconds",
                 "Wall time of one pump over this channel",
@@ -371,91 +372,45 @@ class ReplicationChannel:
         """
         return self.apply(self.cursor.poll(max_events))
 
-    def _runs(
-        self, records: Sequence[BinlogEvent | RowBatch], traced: bool
-    ) -> Iterator[tuple[bool, Any, BinlogEvent | RowBatch]]:
-        """Cut polled records into ``(admitted, trace context, record)``:
-        events, slices of batch records (:meth:`ReplicationFilter.split`),
-        and stretches of admitted single ``INSERT`` events gathered into a
-        :class:`RowBatch`, each ended by any other record or a change of
-        table, trace context or column set.  Each record meets the filter
-        once, in log order, and has its trace context looked up once.
-        """
-        trace_of = self.source.binlog.trace_context
-        run: list[BinlogEvent] = []
-        run_key: tuple = ()
-        for record in records:
-            if type(record) is RowBatch:
-                context = trace_of(record.base) if traced else None
-                if run:
-                    yield _gathered(run, run_key)
-                    run = []
-                for admitted, part in self.filter.split(record):
-                    yield admitted, context, part
-                continue
-            event = record
-            context = trace_of(event.lsn) if traced else None
-            admitted = self.filter.admit(event)
-            if admitted and event.etype is EventType.INSERT:
-                key = (event.table, context, tuple(event.data["row"]))
-                if run and (key != run_key or event.lsn != run[0].lsn + len(run)):
-                    yield _gathered(run, run_key)
-                    run = []
-                run.append(event)
-                run_key = key
-                continue
-            if run:
-                yield _gathered(run, run_key)
-                run = []
-            yield admitted, context, event
-        if run:
-            yield _gathered(run, run_key)
-
-    def apply(self, records: Sequence[BinlogEvent | RowBatch]) -> int:
+    def apply(
+        self, records: Sequence[BinlogEvent | RowBatch], stop: int | None = None
+    ) -> int:
         """Apply ``records`` — a stretch of the source log, in LSN order,
         as events and :class:`RowBatch` records — to the hub; returns
         events applied.
 
-        The one apply path: each record meets the filter, admitted row
-        batches land through :meth:`Schema.apply_rows` with the per-event
-        fallback, and the cursor is committed past each record as it
-        resolves.  :meth:`pump` feeds it from the cursor, and a loose
-        channel feeds it a verified binlog segment.
+        The one apply path: the records meet the filter
+        (:meth:`ReplicationFilter.cut`), admitted row batches land through
+        :meth:`Schema.apply_rows` with the per-event fallback, and the
+        cursor is committed past each record as it resolves.  :meth:`pump`
+        feeds it from the cursor, and a loose channel a verified binlog
+        segment ending at ``stop``, whose records skip the LSNs its
+        export's cut left out: the cursor passes those as filtered.
         """
         if self.obs is None:
-            return self._apply(records)
+            return self._apply(records, stop)
         # telemetry is batch-level: snapshot the lifetime counters, run
         # the batch, publish the deltas — one histogram observation and
         # at most four counter bumps per batch, never per event
-        stats = self.stats
-        applied0 = stats.events_applied
-        filtered0 = stats.events_filtered
-        retries0 = stats.retries
-        quarantined0 = stats.events_quarantined
+        before = {field: getattr(self.stats, field) for field in self._m_stats}
         start = self.obs.clock.now()
         with self.obs.tracer.span("replication_pump", channel=self.name):
             try:
-                return self._apply(records)
+                return self._apply(records, stop)
             finally:
                 self._h_pump.observe(self.obs.clock.now() - start)
-                if stats.events_applied != applied0:
-                    self._m_applied.inc(stats.events_applied - applied0)
-                if stats.events_filtered != filtered0:
-                    self._m_filtered.inc(stats.events_filtered - filtered0)
-                if stats.retries != retries0:
-                    self._m_retries.inc(stats.retries - retries0)
-                if stats.events_quarantined != quarantined0:
-                    self._m_quarantined.inc(
-                        stats.events_quarantined - quarantined0
-                    )
+                for field, counter in self._m_stats.items():
+                    if getattr(self.stats, field) != before[field]:
+                        counter.inc(getattr(self.stats, field) - before[field])
 
-    def _apply(self, records: Sequence[BinlogEvent | RowBatch]) -> int:
+    def _apply(self, records: Sequence[BinlogEvent | RowBatch], stop: int | None) -> int:
         applied = 0
         # cross-member propagation: each event carries the trace context
         # captured at satellite append time; contiguous records sharing
         # one (context, table) open a single re-parented hub_apply span,
         # so span volume is bounded by context transitions, not event count
         tracer = self.obs.tracer if self.obs is not None else None
+        trace_of = self.source.binlog.trace_context
         group_span = None
         group_key = None
         group_n = 0
@@ -470,15 +425,15 @@ class ReplicationChannel:
             group_n = 0
 
         try:
-            for admitted, context, record in self._runs(records, tracer is not None):
+            for admitted, record in self.filter.cut(records):
                 single = type(record) is BinlogEvent
                 n = 1 if single else len(record.rows)
-                last = (record.lsn if single else record.base) + n - 1
+                first = record.lsn if single else record.base
+                self._pass_filtered(first if admitted else first + n)
                 if not admitted:
-                    self.stats.events_filtered += n
-                    self.stats.events_seen += n
-                    self.cursor.commit(last)
                     continue
+                last = first + n - 1
+                context = trace_of(first) if tracer is not None else None
                 if tracer is not None:
                     key = (context, record.table)
                     if key != group_key:
@@ -498,7 +453,7 @@ class ReplicationChannel:
                     applied += n
                     self.cursor.commit(last)
                     continue
-                for event in (record,) if single else record.events():
+                for event in record.events():
                     error = self._try_apply(event)
                     if error is not None:
                         attempts = 1 + (
@@ -520,10 +475,21 @@ class ReplicationChannel:
                         applied += 1
                     self.stats.events_seen += 1
                     self.cursor.commit(event.lsn)
+            if stop is not None:
+                self._pass_filtered(stop)
         finally:
             close_group()
             self.stats.syncs += 1
         return applied
+
+    def _pass_filtered(self, lsn: int) -> None:
+        """Move the cursor up to ``lsn``, counting the events it passes as
+        filtered: here, or by a loose export's cut before they shipped."""
+        skipped = lsn - self.cursor.position
+        if skipped > 0:
+            self.stats.events_filtered += skipped
+            self.stats.events_seen += skipped
+            self.cursor.commit(lsn - 1)
 
     def _apply_batch(self, batch: RowBatch) -> bool:
         """Apply a batch's rows at once; False when it raised (nothing

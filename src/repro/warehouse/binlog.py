@@ -97,6 +97,10 @@ class BinlogEvent:
             data=payload.get("data", {}),
         )
 
+    def events(self) -> list["BinlogEvent"]:
+        """The record's events, as :meth:`RowBatch.events` says: itself."""
+        return [self]
+
 
 class RowBatch(NamedTuple):
     """A batch record: a run of ``INSERT`` or ``UPDATE`` events as rows.
@@ -119,6 +123,27 @@ class RowBatch(NamedTuple):
             return self
         keys = None if self.keys is None else self.keys[lo:hi]
         return self._replace(base=self.base + lo, rows=self.rows[lo:hi], keys=keys)
+
+    def to_dict(self) -> dict[str, Any]:
+        """The record as plain data: ``names`` once, then the rows (and,
+        for updates, their ``keys``)."""
+        return {**self._asdict(), "etype": self.etype.value, "rows": list(self.rows)}
+
+    @classmethod
+    def from_dict(cls, payload: dict[str, Any]) -> "RowBatch":
+        """Decode :meth:`to_dict` output; a record :meth:`Binlog.extend`
+        could not have written is a :class:`BinlogError`: other than
+        ``INSERT`` or ``UPDATE``, without one key per ``UPDATE`` row (none
+        for an ``INSERT``), or with a row not as long as ``names``."""
+        etype, names, keys = EventType(payload["etype"]), tuple(payload["names"]), payload["keys"]
+        rows = [tuple(row) for row in payload["rows"]]
+        keyed = etype is EventType.UPDATE and keys is not None and len(keys) == len(rows)
+        if not (keyed or etype is EventType.INSERT and keys is None) or any(
+            len(row) != len(names) for row in rows
+        ):
+            raise BinlogError(f"no log holds this {etype.value} batch record on {payload['table']!r}")
+        keys = None if keys is None else [tuple(key) for key in keys]
+        return cls(int(payload["base"]), etype, payload["table"], names, rows, keys)
 
     def events(self) -> list[BinlogEvent]:
         """The batch's events, with fresh payloads."""
@@ -268,13 +293,7 @@ class Binlog:
         """Return events with LSN >= ``lsn``, up to ``limit`` of them: the
         :meth:`read_records` window, each batch record's events built by
         the read, each with a fresh payload."""
-        events: list[BinlogEvent] = []
-        for record in self.read_records(lsn, limit):
-            if type(record) is BinlogEvent:
-                events.append(record)
-            else:
-                events.extend(record.events())
-        return events
+        return [event for record in self.read_records(lsn, limit) for event in record.events()]
 
     def __len__(self) -> int:
         with self._lock:
@@ -284,7 +303,7 @@ class Binlog:
         return iter(self.read_from(0))
 
     def checksum(self) -> str:
-        """Stable digest over the whole log (used in consistency checks)."""
+        """Stable digest over the whole log's events, to compare logs by."""
         h = hashlib.sha256()
         for event in self.read_from(0):
             h.update(

@@ -7,8 +7,10 @@ a JSON-serializable document: schema catalog + all row data + the binlog
 head position at dump time (so a hub can later switch a loose channel to
 tight replication without gaps — the dump records where the binlog cursor
 should start).  A *segment* (:func:`segment_document`) is the log-file
-form: the events of one schema's binlog between two positions, which a
-hub that already holds everything before the first applies on top.
+form: the records of one schema's binlog between two positions (a batch
+record's column names once, then its rows), which a hub that already
+holds everything before the first applies on top.  Segments have their
+own format version: saved dumps stay loadable.
 
 Integrity: every dump carries a content checksum (:func:`dump_checksum`)
 computed purely from the document, matching what
@@ -18,7 +20,8 @@ schema name, binlog head, trace).  :func:`load_schema` verifies both
 *before* touching the target database, so a damaged shipment is rejected
 outright — never half-loaded over the previous good copy, nor loaded with
 a wrong head.  A segment's checksum covers the whole document, and
-:func:`segment_events` verifies it before handing over a single event.
+:func:`segment_records` verifies it, then decodes every record, refusing
+one no log could hold, before handing over a single one.
 """
 
 from __future__ import annotations
@@ -30,12 +33,13 @@ import zlib
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from .binlog import BinlogEvent
+from .binlog import BinlogEvent, RowBatch
 from .engine import Database, Schema, Table, rows_checksum
-from .errors import DumpError
+from .errors import BinlogError, DumpError
 from .schema import TableSchema
 
 DUMP_FORMAT_VERSION = 1
+SEGMENT_FORMAT_VERSION = 2
 
 #: the ``kind`` of a segment document (a dump document has no ``kind``)
 SEGMENT_KIND = "binlog_segment"
@@ -172,24 +176,23 @@ def segment_document(
     schema_name: str,
     base_lsn: int,
     binlog_head: int,
-    events: Sequence[BinlogEvent],
+    records: Sequence[BinlogEvent | RowBatch],
     *,
     trace: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """A checksummed binlog segment: ``events`` taken from the log of
-    ``schema_name`` between ``base_lsn`` and ``binlog_head`` (the position
-    after the last event read, as a dump's ``binlog_head`` is).
-
-    ``events`` may be a filtered subset of that stretch of the log.  The
+    """A checksummed binlog segment: ``records`` (as
+    :meth:`Binlog.read_records` returns them, or a filtered subset) from
+    the log of ``schema_name`` between ``base_lsn`` and ``binlog_head``
+    (the position after the last event read, as a dump's is).  The
     checksum covers every other key of the document, ``trace`` included.
     """
     segment: dict[str, Any] = {
-        "format_version": DUMP_FORMAT_VERSION,
+        "format_version": SEGMENT_FORMAT_VERSION,
         "kind": SEGMENT_KIND,
         "schema_name": schema_name,
         "base_lsn": base_lsn,
         "binlog_head": binlog_head,
-        "events": [event.to_dict() for event in events],
+        "records": [record.to_dict() for record in records],
     }
     if trace is not None:
         segment["trace"] = trace
@@ -203,22 +206,33 @@ def _segment_checksum(segment: dict[str, Any]) -> str:
     return hashlib.sha256(_encode_document(body).encode()).hexdigest()
 
 
-def segment_events(segment: dict[str, Any]) -> list[BinlogEvent]:
-    """Verify a segment document and decode its events.
+def segment_records(segment: dict[str, Any]) -> list[BinlogEvent | RowBatch]:
+    """Verify a segment document and decode its records.
 
-    Raises :class:`DumpError` — before any event is returned, so before
-    any is applied — when the document is not a segment of this format
-    or its checksum does not match its content.
+    Raises :class:`DumpError` — before any record is returned, so before
+    any is applied — when the document is not a segment of this format,
+    its checksum does not match its content, or a record is not one the
+    log could hold, in LSN order within ``[base_lsn, binlog_head)``.
     """
-    version = segment.get("format_version")
-    if version != DUMP_FORMAT_VERSION:
-        raise DumpError(f"unsupported segment format version {version!r}")
-    name = segment.get("schema_name")
-    if segment.get("kind") != SEGMENT_KIND:
-        raise DumpError(f"document of {name!r} is not a binlog segment")
+    name, version = segment.get("schema_name"), segment.get("format_version")
+    if segment.get("kind") != SEGMENT_KIND or version != SEGMENT_FORMAT_VERSION:
+        raise DumpError(f"document of {name!r} is no binlog segment of format {version!r}")
     if _segment_checksum(segment) != segment.get("checksum"):
         raise DumpError(f"segment of {name!r} failed checksum verification")
-    return [BinlogEvent.from_dict(event) for event in segment["events"]]
+    records: list[BinlogEvent | RowBatch] = []
+    try:
+        lsn, head = segment["base_lsn"], segment["binlog_head"]
+        for payload in segment["records"]:
+            record = (RowBatch if "rows" in payload else BinlogEvent).from_dict(payload)
+            first = record.lsn if type(record) is BinlogEvent else record.base
+            stop = first + (1 if type(record) is BinlogEvent else len(record.rows))
+            if not lsn <= first < stop <= head:
+                raise BinlogError(f"LSNs [{first}, {stop}) out of order or past {head}")
+            records.append(record)
+            lsn = stop
+    except (BinlogError, KeyError, TypeError, ValueError) as exc:
+        raise DumpError(f"segment of {name!r} holds a bad record: {exc}") from exc
+    return records
 
 
 def write_dump_file(

@@ -1,9 +1,9 @@
 """Batched hub apply (``Schema.apply_rows``) against the per-event path.
 
 The replication channel hands each batch record of the source log — cut
-by the filter into admitted and filtered slices — and every contiguous
-run of admitted single ``INSERT``s on one table to the hub as one batch
-write.  Two oracles hold it to the per-event applier it replaced:
+by the filter into admitted and filtered slices — to the hub as one batch
+write, whether a pump polled it or a loose segment shipped it.  Two
+oracles hold it to the per-event applier it replaced:
 
 * ``catch_up(batch=1)`` polls one event at a time, so no run ever forms
   and every batch holds one row: the twin-channel tests require the same target tables, versions, hub
@@ -21,9 +21,12 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import gc
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, strategies as st
 
 from repro.aggregation import Aggregator
 from repro.core import (
@@ -581,6 +584,11 @@ ROUTINGS = {
 }
 
 
+#: how the twin of the per-event oracle is fed: pumps, or loose segments
+#: shipped in memory or through a file
+FEEDS = ("pump", "segment", "file")
+
+
 class EventCursor(BinlogCursor):
     """Polls the source log as :meth:`Binlog.read_from` events: the
     oracle channel meets every row as its own event."""
@@ -612,18 +620,25 @@ def replica(channel):
     }
 
 
-def channel_into(source, routing, traced, name):
+def channel_into(source, routing, traced, name, feed="pump"):
+    """A hub channel from ``source``; fed by segments, the
+    :class:`LooseChannel` in front of it."""
     obs = (
         Observability(clock=FakeClock(), name=name)
         if traced else None
     )
-    target = Database(
+    database = Database(
         name, trace_provider=obs.tracer.current_context if traced else None
-    ).create_schema("fed_sat")
-    return ReplicationChannel(
-        source, target, obs=obs, name=name,
+    )
+    channel = ReplicationChannel(
+        source, database.create_schema("fed_sat"), obs=obs, name=name,
         filter=ReplicationFilter(tables=None, **ROUTINGS[routing]),
     )
+    if feed == "pump":
+        return channel
+    loose = LooseChannel(source, database, "fed_sat")
+    loose.channel = channel
+    return loose
 
 
 class TestRecordsAgainstEvents:
@@ -632,9 +647,11 @@ class TestRecordsAgainstEvents:
         ops=_record_ops,
         routing=st.sampled_from(sorted(ROUTINGS)),
         traced=st.booleans(),
+        feed=st.sampled_from(FEEDS),
     )
-    def test_records_apply_like_events_one_at_a_time(self, ops, routing, traced):
-        """Pumps of any size over batch records end where the per-event
+    def test_records_apply_like_events_one_at_a_time(self, ops, routing, traced, feed):
+        """Pumps of any size over batch records, and loose segments of
+        them shipped in memory or through a file, end where the per-event
         oracle ends: same hub tables, versions, hub log, joined traces,
         cursor, stats, and the same names and flips learned."""
         obs = (
@@ -645,22 +662,61 @@ class TestRecordsAgainstEvents:
             "sat", trace_provider=obs.tracer.current_context if traced else None
         ).create_schema("modw")
         routed_tables(source)
-        channel = channel_into(source, routing, traced, "hub")
-        for i, (verb, ids, version, pump) in enumerate(ops):
-            span = (
-                obs.tracer.span(f"op{i % 3}")
-                if traced and i % 4 else contextlib.nullcontext()
-            )
-            with span:
-                write_op(source, verb, ids, version)
-            if pump:
-                channel.pump(pump)
-        channel.catch_up(batch=7)
+        twin = channel_into(source, routing, traced, "hub", feed)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "segment.json.gz"
+
+            def deliver(pump):
+                if feed == "segment":
+                    twin.ship()
+                elif feed == "file":
+                    twin.ship_via_file(path)
+                elif pump:
+                    twin.pump(pump)
+                else:
+                    twin.catch_up(batch=7)
+
+            for i, (verb, ids, version, pump) in enumerate(ops):
+                span = (
+                    obs.tracer.span(f"op{i % 3}")
+                    if traced and i % 4 else contextlib.nullcontext()
+                )
+                with span:
+                    write_op(source, verb, ids, version)
+                if pump:
+                    deliver(pump)
+            deliver(None)
+        channel = twin if feed == "pump" else twin.channel
         oracle = channel_into(source, routing, traced, "oracle")
         oracle.cursor = EventCursor(source.binlog)
         oracle.catch_up(batch=1)
         assert channel.cursor.position == source.binlog.head_lsn
-        assert replica(channel) == replica(oracle)
+        learned = (channel.filter._resource_names, channel.filter._flips)
+        assert learned == (oracle.filter._resource_names, oracle.filter._flips)
+        if feed != "pump" and twin.stats.dumps:
+            # a rename moved a resource across the routing boundary, so the
+            # loose channel's resync rule shipped a dump: the hub holds the
+            # source seen through the filter by current names (DESIGN §5,
+            # invariant 6), where the oracle, which never resyncs, holds
+            # each row as routed when it was logged
+            event("resynced by a dump")
+            assert {
+                name: Counter(channel.target.table(name).raw_rows())
+                for name in channel.target.table_names()
+            } == {
+                name: Counter(channel.filter.rows(source.table(name)))
+                for name in source.table_names() if channel.filter.table_allowed(name)
+            }
+        else:
+            got, want = replica(channel), replica(oracle)
+            if feed != "pump":
+                # a row logged outside any span lands under the ship's
+                # loose_load span, so it joins the trace its segment carries
+                got["joined_traces"] = [
+                    None if theirs is None else ours
+                    for ours, theirs in zip(got["joined_traces"], want["joined_traces"])
+                ]
+            assert got == want
 
 
     def test_split_cuts_a_record_at_every_routing_change(self):
@@ -687,10 +743,10 @@ class TestRecordsAgainstEvents:
         assert channel.stats.events_filtered == 1 + 1 + 2  # users DDL too
 
 
-    def test_a_segment_gathers_only_contiguous_lsns(self):
+    def test_a_segment_with_lsn_gaps_dead_letters_the_event_at_fault(self):
         """A loose segment leaves out what the filter refused, so its
-        admitted inserts can skip LSNs: a gathered batch stops at a gap,
-        and a refused batch still dead-letters the event at fault."""
+        records can skip LSNs: the hub passes the gaps as filtered, and a
+        refused record still dead-letters the event at fault."""
         source = Database("sat").create_schema("modw")
         dims, facts = routed_tables(source)
         dims.upsert_columns({"resource_id": [1, 2], "name": ["r1", "r2"]})
@@ -708,6 +764,9 @@ class TestRecordsAgainstEvents:
         assert letter.event.lsn == base + 5 and letter.event.data["row"]["job_id"] == 5
         assert sorted(job for _, job, _, _ in hub.table("fact_job").raw_rows()) == [1, 2, 4, 7]
         assert loose.last_shipped_lsn == source.binlog.head_lsn
+        stats = loose.channel.stats
+        assert (stats.events_applied, stats.events_filtered, stats.events_quarantined) == (4, 3, 1)
+        assert stats.events_seen == 8
 
 
 def thousand_row_source():

@@ -36,8 +36,9 @@ from repro.realms import jobs_realm
 from repro.timeutil import ts
 from repro.ui import XdmodApi
 from repro.ui.serving import QueryService
-from repro.warehouse import BinlogCursor, Database, DumpError
-from repro.warehouse.dump import SEGMENT_KIND
+from repro.warehouse import BinlogCursor, Database, DumpError, RowBatch
+from repro.warehouse import dump
+from repro.warehouse.dump import SEGMENT_KIND, segment_records
 from tests.conftest import property_settings
 from tests.rest_client import get_json
 from tests.test_batch_loaders import storage_doc, vm_events
@@ -224,8 +225,9 @@ class TestSegments:
             or (e.table == "fact_job" and e.data["row"]["job_id"] == 60)
         ]
         assert len(routed_out) == 2
-        assert segment["events"] == [e.to_dict() for e in delta if e not in routed_out]
-        assert ("insert", "fact_job") in [(e["etype"], e["table"]) for e in segment["events"]]
+        shipped = [event for record in segment_records(segment) for event in record.events()]
+        assert shipped == [e for e in delta if e not in routed_out]
+        assert ("insert", "fact_job") in [(e.etype.value, e.table) for e in shipped]
 
     def test_ship_loose_counts_rows_for_a_dump_and_events_for_a_segment(self):
         hub = FederationHub("hub")
@@ -404,6 +406,87 @@ class TestSegmentDamage:
         channel.ship()
         with pytest.raises(DumpError, match="starts at LSN"):
             channel._receive(segment)  # a stale redelivery
+
+
+def _events_of_v1(segment):
+    """The segment as format 1 wrote it: one event per row."""
+    (record,) = segment.pop("records")
+    segment["format_version"] = 1
+    segment["events"] = [event.to_dict() for event in RowBatch.from_dict(record).events()]
+
+
+def _split_reversed(segment):
+    record = segment["records"][0]
+    later = {**record, "base": record["base"] + 1, "rows": record["rows"][1:]}
+    segment["records"] = [later, {**record, "rows": record["rows"][:1]}]
+
+
+#: ways to make a segment's records something no log could hold; the
+#: segment under test is one two-row fact_job insert record, at its
+#: ``base_lsn``, with a third (excluded) row cut out before ``binlog_head``
+SEGMENT_TAMPERS = {
+    "v1-events": _events_of_v1,
+    "ragged-row": lambda segment: segment["records"][0]["rows"][1].pop(),
+    "unknown-etype": lambda segment: segment["records"][0].update(etype="upsert"),
+    "batch-delete": lambda segment: segment["records"][0].update(etype="delete"),
+    "update-keys-short": lambda segment: segment["records"][0].update(
+        etype="update", keys=[[1, 100]]
+    ),
+    "before-base": lambda segment: segment["records"][0].update(
+        base=segment["base_lsn"] - 1
+    ),
+    "past-head": lambda segment: segment["records"][0].update(
+        base=segment["binlog_head"] - 1
+    ),
+    "out-of-order": _split_reversed,
+    "excluded-row": None,  # decodes: the hub's filter drops the row
+}
+
+
+class TestSegmentDecode:
+    """A segment whose checksum holds but whose records do not decode to
+    what the log could hold is refused before anything applies; one that
+    decodes but carries an excluded resource's row still never lands it."""
+
+    @pytest.mark.parametrize("tamper", list(SEGMENT_TAMPERS))
+    def test_records_are_checked_before_any_applies_and_filtered_on_arrival(
+        self, satellite_schema, tmp_path, monkeypatch, tamper
+    ):
+        ingest_jobs(satellite_schema, [make_job(50, resource="secret")])
+        hub_db = Database("hub")
+        channel = LooseChannel(
+            satellite_schema, hub_db, "fed_sat",
+            filter=ReplicationFilter(exclude_resources={"secret"}),
+        )
+        channel.ship()
+        before, lsn = hub_db.schema("fed_sat").checksum(), channel.last_shipped_lsn
+        ingest_jobs(satellite_schema, [make_job(100), make_job(101), make_job(102, "secret")])
+        secret = resource_id(satellite_schema, "secret")
+        write = loose.write_dump_file
+
+        def write_tampered(document, path):
+            segment = json.loads(json.dumps(document))
+            assert [len(r["rows"]) for r in segment["records"]] == [2]
+            if SEGMENT_TAMPERS[tamper] is None:
+                rows = segment["records"][0]["rows"]
+                rows.append([102, secret, *rows[0][2:]])
+            else:
+                SEGMENT_TAMPERS[tamper](segment)
+            segment["checksum"] = dump._segment_checksum(segment)
+            return write(segment, path)
+
+        monkeypatch.setattr(loose, "write_dump_file", write_tampered)
+        if SEGMENT_TAMPERS[tamper] is None:
+            shipped = channel.ship_via_file(tmp_path / "segment.gz")
+            assert secret not in resource_ids(shipped)
+            assert sorted(resource_ids(shipped)) == [resource_id(satellite_schema, "r1")]
+            assert len(shipped.table("fact_job")) == 10
+            assert channel.last_shipped_lsn == satellite_schema.binlog.head_lsn
+            return
+        with pytest.raises(DumpError):
+            channel.ship_via_file(tmp_path / "segment.gz")
+        assert hub_db.schema("fed_sat").checksum() == before
+        assert channel.last_shipped_lsn == lsn and channel.shipments == 1
 
 
 class TestRoutingAcrossHandover:

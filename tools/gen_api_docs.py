@@ -86,10 +86,10 @@ Every bulk writer reaches its table this way, and only this way:
   records sliced to the window with no object per row), so a batch
   record's rows reach the hub without an event or a dict per row.
   `ReplicationFilter.split(batch)` cuts a batch record into admitted and
-  filtered slices by the routing rule, and `ReplicationChannel` gathers a
-  run of admitted single `INSERT`s (a loose segment's) into one
-  `RowBatch`, cut at every table, trace context or column-set change,
-  other event type and filtered event.  Every admitted batch record,
+  filtered slices by the routing rule, and `ReplicationFilter.cut(records)`
+  applies `admit` or `split` to each record of a stretch, in log order:
+  a pump's apply and a loose export cut the same way, and a loose segment
+  ships the admitted parts as the log's own records.  Every admitted batch record,
   one-row records included, goes to `apply_rows` first.  A batch that
   raises has applied nothing and is re-applied event by event
   (`RowBatch.events()`), which is where retries, quarantine and the

@@ -28,6 +28,7 @@ from ..warehouse import (
     read_dump_file,
     write_dump_file,
 )
+from .consistency import compare_table, table_digest
 from .errors import ConsistencyError, MembershipError
 from .federation import FederationHub
 
@@ -129,9 +130,10 @@ def verify_regeneration(
 ) -> RegenerationReport:
     """Compare a regenerated schema against the original, per table.
 
-    ``tables`` defaults to the original's non-derived, non-bookkeeping
-    tables.  With ``strict=True`` any mismatch raises
-    :class:`ConsistencyError`.
+    Each table goes through the fidelity check's own comparison
+    (:func:`~repro.core.consistency.compare_table`).  ``tables``
+    defaults to the original's non-derived, non-bookkeeping tables.
+    With ``strict=True`` any mismatch raises :class:`ConsistencyError`.
     """
     if tables is None:
         tables = tuple(
@@ -143,13 +145,11 @@ def verify_regeneration(
     mismatched: list[str] = []
     missing: list[str] = []
     for name in tables:
-        if not regenerated.has_table(name):
-            missing.append(name)
-            continue
-        if original.table(name).checksum() == regenerated.table(name).checksum():
+        have = table_digest(regenerated, name)
+        if compare_table(name, table_digest(original, name), have).ok:
             matching.append(name)
         else:
-            mismatched.append(name)
+            (mismatched if have else missing).append(name)
     report = RegenerationReport(
         tuple(tables), tuple(matching), tuple(mismatched), tuple(missing)
     )

@@ -360,30 +360,26 @@ class FederationHub(XdmodInstance):
     def leave(self, name: str, *, drop_data: bool = False) -> None:
         """Remove a member; optionally drop its replicated schema.
 
-        The departed member's telemetry is removed everywhere it lives:
-        its per-member registry children (otherwise the last
-        ``replication_lag_rows`` value would sit in every later scrape as
-        a phantom member and keep feeding the lag alert), its
-        ``MetricsHistory`` series (otherwise partial-label queries like
-        ``quantile_over_time(..., )`` would keep pooling them), and its
-        scraped series in the fleet history.
+        The departed member's telemetry is removed everywhere it lives,
+        by label: every registry child and ``MetricsHistory`` series
+        labelled ``member=<name>`` or ``channel=<name>`` (and, with
+        ``drop_data``, ``schema=<its fed schema>``) goes — otherwise the
+        last ``replication_lag_rows`` value would sit in every later
+        scrape as a phantom member and keep feeding the lag alert, and
+        partial-label queries would keep pooling its series — and so do
+        its scraped series in the fleet history.
         """
         member = self._members.pop(name, None)
         if member is None:
             raise MembershipError(f"{name!r} is not a member")
-        if drop_data and self.database.has_schema(member.fed_schema):
-            self.database.drop_schema(member.fed_schema)
-        for metric in (
-            "replication_lag_rows",
-            "federation_dead_letters_rows",
-            "federation_member_syncs_total",
-            "federation_circuit_transitions_total",
-            "federation_loose_ship_total",
-            "fleet_series_rows",
-            "fleet_staleness_seconds",
-        ):
-            self.obs.registry.remove_labels(metric, member=name)
-        self.obs.history.purge_labels(member=name)
+        labels = [{"member": name}, {"channel": name}]
+        if drop_data:
+            labels.append({"schema": member.fed_schema})
+            if self.database.has_schema(member.fed_schema):
+                self.database.drop_schema(member.fed_schema)
+        for label in labels:
+            self.obs.registry.purge_labels(**label)
+            self.obs.history.purge_labels(**label)
         self.fleet.purge_labels(member=name)
 
     def member(self, name: str) -> FederationMember:

@@ -149,22 +149,25 @@ class LooseChannel:
     def _receive(self, document: dict[str, Any]) -> Schema:
         """Verify and apply one shipped document.
 
-        Re-parents a ``loose_load`` span, labelled with the channel's
-        ``name`` (the member's name under ``FederationHub.join``), under
-        the shipped trace context when the hub carries a tracer, so even
-        batch shipments appear in the federated trace.
+        When the hub carries a tracer, the apply runs in a ``loose_load``
+        span labelled with the channel's ``name`` (the member's name under
+        ``FederationHub.join``).  A dump's span re-parents under the
+        shipped trace context, so even batch shipments appear in the
+        federated trace; a segment's is the hub's own, and its records
+        re-parent one by one in the channel's apply, as a pump's do.
         """
         channel = self.channel
-        context = TraceContext.from_payload(document.get("trace"))
+        segment = document.get("kind") == SEGMENT_KIND
+        context = None if segment else TraceContext.from_payload(document.get("trace"))
         span = (
             channel.obs.tracer.span(
                 "loose_load", remote=context, member=channel.name, target=channel.target.name
             )
-            if channel.obs is not None and context is not None
+            if channel.obs is not None and (segment or context is not None)
             else contextlib.nullcontext()
         )
         with span:
-            if document.get("kind") == SEGMENT_KIND:
+            if segment:
                 self._apply_segment(document)
             else:
                 self.stats.rows_moved += channel.load(self.hub_database, document)

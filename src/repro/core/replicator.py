@@ -108,7 +108,9 @@ class ReplicationFilter:
         self._resource_names: dict[int, str] = {}
         #: tables whose schema description said ``derived``
         self._derived: set[str] = set()
-        #: renames that moved a known resource across the routing boundary
+        #: resources whose rows went by, admitted, before they were named
+        self._unnamed: set[Any] = set()
+        #: names that moved a resource across the routing boundary
         self._flips = 0
 
     # -- table-level selection -------------------------------------------------
@@ -148,12 +150,16 @@ class ReplicationFilter:
         """Learn that ``resource_id`` names resource ``name``: from a
         ``dim_resource`` event going by, or a row of a dump.  A new name
         that moves a known resource across the routing boundary counts
-        as a flip."""
+        as a flip, and so does an excluding first name for a resource
+        whose rows went by unnamed, and so admitted."""
         if resource_id is None or name is None:
             return
         known = self._resource_names.get(resource_id)
-        if known is not None and self.resource_excluded(known) != self.resource_excluded(name):
+        went_by = known is not None or resource_id in self._unnamed
+        was_out = known is not None and self.resource_excluded(known)
+        if went_by and was_out != self.resource_excluded(name):
             self._flips += 1
+        self._unnamed.discard(resource_id)
         self._resource_names[resource_id] = name
 
     def resource_excluded(self, name: str) -> bool:
@@ -174,19 +180,23 @@ class ReplicationFilter:
         hub — a ``dim_resource`` row by its own name, a resource-scoped
         row by its resource's current name.  :meth:`admit` applies it to
         an event's row image, :meth:`split` to a batch record's rows,
-        :meth:`rows` to a table's rows."""
+        :meth:`select` to a table's rows."""
         name = value if table == "dim_resource" else self._resource_names.get(value)
         return name is not None and self.resource_excluded(name)
 
-    def rows(self, table: Table) -> Iterable[Sequence[Any]]:
-        """``table``'s rows that :meth:`routed_out` lets through: what a
-        filtered dump holds of it, and so what the hub's copy should."""
-        if not self.routes(table.name):
+    def select(self, table: Table) -> Iterable[Sequence[Any]] | None:
+        """What a member's hub copy holds of the source ``table``: the rows
+        :meth:`routed_out` lets through, or None for a derived table or
+        one :meth:`table_allowed` refuses.  A filtered dump holds this and
+        the fidelity check compares the hub's copy with it; it learns
+        nothing."""
+        name = table.name
+        if table.schema.derived or not self.table_allowed(name):
+            return None
+        if not self.routes(name):
             return table.raw_rows()
-        name, at = table.name, table.schema.position(_ROUTED_BY[table.name])
-        return (
-            row for row in table.raw_rows() if not self.routed_out(name, row[at])
-        )
+        at = table.schema.position(_ROUTED_BY[name])
+        return (row for row in table.raw_rows() if not self.routed_out(name, row[at]))
 
     def admit(self, event: BinlogEvent) -> bool:
         """True when ``event`` should be applied to the hub."""
@@ -208,6 +218,8 @@ class ReplicationFilter:
             # key-only delete: key order matches the PK; resource_id is
             # the first PK component on all resource-scoped tables
             value = event.data["key"][0]
+        if column == "resource_id" and value not in self._resource_names and self.routes(table):
+            self._unnamed.add(value)
         return not self.routed_out(table, value)
 
     def split(self, batch: RowBatch) -> Iterator[tuple[bool, RowBatch]]:
@@ -225,6 +237,9 @@ class ReplicationFilter:
         if at is None or not self.routes(table):
             yield allowed, batch
             return
+        if column == "resource_id":
+            known = self._resource_names
+            self._unnamed.update(row[at] for row in rows if row[at] not in known)
         lsn = batch.base
         for out, run in groupby(self.routed_out(table, row[at]) for row in rows):
             stop = lsn + sum(1 for _ in run)
@@ -586,12 +601,9 @@ class ReplicationChannel:
                 ("resource_id", "name")
             ):
                 filter.note_resource(resource_id, name)
-
-        def select(table: Table) -> Iterable[Sequence[Any]] | None:
-            filter.note_table(table.name, table.schema.derived)
-            return filter.rows(table) if filter.table_allowed(table.name) else None
-
-        return dump_schema(source, select=select, trace=trace)
+        for name in source.table_names():
+            filter.note_table(name, source.table(name).schema.derived)
+        return dump_schema(source, select=filter.select, trace=trace)
 
     def load(self, database: Database, dump: dict[str, Any]) -> int:
         """Verify and load a :meth:`dump` into ``database`` in place of the

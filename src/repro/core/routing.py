@@ -8,9 +8,11 @@ multiple federation hubs, to provide a live backup or load-balancing
 strategy for XDMoD instance data."
 
 A :class:`RoutingPolicy` maps resource names to the hubs that may receive
-their data; :func:`filter_for_hub` compiles the policy into the
-per-channel :class:`ReplicationFilter`, and :class:`FederationNetwork`
-wires one satellite into any number of hubs under one policy.
+their data; :func:`filter_for_hub` compiles the policy alone, by name,
+into the per-channel :class:`ReplicationFilter`, so a resource the
+satellite first logs after it joined is routed like any other, and
+:class:`FederationNetwork` wires one satellite into any number of hubs
+under one policy.
 """
 
 from __future__ import annotations
@@ -61,26 +63,21 @@ class RoutingPolicy:
         return True if dests is None else hub in dests
 
 
-def filter_for_hub(
-    policy: RoutingPolicy,
-    hub_name: str,
-    resource_names: Iterable[str],
-) -> ReplicationFilter:
+def filter_for_hub(policy: RoutingPolicy, hub_name: str) -> ReplicationFilter:
     """Compile the routing policy into one hub's replication filter.
 
-    ``resource_names`` enumerates the satellite's known resources so the
-    exclusion list is explicit (unknown resources still follow the policy
-    default through the include list when default is "none").
+    The filter excludes every resource the policy routes away from
+    ``hub_name``; under ``default="none"`` it includes only those the
+    policy routes there, so a resource no rule names follows the default
+    by name, whenever the satellite first logs it.
     """
-    excluded = [
-        name for name in resource_names if not policy.admitted(name, hub_name)
-    ]
-    include = None
-    if policy.default == "none":
-        include = [
-            name for name in resource_names if policy.admitted(name, hub_name)
-        ]
-    return ReplicationFilter(exclude_resources=excluded, include_resources=include)
+    admitted = {
+        name for name in policy.routes if policy.admitted(name, hub_name)
+    }
+    return ReplicationFilter(
+        exclude_resources=policy.routes.keys() - admitted,
+        include_resources=admitted if policy.default == "none" else None,
+    )
 
 
 class FederationNetwork:
@@ -113,11 +110,6 @@ class FederationNetwork:
     ) -> dict[str, FederationMember]:
         """Join ``satellite`` to the named hubs (default: all), each channel
         carrying that hub's compiled routing filter."""
-        resource_names = []
-        if satellite.schema.has_table("dim_resource"):
-            resource_names = satellite.schema.table("dim_resource").column_values(
-                "name"
-            )
         out: dict[str, FederationMember] = {}
         for hub_name in sorted(hubs) if hubs is not None else sorted(self._hubs):
             hub = self._hubs.get(hub_name)
@@ -126,7 +118,7 @@ class FederationNetwork:
             member = hub.join(
                 satellite,
                 mode=mode,
-                filter=filter_for_hub(self.policy, hub_name, resource_names),
+                filter=filter_for_hub(self.policy, hub_name),
             )
             out[hub_name] = member
         return out

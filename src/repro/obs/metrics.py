@@ -308,21 +308,22 @@ class MetricsRegistry:
             name, help_text, labelnames, "histogram", lambda: _Histogram(bounds)
         )
 
-    def remove_labels(self, name: str, **labels: str) -> bool:
-        """Drop the labelled children of ``name`` matching ``labels``.
-
-        The reverse of ``.labels(...)``: a label set that stops being
-        meaningful — a federation member that left, a serving cache that
-        was torn down — would otherwise be reported forever by
-        ``/metrics`` at its last value.  Partial label sets clear every
-        matching child.  Returns True when at least one child was
-        removed; unknown metric names are a no-op (False).
-        """
+    def purge_labels(self, **labels: str) -> int:
+        """Drop every child, of every family, whose labels include
+        ``labels``: the reverse of ``.labels(...)`` for a label set that
+        stops being meaningful — a federation member that left, a
+        serving cache that was torn down — which ``/metrics`` would
+        otherwise report forever at its last value.  The registry-side
+        counterpart of :meth:`~repro.obs.history.MetricsHistory.purge_labels`.
+        Returns the number of families that lost a child; at least one
+        label is required (an empty filter would drop everything)."""
+        if not labels:
+            raise ValueError("purge_labels() requires at least one label")
         with self._lock:
-            family = self._families.get(name)
-        if family is None:
-            return False
-        return family.remove(**labels)
+            families = [
+                f for f in self._families.values() if labels.keys() <= set(f.labelnames)
+            ]
+        return sum(family.remove(**labels) for family in families)
 
     # -- queries ---------------------------------------------------------------
 

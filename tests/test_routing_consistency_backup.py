@@ -24,6 +24,7 @@ from repro.core import (
 )
 from repro.etl import WAREHOUSE_SCHEMA, ParsedJob, ingest_jobs
 from repro.timeutil import ts
+from repro.warehouse import Column, ColumnType, TableSchema
 
 
 def make_job(job_id, resource="r1", user="alice"):
@@ -58,10 +59,10 @@ class TestRoutingPolicy:
 
     def test_filter_compilation(self):
         policy = RoutingPolicy().exclude("secret").allow("semi", ["hub1"])
-        f1 = filter_for_hub(policy, "hub1", ["secret", "semi", "open"])
+        f1 = filter_for_hub(policy, "hub1")
         assert "secret" in f1.exclude_resources
         assert "semi" not in f1.exclude_resources
-        f2 = filter_for_hub(policy, "hub2", ["secret", "semi", "open"])
+        f2 = filter_for_hub(policy, "hub2")
         assert {"secret", "semi"} <= f2.exclude_resources
 
 
@@ -121,6 +122,35 @@ class TestFederationNetwork:
         with pytest.raises(MembershipError):
             net.add_hub(FederationHub("h"))
 
+    @pytest.mark.parametrize("policy, refused", [
+        (RoutingPolicy().exclude("secret"), "secret"),
+        (RoutingPolicy(default="none").allow("open", ["hub"]).allow("fresh", ["hub"]), "unlisted"),
+    ], ids=["excluded", "unlisted-under-none"])
+    def test_a_resource_first_logged_after_connect_is_routed_by_name(
+        self, policy, refused
+    ):
+        """The filter is compiled from the policy alone: of the resources
+        the satellite first logs after it joined, the refused one never
+        reaches the hub and the admitted one ("fresh") does."""
+        net = FederationNetwork(policy)
+        hub = net.add_hub(FederationHub("hub"))
+        satellite = self._satellite("sat", resources=("open",))
+        net.connect(satellite)
+        ingest_jobs(satellite.schema, [
+            make_job(10 + i, resource=(refused, "fresh")[i % 2]) for i in range(6)
+        ])
+        net.sync_all()
+        ids = {
+            name: rid for rid, name in satellite.schema.table("dim_resource")
+            .columns_values(("resource_id", "name"))
+        }
+        copy = hub.database.schema("fed_sat")
+        assert copy.table("dim_resource").column_values("name") == ["open", "fresh"]
+        assert sorted(copy.table("fact_job").column_values("resource_id")) == [
+            ids["open"], *[ids["fresh"]] * 3
+        ]
+        assert check_federation(hub, strict=True).ok
+
     def test_sync_all(self):
         net = FederationNetwork()
         net.add_hub(FederationHub("h"))
@@ -133,13 +163,16 @@ class TestFederationNetwork:
 
 class TestConsistency:
     def test_clean_federation_passes(self, federation):
-        hub, _, _, _ = federation
+        hub, satellites, _, _ = federation
         check = check_federation(hub, strict=True)
         assert check.ok
         totals = check.federation_totals()
-        assert totals["n_jobs"] == sum(
-            t["n_jobs"] for t in check.satellite_totals.values()
-        )
+        facts = [s.schema.table("fact_job") for s in satellites.values()]
+        assert totals["n_jobs"] == sum(len(fact) for fact in facts)
+        for metric in ("cpu_hours", "xdsu"):
+            assert totals[metric] == pytest.approx(
+                sum(sum(fact.column_values(metric)) for fact in facts)
+            )
 
     def test_detects_hub_side_tampering(self, federation):
         hub, _, _, _ = federation
@@ -157,6 +190,26 @@ class TestConsistency:
         assert check.ok
         assert {t.table for t in check.tables} >= {"fact_job", "dim_person"}
 
+    def test_a_missing_or_extra_hub_table_fails(self, federation):
+        """The hub copy is compared both ways: a table the filter selects
+        that the copy lacks fails, and so does a non-derived table the
+        copy holds that the filter does not select."""
+        hub, _, _, _ = federation
+        hub.aggregate_federation(["month"])  # derived tables are the hub's own
+        assert check_federation(hub, strict=True).ok
+        hub.database.schema("fed_site0").drop_table("dim_person")
+        hub.database.schema("fed_site1").create_table(
+            TableSchema("notes", (Column("note_id", ColumnType.INT),), ("note_id",))
+        )
+        for member, table in (("site0", "dim_person"), ("site1", "notes")):
+            check = check_member(hub, member)
+            assert not check.ok
+            assert [t.table for t in check.tables if not t.ok] == [table]
+        with pytest.raises(
+            ConsistencyError, match=r"\['site0:dim_person', 'site1:notes'\]"
+        ):
+            check_federation(hub, strict=True)
+
     @pytest.mark.parametrize("policy", [
         RoutingPolicy().exclude("secret"),
         RoutingPolicy(default="none").allow("open", ["hub"]),
@@ -172,8 +225,7 @@ class TestConsistency:
         ])
         network.connect(satellite)
         check = check_federation(hub, strict=True)
-        assert check.ok and check.satellite_totals["sat"]["n_jobs"] == 3
-        assert check.hub_totals["sat"] == check.satellite_totals["sat"]
+        assert check.ok and check.hub_totals["sat"]["n_jobs"] == 3
         hub.database.schema("fed_sat").table("fact_job").delete_where(
             lambda row: True
         )

@@ -26,7 +26,6 @@ from repro.obs import (
     GLOBAL_SCOPE,
     AlertEngine,
     FakeClock,
-    MetricError,
     MetricsRegistry,
     Observability,
     alert_rule,
@@ -407,19 +406,23 @@ class TestSessionEviction:
 class TestPhantomMemberGauges:
     """Satellite: leave() must remove the member's gauge series."""
 
-    def test_remove_labels_unit(self):
+    def test_purge_labels_unit(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("phantom_rows", "", ("member", "kind"))
         gauge.labels(member="a", kind="x").set(1)
         gauge.labels(member="a", kind="y").set(2)
         gauge.labels(member="b", kind="x").set(3)
-        assert registry.remove_labels("phantom_rows", member="a") is True
+        registry.counter("phantom_total", "", ("member",)).labels(member="a").inc()
+        registry.gauge("unlabelled_rows").set(4)
+        assert registry.purge_labels(member="a") == 2
         assert registry.value("phantom_rows", member="a", kind="x") == 0.0
+        assert registry.value("phantom_total", member="a") == 0.0
         assert registry.value("phantom_rows", member="b", kind="x") == 3.0
-        assert registry.remove_labels("phantom_rows", member="a") is False
-        assert registry.remove_labels("no_such_metric_rows", member="a") is False
-        with pytest.raises(MetricError):
-            registry.remove_labels("phantom_rows", bogus="a")
+        assert registry.value("unlabelled_rows") == 4.0
+        assert registry.purge_labels(member="a") == 0
+        assert registry.purge_labels(bogus="a") == 0  # no family has the label
+        with pytest.raises(ValueError):
+            registry.purge_labels()
 
     def test_leave_clears_member_series(self, federation):
         hub, _, _, _ = federation
@@ -432,6 +435,33 @@ class TestPhantomMemberGauges:
         assert 'federation_dead_letters_rows{member="site0"}' not in text
         # the surviving member's series is untouched
         assert 'replication_lag_rows{member="site1"}' in text
+
+    def test_leave_purges_every_series_naming_the_member(self, federation):
+        """By label, not by list: no registry child and no history series
+        is labelled with the member, its channel, or its dropped schema."""
+        hub, _, _, _ = federation
+        hub.sync()
+
+        def naming(member):
+            doomed = {("member", member), ("channel", member), ("schema", f"fed_{member}")}
+            registry = {
+                (name, labels)
+                for name, labels, _ in hub.obs.registry.iter_exposition_samples()
+                if doomed & set(labels)
+            }
+            history = {key for key in hub.obs.history.series_keys() if doomed & set(key[1])}
+            return registry, history
+
+        for member in ("site0", "site1"):
+            registry, history = naming(member)
+            assert {name for name, _ in registry} >= {
+                "replication_lag_rows", "replication_events_applied_total",
+                "warehouse_apply_events_total",
+            }
+            assert {name for name, _ in history} >= {"replication_lag_rows"}
+        hub.leave("site0", drop_data=True)
+        assert naming("site0") == (set(), set())
+        assert all(naming("site1"))  # the surviving member keeps its series
 
 
 class TestMaterializedViews:

@@ -106,19 +106,31 @@ def check_member(hub: FederationHub, member_name: str) -> MemberCheck:
 _NO_JOBS = {"n_jobs": 0.0, "cpu_hours": 0.0, "xdsu": 0.0}
 
 
+#: hub copy -> ((schema serial, fact_job data_version), its totals)
+_totals_memo: dict[str, tuple[tuple[int, int], dict[str, float]]] = {}
+
+
 def _jobs_totals(database: Database, copy: str) -> dict[str, float]:
     """Additive jobs-realm totals of the hub copy ``copy``, from its
-    cached ``fact_job`` columns; none while it holds no jobs."""
+    cached ``fact_job`` columns; none while it holds no jobs.  They are
+    kept per ``(schema serial, fact_job data_version)``, so a copy whose
+    jobs did not change since the last check sums nothing."""
     if not (database.has_schema(copy) and database.schema(copy).has_table("fact_job")):
         return dict(_NO_JOBS)
-    columns = database.schema(copy).table("fact_job").column_arrays(("cpu_hours", "xdsu"))
-    return {
-        "n_jobs": float(len(columns["cpu_hours"])),
-        # Python's sequential sum in row order, not np.sum: the /status
-        # totals stay bit-identical to a row-by-row fold
-        "cpu_hours": sum(columns["cpu_hours"].tolist(), 0.0),
-        "xdsu": sum(columns["xdsu"].tolist(), 0.0),
-    }
+    schema = database.schema(copy)
+    fact = schema.table("fact_job")
+    version = (schema.serial, fact.data_version)
+    memo = _totals_memo.get(copy)
+    if memo is None or memo[0] != version:
+        columns = fact.column_arrays(("cpu_hours", "xdsu"))
+        memo = _totals_memo[copy] = version, {
+            "n_jobs": float(len(columns["cpu_hours"])),
+            # Python's sequential sum in row order, not np.sum: the /status
+            # totals stay bit-identical to a row-by-row fold
+            "cpu_hours": sum(columns["cpu_hours"].tolist(), 0.0),
+            "xdsu": sum(columns["xdsu"].tolist(), 0.0),
+        }
+    return dict(memo[1])
 
 
 @dataclass(frozen=True)

@@ -183,10 +183,14 @@ class Realm:
         (whole range).
 
         Each source's ``agg_<realm>_<period>`` table is read through its
-        cached column arrays; group labels share one code space across
-        sources (two ids with one label form one group), and
+        cached column arrays.  A filter or group column is factorized with
+        array operations and only its distinct ids are labelled
+        (:func:`_labels`); labels share one code space across sources (two
+        ids with one label form one group), and
         :func:`repro.aggregation.group_reduce` sums numerator and
         denominator over ``(group, period_start)``.  NULL adds nothing.
+        The cost follows the rows in range and the groups returned, not
+        the size of a dimension table.
         """
         if end <= start:
             raise RealmQueryError(f"empty time range [{start}, {end})")
@@ -234,32 +238,25 @@ class Realm:
             period_key = p_start[rows] if timeseries else np.zeros_like(rows)
             chunks.append([group, period_key, *(cols[name][rows] for name in measures)])
 
-        result = RealmResult(metric=m, dimension=group_by)
         if not chunks:
-            return result
+            return RealmResult(metric=m, dimension=group_by)
         group, p_start, *values = (np.concatenate(c) for c in zip(*chunks))
         # codes follow first appearance; result rows come in label order
         labels = sorted(group_code)
-        rank = np.empty(len(labels), dtype=np.intp)
-        rank[[group_code[lb] for lb in labels]] = np.arange(len(labels))
+        rank = np.argsort(np.array([group_code[lb] for lb in labels], dtype=np.intp))
         (group, p_start), sums = group_reduce(
             [rank[group], p_start],
             {name: np.where(np.isnan(v), 0.0, v) for name, v in zip(measures, values)},
         )
-        p_labels = {p: period_label(period, p) for p in set(p_start.tolist())}
+        starts = p_start.tolist()
+        p_labels = {p: period_label(period, p) if timeseries else None for p in set(starts)}
         num = sums[m.numerator].tolist()
         # a plain sum never looks at its denominator
         den = sums[m.denominator].tolist() if m.denominator else num
-        for g, p, n, d in zip(group.tolist(), p_start.tolist(), num, den):
-            result.rows.append(
-                ResultRow(
-                    group=labels[g],
-                    period_start=p if timeseries else None,
-                    period_label=p_labels[p] if timeseries else None,
-                    value=m.value(n, d),
-                )
-            )
-        return result
+        return RealmResult(m, group_by, [
+            ResultRow(labels[g], p if timeseries else None, p_labels[p], m.value(n, d))
+            for g, p, n, d in zip(group.tolist(), starts, num, den)
+        ])
 
 
 def _labels(
@@ -271,24 +268,40 @@ def _labels(
 ) -> tuple[list[str], np.ndarray]:
     """Display labels of the distinct entries of ``values`` — a slice of
     ``spec``'s column of the aggregate ``table`` — and each entry's index
-    into them; only the distinct values are labelled."""
-    distinct: dict[Any, int] = {}  # stored value -> index, in order of appearance
-    stored = _stored_values(table, spec.column, values)
-    index = np.fromiter(
-        (distinct.setdefault(v, len(distinct)) for v in stored),
-        dtype=np.intp, count=len(stored),
-    )
+    into them.  Only the distinct entries (:func:`_distinct`) are
+    labelled: ``searchsorted`` over the dimension's cached key array finds
+    each id's last row, the one a mapping over the table keeps; an id the
+    table lacks is spelled as stored (NULL as ``"None"``)."""
+    distinct, index = _distinct(values)
+    ids = _stored_values(table, spec.column, distinct)
+    labels: list[Any] = [str(v) for v in ids]
     if spec.dim_table is None:
-        return [str(v) for v in distinct], index
+        return labels, index
     dim = schema.table(spec.dim_table)
     arrays = dim.column_arrays([spec.dim_key, spec.dim_label])
-    mapping = dict(zip(
-        _stored_values(dim, spec.dim_key, arrays[spec.dim_key]),
-        _stored_values(dim, spec.dim_label, arrays[spec.dim_label]),
-    ))
+    keys = arrays[spec.dim_key]
+    if len(keys):
+        order = np.argsort(keys, kind="stable")
+        at = order[np.searchsorted(keys, distinct, "right", sorter=order) - 1]
+        hits = _stored_values(dim, spec.dim_key, keys[at])
+        names = _stored_values(dim, spec.dim_label, arrays[spec.dim_label][at])
+        labels = [n if k == v else lb for v, lb, k, n in zip(ids, labels, hits, names)]
     if spec.qualify and qualify:
-        return [qualify(mapping.get(v, str(v))) for v in distinct], index
-    return [str(mapping.get(v, v)) for v in distinct], index
+        return [qualify(lb) for lb in labels], index
+    return [str(lb) for lb in labels], index
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of ``values`` and each entry's index into them.
+    A numeric array is sorted (``np.unique``, NaN once); an object array,
+    whose ``None`` no ``str`` orders against, is hashed instead, with no
+    Python-level step per entry."""
+    if values.dtype != object:
+        return np.unique(values, return_inverse=True)
+    entries = values.tolist()
+    code = {v: i for i, v in enumerate(dict.fromkeys(entries))}
+    index = np.fromiter(map(code.__getitem__, entries), dtype=np.intp, count=len(entries))
+    return np.array(list(code), dtype=object), index
 
 
 def _stored_values(table: Table, column: str, array: np.ndarray) -> list[Any]:

@@ -175,6 +175,13 @@ def period_bounds(period: str, start: int, end: int) -> list[int]:
 
 def period_label(period: str, epoch: int) -> str:
     """Human label XDMoD-style: 2017-03, 2017 Q1, 2017, or 2017-03-14."""
+    return _period_label(period, epoch)
+
+
+@functools.lru_cache(maxsize=4096)
+def _period_label(period: str, epoch: int) -> str:
+    """:func:`period_label` through a bounded cache: one ``strftime`` per
+    distinct period, not one per read (a day chart labels a few hundred)."""
     d = from_ts(epoch)
     if period == "day":
         return d.strftime("%Y-%m-%d")

@@ -16,11 +16,7 @@ _GLYPHS = "o*x+#@%&"
 
 def render_table(chart: ChartData, *, value_format: str = "{:,.0f}") -> str:
     """Aligned table: one row per x label, one column per series."""
-    xs: list[str] = []
-    for series in chart.series:
-        for x, _ in series.points:
-            if x not in xs:
-                xs.append(x)
+    xs = list(dict.fromkeys(x for s in chart.series for x, _ in s.points))
     columns = {s.label: dict(s.points) for s in chart.series}
     width = max([len("period")] + [len(x) for x in xs]) + 2
     col_widths = {
@@ -43,11 +39,7 @@ def render_table(chart: ChartData, *, value_format: str = "{:,.0f}") -> str:
 
 def render_lines(chart: ChartData, *, height: int = 12, width: int | None = None) -> str:
     """Rough multi-series line plot in ASCII."""
-    xs: list[str] = []
-    for series in chart.series:
-        for x, _ in series.points:
-            if x not in xs:
-                xs.append(x)
+    xs = list(dict.fromkeys(x for s in chart.series for x, _ in s.points))
     if not xs:
         return chart.title + "\n(no data)"
     values = [

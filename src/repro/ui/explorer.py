@@ -86,10 +86,7 @@ class UsageExplorer:
     def filter(self, dimension: str, values: Iterable[str]) -> "UsageExplorer":
         state = self._require_state()
         self.realm.dimension(dimension)
-        filters = dict(state.filters)
-        existing = set(filters.get(dimension, ()))
-        filters[dimension] = tuple(sorted(existing | set(values)))
-        self._push(replace(state, filters=tuple(sorted(filters.items()))))
+        self._push(replace(state, filters=_pinned(state.filters, dimension, values)))
         return self
 
     def clear_filter(self, dimension: str) -> "UsageExplorer":
@@ -109,17 +106,8 @@ class UsageExplorer:
         if state.group_by is None:
             raise RealmQueryError("cannot drill down without a grouping")
         self.realm.dimension(new_dimension)
-        filters = dict(state.filters)
-        pinned = set(filters.get(state.group_by, ()))
-        pinned.add(group_value)
-        filters[state.group_by] = tuple(sorted(pinned))
-        self._push(
-            replace(
-                state,
-                filters=tuple(sorted(filters.items())),
-                group_by=new_dimension,
-            )
-        )
+        filters = _pinned(state.filters, state.group_by, [group_value])
+        self._push(replace(state, filters=filters, group_by=new_dimension))
         return self
 
     def back(self) -> "UsageExplorer":
@@ -164,3 +152,12 @@ class UsageExplorer:
                 desc += f" [{pins}]"
             out.append(desc)
         return out
+
+
+def _pinned(
+    filters: tuple[tuple[str, tuple[str, ...]], ...], dimension: str, values: Iterable[str]
+) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """``filters`` with ``values`` added to ``dimension``'s allowed labels."""
+    merged = dict(filters)
+    merged[dimension] = tuple(sorted(set(merged.get(dimension, ())) | set(values)))
+    return tuple(sorted(merged.items()))

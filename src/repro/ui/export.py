@@ -59,11 +59,7 @@ def result_to_json(result: RealmResult) -> str:
 
 def chart_to_csv(chart: ChartData) -> str:
     """CSV matrix: one column per series, one row per x label."""
-    xs: list[str] = []
-    for series in chart.series:
-        for x, _ in series.points:
-            if x not in xs:
-                xs.append(x)
+    xs = list(dict.fromkeys(x for s in chart.series for x, _ in s.points))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["period"] + chart.labels)

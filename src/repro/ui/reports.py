@@ -92,24 +92,14 @@ class ReportGenerator:
             f"*Range:* {iso(start)} to {iso(end)}  ",
         ]
         for spec in definition.charts:
-            if spec.view == "aggregate":
-                chart = self.builder.aggregate(
-                    spec.metric,
-                    start=start, end=end, period=period,
-                    group_by=spec.group_by,
-                    filters=spec.filters,
-                    title=spec.title,
-                    top_n=spec.top_n,
-                )
-            else:
-                chart = self.builder.timeseries(
-                    spec.metric,
-                    start=start, end=end, period=period,
-                    group_by=spec.group_by,
-                    filters=spec.filters,
-                    title=spec.title,
-                    top_n=spec.top_n,
-                )
+            build = (
+                self.builder.aggregate if spec.view == "aggregate" else self.builder.timeseries
+            )
+            chart = build(
+                spec.metric, start=start, end=end, period=period,
+                group_by=spec.group_by, filters=spec.filters,
+                title=spec.title, top_n=spec.top_n,
+            )
             charts.append(chart)
             sections += ["", "```", render_table(chart), "```"]
         markdown = "\n".join(sections) + "\n"

@@ -89,8 +89,13 @@ def json_sanitize(obj: Any) -> Any:
 
 def encode_json(payload: Any) -> bytes:
     """The one encoder of every JSON response body: strict JSON
-    (non-finite floats spelled by :func:`json_sanitize`), UTF-8 bytes."""
-    return json.dumps(json_sanitize(payload), allow_nan=False).encode()
+    (non-finite floats spelled by :func:`json_sanitize`), UTF-8 bytes.
+    One C-encoder pass; only a payload it refuses for a non-finite float
+    is walked by :func:`json_sanitize`, which changes nothing else."""
+    try:
+        return json.dumps(payload, allow_nan=False).encode()
+    except ValueError:
+        return json.dumps(json_sanitize(payload), allow_nan=False).encode()
 
 
 def _int_param(

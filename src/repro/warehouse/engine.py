@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -37,8 +38,22 @@ from .errors import (
 from .schema import ColumnType, TableSchema
 
 
-#: ``json.dumps(row, default=str)`` without building an encoder per row
-_encode_row = json.JSONEncoder(default=str).encode
+def _row_encoder() -> Callable[[Any], str]:
+    """``json.dumps(row, default=str)`` as one C encoder built once
+    (``JSONEncoder.encode`` builds a new one on every call), or as that
+    encoder's ``encode`` where the C extension is absent.  Its settings
+    are ``dumps``' defaults, except that it keeps no circular-reference
+    markers: a shared marker dict is not safe across threads, and a
+    stored row is never circular."""
+    if c_make_encoder is None:
+        return json.JSONEncoder(default=str).encode
+    encode = c_make_encoder(
+        None, str, encode_basestring_ascii, None, ": ", ", ", False, False, True
+    )
+    return lambda row: "".join(encode(row, 0))
+
+
+_encode_row = _row_encoder()
 
 
 def rows_checksum(rows: Iterable[Sequence[Any]]) -> str:

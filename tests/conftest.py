@@ -8,8 +8,10 @@ The ``soak`` hypothesis profile runs the property tests that read
 cache, loose fan-in equivalence, the compiled JSON Schema validator
 against its interpreter, binlog batch records against the per-event log,
 binlog replay, history compaction against the walk that classifies every
-sample, and replicated batch records against the per-event channel in
-``test_batch_apply.py``) at 400 examples each:
+sample, replicated batch records against the per-event channel in
+``test_batch_apply.py``, ``Realm.query`` against its row-at-a-time
+oracle, and ``encode_json`` against sanitize-then-dump) at 400 examples
+each:
 ``pytest --hypothesis-profile=soak``.
 """
 

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core import IdentityMap
 from repro.realms import DimensionSpec, Metric, Realm, RealmQueryError, jobs_realm
 from repro.timeutil import PERIODS, period_bounds, period_label, ts
 from repro.warehouse import ColumnType as C, Schema, TableSchema, make_columns
-from tests.conftest import T0
+from tests.conftest import T0, property_settings
 from tests.realm_query_oracle import oracle_query
 
 END = ts(2017, 6, 1)
@@ -321,10 +322,7 @@ def build_property_source(name: str, period: str, rows, bounds) -> Schema:
 
 
 class TestKernelMatchesOracleProperty:
-    @settings(
-        max_examples=150, deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+    @property_settings(150)
     @given(data=st.data())
     def test_random_tables_and_queries(self, data):
         period = data.draw(st.sampled_from(PERIODS), label="period")
@@ -389,3 +387,83 @@ class TestKernelMatchesOracleProperty:
         # every x is NULL: the groups exist, the sums are 0, the ratio too
         assert PROPERTY_REALM.query(sources, "x", **kw).totals() == {"total": 0.0}
         assert PROPERTY_REALM.query(sources, "x_per_n", **kw).totals() == {"total": 0.0}
+
+
+def build_null_id_source(name: str) -> Schema:
+    """A month of ``agg_prop_month`` rows whose ``res_id`` holds NULL, over
+    a keyless ``dim_res`` that labels NULL ("unassigned"), holds id 0
+    twice (the later row's label wins) and lacks id 4."""
+    schema = Schema(name)
+    dim = schema.create_table(TableSchema(
+        "dim_res", make_columns([("res_id", C.INT), ("name", C.STR)]),
+    ))
+    dim.upsert_columns({
+        "res_id": [None, 0, 2, 0], "name": ["unassigned", "old", "beta", "alpha"],
+    })
+    dim_person = schema.create_table(TableSchema(
+        "dim_person", make_columns([("person_id", C.INT), ("username", C.STR)]),
+    ))
+    dim_person.upsert_columns({"person_id": [0, None], "username": ["ann", None]})
+    agg = schema.create_table(TableSchema(
+        "agg_prop_month",
+        make_columns([
+            ("period_start", C.TIMESTAMP, False), ("period_label", C.STR, False),
+            ("res_id", C.INT), ("person_id", C.INT), ("level", C.STR),
+            ("code", C.INT), ("n", C.INT), ("x", C.FLOAT),
+        ]),
+    ))
+    bounds = period_bounds("month", ANCHOR, ts(2018, 2, 1))
+    ids = [None, 0, 2, 4, None, 0, 3]
+    levels = [None, "None", "1-2h", None, "2-4h", "1-2h", ""]
+    agg.upsert_columns({
+        "period_start": [bounds[i % 3] for i in range(len(ids))],
+        "period_label": [period_label("month", bounds[i % 3]) for i in range(len(ids))],
+        "res_id": ids, "person_id": ids, "level": levels, "code": [1] * len(ids),
+        "n": list(range(1, len(ids) + 1)), "x": [0.5] * len(ids),
+    })
+    return schema
+
+
+class TestNullIdsAndNoneLabels:
+    """The read path factorizes a NULL-holding id column (a float64 array,
+    NaN for NULL) and an object column holding ``None`` with array
+    operations; both must group and filter as the oracle does."""
+
+    KW = dict(start=ts(2017, 11, 1), end=ts(2018, 2, 1), period="month")
+
+    @pytest.fixture()
+    def sources(self):
+        return {name: build_null_id_source(name) for name in ("s0", "s1")}
+
+    def check(self, sources, metric, **kw):
+        got = PROPERTY_REALM.query(sources, metric, **self.KW, **kw)
+        assert_same_result(
+            got, oracle_query(PROPERTY_REALM, sources, metric, **self.KW, **kw),
+            exact=metric == "n",
+        )
+        return got
+
+    def test_null_id_column_groups_and_filters_as_the_oracle(self, sources):
+        agg = sources["s0"].table("agg_prop_month")
+        assert agg.column_array("res_id").dtype == np.float64
+        for view in ("timeseries", "aggregate"):
+            for source in (sources, sources["s0"]):
+                self.check(source, "n", group_by="res", view=view)
+                self.check(source, "x_per_n", group_by="person", view=view)
+                self.check(source, "n", group_by="person",
+                           filters={"res": ["unassigned", "4", "3"]}, view=view)
+        totals = self.check(sources["s0"], "n", group_by="res", view="aggregate").totals()
+        assert totals == {"unassigned": 6.0, "alpha": 8.0, "beta": 3.0, "4": 4.0, "3": 7.0}
+        people = self.check(sources, "n", group_by="person", view="aggregate").totals()
+        assert people["None@s0"] == 6.0 and people["4@s1"] == 4.0
+
+    def test_none_in_an_object_column_groups_and_filters_as_the_oracle(self, sources):
+        assert sources["s0"].table("agg_prop_month").column_array("level").dtype == object
+        for view in ("timeseries", "aggregate"):
+            for source in (sources, sources["s0"]):
+                self.check(source, "n", group_by="level", view=view)
+                self.check(source, "x", group_by="res", filters={"level": ["None"]}, view=view)
+                self.check(source, "n", filters={"level": ["", "1-2h"]}, view=view)
+        # NULL and the string "None" share one label, so one group
+        totals = self.check(sources["s0"], "n", group_by="level", view="aggregate").totals()
+        assert totals == {"None": 1.0 + 2.0 + 4.0, "1-2h": 9.0, "2-4h": 5.0, "": 7.0}

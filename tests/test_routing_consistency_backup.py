@@ -24,7 +24,7 @@ from repro.core import (
 )
 from repro.etl import WAREHOUSE_SCHEMA, ParsedJob, ingest_jobs
 from repro.timeutil import ts
-from repro.warehouse import Column, ColumnType, TableSchema
+from repro.warehouse import Column, ColumnType, Table, TableSchema
 
 
 def make_job(job_id, resource="r1", user="alice"):
@@ -173,6 +173,24 @@ class TestConsistency:
             assert totals[metric] == pytest.approx(
                 sum(sum(fact.column_values(metric)) for fact in facts)
             )
+
+    def test_unchanged_hub_copies_sum_no_fact_column(self, federation, monkeypatch):
+        hub, _, _, _ = federation
+        first = check_federation(hub).hub_totals
+        reads = []
+        column_arrays = Table.column_arrays
+        monkeypatch.setattr(Table, "column_arrays", lambda table, columns: (
+            reads.append((table.schema.name, tuple(columns))) or column_arrays(table, columns)
+        ))
+        assert repr(check_federation(hub).hub_totals) == repr(first)
+        assert ("fact_job", ("cpu_hours", "xdsu")) not in reads
+        fact = hub.database.schema("fed_site0").table("fact_job")
+        fact.update_where(lambda r: True, {"cpu_hours": 0.1})
+        moved = check_federation(hub).hub_totals
+        assert reads.count(("fact_job", ("cpu_hours", "xdsu"))) == 1
+        # still Python's sequential sum in row order, bit for bit
+        assert repr(moved["site0"]["cpu_hours"]) == repr(sum([0.1] * len(fact), 0.0))
+        assert repr(moved["site1"]) == repr(first["site1"])
 
     def test_detects_hub_side_tampering(self, federation):
         hub, _, _, _ = federation

@@ -201,6 +201,25 @@ class TestChecksum:
             t.upsert_columns({"job_id": [1], "user": ["u"]})
         assert db.schema("x").checksum() == db.schema("y").checksum()
 
+    def test_row_encoder_is_dumps_with_default_str(self, monkeypatch):
+        # one C encoder serves every row; without the C extension the
+        # plain JSONEncoder does, and both spell a row as dumps does
+        import datetime
+        import json
+
+        from repro.warehouse import engine
+
+        rows = [
+            (1, 2.5, "a", None, True),
+            [0, -0.0, 'é"x\n', {"k": [1, {"z": None}]}, 10**20],
+            (float("nan"), float("inf"), -float("inf"), 1e-300, "日本"),
+            (datetime.date(2017, 3, 1), np.float64(0.1)),
+            (),
+        ]
+        monkeypatch.setattr(engine, "c_make_encoder", None)
+        for encode in (engine._encode_row, engine._row_encoder()):
+            assert [encode(row) for row in rows] == [json.dumps(row, default=str) for row in rows]
+
     def test_rows_checksum_digest_is_pinned(self):
         # the definition every fidelity check, dump and /status digest
         # shares: sha256 over the sorted sha256 hex digests of each row's

@@ -22,6 +22,8 @@ from ..obs import (
     DEFAULT_ALERT_RULES,
     AlertEngine,
     AlertRule,
+    AlertState,
+    MetricsHistory,
     Observability,
     alert_rule,
 )
@@ -129,30 +131,20 @@ class FederationMonitor:
         """
         return self.alerts.evaluate([m.name for m in self.hub.members])
 
-    def _pump_figures(self, member_name: str, applied: int) -> tuple[int, float, float]:
-        """(syncs, total pump seconds, events/s) from the registry."""
-        count, total = self.obs.registry.histogram_stats(
-            "replication_pump_seconds", channel=member_name
-        )
-        rate = applied / total if total > 0 else 0.0
-        return count, total, rate
-
     def status(self) -> FederationStatus:
         lag = self.hub.lag()
         check = check_federation(self.hub)
         by_member = {m.member: m for m in check.members}
         members = []
+        database = self.hub.database
         for member in self.hub.members:
-            has_schema = self.hub.database.has_schema(member.fed_schema)
-            schema = (
-                self.hub.database.schema(member.fed_schema)
-                if has_schema else None
-            )
+            has_schema = database.has_schema(member.fed_schema)
+            schema = database.schema(member.fed_schema) if has_schema else None
             stats = member.channel.stats
             member_check = by_member.get(member.name)
             consistent = bool(member_check and member_check.ok)
-            syncs, sync_seconds, rate = self._pump_figures(
-                member.name, stats.events_applied
+            syncs, sync_seconds = self.obs.registry.histogram_stats(
+                "replication_pump_seconds", channel=member.name
             )
             members.append(
                 MemberStatus(
@@ -174,7 +166,9 @@ class FederationMonitor:
                     last_error=stats.last_error or member.last_error,
                     syncs=syncs,
                     sync_seconds=sync_seconds,
-                    events_per_second=rate,
+                    events_per_second=(
+                        stats.events_applied / sync_seconds if sync_seconds > 0 else 0.0
+                    ),
                 )
             )
         return FederationStatus(
@@ -224,25 +218,15 @@ class FederationMonitor:
             )
         history = self.obs.history
         if history.enabled:
-            spark: list[str] = []
+            rows = []
             for member in status.members:
-                lag = [v for _, v in history.samples(
-                    "replication_lag_rows", member=member.name
-                )]
+                lag = _values(history, "replication_lag_rows", member.name)
                 if lag:
-                    spark.append(
-                        f"  {member.name:<{name_w}}lag {render_sparkline(lag)}"
-                    )
-                dlq = [v for _, v in history.samples(
-                    "federation_dead_letters_rows", member=member.name
-                )]
+                    rows.append((member.name, "lag", lag))
+                dlq = _values(history, "federation_dead_letters_rows", member.name)
                 if any(dlq):
-                    spark.append(
-                        f"  {member.name:<{name_w}}dlq {render_sparkline(dlq)}"
-                    )
-            if spark:
-                lines.append("history (oldest -> newest):")
-                lines.extend(spark)
+                    rows.append((member.name, "dlq", dlq))
+            lines += _spark_block("history", name_w, rows)
         plane = self.analytics
         if plane is not None and plane.last_scores:
             scores = sorted(job.score for job in plane.last_scores)
@@ -266,33 +250,18 @@ class FederationMonitor:
                     ) + ")"
                 )
         if self.alerts.evaluations:
-            firing = self.alerts.firing()
-            lines.append(
-                f"alerts: {len(firing)} firing"
-                + (
-                    " (" + ", ".join(
-                        f"{s.rule.id}[{s.member}]" for s in firing
-                    ) + ")"
-                    if firing else ""
-                )
-            )
+            lines.append(_firing_line("alerts", self.alerts.firing()))
         report = self.hub.last_aggregation
-        if report.skipped or report.quarantined:
-            parts = []
-            if report.skipped:
-                parts.append(
-                    "skipped: " + ", ".join(
-                        f"{name} ({why})"
-                        for name, why in sorted(report.skipped.items())
-                    )
-                )
-            if report.quarantined:
-                parts.append(
-                    "quarantined events: " + ", ".join(
-                        f"{name}={n}"
-                        for name, n in sorted(report.quarantined.items())
-                    )
-                )
+        parts = []
+        if report.skipped:
+            parts.append("skipped: " + ", ".join(
+                f"{name} ({why})" for name, why in sorted(report.skipped.items())
+            ))
+        if report.quarantined:
+            parts.append("quarantined events: " + ", ".join(
+                f"{name}={n}" for name, n in sorted(report.quarantined.items())
+            ))
+        if parts:
             lines.append("last aggregation: " + "; ".join(parts))
         return "\n".join(lines)
 
@@ -360,27 +329,38 @@ class FederationMonitor:
                 f"{lag.get(name, 0):>6}{cache:>7}  "
                 + ("STALE" if name in stale else "fresh")
             )
-        spark: list[str] = []
-        for name in names:
-            seqs = [v for _, v in fleet.samples(SEQ_SERIES, member=name)]
-            if len(seqs) > 1:
-                spark.append(f"  {name:<{name_w}}seq {render_sparkline(seqs)}")
-        if spark:
-            lines.append("shipments (oldest -> newest):")
-            lines.extend(spark)
+        seqs = {name: _values(fleet, SEQ_SERIES, name) for name in names}
+        lines += _spark_block("shipments", name_w, [
+            (name, "seq", seqs[name]) for name in names if len(seqs[name]) > 1
+        ])
         if stale:
             lines.append("stale members: " + ", ".join(stale))
         if self.alerts.evaluations:
-            firing = [
+            lines.append(_firing_line("fleet alerts", [
                 s for s in self.alerts.firing() if s.rule.scope == "fleet"
-            ]
-            lines.append(
-                f"fleet alerts: {len(firing)} firing"
-                + (
-                    " (" + ", ".join(
-                        f"{s.rule.id}[{s.member}]" for s in firing
-                    ) + ")"
-                    if firing else ""
-                )
-            )
+            ]))
         return "\n".join(lines)
+
+
+def _values(history: MetricsHistory, name: str, member: str) -> list[float]:
+    """A member's stored values of ``name``, oldest first."""
+    return [v for _, v in history.samples(name, member=member)]
+
+
+def _spark_block(
+    title: str, name_w: int, rows: list[tuple[str, str, list[float]]]
+) -> list[str]:
+    """``title`` over one sparkline per ``(member, what, values)`` row;
+    no lines at all when there is no row."""
+    if not rows:
+        return []
+    return [f"{title} (oldest -> newest):"] + [
+        f"  {name:<{name_w}}{what} {render_sparkline(values)}"
+        for name, what, values in rows
+    ]
+
+
+def _firing_line(title: str, firing: list[AlertState]) -> str:
+    """``<title>: N firing (rule[member], ...)``."""
+    names = ", ".join(f"{s.rule.id}[{s.member}]" for s in firing)
+    return f"{title}: {len(firing)} firing" + (f" ({names})" if firing else "")

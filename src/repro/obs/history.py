@@ -21,10 +21,14 @@ each bucket, so the compaction is deterministic under a
 :class:`~repro.obs.clock.FakeClock` and history-backed renders stay
 byte-identical across runs.
 
-The federation hub's fleet TSDB (``FederationHub.fleet``) is a history
-too, with no registry of its own: :meth:`MetricsHistory.scrape` merges a
-member registry's full exposition into it under a ``member`` label after
-every healthy sync turn, so the same vocabulary answers fleet queries.
+Both ``record`` and ``scrape`` read the registry's one sample walk
+(``record`` skips the histogram buckets) into one index: sample name ->
+label items -> series.  The federation hub's fleet TSDB
+(``FederationHub.fleet``) is a history too, with no registry of its own:
+:meth:`MetricsHistory.scrape` merges a member registry's full exposition
+into it under a ``member`` label, noting each sample's family for the
+fleet's ``render_prometheus``, after every healthy sync turn, so the
+same vocabulary answers fleet queries.
 """
 
 from __future__ import annotations
@@ -34,12 +38,12 @@ from typing import Mapping
 from ..aggregation.levels import AggregationLevel, AggregationLevelSet
 from ..analysis.sanitizer import create_lock
 from .clock import Clock
-from .metrics import MetricsRegistry, _fmt, _render_labels
+from .metrics import Labels, MetricsRegistry, _write_exposition
 
 __all__ = ["DEFAULT_RETENTION", "MetricsHistory", "SEQ_SERIES", "SeriesKey"]
 
 #: ``(sample_name, sorted ((label, value), ...))`` — one stored series.
-SeriesKey = tuple[str, tuple[tuple[str, str], ...]]
+SeriesKey = tuple[str, Labels]
 
 #: Synthetic per-member series every :meth:`MetricsHistory.scrape`
 #: appends (value = the member's scrape number).  Its ``age_s`` is the
@@ -61,13 +65,15 @@ DEFAULT_RETENTION = AggregationLevelSet(
 
 
 class _Series:
-    """Samples for one ``(name, labels)`` child, oldest first."""
+    """Samples for one ``(name, labels)`` child, oldest first, and the
+    exposition family of a scraped one (None: the sample's own name)."""
 
-    __slots__ = ("samples", "last_changed")
+    __slots__ = ("samples", "last_changed", "family")
 
-    def __init__(self) -> None:
+    def __init__(self, family: str | None = None) -> None:
         self.samples: list[tuple[float, float]] = []
         self.last_changed: float = 0.0
+        self.family = family
 
     def append(self, t: float, value: float, *, snapshot: bool = False) -> None:
         """Add a sample, unless it is a ``snapshot`` (a re-read of state)
@@ -85,11 +91,6 @@ class _Series:
 
     def last(self) -> tuple[float, float] | None:
         return self.samples[-1] if self.samples else None
-
-
-def _tier_width(level: AggregationLevel) -> float:
-    """Bucket width of a retention tier: its ``lo`` (0 == keep raw)."""
-    return level.lo
 
 
 class MetricsHistory:
@@ -134,12 +135,11 @@ class MetricsHistory:
         self._raw_s = next(l.hi for l in retention.levels if l.lo == 0.0)
         self.max_samples = max_samples
         self.enabled = enabled
-        self._series: dict[SeriesKey, _Series] = {}
         #: sample name -> label items -> series: a query reads its own
         #: name's series only, not the whole store
-        self._by_name: dict[str, dict[tuple[tuple[str, str], ...], _Series]] = {}
+        self._series: dict[str, dict[Labels, _Series]] = {}
         self._records = 0
-        #: family name -> ``# TYPE`` of every scraped registry (first wins)
+        #: family name -> ``# TYPE`` of every scraped family (first wins)
         self._types: dict[str, str] = {}
         self._lock = create_lock("MetricsHistory")  # guards: _types
 
@@ -150,7 +150,8 @@ class MetricsHistory:
     # -- recording ---------------------------------------------------------
 
     def record(self, *, now: float | None = None) -> int:
-        """Snapshot every registry child; returns series touched.
+        """Snapshot the registry walk's samples, histogram buckets aside;
+        returns series touched.
 
         Called by :meth:`FederationHub.sync`, :meth:`FederationHub.ship_loose`
         and the ``/metrics`` scrape handler; safe to call from anywhere
@@ -158,11 +159,14 @@ class MetricsHistory:
         """
         if not self.enabled:
             return 0
-        t = float(self._clock.now() if now is None else now)
+        t = self._now(now)
         n = 0
-        for name, labels, value in self._registry.iter_scalar_samples():
-            self._put((name, labels), t, value, snapshot=True)
-            n += 1
+        for family in self._registry._sorted_families():
+            bucket = family.name + "_bucket"
+            for name, labels, value in family.samples():
+                if name != bucket:
+                    self._put((name, labels), t, value, snapshot=True)
+                    n += 1
         self._records += 1
         if self._records % 16 == 0:
             self.compact(now=t)
@@ -193,51 +197,55 @@ class MetricsHistory:
         sorted order."""
         if not self.enabled:
             return
-        self._put(key, float(self._clock.now() if now is None else now), float(value))
+        self._put(key, self._now(now), float(value))
 
     def scrape(self, member: str, registry: MetricsRegistry) -> int:
         """Merge ``registry``'s exposition samples (histogram buckets
-        included) under a reserved ``member`` label, which replaces any
-        scraped one, plus one :data:`SEQ_SERIES` sample, all at one clock
-        reading.  Returns the series written (0 when disabled)."""
+        included) under a ``member`` label, plus one :data:`SEQ_SERIES`
+        sample, all at one clock reading.  A scraped ``member`` label that
+        names another member (a member hub's own) is kept as
+        ``exported_member``, as Prometheus keeps a label that collides with
+        a target label.  Returns the series written (0 when disabled)."""
         if not self.enabled:
             return 0
         # read the registry before taking our lock: its own lock must
         # never nest inside this one
-        samples = list(registry.iter_exposition_samples())
-        types = registry.type_names()
+        walked = [(family, list(family.samples())) for family in registry._sorted_families()]
         seq_key: SeriesKey = (SEQ_SERIES, (("member", member),))
+        n = 1
         with self._lock:
             t = float(self._clock.now())
             latest = self.last_sample(seq_key)
             self._types.setdefault(SEQ_SERIES, "gauge")
-            for name, type_name in types.items():
-                self._types.setdefault(name, type_name)
             put = self._put
-            for name, labels, value in samples:
-                # drop any scraped member label, then insert ours keeping
-                # the label items sorted
-                items = [item for item in labels if item[0] != "member"]
-                items.append(("member", member))
-                items.sort()
-                put((name, tuple(items)), t, float(value), snapshot=True)
+            for family, samples in walked:
+                self._types.setdefault(family.name, family.type_name)
+                for name, labels, value in samples:
+                    items = [
+                        ("exported_member", v) if k == "member" else (k, v)
+                        for k, v in labels
+                        if k != "member" or v != member
+                    ]
+                    items.append(("member", member))
+                    items.sort()
+                    put((name, tuple(items)), t, value, snapshot=True, family=family.name)
+                n += len(samples)
             put(seq_key, t, (latest[1] if latest else 0.0) + 1.0, snapshot=True)
-        return len(samples) + 1
+        return n
 
     def _put(
-        self, key: SeriesKey, t: float, value: float, *, snapshot: bool = False
+        self, key: SeriesKey, t: float, value: float, *,
+        snapshot: bool = False, family: str | None = None,
     ) -> None:
-        series = self._series.get(key)
+        by_labels = self._series.get(key[0])
+        if by_labels is None:
+            by_labels = self._series[key[0]] = {}
+        series = by_labels.get(key[1])
         if series is None:
-            series = self._add_series(key)
+            series = by_labels[key[1]] = _Series(family)
         series.append(t, value, snapshot=snapshot)
         if len(series.samples) > self.max_samples:
             self._cap(series, t)
-
-    def _add_series(self, key: SeriesKey) -> _Series:
-        series = self._series.setdefault(key, _Series())
-        self._by_name.setdefault(key[0], {})[key[1]] = series
-        return series
 
     def _cap(self, series: _Series, now: float) -> None:
         """Bring a series over ``max_samples`` back to it: compact, then
@@ -251,14 +259,16 @@ class MetricsHistory:
 
     def compact(self, *, now: float | None = None) -> None:
         """Apply the retention ladder to every series."""
-        t = float(self._clock.now() if now is None else now)
-        for series in self._series.values():
-            self._compact_series(series, t)
+        t = self._now(now)
+        for by_labels in self._series.values():
+            for series in by_labels.values():
+                self._compact_series(series, t)
 
     def _compact_series(self, series: _Series, now: float) -> None:
         _, horizon = self.retention.span()
         raw_s = self._raw_s
-        tiers = {l.label: _tier_width(l) for l in self.retention.levels}
+        # a tier's bucket width is its ``lo`` (0 == keep raw)
+        tiers = {l.label: l.lo for l in self.retention.levels}
         kept: list[tuple[float, float]] = []
         seen: set[tuple[str, int]] = set()
         for t, v in reversed(series.samples):  # newest first: keep newest per bucket
@@ -293,23 +303,19 @@ class MetricsHistory:
         want = {(k, str(v)) for k, v in labels.items()}
         return [
             series
-            for skey, series in sorted(self._by_name.get(name, {}).items())
+            for skey, series in sorted(self._series.get(name, {}).items())
             if want <= set(skey)
         ]
 
     def series_keys(self, name: str | None = None) -> list[SeriesKey]:
-        if name is None:
-            return sorted(self._series)
-        return [(name, skey) for skey in sorted(self._by_name.get(name, ()))]
+        names = sorted(self._series) if name is None else [name]
+        return [(n, skey) for n in names for skey in sorted(self._series.get(n, ()))]
 
     def label_values(self, name: str, label: str) -> list[str]:
         """Sorted distinct values of ``label`` across ``name``'s series
         (the fleet's members: ``label_values(SEQ_SERIES, "member")``)."""
         return sorted({
-            value
-            for skey in self._by_name.get(name, ())
-            for key, value in skey
-            if key == label
+            value for skey in self._series.get(name, ()) for key, value in skey if key == label
         })
 
     def last_sample(self, key: SeriesKey) -> tuple[float, float] | None:
@@ -318,7 +324,7 @@ class MetricsHistory:
         Unlike :meth:`last`, no partial-label pooling: the key must match
         a stored series exactly (as returned by :meth:`series_keys`).
         """
-        series = self._series.get(key)
+        series = self._series.get(key[0], {}).get(key[1])
         return series.last() if series is not None else None
 
     def purge_labels(self, **labels: str) -> int:
@@ -334,14 +340,14 @@ class MetricsHistory:
         if not labels:
             raise ValueError("purge_labels() requires at least one label")
         want = {(k, str(v)) for k, v in labels.items()}
-        doomed = [key for key in self._series if want <= set(key[1])]
-        for name, skey in doomed:
-            del self._series[(name, skey)]
-            by_labels = self._by_name[name]
-            del by_labels[skey]
+        dropped = 0
+        for name, by_labels in list(self._series.items()):
+            for skey in [skey for skey in by_labels if want <= set(skey)]:
+                del by_labels[skey]
+                dropped += 1
             if not by_labels:
-                del self._by_name[name]
-        return len(doomed)
+                del self._series[name]
+        return dropped
 
     def samples(self, name: str, **labels: str) -> list[tuple[float, float]]:
         """All stored ``(t, value)`` samples of the matching series.
@@ -476,32 +482,19 @@ class MetricsHistory:
 
     # -- exposition --------------------------------------------------------
 
-    def _family_of(self, sample_name: str) -> str:
-        if sample_name not in self._types:
-            for suffix in ("_bucket", "_count", "_sum"):
-                base = sample_name.removesuffix(suffix)
-                if base != sample_name and self._types.get(base) == "histogram":
-                    return base
-        return sample_name
-
     def render_prometheus(self) -> str:
         """Newest value of every series as Prometheus text (``GET
         /fleet/metrics``), typed by the scraped ``# TYPE`` maps, in a
         deterministic order: family, then sample name and labels."""
-        families: dict[str, list[tuple[str, tuple, float]]] = {}
-        for (sample_name, labels), series in self._series.items():
-            latest = series.last()
-            if latest is not None:
-                families.setdefault(self._family_of(sample_name), []).append(
-                    (sample_name, labels, latest[1])
-                )
-        lines: list[str] = []
-        for family in sorted(families):
-            lines.append(f"# TYPE {family} {self._types.get(family, 'untyped')}")
-            for sample_name, labels, value in sorted(
-                families[family], key=lambda s: (s[0], s[1])
-            ):
-                lines.append(
-                    f"{sample_name}{_render_labels(dict(labels))} {_fmt(value)}"
-                )
-        return "\n".join(lines) + ("\n" if lines else "")
+        families: dict[str, list[tuple[str, Labels, float]]] = {}
+        for name, by_labels in self._series.items():
+            for labels, series in by_labels.items():
+                latest = series.last()
+                if latest is not None:
+                    families.setdefault(series.family or name, []).append(
+                        (name, labels, latest[1])
+                    )
+        return _write_exposition(
+            (family, None, self._types.get(family, "untyped"), sorted(families[family]))
+            for family in sorted(families)
+        )

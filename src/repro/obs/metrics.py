@@ -16,6 +16,11 @@ are then a single attribute bump.  A registry constructed with
 ``enabled=False`` hands out shared no-op children, so the "bare" baseline
 in ``bench_a11_obs_overhead`` runs the very same instrumented code.
 
+One walk, ``_Family.samples``, turns children into exposition samples
+(the only place a histogram becomes ``_bucket``/``_sum``/``_count``);
+the exposition, ``iter_exposition_samples`` and the metrics history all
+read it, and one writer prints this registry and the fleet history.
+
 Family/child creation is lock-protected; value updates rely on the GIL
 (a lost increment under a racing live-replicator thread is acceptable
 telemetry error, corruption is not possible).
@@ -24,7 +29,7 @@ telemetry error, corruption is not possible).
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from ..analysis.sanitizer import create_lock
 
@@ -76,13 +81,27 @@ def _escape_label(value: str) -> str:
     )
 
 
-def _render_labels(labels: Mapping[str, str], extra: str = "") -> str:
-    parts = [f'{k}="{_escape_label(str(v))}"' for k, v in sorted(labels.items())]
-    if extra:
-        parts.append(extra)
-    if not parts:
-        return ""
-    return "{" + ",".join(parts) + "}"
+#: ``((label, value), ...)`` of one exposition sample
+Labels = tuple[tuple[str, str], ...]
+
+
+def _write_exposition(
+    families: Iterable[tuple[str, str | None, str, Iterable[tuple[str, Labels, float]]]],
+) -> str:
+    """Prometheus text exposition of ``(family, help, type, samples)``
+    groups: a ``# HELP`` line unless ``help`` is None, a ``# TYPE`` line,
+    then one line per sample, its labels in the order given."""
+    lines: list[str] = []
+    for family, help_text, type_name, samples in families:
+        if help_text is not None:
+            lines.append(f"# HELP {family} {help_text}")
+        lines.append(f"# TYPE {family} {type_name}")
+        for name, labels, value in samples:
+            if labels:
+                text = ",".join(f'{k}="{_escape_label(v)}"' for k, v in labels)
+                name = f"{name}{{{text}}}"
+            lines.append(f"{name} {_fmt(value)}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 class _NoopChild:
@@ -139,10 +158,12 @@ class _Gauge:
 
 
 class _Histogram:
-    __slots__ = ("buckets", "counts", "sum", "count")
+    __slots__ = ("buckets", "les", "counts", "sum", "count")
 
-    def __init__(self, buckets: tuple[float, ...]) -> None:
+    def __init__(self, buckets: tuple[float, ...], les: tuple[str, ...]) -> None:
         self.buckets = buckets
+        #: each bucket's ``le`` label value, ``+Inf`` last
+        self.les = les
         self.counts = [0] * (len(buckets) + 1)  # +1 for +Inf
         self.sum = 0.0
         self.count = 0
@@ -176,18 +197,29 @@ class _Family:
         self._children: dict[tuple[str, ...], object] = {}
         self._lock = create_lock(f"Family:{name}")  # guards: _children
 
+    def _key(self, labelvalues: Mapping[str, object]) -> tuple[str, ...] | None:
+        """The child key of a full label set (None for any other set)."""
+        if labelvalues.keys() != set(self.labelnames):
+            return None
+        return tuple(str(labelvalues[n]) for n in self.labelnames)
+
     def labels(self, **labelvalues: str):
-        if set(labelvalues) != set(self.labelnames):
+        key = self._key(labelvalues)
+        if key is None:
             raise MetricError(
                 f"metric {self.name!r} expects labels {self.labelnames}, "
                 f"got {tuple(sorted(labelvalues))}"
             )
-        key = tuple(str(labelvalues[n]) for n in self.labelnames)
         child = self._children.get(key)
         if child is None:
             with self._lock:
                 child = self._children.setdefault(key, self._child_factory())
         return child
+
+    def get(self, labelvalues: Mapping[str, object]):
+        """The child :meth:`labels` returns; None where it would create one."""
+        key = self._key(labelvalues)
+        return None if key is None else self._children.get(key)
 
     def remove(self, **labelvalues: str) -> bool:
         """Drop one labelled child; returns True when it existed.
@@ -237,12 +269,27 @@ class _Family:
     def observe(self, value: float) -> None:
         self._default_child().observe(value)
 
-    def items(self) -> list[tuple[dict[str, str], object]]:
+    def samples(self) -> Iterator[tuple[str, Labels, float]]:
+        """The walk: ``(sample name, label items, value)`` per exposition
+        sample, children in label-value order, each child's label items
+        sorted by name.  A histogram child yields its cumulative
+        ``_bucket`` samples (``le`` appended last, ``+Inf`` included),
+        then ``_sum`` and ``_count``."""
+        name, names = self.name, self.labelnames
+        order = sorted(range(len(names)), key=names.__getitem__)
         with self._lock:
-            pairs = sorted(self._children.items())
-        return [
-            (dict(zip(self.labelnames, key)), child) for key, child in pairs
-        ]
+            children = sorted(self._children.items())
+        for key, child in children:
+            labels = tuple([(names[i], key[i]) for i in order])
+            if isinstance(child, _Histogram):
+                cumulative = 0
+                for le, n in zip(child.les, child.counts):
+                    cumulative += n
+                    yield name + "_bucket", labels + (("le", le),), float(cumulative)
+                yield name + "_sum", labels, float(child.sum)
+                yield name + "_count", labels, float(child.count)
+            else:
+                yield name, labels, float(child.value)  # type: ignore[attr-defined]
 
 
 class MetricsRegistry:
@@ -304,8 +351,9 @@ class MetricsRegistry:
         buckets: tuple[float, ...] = DEFAULT_BUCKETS,
     ):
         bounds = tuple(sorted(float(b) for b in buckets))
+        les = tuple(map(_fmt, bounds)) + ("+Inf",)
         return self._family(
-            name, help_text, labelnames, "histogram", lambda: _Histogram(bounds)
+            name, help_text, labelnames, "histogram", lambda: _Histogram(bounds, les)
         )
 
     def purge_labels(self, **labels: str) -> int:
@@ -327,131 +375,57 @@ class MetricsRegistry:
 
     # -- queries ---------------------------------------------------------------
 
-    def _find_child(self, name: str, labels: Mapping[str, str]):
+    def _child(self, name: str, labels: Mapping[str, str]):
         family = self._families.get(name)
-        if family is None:
-            return None
-        for child_labels, child in family.items():
-            if child_labels == {k: str(v) for k, v in labels.items()}:
-                return child
-        return None
+        return None if family is None else family.get(labels)
 
     def value(self, name: str, **labels: str) -> float:
         """Current value of a counter/gauge child (0.0 when absent)."""
-        child = self._find_child(name, labels)
-        if child is None or not isinstance(child, (_Counter, _Gauge)):
-            return 0.0
-        return child.value
+        child = self._child(name, labels)
+        return child.value if isinstance(child, (_Counter, _Gauge)) else 0.0
 
     def histogram_stats(self, name: str, **labels: str) -> tuple[int, float]:
         """``(count, sum)`` of a histogram child ((0, 0.0) when absent)."""
-        child = self._find_child(name, labels)
-        if child is None or not isinstance(child, _Histogram):
-            return (0, 0.0)
-        return (child.count, child.sum)
+        child = self._child(name, labels)
+        return (child.count, child.sum) if isinstance(child, _Histogram) else (0, 0.0)
 
-    def iter_scalar_samples(self):
-        """Yield ``(sample_name, sorted label items, value)`` per child.
-
-        Counters and gauges yield their value; a histogram yields
-        synthetic ``<name>_count`` and ``<name>_sum`` series.  Iteration
-        order is deterministic (family name, then label values) — this is
-        the walk :class:`~repro.obs.history.MetricsHistory` snapshots.
-        """
+    def _sorted_families(self) -> list[_Family]:
+        """Every family, in name order: the order of every walk."""
         with self._lock:
-            families = sorted(self._families.values(), key=lambda f: f.name)
-        for family in families:
-            for labels, child in family.items():
-                key = tuple(sorted(labels.items()))
-                if isinstance(child, _Histogram):
-                    yield family.name + "_count", key, float(child.count)
-                    yield family.name + "_sum", key, child.sum
-                else:
-                    yield family.name, key, float(child.value)  # type: ignore[attr-defined]
+            return sorted(self._families.values(), key=lambda f: f.name)
 
-    def iter_exposition_samples(self):
-        """Yield ``(sample_name, sorted label items, value)`` per sample.
-
-        The full exposition walk — histogram ``_bucket`` (cumulative,
-        ``le``-labelled, ``+Inf`` included), ``_sum`` and ``_count``
-        series and all — producing exactly the samples
-        :func:`parse_prometheus_text` recovers from
-        :meth:`render_prometheus`, without the text round-trip.  The
-        fleet TSDB's scrape walks this on every sync cycle, so it
-        must stay cheap and byte-compatible with the rendered form.
-        """
-        with self._lock:
-            families = sorted(self._families.values(), key=lambda f: f.name)
-        for family in families:
-            for labels, child in family.items():
-                base = tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-                if isinstance(child, _Histogram):
-                    cumulative = 0
-                    for bound, n in zip(child.buckets, child.counts):
-                        cumulative += n
-                        key = tuple(sorted(base + (("le", _fmt(bound)),)))
-                        yield family.name + "_bucket", key, float(cumulative)
-                    cumulative += child.counts[-1]
-                    key = tuple(sorted(base + (("le", "+Inf"),)))
-                    yield family.name + "_bucket", key, float(cumulative)
-                    yield family.name + "_sum", base, float(child.sum)
-                    yield family.name + "_count", base, float(child.count)
-                else:
-                    yield family.name, base, float(child.value)  # type: ignore[attr-defined]
-
-    def type_names(self) -> dict[str, str]:
-        """Family name -> exposition type, in family-name order."""
-        with self._lock:
-            families = sorted(self._families.values(), key=lambda f: f.name)
-        return {family.name: family.type_name for family in families}
+    def iter_exposition_samples(self) -> Iterator[tuple[str, Labels, float]]:
+        """Every family's samples (:meth:`_Family.samples`) with sorted
+        label items: exactly the samples :func:`parse_prometheus_text`
+        recovers from :meth:`render_prometheus`."""
+        for family in self._sorted_families():
+            for name, labels, value in family.samples():
+                yield name, tuple(sorted(labels)), value
 
     # -- exposition ------------------------------------------------------------
 
     def render_prometheus(self) -> str:
         """The registry in Prometheus text exposition format 0.0.4."""
-        lines: list[str] = []
-        with self._lock:
-            families = sorted(self._families.values(), key=lambda f: f.name)
-        for family in families:
-            lines.append(f"# HELP {family.name} {family.help}")
-            lines.append(f"# TYPE {family.name} {family.type_name}")
-            for labels, child in family.items():
-                if isinstance(child, _Histogram):
-                    cumulative = 0
-                    for bound, n in zip(child.buckets, child.counts):
-                        cumulative += n
-                        le = _render_labels(labels, f'le="{_fmt(bound)}"')
-                        lines.append(f"{family.name}_bucket{le} {cumulative}")
-                    cumulative += child.counts[-1]
-                    le = _render_labels(labels, 'le="+Inf"')
-                    lines.append(f"{family.name}_bucket{le} {cumulative}")
-                    label_str = _render_labels(labels)
-                    lines.append(f"{family.name}_sum{label_str} {_fmt(child.sum)}")
-                    lines.append(f"{family.name}_count{label_str} {child.count}")
-                else:
-                    label_str = _render_labels(labels)
-                    lines.append(
-                        f"{family.name}{label_str} {_fmt(child.value)}"  # type: ignore[attr-defined]
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
+        return _write_exposition(
+            (f.name, f.help, f.type_name, f.samples()) for f in self._sorted_families()
+        )
 
     def snapshot(self) -> dict:
         """JSON-friendly dump of every family and child."""
         out: dict = {}
-        with self._lock:
-            families = sorted(self._families.values(), key=lambda f: f.name)
-        for family in families:
+        for family in self._sorted_families():
+            names = family.labelnames
+            with family._lock:
+                children = sorted(family._children.items())
             values = []
-            for labels, child in family.items():
+            for key, child in children:
+                labels = dict(zip(names, key))
                 if isinstance(child, _Histogram):
                     values.append({
                         "labels": labels,
                         "count": child.count,
                         "sum": child.sum,
-                        "buckets": {
-                            _fmt(b): n
-                            for b, n in zip(child.buckets, child.counts)
-                        },
+                        "buckets": dict(zip(child.les[:-1], child.counts)),
                     })
                 else:
                     values.append({"labels": labels, "value": child.value})  # type: ignore[attr-defined]
@@ -479,9 +453,6 @@ class ParsedExposition:
     def value(self, sample_name: str, **labels: str) -> float | None:
         key = (sample_name, tuple(sorted((k, str(v)) for k, v in labels.items())))
         return self.samples.get(key)
-
-    def sample_names(self) -> set[str]:
-        return {name for name, _ in self.samples}
 
 
 def _parse_labels(text: str) -> tuple[tuple[str, str], ...]:
@@ -513,7 +484,7 @@ def parse_prometheus_text(text: str) -> ParsedExposition:
     types: dict[str, str] = {}
     helps: dict[str, str] = {}
     samples: dict[tuple[str, tuple[tuple[str, str], ...]], float] = {}
-    for raw in text.splitlines():
+    for raw in text.split("\n"):  # not splitlines(): a label value may hold \r
         line = raw.strip()
         if not line:
             continue
@@ -537,16 +508,8 @@ def parse_prometheus_text(text: str) -> ParsedExposition:
         else:
             name, _, value_text = line.partition(" ")
             labels = ()
-        if value_text == "+Inf":
-            value = float("inf")
-        elif value_text == "-Inf":
-            value = float("-inf")
-        elif value_text == "NaN":
-            value = float("nan")
-        else:
-            value = float(value_text)
         key = (name, labels)
         if key in samples:
             raise MetricError(f"duplicate sample {key!r}")
-        samples[key] = value
+        samples[key] = float(value_text)  # also spells +Inf, -Inf and NaN
     return ParsedExposition(types, helps, samples)

@@ -91,7 +91,10 @@ class ResultRow:
 
 @dataclass
 class RealmResult:
-    """Query output with chart-friendly accessors."""
+    """Query output with chart-friendly accessors.
+
+    ``rows`` come in ``(group, period_start)`` order, one row per pair
+    (how :meth:`Realm.query` reduces them); the accessors rely on it."""
 
     metric: Metric
     dimension: str | None
@@ -100,10 +103,7 @@ class RealmResult:
     def series(self) -> dict[str, list[tuple[str, float | None]]]:
         """group -> ordered [(period_label, value)] — timeseries view."""
         out: dict[str, list[tuple[str, float | None]]] = {}
-        ordered = sorted(
-            self.rows, key=lambda r: (r.period_start or 0, r.group)
-        )
-        for row in ordered:
+        for row in self.rows:
             out.setdefault(row.group, []).append((row.period_label or "", row.value))
         return out
 

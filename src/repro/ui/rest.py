@@ -51,7 +51,6 @@ everything ever issued.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -270,7 +269,7 @@ class XdmodApi:
         snapshot = self.monitor.status()
         members = []
         for member in snapshot.members:
-            entry = dataclasses.asdict(member)
+            entry = dict(vars(member))  # scalar fields: no deep copy
             entry["health"] = member.health
             entry["avg_sync_seconds"] = member.avg_sync_seconds
             members.append(entry)

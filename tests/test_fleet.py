@@ -5,7 +5,7 @@ into the hub's fleet history (``FederationHub.fleet``, a plain
 :class:`MetricsHistory`) on every healthy sync turn — plus the tracer
 ring buffer, the ``leave()`` telemetry purge, departed members' alert
 states, and scrape fidelity (histogram buckets, non-finite values,
-counter resets, the reserved ``member`` label).
+counter resets, a scraped ``member`` label kept as ``exported_member``).
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ class TestShipment:
             for name, labels, value in registry.iter_exposition_samples()
         }
         assert walked == parsed.samples
-        assert registry.type_names() == parsed.types
+        assert {f.name: f.type_name for f in registry._sorted_families()} == parsed.types
 
     def test_nonfinite_values_survive_the_scrape(self):
         registry = MetricsRegistry()
@@ -149,17 +149,27 @@ class TestFleetTSDB:
         assert fleet.last(
             "etl_ingest_records_total", member="site1", source="sacct") == 99
 
-    def test_member_label_is_reserved(self):
-        """A scraped sample carrying its own member label is re-labelled."""
+    def test_scraped_member_label_is_kept_as_exported_member(self):
+        """A scraped sample whose member label names another member keeps
+        it as ``exported_member`` (Prometheus' ``honor_labels: false``), so
+        a nested fleet's children stay apart under the scraped member; one
+        naming the scraped member itself needs no second label."""
         registry = MetricsRegistry()
         gauge = registry.gauge("fleet_series_rows", "Nested fleet", ("member",))
         gauge.labels(member="inner").set(5)
+        gauge.labels(member="other").set(7)
+        gauge.labels(member="outer").set(1)
         fleet = _fleet()
         fleet.scrape("outer", registry)
-        assert fleet.last("fleet_series_rows", member="outer") == 5
+        assert fleet.last("fleet_series_rows", member="outer") == 13
         assert fleet.last("fleet_series_rows", member="inner") is None
+        assert fleet.last(
+            "fleet_series_rows", member="outer", exported_member="inner"
+        ) == 5
         assert fleet.series_keys("fleet_series_rows") == [
-            ("fleet_series_rows", (("member", "outer"),))
+            ("fleet_series_rows", (("exported_member", "inner"), ("member", "outer"))),
+            ("fleet_series_rows", (("exported_member", "other"), ("member", "outer"))),
+            ("fleet_series_rows", (("member", "outer"),)),
         ]
 
     def test_counter_reset_across_snapshots(self):
@@ -557,6 +567,52 @@ class TestScrapeRidesSync:
             name: hub.fleet.age_s(SEQ_SERIES, member=name) for name in names
         }
         assert ages == {"s0": 8.0, "s1": 7.0, "s2": 6.0, "s3": 5.0}
+
+    def test_member_hub_keeps_its_own_members_apart(self):
+        """A member that is itself a hub (Fig. 2) exposes one
+        ``replication_lag_rows`` child per member of its own; the upper
+        hub's fleet keeps them as two series, not one series that gets
+        two samples at one clock reading."""
+        clock = FakeClock()
+
+        def obs(name):
+            return Observability(clock=clock, name=name)
+
+        mid = FederationHub("mid", obs=obs("mid"))
+        satellites = {}
+        for name in ("site0", "site1"):
+            satellites[name] = XdmodInstance(name, obs=obs(name))
+            ingest_jobs(satellites[name].schema, [make_job(i) for i in range(3)])
+            mid.join(satellites[name])
+        ingest_jobs(satellites["site1"].schema, [make_job(i) for i in range(10, 14)])
+        inject_apply_faults(
+            mid.member("site1").channel,
+            FaultPlan(transient_rate=1.0, transient_burst=10**9),
+        )
+        clock.advance(1.0)
+        mid.sync()
+        lags = {name: mid.lag()[name] for name in ("site0", "site1")}
+        assert lags["site0"] == 0 and lags["site1"] > 0
+        top = FederationHub("top", obs=obs("top"))
+        top.join(mid)
+        clock.advance(1.0)
+        top.sync()
+        fleet = top.fleet
+        keys = fleet.series_keys("replication_lag_rows")
+        assert keys == [
+            ("replication_lag_rows", (("exported_member", name), ("member", "mid")))
+            for name in ("site0", "site1")
+        ]
+        for name, lag in lags.items():
+            assert fleet.samples(
+                "replication_lag_rows", member="mid", exported_member=name
+            ) == [(clock.now(), lag)]
+        assert fleet.last("replication_lag_rows", member="mid") == sum(lags.values())
+        parsed = parse_prometheus_text(fleet.render_prometheus())
+        for name, lag in lags.items():
+            assert parsed.value(
+                "replication_lag_rows", member="mid", exported_member=name
+            ) == lag
 
 
 class TestRestSurface:

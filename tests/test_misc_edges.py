@@ -75,13 +75,18 @@ class TestChartFromResult:
 
 class TestRealmResultHelpers:
     def test_series_ordering_by_period(self):
+        """Rows come in (group, period) order, so each group's series is
+        in period order as it stands."""
         metric = Metric("m", "M", "", "m")
         result = RealmResult(metric=metric, dimension=None)
         result.rows = [
-            ResultRow("g", 200, "feb", 2.0),
             ResultRow("g", 100, "jan", 1.0),
+            ResultRow("g", 200, "feb", 2.0),
+            ResultRow("h", 200, "feb", 3.0),
         ]
-        assert result.series()["g"] == [("jan", 1.0), ("feb", 2.0)]
+        assert result.series() == {
+            "g": [("jan", 1.0), ("feb", 2.0)], "h": [("feb", 3.0)],
+        }
 
     def test_totals_skip_none(self):
         metric = Metric("m", "M", "", "m")

@@ -321,6 +321,14 @@ def build_property_source(name: str, period: str, rows, bounds) -> Schema:
     return schema
 
 
+def sorted_series(rows) -> dict:
+    """``RealmResult.series()`` built by sorting the rows by period."""
+    out: dict = {}
+    for row in sorted(rows, key=lambda r: (r.period_start or 0, r.group)):
+        out.setdefault(row.group, []).append((row.period_label or "", row.value))
+    return out
+
+
 class TestKernelMatchesOracleProperty:
     @property_settings(150)
     @given(data=st.data())
@@ -357,11 +365,16 @@ class TestKernelMatchesOracleProperty:
             view=data.draw(st.sampled_from(["timeseries", "aggregate"])),
             idmap=idmap,
         )
+        result = PROPERTY_REALM.query(sources, metric, **kw)
         assert_same_result(
-            PROPERTY_REALM.query(sources, metric, **kw),
+            result,
             oracle_query(PROPERTY_REALM, sources, metric, **kw),
             exact=metric == "n",
         )
+        # rows come in (group, period) order, so series() need not sort
+        keys = [(row.group, row.period_start or 0) for row in result.rows]
+        assert keys == sorted(set(keys))
+        assert result.series() == sorted_series(result.rows)
 
     def test_null_and_unmapped_labels_spelled_as_before(self):
         bounds = period_bounds("month", ANCHOR, ANCHOR)

@@ -64,7 +64,7 @@ def _jobs_schema(n: int):
             "xdsu": 1.2 * cores * wall / SECONDS_PER_HOUR,
             "state": "completed", "exit_code": 0,
         })
-    fact.upsert_columns(fact.schema.columns_from_rows(rows))
+    fact.upsert_rows(tuple(rows[0]), [tuple(row.values()) for row in rows])
     return schema
 
 
@@ -91,7 +91,7 @@ def _storage_schema(n: int):
             "soft_quota_gb": soft,
             "hard_quota_gb": None if soft is None else soft * 1.5,
         })
-    fact.upsert_columns(fact.schema.columns_from_rows(rows))
+    fact.upsert_rows(tuple(rows[0]), [tuple(row.values()) for row in rows])
     return schema
 
 
@@ -141,7 +141,7 @@ def _cloud_schema(n_vms: int):
             "running_s": 0, "stopped_s": 0, "paused_s": 0,
         })
     for table, rows in ((iv_fact, ivs), (vm_fact, vms)):
-        table.upsert_columns(table.schema.columns_from_rows(rows))
+        table.upsert_rows(tuple(rows[0]), [tuple(row.values()) for row in rows])
     return schema
 
 

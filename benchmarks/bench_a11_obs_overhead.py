@@ -82,7 +82,7 @@ def _replication_source(n: int):
             "xdsu": 1.2 * cores * wall / SECONDS_PER_HOUR,
             "state": "completed", "exit_code": 0,
         })
-    fact.upsert_columns(fact.schema.columns_from_rows(rows))
+    fact.upsert_rows(tuple(rows[0]), [tuple(row.values()) for row in rows])
     return source
 
 

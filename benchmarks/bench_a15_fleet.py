@@ -91,7 +91,7 @@ def _satellite(idx: int, n: int) -> XdmodInstance:
             "xdsu": 1.2 * cores * wall / SECONDS_PER_HOUR,
             "state": "completed", "exit_code": 0,
         })
-    fact.upsert_columns(fact.schema.columns_from_rows(rows))
+    fact.upsert_rows(tuple(rows[0]), [tuple(row.values()) for row in rows])
     # flesh out the registry so scrapes carry a representative payload
     # (labelled counters + histogram buckets, like a real ETL satellite)
     ingested = sat.obs.registry.counter(

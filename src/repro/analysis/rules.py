@@ -397,7 +397,7 @@ class UnknownColumnRule(Rule):
     #: Table methods whose first string argument names a column.
     COLUMN_ARG_METHODS = frozenset({"column_array", "column_values"})
     #: Table methods whose first list/tuple argument holds column names.
-    COLUMN_LIST_METHODS = frozenset({"column_arrays", "columns_values"})
+    COLUMN_LIST_METHODS = frozenset({"column_arrays", "columns_values", "upsert_rows"})
     #: Table methods taking a column-batch mapping whose keys are columns.
     ROW_METHODS = frozenset({"upsert_columns"})
 

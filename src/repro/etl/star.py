@@ -20,7 +20,8 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from ..simulators.hpl import ConversionTable
 from ..timeutil import SECONDS_PER_HOUR
-from ..warehouse import ColumnType, Schema, Table, TableSchema, make_columns
+from ..warehouse import ColumnType, Schema, SchemaError, Table, TableSchema, make_columns
+from ..warehouse.schema import CheckedRows
 from .slurm import ParsedJob
 
 C = ColumnType
@@ -138,15 +139,23 @@ class PersonInfo:
     department: str = "Unknown"
 
 
-#: one table's share of an ingest batch, as ``Table.upsert_columns`` takes it
-Batch = tuple[Table, dict[str, list[Any]]]
+#: one table's share of an ingest batch, checked as ``Table.write`` takes it
+Batch = tuple[Table, CheckedRows]
 
 
 def land(batches: Iterable[Batch]) -> None:
     """Write staged batches (:meth:`DimensionCache.stage`) in order, one
-    batch write per table."""
-    for table, columns in batches:
-        table.upsert_columns(columns)
+    batch write per table, without checking them again."""
+    for table, rows in batches:
+        table.write(rows)
+
+
+def _checked(table: Table, rows: Sequence[Mapping[str, Any]]) -> CheckedRows:
+    """Staged row mappings, naming the same columns in one order, checked."""
+    names = tuple(rows[0])
+    if set(map(tuple, rows)) != {names}:
+        raise SchemaError(f"table {table.name!r}: staged rows name different columns")
+    return table.schema.check_rows(names, [tuple(row.values()) for row in rows])
 
 
 class DimensionCache:
@@ -183,21 +192,14 @@ class DimensionCache:
         self, *facts: tuple[Table, Sequence[Mapping[str, Any]]]
     ) -> list[Batch]:
         """The ingest batch in landing order — the dimension rows staged
-        so far, then each of ``facts``' rows — as column batches for
-        :func:`land`.  Every batch has been through the checks its write
-        makes, so a value a table refuses raises here, before anything of
-        the batch is written."""
+        so far, then each of ``facts``' rows — checked, for :func:`land`
+        to write.  Every row is checked here and only here, so a value a
+        table refuses raises before anything of the batch is written."""
         staged = [
             (self._schema.table(name), rows) for name, rows in self._staged.items()
         ]
         self._staged = {}
-        batches: list[Batch] = []
-        for table, rows in (*staged, *facts):
-            if rows:
-                columns = table.schema.columns_from_rows(rows)
-                table.schema.normalize_columns(columns)
-                batches.append((table, columns))
-        return batches
+        return [(table, _checked(table, rows)) for table, rows in (*staged, *facts) if rows]
 
     def resource_id(
         self,

@@ -162,11 +162,9 @@ class MetricsHistory:
         t = self._now(now)
         n = 0
         for family in self._registry._sorted_families():
-            bucket = family.name + "_bucket"
-            for name, labels, value in family.samples():
-                if name != bucket:
-                    self._put((name, labels), t, value, snapshot=True)
-                    n += 1
+            for name, labels, value in family.samples(buckets=False):
+                self._put((name, labels), t, value, snapshot=True)
+                n += 1
         self._records += 1
         if self._records % 16 == 0:
             self.compact(now=t)

@@ -269,12 +269,13 @@ class _Family:
     def observe(self, value: float) -> None:
         self._default_child().observe(value)
 
-    def samples(self) -> Iterator[tuple[str, Labels, float]]:
+    def samples(self, *, buckets: bool = True) -> Iterator[tuple[str, Labels, float]]:
         """The walk: ``(sample name, label items, value)`` per exposition
         sample, children in label-value order, each child's label items
         sorted by name.  A histogram child yields its cumulative
-        ``_bucket`` samples (``le`` appended last, ``+Inf`` included),
-        then ``_sum`` and ``_count``."""
+        ``_bucket`` samples (``le`` appended last, ``+Inf`` included) —
+        unless ``buckets`` is false, which builds none — then ``_sum``
+        and ``_count``."""
         name, names = self.name, self.labelnames
         order = sorted(range(len(names)), key=names.__getitem__)
         with self._lock:
@@ -282,10 +283,11 @@ class _Family:
         for key, child in children:
             labels = tuple([(names[i], key[i]) for i in order])
             if isinstance(child, _Histogram):
-                cumulative = 0
-                for le, n in zip(child.les, child.counts):
-                    cumulative += n
-                    yield name + "_bucket", labels + (("le", le),), float(cumulative)
+                if buckets:
+                    cumulative = 0
+                    for le, n in zip(child.les, child.counts):
+                        cumulative += n
+                        yield name + "_bucket", labels + (("le", le),), float(cumulative)
                 yield name + "_sum", labels, float(child.sum)
                 yield name + "_count", labels, float(child.count)
             else:

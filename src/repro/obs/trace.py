@@ -16,9 +16,10 @@ that replication attaches to binlog events and loose dumps, and
 satellite context: the span adopts the remote trace id and records the
 remote parent's qualified id (``<instance>#<span id>``) so the
 federated-trace assembler can stitch the two tracers' spans into one
-tree.  :meth:`Tracer.merge_remote` imports another tracer's finished
-spans wholesale (ids stay unambiguous because every span carries its
-instance name).
+tree.  A tracer holds only its own spans:
+:class:`~repro.obs.propagation.FederatedTraceAssembler` is what joins
+the spans of several tracers (ids stay unambiguous because every span
+carries its instance name).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import json
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from ..analysis.sanitizer import create_lock
 from .clock import Clock, MonotonicClock
@@ -114,20 +115,6 @@ class SpanRecord:
             "instance": self.instance,
             "remote_parent": self.remote_parent,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SpanRecord":
-        return cls(
-            span_id=int(payload["span_id"]),
-            parent_id=payload.get("parent_id"),
-            name=payload["name"],
-            start_s=float(payload["start_s"]),
-            end_s=float(payload["end_s"]),
-            attrs=dict(payload.get("attrs", {})),
-            trace_id=payload.get("trace_id", ""),
-            instance=payload.get("instance", ""),
-            remote_parent=payload.get("remote_parent"),
-        )
 
 
 class _Span:
@@ -304,22 +291,6 @@ class Tracer:
         return TraceContext(
             trace_id=trace_id, span_id=span_id, instance=self.name
         )
-
-    def merge_remote(self, spans: Iterable[SpanRecord | dict]) -> int:
-        """Import finished spans from another tracer (or a parsed JSONL
-        export).  Returns the number of spans merged.
-
-        Imported records keep their own span ids and instance tags —
-        federation-wide references use the qualified ``instance#id`` form,
-        so no renumbering is needed.  The buffer cap applies as usual.
-        """
-        merged = 0
-        for record in spans:
-            if isinstance(record, dict):
-                record = SpanRecord.from_dict(record)
-            self._record(record)
-            merged += 1
-        return merged
 
     @property
     def finished(self) -> tuple[SpanRecord, ...]:

@@ -127,7 +127,7 @@ def reconcile_charges(schema: Schema) -> tuple[int, int]:
             (allocation.project, allocation.resource), []
         ).append(allocation)
 
-    rows: list[dict] = []
+    rows: list[tuple] = []
     uncovered = 0
     jobs = schema.table("fact_job").columns_values(
         ("job_id", "pi_id", "resource_id", "end_ts", "xdsu")
@@ -141,17 +141,13 @@ def reconcile_charges(schema: Schema) -> tuple[int, int]:
             uncovered += 1
             continue
         rows.append(
-            {
-                "charge_id": len(rows) + 1,
-                "allocation_id": match.allocation_id,
-                "job_id": job_id,
-                "resource_id": resource_id,
-                "project": project,
-                "end_ts": end_ts,
-                "xdsu_charged": xdsu,
-            }
+            (len(rows) + 1, match.allocation_id, job_id, resource_id, project, end_ts, xdsu)
         )
-    charges.upsert_columns(charges.schema.columns_from_rows(rows))
+    charges.upsert_rows(
+        ("charge_id", "allocation_id", "job_id", "resource_id", "project", "end_ts",
+         "xdsu_charged"),
+        rows,
+    )
     return len(rows), uncovered
 
 

@@ -156,12 +156,9 @@ def load_schema(
         for entry in dump["tables"]:
             table_schema = TableSchema.from_dict(entry["schema"])
             table = schema.create_table(table_schema)
-            names, rows = table_schema.column_names, entry["rows"]
-            if any(len(row) != len(names) for row in rows):
-                raise DumpError(f"table {table.name!r}: ragged row")
             # one batch per table; an upsert would fold a repeated key
-            table.upsert_columns(dict(zip(names, zip(*rows))))
-            if len(table) != len(rows):
+            table.upsert_rows(table_schema.column_names, entry["rows"])
+            if len(table) != len(entry["rows"]):
                 raise DumpError(f"table {table.name!r}: duplicate primary key")
     except Exception as exc:
         # malformed row data mid-load: never leave a partial schema behind
@@ -281,6 +278,4 @@ def read_dump_file(path: str | Path) -> dict[str, Any]:
         raise DumpError(f"corrupt dump file {path}: not a dump document")
     if dump.get("kind") != SEGMENT_KIND:  # a segment's checksum covers it all
         _verify_header(dump)
-    # JSON round-trip turns row tuples into lists and may stringify nothing
-    # else; normalize_row on load re-validates types.
     return dump

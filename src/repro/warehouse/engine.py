@@ -35,7 +35,7 @@ from .errors import (
     SchemaError,
     UnknownObjectError,
 )
-from .schema import ColumnType, TableSchema
+from .schema import CheckedRows, ColumnType, TableSchema
 
 
 def _row_encoder() -> Callable[[Any], str]:
@@ -157,38 +157,42 @@ class Table:
 
     # -- mutation ----------------------------------------------------------
 
+    def upsert_rows(self, names: Sequence[str], rows: Iterable[Sequence[Any]]) -> int:
+        """:meth:`write` rows of values under ``names`` (:meth:`TableSchema.check_rows`)."""
+        return self.write(self.schema.check_rows(names, rows))
+
     def upsert_columns(self, columns: Mapping[str, Any]) -> int:
-        """Write a batch of rows held as equal-length columns (NumPy
-        arrays or sequences keyed by column name); returns the row count.
-        The one way a row enters a table: loaders, the aggregator, dump
-        loads and the hub's applier all land their rows here, a single
-        row as a batch of one.
+        """:meth:`write` a batch held as columns (:meth:`TableSchema.check_columns`)."""
+        return self.write(self.schema.check_columns(columns))
+
+    def write(self, batch: CheckedRows) -> int:
+        """Write a batch the validator checked against this table's schema,
+        without checking it again; returns the row count.  The one way a
+        row enters a table, a single row as a batch of one.
 
         Rows land in batch order.  On a keyed table a row whose key is
         already stored — or repeated earlier in the batch — replaces the
         stored row in place and logs an ``UPDATE`` event; any other row
         is appended and logs an ``INSERT`` (a keyless table only
-        appends).  A row omitting a column takes its default.  The whole
-        batch is validated first (:meth:`TableSchema.normalize_columns`),
-        so a bad value anywhere raises before anything is written.  Then
-        the versions move once, by the row count; the column cache is
-        kept when only new keys were written (see :meth:`column_array`)
-        and cleared once otherwise; and each run of like events is one
-        :meth:`Binlog.extend` record holding the stored row tuples (a
-        derived table logs nothing), read back as one event per row.  A
-        batch with no key already stored and none repeated — every
-        append — is one list extend, one index update and one record.
-        An empty batch writes nothing and bumps nothing.
+        appends).  The versions move once, by the row count; the column
+        cache is kept when only new keys were written (see
+        :meth:`column_array`) and cleared once otherwise; and each run of
+        like events is one :meth:`Binlog.extend` record holding the stored
+        row tuples (a derived table logs nothing), read back as one event
+        per row.  A batch with no key already stored and none repeated —
+        every append — is one list extend, one index update and one
+        record.  An empty batch writes nothing and bumps nothing.
         """
-        stored = self.schema.normalize_columns(columns)
-        rows = list(zip(*stored))
+        if batch.schema != self.schema:
+            raise SchemaError(f"table {self.name!r}: batch checked for {batch.schema.name!r}")
+        rows = batch.rows
         n = len(rows)
         if not n:
             return 0
         names = self.schema.column_names
-        key_columns = [stored[self.schema.position(c)] for c in self.schema.primary_key]
         table_rows, index = self._rows, self._pk_index
         logged = not self.schema.derived
+        key_columns = [map(itemgetter(self.schema.position(c)), rows) for c in self.schema.primary_key]
         keys = list(zip(*key_columns)) if key_columns else None
         # each key's row id were every row appended (a keyless table has no index)
         fresh = dict(zip(keys, itertools.count(len(table_rows)))) if keys else {}
@@ -244,7 +248,7 @@ class Table:
             if not predicate(asdict):
                 continue
             asdict.update(changes)
-            new_row = self.schema.normalize_row(asdict)
+            new_row = self.schema.check_rows(tuple(asdict), [tuple(asdict.values())]).rows[0]
             new_key = self.schema.key_of(new_row)
             old_key = self.schema.key_of(row)
             if new_key != old_key and new_key in self._pk_index:
@@ -359,7 +363,7 @@ class Table:
         (:meth:`repro.realms.base.Realm.query`), so aggregator and REST
         threads share it.  Arrays are built lazily per column and cached
         with how many stored rows they cover.  A mutation that only
-        appends rows — an :meth:`upsert_columns` adding only new keys,
+        appends rows — a :meth:`write` adding only new keys,
         which is also how the hub applies replicated inserts — keeps the
         cache, and the next read converts just the appended tail and
         extends the array; every other mutation (an update, a delete, a
@@ -547,7 +551,7 @@ class Schema:
         through the normal table methods so the hub's own binlog also
         records the change (supporting hub-of-hubs topologies).  An
         ``INSERT`` or ``UPDATE`` lands its row through
-        :meth:`Table.upsert_columns` as a batch of one, so replaying an
+        :meth:`Table.upsert_rows` as a batch of one, so replaying an
         insert is idempotent; an update that changed the row's primary
         key removes the row stored under the old key first, so the
         replica holds what the source holds.
@@ -577,7 +581,7 @@ class Schema:
                 old_key = tuple(old_row[c] for c in pk)
                 if old_key != tuple(row[c] for c in pk):
                     table.delete_key(old_key)
-            table.upsert_columns({name: [value] for name, value in row.items()})
+            table.upsert_rows(tuple(row), [tuple(row.values())])
         elif event.etype is EventType.DELETE:
             if event.data.get("key") is not None and table.schema.primary_key:
                 table.delete_key(event.data["key"])
@@ -598,7 +602,7 @@ class Schema:
         The table, the versions and this schema's own binlog (events,
         LSNs, and one trace context for the batch) end up as after
         :meth:`apply_event` on each of its events in order, but the batch
-        costs one :meth:`Table.upsert_columns`, which validates every row
+        costs one :meth:`Table.upsert_rows`, which validates every row
         before it writes any: a batch that raises has applied nothing, and
         the caller can apply its events one by one to find the one at fault.
         """
@@ -607,7 +611,7 @@ class Schema:
                 f"schema {self.name!r}: apply_rows takes INSERT or UPDATE "
                 f"records, got {batch.etype.value} on {batch.table!r}"
             )
-        self.table(batch.table).upsert_columns(dict(zip(batch.names, zip(*batch.rows))))
+        self.table(batch.table).upsert_rows(batch.names, batch.rows)
         if self._apply_counter is not None:
             self._apply_counter.inc(len(batch.rows))
 

@@ -13,7 +13,9 @@ import enum
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Sequence
+from itertools import repeat
+from operator import itemgetter
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,9 +77,8 @@ class ColumnType(enum.Enum):
 
 
 #: A value of exactly this Python type is what :meth:`ColumnType.validate`
-#: would return for it, so :meth:`TableSchema.normalize_row` stores it
-#: without the call (``bool`` is not ``int`` here: the test is on the exact
-#: type).
+#: would return for it, so :meth:`TableSchema.check_rows` stores it without
+#: the call (``bool`` is not ``int`` here: the test is on the exact type).
 _STORED_AS_IS: dict[ColumnType, type] = {
     ColumnType.INT: int,
     ColumnType.TIMESTAMP: int,
@@ -85,6 +86,18 @@ _STORED_AS_IS: dict[ColumnType, type] = {
     ColumnType.STR: str,
     ColumnType.BOOL: bool,
 }
+
+_NONE = type(None)
+
+
+class CheckedRows(NamedTuple):
+    """A batch :meth:`TableSchema.check_rows` accepted: the tuples the
+    table stores, in schema order.  Only the validator makes one, and
+    :meth:`Table.write <repro.warehouse.engine.Table.write>` writes one
+    without another look."""
+
+    schema: "TableSchema"
+    rows: list[tuple[Any, ...]]
 
 
 @dataclass(frozen=True)
@@ -172,16 +185,16 @@ class TableSchema:
         return tuple(self._positions[c] for c in self.primary_key)
 
     @cached_property
-    def _row_plan(self) -> tuple[tuple[str, ColumnType, type | None, Any, bool], ...]:
-        """Per column: name, type, the Python type stored as is, default,
-        and whether NULL is refused."""
-        return tuple(
-            (
-                col.name, col.ctype, _STORED_AS_IS.get(col.ctype), col.default,
-                not col.nullable or col.name in self.primary_key,
-            )
-            for col in self.columns
-        )
+    def _row_plan(self) -> tuple[tuple[str, ColumnType, bool, frozenset[type]], ...]:
+        """Per column: name, type, whether NULL is refused, and the value
+        types stored without a look (the stored type, and ``NoneType``
+        where NULL is allowed)."""
+        plan = []
+        for col in self.columns:
+            required = not col.nullable or col.name in self.primary_key
+            kinds = {_STORED_AS_IS.get(col.ctype)} - {None} | (set() if required else {_NONE})
+            plan.append((col.name, col.ctype, required, frozenset(kinds)))
+        return tuple(plan)
 
     def column(self, name: str) -> Column:
         return self.columns[self.position(name)]
@@ -192,98 +205,82 @@ class TableSchema:
         except KeyError:
             raise SchemaError(f"table {self.name!r} has no column {name!r}") from None
 
-    def _reject_unknown(self, named: Mapping[str, Any]) -> None:
-        unknown = named.keys() - self._positions.keys()
+    def check_rows(
+        self, names: Sequence[str], rows: Iterable[Sequence[Any]]
+    ) -> CheckedRows:
+        """The one validator: rows of values under ``names`` as the tuples
+        this table stores, in schema order.
+
+        A column ``names`` leaves out takes its default.  An unknown or
+        repeated name, or a row not as long as ``names``, is a
+        :class:`SchemaError`; a value its column's type refuses
+        (:meth:`ColumnType.validate`), or NULL in a NOT NULL column (a
+        primary-key column always is one), is a :class:`TypeMismatchError`
+        — the first in row order, then schema order.  A value of exactly
+        its column's stored Python type is stored as is, any other as
+        ``validate`` returns it; a column whose values all have the stored
+        type (or are NULLs it allows) costs one type pass and no call.  A
+        row needing no change, given as a tuple in schema order, is stored
+        as the very tuple.
+        """
+        names = tuple(names)
+        unknown = set(names) - self._positions.keys()
         if unknown:
             raise SchemaError(
                 f"table {self.name!r}: unknown columns {sorted(unknown)!r}"
             )
+        if len(set(names)) != len(names):
+            raise SchemaError(f"table {self.name!r}: a column named twice in {names!r}")
+        rows = rows if isinstance(rows, list) else list(rows)
+        ragged = set(map(len, rows)) - {len(names)}
+        if ragged:
+            raise SchemaError(
+                f"table {self.name!r}: ragged batch: rows of {sorted(ragged)!r} "
+                f"values under {len(names)} names"
+            )
+        if names != self.column_names:  # to schema order, defaults filled in
+            given = {name: i for i, name in enumerate(names)}
+            rows = list(zip(*(
+                map(itemgetter(given[col.name]), rows) if col.name in given
+                else repeat(col.default, len(rows))
+                for col in self.columns
+            )))
+        plan = self._row_plan
+        # the columns holding a value that needs a look: one not of the
+        # column's stored type, nor a NULL the column allows
+        fine = map(frozenset.issuperset, map(itemgetter(3), plan), map(map, repeat(type), zip(*rows)))
+        look = [i for i, ok in enumerate(fine) if not ok]
+        stored = list(map(tuple, rows))  # a tuple stays the very tuple
+        for n, row in enumerate(stored if look else ()):
+            values = None
+            for i in look:
+                name, ctype, required, kinds = plan[i]
+                if (value := row[i]) is None:
+                    if required:
+                        raise TypeMismatchError(
+                            f"table {self.name!r}: column {name!r} may not be NULL"
+                        )
+                elif type(value) not in kinds:
+                    values = values or list(row)
+                    values[i] = ctype.validate(value, column=name)
+            if values:
+                stored[n] = tuple(values)
+        return CheckedRows(self, stored)
 
-    def normalize_row(self, values: Mapping[str, Any]) -> tuple[Any, ...]:
-        """Validate a mapping of column values and return the stored tuple.
-
-        Missing columns take their default; unknown keys are an error; NULL
-        constraints (including implicit PK non-nullability) are enforced.
-        """
-        self._reject_unknown(values)
-        row: list[Any] = []
-        for name, ctype, as_is, default, required in self._row_plan:
-            if name in values:
-                stored = values[name]
-                if type(stored) is not as_is:
-                    stored = ctype.validate(stored, column=name)
-            else:
-                stored = default
-            if stored is None and required:
-                raise TypeMismatchError(
-                    f"table {self.name!r}: column {name!r} may not be NULL"
-                )
-            row.append(stored)
-        return tuple(row)
-
-    def normalize_columns(self, columns: Mapping[str, Any]) -> list[list[Any]]:
-        """:meth:`normalize_row` for a batch held as columns.
-
-        ``columns`` maps column names to equal-length NumPy arrays or
-        sequences, one value per row.  Returns the stored values as one
-        list per schema column, in schema order.  Every check
-        :meth:`normalize_row` makes on a row is made on each column — and
-        raises the same error — so a batch that comes back would have been
-        accepted row by row; columns of unequal length are a
-        :class:`SchemaError`.  Arrays are read through ``tolist()``: what
-        is stored is a plain ``int`` / ``float`` / ``str``, never a NumPy
-        scalar.
-        """
-        self._reject_unknown(columns)
-        given = {
-            name: col.tolist() if isinstance(col, np.ndarray) else list(col)
-            for name, col in columns.items()
-        }
-        lengths = {len(values) for values in given.values()}
+    def check_columns(self, columns: Mapping[str, Any]) -> CheckedRows:
+        """:meth:`check_rows` of a batch held as equal-length columns (NumPy
+        arrays, read through ``tolist()``, or sequences) keyed by name;
+        columns of unequal length are a :class:`SchemaError`."""
+        given = [
+            col.tolist() if isinstance(col, np.ndarray) else list(col)
+            for col in columns.values()
+        ]
+        lengths = set(map(len, given))
         if len(lengths) > 1:
             raise SchemaError(
-                f"table {self.name!r}: columns of unequal length "
-                f"{sorted(lengths)!r}"
+                f"table {self.name!r}: ragged batch: columns of {sorted(lengths)!r} values"
             )
-        n_rows = lengths.pop() if lengths else 0
-        stored: list[list[Any]] = []
-        for name, ctype, as_is, default, required in self._row_plan:
-            values = given.get(name)
-            if values is None:
-                values = [default] * n_rows
-            elif set(map(type, values)) <= {as_is}:
-                # all of the exact stored type: nothing to coerce, no NULL
-                stored.append(values)
-                continue
-            else:
-                values = [
-                    v if type(v) is as_is else ctype.validate(v, column=name)
-                    for v in values
-                ]
-            if required and any(v is None for v in values):
-                raise TypeMismatchError(
-                    f"table {self.name!r}: column {name!r} may not be NULL"
-                )
-            stored.append(values)
-        return stored
-
-    def columns_from_rows(
-        self, rows: Sequence[Mapping[str, Any]]
-    ) -> dict[str, list[Any]]:
-        """Row mappings as the column batch :meth:`normalize_columns` takes.
-
-        Rows that all name the same columns are transposed as they are
-        (a column none of them names is left to its default); rows that
-        differ go through :meth:`normalize_row` first, each taking its own
-        defaults.
-        """
-        if not rows:
-            return {}
-        names = rows[0].keys()
-        if all(row.keys() == names for row in rows):
-            return {name: [row[name] for row in rows] for name in names}
-        stored = [self.normalize_row(row) for row in rows]
-        return dict(zip(self.column_names, map(list, zip(*stored))))
+        return self.check_rows(tuple(columns), zip(*given))
 
     def key_of(self, row: Sequence[Any]) -> tuple[Any, ...] | None:
         """Return the primary-key tuple for a stored row, or None if keyless."""

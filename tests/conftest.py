@@ -10,7 +10,8 @@ against its interpreter, binlog batch records against the per-event log,
 binlog replay, history compaction against the walk that classifies every
 sample, replicated batch records against the per-event channel in
 ``test_batch_apply.py``, ``Realm.query`` against its row-at-a-time
-oracle, and ``encode_json`` against sanitize-then-dump) at 400 examples
+oracle, ``encode_json`` against sanitize-then-dump, and the one row
+validator's two entries against a per-value reference) at 400 examples
 each:
 ``pytest --hypothesis-profile=soak``.
 """

@@ -30,9 +30,10 @@ from repro.etl import (
     ingest_performance,
     ingest_storage_snapshots,
 )
+from repro.etl.star import DimensionCache
 from repro.simulators import ConversionTable, generate_performance_batch
 from repro.timeutil import ts
-from repro.warehouse import Database, EventType, TypeMismatchError
+from repro.warehouse import Database, EventType, SchemaError, TableSchema, TypeMismatchError
 
 from . import row_loader_oracles as oracle
 from .conftest import property_settings
@@ -371,6 +372,25 @@ class TestIngestCloud:
         assert state(batched) == before
 
 
+    def test_a_refused_batch_deletes_nothing(self, monkeypatch):
+        """A re-ingest whose staged batch a table refuses raises before the
+        re-ingested VMs' rows are deleted."""
+        batched, _ = twin_schemas()
+        ingest_cloud_events(batched, vm_events(1, 0) + vm_events(2, 50, first_event_id=10))
+        before = state(batched)
+        check_rows = TableSchema.check_rows
+
+        def refuse_intervals(self, names, rows):
+            if self.name == "fact_vm_interval":
+                raise TypeMismatchError("refused")
+            return check_rows(self, names, rows)
+
+        monkeypatch.setattr(TableSchema, "check_rows", refuse_intervals)
+        with pytest.raises(TypeMismatchError, match="refused"):
+            ingest_cloud_events(batched, vm_events(1, 0, steps=("start", "stop", "terminate")))
+        assert state(batched) == before
+
+
 # -- performance and analytics (upserting loaders) -----------------------------
 
 
@@ -405,3 +425,72 @@ class TestUpsertingLoaders:
                 lambda s: ingest_summaries(s, batch),
                 lambda s: oracle.ingest_summaries(s, batch),
             )
+
+
+# -- each staged row is checked once -------------------------------------------
+
+
+def perf_batch(job_records, small_resource):
+    return generate_performance_batch(job_records, small_resource, max_jobs=5)
+
+
+LOADERS = {
+    "jobs": lambda s, jobs, res: ingest_jobs(
+        s, [make_job(i, user=f"u{i % 2}", resource=f"r{i % 2 + 1}") for i in range(1, 7)],
+        **JOB_KWARGS,
+    ),
+    "storage": lambda s, jobs, res: ingest_storage_snapshots(
+        s, [storage_doc("alice"), storage_doc("bob", ts_=T0 + 60)]
+    ),
+    "cloud": lambda s, jobs, res: ingest_cloud_events(
+        s, vm_events(1, 0) + vm_events(2, 50, steps=("start", "pause"), first_event_id=10)
+    ),
+    "performance": lambda s, jobs, res: ingest_performance(s, perf_batch(jobs, res)),
+    "summaries": lambda s, jobs, res: ingest_summaries(s, [
+        summarize_series(
+            perf.job_id, perf.resource, "namd",
+            {name: values.tolist() for name, values in perf.series.items()},
+        )
+        for perf in perf_batch(jobs, res)
+    ]),
+}
+
+
+class TestEachStagedRowCheckedOnce:
+    def test_staged_rows_must_name_the_same_columns_in_order(self):
+        schema = Database("once").create_schema("modw")
+        create_jobs_star(schema)
+        dims = DimensionCache(schema)
+        pis = schema.table("dim_pi")
+        for second in ({"username": "b", "pi_id": 2}, {"pi_id": 2}):
+            with pytest.raises(SchemaError, match="staged rows name different columns"):
+                dims.stage((pis, [{"pi_id": 1, "username": "a"}, second]))
+        assert len(pis) == 0
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_every_staged_row_passes_the_validator_exactly_once(
+        self, loader, monkeypatch, job_records, small_resource
+    ):
+        """Staging checks the batch and landing writes it as checked: the
+        validator sees each table's rows once, as many as the table logs."""
+        schema = Database("once").create_schema("modw")
+        create_jobs_star(schema)
+        for fresh in (True, False):  # a load, then a re-load of the same input
+            checked: Counter = Counter()
+            check_rows = TableSchema.check_rows
+
+            def counted(self, names, rows):
+                rows = list(rows)
+                checked[self.name] += len(rows)
+                return check_rows(self, names, rows)
+
+            head = schema.binlog.head_lsn
+            with monkeypatch.context() as patch:
+                patch.setattr(TableSchema, "check_rows", counted)
+                LOADERS[loader](schema, job_records, small_resource)
+            written = Counter(
+                e.table for e in schema.binlog.read_from(head)
+                if e.etype in (EventType.INSERT, EventType.UPDATE)
+            )
+            assert checked == written
+            assert checked or not fresh

@@ -303,6 +303,19 @@ class TestUnknownColumn:
         assert [v.rule_id for v in violations] == ["unknown-column-literal"]
         assert "'sum_logical_gbs'" in violations[0].message
 
+    def test_upsert_rows_names_checked(self, engine):
+        violations = lint(
+            engine,
+            """
+            def load(schema, rows):
+                t = schema.table("fact_storage")
+                t.upsert_rows(("ts", "filesystm"), rows)
+            """,
+            path=ETL,
+        )
+        assert [v.rule_id for v in violations] == ["unknown-column-literal"]
+        assert "'filesystm'" in violations[0].message
+
     def test_column_array_and_list_methods(self, engine):
         violations = lint(
             engine,

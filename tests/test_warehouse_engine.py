@@ -98,6 +98,14 @@ class TestCrud:
         for verb in ("insert", "upsert", "_append", "row_ids"):
             assert not hasattr(table, verb), verb
 
+    def test_write_takes_only_a_batch_checked_for_its_table(self, table):
+        other = TableSchema("other", make_columns([("job_id", C.INT, False)]))
+        with pytest.raises(SchemaError, match="batch checked for 'other'"):
+            table.write(other.check_rows(("job_id",), [(1,)]))
+        assert len(table) == 0
+        assert table.write(table.schema.check_rows(("user", "job_id"), [("u", 1)])) == 1
+        assert table.get((1,)) == {"job_id": 1, "user": "u", "cpu_hours": None}
+
     def test_upsert_columns_inserts_a_batch(self, table):
         n = table.upsert_columns(
             {"job_id": list(range(5)), "user": [f"u{i}" for i in range(5)]}

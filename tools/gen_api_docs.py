@@ -42,16 +42,24 @@ FOOTER = """\
 
 ### One batch write
 
-`Table.upsert_columns(columns)` is the one way a row enters a table:
-equal-length columns (NumPy arrays or lists, keyed by column name),
-written in batch order with upsert semantics — on a keyed table a key
-already stored, or repeated earlier in the batch, replaces its row and
-logs an `UPDATE`; every other row is appended and logs an `INSERT`; a
-keyless table only appends.  A single row is a batch of one.  The whole
-batch is validated first (`TableSchema.normalize_columns`: every check
-`normalize_row` makes and the same errors, plus equal lengths), so a bad
-value anywhere raises before anything is written; what is stored is a
-plain `int` / `float` / `str`, never a NumPy scalar.  Versions move once,
+`Table.write(batch)` is the one way a row enters a table, and it takes
+only a batch the one validator checked: `TableSchema.check_rows(names,
+rows)`, rows of values under named columns.  The batch comes in the
+shape it arrives in — `Table.upsert_rows(names, rows)` for row tuples
+(replicated batch records, dump entries, staged ETL rows, a replicated
+single row), `Table.upsert_columns(columns)` for equal-length columns
+(NumPy arrays or lists keyed by column name: the aggregator and the ETL
+markers), whose entry `TableSchema.check_columns` adds only the equal
+length check and hands the rows to `check_rows` — and each row is
+checked once.  A bad value anywhere raises before anything is written,
+with the same error from either shape; what is stored is a plain `int` /
+`float` / `str`, never a NumPy scalar, and a row that already holds each
+column's stored type, as a tuple in schema order, is stored as the very
+tuple given.  Rows are written in batch order with upsert semantics — on
+a keyed table a key already stored, or repeated earlier in the batch,
+replaces its row and logs an `UPDATE`; every other row is appended and
+logs an `INSERT`; a keyless table only appends.  A single row is a batch
+of one.  Versions move once,
 by the row count, the column cache is kept (a batch of new keys only,
 which is one list extend and one index update) or cleared once, and
 each run of like events is one record,
@@ -70,13 +78,14 @@ Every bulk writer reaches its table this way, and only this way:
 - the ETL loaders — `ingest_jobs`, `ingest_storage_snapshots`,
   `ingest_cloud_events`, `ingest_performance`, `ingest_summaries` — which
   stage a parsed batch as rows, let `DimensionCache.stage(...)` hand out
-  surrogate ids and check every staged table's batch, and then `land` it
-  dimensions first, one `upsert_columns` per table.  An ingest batch is
+  surrogate ids and check every staged table's batch, and then `land` the
+  checked batches dimensions first, one `write` per table and no second
+  check.  An ingest batch is
   all or nothing: a `strict` validation failure or a value a table refuses
   raises before anything of the batch is written (row by row, a prefix
   used to land); cloud re-ingest deletes the re-ingested VMs' rows after
   that check and before the batches land;
-- `load_schema`, one batch per dumped table (a ragged row or a repeated
+- `load_schema`, one `upsert_rows` per dumped table (a ragged row or a repeated
   primary key is still a `DumpError` that leaves no partial schema);
 - the hub side of tight replication: `Schema.apply_rows(batch)` applies a
   `RowBatch` — `INSERT`s, or keyed `UPDATE`s, on one table — as one
@@ -96,7 +105,7 @@ Every bulk writer reaches its table this way, and only this way:
   `ReplicationError` naming the LSN are accounted.  `apply_event` remains
   for `UPDATE`s with a before-image, `DELETE` / `TRUNCATE` / DDL, single
   events and that fallback; it lands an `INSERT` or `UPDATE` row through
-  `upsert_columns` as a batch of one, and a replicated keyed `DELETE`
+  `upsert_rows` as a batch of one, and a replicated keyed `DELETE`
   (and the old key of a key-changing `UPDATE`) goes through
   `Table.delete_key(key)`, the primary-key index, not a scan.
 
